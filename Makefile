@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check soak resume-check fuzz sweep-demo
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo
 
-ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check soak resume-check
+ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check bench-module soak resume-check
 
 vet:
 	$(GO) vet ./...
@@ -137,6 +137,13 @@ bench-snapshot:
 
 bench-check:
 	$(GO) run ./cmd/bench -check $(BENCH_SNAPSHOT)
+
+# The end-to-end benchmark (benchmark/README.md) is a Go module of its
+# own, so the root `go vet ./...` and `go test ./...` never see it. Vet
+# and smoke-test it here: it imports simulator APIs (mcu.Exec,
+# tinyos.PostFn, metrics.Recorder, ...) that a change can break.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # The chaos soak corpus (README "Auditing & soak testing"): 64 fixed
 # seeds, each a randomized scenario run on both schedulers with every

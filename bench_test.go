@@ -103,6 +103,7 @@ func timelineRun(b *testing.B, variant mac.Variant, seed int64) *trace.Recorder 
 		Warmup:       10 * sim.Millisecond,
 		StartStagger: 150 * sim.Millisecond,
 		Seed:         seed,
+		TraceLimit:   core.DefaultTraceRing,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -201,6 +201,7 @@ func main() {
 		applyBatteryFlags(&cfg, *batSpec, *brownout, *degrade)
 		applyAuditFlags(&cfg, *auditOn, *auditEvery)
 		applyBudgetFlag(&cfg, *maxEvents)
+		applyTraceFlag(&cfg, *traceOut)
 		cfg.Metrics = cfg.Metrics || *withMet || *metOut != ""
 		res, err := core.Run(cfg)
 		if err != nil {
@@ -257,11 +258,21 @@ func main() {
 	applyBatteryFlags(&cfg, *batSpec, *brownout, *degrade)
 	applyAuditFlags(&cfg, *auditOn, *auditEvery)
 	applyBudgetFlag(&cfg, *maxEvents)
+	applyTraceFlag(&cfg, *traceOut)
 	res, err := core.Run(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	emit(res, *format, *metOut, *traceOut)
+}
+
+// applyTraceFlag opts the run into the retained event ring when
+// -trace-out asks for the timeline; a scenario file's own traceLimit
+// wins.
+func applyTraceFlag(cfg *core.Config, traceOut string) {
+	if traceOut != "" && cfg.TraceLimit == 0 {
+		cfg.TraceLimit = core.DefaultTraceRing
+	}
 }
 
 // applyBudgetFlag overlays -max-events onto a config. Like the other

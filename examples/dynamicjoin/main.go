@@ -25,6 +25,7 @@ func main() {
 		StartStagger: 500 * sim.Millisecond,
 		Seed:         3,
 		BER:          5e-5,
+		TraceLimit:   core.DefaultTraceRing, // the timeline below reads the ring
 	})
 	if err != nil {
 		log.Fatal(err)

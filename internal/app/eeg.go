@@ -161,6 +161,7 @@ func (e *EEGPower) onAcquisition(i int64, samples []codec.Sample) {
 	// Per-acquisition cost: one accumulate per channel, cheaper than a
 	// detector call.
 	cycles := e.env.Cost.RpeakAcquirePair + int64(len(samples))*60
+	samples = append([]codec.Sample(nil), samples...) // the front-end reuses its register
 	e.env.Sched.Interrupt("eeg-sample", cycles, func() {
 		const mid = int64(codec.MaxSample) / 2
 		for ch, s := range samples {

@@ -127,10 +127,11 @@ func (h *HRV) ResetCounters() {
 func (h *HRV) onAcquisition(i int64, samples []codec.Sample) {
 	// Detector cost per sample plus a small RR bookkeeping charge.
 	cycles := h.env.Cost.RpeakAcquirePair + h.env.Cost.RpeakPerChannelSample
+	s0 := samples[0] // the front-end reuses its register
 	h.env.Sched.Interrupt("hrv-sample", cycles, func() {
 		idx := h.sample
 		h.sample++
-		lag := h.detector.Push(samples[0])
+		lag := h.detector.Push(s0)
 		if lag == 0 {
 			return
 		}

@@ -4,6 +4,8 @@ import (
 	"repro/internal/approx"
 	"repro/internal/codec"
 	"repro/internal/ecg"
+	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/trace"
 )
@@ -30,11 +32,18 @@ type Rpeak struct {
 	cfg RpeakConfig
 
 	detectors []*ecg.Detector
-	beats     uint64
-	sent      uint64
-	dropped   uint64
-	seq       uint8
-	running   bool
+	// acquired holds each acquisition's samples until its ISR completes,
+	// and found each detected beat until its assembly task runs.
+	acquired     mcu.Queue[codec.Sample]
+	found        mcu.Queue[packet.Beat]
+	sampleDone   func()
+	assembleDone func()
+	payload      []byte // marshal scratch; Send copies it
+	beats        uint64
+	sent         uint64
+	dropped      uint64
+	seq          uint8
+	running      bool
 }
 
 // NewRpeak builds the application and configures the front-end.
@@ -52,7 +61,11 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 	if cfg.Signal == nil {
 		panic("app: rpeak needs a signal source")
 	}
-	r := &Rpeak{env: env, cfg: cfg}
+	r := &Rpeak{env: env, cfg: cfg,
+		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
+		found:    mcu.NewQueue[packet.Beat](env.Sched.MCU())}
+	r.sampleDone = r.onSampleDone
+	r.assembleDone = r.onAssembleDone
 	r.detectors = make([]*ecg.Detector, cfg.Channels)
 	for ch := range r.detectors {
 		r.detectors[ch] = ecg.NewDetector(cfg.SampleRateHz)
@@ -122,28 +135,46 @@ func (r *Rpeak) ResetCounters() {
 }
 
 // onAcquisition runs the detector over each channel's new sample.
-func (r *Rpeak) onAcquisition(i int64, samples []codec.Sample) {
+//
+//hot:path
+func (r *Rpeak) onAcquisition(_ int64, samples []codec.Sample) {
+	for _, v := range samples {
+		r.acquired.Push(v)
+	}
 	// Acquisition plus one detector call per channel.
 	cycles := r.env.Cost.RpeakAcquirePair +
 		int64(len(samples))*r.env.Cost.RpeakPerChannelSample
-	r.env.Sched.Interrupt("rpeak-sample", cycles, func() {
-		for ch, s := range samples {
-			lag := r.detectors[ch].Push(s)
-			if lag == 0 {
-				continue
-			}
-			r.beats++
-			r.env.Tracer.Recordf(r.env.Sched.Kernel().Now(), r.env.NodeName, trace.KindBeat,
-				"ch=%d lag=%d", ch, lag)
-			r.seq++
-			beat := packet.Beat{Channel: uint8(ch), Lag: uint16(lag), Seq: r.seq}
-			r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, func() {
-				if r.env.Mac.Send(beat.Marshal()) {
-					r.sent++
-				} else {
-					r.dropped++
-				}
-			})
+	r.env.Sched.Interrupt("rpeak-sample", cycles, r.sampleDone)
+}
+
+// onSampleDone feeds one acquisition to the detectors when its ISR
+// completes and posts a beat packet per detected beat.
+//
+//hot:path
+func (r *Rpeak) onSampleDone() {
+	for ch := range r.cfg.Channels {
+		lag := r.detectors[ch].Push(r.acquired.Pop())
+		if lag == 0 {
+			continue
 		}
-	})
+		r.beats++
+		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.env.NodeName, trace.KindBeat,
+			"ch=%d lag=%d", ch, lag)
+		r.seq++
+		if r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, r.assembleDone) {
+			r.found.Push(packet.Beat{Channel: uint8(ch), Lag: uint16(lag), Seq: r.seq})
+		}
+	}
+}
+
+// onAssembleDone sends the oldest detected beat. Like the streaming
+// assembly, it is left off the hot path only because Send dispatches
+// through the Mac interface.
+func (r *Rpeak) onAssembleDone() {
+	r.payload = r.found.Pop().AppendMarshal(r.payload[:0])
+	if r.env.Mac.Send(r.payload) {
+		r.sent++
+	} else {
+		r.dropped++
+	}
 }

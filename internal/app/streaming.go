@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/ecg"
+	"repro/internal/mcu"
 )
 
 // StreamingConfig parameterises the ECG streaming application of §5.1.
@@ -29,10 +30,20 @@ type Streaming struct {
 	env Env
 	cfg StreamingConfig
 
-	buf     []codec.Sample
-	sent    uint64
-	dropped uint64
-	running bool
+	buf []codec.Sample
+	// acquired holds each acquisition's samples from the hardware event
+	// until its ISR completes, and batches each full payload's samples
+	// until its assembly task runs; sampleDone and assembleDone, bound
+	// once, pop them.
+	acquired     mcu.Queue[codec.Sample]
+	batches      mcu.Queue[codec.Sample]
+	sampleDone   func()
+	assembleDone func()
+	batch        []codec.Sample // assembly scratch
+	payload      []byte         // packing scratch; Send copies it
+	sent         uint64
+	dropped      uint64
+	running      bool
 }
 
 // NewStreaming builds the application and configures the front-end.
@@ -54,7 +65,11 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
-	s := &Streaming{env: env, cfg: cfg}
+	s := &Streaming{env: env, cfg: cfg,
+		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
+		batches:  mcu.NewQueue[codec.Sample](env.Sched.MCU())}
+	s.sampleDone = s.onSampleDone
+	s.assembleDone = s.onAssembleDone
 
 	channels := make([]int, cfg.Channels)
 	for i := range channels {
@@ -115,24 +130,51 @@ func (s *Streaming) ResetCounters() {
 }
 
 // onAcquisition runs in hardware-event context for each sample set.
-func (s *Streaming) onAcquisition(i int64, samples []codec.Sample) {
+//
+//hot:path
+func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
+	for _, v := range samples {
+		s.acquired.Push(v)
+	}
 	// The per-pair cost covers the acquisition ISR and buffering.
-	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, func() {
-		s.buf = append(s.buf, samples...)
-		if len(s.buf) < s.cfg.SamplesPerPacket {
-			return
+	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, s.sampleDone)
+}
+
+// onSampleDone buffers one acquisition when its ISR completes and posts
+// the packet assembly once a payload's worth has accumulated.
+//
+//hot:path
+func (s *Streaming) onSampleDone() {
+	for range s.cfg.Channels {
+		s.buf = append(s.buf, s.acquired.Pop())
+	}
+	spp := s.cfg.SamplesPerPacket
+	if len(s.buf) < spp {
+		return
+	}
+	// Packet assembly is a deferred task (header + packing); a full task
+	// queue drops the batch.
+	if s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, s.assembleDone) {
+		for _, v := range s.buf[:spp] {
+			s.batches.Push(v)
 		}
-		batch := make([]codec.Sample, s.cfg.SamplesPerPacket)
-		copy(batch, s.buf[:s.cfg.SamplesPerPacket])
-		s.buf = s.buf[s.cfg.SamplesPerPacket:]
-		// Packet assembly is a deferred task (header + packing).
-		s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, func() {
-			payload := codec.Pack(batch)
-			if s.env.Mac.Send(payload) {
-				s.sent++
-			} else {
-				s.dropped++
-			}
-		})
-	})
+	}
+	s.buf = append(s.buf[:0], s.buf[spp:]...)
+}
+
+// onAssembleDone packs the oldest batch and hands it to the MAC. It is
+// not marked //hot:path only because Send dispatches through the Mac
+// interface, whose contention implementations keep per-event closures;
+// the TDMA Send is a hot root of its own.
+func (s *Streaming) onAssembleDone() {
+	s.batch = s.batch[:0]
+	for range s.cfg.SamplesPerPacket {
+		s.batch = append(s.batch, s.batches.Pop())
+	}
+	s.payload = codec.AppendPack(s.payload[:0], s.batch)
+	if s.env.Mac.Send(s.payload) {
+		s.sent++
+	} else {
+		s.dropped++
+	}
 }

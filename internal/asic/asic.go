@@ -31,6 +31,8 @@ func (f SourceFunc) Sample(ch int, i int64) codec.Sample { return f(ch, i) }
 // SampleHandler receives one acquisition: the sample index and the
 // conversions of the enabled channels, in channel order. It runs in
 // hardware-event context; implementations charge their own MCU cycles.
+// The samples slice is the front-end's conversion register and is
+// overwritten by the next acquisition: copy what must outlive the call.
 type SampleHandler func(i int64, samples []codec.Sample)
 
 // Frontend is one ASIC instance.
@@ -42,6 +44,7 @@ type Frontend struct {
 	source   Source
 	channels []int
 	onSample SampleHandler
+	samples  []codec.Sample // conversion register, reused per acquisition
 
 	timer   *sim.Timer
 	idx     int64
@@ -58,7 +61,7 @@ func New(k *sim.Kernel, params platform.ASICParams, ledger *energy.Ledger) *Fron
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateASICOff)
 	f := &Frontend{k: k, params: params, meter: meter}
-	f.timer = sim.NewTimer(k, func(*sim.Kernel) { f.tick() })
+	f.timer = sim.NewTimer(k, f.tick)
 	return f
 }
 
@@ -78,6 +81,7 @@ func (f *Frontend) Configure(src Source, channels []int, h SampleHandler) {
 	}
 	f.source = src
 	f.channels = append([]int(nil), channels...)
+	f.samples = make([]codec.Sample, len(channels))
 	f.onSample = h
 }
 
@@ -130,12 +134,14 @@ func (f *Frontend) Running() bool { return f.running }
 // SamplesTaken reports how many acquisitions have completed.
 func (f *Frontend) SamplesTaken() int64 { return f.idx }
 
-func (f *Frontend) tick() {
-	samples := make([]codec.Sample, len(f.channels))
+// tick converts the enabled channels and hands the acquisition over.
+//
+//hot:path
+func (f *Frontend) tick(*sim.Kernel) {
 	for j, ch := range f.channels {
-		samples[j] = f.source.Sample(ch, f.idx)
+		f.samples[j] = f.source.Sample(ch, f.idx)
 	}
 	i := f.idx
 	f.idx++
-	f.onSample(i, samples)
+	f.onSample(i, f.samples)
 }

@@ -127,6 +127,9 @@ type transmission struct {
 	start sim.Time
 	end   sim.Time
 	cause Corruption // Clean until an overlap corrupts it
+	// finish is the end-of-frame handler, bound to this record once when
+	// the pool first creates it.
+	finish sim.Handler
 }
 
 // Channel is the shared medium. All methods must run on the simulation
@@ -183,10 +186,13 @@ func (c *Channel) SetLink(from, to string, l Link) {
 	c.links[[2]string{from, to}] = l
 }
 
-// link reports the effective path parameters.
+// link reports the effective path parameters. The default fully
+// connected, error-free medium skips hashing the path.
 func (c *Channel) link(from, to string) Link {
-	if l, ok := c.links[[2]string{from, to}]; ok {
-		return l
+	if len(c.links) > 0 {
+		if l, ok := c.links[[2]string{from, to}]; ok {
+			return l
+		}
 	}
 	return Link{Connected: true}
 }
@@ -251,6 +257,8 @@ func (c *Channel) Stats() Stats { return c.stats }
 // airtime. Any temporal overlap with another in-flight frame corrupts
 // both (single interference domain). Delivery to each listening radio
 // happens at end-of-frame.
+//
+//hot:path
 func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	if airtime <= 0 {
 		panic("channel: non-positive airtime")
@@ -261,8 +269,7 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 		tx = c.txPool[n-1]
 		c.txPool = c.txPool[:n-1]
 	} else {
-		//lint:allow hotalloc pool-miss growth only; steady state recycles transmissions through txPool
-		tx = &transmission{}
+		tx = c.newTransmission()
 	}
 	tx.from = from
 	tx.image = append(tx.image[:0], image...)
@@ -290,11 +297,23 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	}
 	c.active = append(c.active, tx)
 	c.stats.Transmissions++
-
-	//lint:allow hotalloc the end-of-frame closure is the kernel handler ABI: one bounded allocation per transmission
-	c.k.ScheduleAt(tx.end, func(*sim.Kernel) { c.finishTx(tx) })
+	c.k.ScheduleAt(tx.end, tx.finish)
 }
 
+// newTransmission grows the transmission pool by one record, with its
+// end-of-frame handler bound.
+//
+//lint:allow hotalloc pool-miss growth only; steady state recycles transmissions through txPool
+func (c *Channel) newTransmission() *transmission {
+	tx := &transmission{}
+	tx.finish = func(*sim.Kernel) { c.finishTx(tx) }
+	return tx
+}
+
+// finishTx delivers a frame that has left the air to every radio that
+// can hear it, then recycles its record.
+//
+//hot:path
 func (c *Channel) finishTx(tx *transmission) {
 	// Drop tx from the active list.
 	for i, a := range c.active {
@@ -312,7 +331,7 @@ func (c *Channel) finishTx(tx *transmission) {
 		if !l.Connected {
 			continue
 		}
-		if c.blackouts[[2]string{fromID, rx.ChannelID()}] > 0 {
+		if len(c.blackouts) > 0 && c.blackouts[[2]string{fromID, rx.ChannelID()}] > 0 {
 			c.stats.BlackoutDrops++
 			continue
 		}

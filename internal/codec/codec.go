@@ -27,7 +27,20 @@ func SamplesIn(b int) int { return b * 8 / 12 }
 // on the air: sample i occupies bits [12i, 12i+12) of the output stream,
 // LSB first within each byte.
 func Pack(samples []Sample) []byte {
-	out := make([]byte, BytesFor(len(samples)))
+	return AppendPack(make([]byte, 0, BytesFor(len(samples))), samples)
+}
+
+// AppendPack packs samples as Pack does, appending the packed bytes to
+// dst and returning the extended slice. With a scratch buffer of
+// sufficient capacity it allocates nothing.
+//
+//hot:path
+func AppendPack(dst []byte, samples []Sample) []byte {
+	start := len(dst)
+	for range BytesFor(len(samples)) {
+		dst = append(dst, 0)
+	}
+	out := dst[start:]
 	for i, s := range samples {
 		v := uint32(s & MaxSample)
 		bit := i * 12
@@ -39,7 +52,7 @@ func Pack(samples []Sample) []byte {
 			out[byteIdx+2] |= byte(v >> (16 - shift))
 		}
 	}
-	return out
+	return dst
 }
 
 // Unpack decodes n samples from packed data. It fails if data is too

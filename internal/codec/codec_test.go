@@ -140,3 +140,25 @@ func TestQuickQuantizeMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendPackMatchesPack checks the append form against Pack after a
+// non-empty prefix and into reused scratch that holds stale bytes.
+func TestAppendPackMatchesPack(t *testing.T) {
+	samples := []Sample{0xFFF, 0x001, 0xABC, 0x123, 0x800, 0x7FF, 0x0F0}
+	for n := 0; n <= len(samples); n++ {
+		want := Pack(samples[:n])
+		got := AppendPack([]byte{0xEE}, samples[:n])
+		if got[0] != 0xEE || string(got[1:]) != string(want) {
+			t.Fatalf("AppendPack(%d samples) = %x, want ee%x", n, got, want)
+		}
+		scratch := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}
+		if got := AppendPack(scratch[:0], samples[:n]); string(got) != string(want) {
+			t.Fatalf("AppendPack into stale scratch = %x, want %x", got, want)
+		}
+	}
+	buf := make([]byte, 0, 18)
+	in := make([]Sample, 12)
+	if a := testing.AllocsPerRun(100, func() { buf = AppendPack(buf[:0], in) }); a != 0 {
+		t.Fatalf("AppendPack into sufficient scratch allocated %v times", a)
+	}
+}

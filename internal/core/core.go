@@ -99,7 +99,12 @@ type Config struct {
 	Placements []body.Site
 	// Motion is the wearer's activity level for the body model.
 	Motion body.Motion
-	// TraceLimit caps recorded trace events (0 = a generous default).
+	// TraceLimit is the size of the retained event ring (Results.Trace
+	// Events/Filter/ByNode and the Chrome trace export). 0, the default,
+	// keeps no ring: the per-(node, kind) counters, the histograms and
+	// Trace.Recorded stay exact, Trace.Dropped stays 0, and steady-state
+	// events skip formatting their details. Readers of the timeline opt
+	// in with a positive cap, typically DefaultTraceRing.
 	TraceLimit int
 	// StartStagger separates consecutive node power-ons (default 5 ms).
 	// Large values let early nodes reach steady state while later ones
@@ -177,6 +182,11 @@ type Config struct {
 	// count (the sweep ticks are kernel events).
 	Audit *audit.Config
 }
+
+// DefaultTraceRing is the event-ring size readers of the timeline opt
+// into with Config.TraceLimit: it holds the whole join sequence and tens
+// of seconds of steady state of a 5-node network.
+const DefaultTraceRing = 200000
 
 // Scheduler values accepted by Config.Scheduler.
 const (
@@ -279,9 +289,6 @@ func (c *Config) Validate() error {
 		if c.BER > 0 || c.Burst != nil {
 			return fmt.Errorf("core: Placements and BER/Burst are mutually exclusive")
 		}
-	}
-	if c.TraceLimit == 0 {
-		c.TraceLimit = 200000
 	}
 	switch c.Scheduler {
 	case "", SchedulerWheel, SchedulerHeap:
@@ -449,7 +456,11 @@ func Run(cfg Config) (Results, error) {
 		k.SetWatchdog(cfg.MaxEvents, cfg.Interrupt, 0)
 	}
 	ch := channel.New(k)
-	tracer := trace.New(cfg.TraceLimit)
+	ring := cfg.TraceLimit
+	if ring == 0 {
+		ring = metrics.NoRing
+	}
+	tracer := trace.New(ring)
 
 	baseOpts := []node.BaseOption{node.WithBaseProtocol(cfg.Protocol, cfg.MACParams)}
 	if cfg.SlotReclaimCycles > 0 {

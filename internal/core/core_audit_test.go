@@ -79,6 +79,7 @@ func TestAuditCleanUnderChaos(t *testing.T) {
 func TestAuditObserverOnly(t *testing.T) {
 	cfg := chaosAuditConfig()
 	cfg.Metrics = true
+	cfg.TraceLimit = DefaultTraceRing // compare the timelines event by event
 
 	with := cfg
 	without := cfg

@@ -38,7 +38,8 @@ func TestSchedulerDifferentialScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Metrics = true // widen the compared surface
+			cfg.Metrics = true                // widen the compared surface
+			cfg.TraceLimit = DefaultTraceRing // compare the timelines event by event
 			// Every committed scenario must also audit clean on both
 			// schedulers; a violation shows up as an Audit diff or a
 			// non-empty summary in the DeepEqual below.

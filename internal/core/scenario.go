@@ -30,7 +30,7 @@ type scenarioJSON struct {
 	StartStagger sim.Time               `json:"startStagger"`  //
 	Faults       []fault.Fault          `json:"faults,omitempty"`
 	SlotReclaim  int                    `json:"slotReclaimCycles,omitempty"`
-	TraceLimit   int                    `json:"traceLimit,omitempty"`    // event ring cap (0 = default)
+	TraceLimit   int                    `json:"traceLimit,omitempty"`    // retained event ring size (0 = no ring; counters stay exact)
 	Metrics      bool                   `json:"metrics,omitempty"`       // collect the observability snapshot
 	Battery      *batteryJSON           `json:"battery,omitempty"`       // live cell per node
 	BrownoutV    float64                `json:"brownoutV,omitempty"`     // supply cutoff (0 = cell default)

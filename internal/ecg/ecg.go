@@ -57,10 +57,34 @@ type Params struct {
 // Generator produces a deterministic synthetic ECG: the value at a given
 // time never depends on evaluation order, so simulations remain
 // reproducible regardless of event interleaving.
+//
+// A run shares one generator across its nodes, so every node and
+// channel asks for the same sample instants; SampleAt memoises the clean
+// signal per instant in a small direct-mapped table and evaluates the
+// sum of Gaussians once per instant instead of once per node and
+// channel. The memo makes a Generator unsafe for concurrent use: give
+// each goroutine its own.
 type Generator struct {
 	p      Params
 	period float64
+	memo   []memoEntry // allocated on the first SampleAt
 }
+
+// memoSize is the number of entries in the clean-signal memo (a power of
+// two). Nodes start sampling a few cycles apart, so their sample indices
+// trail each other by tens of instants; 1024 entries cover about five
+// seconds at the paper's highest rate.
+const memoSize = 1024
+
+// memoEntry caches ValueAt(t) under the bit pattern of t. The empty key
+// is the bit pattern of NaN, which no sample instant has.
+type memoEntry struct {
+	key uint64
+	v   float64
+}
+
+// emptyKey marks an unused memo entry.
+var emptyKey = math.Float64bits(math.NaN())
 
 // NewGenerator validates params and builds a generator.
 func NewGenerator(p Params) *Generator {
@@ -107,7 +131,7 @@ func (g *Generator) ValueAt(t float64) float64 {
 	k := int64(math.Floor(t / g.period))
 	var v float64
 	// Neighbouring beats can contribute through their P/T tails.
-	for _, dk := range []int64{-1, 0, 1} {
+	for dk := int64(-1); dk <= 1; dk++ {
 		r := g.beatTime(k + dk)
 		for _, w := range pqrst {
 			d := t - (r + w.offset)
@@ -123,12 +147,43 @@ func (g *Generator) ValueAt(t float64) float64 {
 // noise. Distinct channels see the same heart with decorrelated noise.
 func (g *Generator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
-	v := g.ValueAt(t)
+	v := g.clean(i, t)
 	if g.p.NoiseAmp > 0 {
 		h := splitmix64(uint64(i)*2654435761 ^ uint64(ch)<<32 ^ uint64(g.p.Seed))
 		v += unit(h) * g.p.NoiseAmp * g.p.Amplitude
 	}
 	return codec.Quantize(v)
+}
+
+// clean is ValueAt(t) through the memo. Sample i of any rate lands in
+// entry i mod memoSize, so consecutive instants never evict each other;
+// two rates sharing the generator (a downshifted node beside full-rate
+// ones) only cost each other misses, never a wrong value, because the
+// key is t itself.
+func (g *Generator) clean(i int64, t float64) float64 {
+	if g.memo == nil {
+		g.initMemo()
+	}
+	key := math.Float64bits(t)
+	if key == emptyKey {
+		return g.ValueAt(t)
+	}
+	e := &g.memo[uint64(i)&(memoSize-1)]
+	if e.key != key {
+		e.key, e.v = key, g.ValueAt(t)
+	}
+	return e.v
+}
+
+// initMemo allocates the memo on the generator's first sample, so a run
+// that never samples (a set-up, an EEG-only network) never pays for it.
+//
+//lint:allow hotalloc the memo is allocated once per generator, on its first sample
+func (g *Generator) initMemo() {
+	g.memo = make([]memoEntry, memoSize)
+	for j := range g.memo {
+		g.memo[j].key = emptyKey
+	}
 }
 
 // BeatTimes lists the ground-truth R-peak instants in [t0, t1), for

@@ -11,7 +11,7 @@ package energy
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -32,27 +32,35 @@ func (d Draw) Power() float64 { return d.CurrentA * d.VoltageV }
 // integrates energy lazily: it records the instant of the last transition
 // and charges the elapsed interval to the outgoing state when the next
 // transition (or a Flush) occurs.
+//
+// States are held densely, sorted by name: a transition finds its state
+// with a short scan (a component has a handful of states, and callers
+// pass the same constants, so the comparisons are cheap) instead of
+// hashing it, and every sum over states runs in the sorted order.
 type Meter struct {
 	name    string
-	draws   map[State]Draw
-	state   State
+	states  []State // sorted
+	draws   []Draw  // draws[i] is the operating point of states[i]
+	timeIn  []sim.Time
+	cur     int // index of the current state
 	since   sim.Time
-	timeIn  map[State]sim.Time
 	started bool
 }
 
 // NewMeter creates a meter for a component with the given state table.
 // Call Start before the first transition.
 func NewMeter(name string, draws map[State]Draw) *Meter {
-	cp := make(map[State]Draw, len(draws))
-	for s, d := range draws {
-		cp[s] = d
+	m := &Meter{name: name, states: make([]State, 0, len(draws))}
+	for s := range draws {
+		m.states = append(m.states, s)
 	}
-	return &Meter{
-		name:   name,
-		draws:  cp,
-		timeIn: make(map[State]sim.Time),
+	slices.Sort(m.states)
+	m.draws = make([]Draw, len(m.states))
+	for i, s := range m.states {
+		m.draws[i] = draws[s]
 	}
+	m.timeIn = make([]sim.Time, len(m.states))
+	return m
 }
 
 // Name reports the component name the meter was created with.
@@ -63,8 +71,7 @@ func (m *Meter) Start(now sim.Time, initial State) {
 	if m.started {
 		panic(fmt.Sprintf("energy: meter %q started twice", m.name))
 	}
-	m.mustKnow(initial)
-	m.state = initial
+	m.cur = m.mustKnow(initial)
 	m.since = now
 	m.started = true
 }
@@ -72,25 +79,27 @@ func (m *Meter) Start(now sim.Time, initial State) {
 // Transition moves the component into next at instant now, charging the
 // elapsed interval to the outgoing state. Transitioning to the current
 // state is a no-op (but still legal, so callers need not special-case it).
+//
+//hot:path
 func (m *Meter) Transition(now sim.Time, next State) {
 	if !m.started {
 		panic(fmt.Sprintf("energy: meter %q used before Start", m.name))
 	}
-	m.mustKnow(next)
+	i := m.mustKnow(next)
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q time went backwards (%v -> %v)", m.name, m.since, now))
 	}
-	if next == m.state {
+	if i == m.cur {
 		return
 	}
-	m.timeIn[m.state] += now - m.since
-	m.state = next
+	m.timeIn[m.cur] += now - m.since
+	m.cur = i
 	m.since = now
 }
 
 // State reports the component's current power state.
 func (m *Meter) State() State {
-	return m.state
+	return m.states[m.cur]
 }
 
 // Flush charges the interval since the last transition to the current
@@ -103,13 +112,18 @@ func (m *Meter) Flush(now sim.Time) {
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q flush time went backwards", m.name))
 	}
-	m.timeIn[m.state] += now - m.since
+	m.timeIn[m.cur] += now - m.since
 	m.since = now
 }
 
 // TimeIn reports the accumulated residence time in state s (after the
-// last Flush or Transition).
-func (m *Meter) TimeIn(s State) sim.Time { return m.timeIn[s] }
+// last Flush or Transition); 0 for a state the meter does not know.
+func (m *Meter) TimeIn(s State) sim.Time {
+	if i, ok := m.index(s); ok {
+		return m.timeIn[i]
+	}
+	return 0
+}
 
 // Reset zeroes the accumulated residencies and restarts integration at
 // instant now in the current state. Used after simulation warm-up so a
@@ -121,36 +135,35 @@ func (m *Meter) Reset(now sim.Time) {
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q reset time went backwards", m.name))
 	}
-	m.timeIn = make(map[State]sim.Time)
+	clear(m.timeIn)
 	m.since = now
 }
 
 // EnergyJ reports the total energy in joules accumulated across all
 // states, E = sum_s I_s·V_s·t_s. The sum runs over the sorted state
-// list: float addition is not associative, so summing in map order
-// would let the iteration order leak into the last bits of the total
-// and break exact run-to-run invariance.
+// list: float addition is not associative, so a varying order would let
+// it leak into the last bits of the total and break exact run-to-run
+// invariance.
 func (m *Meter) EnergyJ() float64 {
 	var e float64
-	for _, s := range m.States() {
-		e += m.draws[s].Power() * m.timeIn[s].Seconds()
+	for i, d := range m.draws {
+		e += d.Power() * m.timeIn[i].Seconds()
 	}
 	return e
 }
 
 // EnergyInJ reports the energy accumulated in one state.
 func (m *Meter) EnergyInJ(s State) float64 {
-	return m.draws[s].Power() * m.timeIn[s].Seconds()
+	i, ok := m.index(s)
+	if !ok {
+		return 0
+	}
+	return m.draws[i].Power() * m.timeIn[i].Seconds()
 }
 
 // States reports the meter's known states in sorted order.
 func (m *Meter) States() []State {
-	out := make([]State, 0, len(m.draws))
-	for s := range m.draws {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append([]State(nil), m.states...)
 }
 
 // TotalTime reports the sum of residence times over all states.
@@ -162,10 +175,24 @@ func (m *Meter) TotalTime() sim.Time {
 	return t
 }
 
-func (m *Meter) mustKnow(s State) {
-	if _, ok := m.draws[s]; !ok {
+// index finds state s.
+func (m *Meter) index(s State) (int, bool) {
+	for i, x := range m.states {
+		if x == s {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// mustKnow finds state s, panicking on a state the meter was not built
+// with.
+func (m *Meter) mustKnow(s State) int {
+	i, ok := m.index(s)
+	if !ok {
 		panic(fmt.Sprintf("energy: meter %q has no state %q", m.name, s))
 	}
+	return i
 }
 
 // LossCategory labels radio energy that the paper's §4.2 classifies as a

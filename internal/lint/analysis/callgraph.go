@@ -249,14 +249,14 @@ func (g *CallGraph) walkBody(pkg *Package, caller *Node, body *ast.BlockStmt, im
 				return true
 			}
 			if obj, ok := pkg.Info.Uses[x].(*types.Func); ok {
-				fn, pos = obj, x.Pos()
+				fn, pos = obj.Origin(), x.Pos()
 			}
 		case *ast.SelectorExpr:
 			if callPositions[ast.Expr(x)] {
 				return true
 			}
 			if obj, ok := pkg.Info.Uses[x.Sel].(*types.Func); ok {
-				fn, pos = obj, x.Sel.Pos()
+				fn, pos = obj.Origin(), x.Sel.Pos()
 			}
 		}
 		if fn == nil {
@@ -272,16 +272,19 @@ func (g *CallGraph) walkBody(pkg *Package, caller *Node, body *ast.BlockStmt, im
 
 // calleeOf resolves the static callee of a call expression: a package
 // function, a concrete method, or an interface method. Conversions,
-// builtins and calls through func-typed values yield nil.
+// builtins and calls through func-typed values yield nil. A call into a
+// generic function or a method of a generic type resolves to the
+// declared (uninstantiated) function, whose body is the one in the
+// graph.
 func calleeOf(pkg *Package, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

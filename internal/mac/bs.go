@@ -2,9 +2,11 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
@@ -122,6 +124,40 @@ type BS struct {
 	// frame has flown.
 	beaconBuf []byte
 	ackBuf    []byte
+
+	// Per-event state of the beacon and data paths, each stepped by a
+	// handler bound once in NewBS, so a cycle allocates nothing. A base
+	// station never crashes and its beacon chain is strictly sequential
+	// (the next beacon is armed only once this one has flown), so the
+	// beacon's state lives in fields; the data path's per-frame state
+	// rides on MCU completions, which arrive in posting order.
+	beaconFireAt   sim.Time // burst instant of the beacon being prepared
+	beaconBytes    int      // its encoded payload size
+	beaconLoaded   bool
+	beaconIsDue    bool
+	acks           sim.FIFO[RxRecord] // frames awaiting the ack turnaround
+	ackLoads       sim.FIFO[RxRecord] // acked frames whose ack is clocking in
+	forwards       sim.FIFO[RxRecord] // frames awaiting the forwarding task
+	ssrs           sim.FIFO[packet.SSR]
+	releases       sim.FIFO[packet.Release]
+	onPrepare      sim.Handler
+	onBeaconDue    sim.Handler
+	beaconBuilt    func()
+	beaconLoadDone func()
+	beaconSent     func()
+	ackTurnaround  func()
+	ackLoaded      func()
+	ackSent        func()
+	forwarded      func()
+	slotAssigned   func()
+	slotReleased   func()
+	// Scratch reused across cycles: the beacon's entry list, the sorted
+	// node IDs of a reclaim sweep, the slot table of a compaction, and
+	// the arena the received-frame log copies payloads into.
+	entries []packet.SlotEntry
+	ids     []uint8
+	table   []packet.SlotEntry
+	rxArena []byte
 }
 
 // NewBS wires a base station over its radio and OS.
@@ -155,6 +191,17 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		slotNode: make(map[int]uint8),
 		silent:   make(map[uint8]int),
 	}
+	bs.onPrepare = bs.prepareBeacon
+	bs.onBeaconDue = bs.beaconDue
+	bs.beaconBuilt = bs.buildBeacon
+	bs.beaconLoadDone = bs.onBeaconLoaded
+	bs.beaconSent = bs.onBeaconSent
+	bs.ackTurnaround = bs.turnAck
+	bs.ackLoaded = bs.onAckLoaded
+	bs.ackSent = bs.onAckSent
+	bs.forwarded = bs.forward
+	bs.slotAssigned = bs.assignSlot
+	bs.slotReleased = bs.releaseSlot
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
@@ -292,9 +339,8 @@ func (bs *BS) scheduleBeacon(fireAt sim.Time) {
 	lead := p.MCU.CyclesToTime(p.Cost.BSBeaconBuild) +
 		p.Radio.TxClockIn(p.Radio.AddressBytes+bs.maxBeaconBytes()) +
 		150*sim.Microsecond
-	bs.k.ScheduleAt(fireAt-lead-p.Radio.TxSettle, func(*sim.Kernel) {
-		bs.prepareBeacon(fireAt)
-	})
+	bs.beaconFireAt = fireAt
+	bs.k.ScheduleAt(fireAt-lead-p.Radio.TxSettle, bs.onPrepare)
 }
 
 // maxBeaconBytes bounds the beacon payload for lead-time sizing.
@@ -302,61 +348,82 @@ func (bs *BS) maxBeaconBytes() int {
 	return packet.BeaconBaseBytes + packet.SlotEntryBytes*bs.maxSlots
 }
 
-// prepareBeacon builds and loads the beacon, then fires it on time.
-func (bs *BS) prepareBeacon(fireAt sim.Time) {
-	p := bs.cfg.Profile
+// prepareBeacon opens the SB region and builds the beacon, which then
+// flies on time.
+//
+//hot:path
+func (bs *BS) prepareBeacon(*sim.Kernel) {
 	bs.inBeaconPrep = true
 	bs.radio.Standby() // stop listening; the SB slot begins
-	bs.sched.Interrupt("bs-beacon-build", p.Cost.BSBeaconBuild, func() {
-		bs.reclaimSilent()
-		if bs.needCompact {
-			bs.compactSlots()
-			bs.needCompact = false
-		}
-		bs.cycle = bs.currentCycle() // dynamic growth/shrink takes effect here
-		bs.seq++
-		b := packet.Beacon{
-			Seq:         bs.seq,
-			CycleMicros: uint32(bs.cycle / sim.Microsecond),
-			Entries:     bs.beaconEntries(),
-		}
-		// The burst should start at fireAt, but under MCU congestion
-		// (a slot-assign task from a late SSR, say) the FIFO load can
-		// slip past the nominal instant; the beacon then flies as soon
-		// as the load completes, and the nodes' guard margins absorb
-		// the small delay.
-		loaded, due := false, false
-		fire := func() {
-			bs.radio.Fire(func() {
-				bs.inBeaconPrep = false
-				bs.stats.BeaconsSent++
-				bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindBeaconTx,
-					"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
-				bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-				bs.radio.StartRx()
-				// The burst just ended; its air start is the reference.
-				bs.t0 = bs.k.Now() - p.Radio.Airtime(b.EncodedBytes())
-				bs.scheduleBeacon(bs.t0 + bs.cycle)
-			})
-		}
-		bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, func() {
-			loaded = true
-			if due {
-				fire()
-			}
-		})
-		fireEvent := fireAt - p.Radio.TxSettle
-		if fireEvent < bs.k.Now() {
-			fireEvent = bs.k.Now() // congestion ate the lead; fly late
-		}
-		bs.k.ScheduleAt(fireEvent, func(*sim.Kernel) {
-			due = true
-			if loaded {
-				fire()
-			}
-		})
-	})
+	bs.sched.Interrupt("bs-beacon-build", bs.cfg.Profile.Cost.BSBeaconBuild, bs.beaconBuilt)
+}
+
+// buildBeacon assembles and loads the beacon once the build task ran.
+//
+//hot:path
+func (bs *BS) buildBeacon() {
+	p := bs.cfg.Profile
+	bs.reclaimSilent()
+	if bs.needCompact {
+		bs.compactSlots()
+		bs.needCompact = false
+	}
+	bs.cycle = bs.currentCycle() // dynamic growth/shrink takes effect here
+	bs.seq++
+	b := packet.Beacon{
+		Seq:         bs.seq,
+		CycleMicros: uint32(bs.cycle / sim.Microsecond),
+		Entries:     bs.beaconEntries(),
+	}
+	bs.beaconBytes = b.EncodedBytes()
+	// The burst should start at fireAt, but under MCU congestion (a
+	// slot-assign task from a late SSR, say) the FIFO load can slip past
+	// the nominal instant; the beacon then flies as soon as the load
+	// completes, and the nodes' guard margins absorb the small delay.
+	bs.beaconLoaded, bs.beaconIsDue = false, false
+	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
+	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, bs.beaconLoadDone)
+	fireEvent := bs.beaconFireAt - p.Radio.TxSettle
+	if fireEvent < bs.k.Now() {
+		fireEvent = bs.k.Now() // congestion ate the lead; fly late
+	}
+	bs.k.ScheduleAt(fireEvent, bs.onBeaconDue)
+}
+
+// onBeaconLoaded fires the beacon if its instant has already come.
+//
+//hot:path
+func (bs *BS) onBeaconLoaded() {
+	bs.beaconLoaded = true
+	if bs.beaconIsDue {
+		bs.radio.Fire(bs.beaconSent)
+	}
+}
+
+// beaconDue fires the beacon at its instant if the load has completed.
+//
+//hot:path
+func (bs *BS) beaconDue(*sim.Kernel) {
+	bs.beaconIsDue = true
+	if bs.beaconLoaded {
+		bs.radio.Fire(bs.beaconSent)
+	}
+}
+
+// onBeaconSent reopens the receiver and arms the next beacon.
+//
+//hot:path
+func (bs *BS) onBeaconSent() {
+	p := bs.cfg.Profile
+	bs.inBeaconPrep = false
+	bs.stats.BeaconsSent++
+	metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindBeaconTx,
+		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
+	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
+	bs.radio.StartRx()
+	// The burst just ended; its air start is the reference.
+	bs.t0 = bs.k.Now() - p.Radio.Airtime(bs.beaconBytes)
+	bs.scheduleBeacon(bs.t0 + bs.cycle)
 }
 
 // reclaimSilent ages every joined node's silence counter and frees the
@@ -371,11 +438,12 @@ func (bs *BS) reclaimSilent() {
 	if bs.cfg.ReclaimAfter <= 0 || len(bs.nodeSlot) == 0 {
 		return
 	}
-	ids := make([]uint8, 0, len(bs.nodeSlot))
+	ids := bs.ids[:0]
 	for id := range bs.nodeSlot {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	bs.ids = ids
 	reclaimed := false
 	for _, id := range ids {
 		bs.silent[id]++
@@ -388,7 +456,7 @@ func (bs *BS) reclaimSilent() {
 		delete(bs.silent, id)
 		reclaimed = true
 		bs.stats.SlotsReclaimed++
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotReclaim,
+		metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindSlotReclaim,
 			"node=%d slot=%d after=%d", id, slot, bs.cfg.ReclaimAfter)
 		// Drop any pending grant advertisements for the dead node.
 		live := bs.grants[:0]
@@ -408,46 +476,52 @@ func (bs *BS) reclaimSilent() {
 // their order. Without this a survivor's slot index could exceed the
 // shrunk cycle and its transmissions would land outside the frame.
 func (bs *BS) compactSlots() {
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
+	table := bs.table[:0]
+	for slot, id := range bs.slotNode {
+		table = append(table, packet.SlotEntry{NodeID: id, Slot: uint8(slot)})
 	}
-	sort.Ints(slots)
-	nodeSlot := make(map[uint8]int, len(slots))
-	slotNode := make(map[int]uint8, len(slots))
-	for i, s := range slots {
-		id := bs.slotNode[s]
-		nodeSlot[id] = i
-		slotNode[i] = id
+	slices.SortFunc(table, bySlot)
+	bs.table = table
+	clear(bs.nodeSlot)
+	clear(bs.slotNode)
+	for i, e := range table {
+		bs.nodeSlot[e.NodeID] = i
+		bs.slotNode[i] = e.NodeID
 	}
-	bs.nodeSlot = nodeSlot
-	bs.slotNode = slotNode
 }
+
+// bySlot orders slot entries by slot index.
+func bySlot(a, b packet.SlotEntry) int { return int(a.Slot) - int(b.Slot) }
 
 // beaconEntries assembles the advertisement list: the full slot table for
 // dynamic TDMA, the active grants for static TDMA.
+//
+// The list lives in scratch reused by the next beacon, which is built
+// only after this one has been marshalled.
 func (bs *BS) beaconEntries() []packet.SlotEntry {
+	entries := bs.entries[:0]
 	if bs.cfg.Variant == Dynamic {
-		entries := make([]packet.SlotEntry, 0, len(bs.nodeSlot))
 		for slot, node := range bs.slotNode {
 			entries = append(entries, packet.SlotEntry{NodeID: node, Slot: uint8(slot)})
 		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Slot < entries[j].Slot })
-		return entries
-	}
-	var entries []packet.SlotEntry
-	var live []grant
-	for _, g := range bs.grants {
-		entries = append(entries, g.entry)
-		if g.left--; g.left > 0 {
-			live = append(live, g)
+		slices.SortFunc(entries, bySlot)
+	} else {
+		live := bs.grants[:0] // filtered in place
+		for _, g := range bs.grants {
+			entries = append(entries, g.entry)
+			if g.left--; g.left > 0 {
+				live = append(live, g)
+			}
 		}
+		bs.grants = live
 	}
-	bs.grants = live
+	bs.entries = entries
 	return entries
 }
 
 // onFrame dispatches node frames.
+//
+//hot:path
 func (bs *BS) onFrame(f packet.Frame) {
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
@@ -466,63 +540,75 @@ func (bs *BS) onFrame(f packet.Frame) {
 // so the dynamic cycle compacts on the next beacon instead of after the
 // silence-reclaim window.
 func (bs *BS) handleRelease(rel packet.Release) {
-	bs.sched.PostFn("bs-slot-release", bs.cfg.Profile.Cost.BSSlotAssign, func() {
-		slot, exists := bs.nodeSlot[rel.NodeID]
-		if !exists {
-			return // duplicate or stale release
+	if bs.sched.PostFn("bs-slot-release", bs.cfg.Profile.Cost.BSSlotAssign, bs.slotReleased) {
+		bs.releases.Push(rel)
+	}
+}
+
+// releaseSlot frees a released slot once the release task ran.
+func (bs *BS) releaseSlot() {
+	rel := bs.releases.Pop()
+	slot, exists := bs.nodeSlot[rel.NodeID]
+	if !exists {
+		return // duplicate or stale release
+	}
+	delete(bs.nodeSlot, rel.NodeID)
+	delete(bs.slotNode, slot)
+	delete(bs.silent, rel.NodeID)
+	bs.stats.SlotsReleased++
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotRelease,
+		"node=%d slot=%d", rel.NodeID, slot)
+	live := bs.grants[:0]
+	for _, g := range bs.grants {
+		if g.entry.NodeID != rel.NodeID {
+			live = append(live, g)
 		}
-		delete(bs.nodeSlot, rel.NodeID)
-		delete(bs.slotNode, slot)
-		delete(bs.silent, rel.NodeID)
-		bs.stats.SlotsReleased++
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotRelease,
-			"node=%d slot=%d", rel.NodeID, slot)
-		live := bs.grants[:0]
-		for _, g := range bs.grants {
-			if g.entry.NodeID != rel.NodeID {
-				live = append(live, g)
-			}
-		}
-		bs.grants = live
-		// Compaction is deferred to the next beacon build: renumbering
-		// now would misattribute frames from survivors that still
-		// transmit in their old slot indices for the rest of this cycle.
-		if bs.cfg.Variant == Dynamic {
-			bs.needCompact = true
-		}
-	})
+	}
+	bs.grants = live
+	// Compaction is deferred to the next beacon build: renumbering now
+	// would misattribute frames from survivors that still transmit in
+	// their old slot indices for the rest of this cycle.
+	if bs.cfg.Variant == Dynamic {
+		bs.needCompact = true
+	}
 }
 
 // handleSSR assigns a slot (or repeats an existing assignment for a
 // retrying node) and advertises it in upcoming beacons.
 func (bs *BS) handleSSR(ssr packet.SSR) {
 	bs.stats.SSRReceived++
-	bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
-		delete(bs.silent, ssr.NodeID)
-		slot, exists := bs.nodeSlot[ssr.NodeID]
-		if !exists {
-			if len(bs.nodeSlot) >= bs.maxSlots {
-				// "Once reached the limit no other nodes are accepted."
-				bs.stats.SSRRejected++
-				return
-			}
-			slot = bs.nextFreeSlot()
-			bs.nodeSlot[ssr.NodeID] = slot
-			bs.slotNode[slot] = ssr.NodeID
-			if bs.cfg.Variant == Dynamic {
-				bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindCycleGrow,
-					"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
-			}
+	if bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, bs.slotAssigned) {
+		bs.ssrs.Push(ssr)
+	}
+}
+
+// assignSlot answers a slot request once the assignment task ran.
+func (bs *BS) assignSlot() {
+	ssr := bs.ssrs.Pop()
+	delete(bs.silent, ssr.NodeID)
+	slot, exists := bs.nodeSlot[ssr.NodeID]
+	if !exists {
+		if len(bs.nodeSlot) >= bs.maxSlots {
+			// "Once reached the limit no other nodes are accepted."
+			bs.stats.SSRRejected++
+			return
 		}
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotGrant,
-			"node=%d slot=%d", ssr.NodeID, slot)
-		if bs.cfg.Variant == Static {
-			bs.grants = append(bs.grants, grant{
-				entry: packet.SlotEntry{NodeID: ssr.NodeID, Slot: uint8(slot)},
-				left:  bs.cfg.GrantRepeat,
-			})
+		slot = bs.nextFreeSlot()
+		bs.nodeSlot[ssr.NodeID] = slot
+		bs.slotNode[slot] = ssr.NodeID
+		if bs.cfg.Variant == Dynamic {
+			metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindCycleGrow,
+				"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
 		}
-	})
+	}
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotGrant,
+		"node=%d slot=%d", ssr.NodeID, slot)
+	if bs.cfg.Variant == Static {
+		bs.grants = append(bs.grants, grant{
+			entry: packet.SlotEntry{NodeID: ssr.NodeID, Slot: uint8(slot)},
+			left:  bs.cfg.GrantRepeat,
+		})
+	}
 }
 
 // nextFreeSlot returns the lowest unassigned slot index.
@@ -565,10 +651,16 @@ func (bs *BS) handleData(payload []byte) {
 		}
 	}
 	delete(bs.silent, node)
-	rec := RxRecord{Node: node, Payload: append([]byte(nil), payload...), At: bs.k.Now()}
+	// The log copies payloads into an append-only arena: a record's
+	// capped slice never sees later frames, and growth only reallocates
+	// geometrically.
+	start := len(bs.rxArena)
+	bs.rxArena = append(bs.rxArena, payload...)
+	end := len(bs.rxArena)
+	rec := RxRecord{Node: node, Payload: bs.rxArena[start:end:end], At: bs.k.Now()}
 	bs.received = append(bs.received, rec)
 	bs.stats.DataReceived++
-	bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", node, len(payload))
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", node, len(payload))
 
 	// Fast-path acknowledgement: turn the radio around immediately; the
 	// deferred forwarding task is posted only once the ack is on its way
@@ -579,24 +671,51 @@ func (bs *BS) handleData(payload []byte) {
 	if bs.inBeaconPrep {
 		return
 	}
-	bs.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, func() {
-		if bs.inBeaconPrep {
-			return
-		}
-		bs.radio.Standby()
-		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(node), bs.ackBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.AcksSent++
-				bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-				bs.radio.StartRx()
-			})
-			// Forwarding to the collecting device, off the fast path.
-			bs.sched.PostFn("bs-data-handle", p.Cost.BSDataHandle, func() {
-				if bs.onData != nil {
-					bs.onData(rec)
-				}
-			})
-		})
-	})
+	bs.acks.Push(rec)
+	bs.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, bs.ackTurnaround)
+}
+
+// turnAck loads the acknowledgement once the turnaround ISR ran.
+//
+//hot:path
+func (bs *BS) turnAck() {
+	rec := bs.acks.Pop()
+	if bs.inBeaconPrep {
+		return
+	}
+	bs.radio.Standby()
+	bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
+	bs.ackLoads.Push(rec)
+	bs.radio.Load(bs.cfg.Plan.NodeAddr(rec.Node), bs.ackBuf, bs.ackLoaded)
+}
+
+// onAckLoaded fires the acknowledgement and posts the frame's forwarding
+// to the collecting device, off the fast path.
+//
+//hot:path
+func (bs *BS) onAckLoaded() {
+	rec := bs.ackLoads.Pop()
+	bs.radio.Fire(bs.ackSent)
+	if bs.sched.PostFn("bs-data-handle", bs.cfg.Profile.Cost.BSDataHandle, bs.forwarded) {
+		bs.forwards.Push(rec)
+	}
+}
+
+// onAckSent reopens the receiver once the acknowledgement has flown.
+//
+//hot:path
+func (bs *BS) onAckSent() {
+	bs.stats.AcksSent++
+	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
+	bs.radio.StartRx()
+}
+
+// forward hands an acknowledged frame to the data sink.
+//
+//hot:path
+func (bs *BS) forward() {
+	rec := bs.forwards.Pop()
+	if bs.onData != nil {
+		bs.onData(rec)
+	}
 }

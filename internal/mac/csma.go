@@ -308,7 +308,7 @@ func (m *CSMANode) Send(payload []byte) bool {
 		m.stats.QueueDrops++
 		return false
 	}
-	m.queue = append(m.queue, txItem{payload: payload, enqueuedAt: m.k.Now()})
+	m.queue = append(m.queue, txItem{payload: append([]byte(nil), payload...), enqueuedAt: m.k.Now()})
 	return true
 }
 

@@ -345,7 +345,7 @@ func (m *LPLNode) Send(payload []byte) bool {
 		m.stats.QueueDrops++
 		return false
 	}
-	m.queue = append(m.queue, txItem{payload: payload, enqueuedAt: m.k.Now()})
+	m.queue = append(m.queue, txItem{payload: append([]byte(nil), payload...), enqueuedAt: m.k.Now()})
 	if m.state == stateJoined && !m.opActive {
 		m.startDataOp()
 	}

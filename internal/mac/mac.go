@@ -41,7 +41,8 @@ type Mac interface {
 	Start()
 	// Send queues a data payload for transmission in the node's slot.
 	// It reports false when the transmit queue is full (the payload is
-	// dropped and counted).
+	// dropped and counted). The MAC copies the payload, so the caller
+	// may reuse its buffer as soon as Send returns.
 	Send(payload []byte) bool
 	// Joined reports whether the node holds a slot.
 	Joined() bool

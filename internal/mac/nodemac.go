@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/energy"
+	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
@@ -66,9 +68,45 @@ type NodeMac struct {
 	slot     int
 	onJoined []func()
 	// gen invalidates kernel events armed before a crash: every scheduled
-	// closure captures the generation it was issued under and returns
-	// without effect when a crash has bumped it since.
+	// step carries the generation it was issued under and returns without
+	// effect when a crash has bumped it since.
 	gen uint64
+	// Per-event state of the steady-state protocol steps, each stepped by
+	// a handler bound once in NewNodeMac, so a beacon cycle allocates
+	// nothing: the kernel-timed steps file their generation (and window
+	// stride) by event ID; MCU and radio completions need no state beyond
+	// the MAC's own fields.
+	windowOpens    sim.Pending[windowArm]
+	windowExpiries sim.Pending[uint64]
+	slotFires      sim.Pending[uint64]
+	ackExpiries    sim.Pending[uint64]
+	onWindowOpen   sim.Handler
+	onWindowExpiry sim.Handler
+	onSlotDue      sim.Handler
+	onAckExpiry    sim.Handler
+	beaconParsed   func()
+	ackProcessed   func()
+	dataLoaded     func()
+	dataSent       func()
+	// Control-frame transients (slot request, slot release), stepped the
+	// same way. Each attempt is numbered: its prep and fire events carry
+	// (generation, attempt), its prep ISR and FIFO clock-in queue their
+	// state on the MCU, and ctrlAttempts records whether the frame was
+	// loaded until the attempt's fire event reads it.
+	ctrlSteps    sim.Pending[ctrlArm]
+	ctrlPreps    mcu.Queue[ctrlPrep]
+	ctrlLoads    mcu.Queue[uint64]
+	ctrlAttempts []ctrlAttempt
+	ctrlSeq      uint64
+	onSSRPrep    sim.Handler
+	onSSRFire    sim.Handler
+	onRelPrep    sim.Handler
+	onRelFire    sim.Handler
+	ssrPrepped   func()
+	relPrepped   func()
+	ctrlLoadDone func()
+	ssrSent      func()
+	relSent      func()
 	// joinedSince/joinedAccum track slot-holding time for the
 	// availability metric.
 	joinedSince sim.Time
@@ -82,10 +120,14 @@ type NodeMac struct {
 	rejoinArmed bool
 	rejoinFrom  sim.Time
 
-	queue    []txItem
-	loading  bool // FIFO clock-in in progress
-	loaded   bool
-	inFlight *txItem // frame in the FIFO / awaiting ack (for retry)
+	queue       sim.FIFO[txItem]
+	loading     bool // FIFO clock-in in progress
+	loaded      bool
+	inFlight    txItem // frame in the FIFO / awaiting ack (for retry)
+	hasInFlight bool
+	// spare recycles payload buffers: Send copies each payload into one,
+	// and an acknowledged or dropped frame returns its buffer.
+	spare [][]byte
 	// ctrlBuf is marshal scratch for control frames (SSR, Release). The
 	// node sends at most one control frame at a time — SSR only while
 	// requesting, Release only while joined — so one buffer suffices.
@@ -101,6 +143,8 @@ type NodeMac struct {
 	joinListenAt  sim.Time
 	ssrNonce      uint16
 	ssrScheduled  bool
+	// beacon is the last parsed beacon; its Entries slice is reused.
+	beacon packet.Beacon
 
 	// Graceful-degradation controls (battery lifecycle).
 	stretchEvery   int    // skip our data slot every this-many cycles (0 = off)
@@ -146,8 +190,33 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 		tracer: tracer,
 		slot:   -1,
 	}
+	m.onWindowOpen = m.windowOpened
+	m.onWindowExpiry = m.windowExpired
+	m.onSlotDue = m.slotDue
+	m.onAckExpiry = m.ackExpired
+	m.beaconParsed = m.afterBeacon
+	m.ackProcessed = m.tryLoad
+	m.dataLoaded = m.onDataLoaded
+	m.dataSent = m.onDataSent
+	m.ctrlPreps = mcu.NewQueue[ctrlPrep](sched.MCU())
+	m.ctrlLoads = mcu.NewQueue[uint64](sched.MCU())
+	m.onSSRPrep = m.ssrPrepDue
+	m.onSSRFire = m.ssrFireDue
+	m.onRelPrep = m.relPrepDue
+	m.onRelFire = m.relFireDue
+	m.ssrPrepped = m.onSSRPrepped
+	m.relPrepped = m.onRelPrepped
+	m.ctrlLoadDone = m.onCtrlLoaded
+	m.ssrSent = m.onSSRSent
+	m.relSent = m.onRelSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
+}
+
+// windowArm is the state of one armed beacon window.
+type windowArm struct {
+	gen    uint64
+	stride sim.Time
 }
 
 // Start implements Mac.
@@ -235,7 +304,7 @@ func (m *NodeMac) noteLeftSlot() {
 func (m *NodeMac) Crash() {
 	m.gen++
 	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
+		m.windowExpiries.Cancel(m.k, m.windowTimeout)
 		m.windowActive = false
 	}
 	m.closeAckWindow()
@@ -243,10 +312,10 @@ func (m *NodeMac) Crash() {
 	m.state = stateCrashed
 	m.slot = -1
 	m.missed = 0
-	m.queue = nil
+	m.queue.Reset()
 	m.loading = false
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.ssrScheduled = false
 	// beaconOnly survives the crash on purpose: it mirrors the node's
 	// battery level, which a power cycle does not replenish — a rebooted
@@ -308,7 +377,7 @@ func (m *NodeMac) closeAckWindow() {
 		return
 	}
 	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
+	m.ackExpiries.Cancel(m.k, m.ackTimeout)
 	m.stats.Abandoned++
 }
 
@@ -321,10 +390,10 @@ func (m *NodeMac) park() {
 	m.state = stateParked
 	m.slot = -1
 	m.releasePending = false
-	m.queue = nil
+	m.queue.Reset()
 	m.loading = false
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.ssrScheduled = false
 	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
 }
@@ -336,15 +405,37 @@ type txItem struct {
 	enqueuedAt sim.Time
 }
 
-// Send implements Mac.
+// Send implements Mac. The payload is copied into a recycled buffer.
+//
+//hot:path
 func (m *NodeMac) Send(payload []byte) bool {
-	if len(m.queue) >= m.cfg.TxQueueCap {
+	if m.queue.Len() >= m.cfg.TxQueueCap {
 		m.stats.QueueDrops++
 		return false
 	}
-	m.queue = append(m.queue, txItem{payload: payload, enqueuedAt: m.k.Now()})
+	var buf []byte
+	if n := len(m.spare); n > 0 {
+		buf = m.spare[n-1]
+		m.spare = m.spare[:n-1]
+	}
+	buf = append(buf[:0], payload...)
+	m.queue.Push(txItem{payload: buf, enqueuedAt: m.k.Now()})
 	m.tryLoad()
 	return true
+}
+
+// finishInFlight retires the in-flight frame for good (acknowledged or
+// dropped), returning its payload buffer for reuse.
+func (m *NodeMac) finishInFlight() {
+	m.spare = append(m.spare, m.inFlight.payload[:0])
+	m.dropInFlight()
+}
+
+// dropInFlight forgets the in-flight frame. Its buffer is left to the
+// collector: the radio may still hold the frame in its FIFO.
+func (m *NodeMac) dropInFlight() {
+	m.inFlight = txItem{}
+	m.hasInFlight = false
 }
 
 // --- protocol timing helpers -------------------------------------------
@@ -401,11 +492,14 @@ func (m *NodeMac) maxBeaconPayload() int {
 
 // --- frame dispatch ------------------------------------------------------
 
+//hot:path
 func (m *NodeMac) onFrame(f packet.Frame) {
 	switch {
 	case f.Dest == m.cfg.Plan.Beacon:
-		if b, err := packet.UnmarshalBeacon(f.Payload); err == nil {
-			m.handleBeacon(b, len(f.Payload))
+		var ok bool
+		m.beacon, ok = packet.ParseBeacon(f.Payload, m.beacon.Entries[:0])
+		if ok {
+			m.handleBeacon(m.beacon, len(f.Payload))
 		}
 	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
 		m.handleAck()
@@ -421,7 +515,7 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 	// Close the listen window.
 	m.radio.PowerDown()
 	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
+		m.windowExpiries.Cancel(m.k, m.windowTimeout)
 		m.windowActive = false
 		m.accountControlRx(now - m.windowOpenAt)
 	} else if m.state == stateSearching {
@@ -440,7 +534,7 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 	if m.cycle <= 0 {
 		return // malformed beacon; wait for the next one
 	}
-	m.tracer.Recordf(now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
+	metrics.Record2(m.tracer, now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
 		m.state = stateRequesting
@@ -471,7 +565,7 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 					m.rejoinArmed = false
 				}
 				m.joinedEver = true
-				m.tracer.Recordf(now, m.name, trace.KindJoined, "slot=%d", m.slot)
+				metrics.Record1(m.tracer, now, m.name, trace.KindJoined, "slot=%d", m.slot)
 				for _, fn := range m.onJoined {
 					fn()
 				}
@@ -489,12 +583,12 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 
 	// The beacon-parse task models the per-cycle OS/MAC work; follow-up
 	// actions run when it completes.
-	m.sched.Interrupt("beacon-parse", m.parseCycles(), func() {
-		m.afterBeacon()
-	})
+	m.sched.Interrupt("beacon-parse", m.parseCycles(), m.beaconParsed)
 }
 
 // afterBeacon schedules this cycle's activity once parsing is done.
+//
+//hot:path
 func (m *NodeMac) afterBeacon() {
 	m.scheduleNextWindow()
 	switch m.state {
@@ -512,7 +606,7 @@ func (m *NodeMac) afterBeacon() {
 				// The queue keeps filling; its cap converts the stretch
 				// into deterministic tail drops instead of latency creep.
 				m.stats.SlotsSkipped++
-				m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
+				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
 				return
 			}
 		}
@@ -531,6 +625,8 @@ func (m *NodeMac) windowStride() sim.Time {
 }
 
 // scheduleNextWindow arms the receiver for the next expected beacon.
+//
+//hot:path
 func (m *NodeMac) scheduleNextWindow() {
 	p := m.cfg.Profile
 	stride := m.windowStride()
@@ -539,36 +635,48 @@ func (m *NodeMac) scheduleNextWindow() {
 	if openAt <= now {
 		openAt = now // degenerate cycles: open immediately
 	}
-	gen := m.gen
-	m.k.ScheduleAt(openAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.windowActive || m.state == stateSearching {
-			return
-		}
-		m.windowActive = true
-		m.windowOpenAt = m.k.Now()
-		m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-		m.radio.StartRx()
-		// The timeout sits one guard past the locally-expected beacon so
-		// the tolerance to clock error is symmetric: ±guard/cycle for
-		// early and late clocks alike. A saturated MCU can delay the
-		// whole pipeline past the nominal deadline; clamp so the window
-		// closes immediately instead of scheduling into the past.
-		deadline := m.t0 + m.local(stride*m.cycle) + m.guard() +
-			p.Radio.Airtime(m.maxBeaconPayload()) +
-			p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-		if deadline < m.k.Now() {
-			deadline = m.k.Now()
-		}
-		m.windowTimeout = m.k.ScheduleAt(deadline, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.onWindowTimeout()
-		})
-	})
+	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
+}
+
+// windowOpened turns the receiver on for an expected beacon and arms the
+// window's timeout.
+//
+//hot:path
+func (m *NodeMac) windowOpened(k *sim.Kernel) {
+	a := m.windowOpens.Take(k)
+	if m.gen != a.gen {
+		return // armed before a crash
+	}
+	if m.windowActive || m.state == stateSearching {
+		return
+	}
+	p := m.cfg.Profile
+	m.windowActive = true
+	m.windowOpenAt = k.Now()
+	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
+	m.radio.StartRx()
+	// The timeout sits one guard past the locally-expected beacon so the
+	// tolerance to clock error is symmetric: ±guard/cycle for early and
+	// late clocks alike. A saturated MCU can delay the whole pipeline
+	// past the nominal deadline; clamp so the window closes immediately
+	// instead of scheduling into the past.
+	deadline := m.t0 + m.local(a.stride*m.cycle) + m.guard() +
+		p.Radio.Airtime(m.maxBeaconPayload()) +
+		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
+	if deadline < k.Now() {
+		deadline = k.Now()
+	}
+	m.windowTimeout = m.windowExpiries.ScheduleAt(k, deadline, m.onWindowExpiry, a.gen)
+}
+
+// windowExpired runs a beacon window's timeout.
+//
+//hot:path
+func (m *NodeMac) windowExpired(k *sim.Kernel) {
+	if gen := m.windowExpiries.Take(k); m.gen != gen {
+		return // armed before a crash
+	}
+	m.onWindowTimeout()
 }
 
 // onWindowTimeout handles a silent beacon window.
@@ -604,7 +712,7 @@ func (m *NodeMac) rejoin() {
 	m.slot = -1
 	m.missed = 0
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.ssrScheduled = false
 	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
 	m.radio.StartRx()
@@ -615,6 +723,8 @@ func (m *NodeMac) rejoin() {
 
 // scheduleSSR transmits a slot request at a random offset inside the
 // variant's request region of the current cycle.
+//
+//hot:path
 func (m *NodeMac) scheduleSSR() {
 	if m.ssrScheduled {
 		return
@@ -660,45 +770,63 @@ func (m *NodeMac) scheduleSSR() {
 		return
 	}
 	m.ssrScheduled = true
-	loadedSSR := false
-	gen := m.gen
-	m.k.ScheduleAt(prepAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.state != stateRequesting || m.radio.Mode() == radio.ModeRx {
-			m.ssrScheduled = false
-			return
-		}
-		m.ssrNonce++
-		ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
-		m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
-			if m.radio.Mode() == radio.ModeRx {
-				m.ssrScheduled = false
-				return
-			}
-			m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() { loadedSSR = true })
-		})
-	})
-	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.state != stateRequesting || !loadedSSR || m.radio.Mode() == radio.ModeRx {
-			m.ssrScheduled = false
-			return
-		}
-		m.radio.Fire(func() {
-			m.stats.SSRSent++
-			m.ssrScheduled = false
-			txDur := p.Radio.TxSettle + ssrAir
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
-			m.radio.PowerDown()
-		})
-	})
+	arm := ctrlArm{gen: m.gen, attempt: m.newAttempt()}
+	m.ctrlSteps.ScheduleAt(m.k, prepAt, m.onSSRPrep, arm)
+	m.ctrlSteps.ScheduleAt(m.k, fireAt, m.onSSRFire, arm)
+}
+
+// ssrPrepDue prepares the slot request: the prep ISR marshals and loads
+// it.
+func (m *NodeMac) ssrPrepDue(k *sim.Kernel) {
+	arm := m.ctrlSteps.Take(k)
+	if m.gen != arm.gen {
+		return // armed before a crash
+	}
+	if m.state != stateRequesting || m.radio.Mode() == radio.ModeRx {
+		m.ssrScheduled = false
+		return
+	}
+	m.ssrNonce++
+	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt, ssr: packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}})
+	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ssrPrepped)
+}
+
+// onSSRPrepped loads the slot request into the radio FIFO.
+func (m *NodeMac) onSSRPrepped() {
+	c := m.ctrlPreps.Pop()
+	if m.radio.Mode() == radio.ModeRx {
+		m.ssrScheduled = false
+		return
+	}
+	m.ctrlBuf = c.ssr.AppendMarshal(m.ctrlBuf[:0])
+	m.ctrlLoads.Push(c.attempt)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ctrlLoadDone)
+}
+
+// ssrFireDue fires the slot request at its offset if it was loaded.
+func (m *NodeMac) ssrFireDue(k *sim.Kernel) {
+	arm := m.ctrlSteps.Take(k)
+	loaded := m.takeAttempt(arm.attempt)
+	if m.gen != arm.gen {
+		return // armed before a crash
+	}
+	if m.state != stateRequesting || !loaded || m.radio.Mode() == radio.ModeRx {
+		m.ssrScheduled = false
+		return
+	}
+	m.radio.Fire(m.ssrSent)
+}
+
+// onSSRSent accounts the slot request once it has flown.
+func (m *NodeMac) onSSRSent() {
+	p := m.cfg.Profile
+	m.stats.SSRSent++
+	m.ssrScheduled = false
+	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
+	m.controlTxTime += txDur
+	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+	m.radio.PowerDown()
 }
 
 // scheduleRelease transmits the voluntary slot release in the node's own
@@ -706,10 +834,10 @@ func (m *NodeMac) scheduleSSR() {
 // parks the MAC in beacon-only mode. A lost release is tolerated: the
 // base station's silence reclaim frees the slot a few cycles later, and
 // the parked node ignores its stale table row until then.
+//
+//hot:path
 func (m *NodeMac) scheduleRelease() {
 	p := m.cfg.Profile
-	rel := packet.Release{NodeID: m.cfg.NodeID}
-	relAir := p.Radio.Airtime(packet.ReleaseBytes)
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.ReleaseBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
 	fireAt := m.t0 + m.local(m.slotStart(m.slot))
@@ -717,90 +845,171 @@ func (m *NodeMac) scheduleRelease() {
 	if prepAt <= m.k.Now() {
 		return // our slot already passed this cycle; announce on the next
 	}
-	loadedRel := false
-	gen := m.gen
-	m.k.ScheduleAt(prepAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
+	arm := ctrlArm{gen: m.gen, attempt: m.newAttempt()}
+	m.ctrlSteps.ScheduleAt(m.k, prepAt, m.onRelPrep, arm)
+	m.ctrlSteps.ScheduleAt(m.k, fireAt, m.onRelFire, arm)
+}
+
+// relPrepDue prepares the slot release: the prep ISR marshals and loads
+// it.
+func (m *NodeMac) relPrepDue(k *sim.Kernel) {
+	arm := m.ctrlSteps.Take(k)
+	if m.gen != arm.gen {
+		return // armed before a crash
+	}
+	if m.state != stateJoined || !m.releasePending || m.ackWaiting ||
+		m.loading || m.radio.Mode() == radio.ModeRx {
+		return // busy radio or pipeline; retry on the next beacon
+	}
+	// Any stale data frame in the FIFO is abandoned: the application is
+	// already stopped, and the release overwrites the FIFO.
+	m.loaded = false
+	m.dropInFlight()
+	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt})
+	m.sched.Interrupt("release-prep", m.cfg.Profile.Cost.SSRPrep, m.relPrepped)
+}
+
+// onRelPrepped loads the slot release into the radio FIFO.
+func (m *NodeMac) onRelPrepped() {
+	c := m.ctrlPreps.Pop()
+	if m.radio.Mode() == radio.ModeRx {
+		return
+	}
+	m.ctrlBuf = packet.Release{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
+	m.ctrlLoads.Push(c.attempt)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ctrlLoadDone)
+}
+
+// relFireDue fires the slot release in the node's slot if it was loaded.
+func (m *NodeMac) relFireDue(k *sim.Kernel) {
+	arm := m.ctrlSteps.Take(k)
+	loaded := m.takeAttempt(arm.attempt)
+	if m.gen != arm.gen {
+		return // armed before a crash
+	}
+	if m.state != stateJoined || !m.releasePending || !loaded ||
+		m.radio.Mode() == radio.ModeRx {
+		return
+	}
+	m.radio.Fire(m.relSent)
+}
+
+// onRelSent accounts the slot release once it has flown and parks.
+func (m *NodeMac) onRelSent() {
+	p := m.cfg.Profile
+	m.stats.ReleasesSent++
+	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
+	m.controlTxTime += txDur
+	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotRelease, "slot=%d", m.slot)
+	m.radio.PowerDown()
+	m.park()
+}
+
+// ctrlArm is the state of a control-frame attempt's prep and fire events.
+type ctrlArm struct {
+	gen     uint64
+	attempt uint64
+}
+
+// ctrlPrep is the state of a control frame's prep ISR.
+type ctrlPrep struct {
+	attempt uint64
+	ssr     packet.SSR // zero for a release
+}
+
+// ctrlAttempt records whether an attempt's frame has been loaded.
+type ctrlAttempt struct {
+	id     uint64
+	loaded bool
+}
+
+// newAttempt numbers a control-frame attempt and tracks it until its
+// fire event reads whether the frame made it into the radio FIFO.
+func (m *NodeMac) newAttempt() uint64 {
+	m.ctrlSeq++
+	m.ctrlAttempts = append(m.ctrlAttempts, ctrlAttempt{id: m.ctrlSeq})
+	return m.ctrlSeq
+}
+
+// onCtrlLoaded marks an attempt's frame loaded. A load completing after
+// its attempt's fire event has no one left to tell.
+func (m *NodeMac) onCtrlLoaded() {
+	id := m.ctrlLoads.Pop()
+	for i := range m.ctrlAttempts {
+		if m.ctrlAttempts[i].id == id {
+			m.ctrlAttempts[i].loaded = true
 		}
-		if m.state != stateJoined || !m.releasePending || m.ackWaiting ||
-			m.loading || m.radio.Mode() == radio.ModeRx {
-			return // busy radio or pipeline; retry on the next beacon
+	}
+}
+
+// takeAttempt ends an attempt at its fire event, reporting whether its
+// frame was loaded in time.
+func (m *NodeMac) takeAttempt(id uint64) bool {
+	for i, a := range m.ctrlAttempts {
+		if a.id == id {
+			m.ctrlAttempts = append(m.ctrlAttempts[:i], m.ctrlAttempts[i+1:]...)
+			return a.loaded
 		}
-		// Any stale data frame in the FIFO is abandoned: the application
-		// is already stopped, and the release overwrites the FIFO.
-		m.loaded = false
-		m.inFlight = nil
-		m.sched.Interrupt("release-prep", p.Cost.SSRPrep, func() {
-			if m.radio.Mode() == radio.ModeRx {
-				return
-			}
-			m.ctrlBuf = rel.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() { loadedRel = true })
-		})
-	})
-	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.state != stateJoined || !m.releasePending || !loadedRel ||
-			m.radio.Mode() == radio.ModeRx {
-			return
-		}
-		m.radio.Fire(func() {
-			m.stats.ReleasesSent++
-			txDur := p.Radio.TxSettle + relAir
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotRelease, "slot=%d", m.slot)
-			m.radio.PowerDown()
-			m.park()
-		})
-	})
+	}
+	panic(fmt.Sprintf("mac %s: fire event for unknown attempt %d", m.name, id))
 }
 
 // --- steady state: data path ---------------------------------------------
 
 // tryLoad moves the head-of-queue payload into the TX FIFO when the radio
 // is free and the next beacon window is far enough away.
+//
+//hot:path
 func (m *NodeMac) tryLoad() {
-	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ackWaiting || len(m.queue) == 0 {
+	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ackWaiting || m.queue.Len() == 0 {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 		return
 	}
 	p := m.cfg.Profile
-	item := m.queue[0]
+	item := m.queue.Peek()
 	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
 	margin := 500 * sim.Microsecond
 	nextWindow := m.t0 + m.local(m.cycle-m.guard()-p.Radio.RxSettle)
 	if m.k.Now()+loadDur+margin >= nextWindow && m.cycle > 0 {
 		return // too close to the beacon window; retry after the beacon
 	}
-	m.queue = m.queue[1:]
-	m.inFlight = &item
+	m.queue.Pop()
+	m.inFlight, m.hasInFlight = item, true
 	m.loading = true
-	m.radio.Load(m.cfg.Plan.BSData, item.payload, func() {
-		m.loading = false
-		m.loaded = true
-		m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
-	})
+	m.radio.Load(m.cfg.Plan.BSData, item.payload, m.dataLoaded)
+}
+
+// onDataLoaded parks the radio once the data frame sits in its FIFO.
+//
+//hot:path
+func (m *NodeMac) onDataLoaded() {
+	m.loading = false
+	m.loaded = true
+	m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
 }
 
 // scheduleSlotFire arms this cycle's transmission at the slot boundary.
+//
+//hot:path
 func (m *NodeMac) scheduleSlotFire() {
 	fireAt := m.t0 + m.local(m.slotStart(m.slot))
 	if fireAt <= m.k.Now() {
 		return // our slot already passed this cycle
 	}
-	gen := m.gen
-	m.k.ScheduleAt(fireAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		m.fireSlot()
-	})
+	m.slotFires.ScheduleAt(m.k, fireAt, m.onSlotDue, m.gen)
+}
+
+// slotDue runs at the node's slot boundary.
+//
+//hot:path
+func (m *NodeMac) slotDue(k *sim.Kernel) {
+	if gen := m.slotFires.Take(k); m.gen != gen {
+		return // armed before a crash
+	}
+	m.fireSlot()
 }
 
 // fireSlot transmits the loaded frame at the slot boundary and opens the
@@ -813,8 +1022,8 @@ func (m *NodeMac) fireSlot() {
 		return // window overlap guard; skip this cycle
 	}
 	m.loaded = false
-	m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotStart, "slot=%d", m.slot)
-	if m.inFlight != nil {
+	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotStart, "slot=%d", m.slot)
+	if m.hasInFlight {
 		lat := m.k.Now() - m.inFlight.enqueuedAt
 		m.stats.LatencySum += lat
 		m.stats.LatencyCount++
@@ -823,14 +1032,19 @@ func (m *NodeMac) fireSlot() {
 		}
 		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
 	}
-	m.radio.Fire(func() {
-		if m.inFlight == nil {
-			panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
-		}
-		m.stats.DataSent++
-		m.tracer.Recordf(m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.inFlight.payload))
-		m.openAckWindow()
-	})
+	m.radio.Fire(m.dataSent)
+}
+
+// onDataSent opens the acknowledgement window once the data burst ends.
+//
+//hot:path
+func (m *NodeMac) onDataSent() {
+	if !m.hasInFlight {
+		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
+	}
+	m.stats.DataSent++
+	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.inFlight.payload))
+	m.openAckWindow()
 }
 
 // openAckWindow listens for the base station's acknowledgement.
@@ -840,13 +1054,17 @@ func (m *NodeMac) openAckWindow() {
 	m.ackOpenAt = m.k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.ackTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onAckTimeout()
-	})
+	m.ackTimeout = m.ackExpiries.Schedule(m.k, p.MAC.AckTimeout, m.onAckExpiry, m.gen)
+}
+
+// ackExpired runs an acknowledgement window's timeout.
+//
+//hot:path
+func (m *NodeMac) ackExpired(k *sim.Kernel) {
+	if gen := m.ackExpiries.Take(k); m.gen != gen {
+		return // armed before a crash
+	}
+	m.onAckTimeout()
 }
 
 // handleAck closes the acknowledgement window on success.
@@ -855,16 +1073,16 @@ func (m *NodeMac) handleAck() {
 		return
 	}
 	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
+	m.ackExpiries.Cancel(m.k, m.ackTimeout)
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
 	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
 	m.stats.DataAcked++
-	m.inFlight = nil
+	if m.hasInFlight {
+		m.finishInFlight()
+	}
 	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
-	m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, func() {
-		m.tryLoad()
-	})
+	m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, m.ackProcessed)
 }
 
 // onAckTimeout treats the frame as lost: its transmit energy was wasted
@@ -880,7 +1098,7 @@ func (m *NodeMac) onAckTimeout() {
 	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
 
 	p := m.cfg.Profile
-	if m.inFlight != nil {
+	if m.hasInFlight {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(len(m.inFlight.payload))
 		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
 		if m.inFlight.retries < m.cfg.MaxRetries {
@@ -888,14 +1106,15 @@ func (m *NodeMac) onAckTimeout() {
 			// checks before touching the radio again.
 			m.inFlight.retries++
 			m.stats.Retries++
-			m.queue = append([]txItem{*m.inFlight}, m.queue...)
+			m.queue.PushFront(m.inFlight)
+			m.dropInFlight()
 		} else {
 			// Retries exhausted: the frame is gone for good.
 			m.stats.DataDropped++
 			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.finishInFlight()
 		}
 	}
-	m.inFlight = nil
 	m.tryLoad()
 }
 

@@ -29,10 +29,14 @@ type MCU struct {
 	busyUntil  sim.Time
 	sleeping   bool
 	sleepState energy.State
-	// gen invalidates queued completion callbacks across a crash: a
-	// callback only applies its effects when the generation it was issued
-	// under is still current.
+	// gen invalidates queued completions across a crash: a completion
+	// only applies its effects when the generation it was issued under
+	// is still current.
 	gen uint64
+	// pending holds each queued computation's completion state; complete
+	// is its handler, bound once so queuing work allocates nothing.
+	pending  sim.Pending[completion]
+	complete sim.Handler
 
 	execs      uint64
 	cyclesRun  int64
@@ -54,7 +58,7 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 	})
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
-	return &MCU{
+	m := &MCU{
 		k:          k,
 		params:     params,
 		meter:      meter,
@@ -62,6 +66,14 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 		sleeping:   true,
 		sleepState: platform.StateMCUPowerSave,
 	}
+	m.complete = m.onComplete
+	return m
+}
+
+// completion is the state of one queued computation.
+type completion struct {
+	gen  uint64
+	done func()
 }
 
 // Params reports the electrical parameters the MCU was built with.
@@ -108,6 +120,11 @@ func (m *MCU) ResetAccounting() {
 // MCU is idle (after the wakeup ramp if it was sleeping) or after all
 // previously queued work otherwise; done (if non-nil) runs at completion,
 // on the simulation goroutine. Exec returns the completion instant.
+// Queuing allocates nothing: pass a done bound once (a method value kept
+// in a field), not a fresh closure, to keep the caller allocation-free
+// too.
+//
+//hot:path
 func (m *MCU) Exec(cycles int64, done func()) sim.Time {
 	return m.execFor(m.params.CyclesToTime(cycles), cycles, done)
 }
@@ -141,23 +158,26 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	end := start + dur
 	m.busyUntil = end
 	m.activeTime += dur
-
-	gen := m.gen
-	//lint:allow hotalloc the completion closure is the kernel handler ABI: one bounded allocation per computation
-	m.k.ScheduleAt(end, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // the node crashed; this computation never completed
-		}
-		if done != nil {
-			done()
-		}
-		// Sleep only if the completion callback queued nothing further.
-		if m.busyUntil == end && !m.sleeping {
-			m.sleeping = true
-			m.meter.Transition(end, m.sleepState)
-		}
-	})
+	m.pending.ScheduleAt(m.k, end, m.complete, completion{gen: m.gen, done: done})
 	return end
+}
+
+// onComplete finishes one queued computation.
+//
+//hot:path
+func (m *MCU) onComplete(k *sim.Kernel) {
+	c := m.pending.Take(k)
+	if m.gen != c.gen {
+		return // the node crashed; this computation never completed
+	}
+	if c.done != nil {
+		c.done()
+	}
+	// Sleep only if the completion callback queued nothing further.
+	if end := k.Now(); m.busyUntil == end && !m.sleeping {
+		m.sleeping = true
+		m.meter.Transition(end, m.sleepState)
+	}
 }
 
 // Crash models a node power loss: all queued computation is abandoned
@@ -177,3 +197,46 @@ func (m *MCU) Crash() {
 func (m *MCU) Reboot() {
 	m.meter.Transition(m.k.Now(), m.sleepState)
 }
+
+// Queue holds per-computation state of a component that submits work to
+// the MCU: push the state when submitting, pop it in the done callback.
+// The MCU serialises execution, so the callbacks that run come in
+// submission order; a crash abandons the computations in flight, so
+// each entry carries the crash generation it was pushed under and Pop
+// first discards the entries a crash left behind. The zero value is not
+// usable: build one with NewQueue. Steady state allocates nothing.
+type Queue[T any] struct {
+	m *MCU
+	q sim.FIFO[queued[T]]
+}
+
+type queued[T any] struct {
+	gen uint64
+	v   T
+}
+
+// NewQueue builds a queue for work submitted to m.
+func NewQueue[T any](m *MCU) Queue[T] { return Queue[T]{m: m} }
+
+// Push queues the state of a computation about to be submitted.
+func (q *Queue[T]) Push(v T) { q.q.Push(queued[T]{gen: q.m.gen, v: v}) }
+
+// Pop returns the state of the oldest computation that survived every
+// crash: call it from that computation's done callback.
+func (q *Queue[T]) Pop() T {
+	for q.q.Peek().gen != q.m.gen {
+		q.q.Pop() // abandoned by a crash
+	}
+	return q.q.Pop().v
+}
+
+// DropAbandoned discards the entries of computations a crash abandoned.
+// After the MCU's Crash that is every entry.
+func (q *Queue[T]) DropAbandoned() {
+	for q.q.Len() > 0 && q.q.Peek().gen != q.m.gen {
+		q.q.Pop()
+	}
+}
+
+// Len reports the number of queued entries, abandoned ones included.
+func (q *Queue[T]) Len() int { return q.q.Len() }

@@ -241,3 +241,56 @@ func TestQuickSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecAllocationFree pins the closure-free completion path: queuing
+// work with a done that already exists allocates nothing once warm.
+func TestExecAllocationFree(t *testing.T) {
+	k, m, _ := newMCU(t)
+	done := func() {}
+	for i := 0; i < 4; i++ {
+		m.Exec(100, done)
+	}
+	k.Run()
+	if n := testing.AllocsPerRun(200, func() {
+		m.Exec(100, done)
+		k.Run()
+	}); n != 0 {
+		t.Fatalf("Exec allocated %v times per computation", n)
+	}
+}
+
+// TestQueueSkipsAbandoned checks that state queued for computations a
+// crash abandoned never reaches a later computation's callback.
+func TestQueueSkipsAbandoned(t *testing.T) {
+	k, m, _ := newMCU(t)
+	q := NewQueue[int](m)
+	var got []int
+	done := func() { got = append(got, q.Pop()) }
+	submit := func(v int) {
+		q.Push(v)
+		m.Exec(800, done)
+	}
+	k.Schedule(0, func(*sim.Kernel) {
+		submit(1)
+		submit(2)
+	})
+	k.Schedule(150*sim.Microsecond, func(*sim.Kernel) { // 1 done, 2 running
+		m.Crash()
+		m.Reboot()
+		submit(3)
+		submit(4)
+	})
+	k.Run()
+	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
+		t.Fatalf("callbacks popped %v, want [1 3 4]", got)
+	}
+	if q.Len() != 0 {
+		t.Fatalf("%d entries left", q.Len())
+	}
+	q.Push(5)
+	m.Crash()
+	q.DropAbandoned()
+	if q.Len() != 0 {
+		t.Fatalf("DropAbandoned left %d entries after a crash", q.Len())
+	}
+}

@@ -38,6 +38,8 @@ type Histogram struct {
 }
 
 // NewHistogram creates an empty histogram over the shared bounds.
+//
+//lint:allow hotalloc a recorder creates each (node, name) histogram once, on its first sample
 func NewHistogram() *Histogram {
 	return &Histogram{Counts: make([]uint64, len(histBounds)+1)}
 }

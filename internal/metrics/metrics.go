@@ -117,17 +117,27 @@ type histKey struct {
 // instrument unconditionally.
 type Recorder struct {
 	events []Event
-	limit  int
-	// dropped counts events discarded because the ring limit was hit.
-	// Counters and histograms are NOT subject to the limit: they stay
-	// exact even when the event log overflows.
+	limit  int // NoRing: keep no events
+	// offered counts every event recorded, kept or not; dropped counts
+	// those a full ring discarded. Counters and histograms are NOT
+	// subject to the ring: they stay exact even when the event log
+	// overflows or is off.
+	offered uint64
 	dropped uint64
 	counts  map[counterKey]uint64
 	hists   map[histKey]*Histogram
 }
 
+// NoRing is the NewRecorder limit that keeps no event log at all: the
+// counters, histograms and Recorded stay exact, Events is empty and
+// Dropped stays 0. Runs that never read the timeline use it, so a
+// steady-state event costs a counter increment, not a retained Event
+// and its formatted detail.
+const NoRing = -1
+
 // NewRecorder creates a recorder that keeps at most limit events
-// (0 = unlimited). Counters and histograms are never limited.
+// (0 = unlimited, NoRing = none). Counters and histograms are never
+// limited.
 func NewRecorder(limit int) *Recorder {
 	return &Recorder{
 		limit:  limit,
@@ -144,21 +154,67 @@ func (r *Recorder) Record(at sim.Time, node string, kind Kind, detail string) {
 	if r == nil {
 		return
 	}
-	r.counts[counterKey{node, kind}]++
-	if r.limit > 0 && len(r.events) >= r.limit {
-		r.dropped++
-		return
+	if r.count(node, kind) {
+		r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: detail})
 	}
-	r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: detail})
 }
 
-// Recordf is Record with a format string.
+// count bumps the (node, kind) counter for one offered event and reports
+// whether the ring keeps it, counting the drop when a full ring cannot.
+func (r *Recorder) count(node string, kind Kind) bool {
+	r.offered++
+	r.counts[counterKey{node, kind}]++
+	switch {
+	case r.limit == NoRing:
+		return false
+	case r.limit > 0 && len(r.events) >= r.limit:
+		r.dropped++
+		return false
+	}
+	return true
+}
+
+// Recordf is Record with a format string. Its arguments are boxed on
+// every call; steady-state call sites use Record1/2/3, which format only
+// events the ring keeps.
 func (r *Recorder) Recordf(at sim.Time, node string, kind Kind, format string, args ...any) {
 	if r == nil {
 		return
 	}
 	r.Record(at, node, kind, fmt.Sprintf(format, args...))
 }
+
+// Record1 records an event whose detail is format applied to a. The
+// argument stays unboxed and the detail unformatted unless the ring
+// keeps the event, so a run without a ring pays only the counter.
+func Record1[A any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A) {
+	Record3(r, at, node, kind, format, a, noArg{}, noArg{})
+}
+
+// Record2 is Record1 with two arguments.
+func Record2[A, B any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A, b B) {
+	Record3(r, at, node, kind, format, a, b, noArg{})
+}
+
+// Record3 is Record1 with three arguments.
+//
+//lint:allow hotalloc the detail is formatted only for an event the opt-in ring keeps
+func Record3[A, B, C any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A, b B, c C) {
+	if r == nil || !r.count(node, kind) {
+		return
+	}
+	args := []any{a, b, c}
+	for len(args) > 0 {
+		if _, unused := args[len(args)-1].(noArg); !unused {
+			break
+		}
+		args = args[:len(args)-1]
+	}
+	r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: fmt.Sprintf(format, args...)})
+}
+
+// noArg fills the argument slots Record1 and Record2 leave unused.
+type noArg struct{}
 
 // Observe adds one latency sample to the (node, name) histogram. Safe on
 // a nil receiver. Negative samples are clamped to zero (they cannot
@@ -216,12 +272,12 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // Recorded reports the total number of events offered to the recorder,
-// including the dropped ones.
+// including the dropped ones and, without a ring, every event counted.
 func (r *Recorder) Recorded() uint64 {
 	if r == nil {
 		return 0
 	}
-	return uint64(len(r.events)) + r.dropped
+	return r.offered
 }
 
 // Filter returns the retained events matching kind, in order.

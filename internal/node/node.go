@@ -48,6 +48,7 @@ type Sensor struct {
 	k          *sim.Kernel
 	tracer     *trace.Recorder
 	onBrownout func()
+	poll       sim.Handler // pollBattery, bound once
 }
 
 // sensorOpts collects the optional knobs of a sensor build.
@@ -146,6 +147,7 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
 	if o.battery != nil {
 		s.Bat = battery.NewState(*o.battery, o.brownoutV, o.degrade, k.Now())
 	}
+	s.poll = s.pollBattery
 	return s
 }
 
@@ -183,7 +185,7 @@ func (s *Sensor) Start() {
 	s.Mac.OnJoined(func() { s.App.Start() })
 	s.Mac.Start()
 	if s.Bat != nil {
-		s.k.Schedule(batteryPollInterval, func(*sim.Kernel) { s.pollBattery() })
+		s.k.Schedule(batteryPollInterval, s.poll)
 	}
 }
 
@@ -191,14 +193,14 @@ func (s *Sensor) Start() {
 // cadence. The chain survives injected crash/reboot cycles (a powered-
 // off node draws ~nothing, so the debits are near-zero) and ends only
 // when the battery browns out.
-func (s *Sensor) pollBattery() {
+func (s *Sensor) pollBattery(*sim.Kernel) {
 	if s.Bat == nil || s.Bat.Dead() {
 		return
 	}
 	if s.settleBattery(s.k.Now()) {
 		return // browned out: the node is gone for the rest of the run
 	}
-	s.k.Schedule(batteryPollInterval, func(*sim.Kernel) { s.pollBattery() })
+	s.k.Schedule(batteryPollInterval, s.poll)
 }
 
 // settleBattery flushes the ledger, debits the battery and applies any
@@ -269,9 +271,10 @@ func (s *Sensor) FinalizeBattery(now sim.Time) *battery.Report {
 
 // Crash models a sudden power loss: the application stops sampling, the
 // MAC forgets its slot and queue, any frame mid-burst is truncated on the
-// air, and every queued computation is abandoned. Statistics counters
-// survive (they are the experimenter's instruments, not node state); the
-// energy meters record the outage as zero draw.
+// air, and every queued computation is abandoned — with the OS task
+// queue emptied to match. Statistics counters survive (they are the
+// experimenter's instruments, not node state); the energy meters record
+// the outage as zero draw.
 func (s *Sensor) Crash() {
 	if s.App != nil {
 		s.App.Stop()
@@ -280,6 +283,7 @@ func (s *Sensor) Crash() {
 	s.Mac.Crash()
 	s.Radio.Crash()
 	s.MCU.Crash()
+	s.Sched.Crash()
 }
 
 // Reboot cold-boots the node after a Crash: the MCU comes back up and the

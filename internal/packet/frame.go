@@ -227,19 +227,36 @@ func UnmarshalBeacon(p []byte) (Beacon, error) {
 	if Kind(p[0]) != KindBeacon {
 		return Beacon{}, fmt.Errorf("packet: kind 0x%02x is not a beacon", p[0])
 	}
-	b := Beacon{
-		Seq:         binary.BigEndian.Uint16(p[1:3]),
-		CycleMicros: binary.BigEndian.Uint32(p[3:7]),
+	b, ok := ParseBeacon(p, nil)
+	if !ok {
+		return Beacon{}, fmt.Errorf("packet: beacon declares %d entries but payload is %d bytes", p[7], len(p))
+	}
+	return b, nil
+}
+
+// ParseBeacon decodes a beacon payload like UnmarshalBeacon, appending
+// the entries to entries (pass a reused slice truncated to zero length)
+// and reporting only whether the payload is a well-formed beacon, so a
+// receiver that reuses its entry storage decodes without allocating.
+//
+//hot:path
+func ParseBeacon(p []byte, entries []SlotEntry) (Beacon, bool) {
+	if len(p) < BeaconBaseBytes || Kind(p[0]) != KindBeacon {
+		return Beacon{}, false
 	}
 	n := int(p[7])
 	if len(p) < BeaconBaseBytes+SlotEntryBytes*n {
-		return Beacon{}, fmt.Errorf("packet: beacon declares %d entries but payload is %d bytes", n, len(p))
+		return Beacon{}, false
 	}
 	for i := 0; i < n; i++ {
 		off := BeaconBaseBytes + SlotEntryBytes*i
-		b.Entries = append(b.Entries, SlotEntry{NodeID: p[off], Slot: p[off+1]})
+		entries = append(entries, SlotEntry{NodeID: p[off], Slot: p[off+1]})
 	}
-	return b, nil
+	return Beacon{
+		Seq:         binary.BigEndian.Uint16(p[1:3]),
+		CycleMicros: binary.BigEndian.Uint32(p[3:7]),
+		Entries:     entries,
+	}, true
 }
 
 // SSR is a slot request: the join handshake of both TDMA variants
@@ -265,10 +282,18 @@ func (s SSR) AppendMarshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint16(dst, s.Nonce)
 }
 
+// errNotSSR and errNotRelease are the control-pipe decode failures. They
+// are built once: a base station tries both decoders on every control
+// frame, so the miss is routine.
+var (
+	errNotSSR     = fmt.Errorf("packet: not a %d-byte slot request", SSRBytes)
+	errNotRelease = fmt.Errorf("packet: not a %d-byte slot release", ReleaseBytes)
+)
+
 // UnmarshalSSR decodes a slot-request payload.
 func UnmarshalSSR(p []byte) (SSR, error) {
 	if len(p) != SSRBytes || Kind(p[0]) != KindSSR {
-		return SSR{}, fmt.Errorf("packet: not a %d-byte slot request", SSRBytes)
+		return SSR{}, errNotSSR
 	}
 	return SSR{NodeID: p[1], Nonce: binary.BigEndian.Uint16(p[2:4])}, nil
 }
@@ -300,7 +325,7 @@ func (r Release) AppendMarshal(dst []byte) []byte {
 // UnmarshalRelease decodes a slot-release payload.
 func UnmarshalRelease(p []byte) (Release, error) {
 	if len(p) != ReleaseBytes || Kind(p[0]) != KindRelease {
-		return Release{}, fmt.Errorf("packet: not a %d-byte slot release", ReleaseBytes)
+		return Release{}, errNotRelease
 	}
 	return Release{NodeID: p[1]}, nil
 }

@@ -20,6 +20,8 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/energy"
+	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -99,13 +101,27 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
-	// gen invalidates in-flight transmit/drain callbacks across a crash:
-	// each scheduled step only applies when the generation it was issued
+	// gen invalidates in-flight transmit/drain steps across a crash: each
+	// scheduled step only applies when the generation it was issued
 	// under is still current.
 	gen uint64
+	// Per-event state of the transmit and receive sequences, each stepped
+	// by a handler bound once in New, so a frame allocates nothing.
+	// Kernel-timed steps are filed by event ID; FIFO clock-ins ride on
+	// the MCU.
+	settling   sim.Pending[burst]
+	bursting   sim.Pending[burst]
+	drains     sim.Pending[drain]
+	loads      mcu.Queue[load]
+	onSettle   sim.Handler
+	onBurstEnd sim.Handler
+	onDrained  sim.Handler
+	onLoaded   func()
 
-	rxAddrs map[packet.Address]bool
-	onRecv  ReceiveFunc
+	// rxAddrs[:nRxAddrs] is the hardware address filter.
+	rxAddrs  [maxRxAddrs]packet.Address
+	nRxAddrs int
+	onRecv   ReceiveFunc
 
 	stats Stats
 	// productiveRx accumulates receiver-on time occupied by frames
@@ -129,19 +145,48 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateRadioOff)
 	r := &Radio{
-		k:       k,
-		name:    name,
-		params:  params,
-		ch:      ch,
-		sched:   sched,
-		meter:   meter,
-		ledger:  ledger,
-		tracer:  tracer,
-		rxAddrs: make(map[packet.Address]bool),
+		k:      k,
+		name:   name,
+		params: params,
+		ch:     ch,
+		sched:  sched,
+		meter:  meter,
+		ledger: ledger,
+		tracer: tracer,
+		loads:  mcu.NewQueue[load](sched.MCU()),
 	}
+	r.onSettle = r.settle
+	r.onBurstEnd = r.burstEnd
+	r.onDrained = r.drained
+	r.onLoaded = r.loadDone
 	ch.Attach(r)
 	return r
 }
+
+// burst is one transmission between Fire and the end of its burst.
+type burst struct {
+	gen   uint64
+	frame packet.Frame
+	air   sim.Time
+	done  func()
+}
+
+// drain is one accepted frame being clocked out of the RX FIFO.
+type drain struct {
+	gen   uint64
+	frame packet.Frame
+}
+
+// load is one frame being clocked into the TX FIFO.
+type load struct {
+	frame packet.Frame
+	done  func()
+}
+
+// maxRxAddrs is the size of the hardware address filter: the nRF2401
+// matches a handful of pipe addresses, and no MAC listens on more than
+// two at once.
+const maxRxAddrs = 4
 
 // Name reports the radio's medium identifier.
 func (r *Radio) Name() string { return r.name }
@@ -185,12 +230,24 @@ func (r *Radio) TxPowerW() float64 { return r.params.TxA * r.params.VoltageV }
 func (r *Radio) SetReceiveHandler(fn ReceiveFunc) { r.onRecv = fn }
 
 // SetRxAddresses configures the hardware address filter: only frames
-// destined to one of addrs are forwarded to the MCU.
+// destined to one of addrs (at most four) are forwarded to the MCU.
+//
+//hot:path
 func (r *Radio) SetRxAddresses(addrs ...packet.Address) {
-	r.rxAddrs = make(map[packet.Address]bool, len(addrs))
-	for _, a := range addrs {
-		r.rxAddrs[a] = true
+	if len(addrs) > maxRxAddrs {
+		panic(fmt.Sprintf("radio %s: %d filter addresses, hardware holds %d", r.name, len(addrs), maxRxAddrs))
 	}
+	r.nRxAddrs = copy(r.rxAddrs[:], addrs)
+}
+
+// accepts reports whether the address filter passes dest.
+func (r *Radio) accepts(dest packet.Address) bool {
+	for _, a := range r.rxAddrs[:r.nRxAddrs] {
+		if a == dest {
+			return true
+		}
+	}
+	return false
 }
 
 // PowerDown switches the radio off. Illegal while a transmission
@@ -236,6 +293,8 @@ func (r *Radio) StartRx() {
 // bytes unchanged until the frame has started its burst (Fire's settle
 // instant, when the image is encoded), which lets MAC layers marshal
 // into reusable scratch buffers.
+//
+//hot:path
 func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
 	if r.txBusy {
 		panic(fmt.Sprintf("radio %s: Load during transmit sequence", r.name))
@@ -249,13 +308,20 @@ func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
 	}
 	r.setMode(ModeStandby)
 	loadDur := r.params.TxClockIn(r.params.AddressBytes + len(payload))
-	r.sched.BusyLoad("radio-fifo-load", loadDur, func() {
-		r.loaded = packet.Frame{Dest: dest, Payload: payload}
-		r.hasLoaded = true
-		if done != nil {
-			done()
-		}
-	})
+	r.loads.Push(load{frame: packet.Frame{Dest: dest, Payload: payload}, done: done})
+	r.sched.BusyLoad("radio-fifo-load", loadDur, r.onLoaded)
+}
+
+// loadDone completes the oldest FIFO clock-in.
+//
+//hot:path
+func (r *Radio) loadDone() {
+	l := r.loads.Pop()
+	r.loaded = l.frame
+	r.hasLoaded = true
+	if l.done != nil {
+		l.done()
+	}
 }
 
 // Fire transmits the frame previously loaded with Load: PLL settling,
@@ -279,29 +345,40 @@ func (r *Radio) Fire(done func()) {
 	r.txBusy = true
 	r.setMode(ModeTx)
 	air := r.params.Airtime(len(frame.Payload))
-	gen := r.gen
-	//lint:allow hotalloc the settle/burst closures are the kernel handler ABI: two bounded allocations per transmission
-	r.k.Schedule(r.params.TxSettle, func(*sim.Kernel) {
-		if r.gen != gen {
-			return // crashed during PLL settling; nothing reached the air
-		}
-		// Encode into the per-radio scratch; the channel copies the image
-		// into its own pooled buffer, so txBuf is free again on return.
-		r.txBuf = frame.AppendEncode(r.txBuf[:0])
-		r.ch.BeginTx(r, r.txBuf, air)
-		r.k.Schedule(air, func(*sim.Kernel) {
-			if r.gen != gen {
-				return // crashed mid-burst; AbortTx already truncated it
-			}
-			r.stats.TxFrames++
-			r.txAirTime += air
-			r.txBusy = false
-			r.setMode(ModeStandby)
-			if done != nil {
-				done()
-			}
-		})
-	})
+	r.settling.Schedule(r.k, r.params.TxSettle, r.onSettle,
+		burst{gen: r.gen, frame: frame, air: air, done: done})
+}
+
+// settle puts a fired frame on the air once the PLL has settled.
+//
+//hot:path
+func (r *Radio) settle(k *sim.Kernel) {
+	b := r.settling.Take(k)
+	if r.gen != b.gen {
+		return // crashed during PLL settling; nothing reached the air
+	}
+	// Encode into the per-radio scratch; the channel copies the image
+	// into its own pooled buffer, so txBuf is free again on return.
+	r.txBuf = b.frame.AppendEncode(r.txBuf[:0])
+	r.ch.BeginTx(r, r.txBuf, b.air)
+	r.bursting.Schedule(k, b.air, r.onBurstEnd, b)
+}
+
+// burstEnd returns the radio to standby when a burst has left the air.
+//
+//hot:path
+func (r *Radio) burstEnd(k *sim.Kernel) {
+	b := r.bursting.Take(k)
+	if r.gen != b.gen {
+		return // crashed mid-burst; AbortTx already truncated it
+	}
+	r.stats.TxFrames++
+	r.txAirTime += b.air
+	r.txBusy = false
+	r.setMode(ModeStandby)
+	if b.done != nil {
+		b.done()
+	}
 }
 
 // Crash models a node power loss: any burst in progress is truncated on
@@ -366,16 +443,14 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		// retransmission.
 		r.stats.CRCDrops++
 		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*air.Seconds())
-		//lint:allow hotalloc trace formatting boxes its args; CRC drops are exceptional events, not steady state
-		r.tracer.Recordf(r.k.Now(), r.name, trace.KindCRCDrop, "cause=%v", cause)
+		metrics.Record1(r.tracer, r.k.Now(), r.name, trace.KindCRCDrop, "cause=%v", cause)
 		return
 	}
-	if !r.rxAddrs[frame.Dest] {
+	if !r.accepts(frame.Dest) {
 		// Overheard frame: address checked on-chip, never forwarded.
 		r.stats.AddrDrops++
 		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*air.Seconds())
-		//lint:allow hotalloc trace formatting boxes its args; overheard frames are exceptional, not steady state
-		r.tracer.Recordf(r.k.Now(), r.name, trace.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
+		metrics.Record1(r.tracer, r.k.Now(), r.name, trace.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
 		return
 	}
 
@@ -383,31 +458,35 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 	// interrupt per byte (cheap), then the upper layer handler runs.
 	r.lastRxEnd = r.k.Now()
 	r.draining = true
-	drain := r.params.RxClockOut(len(frame.Payload))
-	r.productiveRx += drain
-	gen := r.gen
-	//lint:allow hotalloc the drain closure is the kernel handler ABI: one bounded allocation per accepted frame
-	r.k.Schedule(drain, func(*sim.Kernel) {
-		if r.gen != gen {
-			return // node crashed mid-drain; the frame is lost
-		}
-		if r.mode != ModeRx || !r.draining {
-			return // upper layer repurposed the radio mid-drain
-		}
-		r.draining = false
-		r.rxSince = r.k.Now() // listening resumes after the drain
-		r.stats.RxAccepted++
-		// Charge the per-byte FIFO interrupts to the MCU, but invoke the
-		// handler at hardware time: on the MSP430 the radio interrupt
-		// preempts whatever task is running, so time-critical reactions
-		// (power the radio down, stamp the frame) are immediate, while
-		// any heavy processing the handler wants is posted as a task.
-		isrCycles := int64(len(frame.Payload)+1) * r.params.PerByteISRCycles
-		r.sched.Interrupt("radio-rx", isrCycles, nil)
-		if r.onRecv != nil {
-			r.onRecv(frame)
-		}
-	})
+	drainDur := r.params.RxClockOut(len(frame.Payload))
+	r.productiveRx += drainDur
+	r.drains.Schedule(r.k, drainDur, r.onDrained, drain{gen: r.gen, frame: frame})
+}
+
+// drained hands a frame to the upper layer once the RX FIFO is empty.
+//
+//hot:path
+func (r *Radio) drained(k *sim.Kernel) {
+	d := r.drains.Take(k)
+	if r.gen != d.gen {
+		return // node crashed mid-drain; the frame is lost
+	}
+	if r.mode != ModeRx || !r.draining {
+		return // upper layer repurposed the radio mid-drain
+	}
+	r.draining = false
+	r.rxSince = k.Now() // listening resumes after the drain
+	r.stats.RxAccepted++
+	// Charge the per-byte FIFO interrupts to the MCU, but invoke the
+	// handler at hardware time: on the MSP430 the radio interrupt
+	// preempts whatever task is running, so time-critical reactions
+	// (power the radio down, stamp the frame) are immediate, while any
+	// heavy processing the handler wants is posted as a task.
+	isrCycles := int64(len(d.frame.Payload)+1) * r.params.PerByteISRCycles
+	r.sched.Interrupt("radio-rx", isrCycles, nil)
+	if r.onRecv != nil {
+		r.onRecv(d.frame)
+	}
 }
 
 // setMode performs the meter transition for a mode change.

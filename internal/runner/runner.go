@@ -366,18 +366,23 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 		}()
 	}
 	for n, i := range pending {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Nothing from pending[n:] was handed to a worker, so these
-			// slots are ours to mark.
-			for _, j := range pending[n:] {
-				results[j].Skipped = true
+		// Check the context first: with a worker ready to receive, select
+		// picks at random between the send and an already-closed Done.
+		if ctx.Err() == nil {
+			select {
+			case idx <- i:
+				continue
+			case <-ctx.Done():
 			}
-			close(idx)
-			wg.Wait()
-			return results
 		}
+		// Nothing from pending[n:] was handed to a worker, so these slots
+		// are ours to mark.
+		for _, j := range pending[n:] {
+			results[j].Skipped = true
+		}
+		close(idx)
+		wg.Wait()
+		return results
 	}
 	close(idx)
 	wg.Wait()

@@ -87,7 +87,7 @@ func (s *heapSched) cancel(id EventID) bool {
 func (s *heapSched) pending() int { return len(s.live) }
 
 // next pops the earliest live event, skipping cancelled entries.
-func (s *heapSched) next() (Handler, Time, bool) {
+func (s *heapSched) next() (Handler, Time, EventID, bool) {
 	for len(s.queue) > 0 {
 		e := heap.Pop(&s.queue).(*event)
 		if e.dead {
@@ -96,9 +96,9 @@ func (s *heapSched) next() (Handler, Time, bool) {
 		delete(s.live, e.id)
 		h := e.handler
 		e.handler = nil
-		return h, e.at, true
+		return h, e.at, e.id, true
 	}
-	return nil, 0, false
+	return nil, 0, 0, false
 }
 
 // peek reports the instant of the earliest live event.

@@ -39,6 +39,8 @@ type Kernel struct {
 
 	executed uint64
 	stopped  bool
+	// firing is the ID of the event whose handler is running (Firing).
+	firing EventID
 
 	// Watchdog state (SetWatchdog). checkAt is the executed-event count
 	// at which the dispatch loops consult the watchdog; math.MaxUint64
@@ -238,6 +240,13 @@ func (k *Kernel) Schedule(d Time, handler Handler) EventID {
 	return k.ScheduleAt(k.now+d, handler)
 }
 
+// Firing reports the ID of the event whose handler is running: the
+// value ScheduleAt returned for it. A handler shared by several pending
+// events (a method value bound once, instead of a closure per event)
+// uses it to tell which of them fired; see Pending. Outside a handler
+// it reports the last event dispatched.
+func (k *Kernel) Firing() EventID { return k.firing }
+
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false when it has already fired or been cancelled).
 func (k *Kernel) Cancel(id EventID) bool {
@@ -258,11 +267,11 @@ func (k *Kernel) step() bool {
 		return false
 	}
 	if k.legacy != nil {
-		h, at, ok := k.legacy.next()
+		h, at, id, ok := k.legacy.next()
 		if !ok {
 			return false
 		}
-		k.now = at
+		k.now, k.firing = at, id
 		k.executed++
 		h(k)
 		return true
@@ -270,8 +279,8 @@ func (k *Kernel) step() bool {
 	if !k.wheel.ensureReady() {
 		return false
 	}
-	h, at := k.wheel.popReady()
-	k.now = at
+	h, at, id := k.wheel.popReady()
+	k.now, k.firing = at, id
 	k.executed++
 	h(k)
 	return true
@@ -301,8 +310,8 @@ func (k *Kernel) RunUntil(horizon Time) {
 			if k.executed >= k.checkAt && k.tripNow() {
 				break
 			}
-			h, at := k.wheel.popReady()
-			k.now = at
+			h, at, id := k.wheel.popReady()
+			k.now, k.firing = at, id
 			k.executed++
 			h(k)
 		}

@@ -444,20 +444,21 @@ func (w *wheel) advance() {
 }
 
 // popReady removes and recycles the earliest live event, returning its
-// handler and instant. The slot is recycled before the handler runs, so
+// handler, instant and ID. The slot is recycled before the handler runs, so
 // cancelling the fired ID from inside the handler reports false exactly
 // as the heap scheduler did.
 //
 //hot:path
-func (w *wheel) popReady() (Handler, Time) {
+func (w *wheel) popReady() (Handler, Time, EventID) {
 	n := len(w.ready) - 1
 	idx := w.ready[n]
 	w.ready = w.ready[:n]
 	e := &w.events[idx]
 	h, at := e.handler, e.at
+	id := EventID(uint64(idx)+1)<<32 | EventID(e.gen)
 	w.live--
 	w.recycle(idx)
-	return h, at
+	return h, at, id
 }
 
 // peekReady reports the instant of the ready tail. Only valid after

@@ -220,6 +220,10 @@ func EvaluateCtx(ctx context.Context, cfg core.Config) (*Failure, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// The event-by-event comparison below reads the retained ring.
+	if cfg.TraceLimit == 0 {
+		cfg.TraceLimit = core.DefaultTraceRing
+	}
 	wheel, f, err := runOne(ctx, cfg, core.SchedulerWheel)
 	if err != nil {
 		return nil, err

@@ -35,6 +35,11 @@ type Sched struct {
 	queued  int
 	posted  uint64
 	dropped uint64
+
+	// tasks holds the Run of every accepted task in posting order; the
+	// task completion, bound once as taskDone, pops it.
+	tasks    mcu.Queue[func()]
+	taskDone func()
 }
 
 // NewSched creates a scheduler over the given MCU. queueCap <= 0 selects
@@ -43,7 +48,9 @@ func NewSched(k *sim.Kernel, m *mcu.MCU, queueCap int) *Sched {
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
-	return &Sched{k: k, mcu: m, queueCap: queueCap}
+	s := &Sched{k: k, mcu: m, queueCap: queueCap, tasks: mcu.NewQueue[func()](m)}
+	s.taskDone = s.finishTask
+	return s
 }
 
 // MCU exposes the scheduler's microcontroller.
@@ -65,18 +72,36 @@ func (s *Sched) Post(t Task) bool {
 	}
 	s.queued++
 	s.posted++
-	s.mcu.Exec(t.Cycles, func() {
-		s.queued--
-		if t.Run != nil {
-			t.Run()
-		}
-	})
+	s.tasks.Push(t.Run)
+	s.mcu.Exec(t.Cycles, s.taskDone)
 	return true
 }
 
-// PostFn is Post with inline fields.
+// PostFn is Post with inline fields. Posting allocates nothing when run
+// is a function value that already exists (a method value bound once).
+//
+//hot:path
 func (s *Sched) PostFn(name string, cycles int64, run func()) bool {
 	return s.Post(Task{Name: name, Cycles: cycles, Run: run})
+}
+
+// finishTask completes the oldest running task.
+//
+//hot:path
+func (s *Sched) finishTask() {
+	run := s.tasks.Pop()
+	s.queued--
+	if run != nil {
+		run()
+	}
+}
+
+// Crash models a node power loss at the OS level. Call it after the
+// MCU's Crash, which abandons every queued computation: the tasks in
+// flight never complete, so they leave the queue and free their slots.
+func (s *Sched) Crash() {
+	s.tasks.DropAbandoned()
+	s.queued = s.tasks.Len()
 }
 
 // Interrupt runs an interrupt service routine: it executes on the MCU
@@ -123,11 +148,12 @@ const TimerOverheadCycles = 120
 // NewTimer creates a stopped OS timer that runs fn on each firing.
 func NewTimer(s *Sched, name string, fn func()) *Timer {
 	t := &Timer{s: s, overhead: TimerOverheadCycles, name: name, fn: fn}
-	t.inner = sim.NewTimer(s.k, func(*sim.Kernel) {
-		s.Interrupt("timer:"+t.name, t.overhead, t.fn)
-	})
+	t.inner = sim.NewTimer(s.k, t.fire)
 	return t
 }
+
+// fire runs the timer ISR, then the user callback.
+func (t *Timer) fire(*sim.Kernel) { t.s.Interrupt(t.name, t.overhead, t.fn) }
 
 // StartOneShot arms the timer once, d from now.
 func (t *Timer) StartOneShot(d sim.Time) { t.inner.StartOneShot(d) }
