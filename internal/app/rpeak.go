@@ -167,9 +167,9 @@ func (r *Rpeak) onSampleDone() {
 	}
 }
 
-// onAssembleDone sends the oldest detected beat. Like the streaming
-// assembly, it is left off the hot path only because Send dispatches
-// through the Mac interface.
+// onAssembleDone sends the oldest detected beat.
+//
+//hot:path
 func (r *Rpeak) onAssembleDone() {
 	r.payload = r.found.Pop().AppendMarshal(r.payload[:0])
 	if r.env.Mac.Send(r.payload) {

@@ -162,10 +162,9 @@ func (s *Streaming) onSampleDone() {
 	s.buf = append(s.buf[:0], s.buf[spp:]...)
 }
 
-// onAssembleDone packs the oldest batch and hands it to the MAC. It is
-// not marked //hot:path only because Send dispatches through the Mac
-// interface, whose contention implementations keep per-event closures;
-// the TDMA Send is a hot root of its own.
+// onAssembleDone packs the oldest batch and hands it to the MAC.
+//
+//hot:path
 func (s *Streaming) onAssembleDone() {
 	s.batch = s.batch[:0]
 	for range s.cfg.SamplesPerPacket {

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -327,7 +328,7 @@ func (inj *Injector) installCrash(idx int, f Fault) {
 		inj.k.ScheduleAt(f.At+f.RebootAfter, func(*sim.Kernel) {
 			inj.outcomes[idx].RebootedAt = inj.k.Now()
 			inj.pendingRejoin[node] = append(inj.pendingRejoin[node], idx)
-			inj.tracer.Recordf(inj.k.Now(), fmt.Sprintf("node%d", node), trace.KindReboot,
+			metrics.Record1(inj.tracer, inj.k.Now(), fmt.Sprintf("node%d", node), trace.KindReboot,
 				"outage=%v", f.RebootAfter)
 			h.Reboot()
 		})
@@ -377,11 +378,11 @@ func (inj *Injector) installBlackout(idx int, f Fault) {
 			w = window{idx: idx, node: tracked, sent: s.DataSent, acked: s.DataAcked}
 		}
 		inj.ch.SetBlackout(f.From, f.To, true)
-		inj.tracer.Recordf(inj.k.Now(), "channel", trace.KindLinkDown, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), "channel", trace.KindLinkDown, "%s>%s", f.From, f.To)
 	})
 	inj.k.ScheduleAt(f.Until, func(*sim.Kernel) {
 		inj.ch.SetBlackout(f.From, f.To, false)
-		inj.tracer.Recordf(inj.k.Now(), "channel", trace.KindLinkUp, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), "channel", trace.KindLinkUp, "%s>%s", f.From, f.To)
 		if haveNode {
 			s := h.Stats()
 			inj.outcomes[idx].SentDuring = satSub(s.DataSent, w.sent)

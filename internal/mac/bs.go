@@ -104,10 +104,10 @@ type BS struct {
 	// release to the next beacon build (a safe point for the timing map).
 	needCompact bool
 
-	onData   func(rec RxRecord)
-	received []RxRecord
-	stats    BSStats
-	started  bool
+	onData func(rec RxRecord)
+	rxLog
+	stats   BSStats
+	started bool
 	// idHeader switches data-frame sender attribution from slot timing to
 	// the one-byte sender-ID header contention MACs prepend (set by the
 	// CSMA wrapper; a contention sender may transmit at any offset).
@@ -152,12 +152,28 @@ type BS struct {
 	slotAssigned   func()
 	slotReleased   func()
 	// Scratch reused across cycles: the beacon's entry list, the sorted
-	// node IDs of a reclaim sweep, the slot table of a compaction, and
-	// the arena the received-frame log copies payloads into.
+	// node IDs of a reclaim sweep and the slot table of a compaction.
 	entries []packet.SlotEntry
 	ids     []uint8
 	table   []packet.SlotEntry
-	rxArena []byte
+}
+
+// rxLog is a base station's received-frame log. Payloads are copied
+// into an append-only arena: a record's capped slice never sees later
+// frames, and growth only reallocates geometrically.
+type rxLog struct {
+	received []RxRecord
+	arena    []byte
+}
+
+// log appends the record of a frame from node, copying its payload.
+func (l *rxLog) log(node uint8, payload []byte, at sim.Time) RxRecord {
+	start := len(l.arena)
+	l.arena = append(l.arena, payload...)
+	end := len(l.arena)
+	rec := RxRecord{Node: node, Payload: l.arena[start:end:end], At: at}
+	l.received = append(l.received, rec)
+	return rec
 }
 
 // NewBS wires a base station over its radio and OS.
@@ -651,14 +667,7 @@ func (bs *BS) handleData(payload []byte) {
 		}
 	}
 	delete(bs.silent, node)
-	// The log copies payloads into an append-only arena: a record's
-	// capped slice never sees later frames, and growth only reallocates
-	// geometrically.
-	start := len(bs.rxArena)
-	bs.rxArena = append(bs.rxArena, payload...)
-	end := len(bs.rxArena)
-	rec := RxRecord{Node: node, Payload: bs.rxArena[start:end:end], At: bs.k.Now()}
-	bs.received = append(bs.received, rec)
+	rec := bs.log(node, payload, bs.k.Now())
 	bs.stats.DataReceived++
 	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", node, len(payload))
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/approx"
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -76,11 +77,11 @@ type CSMANode struct {
 	rejoinArmed bool
 	rejoinFrom  sim.Time
 
-	queue    []txItem
-	loading  bool
-	loaded   bool
-	inFlight *txItem
-	op       csmaOp
+	txQueue
+	loading bool
+	loaded  bool
+	op      csmaOp
+	firing  csmaOp // the op of the frame on the air
 	// dataBuf/ctrlBuf are marshal scratch: the sender-ID header plus
 	// payload, and the control frames (SSR, Release).
 	dataBuf []byte
@@ -100,6 +101,22 @@ type CSMANode struct {
 	ackWaiting    bool
 	joinListenAt  sim.Time
 	ssrNonce      uint16
+	// beacon is the last parsed beacon; its Entries slice is reused.
+	beacon packet.Beacon
+
+	// Steady-state steps, each a handler bound once in NewCSMANode. Crash
+	// cancels the window and ack timeouts; the other kernel-timed steps
+	// file their generation (and a window's stride) by event ID.
+	windowOpens    sim.Pending[windowArm]
+	ccaSteps       sim.Pending[uint64]
+	onWindowOpen   sim.Handler
+	onWindowExpiry sim.Handler
+	onBackoffDue   sim.Handler
+	onCCADue       sim.Handler
+	onAckExpiry    sim.Handler
+	beaconParsed   func()
+	frameLoaded    func()
+	frameSent      func()
 
 	stretchEvery   int
 	stretchCount   uint64
@@ -152,6 +169,14 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	if m.maxBackoffs == 0 {
 		m.maxBackoffs = defaultMaxBackoffs
 	}
+	m.onWindowOpen = m.windowOpened
+	m.onWindowExpiry = m.onWindowTimeout
+	m.onBackoffDue = m.ccaStart
+	m.onCCADue = m.ccaSample
+	m.onAckExpiry = m.onAckTimeout
+	m.beaconParsed = m.afterBeacon
+	m.frameLoaded = m.onFrameLoaded
+	m.frameSent = m.onFrameSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
@@ -241,10 +266,10 @@ func (m *CSMANode) Crash() {
 	m.state = stateCrashed
 	m.member = -1
 	m.missed = 0
-	m.queue = nil
+	m.queue.Reset()
 	m.loading = false
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.op = csmaOpNone
 	m.attemptActive = false
 	m.releasePending = false
@@ -292,23 +317,26 @@ func (m *CSMANode) park() {
 	m.state = stateParked
 	m.member = -1
 	m.releasePending = false
-	m.queue = nil
+	m.queue.Reset()
 	m.loading = false
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.op = csmaOpNone
 	m.attemptActive = false
 	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
 }
 
 // Send implements Mac. The frame is transmitted by a contention attempt
-// in the current or a following beacon cycle.
+// in the current or a following beacon cycle. The payload is copied
+// into a recycled buffer.
+//
+//hot:path
 func (m *CSMANode) Send(payload []byte) bool {
-	if len(m.queue) >= m.cfg.TxQueueCap {
+	if m.queue.Len() >= m.cfg.TxQueueCap {
 		m.stats.QueueDrops++
 		return false
 	}
-	m.queue = append(m.queue, txItem{payload: append([]byte(nil), payload...), enqueuedAt: m.k.Now()})
+	m.enqueue(payload, m.k.Now())
 	return true
 }
 
@@ -336,11 +364,14 @@ func (m *CSMANode) nextWindowOpen() sim.Time {
 
 // --- frame dispatch ------------------------------------------------------
 
+//hot:path
 func (m *CSMANode) onFrame(f packet.Frame) {
 	switch {
 	case f.Dest == m.cfg.Plan.Beacon:
-		if b, err := packet.UnmarshalBeacon(f.Payload); err == nil {
-			m.handleBeacon(b, len(f.Payload))
+		var ok bool
+		m.beacon, ok = packet.ParseBeacon(f.Payload, m.beacon.Entries[:0])
+		if ok {
+			m.handleBeacon(m.beacon, len(f.Payload))
 		}
 	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
 		m.handleAck()
@@ -372,7 +403,7 @@ func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
 	if m.cycle <= 0 {
 		return // malformed beacon; wait for the next one
 	}
-	m.tracer.Recordf(now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
+	metrics.Record2(m.tracer, now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
 		m.state = stateRequesting
@@ -397,7 +428,7 @@ func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
 				m.rejoinArmed = false
 			}
 			m.joinedEver = true
-			m.tracer.Recordf(now, m.name, trace.KindJoined, "slot=%d", m.member)
+			metrics.Record1(m.tracer, now, m.name, trace.KindJoined, "slot=%d", m.member)
 			for _, fn := range m.onJoined {
 				fn()
 			}
@@ -407,13 +438,13 @@ func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
 		break
 	}
 
-	m.sched.Interrupt("beacon-parse", m.cfg.Profile.Cost.BeaconParseStatic, func() {
-		m.afterBeacon()
-	})
+	m.sched.Interrupt("beacon-parse", m.cfg.Profile.Cost.BeaconParseStatic, m.beaconParsed)
 }
 
 // afterBeacon launches this cycle's contention attempt once parsing is
 // done: the contention-access period runs from here to the next window.
+//
+//hot:path
 func (m *CSMANode) afterBeacon() {
 	m.scheduleNextWindow()
 	switch m.state {
@@ -428,7 +459,7 @@ func (m *CSMANode) afterBeacon() {
 			m.stretchCount++
 			if m.stretchCount%uint64(m.stretchEvery) == 0 {
 				m.stats.SlotsSkipped++
-				m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
+				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
 				return
 			}
 		}
@@ -446,67 +477,65 @@ func (m *CSMANode) windowStride() sim.Time {
 
 // scheduleNextWindow arms the receiver for the next expected beacon.
 func (m *CSMANode) scheduleNextWindow() {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	stride := m.windowStride()
 	openAt := m.t0 + m.local(stride*m.cycle-p.MAC.StaticGuard-p.Radio.RxSettle)
 	now := m.k.Now()
 	if openAt <= now {
 		openAt = now
 	}
-	gen := m.gen
-	m.k.ScheduleAt(openAt, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		if m.windowActive || m.state == stateSearching {
-			return
-		}
-		if m.radio.Mode() == radio.ModeTx {
-			// A late contention burst is still draining; its completion
-			// handler powers the radio down, and the beacon is lost this
-			// cycle (the budget margins make this rare).
-			m.onWindowLost()
-			return
-		}
-		m.windowActive = true
-		m.windowOpenAt = m.k.Now()
-		m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-		m.radio.StartRx()
-		deadline := m.t0 + m.local(stride*m.cycle) + p.MAC.StaticGuard +
-			p.Radio.Airtime(m.maxBeaconPayload()) +
-			p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-		if deadline < m.k.Now() {
-			deadline = m.k.Now()
-		}
-		m.windowTimeout = m.k.ScheduleAt(deadline, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.onWindowTimeout()
-		})
-	})
+	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
 }
 
-// onWindowLost dead-reckons past a beacon window the node could not open.
-func (m *CSMANode) onWindowLost() {
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
+// windowOpened turns the receiver on for an expected beacon and arms the
+// window's timeout.
+//
+//hot:path
+func (m *CSMANode) windowOpened(k *sim.Kernel) {
+	a := m.windowOpens.Take(k)
+	if m.gen != a.gen {
+		return // armed before a crash
+	}
+	if m.windowActive || m.state == stateSearching {
 		return
 	}
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
+	if m.radio.Mode() == radio.ModeTx {
+		// A late contention burst is still draining; its completion
+		// handler powers the radio down, and the beacon is lost this
+		// cycle (the budget margins make this rare).
+		m.onWindowLost()
+		return
+	}
+	p := &m.cfg.Profile
+	m.windowActive = true
+	m.windowOpenAt = k.Now()
+	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
+	m.radio.StartRx()
+	deadline := m.t0 + m.local(a.stride*m.cycle) + p.MAC.StaticGuard +
+		p.Radio.Airtime(m.maxBeaconPayload()) +
+		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
+	if deadline < k.Now() {
+		deadline = k.Now()
+	}
+	m.windowTimeout = k.ScheduleAt(deadline, m.onWindowExpiry)
 }
 
 // onWindowTimeout handles a silent beacon window.
-func (m *CSMANode) onWindowTimeout() {
+//
+//hot:path
+func (m *CSMANode) onWindowTimeout(*sim.Kernel) {
 	if !m.windowActive {
 		return
 	}
 	m.windowActive = false
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.windowOpenAt)
+	m.onWindowLost()
+}
+
+// onWindowLost dead-reckons past a beacon window that stayed silent or
+// could not open.
+func (m *CSMANode) onWindowLost() {
 	m.stats.BeaconsMissed++
 	m.missed++
 	if m.missed >= missedBeaconRejoinThreshold {
@@ -530,7 +559,7 @@ func (m *CSMANode) rejoin() {
 	m.member = -1
 	m.missed = 0
 	m.loaded = false
-	m.inFlight = nil
+	m.dropInFlight()
 	m.op = csmaOpNone
 	m.attemptActive = false
 	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
@@ -556,37 +585,33 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 		// loaded before EnterBeaconOnly, say): the release path owns the
 		// radio now and the unsent frame is discarded.
 		m.loaded = false
-		m.inFlight = nil
+		m.dropInFlight()
 		m.op = csmaOpNone
 	}
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	if !m.loaded {
 		switch op {
 		case csmaOpData:
-			if len(m.queue) == 0 {
+			if m.queue.Len() == 0 {
 				return
 			}
-			item := m.queue[0]
+			item := m.queue.Peek()
 			loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + packet.DataHeaderBytes + len(item.payload))
 			if !m.attemptFits(m.k.Now()+loadDur, m.opTailNeed(op, len(item.payload))) {
 				return // no room left this cycle; the frame stays queued
 			}
-			m.queue = m.queue[1:]
-			m.inFlight = &item
+			m.launch()
 			m.op = csmaOpData
 			m.loading = true
-			m.dataBuf = append(append(m.dataBuf[:0], m.cfg.NodeID), item.payload...)
-			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, func() {
-				m.loading = false
-				m.loaded = true
-				m.radio.PowerDown()
-				m.startBackoff()
-			})
+			m.dataBuf = append(m.dataBuf[:0], m.cfg.NodeID)
+			m.dataBuf = append(m.dataBuf, item.payload...)
+			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.frameLoaded)
 		case csmaOpSSR:
 			m.ssrNonce++
 			ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
 			m.op = csmaOpSSR
 			m.loading = true
+			//lint:allow hotalloc association is a join transient, not a per-frame step
 			m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
 				if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 					m.loading = false
@@ -594,27 +619,27 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 					return
 				}
 				m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-					m.loading = false
-					m.loaded = true
-					m.radio.PowerDown()
-					m.startBackoff()
-				})
+				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
 			})
 		case csmaOpRelease:
-			rel := packet.Release{NodeID: m.cfg.NodeID}
 			m.op = csmaOpRelease
 			m.loading = true
-			m.ctrlBuf = rel.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-				m.loading = false
-				m.loaded = true
-				m.radio.PowerDown()
-				m.startBackoff()
-			})
+			m.ctrlBuf = packet.Release{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
+			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
 		}
 		return
 	}
+	m.startBackoff()
+}
+
+// onFrameLoaded contends for the channel once the frame sits in the
+// radio FIFO.
+//
+//hot:path
+func (m *CSMANode) onFrameLoaded() {
+	m.loading = false
+	m.loaded = true
+	m.radio.PowerDown()
 	m.startBackoff()
 }
 
@@ -655,32 +680,24 @@ func (m *CSMANode) startBackoff() {
 func (m *CSMANode) scheduleBackoffStep() {
 	draw := m.k.Rand().Int63n(int64(1) << uint(m.be))
 	at := m.k.Now() + sim.Time(draw)*csmaUnitBackoff
-	tail := m.opTailNeed(m.op, m.inFlightLen())
+	tail := m.opTailNeed(m.op, len(m.inFlight.payload))
 	if !m.attemptFits(at, tail) {
 		// Out of contention room this cycle; the loaded frame waits for
 		// the next beacon. Not a channel failure, so no counter moves.
 		m.attemptActive = false
 		return
 	}
-	gen := m.gen
-	m.k.ScheduleAt(at, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		m.ccaStart()
-	})
+	m.ccaSteps.ScheduleAt(m.k, at, m.onBackoffDue, m.gen)
 }
 
-// inFlightLen reports the pending data payload length (0 for control).
-func (m *CSMANode) inFlightLen() int {
-	if m.op == csmaOpData && m.inFlight != nil {
-		return len(m.inFlight.payload)
+// ccaStart turns the receiver on for the clear-channel assessment once
+// the backoff wait has run out.
+//
+//hot:path
+func (m *CSMANode) ccaStart(k *sim.Kernel) {
+	if gen := m.ccaSteps.Take(k); m.gen != gen {
+		return // armed before a crash
 	}
-	return 0
-}
-
-// ccaStart turns the receiver on for the clear-channel assessment.
-func (m *CSMANode) ccaStart() {
 	if !m.attemptActive || m.state == stateCrashed || m.state == stateParked {
 		m.attemptActive = false
 		return
@@ -691,17 +708,16 @@ func (m *CSMANode) ccaStart() {
 	}
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.k.Schedule(m.cfg.Profile.Radio.RxSettle+csmaCCADuration, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.ccaSample()
-	})
+	m.ccaSteps.Schedule(m.k, m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.onCCADue, m.gen)
 }
 
 // ccaSample reads the energy-detect verdict at the end of the window.
-func (m *CSMANode) ccaSample() {
+//
+//hot:path
+func (m *CSMANode) ccaSample(k *sim.Kernel) {
+	if gen := m.ccaSteps.Take(k); m.gen != gen {
+		return // armed before a crash
+	}
 	if !m.attemptActive {
 		return
 	}
@@ -735,79 +751,64 @@ func (m *CSMANode) ccaSample() {
 
 // transmit fires the loaded frame the instant its CCA cleared.
 func (m *CSMANode) transmit() {
-	p := m.cfg.Profile
 	m.attemptActive = false
 	m.loaded = false
-	op := m.op
-	if op == csmaOpData && m.inFlight != nil {
+	m.firing = m.op
+	if m.firing == csmaOpData && m.hasInFlight {
 		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.LatencySum += lat
-		m.stats.LatencyCount++
-		if lat > m.stats.LatencyMax {
-			m.stats.LatencyMax = lat
-		}
+		m.stats.addLatency(lat)
 		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
 	}
-	m.radio.Fire(func() {
-		if m.state == stateCrashed {
-			return
-		}
-		switch op {
-		case csmaOpData:
-			m.op = csmaOpNone
-			if m.state == stateParked {
-				m.radio.PowerDown()
-				return
-			}
-			m.stats.DataSent++
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindDataTx, "len=%d",
-				packet.DataHeaderBytes+m.inFlightLenRaw())
-			m.openAckWindow()
-		case csmaOpSSR:
-			m.op = csmaOpNone
-			m.stats.SSRSent++
-			txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
-			m.radio.PowerDown()
-		case csmaOpRelease:
-			m.op = csmaOpNone
-			m.stats.ReleasesSent++
-			txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotRelease, "member=%d", m.member)
-			m.radio.PowerDown()
-			m.park()
-		}
-	})
+	m.radio.Fire(m.frameSent)
 }
 
-// inFlightLenRaw reports the raw app payload length of the in-flight
-// frame for tracing.
-func (m *CSMANode) inFlightLenRaw() int {
-	if m.inFlight != nil {
-		return len(m.inFlight.payload)
+// onFrameSent settles a contention burst once it has flown.
+//
+//hot:path
+func (m *CSMANode) onFrameSent() {
+	if m.state == stateCrashed {
+		return
 	}
-	return 0
+	p := &m.cfg.Profile
+	switch m.firing {
+	case csmaOpData:
+		m.op = csmaOpNone
+		if m.state == stateParked {
+			m.radio.PowerDown()
+			return
+		}
+		m.stats.DataSent++
+		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d",
+			packet.DataHeaderBytes+len(m.inFlight.payload))
+		m.openAckWindow()
+	case csmaOpSSR:
+		m.op = csmaOpNone
+		m.stats.SSRSent++
+		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
+		m.controlTxTime += txDur
+		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+		m.radio.PowerDown()
+	case csmaOpRelease:
+		m.op = csmaOpNone
+		m.stats.ReleasesSent++
+		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
+		m.controlTxTime += txDur
+		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotRelease, "member=%d", m.member)
+		m.radio.PowerDown()
+		m.park()
+	}
 }
 
 // --- acknowledgement path (shared shape with the TDMA node) --------------
 
 func (m *CSMANode) openAckWindow() {
-	p := m.cfg.Profile
 	m.ackWaiting = true
 	m.ackOpenAt = m.k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.ackTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onAckTimeout()
-	})
+	m.ackTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onAckExpiry)
 }
 
 func (m *CSMANode) handleAck() {
@@ -820,11 +821,14 @@ func (m *CSMANode) handleAck() {
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
 	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
 	m.stats.DataAcked++
-	m.inFlight = nil
+	if m.hasInFlight {
+		m.finishInFlight()
+	}
 	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
 }
 
-func (m *CSMANode) onAckTimeout() {
+//hot:path
+func (m *CSMANode) onAckTimeout(*sim.Kernel) {
 	if !m.ackWaiting {
 		return
 	}
@@ -834,20 +838,21 @@ func (m *CSMANode) onAckTimeout() {
 	m.stats.AckMissed++
 	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
 
-	p := m.cfg.Profile
-	if m.inFlight != nil {
+	p := &m.cfg.Profile
+	if m.hasInFlight {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+len(m.inFlight.payload))
 		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
 		if m.inFlight.retries < m.cfg.MaxRetries {
 			m.inFlight.retries++
 			m.stats.Retries++
-			m.queue = append([]txItem{*m.inFlight}, m.queue...)
+			m.queue.PushFront(m.inFlight)
+			m.dropInFlight()
 		} else {
 			m.stats.DataDropped++
 			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.finishInFlight()
 		}
 	}
-	m.inFlight = nil
 }
 
 func (m *CSMANode) accountControlRx(d sim.Time) {

@@ -2,9 +2,11 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -82,8 +84,7 @@ type LPLNode struct {
 	rejoinArmed bool
 	rejoinFrom  sim.Time
 
-	queue    []txItem
-	inFlight *txItem
+	txQueue
 	op       lplOp
 	opActive bool
 	dataBuf  []byte
@@ -103,6 +104,19 @@ type LPLNode struct {
 	ssrNonce   uint16
 	burstLeft  int
 
+	// Steady-state steps, each a handler bound once in NewLPLNode. Crash
+	// and park cancel the gap, SSR and ack timeouts; delayed restarts
+	// file their generation by event ID.
+	retries      sim.Pending[lplRetry]
+	onRetry      sim.Handler
+	onGapExpiry  sim.Handler
+	onSSRExpiry  sim.Handler
+	onAckExpiry  sim.Handler
+	strobeLoaded func()
+	strobeSent   func()
+	dataLoaded   func()
+	dataSent     func()
+
 	stretchEvery int
 	stretchCount uint64
 	beaconOnly   bool
@@ -113,6 +127,15 @@ type LPLNode struct {
 	controlRxTime sim.Time
 	controlTxTime sim.Time
 	joinIdleTime  sim.Time
+}
+
+// lplRetry is the state of a delayed restart: the generation it was
+// armed under, and whether it resumes a deferred train or launches a
+// fresh one for op.
+type lplRetry struct {
+	gen    uint64
+	op     lplOp
+	resume bool
 }
 
 // NewLPLNode wires an LPL node MAC over its radio and OS. A zero
@@ -156,6 +179,14 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 			m.name, spacing, lplMaxStrobeSpacing))
 	}
 	m.maxStrobes = int(m.checkInterval/spacing) + 3
+	m.onRetry = m.retryDue
+	m.onGapExpiry = m.onStrobeGapTimeout
+	m.onSSRExpiry = m.onSSRTimeout
+	m.onAckExpiry = m.onAckTimeout
+	m.strobeLoaded = m.onStrobeLoaded
+	m.strobeSent = m.onStrobeSent
+	m.dataLoaded = m.onDataLoaded
+	m.dataSent = m.onDataSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
@@ -184,14 +215,7 @@ func (m *LPLNode) Start() {
 		m.rejoinArmed = true
 		m.rejoinFrom = m.k.Now()
 	}
-	delay := sim.Time(m.k.Rand().Int63n(int64(m.checkInterval)))
-	gen := m.gen
-	m.k.Schedule(delay, func(*sim.Kernel) {
-		if m.gen != gen {
-			return // armed before a crash
-		}
-		m.startJoinOp()
-	})
+	m.retryAfter(sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), lplOpSSR)
 }
 
 // OnJoined implements Mac.
@@ -263,8 +287,8 @@ func (m *LPLNode) Crash() {
 	m.closeAckWindow()
 	m.noteLeftSlot()
 	m.state = stateCrashed
-	m.queue = nil
-	m.inFlight = nil
+	m.queue.Reset()
+	m.dropInFlight()
 	m.op = lplOpNone
 	m.opActive = false
 	m.strobeCount = 0
@@ -328,8 +352,8 @@ func (m *LPLNode) park() {
 	m.closeAckWindow()
 	m.noteLeftSlot()
 	m.state = stateParked
-	m.queue = nil
-	m.inFlight = nil
+	m.queue.Reset()
+	m.dropInFlight()
 	m.op = lplOpNone
 	m.opActive = false
 	if m.radio.Mode() == radio.ModeRx {
@@ -339,13 +363,15 @@ func (m *LPLNode) park() {
 }
 
 // Send implements Mac: a queued frame launches a strobe train if none is
-// running.
+// running. The payload is copied into a recycled buffer.
+//
+//hot:path
 func (m *LPLNode) Send(payload []byte) bool {
-	if len(m.queue) >= m.cfg.TxQueueCap {
+	if m.queue.Len() >= m.cfg.TxQueueCap {
 		m.stats.QueueDrops++
 		return false
 	}
-	m.queue = append(m.queue, txItem{payload: append([]byte(nil), payload...), enqueuedAt: m.k.Now()})
+	m.enqueue(payload, m.k.Now())
 	if m.state == stateJoined && !m.opActive {
 		m.startDataOp()
 	}
@@ -354,6 +380,7 @@ func (m *LPLNode) Send(payload []byte) bool {
 
 // --- frame dispatch ------------------------------------------------------
 
+//hot:path
 func (m *LPLNode) onFrame(f packet.Frame) {
 	if f.Dest != m.cfg.Plan.NodeAddr(m.cfg.NodeID) {
 		return
@@ -381,7 +408,7 @@ func (m *LPLNode) startJoinOp() {
 
 // startDataOp launches a data delivery strobe train.
 func (m *LPLNode) startDataOp() {
-	if m.state != stateJoined || m.opActive || len(m.queue) == 0 {
+	if m.state != stateJoined || m.opActive || m.queue.Len() == 0 {
 		return
 	}
 	if m.stretchEvery >= 2 {
@@ -390,14 +417,8 @@ func (m *LPLNode) startDataOp() {
 			// Duty-cycle stretch: sleep through this opportunity and
 			// check back one sampling period later.
 			m.stats.SlotsSkipped++
-			m.tracer.Recordf(m.k.Now(), m.name, trace.KindSlotSkip, "op=%d", m.stretchCount)
-			gen := m.gen
-			m.k.Schedule(m.checkInterval, func(*sim.Kernel) {
-				if m.gen != gen {
-					return
-				}
-				m.startDataOp()
-			})
+			metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "op=%d", m.stretchCount)
+			m.retryAfter(m.checkInterval, lplOpData)
 			return
 		}
 	}
@@ -405,6 +426,29 @@ func (m *LPLNode) startDataOp() {
 	m.op = lplOpData
 	m.strobeCount = 0
 	m.strobeStep()
+}
+
+// retryAfter launches a fresh train for op after delay, unless a crash
+// intervenes.
+func (m *LPLNode) retryAfter(delay sim.Time, op lplOp) {
+	m.retries.Schedule(m.k, delay, m.onRetry, lplRetry{gen: m.gen, op: op})
+}
+
+// retryDue runs a delayed restart.
+//
+//hot:path
+func (m *LPLNode) retryDue(k *sim.Kernel) {
+	r := m.retries.Take(k)
+	switch {
+	case m.gen != r.gen:
+		// Armed before a crash.
+	case r.resume:
+		m.strobeStep()
+	case r.op == lplOpSSR:
+		m.startJoinOp()
+	default:
+		m.startDataOp()
+	}
 }
 
 // strobeStep sends the next strobe of the train, or gives up when the
@@ -420,41 +464,39 @@ func (m *LPLNode) strobeStep() {
 		m.stats.StrobeFails++
 		op := m.op
 		m.endOp()
-		delay := m.checkInterval + sim.Time(m.k.Rand().Int63n(int64(m.checkInterval)))
-		gen := m.gen
-		m.k.Schedule(delay, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			if op == lplOpSSR {
-				m.startJoinOp()
-			} else {
-				m.startDataOp()
-			}
-		})
+		m.retryAfter(m.checkInterval+sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), op)
 		return
 	}
 	m.strobeCount++
-	p := m.cfg.Profile
-	strobe := packet.Strobe{NodeID: m.cfg.NodeID}
-	m.ctrlBuf = strobe.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-		if m.state == stateParked || m.state == stateCrashed || !m.opActive {
-			m.radio.PowerDown()
-			return
-		}
-		m.radio.Fire(func() {
-			if m.state == stateParked || m.state == stateCrashed || !m.opActive {
-				m.radio.PowerDown()
-				return
-			}
-			m.stats.StrobesSent++
-			txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes)
-			m.controlTxTime += txDur
-			m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-			m.openStrobeGap()
-		})
-	})
+	m.ctrlBuf = packet.Strobe{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.strobeLoaded)
+}
+
+// onStrobeLoaded fires a strobe once it sits in the radio FIFO.
+//
+//hot:path
+func (m *LPLNode) onStrobeLoaded() {
+	if m.state == stateParked || m.state == stateCrashed || !m.opActive {
+		m.radio.PowerDown()
+		return
+	}
+	m.radio.Fire(m.strobeSent)
+}
+
+// onStrobeSent accounts a strobe once it has flown.
+//
+//hot:path
+func (m *LPLNode) onStrobeSent() {
+	if m.state == stateParked || m.state == stateCrashed || !m.opActive {
+		m.radio.PowerDown()
+		return
+	}
+	p := &m.cfg.Profile
+	m.stats.StrobesSent++
+	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes)
+	m.controlTxTime += txDur
+	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+	m.openStrobeGap()
 }
 
 // openStrobeGap listens briefly for the early ack that truncates the
@@ -464,16 +506,13 @@ func (m *LPLNode) openStrobeGap() {
 	m.strobeOpenAt = m.k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.gapTimeout = m.k.Schedule(m.strobeGap, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onStrobeGapTimeout()
-	})
+	m.gapTimeout = m.k.Schedule(m.strobeGap, m.onGapExpiry)
 }
 
-func (m *LPLNode) onStrobeGapTimeout() {
+// onStrobeGapTimeout closes an unanswered listen gap.
+//
+//hot:path
+func (m *LPLNode) onStrobeGapTimeout(*sim.Kernel) {
 	if !m.strobeWaiting {
 		return
 	}
@@ -485,13 +524,7 @@ func (m *LPLNode) onStrobeGapTimeout() {
 		// payload exchange): defer politely instead of strobing over it.
 		// The pause does not consume the strobe budget.
 		delay := lplDeferFloor + sim.Time(m.k.Rand().Int63n(int64(lplDeferSpan)))
-		gen := m.gen
-		m.k.Schedule(delay, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.strobeStep()
-		})
+		m.retries.Schedule(m.k, delay, m.onRetry, lplRetry{gen: m.gen, resume: true})
 		return
 	}
 	m.strobeStep()
@@ -516,90 +549,95 @@ func (m *LPLNode) handleStrobeAck() {
 
 // sendPayload delivers the train's cargo into the receiver's open window.
 func (m *LPLNode) sendPayload() {
-	p := m.cfg.Profile
 	switch m.op {
 	case lplOpSSR:
-		m.ssrNonce++
-		ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
-		gen := m.gen
-		m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
-			if m.gen != gen || !m.opActive {
-				return
-			}
-			m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-				if m.state == stateParked || m.state == stateCrashed {
-					m.radio.PowerDown()
-					return
-				}
-				m.radio.Fire(func() {
-					if m.state == stateParked || m.state == stateCrashed {
-						m.radio.PowerDown()
-						return
-					}
-					m.stats.SSRSent++
-					txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-					m.controlTxTime += txDur
-					m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-					m.tracer.Recordf(m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
-					m.openSSRWait()
-				})
-			})
-		})
+		m.sendSSR()
 	case lplOpData:
-		if m.inFlight == nil {
-			if len(m.queue) == 0 {
+		if !m.hasInFlight {
+			if m.queue.Len() == 0 {
 				m.endOp()
 				return
 			}
-			item := m.queue[0]
-			m.queue = m.queue[1:]
-			m.inFlight = &item
+			m.launch()
 		}
-		m.dataBuf = append(append(m.dataBuf[:0], m.cfg.NodeID), m.inFlight.payload...)
-		m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, func() {
+		m.dataBuf = append(m.dataBuf[:0], m.cfg.NodeID)
+		m.dataBuf = append(m.dataBuf, m.inFlight.payload...)
+		m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.dataLoaded)
+	}
+}
+
+// sendSSR delivers the association request.
+//
+//lint:allow hotalloc association is a join transient, not a per-frame step
+func (m *LPLNode) sendSSR() {
+	p := m.cfg.Profile
+	m.ssrNonce++
+	ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
+	gen := m.gen
+	m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
+		if m.gen != gen || !m.opActive {
+			return
+		}
+		m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
+		m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
 			if m.state == stateParked || m.state == stateCrashed {
 				m.radio.PowerDown()
 				return
 			}
-			lat := m.k.Now() - m.inFlight.enqueuedAt
-			m.stats.LatencySum += lat
-			m.stats.LatencyCount++
-			if lat > m.stats.LatencyMax {
-				m.stats.LatencyMax = lat
-			}
-			m.tracer.Observe(m.name, trace.HistSlotWait, lat)
 			m.radio.Fire(func() {
-				if m.state == stateCrashed {
+				if m.state == stateParked || m.state == stateCrashed {
+					m.radio.PowerDown()
 					return
 				}
-				m.stats.DataSent++
-				m.tracer.Recordf(m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.dataBuf))
-				m.openAckWindow()
+				m.stats.SSRSent++
+				txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
+				m.controlTxTime += txDur
+				m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+				m.openSSRWait()
 			})
 		})
+	})
+}
+
+// onDataLoaded fires the loaded payload.
+//
+//hot:path
+func (m *LPLNode) onDataLoaded() {
+	if m.state == stateParked || m.state == stateCrashed {
+		m.radio.PowerDown()
+		return
 	}
+	lat := m.k.Now() - m.inFlight.enqueuedAt
+	m.stats.addLatency(lat)
+	m.tracer.Observe(m.name, trace.HistSlotWait, lat)
+	m.radio.Fire(m.dataSent)
+}
+
+// onDataSent awaits the acknowledgement once the payload has flown.
+//
+//hot:path
+func (m *LPLNode) onDataSent() {
+	if m.state == stateCrashed {
+		return
+	}
+	m.stats.DataSent++
+	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.dataBuf))
+	m.openAckWindow()
 }
 
 // openSSRWait listens for the association ack.
 func (m *LPLNode) openSSRWait() {
-	p := m.cfg.Profile
 	m.ssrWaiting = true
 	m.ssrOpenAt = m.k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.ssrTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onSSRTimeout()
-	})
+	m.ssrTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
 }
 
 // onSSRTimeout retries the association after a randomised backoff (the
 // receiver woke but the handshake broke: collision, or membership full).
-func (m *LPLNode) onSSRTimeout() {
+func (m *LPLNode) onSSRTimeout(*sim.Kernel) {
 	if !m.ssrWaiting {
 		return
 	}
@@ -607,30 +645,16 @@ func (m *LPLNode) onSSRTimeout() {
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ssrOpenAt)
 	m.endOp()
-	delay := m.checkInterval + sim.Time(m.k.Rand().Int63n(int64(m.checkInterval)))
-	gen := m.gen
-	m.k.Schedule(delay, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.startJoinOp()
-	})
+	m.retryAfter(m.checkInterval+sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), lplOpSSR)
 }
 
 // openAckWindow listens for the data acknowledgement.
 func (m *LPLNode) openAckWindow() {
-	p := m.cfg.Profile
 	m.ackWaiting = true
 	m.ackOpenAt = m.k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	gen := m.gen
-	m.ackTimeout = m.k.Schedule(p.MAC.AckTimeout, func(*sim.Kernel) {
-		if m.gen != gen {
-			return
-		}
-		m.onAckTimeout()
-	})
+	m.ackTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onAckExpiry)
 }
 
 // handleAck resolves whichever handshake is waiting: the association
@@ -654,7 +678,7 @@ func (m *LPLNode) handleAck() {
 		for _, fn := range m.onJoined {
 			fn()
 		}
-		if len(m.queue) > 0 {
+		if m.queue.Len() > 0 {
 			m.startDataOp()
 		}
 		return
@@ -667,10 +691,12 @@ func (m *LPLNode) handleAck() {
 	m.accountControlRx(now - m.ackOpenAt)
 	m.tracer.Observe(m.name, trace.HistTxToAck, now-m.ackOpenAt)
 	m.stats.DataAcked++
-	m.inFlight = nil
+	if m.hasInFlight {
+		m.finishInFlight()
+	}
 	m.tracer.Record(now, m.name, trace.KindAckRx, "")
 	m.radio.PowerDown()
-	if len(m.queue) > 0 && m.burstLeft > 0 {
+	if m.queue.Len() > 0 && m.burstLeft > 0 {
 		// The receiver reopens its window after each ack: continue the
 		// burst without a fresh strobe train.
 		m.burstLeft--
@@ -678,14 +704,16 @@ func (m *LPLNode) handleAck() {
 		return
 	}
 	m.endOp()
-	if len(m.queue) > 0 {
+	if m.queue.Len() > 0 {
 		m.startDataOp()
 	}
 }
 
 // onAckTimeout treats the payload as lost (the wake window closed, or
 // the frame collided) and retries through a fresh strobe train.
-func (m *LPLNode) onAckTimeout() {
+//
+//hot:path
+func (m *LPLNode) onAckTimeout(*sim.Kernel) {
 	if !m.ackWaiting {
 		return
 	}
@@ -695,32 +723,26 @@ func (m *LPLNode) onAckTimeout() {
 	m.stats.AckMissed++
 	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
 
-	p := m.cfg.Profile
-	if m.inFlight != nil {
+	p := &m.cfg.Profile
+	if m.hasInFlight {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+len(m.inFlight.payload))
 		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
 		if m.inFlight.retries < m.cfg.MaxRetries {
 			m.inFlight.retries++
 			m.stats.Retries++
-			m.queue = append([]txItem{*m.inFlight}, m.queue...)
+			m.queue.PushFront(m.inFlight)
+			m.dropInFlight()
 		} else {
 			m.stats.DataDropped++
 			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.finishInFlight()
 		}
 	}
-	m.inFlight = nil
 	m.endOp()
-	if len(m.queue) > 0 {
+	if m.queue.Len() > 0 {
 		// A randomised pause decorrelates the retry from whatever
 		// transaction collided with the lost exchange.
-		delay := m.checkInterval/8 + sim.Time(m.k.Rand().Int63n(int64(m.checkInterval/2)))
-		gen := m.gen
-		m.k.Schedule(delay, func(*sim.Kernel) {
-			if m.gen != gen {
-				return
-			}
-			m.startDataOp()
-		})
+		m.retryAfter(m.checkInterval/8+sim.Time(m.k.Rand().Int63n(int64(m.checkInterval/2))), lplOpData)
 	}
 }
 
@@ -800,13 +822,37 @@ type LPLBS struct {
 	probeTimeout    sim.EventID
 	payloadTimeout  sim.EventID
 
-	onData   func(rec RxRecord)
-	received []RxRecord
-	stats    BSStats
-	started  bool
+	onData func(rec RxRecord)
+	rxLog
+	stats   BSStats
+	started bool
 
 	ackBuf       []byte
 	strobeAckBuf []byte
+	ids          []uint8 // reclaim sweep scratch
+
+	// Steady-state steps, each a handler bound once in NewLPLBS. One probe
+	// is armed and one ack can fly at a time, so their state lives in
+	// fields; owed acks ride on MCU completions, which keep posting order.
+	probeN          uint64
+	firingEarly     bool
+	acks            sim.FIFO[lplAck]
+	ackLoads        sim.FIFO[lplAck]
+	forwards        sim.FIFO[RxRecord]
+	onProbe         sim.Handler
+	onProbeExpiry   sim.Handler
+	onPayloadExpiry sim.Handler
+	ackTurnaround   func()
+	ackLoaded       func()
+	ackSent         func()
+	forwarded       func()
+}
+
+// lplAck is an acknowledgement the base station owes: the early ack that
+// truncates a strobe train, or a data frame's ack.
+type lplAck struct {
+	early bool
+	rec   RxRecord // the acknowledged frame; only Node for an early ack
 }
 
 // NewLPLBS wires an LPL base station. A zero CheckInterval selects
@@ -839,6 +885,13 @@ func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if bs.checkInterval <= 0 {
 		bs.checkInterval = DefaultLPLCheckInterval
 	}
+	bs.onProbe = bs.probe
+	bs.onProbeExpiry = bs.onProbeIdle
+	bs.onPayloadExpiry = bs.onPayloadTimeout
+	bs.ackTurnaround = bs.turnAck
+	bs.ackLoaded = bs.onAckLoaded
+	bs.ackSent = bs.onAckSent
+	bs.forwarded = bs.forward
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
@@ -914,19 +967,22 @@ func (bs *LPLBS) Start() {
 	bs.started = true
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.startAt = bs.k.Now()
-	bs.scheduleProbe(1)
+	bs.scheduleProbe()
 }
 
-func (bs *LPLBS) scheduleProbe(n uint64) {
-	bs.k.ScheduleAt(bs.startAt+sim.Time(n)*bs.checkInterval, func(*sim.Kernel) {
-		bs.probe(n)
-	})
+// scheduleProbe arms the next probe: probe n fires n check intervals
+// after the start.
+func (bs *LPLBS) scheduleProbe() {
+	bs.probeN++
+	bs.k.ScheduleAt(bs.startAt+sim.Time(bs.probeN)*bs.checkInterval, bs.onProbe)
 }
 
 // probe opens one sampling window (skipped when a wake is still being
 // serviced across the probe instant).
-func (bs *LPLBS) probe(n uint64) {
-	bs.scheduleProbe(n + 1)
+//
+//hot:path
+func (bs *LPLBS) probe(*sim.Kernel) {
+	bs.scheduleProbe()
 	bs.reclaimSilent()
 	if bs.waking {
 		return
@@ -937,14 +993,14 @@ func (bs *LPLBS) probe(n uint64) {
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.radio.StartRx()
 	window := bs.cfg.Profile.Radio.RxSettle + lplMaxStrobeSpacing
-	bs.probeTimeout = bs.k.Schedule(window, func(*sim.Kernel) {
-		bs.onProbeIdle()
-	})
+	bs.probeTimeout = bs.k.Schedule(window, bs.onProbeExpiry)
 }
 
 // onProbeIdle closes a silent sampling window: its receiver-on time is
 // the protocol's idle-listening cost.
-func (bs *LPLBS) onProbeIdle() {
+//
+//hot:path
+func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
 	if !bs.waking || bs.awaitingPayload {
 		return
 	}
@@ -962,11 +1018,12 @@ func (bs *LPLBS) reclaimSilent() {
 	if bs.cfg.ReclaimAfter <= 0 || len(bs.members) == 0 {
 		return
 	}
-	ids := make([]uint8, 0, len(bs.members))
+	ids := bs.ids[:0]
 	for id := range bs.members {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	bs.ids = ids
 	for _, id := range ids {
 		bs.silent[id]++
 		if bs.silent[id] < bs.cfg.ReclaimAfter {
@@ -977,13 +1034,14 @@ func (bs *LPLBS) reclaimSilent() {
 		delete(bs.memberAt, idx)
 		delete(bs.silent, id)
 		bs.stats.SlotsReclaimed++
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotReclaim,
+		metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindSlotReclaim,
 			"node=%d member=%d after=%d", id, idx, bs.cfg.ReclaimAfter)
 	}
 }
 
 // --- wake servicing ------------------------------------------------------
 
+//hot:path
 func (bs *LPLBS) onFrame(f packet.Frame) {
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
@@ -1011,20 +1069,65 @@ func (bs *LPLBS) handleStrobe(s packet.Strobe) {
 	}
 	bs.acking = true
 	bs.k.Cancel(bs.probeTimeout)
-	p := bs.cfg.Profile
-	bs.sched.Interrupt("bs-strobe-turnaround", p.Cost.BSAckTurnaround, func() {
-		if !bs.waking || bs.awaitingPayload {
-			return
-		}
-		bs.radio.Standby()
+	bs.acks.Push(lplAck{early: true, rec: RxRecord{Node: s.NodeID}})
+	bs.sched.Interrupt("bs-strobe-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.ackTurnaround)
+}
+
+// turnAck loads an acknowledgement once the turnaround ISR ran.
+//
+//hot:path
+func (bs *LPLBS) turnAck() {
+	a := bs.acks.Pop()
+	if a.early && (!bs.waking || bs.awaitingPayload) {
+		return
+	}
+	bs.radio.Standby()
+	var frame []byte
+	if a.early {
 		bs.strobeAckBuf = packet.StrobeAck{}.AppendMarshal(bs.strobeAckBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(s.NodeID), bs.strobeAckBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.EarlyAcksSent++
-				bs.openPayloadWindow()
-			})
-		})
-	})
+		frame = bs.strobeAckBuf
+	} else {
+		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
+		frame = bs.ackBuf
+	}
+	bs.ackLoads.Push(a)
+	bs.radio.Load(bs.cfg.Plan.NodeAddr(a.rec.Node), frame, bs.ackLoaded)
+}
+
+// onAckLoaded fires a loaded acknowledgement; a data frame's forwarding
+// to the collecting device is posted behind it.
+//
+//hot:path
+func (bs *LPLBS) onAckLoaded() {
+	a := bs.ackLoads.Pop()
+	bs.firingEarly = a.early
+	bs.radio.Fire(bs.ackSent)
+	if !a.early && bs.sched.PostFn("bs-data-handle", bs.cfg.Profile.Cost.BSDataHandle, bs.forwarded) {
+		bs.forwards.Push(a.rec)
+	}
+}
+
+// onAckSent reopens the wake's receive window once an acknowledgement
+// has flown.
+//
+//hot:path
+func (bs *LPLBS) onAckSent() {
+	if bs.firingEarly {
+		bs.stats.EarlyAcksSent++
+	} else {
+		bs.stats.AcksSent++
+	}
+	bs.openPayloadWindow()
+}
+
+// forward hands an acknowledged frame to the data sink.
+//
+//hot:path
+func (bs *LPLBS) forward() {
+	rec := bs.forwards.Pop()
+	if bs.onData != nil {
+		bs.onData(rec)
+	}
 }
 
 // openPayloadWindow holds the receiver on for the sender's cargo.
@@ -1033,12 +1136,11 @@ func (bs *LPLBS) openPayloadWindow() {
 	bs.awaitingPayload = true
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.radio.StartRx()
-	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, func(*sim.Kernel) {
-		bs.onPayloadTimeout()
-	})
+	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, bs.onPayloadExpiry)
 }
 
-func (bs *LPLBS) onPayloadTimeout() {
+//hot:path
+func (bs *LPLBS) onPayloadTimeout(*sim.Kernel) {
 	if !bs.awaitingPayload {
 		return
 	}
@@ -1056,6 +1158,8 @@ func (bs *LPLBS) endWake() {
 
 // handleSSR services an association handshake inside the wake: admit (or
 // re-admit) the node and ack, or silently reject at the membership cap.
+//
+//lint:allow hotalloc association is a join transient, not a per-frame step
 func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 	if !bs.awaitingPayload {
 		return
@@ -1075,7 +1179,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 			bs.members[ssr.NodeID] = idx
 			bs.memberAt[idx] = ssr.NodeID
 		}
-		bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotGrant,
+		metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotGrant,
 			"node=%d member=%d", ssr.NodeID, idx)
 		bs.radio.Standby()
 		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
@@ -1108,7 +1212,7 @@ func (bs *LPLBS) handleRelease(rel packet.Release) {
 	delete(bs.memberAt, idx)
 	delete(bs.silent, rel.NodeID)
 	bs.stats.SlotsReleased++
-	bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindSlotRelease,
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotRelease,
 		"node=%d member=%d", rel.NodeID, idx)
 }
 
@@ -1134,27 +1238,11 @@ func (bs *LPLBS) handleData(payload []byte) {
 	// reopens: a strobe caught in the gap must not start a second
 	// transmit (see handleStrobe's guard).
 	bs.acking = true
-	rec := RxRecord{Node: id, Payload: append([]byte(nil), payload[packet.DataHeaderBytes:]...), At: bs.k.Now()}
-	bs.received = append(bs.received, rec)
+	rec := bs.log(id, payload[packet.DataHeaderBytes:], bs.k.Now())
 	bs.stats.DataReceived++
-	bs.tracer.Recordf(bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", id, len(rec.Payload))
-
-	p := bs.cfg.Profile
-	bs.sched.Interrupt("bs-ack-turnaround", p.Cost.BSAckTurnaround, func() {
-		bs.radio.Standby()
-		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(id), bs.ackBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.AcksSent++
-				bs.openPayloadWindow()
-			})
-			bs.sched.PostFn("bs-data-handle", p.Cost.BSDataHandle, func() {
-				if bs.onData != nil {
-					bs.onData(rec)
-				}
-			})
-		})
-	})
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", id, len(rec.Payload))
+	bs.acks.Push(lplAck{rec: rec})
+	bs.sched.Interrupt("bs-ack-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.ackTurnaround)
 }
 
 var (

@@ -120,14 +120,9 @@ type NodeMac struct {
 	rejoinArmed bool
 	rejoinFrom  sim.Time
 
-	queue       sim.FIFO[txItem]
-	loading     bool // FIFO clock-in in progress
-	loaded      bool
-	inFlight    txItem // frame in the FIFO / awaiting ack (for retry)
-	hasInFlight bool
-	// spare recycles payload buffers: Send copies each payload into one,
-	// and an acknowledged or dropped frame returns its buffer.
-	spare [][]byte
+	txQueue
+	loading bool // FIFO clock-in in progress
+	loaded  bool
 	// ctrlBuf is marshal scratch for control frames (SSR, Release). The
 	// node sends at most one control frame at a time — SSR only while
 	// requesting, Release only while joined — so one buffer suffices.
@@ -171,10 +166,7 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	if cfg.TxQueueCap <= 0 {
 		cfg.TxQueueCap = DefaultTxQueueCap
 	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.MaxRetries == 0 {
+	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = DefaultMaxRetries
 	}
 	if cfg.Plan == (packet.AddressPlan{}) {
@@ -405,6 +397,47 @@ type txItem struct {
 	enqueuedAt sim.Time
 }
 
+// txQueue is a node MAC's transmit queue: the queued frames, the frame
+// in flight (loaded or awaiting its ack, kept for a retry), and the
+// payload buffers finished frames return, so a steady stream of Send
+// calls allocates nothing.
+type txQueue struct {
+	queue       sim.FIFO[txItem]
+	inFlight    txItem
+	hasInFlight bool
+	spare       [][]byte
+}
+
+// enqueue copies payload into a recycled buffer and queues it.
+func (q *txQueue) enqueue(payload []byte, at sim.Time) {
+	var buf []byte
+	if n := len(q.spare); n > 0 {
+		buf = q.spare[n-1]
+		q.spare = q.spare[:n-1]
+	}
+	buf = append(buf[:0], payload...)
+	q.queue.Push(txItem{payload: buf, enqueuedAt: at})
+}
+
+// launch puts the head of the queue in flight.
+func (q *txQueue) launch() {
+	q.inFlight, q.hasInFlight = q.queue.Pop(), true
+}
+
+// finishInFlight retires the in-flight frame for good (acknowledged or
+// dropped), returning its payload buffer for reuse.
+func (q *txQueue) finishInFlight() {
+	q.spare = append(q.spare, q.inFlight.payload[:0])
+	q.dropInFlight()
+}
+
+// dropInFlight forgets the in-flight frame. Its buffer is left to the
+// collector: the radio may still hold the frame in its FIFO.
+func (q *txQueue) dropInFlight() {
+	q.inFlight = txItem{}
+	q.hasInFlight = false
+}
+
 // Send implements Mac. The payload is copied into a recycled buffer.
 //
 //hot:path
@@ -413,29 +446,9 @@ func (m *NodeMac) Send(payload []byte) bool {
 		m.stats.QueueDrops++
 		return false
 	}
-	var buf []byte
-	if n := len(m.spare); n > 0 {
-		buf = m.spare[n-1]
-		m.spare = m.spare[:n-1]
-	}
-	buf = append(buf[:0], payload...)
-	m.queue.Push(txItem{payload: buf, enqueuedAt: m.k.Now()})
+	m.enqueue(payload, m.k.Now())
 	m.tryLoad()
 	return true
-}
-
-// finishInFlight retires the in-flight frame for good (acknowledged or
-// dropped), returning its payload buffer for reuse.
-func (m *NodeMac) finishInFlight() {
-	m.spare = append(m.spare, m.inFlight.payload[:0])
-	m.dropInFlight()
-}
-
-// dropInFlight forgets the in-flight frame. Its buffer is left to the
-// collector: the radio may still hold the frame in its FIFO.
-func (m *NodeMac) dropInFlight() {
-	m.inFlight = txItem{}
-	m.hasInFlight = false
 }
 
 // --- protocol timing helpers -------------------------------------------
@@ -976,8 +989,7 @@ func (m *NodeMac) tryLoad() {
 	if m.k.Now()+loadDur+margin >= nextWindow && m.cycle > 0 {
 		return // too close to the beacon window; retry after the beacon
 	}
-	m.queue.Pop()
-	m.inFlight, m.hasInFlight = item, true
+	m.launch()
 	m.loading = true
 	m.radio.Load(m.cfg.Plan.BSData, item.payload, m.dataLoaded)
 }
@@ -1025,11 +1037,7 @@ func (m *NodeMac) fireSlot() {
 	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotStart, "slot=%d", m.slot)
 	if m.hasInFlight {
 		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.LatencySum += lat
-		m.stats.LatencyCount++
-		if lat > m.stats.LatencyMax {
-			m.stats.LatencyMax = lat
-		}
+		m.stats.addLatency(lat)
 		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
 	}
 	m.radio.Fire(m.dataSent)

@@ -174,16 +174,6 @@ func (r *Recorder) count(node string, kind Kind) bool {
 	return true
 }
 
-// Recordf is Record with a format string. Its arguments are boxed on
-// every call; steady-state call sites use Record1/2/3, which format only
-// events the ring keeps.
-func (r *Recorder) Recordf(at sim.Time, node string, kind Kind, format string, args ...any) {
-	if r == nil {
-		return
-	}
-	r.Record(at, node, kind, fmt.Sprintf(format, args...))
-}
-
 // Record1 records an event whose detail is format applied to a. The
 // argument stays unboxed and the detail unformatted unless the ring
 // keeps the event, so a run without a ring pays only the counter.

@@ -75,7 +75,7 @@ func TestRecorderResetDerived(t *testing.T) {
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "n", KindDataTx, "")
-	r.Recordf(0, "n", KindDataTx, "x%d", 1)
+	Record1(r, 0, "n", KindDataTx, "x%d", 1)
 	r.Observe("n", HistSlotWait, sim.Millisecond)
 	r.ResetDerived()
 	if r.Count(KindDataTx) != 0 || r.Events() != nil || r.Render() != "" ||

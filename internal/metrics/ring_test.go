@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -12,7 +13,7 @@ import (
 func TestNoRingCountsWithoutRetaining(t *testing.T) {
 	r := NewRecorder(NoRing)
 	r.Record(1, "bs", KindBeaconTx, "seq=0")
-	r.Recordf(2, "node1", KindSSRTx, "nonce=%d", 7)
+	Record1(r, 2, "node1", KindSSRTx, "nonce=%d", 7)
 	Record1(r, 3, "node1", KindSlotStart, "slot=%d", 2)
 	Record2(r, 4, "bs", KindDataRx, "node=%d len=%d", 1, 18)
 	Record3(r, 5, "bs", KindBeaconTx, "seq=%d cycle=%v nodes=%d", 1, 30*sim.Millisecond, 5)
@@ -30,17 +31,21 @@ func TestNoRingCountsWithoutRetaining(t *testing.T) {
 	}
 }
 
-// TestRecordNFormatsLikeRecordf pins the deferred-detail recorders to
-// Recordf's output, and checks they skip events a full ring drops.
-func TestRecordNFormatsLikeRecordf(t *testing.T) {
+// TestRecordNFormatsLikeSprintf pins the deferred-detail recorders to
+// Record with an fmt.Sprintf detail, and checks they skip events a full
+// ring drops.
+func TestRecordNFormatsLikeSprintf(t *testing.T) {
 	want := NewRecorder(0)
 	got := NewRecorder(0)
-	want.Recordf(1, "n", KindSlotStart, "slot=%d", 3)
+	want.Record(1, "n", KindSlotStart, fmt.Sprintf("slot=%d", 3))
 	Record1(got, 1, "n", KindSlotStart, "slot=%d", 3)
-	want.Recordf(2, "n", KindBeaconRx, "seq=%d cycle=%v", uint16(9), 30*sim.Millisecond)
+	want.Record(2, "n", KindBeaconRx, fmt.Sprintf("seq=%d cycle=%v", uint16(9), 30*sim.Millisecond))
 	Record2(got, 2, "n", KindBeaconRx, "seq=%d cycle=%v", uint16(9), 30*sim.Millisecond)
-	want.Recordf(3, "bs", KindBeaconTx, "seq=%d cycle=%v nodes=%d", 1, 60*sim.Millisecond, 4)
+	want.Record(3, "bs", KindBeaconTx, fmt.Sprintf("seq=%d cycle=%v nodes=%d", 1, 60*sim.Millisecond, 4))
 	Record3(got, 3, "bs", KindBeaconTx, "seq=%d cycle=%v nodes=%d", 1, 60*sim.Millisecond, 4)
+	if len(got.Events()) != len(want.Events()) {
+		t.Fatalf("%d events, want %d", len(got.Events()), len(want.Events()))
+	}
 	for i, e := range want.Events() {
 		if got.Events()[i] != e {
 			t.Fatalf("event %d = %+v, want %+v", i, got.Events()[i], e)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
@@ -215,7 +216,7 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 		s.tracer.Observe(s.Name, trace.HistDegraded, tr.TimeInFrom)
 	}
 	if tr.Died {
-		s.tracer.Recordf(now, s.Name, trace.KindBrownout, "v=%.2f soc=%.1f%%",
+		metrics.Record2(s.tracer, now, s.Name, trace.KindBrownout, "v=%.2f soc=%.1f%%",
 			s.Bat.VoltageV(), s.Bat.SOC()*100)
 		s.Crash()
 		if s.onBrownout != nil {
@@ -244,7 +245,7 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 			// either is a battery state-machine bug.
 			panic("node: degradation walk reached " + lvl.String() + " without a brownout")
 		}
-		s.tracer.Recordf(now, s.Name, trace.KindDegrade, "level=%s soc=%.1f%%",
+		metrics.Record2(s.tracer, now, s.Name, trace.KindDegrade, "level=%s soc=%.1f%%",
 			lvl, s.Bat.SOC()*100)
 	}
 	return false

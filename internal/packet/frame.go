@@ -282,12 +282,13 @@ func (s SSR) AppendMarshal(dst []byte) []byte {
 	return binary.BigEndian.AppendUint16(dst, s.Nonce)
 }
 
-// errNotSSR and errNotRelease are the control-pipe decode failures. They
-// are built once: a base station tries both decoders on every control
-// frame, so the miss is routine.
+// errNotSSR, errNotRelease and errNotStrobe are the control-pipe decode
+// failures. They are built once: a base station tries its decoders in
+// turn on every control frame, so the miss is routine.
 var (
 	errNotSSR     = fmt.Errorf("packet: not a %d-byte slot request", SSRBytes)
 	errNotRelease = fmt.Errorf("packet: not a %d-byte slot release", ReleaseBytes)
+	errNotStrobe  = fmt.Errorf("packet: not a %d-byte strobe", StrobeBytes)
 )
 
 // UnmarshalSSR decodes a slot-request payload.
@@ -372,7 +373,7 @@ func (s Strobe) AppendMarshal(dst []byte) []byte {
 // UnmarshalStrobe decodes a strobe payload.
 func UnmarshalStrobe(p []byte) (Strobe, error) {
 	if len(p) != StrobeBytes || Kind(p[0]) != KindStrobe {
-		return Strobe{}, fmt.Errorf("packet: not a %d-byte strobe", StrobeBytes)
+		return Strobe{}, errNotStrobe
 	}
 	return Strobe{NodeID: p[1]}, nil
 }

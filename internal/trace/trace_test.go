@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -11,7 +12,7 @@ func TestRecordAndQuery(t *testing.T) {
 	r := New(0)
 	r.Record(0, "bs", KindBeaconTx, "seq=0")
 	r.Record(5*sim.Millisecond, "node1", KindBeaconRx, "seq=0")
-	r.Recordf(6*sim.Millisecond, "node1", KindSSRTx, "nonce=%d", 42)
+	metrics.Record1(r, 6*sim.Millisecond, "node1", KindSSRTx, "nonce=%d", 42)
 	r.Record(30*sim.Millisecond, "bs", KindBeaconTx, "seq=1")
 
 	if got := len(r.Events()); got != 4 {
@@ -33,7 +34,7 @@ func TestRecordAndQuery(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "bs", KindBeaconTx, "")
-	r.Recordf(0, "bs", KindBeaconTx, "x%d", 1)
+	metrics.Record1(r, 0, "bs", KindBeaconTx, "x%d", 1)
 	if r.Events() != nil || r.Filter(KindBeaconTx) != nil || r.ByNode("bs") != nil {
 		t.Fatalf("nil recorder returned data")
 	}
