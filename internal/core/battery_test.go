@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mac"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // lifetimeConfig is a battery-backed scenario small enough that the
@@ -235,6 +236,37 @@ func TestDegradePolicyExtendsLifetime(t *testing.T) {
 		if soft.NetworkLifetime != 0 && soft.NetworkLifetime <= plain.NetworkLifetime {
 			t.Errorf("seed %d: network lifetime %v with the policy vs %v without",
 				seed, soft.NetworkLifetime, plain.NetworkLifetime)
+		}
+	}
+}
+
+// TestLPLParkMidBurstSendsNothing parks LPL nodes on the beacon-only rung
+// while they stream: a node parked between firing a data frame and the
+// end of its burst must not count the frame, trace a data-tx or open an
+// ack window. The seeds are ones where a park lands inside a burst.
+func TestLPLParkMidBurstSendsNothing(t *testing.T) {
+	cell := battery.CR2032()
+	cell.CapacityMAh *= 3e-4
+	for _, seed := range []int64{1, 19, 30} {
+		res, err := Run(Config{Protocol: mac.ProtoLPL, Nodes: 5, App: AppStreaming, SampleRateHz: 205,
+			Duration: 10 * sim.Second, Seed: seed, Battery: &cell, TraceLimit: DefaultTraceRing,
+			Degrade: &battery.DegradePolicy{StretchSOC: 0.8, StretchEvery: 3, DownshiftSOC: 0.7, BeaconOnlySOC: 0.6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := map[string]bool{}
+		for _, e := range res.Trace.Events() {
+			switch e.Kind {
+			case trace.KindParked:
+				parked[e.Node] = true
+			case trace.KindDataTx, trace.KindAckMissed:
+				if parked[e.Node] {
+					t.Errorf("seed %d: parked %s traced %s at %v", seed, e.Node, e.Kind, e.At)
+				}
+			}
+		}
+		if len(parked) == 0 {
+			t.Fatalf("seed %d: no node parked; the cell is too large", seed)
 		}
 	}
 }

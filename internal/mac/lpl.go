@@ -618,7 +618,8 @@ func (m *LPLNode) onDataLoaded() {
 //
 //hot:path
 func (m *LPLNode) onDataSent() {
-	if m.state == stateCrashed {
+	if m.state == stateParked || m.state == stateCrashed {
+		m.radio.PowerDown()
 		return
 	}
 	m.stats.DataSent++
