@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
 
 ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check bench-module soak resume-check
 
@@ -171,6 +171,14 @@ resume-check:
 # raise -fuzztime locally).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadScenario -fuzztime 30s ./internal/core
+
+# Non-test Go lines per internal/ package (test files and testdata
+# excluded): the "least code" number that sits next to ns/event.
+loc:
+	@for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; \
+	done; true
 
 # Quick eyeball check of the parallel sweep path.
 sweep-demo:

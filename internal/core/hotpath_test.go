@@ -16,17 +16,16 @@ func table1Point() Config {
 		App: AppStreaming, SampleRateHz: 205, Duration: 10 * sim.Second, Seed: 1}
 }
 
-// TestTable1PointAllocationFree bounds the heap allocations of a whole
-// run per dispatched event. The per-sample path (ASIC, application,
-// TinyOS, MCU, TDMA MAC, radio, channel) allocates nothing in steady
-// state, so what remains is set-up and amortised buffer growth.
-func TestTable1PointAllocationFree(t *testing.T) {
+// allocsPerEvent runs cfg and reports its heap allocations per
+// dispatched kernel event, set-up included.
+func allocsPerEvent(t *testing.T, cfg Config) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := Run(table1Point())
+	res, err := Run(cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +33,27 @@ func TestTable1PointAllocationFree(t *testing.T) {
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.KernelEvents)
 	t.Logf("%d allocations over %d events: %.4f per event",
 		after.Mallocs-before.Mallocs, res.KernelEvents, perEvent)
-	if perEvent > 0.1 {
+	return perEvent
+}
+
+// TestTable1PointAllocationFree bounds the heap allocations of a whole
+// run per dispatched event. The per-sample path (ASIC, application,
+// TinyOS, MCU, TDMA MAC, radio, channel) allocates nothing in steady
+// state, so what remains is set-up and amortised buffer growth.
+func TestTable1PointAllocationFree(t *testing.T) {
+	if perEvent := allocsPerEvent(t, table1Point()); perEvent > 0.1 {
 		t.Fatalf("%.4f allocations per event, want <= 0.1", perEvent)
+	}
+}
+
+// TestLPLStreamAllocationFree is the same bound, tighter, for the
+// preamble-sampling MAC's strobe trains, payload bursts and duty-cycled
+// base station: 5 nodes streaming ECG at 205 Hz over LPL.
+func TestLPLStreamAllocationFree(t *testing.T) {
+	cfg := Config{Protocol: mac.ProtoLPL, Nodes: 5, App: AppStreaming, SampleRateHz: 205,
+		Warmup: 5 * sim.Second, Duration: 10 * sim.Second, Seed: 1}
+	if perEvent := allocsPerEvent(t, cfg); perEvent > 0.01 {
+		t.Fatalf("%.4f allocations per event, want <= 0.01", perEvent)
 	}
 }
 

@@ -5,8 +5,9 @@
 // (association bookkeeping, airtime/slot containment, frame
 // conservation), delivery under the fault injector's crash/blackout/
 // interference schedule, compliance with the battery degradation
-// cascade, bit-identical determinism across reruns, and worker-count
-// invariance through the parallel runner.
+// cascade, bit-identical determinism across reruns, worker-count
+// invariance through the parallel runner, and an allocation-free steady
+// state.
 //
 // Usage from a test:
 //
@@ -19,6 +20,7 @@ package mactest
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/audit"
@@ -92,6 +94,7 @@ func Run(t *testing.T, proto mac.Protocol) {
 	t.Run("degradation-cascade", func(t *testing.T) { checkDegradation(t, proto) })
 	t.Run("determinism", func(t *testing.T) { checkDeterminism(t, proto) })
 	t.Run("worker-invariance", func(t *testing.T) { checkWorkerInvariance(t, proto) })
+	t.Run("steady-state-allocs", func(t *testing.T) { checkSteadyAllocs(t, proto) })
 }
 
 // RunAll sweeps every registered protocol through the suite, then runs
@@ -248,6 +251,7 @@ func checkDegradation(t *testing.T, proto mac.Protocol) {
 func checkDeterminism(t *testing.T, proto mac.Protocol) {
 	cfg := Scenario(proto, 53)
 	cfg.Metrics = true
+	cfg.TraceLimit = core.DefaultTraceRing
 	cfg.Faults = []fault.Fault{
 		{Kind: fault.KindCrash, Node: 2, At: 4 * sim.Second, RebootAfter: 300 * sim.Millisecond},
 	}
@@ -264,10 +268,9 @@ func checkDeterminism(t *testing.T, proto mac.Protocol) {
 func checkWorkerInvariance(t *testing.T, proto mac.Protocol) {
 	var points []runner.Point
 	for i := 0; i < 4; i++ {
-		points = append(points, runner.Point{
-			Label:  fmt.Sprintf("seed=%d", i),
-			Config: Scenario(proto, runner.DeriveSeed(67, i)),
-		})
+		cfg := Scenario(proto, runner.DeriveSeed(67, i))
+		cfg.TraceLimit = core.DefaultTraceRing
+		points = append(points, runner.Point{Label: fmt.Sprintf("seed=%d", i), Config: cfg})
 	}
 	baseline := runner.Run(points, runner.Options{Workers: 1})
 	if err := runner.FirstErr(baseline); err != nil {
@@ -277,6 +280,46 @@ func checkWorkerInvariance(t *testing.T, proto mac.Protocol) {
 	if !reflect.DeepEqual(baseline, parallel) {
 		t.Fatalf("results at workers=4 differ from workers=1")
 	}
+}
+
+// maxSteadyAllocsPerEvent bounds the heap allocations a protocol's
+// steady state may make per kernel event.
+const maxSteadyAllocsPerEvent = 0.02
+
+// checkSteadyAllocs: once joined, the fault-free scenario allocates
+// (almost) nothing per event — a closure per beacon, strobe, assessment
+// or frame shows up here. Two runs that differ only in window length
+// cancel set-up and join out of the difference. The audit sweeps are an
+// observer that allocates per sweep, so they are off.
+func checkSteadyAllocs(t *testing.T, proto mac.Protocol) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	cfg := Scenario(proto, 71)
+	cfg.Audit = nil
+	shortAllocs, shortEvents := countAllocs(t, cfg)
+	cfg.Duration += 10 * sim.Second
+	longAllocs, longEvents := countAllocs(t, cfg)
+	perEvent := float64(longAllocs-shortAllocs) / float64(longEvents-shortEvents)
+	t.Logf("%d allocations over %d extra events: %.4f per event",
+		longAllocs-shortAllocs, longEvents-shortEvents, perEvent)
+	if perEvent > maxSteadyAllocsPerEvent {
+		t.Errorf("%.4f allocations per steady-state event, want <= %v", perEvent, maxSteadyAllocsPerEvent)
+	}
+}
+
+// countAllocs runs cfg and reports its heap allocations and kernel
+// events.
+func countAllocs(t *testing.T, cfg core.Config) (allocs, events int64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := core.Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	return int64(after.Mallocs - before.Mallocs), int64(res.KernelEvents)
 }
 
 // checkDifferential is the cross-protocol property: the same scenario

@@ -26,7 +26,7 @@ func TestLifetimeWorkerInvariance(t *testing.T) {
 	// Surround the scenario with decoys so workers genuinely interleave.
 	points := []Point{
 		{Label: "decoy-a", Config: testConfig(DeriveSeed(9, 0))},
-		{Label: "lifetime", Config: cfg},
+		{Label: "lifetime", Config: traced(cfg)},
 		{Label: "decoy-b", Config: testConfig(DeriveSeed(9, 1))},
 	}
 	baseline := Run(points, Options{Workers: 1})
@@ -34,6 +34,9 @@ func TestLifetimeWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := baseline[1].Res
+	if len(ref.Trace.Events()) == 0 {
+		t.Fatal("the event ring kept nothing; the trace comparison would be vacuous")
+	}
 	if ref.TimeToFirstDeath <= 0 {
 		t.Fatalf("lifetime scenario produced no death: ttfd=%v", ref.TimeToFirstDeath)
 	}

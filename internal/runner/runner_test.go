@@ -15,9 +15,9 @@ import (
 
 // testConfig is a small but fully featured scenario: multiple nodes, a
 // lossy channel (so the kernel RNG is exercised hard) and clock drift
-// (so the per-node random sign draws matter).
+// (so the per-node random sign draws matter), with the event ring on.
 func testConfig(seed int64) core.Config {
-	return core.Config{
+	return traced(core.Config{
 		Variant:       mac.Static,
 		Nodes:         3,
 		Cycle:         30 * sim.Millisecond,
@@ -27,7 +27,15 @@ func testConfig(seed int64) core.Config {
 		Seed:          seed,
 		BER:           5e-4,
 		ClockDriftPPM: 50,
-	}
+	})
+}
+
+// traced opts a scenario into the event ring, so the determinism and
+// worker-invariance oracles compare the whole timeline, not just the
+// counters a ring-less run keeps.
+func traced(cfg core.Config) core.Config {
+	cfg.TraceLimit = core.DefaultTraceRing
+	return cfg
 }
 
 // TestDeterminism is the contract that makes parallelism safe to trust:
@@ -63,6 +71,9 @@ func TestDeterminism(t *testing.T) {
 	}
 	par := results[2].Res
 
+	if len(seqA.Trace.Events()) == 0 {
+		t.Fatal("the event ring kept nothing; the trace comparison would be vacuous")
+	}
 	if !reflect.DeepEqual(seqA, seqB) {
 		t.Fatal("two sequential runs of the same (Config, Seed) differ")
 	}
