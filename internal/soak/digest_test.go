@@ -1,0 +1,109 @@
+package soak
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+var update = flag.Bool("update", false, "rewrite the timeline digest golden")
+
+// digestSeeds is the generated-scenario range the digest golden pins:
+// wide enough to draw every protocol with faults, degradation, drift and
+// lossy channels many times over.
+const digestSeeds = 256
+
+// TestTimelineDigestGolden pins the simulator bit for bit: for each
+// generated scenario it hashes the Results JSON, every retained trace
+// event, the exact counters and the histograms, and compares the digest
+// against testdata/digest.golden. Any change to which events happen,
+// when, or in what order moves a digest; a deliberate change is
+// refreshed with -update and explained.
+//
+// The comparison runs on amd64 only: on other architectures the Go
+// compiler may fuse multiply-adds, which legitimately moves
+// floating-point results in the last bit.
+func TestTimelineDigestGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are pinned on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+	var got bytes.Buffer
+	for seed := int64(1); seed <= digestSeeds; seed++ {
+		cfg := Generate(seed)
+		cfg.TraceLimit = core.DefaultTraceRing
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fmt.Fprintf(&got, "%d %s %x\n", seed, cfg.Protocol, runDigest(t, res))
+	}
+	path := filepath.Join("testdata", "digest.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines := bytes.Split(got.Bytes(), []byte("\n"))
+	wantLines := bytes.Split(want, []byte("\n"))
+	moved := 0
+	for i := range max(len(gotLines), len(wantLines)) {
+		var g, w []byte
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if !bytes.Equal(g, w) {
+			if moved < 10 {
+				t.Errorf("digest moved:\n got  %s\n want %s", g, w)
+			}
+			moved++
+		}
+	}
+	t.Fatalf("%d digest line(s) differ from %s", moved, path)
+}
+
+// runDigest hashes everything a run observably produced.
+func runDigest(t *testing.T, res core.Results) [sha256.Size]byte {
+	t.Helper()
+	h := sha256.New()
+	js, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(js)
+	var n [8]byte
+	for _, e := range res.Trace.Events() {
+		binary.LittleEndian.PutUint64(n[:], uint64(e.At))
+		h.Write(n[:])
+		fmt.Fprintf(h, "|%s|%s|%s\n", e.Node, e.Kind, e.Detail)
+	}
+	fmt.Fprintf(h, "recorded=%d dropped=%d\n", res.Trace.Recorded(), res.Trace.Dropped())
+	rows, err := json.Marshal([]any{res.Trace.CounterRows(), res.Trace.HistRows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(rows)
+	return [sha256.Size]byte(h.Sum(nil))
+}
