@@ -16,12 +16,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/paperdata"
 	"repro/internal/platform"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 var logOnce sync.Map
@@ -91,7 +91,7 @@ func BenchmarkFigure4(b *testing.B) {
 
 // timelineRun drives two staggered joins and returns the trace, the
 // scenario behind Figures 2 and 3.
-func timelineRun(b *testing.B, variant mac.Variant, seed int64) *trace.Recorder {
+func timelineRun(b *testing.B, variant mac.Variant, seed int64) *metrics.Recorder {
 	b.Helper()
 	res, err := core.Run(core.Config{
 		Variant:      variant,
@@ -116,37 +116,37 @@ func timelineRun(b *testing.B, variant mac.Variant, seed int64) *trace.Recorder 
 // slot grants, then periodic Si data slots.
 func BenchmarkFigure2StaticTimeline(b *testing.B) {
 	b.ReportAllocs()
-	var tr *trace.Recorder
+	var tr *metrics.Recorder
 	for i := 0; i < b.N; i++ {
 		tr = timelineRun(b, mac.Static, int64(i+1))
 	}
-	if tr.Count(trace.KindSSRTx) < 2 || tr.Count(trace.KindJoined) != 2 {
+	if tr.Count(metrics.KindSSRTx) < 2 || tr.Count(metrics.KindJoined) != 2 {
 		b.Fatalf("static join sequence incomplete: ssr=%d joined=%d",
-			tr.Count(trace.KindSSRTx), tr.Count(trace.KindJoined))
+			tr.Count(metrics.KindSSRTx), tr.Count(metrics.KindJoined))
 	}
 	logTableOnce(b, "figure2", "FIGURE 2 (static TDMA timeline, first events):\n"+
 		renderHead(tr, 24))
-	b.ReportMetric(float64(tr.Count(trace.KindBeaconTx)), "beacons")
-	b.ReportMetric(float64(tr.Count(trace.KindDataTx)), "dataTx")
+	b.ReportMetric(float64(tr.Count(metrics.KindBeaconTx)), "beacons")
+	b.ReportMetric(float64(tr.Count(metrics.KindDataTx)), "dataTx")
 }
 
 // BenchmarkFigure3DynamicTimeline regenerates the dynamic TDMA timeline
 // of Figure 3: SB+ES cycles that grow as each SSR is granted.
 func BenchmarkFigure3DynamicTimeline(b *testing.B) {
 	b.ReportAllocs()
-	var tr *trace.Recorder
+	var tr *metrics.Recorder
 	for i := 0; i < b.N; i++ {
 		tr = timelineRun(b, mac.Dynamic, int64(i+1))
 	}
-	if tr.Count(trace.KindCycleGrow) != 2 {
-		b.Fatalf("dynamic cycle growth events = %d, want 2", tr.Count(trace.KindCycleGrow))
+	if tr.Count(metrics.KindCycleGrow) != 2 {
+		b.Fatalf("dynamic cycle growth events = %d, want 2", tr.Count(metrics.KindCycleGrow))
 	}
 	logTableOnce(b, "figure3", "FIGURE 3 (dynamic TDMA timeline, first events):\n"+
 		renderHead(tr, 24))
-	b.ReportMetric(float64(tr.Count(trace.KindCycleGrow)), "cycleGrowths")
+	b.ReportMetric(float64(tr.Count(metrics.KindCycleGrow)), "cycleGrowths")
 }
 
-func renderHead(tr *trace.Recorder, n int) string {
+func renderHead(tr *metrics.Recorder, n int) string {
 	events := tr.Events()
 	if len(events) > n {
 		events = events[:n]

@@ -18,7 +18,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // The -degrade trace cell, sized so a CR2032-voltage battery holding a
@@ -75,7 +74,7 @@ func main() {
 
 	k := sim.NewKernel(*seed)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	baseOpts := []node.BaseOption{node.WithBaseProtocol(proto, mac.Params{})}
 	if *crash {
 		// Reclaim after 8 silent cycles: longer than the streaming app's

@@ -17,16 +17,16 @@ import (
 	"repro/internal/channel"
 	"repro/internal/ecg"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // buildBAN assembles one network (base station + nodes) on the shared
 // medium under its own address plan.
-func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
+func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	netID uint8, nodes int, cycle sim.Time, startAt sim.Time) (*node.Base, []*node.Sensor) {
 	plan := packet.PlanForNetwork(netID)
 	bs := node.NewBase(k, ch, tracer, mac.Static, cycle, 0,
@@ -55,7 +55,7 @@ func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
 func run(twoBANs bool) (radioMJ, collisions, retries float64) {
 	k := sim.NewKernel(9)
 	ch := channel.New(k)
-	tracer := trace.New(1)
+	tracer := metrics.NewRecorder(1)
 
 	_, sensorsA := buildBAN(k, ch, tracer, 0, 3, 30*sim.Millisecond, 0)
 	if twoBANs {

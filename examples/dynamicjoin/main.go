@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -34,12 +34,12 @@ func main() {
 	fmt.Println("Dynamic TDMA: five nodes joining a running network (500 ms apart)")
 	fmt.Println()
 	fmt.Println("cycle growth (from the base station's beacon builder):")
-	for _, e := range res.Trace.Filter(trace.KindCycleGrow) {
+	for _, e := range res.Trace.Filter(metrics.KindCycleGrow) {
 		fmt.Printf("  %s\n", e.String())
 	}
 	fmt.Println()
 	fmt.Println("join handshakes:")
-	for _, e := range res.Trace.Filter(trace.KindJoined) {
+	for _, e := range res.Trace.Filter(metrics.KindJoined) {
 		fmt.Printf("  %s\n", e.String())
 	}
 

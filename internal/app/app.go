@@ -9,9 +9,9 @@ import (
 	"repro/internal/codec"
 	"repro/internal/ecg"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // App is the node layer's view of an application.
@@ -39,7 +39,7 @@ type Env struct {
 	Frontend *asic.Frontend
 	Mac      mac.Mac
 	Cost     platform.CostModel
-	Tracer   *trace.Recorder
+	Tracer   *metrics.Recorder
 	NodeName string
 }
 

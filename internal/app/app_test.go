@@ -9,10 +9,10 @@ import (
 	"repro/internal/energy"
 	"repro/internal/mac"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // fakeMac records Send calls without a radio stack.
@@ -60,7 +60,7 @@ func newHarness(t *testing.T) *harness {
 			Frontend: fe,
 			Mac:      fm,
 			Cost:     prof.Cost,
-			Tracer:   trace.New(0),
+			Tracer:   metrics.NewRecorder(0),
 			NodeName: "node1",
 		},
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/trace"
 )
 
 // RpeakConfig parameterises the on-node beat detection application of
@@ -158,7 +157,7 @@ func (r *Rpeak) onSampleDone() {
 			continue
 		}
 		r.beats++
-		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.env.NodeName, trace.KindBeat,
+		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
 			"ch=%d lag=%d", ch, lag)
 		r.seq++
 		if r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, r.assembleDone) {

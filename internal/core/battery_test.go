@@ -6,8 +6,8 @@ import (
 	"repro/internal/battery"
 	"repro/internal/fault"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // lifetimeConfig is a battery-backed scenario small enough that the
@@ -257,9 +257,9 @@ func TestLPLParkMidBurstSendsNothing(t *testing.T) {
 		parked := map[string]bool{}
 		for _, e := range res.Trace.Events() {
 			switch e.Kind {
-			case trace.KindParked:
+			case metrics.KindParked:
 				parked[e.Node] = true
-			case trace.KindDataTx, trace.KindAckMissed:
+			case metrics.KindDataTx, metrics.KindAckMissed:
 				if parked[e.Node] {
 					t.Errorf("seed %d: parked %s traced %s at %v", seed, e.Node, e.Kind, e.At)
 				}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // AppKind selects the node application.
@@ -409,7 +408,7 @@ type Results struct {
 	// Trace is the in-memory event log. Excluded from serialization:
 	// journaled point records carry every numeric result bit-exactly but
 	// not the trace, so a restored point has a nil Trace.
-	Trace *trace.Recorder `json:"-"`
+	Trace *metrics.Recorder `json:"-"`
 	// JoinedAll reports whether every node held a slot at measurement
 	// start.
 	JoinedAll bool
@@ -460,7 +459,7 @@ func Run(cfg Config) (Results, error) {
 	if ring == 0 {
 		ring = metrics.NoRing
 	}
-	tracer := trace.New(ring)
+	tracer := metrics.NewRecorder(ring)
 
 	baseOpts := []node.BaseOption{node.WithBaseProtocol(cfg.Protocol, cfg.MACParams)}
 	if cfg.SlotReclaimCycles > 0 {

@@ -8,11 +8,11 @@ import (
 	"repro/internal/codec"
 	"repro/internal/ecg"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestEndToEndSignalFidelity drives the full stack — generator, ASIC,
@@ -23,7 +23,7 @@ import (
 func TestEndToEndSignalFidelity(t *testing.T) {
 	k := sim.NewKernel(17)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	base := node.NewBase(k, ch, tracer, mac.Static, 60*sim.Millisecond, 0)
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, NoiseAmp: 0.02, Seed: 17})
 
@@ -80,7 +80,7 @@ func TestEndToEndSignalFidelity(t *testing.T) {
 func TestEndToEndBeatReports(t *testing.T) {
 	k := sim.NewKernel(19)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	base := node.NewBase(k, ch, tracer, mac.Static, 120*sim.Millisecond, 0)
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: 19})
 

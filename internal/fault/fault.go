@@ -20,7 +20,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Kind names a fault type.
@@ -236,7 +235,7 @@ type window struct {
 type Injector struct {
 	k      *sim.Kernel
 	ch     *channel.Channel
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	nodes map[uint8]NodeHooks
 	ids   []uint8 // sorted, for deterministic aggregate snapshots
@@ -253,7 +252,7 @@ type Injector struct {
 }
 
 // New creates an injector over the run's kernel, medium and tracer.
-func New(k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder) *Injector {
+func New(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder) *Injector {
 	return &Injector{
 		k:             k,
 		ch:            ch,
@@ -328,7 +327,7 @@ func (inj *Injector) installCrash(idx int, f Fault) {
 		inj.k.ScheduleAt(f.At+f.RebootAfter, func(*sim.Kernel) {
 			inj.outcomes[idx].RebootedAt = inj.k.Now()
 			inj.pendingRejoin[node] = append(inj.pendingRejoin[node], idx)
-			metrics.Record1(inj.tracer, inj.k.Now(), fmt.Sprintf("node%d", node), trace.KindReboot,
+			metrics.Record1(inj.tracer, inj.k.Now(), fmt.Sprintf("node%d", node), metrics.KindReboot,
 				"outage=%v", f.RebootAfter)
 			h.Reboot()
 		})
@@ -378,11 +377,11 @@ func (inj *Injector) installBlackout(idx int, f Fault) {
 			w = window{idx: idx, node: tracked, sent: s.DataSent, acked: s.DataAcked}
 		}
 		inj.ch.SetBlackout(f.From, f.To, true)
-		metrics.Record2(inj.tracer, inj.k.Now(), "channel", trace.KindLinkDown, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), "channel", metrics.KindLinkDown, "%s>%s", f.From, f.To)
 	})
 	inj.k.ScheduleAt(f.Until, func(*sim.Kernel) {
 		inj.ch.SetBlackout(f.From, f.To, false)
-		metrics.Record2(inj.tracer, inj.k.Now(), "channel", trace.KindLinkUp, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), "channel", metrics.KindLinkUp, "%s>%s", f.From, f.To)
 		if haveNode {
 			s := h.Stats()
 			inj.outcomes[idx].SentDuring = satSub(s.DataSent, w.sent)
@@ -396,11 +395,11 @@ func (inj *Injector) installInterference(idx int, f Fault) {
 	inj.k.ScheduleAt(f.At, func(*sim.Kernel) {
 		sent0, acked0 = inj.aggregate()
 		inj.ch.SetJamming(true)
-		inj.tracer.Record(inj.k.Now(), "channel", trace.KindJamOn, "")
+		inj.tracer.Record(inj.k.Now(), "channel", metrics.KindJamOn, "")
 	})
 	inj.k.ScheduleAt(f.Until, func(*sim.Kernel) {
 		inj.ch.SetJamming(false)
-		inj.tracer.Record(inj.k.Now(), "channel", trace.KindJamOff, "")
+		inj.tracer.Record(inj.k.Now(), "channel", metrics.KindJamOff, "")
 		sent, acked := inj.aggregate()
 		inj.outcomes[idx].SentDuring = satSub(sent, sent0)
 		inj.outcomes[idx].AckedDuring = satSub(acked, acked0)

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/mac"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestValidateSchedule(t *testing.T) {
@@ -132,7 +132,7 @@ func (s *stubNode) fireJoin() {
 func TestInjectorCrashOutcome(t *testing.T) {
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	inj := New(k, ch, tracer)
 	n := &stubNode{}
 	inj.AddNode(1, n.hooks())
@@ -173,7 +173,7 @@ func TestInjectorCrashOutcome(t *testing.T) {
 func TestInjectorCrashWithoutRejoin(t *testing.T) {
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	inj := New(k, ch, tracer)
 	n := &stubNode{}
 	inj.AddNode(2, n.hooks())
@@ -196,7 +196,7 @@ func TestInjectorCrashWithoutRejoin(t *testing.T) {
 func TestInjectorIgnoresOrdinaryJoins(t *testing.T) {
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	inj := New(k, ch, tracer)
 	n := &stubNode{}
 	inj.AddNode(1, n.hooks())
@@ -215,7 +215,7 @@ func TestInjectorIgnoresOrdinaryJoins(t *testing.T) {
 func TestInjectorBlackoutTogglesChannel(t *testing.T) {
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	inj := New(k, ch, tracer)
 	n := &stubNode{}
 	inj.AddNode(1, n.hooks())
@@ -241,7 +241,7 @@ func TestInjectorBlackoutTogglesChannel(t *testing.T) {
 func TestInjectorTraceEvents(t *testing.T) {
 	k := sim.NewKernel(1)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	inj := New(k, ch, tracer)
 	n := &stubNode{}
 	inj.AddNode(1, n.hooks())

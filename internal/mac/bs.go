@@ -12,7 +12,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // BSConfig parameterises the base-station MAC.
@@ -87,7 +86,7 @@ type BS struct {
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	t0       sim.Time // air-start of the current beacon
 	cycle    sim.Time // current cycle length
@@ -178,7 +177,7 @@ func (l *rxLog) log(node uint8, payload []byte, at sim.Time) RxRecord {
 
 // NewBS wires a base station over its radio and OS.
 func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *BS {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
 	if cfg.MaxSlots <= 0 {
 		if cfg.Variant == Dynamic {
 			cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
@@ -433,7 +432,7 @@ func (bs *BS) onBeaconSent() {
 	p := bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
-	metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindBeaconTx,
+	metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindBeaconTx,
 		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.radio.StartRx()
@@ -472,7 +471,7 @@ func (bs *BS) reclaimSilent() {
 		delete(bs.silent, id)
 		reclaimed = true
 		bs.stats.SlotsReclaimed++
-		metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindSlotReclaim,
+		metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotReclaim,
 			"node=%d slot=%d after=%d", id, slot, bs.cfg.ReclaimAfter)
 		// Drop any pending grant advertisements for the dead node.
 		live := bs.grants[:0]
@@ -572,7 +571,7 @@ func (bs *BS) releaseSlot() {
 	delete(bs.slotNode, slot)
 	delete(bs.silent, rel.NodeID)
 	bs.stats.SlotsReleased++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotRelease,
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotRelease,
 		"node=%d slot=%d", rel.NodeID, slot)
 	live := bs.grants[:0]
 	for _, g := range bs.grants {
@@ -613,11 +612,11 @@ func (bs *BS) assignSlot() {
 		bs.nodeSlot[ssr.NodeID] = slot
 		bs.slotNode[slot] = ssr.NodeID
 		if bs.cfg.Variant == Dynamic {
-			metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindCycleGrow,
+			metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindCycleGrow,
 				"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
 		}
 	}
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotGrant,
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotGrant,
 		"node=%d slot=%d", ssr.NodeID, slot)
 	if bs.cfg.Variant == Static {
 		bs.grants = append(bs.grants, grant{
@@ -669,7 +668,7 @@ func (bs *BS) handleData(payload []byte) {
 	delete(bs.silent, node)
 	rec := bs.log(node, payload, bs.k.Now())
 	bs.stats.DataReceived++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", node, len(payload))
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", node, len(payload))
 
 	// Fast-path acknowledgement: turn the radio around immediately; the
 	// deferred forwarding task is posted only once the ack is on its way

@@ -6,12 +6,12 @@ import (
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // ban is one network on a shared medium.
@@ -21,7 +21,7 @@ type ban struct {
 }
 
 // buildBAN assembles a static-TDMA network under its own address plan.
-func buildBAN(t *testing.T, k *sim.Kernel, ch *channel.Channel, tracer *trace.Recorder,
+func buildBAN(t *testing.T, k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	netID uint8, nodeCount int, cycle sim.Time) *ban {
 	t.Helper()
 	plan := packet.PlanForNetwork(netID)
@@ -74,7 +74,7 @@ func TestPlansAreDisjoint(t *testing.T) {
 func TestTwoBANsCoexistLogically(t *testing.T) {
 	k := sim.NewKernel(31)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	// BAN B's cycle is 100 us longer, so its schedule slides through
 	// every phase of BAN A's during the run — including full overlap.
 	banA := buildBAN(t, k, ch, tracer, 1, 2, 30*sim.Millisecond)
@@ -134,7 +134,7 @@ func TestTwoBANsCoexistLogically(t *testing.T) {
 func TestCrossBANFramesAreOverheardNotAccepted(t *testing.T) {
 	k := sim.NewKernel(33)
 	ch := channel.New(k)
-	tracer := trace.New(0)
+	tracer := metrics.NewRecorder(0)
 	banA := buildBAN(t, k, ch, tracer, 1, 1, 30*sim.Millisecond)
 	banB := buildBAN(t, k, ch, tracer, 2, 1, 30*sim.Millisecond)
 	k.Schedule(0, func(*sim.Kernel) { banA.bs.Start() })
@@ -150,7 +150,7 @@ func TestCrossBANFramesAreOverheardNotAccepted(t *testing.T) {
 	if banB.nodes[0].Stats().BeaconsHeard != 0 {
 		t.Fatalf("foreign beacons accepted: %d", banB.nodes[0].Stats().BeaconsHeard)
 	}
-	if tracer.Count(trace.KindAddrFilter) == 0 {
+	if tracer.Count(metrics.KindAddrFilter) == 0 {
 		t.Fatalf("no address-filter events for overheard foreign traffic")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Slotted CSMA/CA: the base station keeps the beacon cadence of the
@@ -58,7 +57,7 @@ type CSMANode struct {
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	minBE       int
 	maxBE       int
@@ -134,7 +133,7 @@ type CSMANode struct {
 // NewCSMANode wires a CSMA/CA node MAC over its radio and OS. Zero
 // Params fields select the documented defaults.
 func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *CSMANode {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMANode {
 	if cfg.TxQueueCap <= 0 {
 		cfg.TxQueueCap = DefaultTxQueueCap
 	}
@@ -273,7 +272,7 @@ func (m *CSMANode) Crash() {
 	m.op = csmaOpNone
 	m.attemptActive = false
 	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindCrash, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
 }
 
 // SetSlotStretch implements NodeMAC: every k-th contention opportunity
@@ -323,7 +322,7 @@ func (m *CSMANode) park() {
 	m.dropInFlight()
 	m.op = csmaOpNone
 	m.attemptActive = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
 }
 
 // Send implements Mac. The frame is transmitted by a contention attempt
@@ -403,7 +402,7 @@ func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
 	if m.cycle <= 0 {
 		return // malformed beacon; wait for the next one
 	}
-	metrics.Record2(m.tracer, now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
+	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
 		m.state = stateRequesting
@@ -424,11 +423,11 @@ func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
 			m.state = stateJoined
 			m.joinedSince = now
 			if m.rejoinArmed {
-				m.tracer.Observe(m.name, trace.HistRejoin, now-m.rejoinFrom)
+				m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
 				m.rejoinArmed = false
 			}
 			m.joinedEver = true
-			metrics.Record1(m.tracer, now, m.name, trace.KindJoined, "slot=%d", m.member)
+			metrics.Record1(m.tracer, now, m.name, metrics.KindJoined, "slot=%d", m.member)
 			for _, fn := range m.onJoined {
 				fn()
 			}
@@ -459,7 +458,7 @@ func (m *CSMANode) afterBeacon() {
 			m.stretchCount++
 			if m.stretchCount%uint64(m.stretchEvery) == 0 {
 				m.stats.SlotsSkipped++
-				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
+				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "cycle=%d", m.stretchCount)
 				return
 			}
 		}
@@ -757,7 +756,7 @@ func (m *CSMANode) transmit() {
 	if m.firing == csmaOpData && m.hasInFlight {
 		lat := m.k.Now() - m.inFlight.enqueuedAt
 		m.stats.addLatency(lat)
-		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
+		m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
 	}
 	m.radio.Fire(m.frameSent)
 }
@@ -778,7 +777,7 @@ func (m *CSMANode) onFrameSent() {
 			return
 		}
 		m.stats.DataSent++
-		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d",
+		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d",
 			packet.DataHeaderBytes+len(m.inFlight.payload))
 		m.openAckWindow()
 	case csmaOpSSR:
@@ -787,7 +786,7 @@ func (m *CSMANode) onFrameSent() {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
 		m.controlTxTime += txDur
 		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
 		m.radio.PowerDown()
 	case csmaOpRelease:
 		m.op = csmaOpNone
@@ -795,7 +794,7 @@ func (m *CSMANode) onFrameSent() {
 		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
 		m.controlTxTime += txDur
 		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-		metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotRelease, "member=%d", m.member)
+		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotRelease, "member=%d", m.member)
 		m.radio.PowerDown()
 		m.park()
 	}
@@ -819,12 +818,12 @@ func (m *CSMANode) handleAck() {
 	m.k.Cancel(m.ackTimeout)
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
+	m.tracer.Observe(m.name, metrics.HistTxToAck, m.k.Now()-m.ackOpenAt)
 	m.stats.DataAcked++
 	if m.hasInFlight {
 		m.finishInFlight()
 	}
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckRx, "")
 }
 
 //hot:path
@@ -836,7 +835,7 @@ func (m *CSMANode) onAckTimeout(*sim.Kernel) {
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
 	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
 
 	p := &m.cfg.Profile
 	if m.hasInFlight {
@@ -849,7 +848,7 @@ func (m *CSMANode) onAckTimeout(*sim.Kernel) {
 			m.dropInFlight()
 		} else {
 			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
 			m.finishInFlight()
 		}
 	}
@@ -915,7 +914,7 @@ type CSMABS struct {
 // DefaultCSMACycle; a zero MaxSlots admits MaxDynamicSlots members (the
 // contention period has no slot geometry to limit it).
 func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *CSMABS {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMABS {
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Preamble-sampling low-power listening (X-MAC style): there are no
@@ -68,7 +67,7 @@ type LPLNode struct {
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	checkInterval sim.Time
 	strobeGap     sim.Time // post-strobe early-ack listen window
@@ -142,7 +141,7 @@ type lplRetry struct {
 // CheckInterval selects DefaultLPLCheckInterval; it must match the base
 // station's sampling period (core wires both from one config).
 func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *LPLNode {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLNode {
 	if cfg.TxQueueCap <= 0 {
 		cfg.TxQueueCap = DefaultTxQueueCap
 	}
@@ -207,7 +206,7 @@ func (m *LPLNode) Start() {
 		// Battery-parked across a reboot: with no beacons to track, a
 		// parked LPL node is simply silent.
 		m.state = stateParked
-		m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
+		m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
 		return
 	}
 	m.state = stateRequesting
@@ -292,7 +291,7 @@ func (m *LPLNode) Crash() {
 	m.op = lplOpNone
 	m.opActive = false
 	m.strobeCount = 0
-	m.tracer.Record(m.k.Now(), m.name, trace.KindCrash, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
 }
 
 // SetSlotStretch implements NodeMAC: every k-th transmission opportunity
@@ -359,7 +358,7 @@ func (m *LPLNode) park() {
 	if m.radio.Mode() == radio.ModeRx {
 		m.radio.PowerDown()
 	}
-	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
 }
 
 // Send implements Mac: a queued frame launches a strobe train if none is
@@ -417,7 +416,7 @@ func (m *LPLNode) startDataOp() {
 			// Duty-cycle stretch: sleep through this opportunity and
 			// check back one sampling period later.
 			m.stats.SlotsSkipped++
-			metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "op=%d", m.stretchCount)
+			metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "op=%d", m.stretchCount)
 			m.retryAfter(m.checkInterval, lplOpData)
 			return
 		}
@@ -593,7 +592,7 @@ func (m *LPLNode) sendSSR() {
 				txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
 				m.controlTxTime += txDur
 				m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
 				m.openSSRWait()
 			})
 		})
@@ -610,7 +609,7 @@ func (m *LPLNode) onDataLoaded() {
 	}
 	lat := m.k.Now() - m.inFlight.enqueuedAt
 	m.stats.addLatency(lat)
-	m.tracer.Observe(m.name, trace.HistSlotWait, lat)
+	m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
 	m.radio.Fire(m.dataSent)
 }
 
@@ -623,7 +622,7 @@ func (m *LPLNode) onDataSent() {
 		return
 	}
 	m.stats.DataSent++
-	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.dataBuf))
+	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.dataBuf))
 	m.openAckWindow()
 }
 
@@ -671,11 +670,11 @@ func (m *LPLNode) handleAck() {
 		m.state = stateJoined
 		m.joinedSince = now
 		if m.rejoinArmed {
-			m.tracer.Observe(m.name, trace.HistRejoin, now-m.rejoinFrom)
+			m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
 			m.rejoinArmed = false
 		}
 		m.joinedEver = true
-		m.tracer.Record(now, m.name, trace.KindJoined, "")
+		m.tracer.Record(now, m.name, metrics.KindJoined, "")
 		for _, fn := range m.onJoined {
 			fn()
 		}
@@ -690,12 +689,12 @@ func (m *LPLNode) handleAck() {
 	m.ackWaiting = false
 	m.k.Cancel(m.ackTimeout)
 	m.accountControlRx(now - m.ackOpenAt)
-	m.tracer.Observe(m.name, trace.HistTxToAck, now-m.ackOpenAt)
+	m.tracer.Observe(m.name, metrics.HistTxToAck, now-m.ackOpenAt)
 	m.stats.DataAcked++
 	if m.hasInFlight {
 		m.finishInFlight()
 	}
-	m.tracer.Record(now, m.name, trace.KindAckRx, "")
+	m.tracer.Record(now, m.name, metrics.KindAckRx, "")
 	m.radio.PowerDown()
 	if m.queue.Len() > 0 && m.burstLeft > 0 {
 		// The receiver reopens its window after each ack: continue the
@@ -722,7 +721,7 @@ func (m *LPLNode) onAckTimeout(*sim.Kernel) {
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
 	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
 
 	p := &m.cfg.Profile
 	if m.hasInFlight {
@@ -735,7 +734,7 @@ func (m *LPLNode) onAckTimeout(*sim.Kernel) {
 			m.dropInFlight()
 		} else {
 			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
 			m.finishInFlight()
 		}
 	}
@@ -806,7 +805,7 @@ type LPLBS struct {
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	checkInterval sim.Time
 	startAt       sim.Time
@@ -860,7 +859,7 @@ type lplAck struct {
 // DefaultLPLCheckInterval; a zero MaxSlots admits MaxDynamicSlots
 // members.
 func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *LPLBS {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLBS {
 	if err := validateLPLParams(cfg.Params); err != nil {
 		panic(err)
 	}
@@ -1035,7 +1034,7 @@ func (bs *LPLBS) reclaimSilent() {
 		delete(bs.memberAt, idx)
 		delete(bs.silent, id)
 		bs.stats.SlotsReclaimed++
-		metrics.Record3(bs.tracer, bs.k.Now(), "bs", trace.KindSlotReclaim,
+		metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotReclaim,
 			"node=%d member=%d after=%d", id, idx, bs.cfg.ReclaimAfter)
 	}
 }
@@ -1180,7 +1179,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 			bs.members[ssr.NodeID] = idx
 			bs.memberAt[idx] = ssr.NodeID
 		}
-		metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotGrant,
+		metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotGrant,
 			"node=%d member=%d", ssr.NodeID, idx)
 		bs.radio.Standby()
 		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
@@ -1213,7 +1212,7 @@ func (bs *LPLBS) handleRelease(rel packet.Release) {
 	delete(bs.memberAt, idx)
 	delete(bs.silent, rel.NodeID)
 	bs.stats.SlotsReleased++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindSlotRelease,
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotRelease,
 		"node=%d member=%d", rel.NodeID, idx)
 }
 
@@ -1241,7 +1240,7 @@ func (bs *LPLBS) handleData(payload []byte) {
 	bs.acking = true
 	rec := bs.log(id, payload[packet.DataHeaderBytes:], bs.k.Now())
 	bs.stats.DataReceived++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", trace.KindDataRx, "node=%d len=%d", id, len(rec.Payload))
+	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", id, len(rec.Payload))
 	bs.acks.Push(lplAck{rec: rec})
 	bs.sched.Interrupt("bs-ack-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.ackTurnaround)
 }

@@ -6,12 +6,12 @@ import (
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // rig assembles a BS plus sensor nodes over one shared medium.
@@ -19,7 +19,7 @@ type rig struct {
 	t      *testing.T
 	k      *sim.Kernel
 	ch     *channel.Channel
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 	bs     *BS
 	nodes  []*NodeMac
 }
@@ -27,7 +27,7 @@ type rig struct {
 func newRig(t *testing.T, variant Variant, staticCycle sim.Time, seed int64) *rig {
 	t.Helper()
 	k := sim.NewKernel(seed)
-	r := &rig{t: t, k: k, ch: channel.New(k), tracer: trace.New(0)}
+	r := &rig{t: t, k: k, ch: channel.New(k), tracer: metrics.NewRecorder(0)}
 
 	bsProf := platform.BaseStation()
 	bsLedger := energy.NewLedger()
@@ -182,8 +182,8 @@ func TestDynamicCycleGrowsWithJoins(t *testing.T) {
 	if got := n1.CycleLength(); got != 40*sim.Millisecond {
 		t.Fatalf("node view of cycle = %v, want 40ms", got)
 	}
-	if r.tracer.Count(trace.KindCycleGrow) != 3 {
-		t.Fatalf("cycle-grow events = %d, want 3", r.tracer.Count(trace.KindCycleGrow))
+	if r.tracer.Count(metrics.KindCycleGrow) != 3 {
+		t.Fatalf("cycle-grow events = %d, want 3", r.tracer.Count(metrics.KindCycleGrow))
 	}
 	// Slots are 0,1,2 in join order.
 	if n1.Slot() != 0 || n2.Slot() != 1 || n3.Slot() != 2 {

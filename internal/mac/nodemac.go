@@ -12,7 +12,6 @@ import (
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // nodeState is the join state machine.
@@ -60,7 +59,7 @@ type NodeMac struct {
 	sched  *tinyos.Sched
 	radio  *radio.Radio
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	state    nodeState
 	t0       sim.Time // air-start instant of the current cycle's beacon
@@ -162,7 +161,7 @@ type NodeMac struct {
 
 // NewNodeMac wires a node MAC over its radio and OS.
 func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) *NodeMac {
+	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
 	if cfg.TxQueueCap <= 0 {
 		cfg.TxQueueCap = DefaultTxQueueCap
 	}
@@ -313,7 +312,7 @@ func (m *NodeMac) Crash() {
 	// battery level, which a power cycle does not replenish — a rebooted
 	// beacon-only node parks again right after its first beacon.
 	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindCrash, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
 }
 
 // SetSlotStretch makes the node sleep through its data slot on every
@@ -387,7 +386,7 @@ func (m *NodeMac) park() {
 	m.loaded = false
 	m.dropInFlight()
 	m.ssrScheduled = false
-	m.tracer.Record(m.k.Now(), m.name, trace.KindParked, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
 }
 
 // txItem is one queued payload with its retransmission count.
@@ -547,7 +546,7 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 	if m.cycle <= 0 {
 		return // malformed beacon; wait for the next one
 	}
-	metrics.Record2(m.tracer, now, m.name, trace.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
+	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
 		m.state = stateRequesting
@@ -574,11 +573,11 @@ func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
 				m.joinedSince = now
 				m.ssrScheduled = false
 				if m.rejoinArmed {
-					m.tracer.Observe(m.name, trace.HistRejoin, now-m.rejoinFrom)
+					m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
 					m.rejoinArmed = false
 				}
 				m.joinedEver = true
-				metrics.Record1(m.tracer, now, m.name, trace.KindJoined, "slot=%d", m.slot)
+				metrics.Record1(m.tracer, now, m.name, metrics.KindJoined, "slot=%d", m.slot)
 				for _, fn := range m.onJoined {
 					fn()
 				}
@@ -619,7 +618,7 @@ func (m *NodeMac) afterBeacon() {
 				// The queue keeps filling; its cap converts the stretch
 				// into deterministic tail drops instead of latency creep.
 				m.stats.SlotsSkipped++
-				metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotSkip, "cycle=%d", m.stretchCount)
+				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "cycle=%d", m.stretchCount)
 				return
 			}
 		}
@@ -838,7 +837,7 @@ func (m *NodeMac) onSSRSent() {
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
 	m.controlTxTime += txDur
 	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSSRTx, "nonce=%d", m.ssrNonce)
+	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
 	m.radio.PowerDown()
 }
 
@@ -914,7 +913,7 @@ func (m *NodeMac) onRelSent() {
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
 	m.controlTxTime += txDur
 	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotRelease, "slot=%d", m.slot)
+	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotRelease, "slot=%d", m.slot)
 	m.radio.PowerDown()
 	m.park()
 }
@@ -1034,11 +1033,11 @@ func (m *NodeMac) fireSlot() {
 		return // window overlap guard; skip this cycle
 	}
 	m.loaded = false
-	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindSlotStart, "slot=%d", m.slot)
+	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotStart, "slot=%d", m.slot)
 	if m.hasInFlight {
 		lat := m.k.Now() - m.inFlight.enqueuedAt
 		m.stats.addLatency(lat)
-		m.tracer.Observe(m.name, trace.HistSlotWait, lat)
+		m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
 	}
 	m.radio.Fire(m.dataSent)
 }
@@ -1051,7 +1050,7 @@ func (m *NodeMac) onDataSent() {
 		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
 	}
 	m.stats.DataSent++
-	metrics.Record1(m.tracer, m.k.Now(), m.name, trace.KindDataTx, "len=%d", len(m.inFlight.payload))
+	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.inFlight.payload))
 	m.openAckWindow()
 }
 
@@ -1084,12 +1083,12 @@ func (m *NodeMac) handleAck() {
 	m.ackExpiries.Cancel(m.k, m.ackTimeout)
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, trace.HistTxToAck, m.k.Now()-m.ackOpenAt)
+	m.tracer.Observe(m.name, metrics.HistTxToAck, m.k.Now()-m.ackOpenAt)
 	m.stats.DataAcked++
 	if m.hasInFlight {
 		m.finishInFlight()
 	}
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckRx, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckRx, "")
 	m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, m.ackProcessed)
 }
 
@@ -1103,7 +1102,7 @@ func (m *NodeMac) onAckTimeout() {
 	m.radio.PowerDown()
 	m.accountControlRx(m.k.Now() - m.ackOpenAt)
 	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, trace.KindAckMissed, "")
+	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
 
 	p := m.cfg.Profile
 	if m.hasInFlight {
@@ -1119,7 +1118,7 @@ func (m *NodeMac) onAckTimeout() {
 		} else {
 			// Retries exhausted: the frame is gone for good.
 			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, trace.KindDataDropped, "")
+			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
 			m.finishInFlight()
 		}
 	}

@@ -7,11 +7,11 @@ import (
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // protoRig assembles a BS plus sensor nodes for any registered protocol,
@@ -20,7 +20,7 @@ type protoRig struct {
 	t       *testing.T
 	k       *sim.Kernel
 	ch      *channel.Channel
-	tracer  *trace.Recorder
+	tracer  *metrics.Recorder
 	bs      BSMAC
 	nodes   []NodeMAC
 	ledgers []*energy.Ledger
@@ -44,7 +44,7 @@ func (r *protoRig) reboot(i int) {
 func newProtoRig(t *testing.T, proto Protocol, params Params, cycle sim.Time, seed int64) *protoRig {
 	t.Helper()
 	k := sim.NewKernel(seed)
-	r := &protoRig{t: t, k: k, ch: channel.New(k), tracer: trace.New(0)}
+	r := &protoRig{t: t, k: k, ch: channel.New(k), tracer: metrics.NewRecorder(0)}
 
 	bsProf := platform.BaseStation()
 	bsLedger := energy.NewLedger()

@@ -5,10 +5,10 @@ import (
 	"sort"
 
 	"repro/internal/energy"
+	"repro/internal/metrics"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Protocol names a registered MAC protocol. The two TDMA flavours keep
@@ -154,9 +154,9 @@ type Descriptor struct {
 	Validate func(p Params) error
 	// NewNode and NewBS build the two sides over the shared stack.
 	NewNode func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC
+		ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC
 	NewBS func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *trace.Recorder) BSMAC
+		ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC
 }
 
 var registry = map[Protocol]Descriptor{}
@@ -197,7 +197,7 @@ func resolveProtocol(explicit Protocol, v Variant) Protocol {
 
 // NewNode builds the node-side MAC for cfg's protocol via the registry.
 func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+	ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 	name := resolveProtocol(cfg.Protocol, cfg.Variant)
 	d, ok := Lookup(name)
 	if !ok {
@@ -209,7 +209,7 @@ func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 // NewBaseMAC builds the base-station MAC for cfg's protocol via the
 // registry.
 func NewBaseMAC(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+	ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 	name := resolveProtocol(cfg.Protocol, cfg.Variant)
 	d, ok := Lookup(name)
 	if !ok {
@@ -276,12 +276,12 @@ func init() {
 		Caps:     Capabilities{Slotted: true, Beacons: true},
 		Validate: validateTDMAParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			cfg.Variant = Static
 			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			cfg.Variant = Static
 			return NewBS(k, cfg, sched, r, ledger, tracer)
 		},
@@ -291,12 +291,12 @@ func init() {
 		Caps:     Capabilities{Slotted: true, Beacons: true},
 		Validate: validateTDMAParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			cfg.Variant = Dynamic
 			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			cfg.Variant = Dynamic
 			return NewBS(k, cfg, sched, r, ledger, tracer)
 		},
@@ -306,11 +306,11 @@ func init() {
 		Caps:     Capabilities{Contention: true, Beacons: true},
 		Validate: validateCSMAParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			return NewCSMANode(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			return NewCSMABS(k, cfg, sched, r, ledger, tracer)
 		},
 	})
@@ -319,11 +319,11 @@ func init() {
 		Caps:     Capabilities{Contention: true},
 		Validate: validateLPLParams,
 		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) NodeMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
 			return NewLPLNode(k, cfg, sched, r, ledger, tracer)
 		},
 		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *trace.Recorder) BSMAC {
+			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
 			return NewLPLBS(k, cfg, sched, r, ledger, tracer)
 		},
 	})

@@ -26,7 +26,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 // Mode is the radio's operating mode.
@@ -85,7 +84,7 @@ type Radio struct {
 	sched  *tinyos.Sched
 	meter  *energy.Meter
 	ledger *energy.Ledger
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 
 	mode      Mode
 	rxSince   sim.Time // listening valid from this instant (after settle)
@@ -134,7 +133,7 @@ type Radio struct {
 // New creates a radio, registers its energy meter and attaches it to the
 // medium. The radio starts powered down.
 func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Channel,
-	sched *tinyos.Sched, ledger *energy.Ledger, tracer *trace.Recorder) *Radio {
+	sched *tinyos.Sched, ledger *energy.Ledger, tracer *metrics.Recorder) *Radio {
 	v := params.VoltageV
 	meter := energy.NewMeter(platform.ComponentRadio, map[energy.State]energy.Draw{
 		platform.StateRadioOff:     {},
@@ -443,14 +442,14 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		// retransmission.
 		r.stats.CRCDrops++
 		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*air.Seconds())
-		metrics.Record1(r.tracer, r.k.Now(), r.name, trace.KindCRCDrop, "cause=%v", cause)
+		metrics.Record1(r.tracer, r.k.Now(), r.name, metrics.KindCRCDrop, "cause=%v", cause)
 		return
 	}
 	if !r.accepts(frame.Dest) {
 		// Overheard frame: address checked on-chip, never forwarded.
 		r.stats.AddrDrops++
 		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*air.Seconds())
-		metrics.Record1(r.tracer, r.k.Now(), r.name, trace.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
+		metrics.Record1(r.tracer, r.k.Now(), r.name, metrics.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
 		return
 	}
 

@@ -7,17 +7,17 @@ import (
 	"repro/internal/channel"
 	"repro/internal/energy"
 	"repro/internal/mcu"
+	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
-	"repro/internal/trace"
 )
 
 type rig struct {
 	k      *sim.Kernel
 	ch     *channel.Channel
-	tracer *trace.Recorder
+	tracer *metrics.Recorder
 }
 
 type station struct {
@@ -29,7 +29,7 @@ type station struct {
 
 func newRig() *rig {
 	k := sim.NewKernel(7)
-	return &rig{k: k, ch: channel.New(k), tracer: trace.New(0)}
+	return &rig{k: k, ch: channel.New(k), tracer: metrics.NewRecorder(0)}
 }
 
 func (r *rig) station(name string, prof platform.Profile) *station {
@@ -84,7 +84,7 @@ func TestAddressFilterDropsAndAttributesOverhearing(t *testing.T) {
 	if eav.ledger.Loss(energy.LossOverhearing) <= 0 {
 		t.Fatalf("overhearing loss not attributed")
 	}
-	if r.tracer.Count(trace.KindAddrFilter) != 1 {
+	if r.tracer.Count(metrics.KindAddrFilter) != 1 {
 		t.Fatalf("addr-filter trace missing")
 	}
 }
