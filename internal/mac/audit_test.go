@@ -58,7 +58,7 @@ func TestAuditSlotTrip(t *testing.T) {
 	if !n1.Joined() {
 		t.Fatal("node failed to join")
 	}
-	if v := n1.AuditSlot(); len(v) != 0 {
+	if v := n1.AuditProtocol(); len(v) != 0 {
 		t.Fatalf("joined node's slot audit fired: %v", v)
 	}
 	if v := n1.AuditFrame(); len(v) != 0 {
@@ -67,7 +67,7 @@ func TestAuditSlotTrip(t *testing.T) {
 
 	saved := n1.slot
 	n1.slot = 40 // far past any cycle the node has heard
-	v := n1.AuditSlot()
+	v := n1.AuditProtocol()
 	if len(v) == 0 {
 		t.Fatal("out-of-cycle slot not detected")
 	}
@@ -75,7 +75,7 @@ func TestAuditSlotTrip(t *testing.T) {
 		t.Fatalf("slot-overrun detail missing: %v", v)
 	}
 	n1.slot = saved
-	if v := n1.AuditSlot(); len(v) != 0 {
+	if v := n1.AuditProtocol(); len(v) != 0 {
 		t.Fatalf("restored slot still flagged: %v", v)
 	}
 }

@@ -3,7 +3,6 @@ package mac
 import (
 	"fmt"
 
-	"repro/internal/approx"
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/packet"
@@ -49,116 +48,52 @@ const (
 	csmaOpRelease
 )
 
-// CSMANode is the sensor-node side of the slotted CSMA/CA protocol.
+// CSMANode is the sensor-node side of the slotted CSMA/CA protocol: the
+// beacon-synced node core plus the backoff and clear-channel assessment
+// of each contention attempt.
 type CSMANode struct {
-	k      *sim.Kernel
-	cfg    NodeConfig
-	name   string
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *metrics.Recorder
+	beaconSync
 
 	minBE       int
 	maxBE       int
 	maxBackoffs int
 
-	state    nodeState
-	t0       sim.Time // air-start instant of the current cycle's beacon
-	cycle    sim.Time // cycle length from the latest beacon
-	member   int      // association index granted by the base station
-	onJoined []func()
-	gen      uint64
-
-	joinedSince sim.Time
-	joinedAccum sim.Time
-	joinedEver  bool
-	rejoinArmed bool
-	rejoinFrom  sim.Time
-
-	txQueue
-	loading bool
-	loaded  bool
-	op      csmaOp
-	firing  csmaOp // the op of the frame on the air
-	// dataBuf/ctrlBuf are marshal scratch: the sender-ID header plus
-	// payload, and the control frames (SSR, Release).
-	dataBuf []byte
-	ctrlBuf []byte
+	op     csmaOp
+	firing csmaOp // the op of the frame on the air
 
 	// Contention attempt state (one attempt machine per node).
 	attemptActive bool
 	nb            int // busy verdicts consumed by this attempt
 	be            int // current backoff exponent
 
-	missed        int
-	windowOpenAt  sim.Time
-	windowTimeout sim.EventID
-	windowActive  bool
-	ackOpenAt     sim.Time
-	ackTimeout    sim.EventID
-	ackWaiting    bool
-	joinListenAt  sim.Time
-	ssrNonce      uint16
-	// beacon is the last parsed beacon; its Entries slice is reused.
-	beacon packet.Beacon
-
-	// Steady-state steps, each a handler bound once in NewCSMANode. Crash
-	// cancels the window and ack timeouts; the other kernel-timed steps
-	// file their generation (and a window's stride) by event ID.
-	windowOpens    sim.Pending[windowArm]
-	ccaSteps       sim.Pending[uint64]
-	onWindowOpen   sim.Handler
-	onWindowExpiry sim.Handler
-	onBackoffDue   sim.Handler
-	onCCADue       sim.Handler
-	onAckExpiry    sim.Handler
-	beaconParsed   func()
-	frameLoaded    func()
-	frameSent      func()
-
-	stretchEvery   int
-	stretchCount   uint64
-	beaconOnly     bool
-	releasePending bool
-
-	stats     Stats
-	carrySent uint64
-
-	controlRxTime sim.Time
-	controlTxTime sim.Time
-	joinIdleTime  sim.Time
+	// Steady-state steps, each a handler bound once in NewCSMANode; the
+	// backoff and CCA steps file their generation by event ID.
+	ccaSteps     sim.Pending[uint64]
+	onBackoffDue sim.Handler
+	onCCADue     sim.Handler
+	onAckExpiry  sim.Handler
+	beaconParsed func()
+	frameLoaded  func()
+	frameSent    func()
 }
 
 // NewCSMANode wires a CSMA/CA node MAC over its radio and OS. Zero
-// Params fields select the documented defaults.
+// Params fields select the documented defaults. The beacon guard, size
+// bound and parse cost are the static TDMA's, whose beacon cadence the
+// protocol keeps.
 func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMANode {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
+	cfg.Variant = Static
 	m := &CSMANode{
-		k:           k,
-		cfg:         cfg,
-		name:        r.Name(),
-		sched:       sched,
-		radio:       r,
-		ledger:      ledger,
-		tracer:      tracer,
-		member:      -1,
 		minBE:       cfg.Params.MinBE,
 		maxBE:       cfg.Params.MaxBE,
 		maxBackoffs: cfg.Params.MaxBackoffs,
 	}
+	m.init(k, cfg, sched, r, ledger, tracer, m.endAttempt)
+	m.dataHeader = packet.DataHeaderBytes
 	if m.minBE == 0 {
 		m.minBE = defaultMinBE
 	}
@@ -168,11 +103,9 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	if m.maxBackoffs == 0 {
 		m.maxBackoffs = defaultMaxBackoffs
 	}
-	m.onWindowOpen = m.windowOpened
-	m.onWindowExpiry = m.onWindowTimeout
 	m.onBackoffDue = m.ccaStart
 	m.onCCADue = m.ccaSample
-	m.onAckExpiry = m.onAckTimeout
+	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
 	m.frameLoaded = m.onFrameLoaded
 	m.frameSent = m.onFrameSent
@@ -180,265 +113,17 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	return m
 }
 
-// Start implements Mac: listen continuously for a first beacon.
-func (m *CSMANode) Start() {
-	m.state = stateSearching
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-	if m.joinedEver && !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-}
-
-// OnJoined implements Mac.
-func (m *CSMANode) OnJoined(fn func()) { m.onJoined = append(m.onJoined, fn) }
-
-// Joined implements Mac.
-func (m *CSMANode) Joined() bool { return m.state == stateJoined }
-
-// Slot implements Mac: the association index the base station granted
-// (there is no slot schedule; the index only names the membership).
-func (m *CSMANode) Slot() int { return m.member }
-
-// CycleLength implements Mac.
-func (m *CSMANode) CycleLength() sim.Time { return m.cycle }
-
-// Stats implements Mac.
-func (m *CSMANode) Stats() Stats { return m.stats }
-
-// ControlRxTime reports receiver-on time spent in control windows
-// (beacon listening, CCA windows, ack listening).
-func (m *CSMANode) ControlRxTime() sim.Time { return m.controlRxTime }
-
-// ControlTxTime reports transmit time spent on control frames.
-func (m *CSMANode) ControlTxTime() sim.Time { return m.controlTxTime }
-
-// JoinIdleTime reports the continuous-listen time burned while searching
-// for the network.
-func (m *CSMANode) JoinIdleTime() sim.Time { return m.joinIdleTime }
-
-// Generation reports the crash generation counter.
-func (m *CSMANode) Generation() uint64 { return m.gen }
-
-// ResetAccounting zeroes statistics and loss accumulators (post-warmup).
-func (m *CSMANode) ResetAccounting() {
-	m.stats = Stats{}
-	m.carrySent = 0
-	if m.ackWaiting {
-		m.carrySent = 1
-	}
-	m.controlRxTime = 0
-	m.controlTxTime = 0
-	m.joinIdleTime = 0
-	m.joinedAccum = 0
-	if m.state == stateJoined {
-		m.joinedSince = m.k.Now()
-	}
-}
-
-// JoinedTime reports cumulative association time since the last reset.
-func (m *CSMANode) JoinedTime() sim.Time {
-	t := m.joinedAccum
-	if m.state == stateJoined {
-		t += m.k.Now() - m.joinedSince
-	}
-	return t
-}
-
-func (m *CSMANode) noteLeftSlot() {
-	if m.state == stateJoined {
-		m.joinedAccum += m.k.Now() - m.joinedSince
-	}
-}
-
-// Crash implements NodeMAC (see NodeMac.Crash for the model).
-func (m *CSMANode) Crash() {
-	m.gen++
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-	}
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateCrashed
-	m.member = -1
-	m.missed = 0
-	m.queue.Reset()
-	m.loading = false
-	m.loaded = false
-	m.dropInFlight()
+// endAttempt forgets the contention attempt and its frame kind (crash,
+// park, rejoin).
+func (m *CSMANode) endAttempt() {
 	m.op = csmaOpNone
 	m.attemptActive = false
-	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
 }
 
-// SetSlotStretch implements NodeMAC: every k-th contention opportunity
-// is slept through.
-func (m *CSMANode) SetSlotStretch(k int) {
-	if k < 2 {
-		m.stretchEvery = 0
-		return
-	}
-	m.stretchEvery = k
-}
-
-// EnterBeaconOnly implements NodeMAC: release the membership (via a
-// contention-access Release frame), then keep only beacon sync alive.
-func (m *CSMANode) EnterBeaconOnly() {
-	if m.beaconOnly {
-		return
-	}
-	m.beaconOnly = true
-	switch m.state {
-	case stateJoined:
-		m.releasePending = true
-	case stateRequesting:
-		m.park()
-	case stateSearching, stateCrashed, stateParked:
-	}
-}
-
-func (m *CSMANode) closeAckWindow() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.stats.Abandoned++
-}
-
-func (m *CSMANode) park() {
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateParked
-	m.member = -1
-	m.releasePending = false
-	m.queue.Reset()
-	m.loading = false
-	m.loaded = false
-	m.dropInFlight()
-	m.op = csmaOpNone
-	m.attemptActive = false
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
-}
-
-// Send implements Mac. The frame is transmitted by a contention attempt
-// in the current or a following beacon cycle. The payload is copied
-// into a recycled buffer.
+// onFrame dispatches a received frame.
 //
 //hot:path
-func (m *CSMANode) Send(payload []byte) bool {
-	if m.queue.Len() >= m.cfg.TxQueueCap {
-		m.stats.QueueDrops++
-		return false
-	}
-	m.enqueue(payload, m.k.Now())
-	return true
-}
-
-// local applies the node's oscillator error to a self-timed interval.
-func (m *CSMANode) local(d sim.Time) sim.Time {
-	if approx.Unset(m.cfg.ClockDriftPPM) {
-		return d
-	}
-	return sim.Time(float64(d) * (1 + m.cfg.ClockDriftPPM*1e-6))
-}
-
-// maxBeaconPayload mirrors the static-TDMA beacon sizing: base payload
-// plus a bounded number of join-grant entries.
-func (m *CSMANode) maxBeaconPayload() int {
-	return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-		m.cfg.Profile.MAC.GrantEntryBytes*2
-}
-
-// nextWindowOpen reports when this node expects to open its next beacon
-// listen window — the hard deadline every contention attempt must clear.
-func (m *CSMANode) nextWindowOpen() sim.Time {
-	p := m.cfg.Profile
-	return m.t0 + m.local(m.cycle-p.MAC.StaticGuard-p.Radio.RxSettle)
-}
-
-// --- frame dispatch ------------------------------------------------------
-
-//hot:path
-func (m *CSMANode) onFrame(f packet.Frame) {
-	switch {
-	case f.Dest == m.cfg.Plan.Beacon:
-		var ok bool
-		m.beacon, ok = packet.ParseBeacon(f.Payload, m.beacon.Entries[:0])
-		if ok {
-			m.handleBeacon(m.beacon, len(f.Payload))
-		}
-	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
-		m.handleAck()
-	}
-}
-
-// handleBeacon resynchronises and scans the membership grants.
-func (m *CSMANode) handleBeacon(b packet.Beacon, payloadLen int) {
-	now := m.k.Now()
-	frameEnd := m.radio.LastRxFrameEnd()
-	airStart := frameEnd - m.cfg.Profile.Radio.Airtime(payloadLen)
-
-	m.radio.PowerDown()
-	if m.windowActive {
-		m.k.Cancel(m.windowTimeout)
-		m.windowActive = false
-		m.accountControlRx(now - m.windowOpenAt)
-	} else if m.state == stateSearching {
-		idle := now - m.joinListenAt
-		m.joinIdleTime += idle
-		m.ledger.AttributeLoss(energy.LossIdleListening,
-			m.radio.RxPowerW()*idle.Seconds())
-	}
-
-	m.stats.BeaconsHeard++
-	m.missed = 0
-	m.t0 = airStart
-	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	if m.cycle <= 0 {
-		return // malformed beacon; wait for the next one
-	}
-	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
-
-	if m.state == stateSearching {
-		m.state = stateRequesting
-	}
-	if m.beaconOnly && m.state == stateRequesting {
-		m.park()
-	}
-
-	for _, e := range b.Entries {
-		if e.NodeID != m.cfg.NodeID {
-			continue
-		}
-		if m.state == stateParked {
-			break // stale grant after our release
-		}
-		if m.state != stateJoined {
-			m.member = int(e.Slot)
-			m.state = stateJoined
-			m.joinedSince = now
-			if m.rejoinArmed {
-				m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
-				m.rejoinArmed = false
-			}
-			m.joinedEver = true
-			metrics.Record1(m.tracer, now, m.name, metrics.KindJoined, "slot=%d", m.member)
-			for _, fn := range m.onJoined {
-				fn()
-			}
-		} else {
-			m.member = int(e.Slot)
-		}
-		break
-	}
-
-	m.sched.Interrupt("beacon-parse", m.cfg.Profile.Cost.BeaconParseStatic, m.beaconParsed)
-}
+func (m *CSMANode) onFrame(f packet.Frame) { m.receive(f, m.beaconParsed) }
 
 // afterBeacon launches this cycle's contention attempt once parsing is
 // done: the contention-access period runs from here to the next window.
@@ -454,116 +139,11 @@ func (m *CSMANode) afterBeacon() {
 			m.beginAttempt(csmaOpRelease)
 			return
 		}
-		if m.stretchEvery >= 2 {
-			m.stretchCount++
-			if m.stretchCount%uint64(m.stretchEvery) == 0 {
-				m.stats.SlotsSkipped++
-				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "cycle=%d", m.stretchCount)
-				return
-			}
+		if m.skipStretched("cycle=%d") {
+			return
 		}
 		m.beginAttempt(csmaOpData)
 	}
-}
-
-// windowStride mirrors the TDMA doze ratio for parked nodes.
-func (m *CSMANode) windowStride() sim.Time {
-	if m.state == stateParked {
-		return parkBeaconEvery
-	}
-	return 1
-}
-
-// scheduleNextWindow arms the receiver for the next expected beacon.
-func (m *CSMANode) scheduleNextWindow() {
-	p := &m.cfg.Profile
-	stride := m.windowStride()
-	openAt := m.t0 + m.local(stride*m.cycle-p.MAC.StaticGuard-p.Radio.RxSettle)
-	now := m.k.Now()
-	if openAt <= now {
-		openAt = now
-	}
-	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
-}
-
-// windowOpened turns the receiver on for an expected beacon and arms the
-// window's timeout.
-//
-//hot:path
-func (m *CSMANode) windowOpened(k *sim.Kernel) {
-	a := m.windowOpens.Take(k)
-	if m.gen != a.gen {
-		return // armed before a crash
-	}
-	if m.windowActive || m.state == stateSearching {
-		return
-	}
-	if m.radio.Mode() == radio.ModeTx {
-		// A late contention burst is still draining; its completion
-		// handler powers the radio down, and the beacon is lost this
-		// cycle (the budget margins make this rare).
-		m.onWindowLost()
-		return
-	}
-	p := &m.cfg.Profile
-	m.windowActive = true
-	m.windowOpenAt = k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	deadline := m.t0 + m.local(a.stride*m.cycle) + p.MAC.StaticGuard +
-		p.Radio.Airtime(m.maxBeaconPayload()) +
-		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-	if deadline < k.Now() {
-		deadline = k.Now()
-	}
-	m.windowTimeout = k.ScheduleAt(deadline, m.onWindowExpiry)
-}
-
-// onWindowTimeout handles a silent beacon window.
-//
-//hot:path
-func (m *CSMANode) onWindowTimeout(*sim.Kernel) {
-	if !m.windowActive {
-		return
-	}
-	m.windowActive = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.windowOpenAt)
-	m.onWindowLost()
-}
-
-// onWindowLost dead-reckons past a beacon window that stayed silent or
-// could not open.
-func (m *CSMANode) onWindowLost() {
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
-		return
-	}
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
-}
-
-// rejoin abandons the membership and restarts the join procedure.
-func (m *CSMANode) rejoin() {
-	m.stats.Rejoins++
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	if !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-	m.state = stateSearching
-	m.member = -1
-	m.missed = 0
-	m.loaded = false
-	m.dropInFlight()
-	m.op = csmaOpNone
-	m.attemptActive = false
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
 }
 
 // --- contention attempt machine ------------------------------------------
@@ -602,12 +182,9 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 			m.launch()
 			m.op = csmaOpData
 			m.loading = true
-			m.dataBuf = append(m.dataBuf[:0], m.cfg.NodeID)
-			m.dataBuf = append(m.dataBuf, item.payload...)
-			m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.frameLoaded)
+			m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), m.frameLoaded)
 		case csmaOpSSR:
-			m.ssrNonce++
-			ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
+			ssr := m.nextSSR()
 			m.op = csmaOpSSR
 			m.loading = true
 			//lint:allow hotalloc association is a join transient, not a per-frame step
@@ -768,7 +345,6 @@ func (m *CSMANode) onFrameSent() {
 	if m.state == stateCrashed {
 		return
 	}
-	p := &m.cfg.Profile
 	switch m.firing {
 	case csmaOpData:
 		m.op = csmaOpNone
@@ -776,98 +352,24 @@ func (m *CSMANode) onFrameSent() {
 			m.radio.PowerDown()
 			return
 		}
-		m.stats.DataSent++
-		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d",
-			packet.DataHeaderBytes+len(m.inFlight.payload))
-		m.openAckWindow()
+		m.dataFlown(m.onAckExpiry)
 	case csmaOpSSR:
 		m.op = csmaOpNone
-		m.stats.SSRSent++
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-		m.controlTxTime += txDur
-		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
+		m.ssrFlown()
 		m.radio.PowerDown()
 	case csmaOpRelease:
 		m.op = csmaOpNone
-		m.stats.ReleasesSent++
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
-		m.controlTxTime += txDur
-		m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-		metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotRelease, "member=%d", m.member)
-		m.radio.PowerDown()
-		m.park()
+		m.releaseFlown("member=%d")
 	}
 }
 
-// --- acknowledgement path (shared shape with the TDMA node) --------------
-
-func (m *CSMANode) openAckWindow() {
-	m.ackWaiting = true
-	m.ackOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	m.ackTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onAckExpiry)
-}
-
-func (m *CSMANode) handleAck() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, metrics.HistTxToAck, m.k.Now()-m.ackOpenAt)
-	m.stats.DataAcked++
-	if m.hasInFlight {
-		m.finishInFlight()
-	}
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckRx, "")
-}
-
+// ackExpired runs an acknowledgement window's timeout; a lost frame
+// recontends after a later beacon.
+//
 //hot:path
-func (m *CSMANode) onAckTimeout(*sim.Kernel) {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
-
-	p := &m.cfg.Profile
-	if m.hasInFlight {
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+len(m.inFlight.payload))
-		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
-		if m.inFlight.retries < m.cfg.MaxRetries {
-			m.inFlight.retries++
-			m.stats.Retries++
-			m.queue.PushFront(m.inFlight)
-			m.dropInFlight()
-		} else {
-			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
-			m.finishInFlight()
-		}
-	}
-}
-
-func (m *CSMANode) accountControlRx(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("mac %s: negative control window", m.name))
-	}
-	m.controlRxTime += d
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.RxPowerW()*d.Seconds())
-}
+func (m *CSMANode) ackExpired(*sim.Kernel) { m.ackMissed() }
 
 // --- runtime audit accessors ---------------------------------------------
-
-// AuditFrame checks the universal frame-conservation laws.
-func (m *CSMANode) AuditFrame() []string {
-	return AuditFrameStats(m.stats, m.carrySent, m.ackWaiting)
-}
 
 // AuditProtocol checks the channel-access consistency laws: every busy
 // verdict and every failure is backed by an assessment, an exhausted

@@ -59,48 +59,26 @@ const (
 	lplOpData
 )
 
-// LPLNode is the sensor-node side of the preamble-sampling MAC.
+// LPLNode is the sensor-node side of the preamble-sampling MAC: the node
+// core plus the strobe train and the wake burst it opens.
 type LPLNode struct {
-	k      *sim.Kernel
-	cfg    NodeConfig
-	name   string
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *metrics.Recorder
+	nodeCore
 
 	checkInterval sim.Time
 	strobeGap     sim.Time // post-strobe early-ack listen window
 	maxStrobes    int      // train budget: one check interval plus margin
 
-	state    nodeState
-	onJoined []func()
-	gen      uint64
-
-	joinedSince sim.Time
-	joinedAccum sim.Time
-	joinedEver  bool
-	rejoinArmed bool
-	rejoinFrom  sim.Time
-
-	txQueue
 	op       lplOp
 	opActive bool
-	dataBuf  []byte
-	ctrlBuf  []byte
 
 	strobeCount   int
 	strobeWaiting bool // early-ack listen gap open
 	strobeOpenAt  sim.Time
 	gapTimeout    sim.EventID
 
-	ackOpenAt  sim.Time
-	ackTimeout sim.EventID
-	ackWaiting bool
 	ssrOpenAt  sim.Time
 	ssrTimeout sim.EventID
 	ssrWaiting bool
-	ssrNonce   uint16
 	burstLeft  int
 
 	// Steady-state steps, each a handler bound once in NewLPLNode. Crash
@@ -115,17 +93,6 @@ type LPLNode struct {
 	strobeSent   func()
 	dataLoaded   func()
 	dataSent     func()
-
-	stretchEvery int
-	stretchCount uint64
-	beaconOnly   bool
-
-	stats     Stats
-	carrySent uint64
-
-	controlRxTime sim.Time
-	controlTxTime sim.Time
-	joinIdleTime  sim.Time
 }
 
 // lplRetry is the state of a delayed restart: the generation it was
@@ -142,29 +109,13 @@ type lplRetry struct {
 // station's sampling period (core wires both from one config).
 func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLNode {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
 	if err := validateLPLParams(cfg.Params); err != nil {
 		panic(err)
 	}
 	p := cfg.Profile
-	m := &LPLNode{
-		k:             k,
-		cfg:           cfg,
-		name:          r.Name(),
-		sched:         sched,
-		radio:         r,
-		ledger:        ledger,
-		tracer:        tracer,
-		checkInterval: cfg.Params.CheckInterval,
-	}
+	m := &LPLNode{checkInterval: cfg.Params.CheckInterval}
+	m.init(k, cfg, sched, r, ledger, tracer, m.stopTrain)
+	m.dataHeader = packet.DataHeaderBytes
 	if m.checkInterval <= 0 {
 		m.checkInterval = DefaultLPLCheckInterval
 	}
@@ -210,103 +161,20 @@ func (m *LPLNode) Start() {
 		return
 	}
 	m.state = stateRequesting
-	if m.joinedEver && !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
+	if m.joinedEver {
+		m.startRejoinClock()
 	}
 	m.retryAfter(sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), lplOpSSR)
 }
-
-// OnJoined implements Mac.
-func (m *LPLNode) OnJoined(fn func()) { m.onJoined = append(m.onJoined, fn) }
-
-// Joined implements Mac.
-func (m *LPLNode) Joined() bool { return m.state == stateJoined }
-
-// Slot implements Mac: LPL has no slots or member indices to report.
-func (m *LPLNode) Slot() int { return -1 }
 
 // CycleLength implements Mac: the regulation period is the receiver's
 // sampling interval.
 func (m *LPLNode) CycleLength() sim.Time { return m.checkInterval }
 
-// Stats implements Mac.
-func (m *LPLNode) Stats() Stats { return m.stats }
-
-// ControlRxTime reports receiver-on time in control windows (early-ack
-// gaps, ack windows).
-func (m *LPLNode) ControlRxTime() sim.Time { return m.controlRxTime }
-
-// ControlTxTime reports transmit time spent on strobes and SSRs.
-func (m *LPLNode) ControlTxTime() sim.Time { return m.controlTxTime }
-
-// JoinIdleTime reports idle listening, which the LPL node never does:
-// every receiver-on interval is a bounded control window.
-func (m *LPLNode) JoinIdleTime() sim.Time { return m.joinIdleTime }
-
-// Generation reports the crash generation counter.
-func (m *LPLNode) Generation() uint64 { return m.gen }
-
-// ResetAccounting zeroes statistics and loss accumulators (post-warmup).
-func (m *LPLNode) ResetAccounting() {
-	m.stats = Stats{}
-	m.carrySent = 0
-	if m.ackWaiting {
-		m.carrySent = 1
-	}
-	m.controlRxTime = 0
-	m.controlTxTime = 0
-	m.joinIdleTime = 0
-	m.joinedAccum = 0
-	if m.state == stateJoined {
-		m.joinedSince = m.k.Now()
-	}
-}
-
-// JoinedTime reports cumulative association time since the last reset.
-func (m *LPLNode) JoinedTime() sim.Time {
-	t := m.joinedAccum
-	if m.state == stateJoined {
-		t += m.k.Now() - m.joinedSince
-	}
-	return t
-}
-
-func (m *LPLNode) noteLeftSlot() {
-	if m.state == stateJoined {
-		m.joinedAccum += m.k.Now() - m.joinedSince
-	}
-}
-
-// Crash implements NodeMAC (see NodeMac.Crash for the model).
-func (m *LPLNode) Crash() {
-	m.gen++
-	m.closeStrobeGap()
-	m.closeSSRWait()
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateCrashed
-	m.queue.Reset()
-	m.dropInFlight()
-	m.op = lplOpNone
-	m.opActive = false
-	m.strobeCount = 0
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
-}
-
-// SetSlotStretch implements NodeMAC: every k-th transmission opportunity
-// (strobe-train launch) is slept through.
-func (m *LPLNode) SetSlotStretch(k int) {
-	if k < 2 {
-		m.stretchEvery = 0
-		return
-	}
-	m.stretchEvery = k
-}
-
 // EnterBeaconOnly implements NodeMAC: with no beacons to keep, the final
 // degradation rung of an LPL node is radio silence — the base station's
-// silence reclaim retires the membership.
+// silence reclaim retires the membership. Unlike the beaconed MACs the
+// parked node keeps no windows at all.
 func (m *LPLNode) EnterBeaconOnly() {
 	if m.beaconOnly {
 		return
@@ -316,6 +184,17 @@ func (m *LPLNode) EnterBeaconOnly() {
 		return // parks on reboot
 	}
 	m.park()
+	if m.radio.Mode() == radio.ModeRx {
+		m.radio.PowerDown()
+	}
+}
+
+// stopTrain ends the strobe train and closes its listen windows (crash,
+// park).
+func (m *LPLNode) stopTrain() {
+	m.closeStrobeGap()
+	m.closeSSRWait()
+	m.endOp()
 }
 
 func (m *LPLNode) closeStrobeGap() {
@@ -334,43 +213,14 @@ func (m *LPLNode) closeSSRWait() {
 	m.k.Cancel(m.ssrTimeout)
 }
 
-func (m *LPLNode) closeAckWindow() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.stats.Abandoned++
-}
-
-// park settles into radio silence. Unlike the beaconed MACs the parked
-// node keeps no windows at all.
-func (m *LPLNode) park() {
-	m.closeStrobeGap()
-	m.closeSSRWait()
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateParked
-	m.queue.Reset()
-	m.dropInFlight()
-	m.op = lplOpNone
-	m.opActive = false
-	if m.radio.Mode() == radio.ModeRx {
-		m.radio.PowerDown()
-	}
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
-}
-
 // Send implements Mac: a queued frame launches a strobe train if none is
 // running. The payload is copied into a recycled buffer.
 //
 //hot:path
 func (m *LPLNode) Send(payload []byte) bool {
-	if m.queue.Len() >= m.cfg.TxQueueCap {
-		m.stats.QueueDrops++
+	if !m.nodeCore.Send(payload) {
 		return false
 	}
-	m.enqueue(payload, m.k.Now())
 	if m.state == stateJoined && !m.opActive {
 		m.startDataOp()
 	}
@@ -410,16 +260,10 @@ func (m *LPLNode) startDataOp() {
 	if m.state != stateJoined || m.opActive || m.queue.Len() == 0 {
 		return
 	}
-	if m.stretchEvery >= 2 {
-		m.stretchCount++
-		if m.stretchCount%uint64(m.stretchEvery) == 0 {
-			// Duty-cycle stretch: sleep through this opportunity and
-			// check back one sampling period later.
-			m.stats.SlotsSkipped++
-			metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "op=%d", m.stretchCount)
-			m.retryAfter(m.checkInterval, lplOpData)
-			return
-		}
+	if m.skipStretched("op=%d") {
+		// Duty-cycle stretch: check back one sampling period later.
+		m.retryAfter(m.checkInterval, lplOpData)
+		return
 	}
 	m.opActive = true
 	m.op = lplOpData
@@ -490,11 +334,8 @@ func (m *LPLNode) onStrobeSent() {
 		m.radio.PowerDown()
 		return
 	}
-	p := &m.cfg.Profile
 	m.stats.StrobesSent++
-	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes)
-	m.controlTxTime += txDur
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
+	m.chargeControlTx(packet.StrobeBytes)
 	m.openStrobeGap()
 }
 
@@ -559,9 +400,7 @@ func (m *LPLNode) sendPayload() {
 			}
 			m.launch()
 		}
-		m.dataBuf = append(m.dataBuf[:0], m.cfg.NodeID)
-		m.dataBuf = append(m.dataBuf, m.inFlight.payload...)
-		m.radio.Load(m.cfg.Plan.BSData, m.dataBuf, m.dataLoaded)
+		m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), m.dataLoaded)
 	}
 }
 
@@ -569,11 +408,9 @@ func (m *LPLNode) sendPayload() {
 //
 //lint:allow hotalloc association is a join transient, not a per-frame step
 func (m *LPLNode) sendSSR() {
-	p := m.cfg.Profile
-	m.ssrNonce++
-	ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
+	ssr := m.nextSSR()
 	gen := m.gen
-	m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
+	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, func() {
 		if m.gen != gen || !m.opActive {
 			return
 		}
@@ -588,11 +425,7 @@ func (m *LPLNode) sendSSR() {
 					m.radio.PowerDown()
 					return
 				}
-				m.stats.SSRSent++
-				txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-				m.controlTxTime += txDur
-				m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
+				m.ssrFlown()
 				m.openSSRWait()
 			})
 		})
@@ -621,9 +454,7 @@ func (m *LPLNode) onDataSent() {
 		m.radio.PowerDown()
 		return
 	}
-	m.stats.DataSent++
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.dataBuf))
-	m.openAckWindow()
+	m.dataFlown(m.onAckExpiry)
 }
 
 // openSSRWait listens for the association ack.
@@ -648,15 +479,6 @@ func (m *LPLNode) onSSRTimeout(*sim.Kernel) {
 	m.retryAfter(m.checkInterval+sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), lplOpSSR)
 }
 
-// openAckWindow listens for the data acknowledgement.
-func (m *LPLNode) openAckWindow() {
-	m.ackWaiting = true
-	m.ackOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	m.ackTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onAckExpiry)
-}
-
 // handleAck resolves whichever handshake is waiting: the association
 // (while requesting) or a data frame.
 func (m *LPLNode) handleAck() {
@@ -667,35 +489,15 @@ func (m *LPLNode) handleAck() {
 		m.radio.PowerDown()
 		m.accountControlRx(now - m.ssrOpenAt)
 		m.endOp()
-		m.state = stateJoined
-		m.joinedSince = now
-		if m.rejoinArmed {
-			m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
-			m.rejoinArmed = false
-		}
-		m.joinedEver = true
-		m.tracer.Record(now, m.name, metrics.KindJoined, "")
-		for _, fn := range m.onJoined {
-			fn()
-		}
+		m.join(-1)
 		if m.queue.Len() > 0 {
 			m.startDataOp()
 		}
 		return
 	}
-	if !m.ackWaiting {
+	if !m.ackArrived() {
 		return
 	}
-	m.ackWaiting = false
-	m.k.Cancel(m.ackTimeout)
-	m.accountControlRx(now - m.ackOpenAt)
-	m.tracer.Observe(m.name, metrics.HistTxToAck, now-m.ackOpenAt)
-	m.stats.DataAcked++
-	if m.hasInFlight {
-		m.finishInFlight()
-	}
-	m.tracer.Record(now, m.name, metrics.KindAckRx, "")
-	m.radio.PowerDown()
 	if m.queue.Len() > 0 && m.burstLeft > 0 {
 		// The receiver reopens its window after each ack: continue the
 		// burst without a fresh strobe train.
@@ -714,29 +516,8 @@ func (m *LPLNode) handleAck() {
 //
 //hot:path
 func (m *LPLNode) onAckTimeout(*sim.Kernel) {
-	if !m.ackWaiting {
+	if !m.ackMissed() {
 		return
-	}
-	m.ackWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
-
-	p := &m.cfg.Profile
-	if m.hasInFlight {
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+len(m.inFlight.payload))
-		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
-		if m.inFlight.retries < m.cfg.MaxRetries {
-			m.inFlight.retries++
-			m.stats.Retries++
-			m.queue.PushFront(m.inFlight)
-			m.dropInFlight()
-		} else {
-			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
-			m.finishInFlight()
-		}
 	}
 	m.endOp()
 	if m.queue.Len() > 0 {
@@ -750,21 +531,6 @@ func (m *LPLNode) endOp() {
 	m.opActive = false
 	m.op = lplOpNone
 	m.strobeCount = 0
-}
-
-func (m *LPLNode) accountControlRx(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("mac %s: negative control window", m.name))
-	}
-	m.controlRxTime += d
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.RxPowerW()*d.Seconds())
-}
-
-// --- runtime audit accessors ---------------------------------------------
-
-// AuditFrame checks the universal frame-conservation laws.
-func (m *LPLNode) AuditFrame() []string {
-	return AuditFrameStats(m.stats, m.carrySent, m.ackWaiting)
 }
 
 // AuditProtocol checks the preamble-sampling consistency laws: every

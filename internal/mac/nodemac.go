@@ -3,90 +3,32 @@ package mac
 import (
 	"fmt"
 
-	"repro/internal/approx"
 	"repro/internal/energy"
 	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
 )
 
-// nodeState is the join state machine.
-type nodeState int
-
-const (
-	stateSearching  nodeState = iota // continuous listen for a first beacon
-	stateRequesting                  // beacon-synced, slot request pending
-	stateJoined                      // slot held, steady-state duty cycle
-	stateCrashed                     // powered off by a fault; waiting for reboot
-	stateParked                      // beacon-only: slot released, no data path
-)
-
-// NodeConfig parameterises a node-side MAC instance.
-type NodeConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic"), preserving the historical knob.
-	Protocol Protocol
-	// Params tunes the contention protocols (ignored by TDMA).
-	Params  Params
-	NodeID  uint8
-	Profile platform.Profile
-	// TxQueueCap and MaxRetries default to the package constants when 0.
-	TxQueueCap int
-	MaxRetries int
-	// Plan is the BAN's address assignment; the zero value selects
-	// packet.DefaultPlan(). Co-located networks use distinct plans.
-	Plan packet.AddressPlan
-	// ClockDriftPPM is the node oscillator's frequency error in parts
-	// per million (signed; positive = the node's clock runs slow, so its
-	// timers fire late). Every interval the node times off a beacon
-	// stretches by this factor; the beacon guard margins exist to absorb
-	// exactly this error. Crystals sit at ±20-100 ppm; the MSP430's
-	// internal DCO can be off by 1-3% (10000-30000 ppm), which overruns
-	// the calibrated guards at long cycles.
-	ClockDriftPPM float64
-}
-
-// NodeMac is the sensor-node side of the TDMA protocol.
+// NodeMac is the sensor-node side of the TDMA protocol: the beacon-synced
+// node core plus the slot fire and the slot-request and slot-release
+// attempts.
 type NodeMac struct {
-	k      *sim.Kernel
-	cfg    NodeConfig
-	name   string
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *metrics.Recorder
+	beaconSync
 
-	state    nodeState
-	t0       sim.Time // air-start instant of the current cycle's beacon
-	cycle    sim.Time // cycle length from the latest beacon
-	slot     int
-	onJoined []func()
-	// gen invalidates kernel events armed before a crash: every scheduled
-	// step carries the generation it was issued under and returns without
-	// effect when a crash has bumped it since.
-	gen uint64
 	// Per-event state of the steady-state protocol steps, each stepped by
 	// a handler bound once in NewNodeMac, so a beacon cycle allocates
-	// nothing: the kernel-timed steps file their generation (and window
-	// stride) by event ID; MCU and radio completions need no state beyond
-	// the MAC's own fields.
-	windowOpens    sim.Pending[windowArm]
-	windowExpiries sim.Pending[uint64]
-	slotFires      sim.Pending[uint64]
-	ackExpiries    sim.Pending[uint64]
-	onWindowOpen   sim.Handler
-	onWindowExpiry sim.Handler
-	onSlotDue      sim.Handler
-	onAckExpiry    sim.Handler
-	beaconParsed   func()
-	ackProcessed   func()
-	dataLoaded     func()
-	dataSent       func()
+	// nothing: slot fires file their generation by event ID; MCU and
+	// radio completions need no state beyond the MAC's own fields.
+	slotFires    sim.Pending[uint64]
+	onSlotDue    sim.Handler
+	onAckExpiry  sim.Handler
+	beaconParsed func()
+	ackProcessed func()
+	dataLoaded   func()
+	dataSent     func()
 	// Control-frame transients (slot request, slot release), stepped the
 	// same way. Each attempt is numbered: its prep and fire events carry
 	// (generation, attempt), its prep ISR and FIFO clock-in queue their
@@ -106,83 +48,14 @@ type NodeMac struct {
 	ctrlLoadDone func()
 	ssrSent      func()
 	relSent      func()
-	// joinedSince/joinedAccum track slot-holding time for the
-	// availability metric.
-	joinedSince sim.Time
-	joinedAccum sim.Time
-	// joinedEver/rejoinArmed/rejoinFrom time the rejoin-latency
-	// histogram: once a node has held a slot, every return to the search
-	// state (missed-beacon resync, dropped from the slot table, cold
-	// boot after a crash) starts a rejoin clock that stops when a slot
-	// is held again.
-	joinedEver  bool
-	rejoinArmed bool
-	rejoinFrom  sim.Time
-
-	txQueue
-	loading bool // FIFO clock-in in progress
-	loaded  bool
-	// ctrlBuf is marshal scratch for control frames (SSR, Release). The
-	// node sends at most one control frame at a time — SSR only while
-	// requesting, Release only while joined — so one buffer suffices.
-	ctrlBuf []byte
-
-	missed        int
-	windowOpenAt  sim.Time
-	windowTimeout sim.EventID
-	windowActive  bool
-	ackOpenAt     sim.Time
-	ackTimeout    sim.EventID
-	ackWaiting    bool
-	joinListenAt  sim.Time
-	ssrNonce      uint16
-	ssrScheduled  bool
-	// beacon is the last parsed beacon; its Entries slice is reused.
-	beacon packet.Beacon
-
-	// Graceful-degradation controls (battery lifecycle).
-	stretchEvery   int    // skip our data slot every this-many cycles (0 = off)
-	stretchCount   uint64 // joined beacon cycles, driving the stretch cadence
-	beaconOnly     bool   // final low-battery mode requested by the node layer
-	releasePending bool   // the voluntary slot release still has to fly
-
-	stats Stats
-	// carrySent credits a frame transmitted before the last accounting
-	// reset whose ack was still pending when the counters zeroed: its
-	// eventual resolution (ack, timeout, abandon) increments a counter
-	// with no matching DataSent, and the frame-conservation audit must
-	// balance that epoch straddle.
-	carrySent uint64
-	// Accounting for the paper's loss categories.
-	controlRxTime sim.Time
-	controlTxTime sim.Time
-	joinIdleTime  sim.Time
+	ssrScheduled bool
 }
 
 // NewNodeMac wires a node MAC over its radio and OS.
 func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
-	m := &NodeMac{
-		k:      k,
-		cfg:    cfg,
-		name:   r.Name(),
-		sched:  sched,
-		radio:  r,
-		ledger: ledger,
-		tracer: tracer,
-		slot:   -1,
-	}
-	m.onWindowOpen = m.windowOpened
-	m.onWindowExpiry = m.windowExpired
+	m := &NodeMac{}
+	m.init(k, cfg, sched, r, ledger, tracer, m.resetSSR)
 	m.onSlotDue = m.slotDue
 	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
@@ -204,248 +77,17 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	return m
 }
 
-// windowArm is the state of one armed beacon window.
-type windowArm struct {
-	gen    uint64
-	stride sim.Time
-}
+// resetSSR forgets a pending slot request (crash, park, rejoin).
+func (m *NodeMac) resetSSR() { m.ssrScheduled = false }
 
-// Start implements Mac.
-func (m *NodeMac) Start() {
-	m.state = stateSearching
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
-	if m.joinedEver && !m.rejoinArmed {
-		// A restart after a crash: the rejoin clock runs from the cold
-		// boot, mirroring fault.Outcome.TimeToRejoin.
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-}
-
-// OnJoined implements Mac. Multiple callbacks may be registered; each
-// fires on every completed join handshake (including rejoins after a
-// missed-beacon resync or a crash/reboot cycle).
-func (m *NodeMac) OnJoined(fn func()) { m.onJoined = append(m.onJoined, fn) }
-
-// Joined implements Mac.
-func (m *NodeMac) Joined() bool { return m.state == stateJoined }
-
-// Slot implements Mac.
-func (m *NodeMac) Slot() int { return m.slot }
-
-// CycleLength implements Mac.
-func (m *NodeMac) CycleLength() sim.Time { return m.cycle }
-
-// Stats implements Mac.
-func (m *NodeMac) Stats() Stats { return m.stats }
-
-// ControlRxTime reports receiver-on time spent in control windows
-// (beacon listening, ack listening) for loss accounting.
-func (m *NodeMac) ControlRxTime() sim.Time { return m.controlRxTime }
-
-// ControlTxTime reports transmit time spent on control frames (SSRs).
-func (m *NodeMac) ControlTxTime() sim.Time { return m.controlTxTime }
-
-// JoinIdleTime reports the continuous-listen time burned while searching
-// for the network (the paper's idle-listening loss).
-func (m *NodeMac) JoinIdleTime() sim.Time { return m.joinIdleTime }
-
-// ResetAccounting zeroes statistics and loss accumulators (post-warmup).
-func (m *NodeMac) ResetAccounting() {
-	m.stats = Stats{}
-	m.carrySent = 0
-	if m.ackWaiting {
-		// A frame sent in the old epoch resolves in the new one.
-		m.carrySent = 1
-	}
-	m.controlRxTime = 0
-	m.controlTxTime = 0
-	m.joinIdleTime = 0
-	m.joinedAccum = 0
-	if m.state == stateJoined {
-		m.joinedSince = m.k.Now()
-	}
-}
-
-// JoinedTime reports the cumulative time the node has held a slot since
-// the last ResetAccounting — the numerator of the availability metric.
-func (m *NodeMac) JoinedTime() sim.Time {
-	t := m.joinedAccum
-	if m.state == stateJoined {
-		t += m.k.Now() - m.joinedSince
-	}
-	return t
-}
-
-// noteLeftSlot closes the joined-time interval when the node loses or
-// abandons its slot.
-func (m *NodeMac) noteLeftSlot() {
-	if m.state == stateJoined {
-		m.joinedAccum += m.k.Now() - m.joinedSince
-	}
-}
-
-// Crash models a node power loss: the complete protocol state — join
-// status, slot, transmit queue, in-flight frame, timing references — is
-// lost, and every armed protocol event is invalidated. The radio, MCU
-// and application are crashed separately by the node layer; restart the
-// MAC with Start (a cold boot through the normal search/SSR join path).
-func (m *NodeMac) Crash() {
-	m.gen++
-	if m.windowActive {
-		m.windowExpiries.Cancel(m.k, m.windowTimeout)
-		m.windowActive = false
-	}
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateCrashed
-	m.slot = -1
-	m.missed = 0
-	m.queue.Reset()
-	m.loading = false
-	m.loaded = false
-	m.dropInFlight()
-	m.ssrScheduled = false
-	// beaconOnly survives the crash on purpose: it mirrors the node's
-	// battery level, which a power cycle does not replenish — a rebooted
-	// beacon-only node parks again right after its first beacon.
-	m.releasePending = false
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindCrash, "")
-}
-
-// SetSlotStretch makes the node sleep through its data slot on every
-// k-th beacon cycle — the duty-cycle-stretching rung of the battery
-// graceful-degradation ladder. k < 2 disables stretching.
-func (m *NodeMac) SetSlotStretch(k int) {
-	if k < 2 {
-		m.stretchEvery = 0
-		return
-	}
-	m.stretchEvery = k
-}
-
-// EnterBeaconOnly drops the node to the final degradation rung: the
-// application is already stopped by the caller; the MAC hands its slot
-// back to the base station (so the dynamic cycle compacts immediately)
-// and then keeps only beacon synchronisation alive. The mode is sticky —
-// it mirrors battery charge, which never comes back.
-func (m *NodeMac) EnterBeaconOnly() {
-	if m.beaconOnly {
-		return
-	}
-	m.beaconOnly = true
-	switch m.state {
-	case stateJoined:
-		m.releasePending = true // announce in our own slot, then park
-	case stateRequesting:
-		m.park()
-	case stateSearching, stateCrashed, stateParked:
-		// Searching parks on the next beacon; crashed parks after the
-		// reboot's first beacon.
-	}
-}
-
-// parkBeaconEvery is the parked node's doze ratio: a beacon-only node
-// wakes for one beacon window in this many cycles and dead-reckons
-// across the gap. Beacon listening dominates a parked node's budget
-// (there is no other traffic left), so the ratio — not the parking
-// itself — is what makes the final degradation rung cheap; the residual
-// drift accumulated over the dozed cycles stays far inside the guard
-// margins at crystal tolerances.
-const parkBeaconEvery = 8
-
-// closeAckWindow tears down a pending acknowledgement wait when the
-// protocol state that owned it is being reset (crash, rejoin, park).
-// The transmitted frame can no longer be resolved — its ack would be
-// ignored and its timeout must not fire against the fresh state — so it
-// is counted as abandoned, keeping the frame-conservation law exact:
-// without this, a stale ackTimeout would increment AckMissed with no
-// in-flight frame to retry or drop.
-func (m *NodeMac) closeAckWindow() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.ackExpiries.Cancel(m.k, m.ackTimeout)
-	m.stats.Abandoned++
-}
-
-// park settles into beacon-only mode: no slot, no data path, but beacon
-// windows stay armed so the node keeps network time (and stays visible
-// to the operator through beacon-rx events).
-func (m *NodeMac) park() {
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	m.state = stateParked
-	m.slot = -1
-	m.releasePending = false
-	m.queue.Reset()
-	m.loading = false
-	m.loaded = false
-	m.dropInFlight()
-	m.ssrScheduled = false
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
-}
-
-// txItem is one queued payload with its retransmission count.
-type txItem struct {
-	payload    []byte
-	retries    int
-	enqueuedAt sim.Time
-}
-
-// txQueue is a node MAC's transmit queue: the queued frames, the frame
-// in flight (loaded or awaiting its ack, kept for a retry), and the
-// payload buffers finished frames return, so a steady stream of Send
-// calls allocates nothing.
-type txQueue struct {
-	queue       sim.FIFO[txItem]
-	inFlight    txItem
-	hasInFlight bool
-	spare       [][]byte
-}
-
-// enqueue copies payload into a recycled buffer and queues it.
-func (q *txQueue) enqueue(payload []byte, at sim.Time) {
-	var buf []byte
-	if n := len(q.spare); n > 0 {
-		buf = q.spare[n-1]
-		q.spare = q.spare[:n-1]
-	}
-	buf = append(buf[:0], payload...)
-	q.queue.Push(txItem{payload: buf, enqueuedAt: at})
-}
-
-// launch puts the head of the queue in flight.
-func (q *txQueue) launch() {
-	q.inFlight, q.hasInFlight = q.queue.Pop(), true
-}
-
-// finishInFlight retires the in-flight frame for good (acknowledged or
-// dropped), returning its payload buffer for reuse.
-func (q *txQueue) finishInFlight() {
-	q.spare = append(q.spare, q.inFlight.payload[:0])
-	q.dropInFlight()
-}
-
-// dropInFlight forgets the in-flight frame. Its buffer is left to the
-// collector: the radio may still hold the frame in its FIFO.
-func (q *txQueue) dropInFlight() {
-	q.inFlight = txItem{}
-	q.hasInFlight = false
-}
-
-// Send implements Mac. The payload is copied into a recycled buffer.
+// Send implements Mac. The payload is copied into a recycled buffer and
+// loaded right away when the radio is free.
 //
 //hot:path
 func (m *NodeMac) Send(payload []byte) bool {
-	if m.queue.Len() >= m.cfg.TxQueueCap {
-		m.stats.QueueDrops++
+	if !m.nodeCore.Send(payload) {
 		return false
 	}
-	m.enqueue(payload, m.k.Now())
 	m.tryLoad()
 	return true
 }
@@ -467,135 +109,16 @@ func (m *NodeMac) slotStart(i int) sim.Time {
 	return m.slotDuration() * sim.Time(i+1)
 }
 
-// guard reports the variant's beacon guard margin.
-func (m *NodeMac) guard() sim.Time {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.MAC.DynamicGuard
-	}
-	return m.cfg.Profile.MAC.StaticGuard
-}
-
-// local converts an interval the node times with its own oscillator into
-// the true elapsed simulation time, applying the clock drift.
-func (m *NodeMac) local(d sim.Time) sim.Time {
-	if approx.Unset(m.cfg.ClockDriftPPM) {
-		return d
-	}
-	return sim.Time(float64(d) * (1 + m.cfg.ClockDriftPPM*1e-6))
-}
-
-// parseCycles reports the variant's beacon-parse cost.
-func (m *NodeMac) parseCycles() int64 {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.Cost.BeaconParseDynamic
-	}
-	return m.cfg.Profile.Cost.BeaconParseStatic
-}
-
-// maxBeaconPayload bounds the beacon size for window-timeout sizing.
-func (m *NodeMac) maxBeaconPayload() int {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-			m.cfg.Profile.MAC.SlotEntryBytes*m.cfg.Profile.MAC.MaxDynamicSlots
-	}
-	return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
-		m.cfg.Profile.MAC.GrantEntryBytes*2
-}
-
 // --- frame dispatch ------------------------------------------------------
 
+// onFrame dispatches a received frame; a resolved ack runs the
+// ack-process task before the next load.
+//
 //hot:path
 func (m *NodeMac) onFrame(f packet.Frame) {
-	switch {
-	case f.Dest == m.cfg.Plan.Beacon:
-		var ok bool
-		m.beacon, ok = packet.ParseBeacon(f.Payload, m.beacon.Entries[:0])
-		if ok {
-			m.handleBeacon(m.beacon, len(f.Payload))
-		}
-	case f.Dest == m.cfg.Plan.NodeAddr(m.cfg.NodeID) && packet.IsAck(f.Payload):
-		m.handleAck()
+	if m.receive(f, m.beaconParsed) {
+		m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, m.ackProcessed)
 	}
-}
-
-// handleBeacon runs (in interrupt context) after the beacon's FIFO drain.
-func (m *NodeMac) handleBeacon(b packet.Beacon, payloadLen int) {
-	now := m.k.Now()
-	frameEnd := m.radio.LastRxFrameEnd()
-	airStart := frameEnd - m.cfg.Profile.Radio.Airtime(payloadLen)
-
-	// Close the listen window.
-	m.radio.PowerDown()
-	if m.windowActive {
-		m.windowExpiries.Cancel(m.k, m.windowTimeout)
-		m.windowActive = false
-		m.accountControlRx(now - m.windowOpenAt)
-	} else if m.state == stateSearching {
-		// The whole continuous search listen is idle listening except
-		// the beacon frame itself.
-		idle := now - m.joinListenAt
-		m.joinIdleTime += idle
-		m.ledger.AttributeLoss(energy.LossIdleListening,
-			m.radio.RxPowerW()*idle.Seconds())
-	}
-
-	m.stats.BeaconsHeard++
-	m.missed = 0
-	m.t0 = airStart
-	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	if m.cycle <= 0 {
-		return // malformed beacon; wait for the next one
-	}
-	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
-
-	if m.state == stateSearching {
-		m.state = stateRequesting
-	}
-	if m.beaconOnly && m.state == stateRequesting {
-		// A beacon-only node never requests a slot: synchronise and park.
-		m.park()
-	}
-
-	// Grant / slot-table scan.
-	found := false
-	for _, e := range b.Entries {
-		if e.NodeID == m.cfg.NodeID {
-			found = true
-			if m.state == stateParked {
-				// We released this slot; a stale table row (our release
-				// frame lost, silence reclaim still pending) must not
-				// re-join us.
-				break
-			}
-			if m.state != stateJoined {
-				m.slot = int(e.Slot)
-				m.state = stateJoined
-				m.joinedSince = now
-				m.ssrScheduled = false
-				if m.rejoinArmed {
-					m.tracer.Observe(m.name, metrics.HistRejoin, now-m.rejoinFrom)
-					m.rejoinArmed = false
-				}
-				m.joinedEver = true
-				metrics.Record1(m.tracer, now, m.name, metrics.KindJoined, "slot=%d", m.slot)
-				for _, fn := range m.onJoined {
-					fn()
-				}
-			} else {
-				m.slot = int(e.Slot)
-			}
-			break
-		}
-	}
-	if m.cfg.Variant == Dynamic && m.state == stateJoined && !found {
-		// The base station no longer lists us: rejoin.
-		m.rejoin()
-		return
-	}
-
-	// The beacon-parse task models the per-cycle OS/MAC work; follow-up
-	// actions run when it completes.
-	m.sched.Interrupt("beacon-parse", m.parseCycles(), m.beaconParsed)
 }
 
 // afterBeacon schedules this cycle's activity once parsing is done.
@@ -611,124 +134,12 @@ func (m *NodeMac) afterBeacon() {
 			m.scheduleRelease()
 			return
 		}
-		if m.stretchEvery >= 2 {
-			m.stretchCount++
-			if m.stretchCount%uint64(m.stretchEvery) == 0 {
-				// Duty-cycle stretch: sleep through our slot this cycle.
-				// The queue keeps filling; its cap converts the stretch
-				// into deterministic tail drops instead of latency creep.
-				m.stats.SlotsSkipped++
-				metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotSkip, "cycle=%d", m.stretchCount)
-				return
-			}
+		if m.skipStretched("cycle=%d") {
+			return // duty-cycle stretch: sleep through our slot this cycle
 		}
 		m.tryLoad()
 		m.scheduleSlotFire()
 	}
-}
-
-// windowStride reports how many cycles ahead the next beacon window
-// sits: 1 normally, the doze ratio when parked.
-func (m *NodeMac) windowStride() sim.Time {
-	if m.state == stateParked {
-		return parkBeaconEvery
-	}
-	return 1
-}
-
-// scheduleNextWindow arms the receiver for the next expected beacon.
-//
-//hot:path
-func (m *NodeMac) scheduleNextWindow() {
-	p := m.cfg.Profile
-	stride := m.windowStride()
-	openAt := m.t0 + m.local(stride*m.cycle-m.guard()-p.Radio.RxSettle)
-	now := m.k.Now()
-	if openAt <= now {
-		openAt = now // degenerate cycles: open immediately
-	}
-	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
-}
-
-// windowOpened turns the receiver on for an expected beacon and arms the
-// window's timeout.
-//
-//hot:path
-func (m *NodeMac) windowOpened(k *sim.Kernel) {
-	a := m.windowOpens.Take(k)
-	if m.gen != a.gen {
-		return // armed before a crash
-	}
-	if m.windowActive || m.state == stateSearching {
-		return
-	}
-	p := m.cfg.Profile
-	m.windowActive = true
-	m.windowOpenAt = k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	// The timeout sits one guard past the locally-expected beacon so the
-	// tolerance to clock error is symmetric: ±guard/cycle for early and
-	// late clocks alike. A saturated MCU can delay the whole pipeline
-	// past the nominal deadline; clamp so the window closes immediately
-	// instead of scheduling into the past.
-	deadline := m.t0 + m.local(a.stride*m.cycle) + m.guard() +
-		p.Radio.Airtime(m.maxBeaconPayload()) +
-		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-	if deadline < k.Now() {
-		deadline = k.Now()
-	}
-	m.windowTimeout = m.windowExpiries.ScheduleAt(k, deadline, m.onWindowExpiry, a.gen)
-}
-
-// windowExpired runs a beacon window's timeout.
-//
-//hot:path
-func (m *NodeMac) windowExpired(k *sim.Kernel) {
-	if gen := m.windowExpiries.Take(k); m.gen != gen {
-		return // armed before a crash
-	}
-	m.onWindowTimeout()
-}
-
-// onWindowTimeout handles a silent beacon window.
-func (m *NodeMac) onWindowTimeout() {
-	if !m.windowActive {
-		return
-	}
-	m.windowActive = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.windowOpenAt)
-	m.stats.BeaconsMissed++
-	m.missed++
-	if m.missed >= missedBeaconRejoinThreshold {
-		m.rejoin()
-		return
-	}
-	// Dead-reckon the next cycle from the last good reference; drift
-	// compounds here, one silent cycle (or dozed stretch) at a time.
-	m.t0 += m.local(m.windowStride() * m.cycle)
-	m.scheduleNextWindow()
-}
-
-// rejoin abandons the slot and restarts the join procedure.
-func (m *NodeMac) rejoin() {
-	m.stats.Rejoins++
-	m.closeAckWindow()
-	m.noteLeftSlot()
-	if !m.rejoinArmed {
-		m.rejoinArmed = true
-		m.rejoinFrom = m.k.Now()
-	}
-	m.state = stateSearching
-	m.slot = -1
-	m.missed = 0
-	m.loaded = false
-	m.dropInFlight()
-	m.ssrScheduled = false
-	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
-	m.radio.StartRx()
-	m.joinListenAt = m.k.Now()
 }
 
 // --- join: slot request --------------------------------------------------
@@ -798,8 +209,7 @@ func (m *NodeMac) ssrPrepDue(k *sim.Kernel) {
 		m.ssrScheduled = false
 		return
 	}
-	m.ssrNonce++
-	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt, ssr: packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}})
+	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt, ssr: m.nextSSR()})
 	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ssrPrepped)
 }
 
@@ -831,13 +241,8 @@ func (m *NodeMac) ssrFireDue(k *sim.Kernel) {
 
 // onSSRSent accounts the slot request once it has flown.
 func (m *NodeMac) onSSRSent() {
-	p := m.cfg.Profile
-	m.stats.SSRSent++
 	m.ssrScheduled = false
-	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.SSRBytes)
-	m.controlTxTime += txDur
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSSRTx, "nonce=%d", m.ssrNonce)
+	m.ssrFlown()
 	m.radio.PowerDown()
 }
 
@@ -907,16 +312,7 @@ func (m *NodeMac) relFireDue(k *sim.Kernel) {
 }
 
 // onRelSent accounts the slot release once it has flown and parks.
-func (m *NodeMac) onRelSent() {
-	p := m.cfg.Profile
-	m.stats.ReleasesSent++
-	txDur := p.Radio.TxSettle + p.Radio.Airtime(packet.ReleaseBytes)
-	m.controlTxTime += txDur
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.TxPowerW()*txDur.Seconds())
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotRelease, "slot=%d", m.slot)
-	m.radio.PowerDown()
-	m.park()
-}
+func (m *NodeMac) onRelSent() { m.releaseFlown("slot=%d") }
 
 // ctrlArm is the state of a control-frame attempt's prep and fire events.
 type ctrlArm struct {
@@ -984,8 +380,7 @@ func (m *NodeMac) tryLoad() {
 	item := m.queue.Peek()
 	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
 	margin := 500 * sim.Microsecond
-	nextWindow := m.t0 + m.local(m.cycle-m.guard()-p.Radio.RxSettle)
-	if m.k.Now()+loadDur+margin >= nextWindow && m.cycle > 0 {
+	if m.k.Now()+loadDur+margin >= m.nextWindowOpen() && m.cycle > 0 {
 		return // too close to the beacon window; retry after the beacon
 	}
 	m.launch()
@@ -1045,147 +440,27 @@ func (m *NodeMac) fireSlot() {
 // onDataSent opens the acknowledgement window once the data burst ends.
 //
 //hot:path
-func (m *NodeMac) onDataSent() {
-	if !m.hasInFlight {
-		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", m.name, m.state, m.stats))
-	}
-	m.stats.DataSent++
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindDataTx, "len=%d", len(m.inFlight.payload))
-	m.openAckWindow()
-}
+func (m *NodeMac) onDataSent() { m.dataFlown(m.onAckExpiry) }
 
-// openAckWindow listens for the base station's acknowledgement.
-func (m *NodeMac) openAckWindow() {
-	p := m.cfg.Profile
-	m.ackWaiting = true
-	m.ackOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	m.ackTimeout = m.ackExpiries.Schedule(m.k, p.MAC.AckTimeout, m.onAckExpiry, m.gen)
-}
-
-// ackExpired runs an acknowledgement window's timeout.
+// ackExpired runs an acknowledgement window's timeout: a lost frame is
+// retried or dropped, and tryLoad applies its window-margin checks before
+// touching the radio again.
 //
 //hot:path
-func (m *NodeMac) ackExpired(k *sim.Kernel) {
-	if gen := m.ackExpiries.Take(k); m.gen != gen {
-		return // armed before a crash
+func (m *NodeMac) ackExpired(*sim.Kernel) {
+	if m.ackMissed() {
+		m.tryLoad()
 	}
-	m.onAckTimeout()
 }
 
-// handleAck closes the acknowledgement window on success.
-func (m *NodeMac) handleAck() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.ackExpiries.Cancel(m.k, m.ackTimeout)
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.tracer.Observe(m.name, metrics.HistTxToAck, m.k.Now()-m.ackOpenAt)
-	m.stats.DataAcked++
-	if m.hasInFlight {
-		m.finishInFlight()
-	}
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckRx, "")
-	m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, m.ackProcessed)
-}
-
-// onAckTimeout treats the frame as lost: its transmit energy was wasted
-// (the paper's collision loss) and the frame is retried or dropped.
-func (m *NodeMac) onAckTimeout() {
-	if !m.ackWaiting {
-		return
-	}
-	m.ackWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ackOpenAt)
-	m.stats.AckMissed++
-	m.tracer.Record(m.k.Now(), m.name, metrics.KindAckMissed, "")
-
-	p := m.cfg.Profile
-	if m.hasInFlight {
-		txDur := p.Radio.TxSettle + p.Radio.Airtime(len(m.inFlight.payload))
-		m.ledger.AttributeLoss(energy.LossCollision, m.radio.TxPowerW()*txDur.Seconds())
-		if m.inFlight.retries < m.cfg.MaxRetries {
-			// Requeue at the front; tryLoad applies its window-margin
-			// checks before touching the radio again.
-			m.inFlight.retries++
-			m.stats.Retries++
-			m.queue.PushFront(m.inFlight)
-			m.dropInFlight()
-		} else {
-			// Retries exhausted: the frame is gone for good.
-			m.stats.DataDropped++
-			m.tracer.Record(m.k.Now(), m.name, metrics.KindDataDropped, "")
-			m.finishInFlight()
-		}
-	}
-	m.tryLoad()
-}
-
-// accountControlRx charges a closed receive window to the control
-// overhead loss category.
-func (m *NodeMac) accountControlRx(d sim.Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("mac %s: negative control window", m.name))
-	}
-	m.controlRxTime += d
-	m.ledger.AttributeLoss(energy.LossControl, m.radio.RxPowerW()*d.Seconds())
-}
-
-// --- runtime audit accessors ---------------------------------------------
-
-// Generation reports the crash generation counter. It only ever grows
-// (each crash bumps it to invalidate stale kernel events), which the
-// audit engine checks across crash/reboot cycles.
-func (m *NodeMac) Generation() uint64 { return m.gen }
-
-// AckPending reports whether a transmitted data frame is still awaiting
-// its acknowledgement.
-func (m *NodeMac) AckPending() bool { return m.ackWaiting }
-
-// AuditFrame checks the frame-conservation laws against the node's live
-// counters and returns a detail string per broken law (nil when they
-// hold). Safe to call at any instant: the counters and the ack window
-// are updated atomically within each kernel event.
-func (m *NodeMac) AuditFrame() []string {
-	return AuditFrameStats(m.stats, m.carrySent, m.ackWaiting)
-}
-
-// AuditFrameStats is the pure form of the frame-conservation laws, over
-// a counter snapshot: every missed ack became a retry or a terminal
-// drop, and every transmitted burst is resolved (acked, timed out or
-// abandoned) except at most one awaiting its ack. carrySent credits a
-// frame sent before the last accounting reset whose resolution lands in
-// the current epoch (see NodeMac.ResetAccounting).
-func AuditFrameStats(s Stats, carrySent uint64, ackPending bool) []string {
-	var v []string
-	if s.AckMissed != s.Retries+s.DataDropped {
-		v = append(v, fmt.Sprintf("AckMissed %d != Retries %d + DataDropped %d",
-			s.AckMissed, s.Retries, s.DataDropped))
-	}
-	pending := uint64(0)
-	if ackPending {
-		pending = 1
-	}
-	if s.DataSent+carrySent != s.DataAcked+s.AckMissed+s.Abandoned+pending {
-		v = append(v, fmt.Sprintf(
-			"DataSent %d + carried %d != DataAcked %d + AckMissed %d + Abandoned %d + pending %d",
-			s.DataSent, carrySent, s.DataAcked, s.AckMissed, s.Abandoned, pending))
-	}
-	return v
-}
-
-// AuditSlot checks grant-window containment from the node's own view: a
-// joined node's data slot, as timed against the cycle length it learned
-// from its reference beacon, must end inside that cycle. Slot index and
-// cycle always come from the same beacon (dead reckoning keeps both),
-// so the law holds through compactions the node has not yet heard; a
-// violation means the base station granted a slot outside the frame it
-// advertised.
-func (m *NodeMac) AuditSlot() []string {
+// AuditProtocol implements NodeMAC: the TDMA node's protocol-specific
+// law is grant-window containment from the node's own view. A joined
+// node's data slot, as timed against the cycle length it learned from
+// its reference beacon, must end inside that cycle. Slot index and cycle
+// always come from the same beacon (dead reckoning keeps both), so the
+// law holds through compactions the node has not yet heard; a violation
+// means the base station granted a slot outside the frame it advertised.
+func (m *NodeMac) AuditProtocol() []string {
 	if m.state != stateJoined || m.cycle <= 0 {
 		return nil
 	}
@@ -1200,9 +475,3 @@ func (m *NodeMac) AuditSlot() []string {
 	}
 	return v
 }
-
-// AuditProtocol implements NodeMAC: the TDMA node's protocol-specific
-// laws are the slot-containment checks.
-func (m *NodeMac) AuditProtocol() []string { return m.AuditSlot() }
-
-var _ Mac = (*NodeMac)(nil)

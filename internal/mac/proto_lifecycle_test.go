@@ -540,7 +540,7 @@ func TestCrashWhileAckPending(t *testing.T) {
 			pending := func() bool {
 				switch n := n1.(type) {
 				case *NodeMac:
-					return n.AckPending()
+					return n.ackWaiting
 				case *CSMANode:
 					return n.ackWaiting
 				case *LPLNode:
