@@ -95,14 +95,14 @@ func TestAuditSlotTableTrip(t *testing.T) {
 	if !n1.Joined() || !n2.Joined() {
 		t.Fatal("nodes failed to join")
 	}
-	if v := r.bs.AuditSlotTable(); len(v) != 0 {
+	if v := r.bs.AuditTable(); len(v) != 0 {
 		t.Fatalf("consistent table flagged: %v", v)
 	}
 
 	// Double grant: both nodes pointed at the same slot index.
-	saved := r.bs.nodeSlot[2]
-	r.bs.nodeSlot[2] = r.bs.nodeSlot[1]
-	v := r.bs.AuditSlotTable()
+	saved := r.bs.byNode[2]
+	r.bs.byNode[2] = r.bs.byNode[1]
+	v := r.bs.AuditTable()
 	if len(v) == 0 {
 		t.Fatal("double-granted slot not detected")
 	}
@@ -110,16 +110,16 @@ func TestAuditSlotTableTrip(t *testing.T) {
 		!strings.Contains(strings.Join(v, "; "), "points at") {
 		t.Fatalf("double-grant detail missing: %v", v)
 	}
-	r.bs.nodeSlot[2] = saved
+	r.bs.byNode[2] = saved
 
 	// Out-of-step maps: a slot entry with no node-map partner.
-	r.bs.slotNode[7] = 9
-	v = r.bs.AuditSlotTable()
+	r.bs.byIndex[7] = 9
+	v = r.bs.AuditTable()
 	if len(v) == 0 {
 		t.Fatal("out-of-step maps not detected")
 	}
-	delete(r.bs.slotNode, 7)
-	if v := r.bs.AuditSlotTable(); len(v) != 0 {
+	delete(r.bs.byIndex, 7)
+	if v := r.bs.AuditTable(); len(v) != 0 {
 		t.Fatalf("restored table still flagged: %v", v)
 	}
 }

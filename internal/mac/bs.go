@@ -3,7 +3,6 @@ package mac
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/metrics"
@@ -88,17 +87,15 @@ type BS struct {
 	ledger *energy.Ledger
 	tracer *metrics.Recorder
 
-	t0       sim.Time // air-start of the current beacon
-	cycle    sim.Time // current cycle length
-	seq      uint16
-	maxSlots int
+	t0    sim.Time // air-start of the current beacon
+	cycle sim.Time // current cycle length
+	seq   uint16
 
-	nodeSlot map[uint8]int
-	slotNode map[int]uint8
-	grants   []grant
-	// silent counts consecutive beacon cycles without a data frame from
-	// each joined node, for slot reclamation.
-	silent map[uint8]int
+	// memberTable is the slot table; its silence counters count
+	// consecutive beacon cycles without a data frame from each joined
+	// node, for slot reclamation.
+	memberTable
+	grants []grant
 	// needCompact defers dynamic-slot renumbering after a voluntary
 	// release to the next beacon build (a safe point for the timing map).
 	needCompact bool
@@ -150,10 +147,9 @@ type BS struct {
 	forwarded      func()
 	slotAssigned   func()
 	slotReleased   func()
-	// Scratch reused across cycles: the beacon's entry list, the sorted
-	// node IDs of a reclaim sweep and the slot table of a compaction.
+	// Scratch reused across cycles: the beacon's entry list and the slot
+	// table of a compaction.
 	entries []packet.SlotEntry
-	ids     []uint8
 	table   []packet.SlotEntry
 }
 
@@ -195,16 +191,13 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		cfg.Plan = packet.DefaultPlan()
 	}
 	bs := &BS{
-		k:        k,
-		cfg:      cfg,
-		sched:    sched,
-		radio:    r,
-		ledger:   ledger,
-		tracer:   tracer,
-		maxSlots: cfg.MaxSlots,
-		nodeSlot: make(map[uint8]int),
-		slotNode: make(map[int]uint8),
-		silent:   make(map[uint8]int),
+		k:           k,
+		cfg:         cfg,
+		sched:       sched,
+		radio:       r,
+		ledger:      ledger,
+		tracer:      tracer,
+		memberTable: newMemberTable(cfg.MaxSlots, "slot"),
 	}
 	bs.onPrepare = bs.prepareBeacon
 	bs.onBeaconDue = bs.beaconDue
@@ -234,82 +227,32 @@ func (bs *BS) Stats() BSStats { return bs.stats }
 // CycleLength reports the current TDMA cycle.
 func (bs *BS) CycleLength() sim.Time { return bs.currentCycle() }
 
-// Nodes reports the joined node IDs in slot order.
-func (bs *BS) Nodes() []uint8 {
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	out := make([]uint8, 0, len(slots))
-	for _, s := range slots {
-		out = append(out, bs.slotNode[s])
-	}
-	return out
-}
-
-// AuditSlotTable checks the slot-assignment invariants and returns a
-// detail string per broken law (nil when the table is consistent): the
-// node→slot and slot→node maps are inverse bijections, every slot index
-// is in range, a dynamic table with no compaction pending is dense (the
-// cycle only covers indices 0..n-1), and every advertised static grant
-// matches the table. A violation means a join, release or reclaim path
-// granted the same slot twice or left the maps out of step.
-func (bs *BS) AuditSlotTable() []string {
-	var v []string
-	if len(bs.nodeSlot) != len(bs.slotNode) {
-		v = append(v, fmt.Sprintf("slot maps out of step: %d nodes, %d slots",
-			len(bs.nodeSlot), len(bs.slotNode)))
-	}
-	ids := make([]uint8, 0, len(bs.nodeSlot))
-	for id := range bs.nodeSlot {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		slot := bs.nodeSlot[id]
-		if slot < 0 || slot >= bs.maxSlots {
-			v = append(v, fmt.Sprintf("node %d holds out-of-range slot %d (max %d)",
-				id, slot, bs.maxSlots))
-			continue
-		}
-		if holder, ok := bs.slotNode[slot]; !ok || holder != id {
-			v = append(v, fmt.Sprintf("slot %d granted to node %d but the slot map names node %d",
-				slot, id, holder))
-		}
-	}
-	slots := make([]int, 0, len(bs.slotNode))
-	for s := range bs.slotNode {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	for _, s := range slots {
-		id := bs.slotNode[s]
-		if back, ok := bs.nodeSlot[id]; !ok || back != s {
-			v = append(v, fmt.Sprintf("slot %d names node %d but the node map points at slot %d",
-				s, id, back))
-		}
-		if bs.cfg.Variant == Dynamic && !bs.needCompact && s >= len(bs.slotNode) {
-			v = append(v, fmt.Sprintf("dynamic slot %d outside the dense range 0..%d",
-				s, len(bs.slotNode)-1))
+// AuditTable implements BSMAC: the slot table's bijection and range
+// laws, plus two of its own: a dynamic table with no compaction pending
+// is dense (the cycle only covers indices 0..n-1), and every advertised
+// static grant matches the table.
+func (bs *BS) AuditTable() []string {
+	v := bs.audit()
+	if bs.cfg.Variant == Dynamic && !bs.needCompact {
+		for _, s := range sortedKeys(bs.byIndex) {
+			if s >= len(bs.byIndex) {
+				v = append(v, fmt.Sprintf("dynamic slot %d outside the dense range 0..%d",
+					s, len(bs.byIndex)-1))
+			}
 		}
 	}
 	for _, g := range bs.grants {
-		if int(g.entry.Slot) >= bs.maxSlots {
+		if int(g.entry.Slot) >= bs.max {
 			v = append(v, fmt.Sprintf("grant advertises out-of-range slot %d for node %d",
 				g.entry.Slot, g.entry.NodeID))
 		}
-		if slot, ok := bs.nodeSlot[g.entry.NodeID]; !ok || slot != int(g.entry.Slot) {
+		if slot, ok := bs.byNode[g.entry.NodeID]; !ok || slot != int(g.entry.Slot) {
 			v = append(v, fmt.Sprintf("grant advertises slot %d for node %d but the table says %d",
 				g.entry.Slot, g.entry.NodeID, slot))
 		}
 	}
 	return v
 }
-
-// AuditTable implements BSMAC: the TDMA base station's association
-// bookkeeping is the slot table.
-func (bs *BS) AuditTable() []string { return bs.AuditSlotTable() }
 
 // ResetAccounting zeroes statistics and the received-frame log.
 func (bs *BS) ResetAccounting() {
@@ -336,7 +279,7 @@ func (bs *BS) currentCycle() sim.Time {
 		return bs.cfg.StaticCycle
 	}
 	// Dynamic: SB+ES region plus one slot per joined node.
-	return bs.cfg.Profile.MAC.DynamicSlotDuration * sim.Time(len(bs.nodeSlot)+1)
+	return bs.cfg.Profile.MAC.DynamicSlotDuration * sim.Time(len(bs.byNode)+1)
 }
 
 // slotDuration mirrors the node-side computation.
@@ -360,7 +303,7 @@ func (bs *BS) scheduleBeacon(fireAt sim.Time) {
 
 // maxBeaconBytes bounds the beacon payload for lead-time sizing.
 func (bs *BS) maxBeaconBytes() int {
-	return packet.BeaconBaseBytes + packet.SlotEntryBytes*bs.maxSlots
+	return packet.BeaconBaseBytes + packet.SlotEntryBytes*bs.max
 }
 
 // prepareBeacon opens the SB region and builds the beacon, which then
@@ -433,7 +376,7 @@ func (bs *BS) onBeaconSent() {
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
 	metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindBeaconTx,
-		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.nodeSlot))
+		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.byNode))
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.radio.StartRx()
 	// The burst just ended; its air start is the reference.
@@ -450,41 +393,33 @@ func (bs *BS) onBeaconSent() {
 // table, so survivors pick up their new index from the next beacon); in
 // the static variant the freed index simply returns to the grant pool.
 func (bs *BS) reclaimSilent() {
-	if bs.cfg.ReclaimAfter <= 0 || len(bs.nodeSlot) == 0 {
+	if bs.cfg.ReclaimAfter <= 0 {
 		return
 	}
-	ids := bs.ids[:0]
-	for id := range bs.nodeSlot {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	bs.ids = ids
-	reclaimed := false
-	for _, id := range ids {
-		bs.silent[id]++
-		if bs.silent[id] < bs.cfg.ReclaimAfter {
-			continue
-		}
-		slot := bs.nodeSlot[id]
-		delete(bs.nodeSlot, id)
-		delete(bs.slotNode, slot)
-		delete(bs.silent, id)
-		reclaimed = true
+	gone := bs.sweepSilent(bs.cfg.ReclaimAfter)
+	for _, g := range gone {
 		bs.stats.SlotsReclaimed++
 		metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotReclaim,
-			"node=%d slot=%d after=%d", id, slot, bs.cfg.ReclaimAfter)
-		// Drop any pending grant advertisements for the dead node.
-		live := bs.grants[:0]
-		for _, g := range bs.grants {
-			if g.entry.NodeID != id {
-				live = append(live, g)
-			}
+			"node=%d slot=%d after=%d", g.node, g.idx, bs.cfg.ReclaimAfter)
+	}
+	if len(gone) > 0 {
+		bs.dropStaleGrants()
+		if bs.cfg.Variant == Dynamic {
+			bs.compactSlots()
 		}
-		bs.grants = live
 	}
-	if reclaimed && bs.cfg.Variant == Dynamic {
-		bs.compactSlots()
+}
+
+// dropStaleGrants stops advertising grants to nodes no longer in the
+// table.
+func (bs *BS) dropStaleGrants() {
+	live := bs.grants[:0]
+	for _, g := range bs.grants {
+		if _, ok := bs.byNode[g.entry.NodeID]; ok {
+			live = append(live, g)
+		}
 	}
+	bs.grants = live
 }
 
 // compactSlots renumbers the surviving dynamic slots densely, preserving
@@ -492,16 +427,16 @@ func (bs *BS) reclaimSilent() {
 // shrunk cycle and its transmissions would land outside the frame.
 func (bs *BS) compactSlots() {
 	table := bs.table[:0]
-	for slot, id := range bs.slotNode {
+	for slot, id := range bs.byIndex {
 		table = append(table, packet.SlotEntry{NodeID: id, Slot: uint8(slot)})
 	}
 	slices.SortFunc(table, bySlot)
 	bs.table = table
-	clear(bs.nodeSlot)
-	clear(bs.slotNode)
+	clear(bs.byNode)
+	clear(bs.byIndex)
 	for i, e := range table {
-		bs.nodeSlot[e.NodeID] = i
-		bs.slotNode[i] = e.NodeID
+		bs.byNode[e.NodeID] = i
+		bs.byIndex[i] = e.NodeID
 	}
 }
 
@@ -516,7 +451,7 @@ func bySlot(a, b packet.SlotEntry) int { return int(a.Slot) - int(b.Slot) }
 func (bs *BS) beaconEntries() []packet.SlotEntry {
 	entries := bs.entries[:0]
 	if bs.cfg.Variant == Dynamic {
-		for slot, node := range bs.slotNode {
+		for slot, node := range bs.byIndex {
 			entries = append(entries, packet.SlotEntry{NodeID: node, Slot: uint8(slot)})
 		}
 		slices.SortFunc(entries, bySlot)
@@ -563,23 +498,14 @@ func (bs *BS) handleRelease(rel packet.Release) {
 // releaseSlot frees a released slot once the release task ran.
 func (bs *BS) releaseSlot() {
 	rel := bs.releases.Pop()
-	slot, exists := bs.nodeSlot[rel.NodeID]
+	slot, exists := bs.release(rel.NodeID)
 	if !exists {
 		return // duplicate or stale release
 	}
-	delete(bs.nodeSlot, rel.NodeID)
-	delete(bs.slotNode, slot)
-	delete(bs.silent, rel.NodeID)
 	bs.stats.SlotsReleased++
 	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotRelease,
 		"node=%d slot=%d", rel.NodeID, slot)
-	live := bs.grants[:0]
-	for _, g := range bs.grants {
-		if g.entry.NodeID != rel.NodeID {
-			live = append(live, g)
-		}
-	}
-	bs.grants = live
+	bs.dropStaleGrants()
 	// Compaction is deferred to the next beacon build: renumbering now
 	// would misattribute frames from survivors that still transmit in
 	// their old slot indices for the rest of this cycle.
@@ -601,19 +527,17 @@ func (bs *BS) handleSSR(ssr packet.SSR) {
 func (bs *BS) assignSlot() {
 	ssr := bs.ssrs.Pop()
 	delete(bs.silent, ssr.NodeID)
-	slot, exists := bs.nodeSlot[ssr.NodeID]
+	slot, exists := bs.byNode[ssr.NodeID]
 	if !exists {
-		if len(bs.nodeSlot) >= bs.maxSlots {
+		if len(bs.byNode) >= bs.max {
 			// "Once reached the limit no other nodes are accepted."
 			bs.stats.SSRRejected++
 			return
 		}
-		slot = bs.nextFreeSlot()
-		bs.nodeSlot[ssr.NodeID] = slot
-		bs.slotNode[slot] = ssr.NodeID
+		slot = bs.admit(ssr.NodeID)
 		if bs.cfg.Variant == Dynamic {
 			metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindCycleGrow,
-				"nodes=%d next-cycle=%v", len(bs.nodeSlot), bs.currentCycle())
+				"nodes=%d next-cycle=%v", len(bs.byNode), bs.currentCycle())
 		}
 	}
 	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotGrant,
@@ -623,15 +547,6 @@ func (bs *BS) assignSlot() {
 			entry: packet.SlotEntry{NodeID: ssr.NodeID, Slot: uint8(slot)},
 			left:  bs.cfg.GrantRepeat,
 		})
-	}
-}
-
-// nextFreeSlot returns the lowest unassigned slot index.
-func (bs *BS) nextFreeSlot() int {
-	for s := 0; ; s++ {
-		if _, used := bs.slotNode[s]; !used {
-			return s
-		}
 	}
 }
 
@@ -647,7 +562,7 @@ func (bs *BS) handleData(payload []byte) {
 			return
 		}
 		id := payload[0]
-		if _, member := bs.nodeSlot[id]; !member {
+		if _, member := bs.byNode[id]; !member {
 			bs.stats.StrayFrames++
 			return
 		}
@@ -659,7 +574,7 @@ func (bs *BS) handleData(payload []byte) {
 		slotDur := bs.slotDuration()
 		slot := int(offset/slotDur) - 1
 		known := false
-		node, known = bs.slotNode[slot]
+		node, known = bs.byIndex[slot]
 		if !known {
 			bs.stats.StrayFrames++
 			return

@@ -55,7 +55,7 @@ func TestDeadNodeSlotLeaksWithoutReclamation(t *testing.T) {
 	if got := r.bs.Stats().SlotsReclaimed; got != 0 {
 		t.Fatalf("SlotsReclaimed = %d with reclamation disabled, want 0", got)
 	}
-	if _, ok := r.bs.nodeSlot[1]; !ok {
+	if _, ok := r.bs.byNode[1]; !ok {
 		t.Fatalf("dead node's slot was freed with reclamation disabled")
 	}
 	if got := r.bs.CycleLength(); got != cycleAtCrash {
@@ -96,15 +96,15 @@ func TestDynamicReclaimFreesAndCompacts(t *testing.T) {
 	if got := r.bs.Stats().SlotsReclaimed; got != 1 {
 		t.Fatalf("SlotsReclaimed = %d, want 1", got)
 	}
-	if _, ok := r.bs.nodeSlot[1]; ok {
+	if _, ok := r.bs.byNode[1]; ok {
 		t.Fatalf("dead node still holds a slot after reclamation")
 	}
 	slots := map[int]uint8{}
-	for id, s := range r.bs.nodeSlot {
+	for id, s := range r.bs.byNode {
 		slots[s] = id
 	}
 	if len(slots) != 2 || slots[0] == 0 || slots[1] == 0 {
-		t.Fatalf("survivor slots not compacted to {0,1}: %v", r.bs.nodeSlot)
+		t.Fatalf("survivor slots not compacted to {0,1}: %v", r.bs.byNode)
 	}
 	if got := r.bs.CycleLength(); got >= cycleAtCrash {
 		t.Fatalf("cycle did not shrink after reclaim: %v -> %v", cycleAtCrash, got)

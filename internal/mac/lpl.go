@@ -2,8 +2,6 @@ package mac
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/metrics"
@@ -575,11 +573,8 @@ type LPLBS struct {
 
 	checkInterval sim.Time
 	startAt       sim.Time
-	maxMembers    int
 
-	members  map[uint8]int // node → member index
-	memberAt map[int]uint8 // member index → node
-	silent   map[uint8]int
+	memberTable
 
 	waking          bool // a probe/wake owns the radio
 	acking          bool // early ack committed: turnaround/transmit in progress
@@ -595,7 +590,6 @@ type LPLBS struct {
 
 	ackBuf       []byte
 	strobeAckBuf []byte
-	ids          []uint8 // reclaim sweep scratch
 
 	// Steady-state steps, each a handler bound once in NewLPLBS. One probe
 	// is armed and one ack can fly at a time, so their state lives in
@@ -643,10 +637,7 @@ func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 		ledger:        ledger,
 		tracer:        tracer,
 		checkInterval: cfg.Params.CheckInterval,
-		maxMembers:    cfg.MaxSlots,
-		members:       make(map[uint8]int),
-		memberAt:      make(map[int]uint8),
-		silent:        make(map[uint8]int),
+		memberTable:   newMemberTable(cfg.MaxSlots, "member"),
 	}
 	if bs.checkInterval <= 0 {
 		bs.checkInterval = DefaultLPLCheckInterval
@@ -675,20 +666,6 @@ func (bs *LPLBS) Stats() BSStats { return bs.stats }
 // interval.
 func (bs *LPLBS) CycleLength() sim.Time { return bs.checkInterval }
 
-// Nodes implements BSMAC: member IDs in assignment order.
-func (bs *LPLBS) Nodes() []uint8 {
-	idxs := make([]int, 0, len(bs.memberAt))
-	for i := range bs.memberAt {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	out := make([]uint8, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, bs.memberAt[i])
-	}
-	return out
-}
-
 // ResetAccounting implements BSMAC.
 func (bs *LPLBS) ResetAccounting() {
 	bs.stats = BSStats{}
@@ -697,31 +674,7 @@ func (bs *LPLBS) ResetAccounting() {
 
 // AuditTable implements BSMAC: the membership maps must be inverse
 // bijections with indices inside the admission cap.
-func (bs *LPLBS) AuditTable() []string {
-	var v []string
-	if len(bs.members) != len(bs.memberAt) {
-		v = append(v, fmt.Sprintf("member maps out of step: %d nodes, %d indices",
-			len(bs.members), len(bs.memberAt)))
-	}
-	ids := make([]uint8, 0, len(bs.members))
-	for id := range bs.members {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		idx := bs.members[id]
-		if idx < 0 || idx >= bs.maxMembers {
-			v = append(v, fmt.Sprintf("node %d holds out-of-range member index %d (max %d)",
-				id, idx, bs.maxMembers))
-			continue
-		}
-		if holder, ok := bs.memberAt[idx]; !ok || holder != id {
-			v = append(v, fmt.Sprintf("member index %d granted to node %d but the index map names node %d",
-				idx, id, holder))
-		}
-	}
-	return v
-}
+func (bs *LPLBS) AuditTable() []string { return bs.audit() }
 
 // Start implements BSMAC: the sampling schedule is anchored at the start
 // instant, probe n firing at n check intervals, independent of how long
@@ -781,27 +734,13 @@ func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
 // interval and retires members silent for ReclaimAfter consecutive
 // intervals (0 disables, as for the TDMA base station).
 func (bs *LPLBS) reclaimSilent() {
-	if bs.cfg.ReclaimAfter <= 0 || len(bs.members) == 0 {
+	if bs.cfg.ReclaimAfter <= 0 {
 		return
 	}
-	ids := bs.ids[:0]
-	for id := range bs.members {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	bs.ids = ids
-	for _, id := range ids {
-		bs.silent[id]++
-		if bs.silent[id] < bs.cfg.ReclaimAfter {
-			continue
-		}
-		idx := bs.members[id]
-		delete(bs.members, id)
-		delete(bs.memberAt, idx)
-		delete(bs.silent, id)
+	for _, g := range bs.sweepSilent(bs.cfg.ReclaimAfter) {
 		bs.stats.SlotsReclaimed++
 		metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotReclaim,
-			"node=%d member=%d after=%d", id, idx, bs.cfg.ReclaimAfter)
+			"node=%d member=%d after=%d", g.node, g.idx, bs.cfg.ReclaimAfter)
 	}
 }
 
@@ -934,16 +873,14 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 	bs.k.Cancel(bs.payloadTimeout)
 	bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
 		delete(bs.silent, ssr.NodeID)
-		idx, member := bs.members[ssr.NodeID]
+		idx, member := bs.byNode[ssr.NodeID]
 		if !member {
-			if len(bs.members) >= bs.maxMembers {
+			if len(bs.byNode) >= bs.max {
 				bs.stats.SSRRejected++
 				bs.endWake()
 				return
 			}
-			idx = bs.nextFreeMember()
-			bs.members[ssr.NodeID] = idx
-			bs.memberAt[idx] = ssr.NodeID
+			idx = bs.admit(ssr.NodeID)
 		}
 		metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotGrant,
 			"node=%d member=%d", ssr.NodeID, idx)
@@ -959,24 +896,13 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 	})
 }
 
-func (bs *LPLBS) nextFreeMember() int {
-	for i := 0; ; i++ {
-		if _, used := bs.memberAt[i]; !used {
-			return i
-		}
-	}
-}
-
 // handleRelease retires a membership voluntarily (accepted for protocol
 // symmetry; the LPL node's park is silent and relies on silence reclaim).
 func (bs *LPLBS) handleRelease(rel packet.Release) {
-	idx, member := bs.members[rel.NodeID]
+	idx, member := bs.release(rel.NodeID)
 	if !member {
 		return
 	}
-	delete(bs.members, rel.NodeID)
-	delete(bs.memberAt, idx)
-	delete(bs.silent, rel.NodeID)
 	bs.stats.SlotsReleased++
 	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotRelease,
 		"node=%d member=%d", rel.NodeID, idx)
@@ -993,7 +919,7 @@ func (bs *LPLBS) handleData(payload []byte) {
 		return
 	}
 	id := payload[0]
-	if _, member := bs.members[id]; !member {
+	if _, member := bs.byNode[id]; !member {
 		bs.stats.StrayFrames++
 		return
 	}
