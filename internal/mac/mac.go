@@ -67,7 +67,7 @@ type Stats struct {
 	DataAcked     uint64
 	AckMissed     uint64
 	Retries       uint64
-	// DataDropped counts frames discarded after MaxRetries retransmission
+	// DataDropped counts frames discarded after DefaultMaxRetries retransmission
 	// attempts all went unacknowledged.
 	DataDropped uint64
 	// Abandoned counts transmitted frames whose acknowledgement window

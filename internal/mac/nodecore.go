@@ -33,9 +33,6 @@ type NodeConfig struct {
 	Params  Params
 	NodeID  uint8
 	Profile platform.Profile
-	// TxQueueCap and MaxRetries default to the package constants when 0.
-	TxQueueCap int
-	MaxRetries int
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan(). Co-located networks use distinct plans.
 	Plan packet.AddressPlan
@@ -130,12 +127,6 @@ type nodeCore struct {
 // crash, park or rejoin tears the node's protocol state down.
 func (c *nodeCore) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder, resetAccess func()) {
-	if cfg.TxQueueCap <= 0 {
-		cfg.TxQueueCap = DefaultTxQueueCap
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = DefaultMaxRetries
-	}
 	if cfg.Plan == (packet.AddressPlan{}) {
 		cfg.Plan = packet.DefaultPlan()
 	}
@@ -369,7 +360,7 @@ func (q *txQueue) dropInFlight() {
 //
 //hot:path
 func (c *nodeCore) Send(payload []byte) bool {
-	if c.queue.Len() >= c.cfg.TxQueueCap {
+	if c.queue.Len() >= DefaultTxQueueCap {
 		c.stats.QueueDrops++
 		return false
 	}
@@ -457,7 +448,7 @@ func (c *nodeCore) ackMissed() bool {
 	p := &c.cfg.Profile
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(c.dataHeader+len(c.inFlight.payload))
 	c.ledger.AttributeLoss(energy.LossCollision, c.radio.TxPowerW()*txDur.Seconds())
-	if c.inFlight.retries < c.cfg.MaxRetries {
+	if c.inFlight.retries < DefaultMaxRetries {
 		c.inFlight.retries++
 		c.stats.Retries++
 		c.queue.PushFront(c.inFlight)

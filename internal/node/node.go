@@ -69,11 +69,6 @@ func WithClockDrift(ppm float64) Option {
 	return func(o *sensorOpts) { o.mac.ClockDriftPPM = ppm }
 }
 
-// WithTxQueueCap overrides the MAC transmit queue depth.
-func WithTxQueueCap(n int) Option {
-	return func(o *sensorOpts) { o.mac.TxQueueCap = n }
-}
-
 // WithProtocol selects the node's MAC protocol by registry name and
 // passes its tuning parameters, overriding the TDMA variant argument.
 func WithProtocol(proto mac.Protocol, params mac.Params) Option {

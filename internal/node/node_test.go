@@ -136,21 +136,10 @@ func TestSensorOptions(t *testing.T) {
 	plan := packet.PlanForNetwork(3)
 	s := NewSensor(r.k, r.ch, r.tracer, 7, platform.IMEC(), mac.Static,
 		WithClockDrift(250),
-		WithTxQueueCap(9),
 		WithAddressPlan(plan),
 		WithName("limb-node"))
 	if s.Name != "limb-node" || s.Radio.Name() != "limb-node" {
 		t.Fatalf("name option not applied: %q", s.Name)
-	}
-	// The queue cap shows through Send: the 10th enqueue must be refused
-	// before anything drains (node not joined, nothing transmits).
-	for i := 0; i < 9; i++ {
-		if !s.Mac.Send(make([]byte, 18)) {
-			t.Fatalf("send %d refused below the 9-deep cap", i)
-		}
-	}
-	if s.Mac.Send(make([]byte, 18)) {
-		t.Fatalf("send beyond the cap accepted")
 	}
 }
 
