@@ -159,13 +159,17 @@ func (m *beaconSync) nextWindowOpen() sim.Time {
 // acknowledgement resolves the open ack window. It reports whether the
 // frame resolved one.
 //
+// A beacon advertising a zero cycle (a corrupted one that passed the
+// CRC) is dropped before it touches the radio, the window or a counter:
+// the search goes on, or the open window times out as a miss.
+//
 //hot:path
 func (m *beaconSync) receive(f packet.Frame, afterParse func()) bool {
 	switch {
 	case f.Dest == m.cfg.Plan.Beacon:
 		var ok bool
 		m.beacon, ok = packet.ParseBeacon(f.Payload, m.beacon.Entries[:0])
-		if ok {
+		if ok && m.beacon.CycleMicros > 0 {
 			m.handleBeacon(m.beacon, len(f.Payload), afterParse)
 		}
 	case m.isAck(f):
@@ -198,9 +202,6 @@ func (m *beaconSync) handleBeacon(b packet.Beacon, payloadLen int, afterParse fu
 	m.missed = 0
 	m.t0 = airStart
 	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	if m.cycle <= 0 {
-		return // malformed beacon; wait for the next one
-	}
 	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
