@@ -173,12 +173,16 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLoadScenario -fuzztime 30s ./internal/core
 
 # Non-test Go lines per internal/ package (test files and testdata
-# excluded): the "least code" number that sits next to ns/event.
+# excluded), then their sum: the "least code" number that sits next to
+# ns/event.
 loc:
-	@for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
+	@total=0; \
+	for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; \
-	done; true
+		total=$$((total + n)); \
+	done; \
+	printf '%6d  total\n' $$total
 
 # Quick eyeball check of the parallel sweep path.
 sweep-demo:
