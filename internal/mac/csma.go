@@ -330,10 +330,8 @@ func (m *CSMANode) transmit() {
 	m.attemptActive = false
 	m.loaded = false
 	m.firing = m.op
-	if m.firing == csmaOpData && m.hasInFlight {
-		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.addLatency(lat)
-		m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
+	if m.firing == csmaOpData {
+		m.noteQueueDelay()
 	}
 	m.radio.Fire(m.frameSent)
 }

@@ -438,9 +438,7 @@ func (m *LPLNode) onDataLoaded() {
 		m.radio.PowerDown()
 		return
 	}
-	lat := m.k.Now() - m.inFlight.enqueuedAt
-	m.stats.addLatency(lat)
-	m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
+	m.noteQueueDelay()
 	m.radio.Fire(m.dataSent)
 }
 

@@ -114,13 +114,6 @@ type Stats struct {
 	LatencyCount uint64
 }
 
-// addLatency adds one Send-to-burst queueing delay to the aggregates.
-func (s *Stats) addLatency(lat sim.Time) {
-	s.LatencySum += lat
-	s.LatencyCount++
-	s.LatencyMax = max(s.LatencyMax, lat)
-}
-
 // AvgLatency reports the mean Send-to-burst queueing delay.
 func (s Stats) AvgLatency() sim.Time {
 	if s.LatencyCount == 0 {

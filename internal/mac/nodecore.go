@@ -368,6 +368,19 @@ func (c *nodeCore) Send(payload []byte) bool {
 	return true
 }
 
+// noteQueueDelay records the in-flight frame's Send-to-burst queueing
+// delay as its burst starts.
+func (c *nodeCore) noteQueueDelay() {
+	if !c.hasInFlight {
+		return
+	}
+	lat := c.k.Now() - c.inFlight.enqueuedAt
+	c.stats.LatencySum += lat
+	c.stats.LatencyCount++
+	c.stats.LatencyMax = max(c.stats.LatencyMax, lat)
+	c.tracer.Observe(c.name, metrics.HistSlotWait, lat)
+}
+
 // idFrame marshals the in-flight payload behind the sender-ID header.
 func (c *nodeCore) idFrame() []byte {
 	c.dataBuf = append(c.dataBuf[:0], c.cfg.NodeID)

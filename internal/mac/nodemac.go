@@ -429,11 +429,7 @@ func (m *NodeMac) fireSlot() {
 	}
 	m.loaded = false
 	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotStart, "slot=%d", m.slot)
-	if m.hasInFlight {
-		lat := m.k.Now() - m.inFlight.enqueuedAt
-		m.stats.addLatency(lat)
-		m.tracer.Observe(m.name, metrics.HistSlotWait, lat)
-	}
+	m.noteQueueDelay()
 	m.radio.Fire(m.dataSent)
 }
 
