@@ -298,15 +298,6 @@ func (c *nodeCore) skipStretched(format string) bool {
 	return true
 }
 
-// parkBeaconEvery is the parked node's doze ratio: a beacon-only node
-// wakes for one beacon window in this many cycles and dead-reckons
-// across the gap. Beacon listening dominates a parked node's budget
-// (there is no other traffic left), so the ratio — not the parking
-// itself — is what makes the final degradation rung cheap; the residual
-// drift accumulated over the dozed cycles stays far inside the guard
-// margins at crystal tolerances.
-const parkBeaconEvery = 8
-
 // txItem is one queued payload with its retransmission count.
 type txItem struct {
 	payload    []byte
@@ -414,11 +405,6 @@ func (c *nodeCore) dataFlown(expiry sim.Handler) {
 	c.radio.SetRxAddresses(c.cfg.Plan.NodeAddr(c.cfg.NodeID))
 	c.radio.StartRx()
 	c.ackTimeout = c.k.Schedule(c.cfg.Profile.MAC.AckTimeout, expiry)
-}
-
-// isAck reports whether f is an acknowledgement addressed to this node.
-func (c *nodeCore) isAck(f packet.Frame) bool {
-	return f.Dest == c.cfg.Plan.NodeAddr(c.cfg.NodeID) && packet.IsAck(f.Payload)
 }
 
 // ackArrived closes the acknowledgement window on success and retires
