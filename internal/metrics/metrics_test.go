@@ -79,7 +79,6 @@ func TestNilRecorder(t *testing.T) {
 	r.Observe("n", HistSlotWait, sim.Millisecond)
 	r.ResetDerived()
 	if r.Count(KindDataTx) != 0 || r.Events() != nil || r.Render() != "" ||
-		r.Filter(KindDataTx) != nil || r.ByNode("n") != nil ||
 		r.Dropped() != 0 || r.Recorded() != 0 || r.CounterRows() != nil ||
 		r.HistRows() != nil || r.Histogram("n", HistSlotWait) != nil {
 		t.Fatal("nil recorder leaked state")

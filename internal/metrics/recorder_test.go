@@ -30,6 +30,39 @@ func TestRecordAndQuery(t *testing.T) {
 	}
 }
 
+func TestNilRecorderSafe(t *testing.T) {
+	var r *Recorder
+	r.Record(0, "bs", KindBeaconTx, "")
+	Record1(r, 0, "bs", KindBeaconTx, "x%d", 1)
+	if r.Events() != nil || r.Filter(KindBeaconTx) != nil || r.ByNode("bs") != nil {
+		t.Fatalf("nil recorder returned data")
+	}
+	if r.Count(KindBeaconTx) != 0 {
+		t.Fatalf("nil recorder counted events")
+	}
+}
+
+func TestLimit(t *testing.T) {
+	r := NewRecorder(2)
+	for i := 0; i < 5; i++ {
+		r.Record(sim.Time(i), "n", KindDataTx, "")
+	}
+	if got := len(r.Events()); got != 2 {
+		t.Fatalf("limited recorder kept %d events, want 2", got)
+	}
+	// The drop is counted and surfaced, never silent: Count stays exact
+	// and Render appends a trailer naming the loss.
+	if got := r.Dropped(); got != 3 {
+		t.Fatalf("Dropped = %d, want 3", got)
+	}
+	if got := r.Count(KindDataTx); got != 5 {
+		t.Fatalf("Count = %d, want the exact 5 despite the limit", got)
+	}
+	if out := r.Render(); !strings.Contains(out, "3 further event(s) dropped") {
+		t.Fatalf("Render hides the drop:\n%s", out)
+	}
+}
+
 func TestRender(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(30*sim.Millisecond, "bs", KindBeaconTx, "seq=1")
