@@ -869,7 +869,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 	}
 	bs.stats.SSRReceived++
 	bs.k.Cancel(bs.payloadTimeout)
-	bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
+	posted := bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
 		delete(bs.silent, ssr.NodeID)
 		idx, member := bs.byNode[ssr.NodeID]
 		if !member {
@@ -892,6 +892,11 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 			})
 		})
 	})
+	if !posted {
+		// A full task queue dropped the assignment: end the wake as a
+		// rejection does. The node's SSR timeout retries.
+		bs.endWake()
+	}
 }
 
 // handleRelease retires a membership voluntarily (accepted for protocol
