@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -81,7 +82,10 @@ func TestAuditSlotTrip(t *testing.T) {
 }
 
 // TestAuditSlotTableTrip joins two nodes, checks the base-station table
-// audits clean, then corrupts it into a double grant and a map mismatch.
+// audits clean, then corrupts it one case at a time: the table's own
+// laws (a double grant, out-of-step maps) and the base station's
+// (a dynamic slot outside the dense range, a stale or out-of-range
+// grant). Each case must be named and the restored table audit clean.
 func TestAuditSlotTableTrip(t *testing.T) {
 	r := newRig(t, Dynamic, 0, 22)
 	n1 := r.addNode(1, Dynamic)
@@ -98,29 +102,84 @@ func TestAuditSlotTableTrip(t *testing.T) {
 	if v := r.bs.AuditTable(); len(v) != 0 {
 		t.Fatalf("consistent table flagged: %v", v)
 	}
+	bs := r.bs
+	cases := []struct {
+		name    string
+		corrupt func() (restore func())
+		// want lists the expected details exactly; ok, when set, checks
+		// the joined report instead. With neither, any report passes.
+		want []string
+		ok   func(detail string) bool
+	}{
+		{
+			name: "double grant", // both nodes pointed at the same slot index
+			corrupt: func() func() {
+				saved := bs.byNode[2]
+				bs.byNode[2] = bs.byNode[1]
+				return func() { bs.byNode[2] = saved }
+			},
+			ok: func(d string) bool {
+				return strings.Contains(d, "slot map names") || strings.Contains(d, "points at")
+			},
+		},
+		{
+			name: "out-of-step maps", // a slot entry with no node-map partner
+			corrupt: func() func() {
+				bs.byIndex[7] = 9
+				return func() { delete(bs.byIndex, 7) }
+			},
+		},
+		{
+			name: "dynamic slot outside the dense range",
+			corrupt: func() func() {
+				bs.byIndex[7], bs.byNode[9] = 9, 7
+				return func() { delete(bs.byIndex, 7); delete(bs.byNode, 9) }
+			},
+			want: []string{"dynamic slot 7 outside the dense range 0..2"},
+		},
+		{
+			name: "stale grant", // advertised to a node the table does not hold
+			corrupt: func() func() {
+				bs.grants = append(bs.grants, grant{entry: packet.SlotEntry{NodeID: 9, Slot: 1}})
+				return func() { bs.grants = bs.grants[:len(bs.grants)-1] }
+			},
+			want: []string{"grant advertises slot 1 for node 9 but the table says 0"},
+		},
+		{
+			name: "out-of-range grant",
+			corrupt: func() func() {
+				bs.grants = append(bs.grants, grant{entry: packet.SlotEntry{NodeID: 2, Slot: 200}})
+				return func() { bs.grants = bs.grants[:len(bs.grants)-1] }
+			},
+			want: []string{
+				"grant advertises out-of-range slot 200 for node 2",
+				"grant advertises slot 200 for node 2 but the table says 1",
+			},
+		},
+	}
+	for _, tc := range cases {
+		restore := tc.corrupt()
+		v := bs.AuditTable()
+		switch {
+		case len(v) == 0:
+			t.Errorf("%s not detected", tc.name)
+		case tc.want != nil && strings.Join(v, "; ") != strings.Join(tc.want, "; "):
+			t.Errorf("%s: got %q, want %q", tc.name, v, tc.want)
+		case tc.ok != nil && !tc.ok(strings.Join(v, "; ")):
+			t.Errorf("%s: detail missing: %v", tc.name, v)
+		}
+		restore()
+		if v := bs.AuditTable(); len(v) != 0 {
+			t.Fatalf("table still flagged after restoring %s: %v", tc.name, v)
+		}
+	}
 
-	// Double grant: both nodes pointed at the same slot index.
-	saved := r.bs.byNode[2]
-	r.bs.byNode[2] = r.bs.byNode[1]
-	v := r.bs.AuditTable()
-	if len(v) == 0 {
-		t.Fatal("double-granted slot not detected")
-	}
-	if !strings.Contains(strings.Join(v, "; "), "slot map names") &&
-		!strings.Contains(strings.Join(v, "; "), "points at") {
-		t.Fatalf("double-grant detail missing: %v", v)
-	}
-	r.bs.byNode[2] = saved
-
-	// Out-of-step maps: a slot entry with no node-map partner.
-	r.bs.byIndex[7] = 9
-	v = r.bs.AuditTable()
-	if len(v) == 0 {
-		t.Fatal("out-of-step maps not detected")
-	}
-	delete(r.bs.byIndex, 7)
-	if v := r.bs.AuditTable(); len(v) != 0 {
-		t.Fatalf("restored table still flagged: %v", v)
+	// A pending compaction suspends the dense-range law: a voluntary
+	// release leaves a hole until the next beacon build renumbers.
+	bs.byIndex[7], bs.byNode[9] = 9, 7
+	bs.needCompact = true
+	if v := bs.AuditTable(); len(v) != 0 {
+		t.Fatalf("dense-range law fired with a compaction pending: %v", v)
 	}
 }
 

@@ -56,3 +56,65 @@ func TestLPLDroppedSlotAssignEndsWake(t *testing.T) {
 		t.Fatalf("SSRReceived=%d members=%d, want 1 and 0", bs.stats.SSRReceived, len(bs.byNode))
 	}
 }
+
+// TestSenderIDAttribution delivers data frames to both contention base
+// stations (LPL inside an open wake). A header-only payload and a
+// non-member's frame each count one stray frame, log nothing and owe no
+// ack; a member's frame is logged without its header and owes one ack.
+func TestSenderIDAttribution(t *testing.T) {
+	data := func(payload ...byte) packet.Frame {
+		return packet.Frame{Dest: packet.DefaultPlan().BSData, Payload: payload}
+	}
+	cases := []struct {
+		name  string
+		frame packet.Frame
+		stray bool
+	}{
+		{"header-only", data(2), true},
+		{"non-member", data(9, 0xaa, 0xbb), true},
+		{"member", data(2, 0xaa, 0xbb), false},
+	}
+	for _, proto := range []Protocol{ProtoCSMA, ProtoLPL} {
+		for _, tc := range cases {
+			t.Run(string(proto)+"/"+tc.name, func(t *testing.T) {
+				r := newProtoRig(t, proto, Params{}, 30*sim.Millisecond, 61)
+				var deliver func(packet.Frame)
+				var owed func() int
+				switch bs := r.bs.(type) {
+				case *CSMABS:
+					r.k.Schedule(0, func(*sim.Kernel) { bs.Start() })
+					r.k.RunUntil(5 * sim.Millisecond)
+					bs.admit(2)
+					deliver, owed = bs.onFrame, bs.acks.Len
+				case *LPLBS:
+					openLPLWake(t, r, 2)
+					bs.admit(2)
+					deliver, owed = bs.onFrame, bs.acks.Len
+				default:
+					t.Fatalf("base station is %T", r.bs)
+				}
+				r.k.Schedule(0, func(*sim.Kernel) {
+					before := r.bs.Stats().StrayFrames
+					deliver(tc.frame)
+					stray := r.bs.Stats().StrayFrames - before
+					rx := r.bs.Received()
+					if tc.stray {
+						if stray != 1 || len(rx) != 0 || owed() != 0 {
+							t.Errorf("stray frame: StrayFrames +%d, %d received, %d acks owed; want +1, 0, 0",
+								stray, len(rx), owed())
+						}
+						return
+					}
+					if stray != 0 || len(rx) != 1 || owed() != 1 {
+						t.Fatalf("member frame: StrayFrames +%d, %d received, %d acks owed; want +0, 1, 1",
+							stray, len(rx), owed())
+					}
+					if rx[0].Node != 2 || string(rx[0].Payload) != "\xaa\xbb" {
+						t.Errorf("logged %+v, want node 2 and the payload past the header", rx[0])
+					}
+				})
+				r.k.RunUntil(r.k.Now() + sim.Millisecond)
+			})
+		}
+	}
+}
