@@ -560,19 +560,12 @@ func (m *LPLNode) AuditProtocol() []string {
 // LPLBS is the duty-cycled receiver: it probes the channel every check
 // interval, answers a caught strobe with an early ack, and services the
 // opened wake (association or data, with per-ack window reopening for
-// bursts).
+// bursts) over the shared data sink.
 type LPLBS struct {
-	k      *sim.Kernel
-	cfg    BSConfig
-	sched  *tinyos.Sched
-	radio  *radio.Radio
-	ledger *energy.Ledger
-	tracer *metrics.Recorder
+	bsCore
 
 	checkInterval sim.Time
 	startAt       sim.Time
-
-	memberTable
 
 	waking          bool // a probe/wake owns the radio
 	acking          bool // early ack committed: turnaround/transmit in progress
@@ -581,36 +574,13 @@ type LPLBS struct {
 	probeTimeout    sim.EventID
 	payloadTimeout  sim.EventID
 
-	onData func(rec RxRecord)
-	rxLog
-	stats   BSStats
-	started bool
-
-	ackBuf       []byte
-	strobeAckBuf []byte
-
 	// Steady-state steps, each a handler bound once in NewLPLBS. One probe
-	// is armed and one ack can fly at a time, so their state lives in
-	// fields; owed acks ride on MCU completions, which keep posting order.
+	// is armed at a time, so its state lives in fields.
 	probeN          uint64
-	firingEarly     bool
-	acks            sim.FIFO[lplAck]
-	ackLoads        sim.FIFO[lplAck]
-	forwards        sim.FIFO[RxRecord]
 	onProbe         sim.Handler
 	onProbeExpiry   sim.Handler
 	onPayloadExpiry sim.Handler
-	ackTurnaround   func()
-	ackLoaded       func()
-	ackSent         func()
-	forwarded       func()
-}
-
-// lplAck is an acknowledgement the base station owes: the early ack that
-// truncates a strobe train, or a data frame's ack.
-type lplAck struct {
-	early bool
-	rec   RxRecord // the acknowledged frame; only Node for an early ack
+	slotAssigned    func()
 }
 
 // NewLPLBS wires an LPL base station. A zero CheckInterval selects
@@ -621,67 +591,29 @@ func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if err := validateLPLParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
-	}
-	if cfg.Plan == (packet.AddressPlan{}) {
-		cfg.Plan = packet.DefaultPlan()
-	}
-	bs := &LPLBS{
-		k:             k,
-		cfg:           cfg,
-		sched:         sched,
-		radio:         r,
-		ledger:        ledger,
-		tracer:        tracer,
-		checkInterval: cfg.Params.CheckInterval,
-		memberTable:   newMemberTable(cfg.MaxSlots, "member"),
-	}
+	bs := &LPLBS{checkInterval: cfg.Params.CheckInterval}
+	bs.init(k, cfg, sched, r, ledger, tracer, cfg.Profile.MAC.MaxDynamicSlots, "member",
+		bs.ackMayFly, bs.ackFlown)
 	if bs.checkInterval <= 0 {
 		bs.checkInterval = DefaultLPLCheckInterval
 	}
 	bs.onProbe = bs.probe
 	bs.onProbeExpiry = bs.onProbeIdle
 	bs.onPayloadExpiry = bs.onPayloadTimeout
-	bs.ackTurnaround = bs.turnAck
-	bs.ackLoaded = bs.onAckLoaded
-	bs.ackSent = bs.onAckSent
-	bs.forwarded = bs.forward
+	bs.slotAssigned = bs.assignMember
 	r.SetReceiveHandler(bs.onFrame)
 	return bs
 }
-
-// OnData implements BSMAC.
-func (bs *LPLBS) OnData(fn func(rec RxRecord)) { bs.onData = fn }
-
-// Received implements BSMAC.
-func (bs *LPLBS) Received() []RxRecord { return bs.received }
-
-// Stats implements BSMAC.
-func (bs *LPLBS) Stats() BSStats { return bs.stats }
 
 // CycleLength implements BSMAC: the regulation period is the sampling
 // interval.
 func (bs *LPLBS) CycleLength() sim.Time { return bs.checkInterval }
 
-// ResetAccounting implements BSMAC.
-func (bs *LPLBS) ResetAccounting() {
-	bs.stats = BSStats{}
-	bs.received = nil
-}
-
-// AuditTable implements BSMAC: the membership maps must be inverse
-// bijections with indices inside the admission cap.
-func (bs *LPLBS) AuditTable() []string { return bs.audit() }
-
 // Start implements BSMAC: the sampling schedule is anchored at the start
 // instant, probe n firing at n check intervals, independent of how long
 // individual wakes run.
 func (bs *LPLBS) Start() {
-	if bs.started {
-		panic("mac: base station started twice")
-	}
-	bs.started = true
+	bs.start()
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.startAt = bs.k.Now()
 	bs.scheduleProbe()
@@ -695,7 +627,8 @@ func (bs *LPLBS) scheduleProbe() {
 }
 
 // probe opens one sampling window (skipped when a wake is still being
-// serviced across the probe instant).
+// serviced across the probe instant). Each probe instant also ages the
+// members' silence counters for reclamation.
 //
 //hot:path
 func (bs *LPLBS) probe(*sim.Kernel) {
@@ -707,8 +640,7 @@ func (bs *LPLBS) probe(*sim.Kernel) {
 	bs.stats.Probes++
 	bs.waking = true
 	bs.probeOpenAt = bs.k.Now()
-	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-	bs.radio.StartRx()
+	bs.listen()
 	window := bs.cfg.Profile.Radio.RxSettle + lplMaxStrobeSpacing
 	bs.probeTimeout = bs.k.Schedule(window, bs.onProbeExpiry)
 }
@@ -726,20 +658,6 @@ func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
 	idle := bs.k.Now() - bs.probeOpenAt
 	bs.ledger.AttributeLoss(energy.LossIdleListening,
 		bs.radio.RxPowerW()*idle.Seconds())
-}
-
-// reclaimSilent ages the members' silence counters once per sampling
-// interval and retires members silent for ReclaimAfter consecutive
-// intervals (0 disables, as for the TDMA base station).
-func (bs *LPLBS) reclaimSilent() {
-	if bs.cfg.ReclaimAfter <= 0 {
-		return
-	}
-	for _, g := range bs.sweepSilent(bs.cfg.ReclaimAfter) {
-		bs.stats.SlotsReclaimed++
-		metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotReclaim,
-			"node=%d member=%d after=%d", g.node, g.idx, bs.cfg.ReclaimAfter)
-	}
 }
 
 // --- wake servicing ------------------------------------------------------
@@ -772,73 +690,30 @@ func (bs *LPLBS) handleStrobe(s packet.Strobe) {
 	}
 	bs.acking = true
 	bs.k.Cancel(bs.probeTimeout)
-	bs.acks.Push(lplAck{early: true, rec: RxRecord{Node: s.NodeID}})
-	bs.sched.Interrupt("bs-strobe-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.ackTurnaround)
+	bs.owe(owedAck{kind: ackEarly, rec: RxRecord{Node: s.NodeID}}, "bs-strobe-turnaround")
 }
 
-// turnAck loads an acknowledgement once the turnaround ISR ran.
-//
-//hot:path
-func (bs *LPLBS) turnAck() {
-	a := bs.acks.Pop()
-	if a.early && (!bs.waking || bs.awaitingPayload) {
+// ackMayFly drops an early ack whose wake closed, or found a payload
+// window already open, during the turnaround.
+func (bs *LPLBS) ackMayFly(a owedAck) bool {
+	return a.kind != ackEarly || (bs.waking && !bs.awaitingPayload)
+}
+
+// ackFlown ends the wake after the association ack, and otherwise
+// reopens the receive window for the sender's cargo.
+func (bs *LPLBS) ackFlown(a owedAck) {
+	if a.kind == ackJoin {
+		bs.endWake()
 		return
 	}
-	bs.radio.Standby()
-	var frame []byte
-	if a.early {
-		bs.strobeAckBuf = packet.StrobeAck{}.AppendMarshal(bs.strobeAckBuf[:0])
-		frame = bs.strobeAckBuf
-	} else {
-		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
-		frame = bs.ackBuf
-	}
-	bs.ackLoads.Push(a)
-	bs.radio.Load(bs.cfg.Plan.NodeAddr(a.rec.Node), frame, bs.ackLoaded)
-}
-
-// onAckLoaded fires a loaded acknowledgement; a data frame's forwarding
-// to the collecting device is posted behind it.
-//
-//hot:path
-func (bs *LPLBS) onAckLoaded() {
-	a := bs.ackLoads.Pop()
-	bs.firingEarly = a.early
-	bs.radio.Fire(bs.ackSent)
-	if !a.early && bs.sched.PostFn("bs-data-handle", bs.cfg.Profile.Cost.BSDataHandle, bs.forwarded) {
-		bs.forwards.Push(a.rec)
-	}
-}
-
-// onAckSent reopens the wake's receive window once an acknowledgement
-// has flown.
-//
-//hot:path
-func (bs *LPLBS) onAckSent() {
-	if bs.firingEarly {
-		bs.stats.EarlyAcksSent++
-	} else {
-		bs.stats.AcksSent++
-	}
 	bs.openPayloadWindow()
-}
-
-// forward hands an acknowledged frame to the data sink.
-//
-//hot:path
-func (bs *LPLBS) forward() {
-	rec := bs.forwards.Pop()
-	if bs.onData != nil {
-		bs.onData(rec)
-	}
 }
 
 // openPayloadWindow holds the receiver on for the sender's cargo.
 func (bs *LPLBS) openPayloadWindow() {
 	bs.acking = false
 	bs.awaitingPayload = true
-	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
-	bs.radio.StartRx()
+	bs.listen()
 	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, bs.onPayloadExpiry)
 }
 
@@ -861,55 +736,33 @@ func (bs *LPLBS) endWake() {
 
 // handleSSR services an association handshake inside the wake: admit (or
 // re-admit) the node and ack, or silently reject at the membership cap.
-//
-//lint:allow hotalloc association is a join transient, not a per-frame step
+// A full task queue drops the assignment; the wake then ends as a
+// rejection does, and the node's SSR timeout retries.
 func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 	if !bs.awaitingPayload {
 		return
 	}
-	bs.stats.SSRReceived++
 	bs.k.Cancel(bs.payloadTimeout)
-	posted := bs.sched.PostFn("bs-slot-assign", bs.cfg.Profile.Cost.BSSlotAssign, func() {
-		delete(bs.silent, ssr.NodeID)
-		idx, member := bs.byNode[ssr.NodeID]
-		if !member {
-			if len(bs.byNode) >= bs.max {
-				bs.stats.SSRRejected++
-				bs.endWake()
-				return
-			}
-			idx = bs.admit(ssr.NodeID)
-		}
-		metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotGrant,
-			"node=%d member=%d", ssr.NodeID, idx)
-		bs.radio.Standby()
-		bs.ackBuf = packet.Ack{}.AppendMarshal(bs.ackBuf[:0])
-		bs.radio.Load(bs.cfg.Plan.NodeAddr(ssr.NodeID), bs.ackBuf, func() {
-			bs.radio.Fire(func() {
-				bs.stats.AcksSent++
-				bs.awaitingPayload = false
-				bs.endWake()
-			})
-		})
-	})
-	if !posted {
-		// A full task queue dropped the assignment: end the wake as a
-		// rejection does. The node's SSR timeout retries.
+	if !bs.requestSlot(ssr, bs.slotAssigned) {
 		bs.endWake()
 	}
 }
 
-// handleRelease retires a membership voluntarily (accepted for protocol
-// symmetry; the LPL node's park is silent and relies on silence reclaim).
-func (bs *LPLBS) handleRelease(rel packet.Release) {
-	idx, member := bs.release(rel.NodeID)
-	if !member {
+// assignMember answers an association request once its task ran: the
+// ack goes straight into the FIFO, with no turnaround ISR.
+func (bs *LPLBS) assignMember() {
+	node, idx, _, ok := bs.admitNext()
+	if !ok {
+		bs.endWake()
 		return
 	}
-	bs.stats.SlotsReleased++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindSlotRelease,
-		"node=%d member=%d", rel.NodeID, idx)
+	bs.granted(node, idx)
+	bs.loadAck(owedAck{kind: ackJoin, rec: RxRecord{Node: node}})
 }
+
+// handleRelease retires a membership voluntarily (accepted for protocol
+// symmetry; the LPL node's park is silent and relies on silence reclaim).
+func (bs *LPLBS) handleRelease(rel packet.Release) { bs.retire(rel.NodeID) }
 
 // handleData accepts a member's payload (sender-ID header attribution),
 // acks it, and reopens the window for a burst continuation.
@@ -917,27 +770,18 @@ func (bs *LPLBS) handleData(payload []byte) {
 	if !bs.awaitingPayload {
 		return
 	}
-	if len(payload) <= packet.DataHeaderBytes {
-		bs.stats.StrayFrames++
+	node, payload, ok := bs.sender(payload)
+	if !ok {
 		return
 	}
-	id := payload[0]
-	if _, member := bs.byNode[id]; !member {
-		bs.stats.StrayFrames++
-		return
-	}
-	delete(bs.silent, id)
 	bs.k.Cancel(bs.payloadTimeout)
 	bs.awaitingPayload = false
 	// The radio is committed to the data ack from here until the window
 	// reopens: a strobe caught in the gap must not start a second
 	// transmit (see handleStrobe's guard).
 	bs.acking = true
-	rec := bs.log(id, payload[packet.DataHeaderBytes:], bs.k.Now())
-	bs.stats.DataReceived++
-	metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", id, len(rec.Payload))
-	bs.acks.Push(lplAck{rec: rec})
-	bs.sched.Interrupt("bs-ack-turnaround", bs.cfg.Profile.Cost.BSAckTurnaround, bs.ackTurnaround)
+	rec := bs.accept(node, payload)
+	bs.owe(owedAck{kind: ackData, rec: rec}, "bs-ack-turnaround")
 }
 
 var (

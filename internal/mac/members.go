@@ -1,7 +1,6 @@
 package mac
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -14,10 +13,12 @@ type memberTable struct {
 	byNode  map[uint8]int // node → index
 	byIndex map[int]uint8 // index → node
 	silent  map[uint8]int
-	max     int     // admission cap: indices run 0..max-1
-	noun    string  // what an index is called in audit details
-	ids     []uint8 // sweep scratch
-	gone    []member
+	max     int    // admission cap: indices run 0..max-1
+	noun    string // what an index is called in audit details
+	// Sort and sweep scratch, reused so the sweeps allocate nothing.
+	ids  []uint8
+	idxs []int
+	gone []member
 }
 
 // member is one (node, index) association.
@@ -39,7 +40,7 @@ func newMemberTable(max int, noun string) memberTable {
 // Nodes reports the associated node IDs in index order.
 func (t *memberTable) Nodes() []uint8 {
 	out := make([]uint8, 0, len(t.byIndex))
-	for _, i := range sortedKeys(t.byIndex) {
+	for _, i := range t.sortedIndices() {
 		out = append(out, t.byIndex[i])
 	}
 	return out
@@ -76,13 +77,7 @@ func (t *memberTable) release(node uint8) (int, bool) {
 // order. The result is scratch, valid until the next sweep.
 func (t *memberTable) sweepSilent(after int) []member {
 	gone := t.gone[:0]
-	ids := t.ids[:0]
-	for id := range t.byNode {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	t.ids = ids
-	for _, id := range ids {
+	for _, id := range t.sortedNodes() {
 		t.silent[id]++
 		if t.silent[id] < after {
 			continue
@@ -104,7 +99,7 @@ func (t *memberTable) audit() []string {
 		v = append(v, fmt.Sprintf("%s maps out of step: %d nodes, %d %ss",
 			t.noun, len(t.byNode), len(t.byIndex), t.noun))
 	}
-	for _, id := range sortedKeys(t.byNode) {
+	for _, id := range t.sortedNodes() {
 		idx := t.byNode[id]
 		if idx < 0 || idx >= t.max {
 			v = append(v, fmt.Sprintf("node %d holds out-of-range %s %d (max %d)",
@@ -116,7 +111,7 @@ func (t *memberTable) audit() []string {
 				t.noun, idx, id, t.noun, holder))
 		}
 	}
-	for _, i := range sortedKeys(t.byIndex) {
+	for _, i := range t.sortedIndices() {
 		id := t.byIndex[i]
 		if back, ok := t.byNode[id]; !ok || back != i {
 			v = append(v, fmt.Sprintf("%s %d names node %d but the node map points at %s %d",
@@ -126,12 +121,24 @@ func (t *memberTable) audit() []string {
 	return v
 }
 
-// sortedKeys lists a map's keys in ascending order.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// sortedNodes lists the members in ascending node order, in scratch
+// valid until the next call.
+func (t *memberTable) sortedNodes() []uint8 {
+	t.ids = t.ids[:0]
+	for id := range t.byNode {
+		t.ids = append(t.ids, id)
 	}
-	slices.Sort(keys)
-	return keys
+	slices.Sort(t.ids)
+	return t.ids
+}
+
+// sortedIndices lists the held indices in ascending order, in scratch
+// valid until the next call.
+func (t *memberTable) sortedIndices() []int {
+	t.idxs = t.idxs[:0]
+	for i := range t.byIndex {
+		t.idxs = append(t.idxs, i)
+	}
+	slices.Sort(t.idxs)
+	return t.idxs
 }
