@@ -27,9 +27,6 @@ type BSConfig struct {
 	// MaxSlots caps the network size; 0 selects the profile default for
 	// the variant.
 	MaxSlots int
-	// GrantRepeat is how many consecutive beacons repeat a static grant
-	// (the grant then expires to keep the steady-state beacon small).
-	GrantRepeat int
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan().
 	Plan packet.AddressPlan
@@ -61,6 +58,10 @@ type BSStats struct {
 	StrobesHeard  uint64
 	EarlyAcksSent uint64
 }
+
+// grantRepeat is how many consecutive beacons repeat a static grant; the
+// grant then expires to keep the steady-state beacon small.
+const grantRepeat = 2
 
 // grant is a static-TDMA slot grant still being advertised.
 type grant struct {
@@ -120,9 +121,6 @@ type BS struct {
 // NewBS wires a base station over its radio and OS.
 func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
-	if cfg.GrantRepeat <= 0 {
-		cfg.GrantRepeat = 2
-	}
 	if cfg.Variant == Static && cfg.StaticCycle <= 0 {
 		panic("mac: static base station needs a cycle length")
 	}
@@ -414,7 +412,7 @@ func (bs *BS) assignSlot() {
 	if bs.cfg.Variant == Static {
 		bs.grants = append(bs.grants, grant{
 			entry: packet.SlotEntry{NodeID: node, Slot: uint8(slot)},
-			left:  bs.cfg.GrantRepeat,
+			left:  grantRepeat,
 		})
 	}
 }
