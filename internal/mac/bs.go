@@ -106,8 +106,7 @@ type BS struct {
 	// state lives in fields.
 	beaconFireAt   sim.Time // burst instant of the beacon being prepared
 	beaconBytes    int      // its encoded payload size
-	beaconLoaded   bool
-	beaconIsDue    bool
+	beaconWaits    int      // its FIFO load and instant still awaited
 	onPrepare      sim.Handler
 	onBeaconDue    sim.Handler
 	beaconBuilt    func()
@@ -133,7 +132,7 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	bs.onPrepare = bs.prepareBeacon
 	bs.onBeaconDue = bs.beaconDue
 	bs.beaconBuilt = bs.buildBeacon
-	bs.beaconLoadDone = bs.onBeaconLoaded
+	bs.beaconLoadDone = bs.beaconStep
 	bs.beaconSent = bs.onBeaconSent
 	bs.slotAssigned = bs.assignSlot
 	bs.slotReleased = bs.releaseSlot
@@ -189,14 +188,6 @@ func (bs *BS) currentCycle() sim.Time {
 	return bs.cfg.Profile.MAC.DynamicSlotDuration * sim.Time(len(bs.byNode)+1)
 }
 
-// slotDuration mirrors the node-side computation.
-func (bs *BS) slotDuration() sim.Time {
-	if bs.cfg.Variant == Dynamic {
-		return bs.cfg.Profile.MAC.DynamicSlotDuration
-	}
-	return bs.cycle / sim.Time(bs.cfg.Profile.MAC.MaxStaticSlots+1)
-}
-
 // scheduleBeacon arms the beacon whose burst must start at fireAt.
 func (bs *BS) scheduleBeacon(fireAt sim.Time) {
 	p := bs.cfg.Profile
@@ -224,11 +215,21 @@ func (bs *BS) prepareBeacon(*sim.Kernel) {
 }
 
 // buildBeacon assembles and loads the beacon once the build task ran.
+// It first frees the slots of nodes silent for ReclaimAfter consecutive
+// beacon cycles, before the cycle length is recomputed, so a dynamic
+// cycle shrinks on the very beacon that drops the node. In the dynamic
+// variant the surviving slots are renumbered densely (the cycle only
+// covers indices 0..n-1 and every beacon carries the full table, so
+// survivors pick up their new index from the next beacon); in the static
+// variant the freed index simply returns to the grant pool.
 //
 //hot:path
 func (bs *BS) buildBeacon() {
 	p := bs.cfg.Profile
-	bs.reclaimSlots()
+	if bs.reclaimSilent() {
+		bs.dropStaleGrants()
+		bs.needCompact = bs.needCompact || bs.cfg.Variant == Dynamic
+	}
 	if bs.needCompact {
 		bs.compactSlots()
 		bs.needCompact = false
@@ -245,7 +246,7 @@ func (bs *BS) buildBeacon() {
 	// slot-assign task from a late SSR, say) the FIFO load can slip past
 	// the nominal instant; the beacon then flies as soon as the load
 	// completes, and the nodes' guard margins absorb the small delay.
-	bs.beaconLoaded, bs.beaconIsDue = false, false
+	bs.beaconWaits = 2
 	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
 	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, bs.beaconLoadDone)
 	fireEvent := bs.beaconFireAt - p.Radio.TxSettle
@@ -255,25 +256,20 @@ func (bs *BS) buildBeacon() {
 	bs.k.ScheduleAt(fireEvent, bs.onBeaconDue)
 }
 
-// onBeaconLoaded fires the beacon if its instant has already come.
+// beaconStep fires the beacon once both its FIFO load and its instant
+// have come, in either order.
 //
 //hot:path
-func (bs *BS) onBeaconLoaded() {
-	bs.beaconLoaded = true
-	if bs.beaconIsDue {
+func (bs *BS) beaconStep() {
+	if bs.beaconWaits--; bs.beaconWaits == 0 {
 		bs.radio.Fire(bs.beaconSent)
 	}
 }
 
-// beaconDue fires the beacon at its instant if the load has completed.
+// beaconDue marks the beacon's instant.
 //
 //hot:path
-func (bs *BS) beaconDue(*sim.Kernel) {
-	bs.beaconIsDue = true
-	if bs.beaconLoaded {
-		bs.radio.Fire(bs.beaconSent)
-	}
-}
+func (bs *BS) beaconDue(*sim.Kernel) { bs.beaconStep() }
 
 // onBeaconSent reopens the receiver and arms the next beacon.
 //
@@ -288,24 +284,6 @@ func (bs *BS) onBeaconSent() {
 	// The burst just ended; its air start is the reference.
 	bs.t0 = bs.k.Now() - p.Radio.Airtime(bs.beaconBytes)
 	bs.scheduleBeacon(bs.t0 + bs.cycle)
-}
-
-// reclaimSlots frees the slots of nodes silent for ReclaimAfter
-// consecutive beacon cycles. It runs in the beacon-build task, before
-// the cycle length is recomputed, so a dynamic cycle shrinks on the very
-// beacon that drops the node. In the dynamic variant the surviving slots
-// are renumbered densely (the cycle only covers indices 0..n-1 and every
-// beacon carries the full table, so survivors pick up their new index
-// from the next beacon); in the static variant the freed index simply
-// returns to the grant pool.
-func (bs *BS) reclaimSlots() {
-	if !bs.reclaimSilent() {
-		return
-	}
-	bs.dropStaleGrants()
-	if bs.cfg.Variant == Dynamic {
-		bs.compactSlots()
-	}
 }
 
 // dropStaleGrants stops advertising grants to nodes no longer in the
@@ -367,22 +345,17 @@ func (bs *BS) onFrame(f packet.Frame) {
 		if ssr, err := packet.UnmarshalSSR(f.Payload); err == nil {
 			bs.requestSlot(ssr, bs.slotAssigned)
 		} else if rel, err := packet.UnmarshalRelease(f.Payload); err == nil {
-			bs.handleRelease(rel)
+			bs.postFor("bs-slot-release", rel.NodeID, bs.slotReleased)
 		}
 	case bs.cfg.Plan.BSData:
 		bs.handleData(f.Payload)
 	}
 }
 
-// handleRelease frees a voluntarily released slot immediately — the
+// releaseSlot frees a voluntarily released slot once its task ran — the
 // low-battery node is parking in beacon-only mode and will not return —
 // so the dynamic cycle compacts on the next beacon instead of after the
 // silence-reclaim window.
-func (bs *BS) handleRelease(rel packet.Release) {
-	bs.postFor("bs-slot-release", rel.NodeID, bs.slotReleased)
-}
-
-// releaseSlot frees a released slot once the release task ran.
 func (bs *BS) releaseSlot() {
 	if !bs.retire(bs.nodeTasks.Pop()) {
 		return // duplicate or stale release
@@ -431,7 +404,7 @@ func (bs *BS) handleData(payload []byte) {
 	} else {
 		p := bs.cfg.Profile
 		airStart := bs.radio.LastRxFrameEnd() - p.Radio.Airtime(len(payload))
-		slot := int((airStart-bs.t0)/bs.slotDuration()) - 1
+		slot := int((airStart-bs.t0)/slotDuration(&p.MAC, bs.cfg.Variant, bs.cycle)) - 1
 		if node, ok = bs.byIndex[slot]; !ok {
 			bs.stats.StrayFrames++
 		}

@@ -213,16 +213,13 @@ func (c *bsCore) reclaimSilent() bool {
 // returns the member that sent payload and the payload past the header.
 // A header-only payload or a non-member's frame counts as stray (false).
 func (c *bsCore) sender(payload []byte) (uint8, []byte, bool) {
-	if len(payload) <= packet.DataHeaderBytes {
-		c.stats.StrayFrames++
-		return 0, nil, false
+	if len(payload) > packet.DataHeaderBytes {
+		if _, member := c.byNode[payload[0]]; member {
+			return payload[0], payload[packet.DataHeaderBytes:], true
+		}
 	}
-	id := payload[0]
-	if _, member := c.byNode[id]; !member {
-		c.stats.StrayFrames++
-		return 0, nil, false
-	}
-	return id, payload[packet.DataHeaderBytes:], true
+	c.stats.StrayFrames++
+	return 0, nil, false
 }
 
 // accept logs a member's data frame, copying its payload, and clears

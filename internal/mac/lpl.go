@@ -717,12 +717,13 @@ func (bs *LPLBS) openPayloadWindow() {
 	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, bs.onPayloadExpiry)
 }
 
+// onPayloadTimeout ends a wake whose sender went quiet.
+//
 //hot:path
 func (bs *LPLBS) onPayloadTimeout(*sim.Kernel) {
-	if !bs.awaitingPayload {
-		return
+	if bs.awaitingPayload {
+		bs.endWake()
 	}
-	bs.endWake()
 }
 
 func (bs *LPLBS) endWake() {

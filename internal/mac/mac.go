@@ -13,6 +13,7 @@
 package mac
 
 import (
+	"repro/internal/platform"
 	"repro/internal/sim"
 )
 
@@ -25,6 +26,16 @@ const (
 	// Dynamic is the run-time-growing TDMA of Figure 3.
 	Dynamic
 )
+
+// slotDuration reports the TDMA data-slot length under cycle, on the
+// base station and the node alike: fixed for the dynamic variant, a
+// share of the cycle for the static one.
+func slotDuration(p *platform.MACParams, v Variant, cycle sim.Time) sim.Time {
+	if v == Dynamic {
+		return p.DynamicSlotDuration
+	}
+	return cycle / sim.Time(p.MaxStaticSlots+1)
+}
 
 // String names the variant.
 func (v Variant) String() string {

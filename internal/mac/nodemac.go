@@ -96,10 +96,7 @@ func (m *NodeMac) Send(payload []byte) bool {
 
 // slotDuration reports the data-slot length under the current cycle.
 func (m *NodeMac) slotDuration() sim.Time {
-	if m.cfg.Variant == Dynamic {
-		return m.cfg.Profile.MAC.DynamicSlotDuration
-	}
-	return m.cycle / sim.Time(m.cfg.Profile.MAC.MaxStaticSlots+1)
+	return slotDuration(&m.cfg.Profile.MAC, m.cfg.Variant, m.cycle)
 }
 
 // slotStart reports the offset of slot i from the beacon air start. Slot
