@@ -94,10 +94,11 @@ type invariant struct {
 // Engine sweeps the registered invariants on the configured cadence.
 // Build with New, Register every law, then Start before the run.
 type Engine struct {
-	k    *sim.Kernel
-	cfg  Config
-	invs []invariant
-	sum  Summary
+	k      *sim.Kernel
+	cfg    Config
+	invs   []invariant
+	sum    Summary
+	onTick sim.Handler // tick, bound once so re-arming allocates nothing
 }
 
 // New builds an engine over the run's kernel, normalising cfg's zero
@@ -109,7 +110,9 @@ func New(k *sim.Kernel, cfg Config) *Engine {
 	if cfg.Limit <= 0 {
 		cfg.Limit = DefaultLimit
 	}
-	return &Engine{k: k, cfg: cfg}
+	e := &Engine{k: k, cfg: cfg}
+	e.onTick = e.tick
+	return e
 }
 
 // Register adds a law evaluated on every sweep. Registration order is
@@ -129,12 +132,12 @@ func (e *Engine) RegisterFinal(name, subject string, check Check) {
 // the current instant; each tick re-arms the next, so the cadence holds
 // for the whole run without the engine knowing the horizon.
 func (e *Engine) Start() {
-	e.k.Schedule(e.cfg.Every, e.tick)
+	e.k.Schedule(e.cfg.Every, e.onTick)
 }
 
 func (e *Engine) tick(k *sim.Kernel) {
 	e.sweep(k.Now(), false)
-	e.k.Schedule(e.cfg.Every, e.tick)
+	e.k.Schedule(e.cfg.Every, e.onTick)
 }
 
 // Finish runs one last sweep — including the final-only invariants — at
