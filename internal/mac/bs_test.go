@@ -30,8 +30,8 @@ func openLPLWake(t *testing.T, r *protoRig, node uint8) *LPLBS {
 
 // TestLPLDroppedSlotAssignEndsWake checks that an SSR whose slot-assign
 // task the full TinyOS queue drops ends the wake like a rejected SSR.
-// The dropped post used to leave the wake open for good: every later
-// probe returned early and the receiver stayed on.
+// Left open, the wake would never close: every later probe would return
+// early and the receiver would stay on.
 func TestLPLDroppedSlotAssignEndsWake(t *testing.T) {
 	r := newProtoRig(t, ProtoLPL, Params{}, 0, 51)
 	bs := openLPLWake(t, r, 1)
