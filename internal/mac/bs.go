@@ -343,7 +343,7 @@ func (bs *BS) onFrame(f packet.Frame) {
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
 		if ssr, err := packet.UnmarshalSSR(f.Payload); err == nil {
-			bs.requestSlot(ssr, bs.slotAssigned)
+			bs.requestSlot(ssr.NodeID, bs.slotAssigned)
 		} else if rel, err := packet.UnmarshalRelease(f.Payload); err == nil {
 			bs.postFor("bs-slot-release", rel.NodeID, bs.slotReleased)
 		}

@@ -149,11 +149,11 @@ func (c *bsCore) postFor(task string, node uint8, run func()) bool {
 	return true
 }
 
-// requestSlot counts a slot request and posts its assignment task, which
-// runs assigned. It reports false when the full task queue dropped it.
-func (c *bsCore) requestSlot(ssr packet.SSR, assigned func()) bool {
+// requestSlot counts node's slot request and posts its assignment task,
+// which runs assigned; false means the full task queue dropped it.
+func (c *bsCore) requestSlot(node uint8, assigned func()) bool {
 	c.stats.SSRReceived++
-	return c.postFor("bs-slot-assign", ssr.NodeID, assigned)
+	return c.postFor("bs-slot-assign", node, assigned)
 }
 
 // admitNext runs the admission step of the oldest posted slot request:

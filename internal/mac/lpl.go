@@ -744,7 +744,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 		return
 	}
 	bs.k.Cancel(bs.payloadTimeout)
-	if !bs.requestSlot(ssr, bs.slotAssigned) {
+	if !bs.requestSlot(ssr.NodeID, bs.slotAssigned) {
 		bs.endWake()
 	}
 }
