@@ -15,6 +15,17 @@ import (
 	"repro/internal/sim"
 )
 
+// forwarded registers an OnData hook on bs that keeps a copy of every
+// frame the base station forwards, payload included, in order.
+func forwarded(bs mac.BSMAC) *[]mac.RxRecord {
+	var recs []mac.RxRecord
+	bs.OnData(func(rec mac.RxRecord) {
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		recs = append(recs, rec)
+	})
+	return &recs
+}
+
 // TestEndToEndSignalFidelity drives the full stack — generator, ASIC,
 // OS, packing, FIFO, air, CRC, drain, base station — and verifies that
 // the ECG waveform reconstructed from the received payloads is the
@@ -35,11 +46,12 @@ func TestEndToEndSignalFidelity(t *testing.T) {
 		})
 	}, tracer)
 
+	log := forwarded(base.BS)
 	k.Schedule(0, func(*sim.Kernel) { base.Start() })
 	k.Schedule(5*sim.Millisecond, func(*sim.Kernel) { s.Start() })
 	k.RunUntil(20 * sim.Second)
 
-	recs := base.BS.Received()
+	recs := *log
 	if len(recs) < 100 {
 		t.Fatalf("only %d payloads arrived", len(recs))
 	}
@@ -89,12 +101,13 @@ func TestEndToEndBeatReports(t *testing.T) {
 		return app.NewRpeak(env, app.RpeakConfig{Channels: 1, Signal: sig})
 	}, tracer)
 
+	log := forwarded(base.BS)
 	k.Schedule(0, func(*sim.Kernel) { base.Start() })
 	k.Schedule(5*sim.Millisecond, func(*sim.Kernel) { s.Start() })
 	k.RunUntil(62 * sim.Second)
 
 	var beatsAt []float64
-	for _, rec := range base.BS.Received() {
+	for _, rec := range *log {
 		beat, err := packet.UnmarshalBeat(rec.Payload)
 		if err != nil {
 			t.Fatalf("non-beat payload at BS: %v", err)

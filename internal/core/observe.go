@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/battery"
 	"repro/internal/metrics"
 )
@@ -46,74 +44,66 @@ func assembleMetrics(res *Results) *metrics.Snapshot {
 			if rep.Died {
 				browned = 1
 			}
-			extra = append(extra, statRows(nr.Name, "battery", [][2]any{
-				{"brownouts", browned},
-				{"level-transitions", rep.Transitions},
-			})...)
+			extra = appendStats(extra, nr.Name,
+				stat{"battery.brownouts", browned},
+				stat{"battery.level-transitions", rep.Transitions})
 		}
-		extra = append(extra, statRows(nr.Name, "mac", [][2]any{
-			{"beacons-heard", nr.Mac.BeaconsHeard},
-			{"beacons-missed", nr.Mac.BeaconsMissed},
-			{"ssr-sent", nr.Mac.SSRSent},
-			{"data-sent", nr.Mac.DataSent},
-			{"data-acked", nr.Mac.DataAcked},
-			{"data-dropped", nr.Mac.DataDropped},
-			{"ack-missed", nr.Mac.AckMissed},
-			{"retries", nr.Mac.Retries},
-			{"queue-drops", nr.Mac.QueueDrops},
-			{"rejoins", nr.Mac.Rejoins},
-			{"slots-skipped", nr.Mac.SlotsSkipped},
-			{"releases-sent", nr.Mac.ReleasesSent},
-		})...)
-		extra = append(extra, statRows(nr.Name, "radio", [][2]any{
-			{"tx-frames", nr.Radio.TxFrames},
-			{"rx-accepted", nr.Radio.RxAccepted},
-			{"crc-drops", nr.Radio.CRCDrops},
-			{"addr-drops", nr.Radio.AddrDrops},
-		})...)
-		extra = append(extra, statRows(nr.Name, "app", [][2]any{
-			{"packets-sent", nr.PacketsSent},
-			{"packets-dropped", nr.PacketsDropped},
-			{"beats", nr.Beats},
-		})...)
+		extra = appendStats(extra, nr.Name,
+			stat{"mac.beacons-heard", nr.Mac.BeaconsHeard},
+			stat{"mac.beacons-missed", nr.Mac.BeaconsMissed},
+			stat{"mac.ssr-sent", nr.Mac.SSRSent},
+			stat{"mac.data-sent", nr.Mac.DataSent},
+			stat{"mac.data-acked", nr.Mac.DataAcked},
+			stat{"mac.data-dropped", nr.Mac.DataDropped},
+			stat{"mac.ack-missed", nr.Mac.AckMissed},
+			stat{"mac.retries", nr.Mac.Retries},
+			stat{"mac.queue-drops", nr.Mac.QueueDrops},
+			stat{"mac.rejoins", nr.Mac.Rejoins},
+			stat{"mac.slots-skipped", nr.Mac.SlotsSkipped},
+			stat{"mac.releases-sent", nr.Mac.ReleasesSent},
+			stat{"radio.tx-frames", nr.Radio.TxFrames},
+			stat{"radio.rx-accepted", nr.Radio.RxAccepted},
+			stat{"radio.crc-drops", nr.Radio.CRCDrops},
+			stat{"radio.addr-drops", nr.Radio.AddrDrops},
+			stat{"app.packets-sent", nr.PacketsSent},
+			stat{"app.packets-dropped", nr.PacketsDropped},
+			stat{"app.beats", nr.Beats})
 	}
-	extra = append(extra, statRows("bs", "bs", [][2]any{
-		{"beacons-sent", res.BSStats.BeaconsSent},
-		{"data-received", res.BSStats.DataReceived},
-		{"acks-sent", res.BSStats.AcksSent},
-		{"ssr-received", res.BSStats.SSRReceived},
-		{"ssr-rejected", res.BSStats.SSRRejected},
-		{"stray-frames", res.BSStats.StrayFrames},
-		{"slots-reclaimed", res.BSStats.SlotsReclaimed},
-		{"slots-released", res.BSStats.SlotsReleased},
-	})...)
-	extra = append(extra, statRows("channel", "channel", [][2]any{
-		{"transmissions", res.Channel.Transmissions},
-		{"collisions", res.Channel.Collisions},
-		{"deliveries", res.Channel.Deliveries},
-		{"corrupt-copies", res.Channel.CorruptCopies},
-		{"missed-start", res.Channel.MissedStart},
-		{"jammed-frames", res.Channel.JammedFrames},
-		{"truncated", res.Channel.Truncated},
-		{"blackout-drops", res.Channel.BlackoutDrops},
-	})...)
+	extra = appendStats(extra, "bs",
+		stat{"bs.beacons-sent", res.BSStats.BeaconsSent},
+		stat{"bs.data-received", res.BSStats.DataReceived},
+		stat{"bs.acks-sent", res.BSStats.AcksSent},
+		stat{"bs.ssr-received", res.BSStats.SSRReceived},
+		stat{"bs.ssr-rejected", res.BSStats.SSRRejected},
+		stat{"bs.stray-frames", res.BSStats.StrayFrames},
+		stat{"bs.slots-reclaimed", res.BSStats.SlotsReclaimed},
+		stat{"bs.slots-released", res.BSStats.SlotsReleased})
+	extra = appendStats(extra, "channel",
+		stat{"channel.transmissions", res.Channel.Transmissions},
+		stat{"channel.collisions", res.Channel.Collisions},
+		stat{"channel.deliveries", res.Channel.Deliveries},
+		stat{"channel.corrupt-copies", res.Channel.CorruptCopies},
+		stat{"channel.missed-start", res.Channel.MissedStart},
+		stat{"channel.jammed-frames", res.Channel.JammedFrames},
+		stat{"channel.truncated", res.Channel.Truncated},
+		stat{"channel.blackout-drops", res.Channel.BlackoutDrops})
 	return metrics.Assemble(res.Trace, energies, extraStates, extra, res.KernelEvents)
 }
 
-// statRows turns a component's statistics into namespaced counter rows,
+// stat is one named component statistic; the name carries its
+// namespace ("mac.retries").
+type stat struct {
+	name  string
+	value uint64
+}
+
+// appendStats appends a node's statistics to rows as counter rows,
 // skipping zero values to keep snapshots dense.
-func statRows(node, prefix string, pairs [][2]any) []metrics.CounterRow {
-	var rows []metrics.CounterRow
-	for _, p := range pairs {
-		v := p[1].(uint64)
-		if v == 0 {
-			continue
+func appendStats(rows []metrics.CounterRow, node string, stats ...stat) []metrics.CounterRow {
+	for _, st := range stats {
+		if st.value != 0 {
+			rows = append(rows, metrics.CounterRow{Node: node, Name: st.name, Value: st.value})
 		}
-		rows = append(rows, metrics.CounterRow{
-			Node:  node,
-			Name:  fmt.Sprintf("%s.%s", prefix, p[0].(string)),
-			Value: v,
-		})
 	}
 	return rows
 }

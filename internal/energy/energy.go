@@ -33,24 +33,41 @@ func (d Draw) Power() float64 { return d.CurrentA * d.VoltageV }
 // and charges the elapsed interval to the outgoing state when the next
 // transition (or a Flush) occurs.
 //
-// States are held densely, sorted by name: a transition finds its state
-// with a short scan (a component has a handful of states, and callers
-// pass the same constants, so the comparisons are cheap) instead of
-// hashing it, and every sum over states runs in the sorted order.
+// States are held densely, sorted by name, so every sum over states
+// runs in the sorted order. A component resolves each of its states to
+// a Handle once, with Handle, and transitions through it on its hot
+// path; Transition by name finds the state with a short scan.
+//
+// A meter can also hold one deferred transition (Defer): a state change
+// due at a known instant that no event needs to mark, such as the
+// microcontroller dropping back to sleep when its work runs out. The
+// next Transition, Flush or Reset applies it at its own instant.
 type Meter struct {
 	name    string
 	states  []State // sorted
 	draws   []Draw  // draws[i] is the operating point of states[i]
 	timeIn  []sim.Time
-	cur     int // index of the current state
+	cur     Handle // the current state
 	since   sim.Time
 	started bool
+
+	// deferred is the state of the held transition, noDefer when none;
+	// deferAt is its instant.
+	deferred Handle
+	deferAt  sim.Time
 }
+
+// Handle is a meter's dense index of one of its states, resolved once
+// with Meter.Handle.
+type Handle int
+
+// noDefer marks a meter that holds no deferred transition.
+const noDefer Handle = -1
 
 // NewMeter creates a meter for a component with the given state table.
 // Call Start before the first transition.
 func NewMeter(name string, draws map[State]Draw) *Meter {
-	m := &Meter{name: name, states: make([]State, 0, len(draws))}
+	m := &Meter{name: name, states: make([]State, 0, len(draws)), deferred: noDefer}
 	for s := range draws {
 		m.states = append(m.states, s)
 	}
@@ -76,25 +93,72 @@ func (m *Meter) Start(now sim.Time, initial State) {
 	m.started = true
 }
 
+// Handle resolves state s to the handle Enter and Defer take. It panics
+// on a state the meter was not built with.
+func (m *Meter) Handle(s State) Handle { return m.mustKnow(s) }
+
 // Transition moves the component into next at instant now, charging the
 // elapsed interval to the outgoing state. Transitioning to the current
 // state is a no-op (but still legal, so callers need not special-case it).
+func (m *Meter) Transition(now sim.Time, next State) {
+	m.Enter(now, m.mustKnow(next))
+}
+
+// Enter is Transition to a state resolved with Handle. A held deferred
+// transition due by now is applied first, at its own instant; one due
+// later is dropped, since the component changed state before it.
 //
 //hot:path
-func (m *Meter) Transition(now sim.Time, next State) {
+func (m *Meter) Enter(now sim.Time, next Handle) {
 	if !m.started {
 		panic(fmt.Sprintf("energy: meter %q used before Start", m.name))
 	}
-	i := m.mustKnow(next)
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q time went backwards (%v -> %v)", m.name, m.since, now))
 	}
-	if i == m.cur {
-		return
+	if m.deferred != noDefer {
+		if m.deferAt <= now {
+			m.move(m.deferAt, m.deferred)
+		}
+		m.deferred = noDefer
 	}
+	m.move(now, next)
+}
+
+// Defer holds a transition into next at instant at, replacing any held
+// one. The next Transition or Enter at or after at applies it first,
+// and Flush and Reset apply it once now lies past at; until then the
+// component stays in its current state. at must not precede the last
+// transition.
+//
+//hot:path
+func (m *Meter) Defer(at sim.Time, next Handle) {
+	if at < m.since {
+		panic(fmt.Sprintf("energy: meter %q deferred transition in the past (%v -> %v)", m.name, m.since, at))
+	}
+	m.deferred, m.deferAt = next, at
+}
+
+// Undefer drops the held deferred transition, if any.
+//
+//hot:path
+func (m *Meter) Undefer() { m.deferred = noDefer }
+
+// move charges the interval up to now to the current state and enters
+// next.
+func (m *Meter) move(now sim.Time, next Handle) {
 	m.timeIn[m.cur] += now - m.since
-	m.cur = i
+	m.cur = next
 	m.since = now
+}
+
+// settle applies a held deferred transition whose instant lies before
+// now.
+func (m *Meter) settle(now sim.Time) {
+	if m.deferred != noDefer && m.deferAt < now {
+		m.move(m.deferAt, m.deferred)
+		m.deferred = noDefer
+	}
 }
 
 // State reports the component's current power state.
@@ -112,6 +176,7 @@ func (m *Meter) Flush(now sim.Time) {
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q flush time went backwards", m.name))
 	}
+	m.settle(now)
 	m.timeIn[m.cur] += now - m.since
 	m.since = now
 }
@@ -135,6 +200,7 @@ func (m *Meter) Reset(now sim.Time) {
 	if now < m.since {
 		panic(fmt.Sprintf("energy: meter %q reset time went backwards", m.name))
 	}
+	m.settle(now)
 	clear(m.timeIn)
 	m.since = now
 }
@@ -176,10 +242,10 @@ func (m *Meter) TotalTime() sim.Time {
 }
 
 // index finds state s.
-func (m *Meter) index(s State) (int, bool) {
+func (m *Meter) index(s State) (Handle, bool) {
 	for i, x := range m.states {
 		if x == s {
-			return i, true
+			return Handle(i), true
 		}
 	}
 	return 0, false
@@ -187,7 +253,7 @@ func (m *Meter) index(s State) (int, bool) {
 
 // mustKnow finds state s, panicking on a state the meter was not built
 // with.
-func (m *Meter) mustKnow(s State) int {
+func (m *Meter) mustKnow(s State) Handle {
 	i, ok := m.index(s)
 	if !ok {
 		panic(fmt.Sprintf("energy: meter %q has no state %q", m.name, s))

@@ -412,11 +412,11 @@ func (bs *BS) handleData(payload []byte) {
 	if !ok {
 		return
 	}
-	rec := bs.accept(node, payload)
+	bs.accept(node, payload)
 	if bs.inBeaconPrep {
 		return
 	}
-	bs.owe(owedAck{kind: ackData, rec: rec}, "bs-ack-turnaround")
+	bs.oweData(node, payload)
 }
 
 // ackMayFly lets an owed ack fly unless the beacon path took the radio

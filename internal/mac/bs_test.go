@@ -59,8 +59,9 @@ func TestLPLDroppedSlotAssignEndsWake(t *testing.T) {
 
 // TestSenderIDAttribution delivers data frames to both contention base
 // stations (LPL inside an open wake). A header-only payload and a
-// non-member's frame each count one stray frame, log nothing and owe no
-// ack; a member's frame is logged without its header and owes one ack.
+// non-member's frame each count one stray frame, owe no ack and are
+// never forwarded; a member's frame counts as received, owes one ack and
+// is forwarded without its header.
 func TestSenderIDAttribution(t *testing.T) {
 	data := func(payload ...byte) packet.Frame {
 		return packet.Frame{Dest: packet.DefaultPlan().BSData, Payload: payload}
@@ -93,27 +94,35 @@ func TestSenderIDAttribution(t *testing.T) {
 				default:
 					t.Fatalf("base station is %T", r.bs)
 				}
+				rx := logData(r.bs)
 				r.k.Schedule(0, func(*sim.Kernel) {
-					before := r.bs.Stats().StrayFrames
+					before := r.bs.Stats()
 					deliver(tc.frame)
-					stray := r.bs.Stats().StrayFrames - before
-					rx := r.bs.Received()
+					after := r.bs.Stats()
+					stray := after.StrayFrames - before.StrayFrames
+					got := after.DataReceived - before.DataReceived
 					if tc.stray {
-						if stray != 1 || len(rx) != 0 || owed() != 0 {
+						if stray != 1 || got != 0 || owed() != 0 {
 							t.Errorf("stray frame: StrayFrames +%d, %d received, %d acks owed; want +1, 0, 0",
-								stray, len(rx), owed())
+								stray, got, owed())
 						}
 						return
 					}
-					if stray != 0 || len(rx) != 1 || owed() != 1 {
+					if stray != 0 || got != 1 || owed() != 1 {
 						t.Fatalf("member frame: StrayFrames +%d, %d received, %d acks owed; want +0, 1, 1",
-							stray, len(rx), owed())
-					}
-					if rx[0].Node != 2 || string(rx[0].Payload) != "\xaa\xbb" {
-						t.Errorf("logged %+v, want node 2 and the payload past the header", rx[0])
+							stray, got, owed())
 					}
 				})
-				r.k.RunUntil(r.k.Now() + sim.Millisecond)
+				r.k.RunUntil(r.k.Now() + 5*sim.Millisecond)
+				if tc.stray {
+					if len(*rx) != 0 {
+						t.Errorf("stray frame forwarded: %+v", *rx)
+					}
+					return
+				}
+				if len(*rx) != 1 || (*rx)[0].Node != 2 || string((*rx)[0].Payload) != "\xaa\xbb" {
+					t.Errorf("forwarded %+v, want one frame from node 2 with the payload past the header", *rx)
+				}
 			})
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // bsCore is the data sink every base station shares: the wiring, the
-// member table, the received-frame log and counters, sender-ID
+// member table, the data counters and forwarding hook, sender-ID
 // attribution, the admission, release and reclaim records, and the
 // acknowledgement chain. BS and LPLBS embed it by value and add only how
 // they regulate the BAN's timing. Each binds two functions at
@@ -31,14 +31,13 @@ type bsCore struct {
 	reclaimDetail string
 
 	onData func(rec RxRecord)
-	// received logs the accepted frames; their payloads are copied into
-	// an append-only arena, so a record's capped slice never sees later
-	// frames and growth only reallocates geometrically.
-	received []RxRecord
-	arena    []byte
-	stats    BSStats
-	started  bool
-	ackBuf   []byte // marshal scratch: one ack is loaded at a time
+	// spare recycles the buffers an acknowledged frame's payload waits
+	// in until its forwarding task ran, so there are only ever as many
+	// as frames in flight.
+	spare   [][]byte
+	stats   BSStats
+	started bool
+	ackBuf  []byte // marshal scratch: one ack is loaded at a time
 
 	// The ack chain, stepped by handlers bound once in init. Owed acks
 	// wait in acks for their turnaround ISR, then in ackLoads for their
@@ -73,7 +72,8 @@ type owedAck struct {
 	rec  RxRecord // the acknowledged frame; only Node unless kind is ackData
 }
 
-// RxRecord is one data frame the base station accepted.
+// RxRecord is one data frame the base station accepted. OnData's
+// Payload is valid only for the duration of the callback.
 type RxRecord struct {
 	Node    uint8
 	Payload []byte
@@ -107,17 +107,11 @@ func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio
 // forwarding task ran (the "forward to the PC/PDA" hook).
 func (c *bsCore) OnData(fn func(rec RxRecord)) { c.onData = fn }
 
-// Received implements BSMAC.
-func (c *bsCore) Received() []RxRecord { return c.received }
-
 // Stats implements BSMAC.
 func (c *bsCore) Stats() BSStats { return c.stats }
 
 // ResetAccounting implements BSMAC.
-func (c *bsCore) ResetAccounting() {
-	c.stats = BSStats{}
-	c.received = nil
-}
+func (c *bsCore) ResetAccounting() { c.stats = BSStats{} }
 
 // AuditTable implements BSMAC: the member maps must be inverse
 // bijections with indices inside the admission cap.
@@ -222,18 +216,34 @@ func (c *bsCore) sender(payload []byte) (uint8, []byte, bool) {
 	return 0, nil, false
 }
 
-// accept logs a member's data frame, copying its payload, and clears
-// the member's silence.
-func (c *bsCore) accept(node uint8, payload []byte) RxRecord {
+// accept counts a member's data frame and clears the member's silence.
+func (c *bsCore) accept(node uint8, payload []byte) {
 	delete(c.silent, node)
-	start := len(c.arena)
-	c.arena = append(c.arena, payload...)
-	end := len(c.arena)
-	rec := RxRecord{Node: node, Payload: c.arena[start:end:end], At: c.k.Now()}
-	c.received = append(c.received, rec)
 	c.stats.DataReceived++
 	metrics.Record2(c.tracer, c.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", node, len(payload))
-	return rec
+}
+
+// oweData queues the acknowledgement of a member's accepted data frame.
+// The frame travels with it to the forwarding task, its payload copied
+// into a recycled buffer, since the radio reuses its own.
+//
+//hot:path
+func (c *bsCore) oweData(node uint8, payload []byte) {
+	var buf []byte
+	if n := len(c.spare); n > 0 {
+		buf = c.spare[n-1]
+		c.spare = c.spare[:n-1]
+	}
+	buf = append(buf[:0], payload...)
+	c.owe(owedAck{kind: ackData, rec: RxRecord{Node: node, Payload: buf, At: c.k.Now()}}, "bs-ack-turnaround")
+}
+
+// recycle returns the payload buffer of a frame that was forwarded, or
+// will not be, to the spares. Control acks carry none.
+func (c *bsCore) recycle(payload []byte) {
+	if cap(payload) > 0 {
+		c.spare = append(c.spare, payload)
+	}
 }
 
 // owe queues an acknowledgement behind the turnaround ISR named isr.
@@ -249,6 +259,7 @@ func (c *bsCore) owe(a owedAck, isr string) {
 func (c *bsCore) turnAck() {
 	a := c.acks.Pop()
 	if !c.mayAck(a) {
+		c.recycle(a.rec.Payload)
 		return
 	}
 	c.loadAck(a)
@@ -275,8 +286,13 @@ func (c *bsCore) onAckLoaded() {
 	a := c.ackLoads.Pop()
 	c.firing = a
 	c.radio.Fire(c.ackSent)
-	if a.kind == ackData && c.sched.PostFn("bs-data-handle", c.cfg.Profile.Cost.BSDataHandle, c.forwarded) {
+	if a.kind != ackData {
+		return
+	}
+	if c.sched.PostFn("bs-data-handle", c.cfg.Profile.Cost.BSDataHandle, c.forwarded) {
 		c.forwards.Push(a.rec)
+	} else {
+		c.recycle(a.rec.Payload)
 	}
 }
 
@@ -301,4 +317,5 @@ func (c *bsCore) forward() {
 	if c.onData != nil {
 		c.onData(rec)
 	}
+	c.recycle(rec.Payload)
 }

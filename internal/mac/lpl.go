@@ -781,8 +781,8 @@ func (bs *LPLBS) handleData(payload []byte) {
 	// reopens: a strobe caught in the gap must not start a second
 	// transmit (see handleStrobe's guard).
 	bs.acking = true
-	rec := bs.accept(node, payload)
-	bs.owe(owedAck{kind: ackData, rec: rec}, "bs-ack-turnaround")
+	bs.accept(node, payload)
+	bs.oweData(node, payload)
 }
 
 var (

@@ -42,6 +42,17 @@ func newRig(t *testing.T, variant Variant, staticCycle sim.Time, seed int64) *ri
 	return r
 }
 
+// logData registers an OnData hook on bs that keeps a copy of every
+// forwarded frame, payload included, in forwarding order.
+func logData(bs BSMAC) *[]RxRecord {
+	var recs []RxRecord
+	bs.OnData(func(rec RxRecord) {
+		rec.Payload = append([]byte(nil), rec.Payload...)
+		recs = append(recs, rec)
+	})
+	return &recs
+}
+
 func (r *rig) addNode(id uint8, variant Variant) *NodeMac {
 	r.t.Helper()
 	prof := platform.IMEC()
@@ -63,6 +74,7 @@ func TestStaticJoinAndSteadyState(t *testing.T) {
 	r := newRig(t, Static, 30*sim.Millisecond, 1)
 	n1 := r.addNode(1, Static)
 	n2 := r.addNode(2, Static)
+	recs := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -101,9 +113,9 @@ func TestStaticJoinAndSteadyState(t *testing.T) {
 	if got := r.bs.Stats().DataReceived; got < 100 {
 		t.Fatalf("bs received %d frames, want >= 100", got)
 	}
-	// Received frames attribute to the right nodes.
+	// Forwarded frames attribute to the right nodes.
 	seen := map[uint8]int{}
-	for _, rec := range r.bs.Received() {
+	for _, rec := range *recs {
 		if len(rec.Payload) != 18 {
 			t.Fatalf("payload length %d, want 18", len(rec.Payload))
 		}

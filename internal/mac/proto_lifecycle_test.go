@@ -147,8 +147,9 @@ func TestCSMACrashRebootPark(t *testing.T) {
 		n1.ResetAccounting()
 		r.bs.ResetAccounting()
 	})
+	rxBefore := rx
 	r.k.RunUntil(2100 * sim.Millisecond)
-	if len(r.bs.Received()) == 0 {
+	if rx == rxBefore || r.bs.Stats().DataReceived == 0 {
 		t.Fatalf("BS received nothing after ResetAccounting")
 	}
 
@@ -291,8 +292,9 @@ func TestLPLCrashRebootPark(t *testing.T) {
 		n1.ResetAccounting()
 		r.bs.ResetAccounting()
 	})
+	rxBefore := rx
 	r.k.RunUntil(4500 * sim.Millisecond)
-	if len(r.bs.Received()) == 0 {
+	if rx == rxBefore || r.bs.Stats().DataReceived == 0 {
 		t.Fatalf("BS received nothing after ResetAccounting")
 	}
 

@@ -100,6 +100,7 @@ func TestCSMAJoinAndSteadyState(t *testing.T) {
 	r := newProtoRig(t, ProtoCSMA, Params{}, 30*sim.Millisecond, 1)
 	n1 := r.addNode(1, ProtoCSMA, Params{})
 	n2 := r.addNode(2, ProtoCSMA, Params{})
+	recs := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -142,7 +143,7 @@ func TestCSMAJoinAndSteadyState(t *testing.T) {
 	// Attribution: the BS charges frames to the right sender via the ID
 	// header, and payloads arrive stripped of it.
 	seen := map[uint8]int{}
-	for _, rec := range r.bs.Received() {
+	for _, rec := range *recs {
 		if len(rec.Payload) != 18 {
 			t.Fatalf("payload length %d, want 18 (header must be stripped)", len(rec.Payload))
 		}
@@ -203,6 +204,7 @@ func TestLPLDeliveryAndDutyCycle(t *testing.T) {
 	r := newProtoRig(t, ProtoLPL, Params{}, 0, 3)
 	n1 := r.addNode(1, ProtoLPL, Params{})
 	n2 := r.addNode(2, ProtoLPL, Params{})
+	recs := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -231,7 +233,7 @@ func TestLPLDeliveryAndDutyCycle(t *testing.T) {
 		t.Fatalf("no strobe train was ever truncated")
 	}
 	seen := map[uint8]int{}
-	for _, rec := range r.bs.Received() {
+	for _, rec := range *recs {
 		if len(rec.Payload) != 18 {
 			t.Fatalf("payload length %d, want 18 (header must be stripped)", len(rec.Payload))
 		}

@@ -127,16 +127,16 @@ type BSMAC interface {
 	Start()
 	// Stats returns a copy of the counters.
 	Stats() BSStats
-	// Received returns the accepted data frames in arrival order.
-	Received() []RxRecord
-	// OnData registers a callback for each accepted data frame.
+	// OnData registers a callback for each accepted data frame, run
+	// once its forwarding task ran. The record's payload is valid only
+	// during the callback.
 	OnData(fn func(rec RxRecord))
 	// CycleLength reports the regulation period (TDMA cycle, or the LPL
 	// check interval).
 	CycleLength() sim.Time
 	// Nodes reports the associated node IDs in assignment order.
 	Nodes() []uint8
-	// ResetAccounting zeroes statistics and the received-frame log.
+	// ResetAccounting zeroes statistics.
 	ResetAccounting()
 	// AuditTable checks the association bookkeeping: slot-table
 	// bijections for slotted MACs, membership consistency for

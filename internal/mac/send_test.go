@@ -14,6 +14,7 @@ import (
 func TestSendCopiesPayload(t *testing.T) {
 	r := newRig(t, Static, 30*sim.Millisecond, 5)
 	n := r.addNode(1, Static)
+	log := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n.Start()
@@ -33,7 +34,7 @@ func TestSendCopiesPayload(t *testing.T) {
 	n.OnJoined(func() { sim.NewTimer(r.k, send).StartPeriodic(30 * sim.Millisecond) })
 	r.k.RunUntil(2 * sim.Second)
 
-	recs := r.bs.Received()
+	recs := *log
 	if len(recs) < 40 {
 		t.Fatalf("only %d frames received", len(recs))
 	}

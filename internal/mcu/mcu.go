@@ -9,10 +9,20 @@
 // arrival order (run-to-completion, like the TinyOS task model layered on
 // top of it), and the MCU drops into the scheduler-selected low-power
 // mode whenever the work queue drains.
+//
+// Dropping back to sleep is residency bookkeeping only, so work without
+// a completion callback costs no kernel event: its Exec leaves the
+// energy meter a deferred transition into the sleep state at the instant
+// the work ends, and reserves the dispatch position its completion event
+// would have taken. The MCU counts as asleep once dispatch has passed
+// that position, exactly when the elided event would have put it to
+// sleep. Work with a callback still completes through a kernel event,
+// which puts the MCU to sleep itself.
 package mcu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/platform"
@@ -26,9 +36,20 @@ type MCU struct {
 	params platform.MCUParams
 	meter  *energy.Meter
 
-	busyUntil  sim.Time
-	sleeping   bool
+	// busyUntil is the instant the queued work runs out. awake is false
+	// while the MCU sleeps with no work run since, or is crashed. When
+	// the last queued work has no callback, idleSeq is the dispatch
+	// position reserved for its elided completion, from which on the
+	// MCU is asleep (see asleep); otherwise it is completionEvent.
+	busyUntil sim.Time
+	idleSeq   uint64
+	awake     bool
+	// sleepState is the low-power mode the MCU idles in; the handles
+	// are its meter's states, resolved once.
 	sleepState energy.State
+	sleep      energy.Handle
+	active     energy.Handle
+	off        energy.Handle
 	// gen invalidates queued completions across a crash: a completion
 	// only applies its effects when the generation it was issued under
 	// is still current.
@@ -63,12 +84,19 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 		params:     params,
 		meter:      meter,
 		busyUntil:  k.Now(),
-		sleeping:   true,
 		sleepState: platform.StateMCUPowerSave,
+		sleep:      meter.Handle(platform.StateMCUPowerSave),
+		active:     meter.Handle(platform.StateMCUActive),
+		off:        meter.Handle(platform.StateMCUOff),
 	}
 	m.complete = m.onComplete
 	return m
 }
+
+// completionEvent is idleSeq when the last queued work completes through
+// a kernel event, whose handler puts the MCU to sleep: no reserved
+// position stands in for it.
+const completionEvent = math.MaxUint64
 
 // completion is the state of one queued computation.
 type completion struct {
@@ -90,9 +118,21 @@ func (m *MCU) SetSleepState(s energy.State) {
 		panic(fmt.Sprintf("mcu: %q is not a sleep state", s))
 	}
 	m.sleepState = s
-	if m.sleeping {
-		m.meter.Transition(m.k.Now(), s)
+	m.sleep = m.meter.Handle(s)
+	if m.asleep() {
+		m.meter.Enter(m.k.Now(), m.sleep)
+	} else {
+		m.meter.Defer(m.busyUntil, m.sleep)
 	}
+}
+
+// asleep reports whether the MCU sits in its sleep state at the kernel's
+// dispatch position: it has not run since it last slept, or dispatch has
+// passed the position reserved for its last work's elided completion.
+//
+//hot:path
+func (m *MCU) asleep() bool {
+	return !m.awake || m.k.Passed(m.busyUntil, m.idleSeq)
 }
 
 // Busy reports whether the MCU is currently executing (or has queued
@@ -120,9 +160,9 @@ func (m *MCU) ResetAccounting() {
 // MCU is idle (after the wakeup ramp if it was sleeping) or after all
 // previously queued work otherwise; done (if non-nil) runs at completion,
 // on the simulation goroutine. Exec returns the completion instant.
-// Queuing allocates nothing: pass a done bound once (a method value kept
-// in a field), not a fresh closure, to keep the caller allocation-free
-// too.
+// With a nil done, Exec schedules no kernel event at all. Queuing
+// allocates nothing: pass a done bound once (a method value kept in a
+// field), not a fresh closure, to keep the caller allocation-free too.
 //
 //hot:path
 func (m *MCU) Exec(cycles int64, done func()) sim.Time {
@@ -145,21 +185,51 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	m.execs++
 	m.cyclesRun += cycles
 
-	start := now
+	start, woke := now, false
 	if m.busyUntil > now {
 		start = m.busyUntil
-	} else if m.sleeping {
+	} else if m.asleep() {
 		// Waking from a low-power mode costs the stand-by→active ramp;
-		// the core draws active current during the ramp.
+		// the core draws active current during the ramp. Enter first
+		// applies the meter's deferred sleep at busyUntil.
 		dur += m.params.WakeupLatency
-		m.sleeping = false
-		m.meter.Transition(now, platform.StateMCUActive)
+		woke = true
+		m.awake = true
+		m.meter.Enter(now, m.active)
 	}
+	// Otherwise the last work ended at this very instant and its
+	// completion has not passed yet: the core runs straight on.
 	end := start + dur
-	m.busyUntil = end
 	m.activeTime += dur
-	m.pending.ScheduleAt(m.k, end, m.complete, completion{gen: m.gen, done: done})
+	if done != nil {
+		m.pending.ScheduleAt(m.k, end, m.complete, completion{gen: m.gen, done: done})
+	}
+	if end == m.busyUntil && !woke {
+		// Zero-length work at the instant the queued work runs out: the
+		// earlier completion, ahead of this one, still finds nothing
+		// left to run and puts the MCU to sleep.
+		return end
+	}
+	m.busyUntil = end
+	m.idle(end, done != nil)
 	return end
+}
+
+// idle records how the MCU goes back to sleep once the queued work runs
+// out at end, replacing what it held for earlier work, which new work
+// has pushed back. A completion event (event set) puts it to sleep
+// itself. Otherwise the meter holds the sleep transition, and idle
+// reserves the dispatch position the elided event would have taken.
+//
+//hot:path
+func (m *MCU) idle(end sim.Time, event bool) {
+	if event {
+		m.idleSeq = completionEvent
+		m.meter.Undefer()
+		return
+	}
+	m.idleSeq = m.k.Reserve()
+	m.meter.Defer(end, m.sleep)
 }
 
 // onComplete finishes one queued computation.
@@ -170,13 +240,11 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 	if m.gen != c.gen {
 		return // the node crashed; this computation never completed
 	}
-	if c.done != nil {
-		c.done()
-	}
+	c.done()
 	// Sleep only if the completion callback queued nothing further.
-	if end := k.Now(); m.busyUntil == end && !m.sleeping {
-		m.sleeping = true
-		m.meter.Transition(end, m.sleepState)
+	if end := k.Now(); m.busyUntil == end && m.awake {
+		m.awake = false
+		m.meter.Enter(end, m.sleep)
 	}
 }
 
@@ -188,14 +256,14 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 func (m *MCU) Crash() {
 	m.gen++
 	m.busyUntil = m.k.Now()
-	m.sleeping = true
-	m.meter.Transition(m.k.Now(), platform.StateMCUOff)
+	m.awake = false
+	m.meter.Enter(m.k.Now(), m.off)
 }
 
 // Reboot restores the core after a Crash: it comes up in the configured
 // sleep state, ready for the boot code's first Exec.
 func (m *MCU) Reboot() {
-	m.meter.Transition(m.k.Now(), m.sleepState)
+	m.meter.Enter(m.k.Now(), m.sleep)
 }
 
 // Queue holds per-computation state of a component that submits work to

@@ -243,9 +243,10 @@ func TestQuickSerialization(t *testing.T) {
 }
 
 // TestExecAllocationFree pins the closure-free completion path: queuing
-// work with a done that already exists allocates nothing once warm.
+// work with a done that already exists, or with none (the deferred
+// sleep), allocates nothing once warm.
 func TestExecAllocationFree(t *testing.T) {
-	k, m, _ := newMCU(t)
+	k, m, l := newMCU(t)
 	done := func() {}
 	for i := 0; i < 4; i++ {
 		m.Exec(100, done)
@@ -256,6 +257,16 @@ func TestExecAllocationFree(t *testing.T) {
 		k.Run()
 	}); n != 0 {
 		t.Fatalf("Exec allocated %v times per computation", n)
+	}
+	horizon := k.Now()
+	if n := testing.AllocsPerRun(200, func() {
+		m.Exec(100, nil)
+		m.Exec(100, nil)
+		horizon += sim.Millisecond
+		k.RunUntil(horizon)
+		l.Flush(horizon)
+	}); n != 0 {
+		t.Fatalf("Exec with a nil done allocated %v times per computation", n)
 	}
 }
 

@@ -83,8 +83,10 @@ type Radio struct {
 	ch     *channel.Channel
 	sched  *tinyos.Sched
 	meter  *energy.Meter
-	ledger *energy.Ledger
-	tracer *metrics.Recorder
+	// modeState maps each Mode to its meter state, resolved once.
+	modeState [ModeRx + 1]energy.Handle
+	ledger    *energy.Ledger
+	tracer    *metrics.Recorder
 
 	mode      Mode
 	rxSince   sim.Time // listening valid from this instant (after settle)
@@ -153,6 +155,12 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		ledger: ledger,
 		tracer: tracer,
 		loads:  mcu.NewQueue[load](sched.MCU()),
+	}
+	r.modeState = [...]energy.Handle{
+		ModeOff:     meter.Handle(platform.StateRadioOff),
+		ModeStandby: meter.Handle(platform.StateRadioStandby),
+		ModeTx:      meter.Handle(platform.StateRadioTX),
+		ModeRx:      meter.Handle(platform.StateRadioRX),
 	}
 	r.onSettle = r.settle
 	r.onBurstEnd = r.burstEnd
@@ -494,16 +502,5 @@ func (r *Radio) setMode(m Mode) {
 		return
 	}
 	r.mode = m
-	var s energy.State
-	switch m {
-	case ModeOff:
-		s = platform.StateRadioOff
-	case ModeStandby:
-		s = platform.StateRadioStandby
-	case ModeTx:
-		s = platform.StateRadioTX
-	case ModeRx:
-		s = platform.StateRadioRX
-	}
-	r.meter.Transition(r.k.Now(), s)
+	r.meter.Enter(r.k.Now(), r.modeState[m])
 }

@@ -22,6 +22,7 @@ type event struct {
 	at      Time
 	seq     uint64 // tie-breaker: FIFO among events at the same instant
 	id      EventID
+	arg     uint64
 	handler Handler
 	index   int // heap index, maintained by eventQueue
 	dead    bool
@@ -61,10 +62,10 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
-func (s *heapSched) schedule(at Time, seq uint64, h Handler) EventID {
+func (s *heapSched) schedule(at Time, seq uint64, h Handler, arg uint64) EventID {
 	s.nextID++
 	//lint:allow hotalloc the legacy reference scheduler allocates per event by design; production runs use the pooled wheel
-	e := &event{at: at, seq: seq, id: s.nextID, handler: h}
+	e := &event{at: at, seq: seq, id: s.nextID, arg: arg, handler: h}
 	heap.Push(&s.queue, e)
 	s.live[e.id] = e
 	return e.id
@@ -86,8 +87,9 @@ func (s *heapSched) cancel(id EventID) bool {
 
 func (s *heapSched) pending() int { return len(s.live) }
 
-// next pops the earliest live event, skipping cancelled entries.
-func (s *heapSched) next() (Handler, Time, EventID, bool) {
+// next pops the earliest live event, skipping cancelled entries, and
+// describes it in f.
+func (s *heapSched) next(f *fired) (Handler, bool) {
 	for len(s.queue) > 0 {
 		e := heap.Pop(&s.queue).(*event)
 		if e.dead {
@@ -96,9 +98,10 @@ func (s *heapSched) next() (Handler, Time, EventID, bool) {
 		delete(s.live, e.id)
 		h := e.handler
 		e.handler = nil
-		return h, e.at, e.id, true
+		*f = fired{at: e.at, id: e.id, seq: e.seq, arg: e.arg}
+		return h, true
 	}
-	return nil, 0, 0, false
+	return nil, false
 }
 
 // peek reports the instant of the earliest live event.

@@ -39,8 +39,9 @@ type Kernel struct {
 
 	executed uint64
 	stopped  bool
-	// firing is the ID of the event whose handler is running (Firing).
-	firing EventID
+	// fired describes the event whose handler is running (Firing, Arg,
+	// Passed).
+	fired fired
 
 	// Watchdog state (SetWatchdog). checkAt is the executed-event count
 	// at which the dispatch loops consult the watchdog; math.MaxUint64
@@ -51,6 +52,16 @@ type Kernel struct {
 	poll      func() bool
 	pollEvery uint64
 	trip      Trip
+}
+
+// fired is the dispatch position of the event whose handler is running:
+// its instant, ID, sequence number and argument word. Both schedulers
+// fill it as they pop an event, before recycling its storage.
+type fired struct {
+	at  Time
+	id  EventID
+	seq uint64
+	arg uint64
 }
 
 // Trip reports why a watchdog stopped the kernel.
@@ -217,6 +228,14 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // in the past (before Now) is a programming error and panics: allowing it
 // would silently reorder causality.
 func (k *Kernel) ScheduleAt(at Time, handler Handler) EventID {
+	return k.ScheduleArgAt(at, handler, 0)
+}
+
+// ScheduleArgAt is ScheduleAt with an argument word the handler reads
+// back with Arg. A handler shared by several pending events (a method
+// value bound once, instead of a closure per event) uses it to find the
+// state of the event that fired; see Pending.
+func (k *Kernel) ScheduleArgAt(at Time, handler Handler, arg uint64) EventID {
 	if handler == nil {
 		panic("sim: ScheduleAt with nil handler")
 	}
@@ -225,9 +244,32 @@ func (k *Kernel) ScheduleAt(at Time, handler Handler) EventID {
 	}
 	k.nextSeq++
 	if k.legacy != nil {
-		return k.legacy.schedule(at, k.nextSeq, handler)
+		return k.legacy.schedule(at, k.nextSeq, handler, arg)
 	}
-	return k.wheel.schedule(at, k.nextSeq, handler)
+	return k.wheel.schedule(at, k.nextSeq, handler, arg)
+}
+
+// Reserve takes the sequence number an event scheduled now would get,
+// without scheduling one, and returns it. A component that elides an
+// event whose only effect is bookkeeping reserves its place in the
+// dispatch order instead, and asks Passed whether the elided event
+// would have fired yet. Events scheduled before and after the
+// reservation keep their relative order, exactly as if the elided
+// event were still queued.
+func (k *Kernel) Reserve() uint64 {
+	k.nextSeq++
+	return k.nextSeq
+}
+
+// Passed reports whether dispatch has moved beyond the position an
+// event at instant at with sequence number seq would hold: at lies in
+// the past, or the event firing now at at was scheduled after seq.
+// Once Run or RunUntil returns without a Stop, every position reserved
+// so far at the current instant has passed.
+//
+//hot:path
+func (k *Kernel) Passed(at Time, seq uint64) bool {
+	return at < k.now || at == k.now && seq < k.fired.seq
 }
 
 // Schedule posts handler to run after the relative delay d (which may be
@@ -241,11 +283,13 @@ func (k *Kernel) Schedule(d Time, handler Handler) EventID {
 }
 
 // Firing reports the ID of the event whose handler is running: the
-// value ScheduleAt returned for it. A handler shared by several pending
-// events (a method value bound once, instead of a closure per event)
-// uses it to tell which of them fired; see Pending. Outside a handler
-// it reports the last event dispatched.
-func (k *Kernel) Firing() EventID { return k.firing }
+// value ScheduleAt returned for it. Outside a handler it reports the
+// last event dispatched.
+func (k *Kernel) Firing() EventID { return k.fired.id }
+
+// Arg reports the argument word of the event whose handler is running:
+// the value ScheduleArgAt was given for it (0 for ScheduleAt).
+func (k *Kernel) Arg() uint64 { return k.fired.arg }
 
 // Cancel removes a pending event. It reports whether the event was still
 // pending (false when it has already fired or been cancelled).
@@ -267,11 +311,11 @@ func (k *Kernel) step() bool {
 		return false
 	}
 	if k.legacy != nil {
-		h, at, id, ok := k.legacy.next()
+		h, ok := k.legacy.next(&k.fired)
 		if !ok {
 			return false
 		}
-		k.now, k.firing = at, id
+		k.now = k.fired.at
 		k.executed++
 		h(k)
 		return true
@@ -279,11 +323,19 @@ func (k *Kernel) step() bool {
 	if !k.wheel.ensureReady() {
 		return false
 	}
-	h, at, id := k.wheel.popReady()
-	k.now, k.firing = at, id
+	h := k.wheel.popReady(&k.fired)
+	k.now = k.fired.at
 	k.executed++
 	h(k)
 	return true
+}
+
+// drained records that dispatch ran through the current instant: every
+// position reserved so far at Now has passed.
+func (k *Kernel) drained() {
+	if !k.stopped {
+		k.fired.seq = k.nextSeq + 1
+	}
 }
 
 // RunUntil executes events in order until the queue is empty, Stop is
@@ -310,8 +362,8 @@ func (k *Kernel) RunUntil(horizon Time) {
 			if k.executed >= k.checkAt && k.tripNow() {
 				break
 			}
-			h, at, id := k.wheel.popReady()
-			k.now, k.firing = at, id
+			h := k.wheel.popReady(&k.fired)
+			k.now = k.fired.at
 			k.executed++
 			h(k)
 		}
@@ -319,6 +371,7 @@ func (k *Kernel) RunUntil(horizon Time) {
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
 	}
+	k.drained()
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -326,4 +379,5 @@ func (k *Kernel) Run() {
 	k.stopped = false
 	for !k.stopped && k.step() {
 	}
+	k.drained()
 }

@@ -55,6 +55,7 @@ const (
 type poolEvent struct {
 	at      Time
 	seq     uint64
+	arg     uint64
 	handler Handler
 	next    int32
 	prev    int32
@@ -121,6 +122,7 @@ func (w *wheel) recycle(idx int32) {
 	}
 	e.at = 0
 	e.seq = 0
+	e.arg = 0
 	e.handler = nil
 	e.prev = -1
 	e.loc = locFree
@@ -154,11 +156,12 @@ func (w *wheel) before(a, b int32) bool {
 // state. Pool growth amortises through the sanctioned self-append.
 //
 //hot:path
-func (w *wheel) schedule(at Time, seq uint64, h Handler) EventID {
+func (w *wheel) schedule(at Time, seq uint64, h Handler, arg uint64) EventID {
 	idx := w.alloc()
 	e := &w.events[idx]
 	e.at = at
 	e.seq = seq
+	e.arg = arg
 	e.handler = h
 	w.live++
 	w.place(idx)
@@ -444,21 +447,21 @@ func (w *wheel) advance() {
 }
 
 // popReady removes and recycles the earliest live event, returning its
-// handler, instant and ID. The slot is recycled before the handler runs, so
-// cancelling the fired ID from inside the handler reports false exactly
-// as the heap scheduler did.
+// handler and describing it in f. The slot is recycled before the
+// handler runs, so cancelling the fired ID from inside the handler
+// reports false exactly as the heap scheduler did.
 //
 //hot:path
-func (w *wheel) popReady() (Handler, Time, EventID) {
+func (w *wheel) popReady(f *fired) Handler {
 	n := len(w.ready) - 1
 	idx := w.ready[n]
 	w.ready = w.ready[:n]
 	e := &w.events[idx]
-	h, at := e.handler, e.at
-	id := EventID(uint64(idx)+1)<<32 | EventID(e.gen)
+	h := e.handler
+	*f = fired{at: e.at, id: EventID(uint64(idx)+1)<<32 | EventID(e.gen), seq: e.seq, arg: e.arg}
 	w.live--
 	w.recycle(idx)
-	return h, at, id
+	return h
 }
 
 // peekReady reports the instant of the ready tail. Only valid after
