@@ -98,7 +98,7 @@ func (s *heapSched) next(f *fired) (Handler, bool) {
 		delete(s.live, e.id)
 		h := e.handler
 		e.handler = nil
-		*f = fired{at: e.at, id: e.id, seq: e.seq, arg: e.arg}
+		*f = fired{at: e.at, seq: e.seq, arg: e.arg}
 		return h, true
 	}
 	return nil, false

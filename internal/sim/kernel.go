@@ -39,8 +39,7 @@ type Kernel struct {
 
 	executed uint64
 	stopped  bool
-	// fired describes the event whose handler is running (Firing, Arg,
-	// Passed).
+	// fired describes the event whose handler is running (Arg, Passed).
 	fired fired
 
 	// Watchdog state (SetWatchdog). checkAt is the executed-event count
@@ -55,11 +54,10 @@ type Kernel struct {
 }
 
 // fired is the dispatch position of the event whose handler is running:
-// its instant, ID, sequence number and argument word. Both schedulers
-// fill it as they pop an event, before recycling its storage.
+// its instant, sequence number and argument word. Both schedulers fill
+// it as they pop an event, before recycling its storage.
 type fired struct {
 	at  Time
-	id  EventID
 	seq uint64
 	arg uint64
 }
@@ -281,11 +279,6 @@ func (k *Kernel) Schedule(d Time, handler Handler) EventID {
 	}
 	return k.ScheduleAt(k.now+d, handler)
 }
-
-// Firing reports the ID of the event whose handler is running: the
-// value ScheduleAt returned for it. Outside a handler it reports the
-// last event dispatched.
-func (k *Kernel) Firing() EventID { return k.fired.id }
 
 // Arg reports the argument word of the event whose handler is running:
 // the value ScheduleArgAt was given for it (0 for ScheduleAt).

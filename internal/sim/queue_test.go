@@ -81,25 +81,28 @@ func TestFIFOEmptyPanics(t *testing.T) {
 	}
 }
 
-// TestFiringReportsScheduledID pins the contract Pending rests on: inside
-// a handler, Firing is the ID ScheduleAt returned, on both schedulers.
-func TestFiringReportsScheduledID(t *testing.T) {
+// TestArgReportsScheduledWord pins the contract Pending rests on:
+// inside a handler, Arg is the word ScheduleArgAt was given, on both
+// schedulers, whatever order the events fire in; ScheduleAt gives 0.
+func TestArgReportsScheduledWord(t *testing.T) {
 	for name, k := range map[string]*Kernel{"wheel": NewKernel(1), "heap": NewHeapKernel(1)} {
-		ids := map[EventID]bool{}
-		var seen []EventID
-		h := func(k *Kernel) { seen = append(seen, k.Firing()) }
+		var seen []uint64
+		h := func(k *Kernel) { seen = append(seen, k.Arg()) }
 		for i := 0; i < 50; i++ {
-			ids[k.Schedule(Time(i%7)*Microsecond, h)] = true
+			k.ScheduleArgAt(Time(49-i)*Microsecond, h, uint64(1000+i))
 		}
+		k.ScheduleAt(60*Microsecond, h)
 		k.Run()
-		if len(seen) != 50 {
-			t.Fatalf("%s: %d events fired, want 50", name, len(seen))
+		if len(seen) != 51 {
+			t.Fatalf("%s: %d events fired, want 51", name, len(seen))
 		}
-		for _, id := range seen {
-			if !ids[id] {
-				t.Fatalf("%s: Firing reported %v, never scheduled", name, id)
+		for i, arg := range seen[:50] {
+			if want := uint64(1049 - i); arg != want {
+				t.Fatalf("%s: event %d saw argument %d, want %d", name, i, arg, want)
 			}
-			delete(ids, id)
+		}
+		if seen[50] != 0 {
+			t.Fatalf("%s: a plain event saw argument %d, want 0", name, seen[50])
 		}
 	}
 }

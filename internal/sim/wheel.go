@@ -448,8 +448,8 @@ func (w *wheel) advance() {
 
 // popReady removes and recycles the earliest live event, returning its
 // handler and describing it in f. The slot is recycled before the
-// handler runs, so cancelling the fired ID from inside the handler
-// reports false exactly as the heap scheduler did.
+// handler runs, so cancelling the fired event's ID from inside the
+// handler reports false exactly as the heap scheduler did.
 //
 //hot:path
 func (w *wheel) popReady(f *fired) Handler {
@@ -458,7 +458,7 @@ func (w *wheel) popReady(f *fired) Handler {
 	w.ready = w.ready[:n]
 	e := &w.events[idx]
 	h := e.handler
-	*f = fired{at: e.at, id: EventID(uint64(idx)+1)<<32 | EventID(e.gen), seq: e.seq, arg: e.arg}
+	*f = fired{at: e.at, seq: e.seq, arg: e.arg}
 	w.live--
 	w.recycle(idx)
 	return h
