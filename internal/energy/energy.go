@@ -41,7 +41,8 @@ func (d Draw) Power() float64 { return d.CurrentA * d.VoltageV }
 // A meter can also hold one deferred transition (Defer): a state change
 // due at a known instant that no event needs to mark, such as the
 // microcontroller dropping back to sleep when its work runs out. The
-// next Transition, Flush or Reset applies it at its own instant.
+// next transition applies it at its own instant first, as do Flush and
+// Reset once that instant has passed.
 type Meter struct {
 	name    string
 	states  []State // sorted

@@ -44,12 +44,11 @@ type MCU struct {
 	busyUntil sim.Time
 	idleSeq   uint64
 	awake     bool
-	// sleepState is the low-power mode the MCU idles in; the handles
-	// are its meter's states, resolved once.
-	sleepState energy.State
-	sleep      energy.Handle
-	active     energy.Handle
-	off        energy.Handle
+	// sleep is the low-power mode the MCU idles in; it and the other
+	// handles are the meter's states, resolved once.
+	sleep  energy.Handle
+	active energy.Handle
+	off    energy.Handle
 	// gen invalidates queued completions across a crash: a completion
 	// only applies its effects when the generation it was issued under
 	// is still current.
@@ -80,14 +79,13 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
 	m := &MCU{
-		k:          k,
-		params:     params,
-		meter:      meter,
-		busyUntil:  k.Now(),
-		sleepState: platform.StateMCUPowerSave,
-		sleep:      meter.Handle(platform.StateMCUPowerSave),
-		active:     meter.Handle(platform.StateMCUActive),
-		off:        meter.Handle(platform.StateMCUOff),
+		k:         k,
+		params:    params,
+		meter:     meter,
+		busyUntil: k.Now(),
+		sleep:     meter.Handle(platform.StateMCUPowerSave),
+		active:    meter.Handle(platform.StateMCUActive),
+		off:       meter.Handle(platform.StateMCUOff),
 	}
 	m.complete = m.onComplete
 	return m
@@ -117,7 +115,6 @@ func (m *MCU) SetSleepState(s energy.State) {
 	default:
 		panic(fmt.Sprintf("mcu: %q is not a sleep state", s))
 	}
-	m.sleepState = s
 	m.sleep = m.meter.Handle(s)
 	if m.asleep() {
 		m.meter.Enter(m.k.Now(), m.sleep)

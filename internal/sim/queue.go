@@ -90,11 +90,11 @@ func (q *FIFO[T]) grow() {
 // cancelling one through the kernel strands its state.
 //
 // The state lives in a slab whose slot index rides in the event's
-// argument word, so Take is a single index, with no search. The event
-// ID cannot serve as the key: the kernel recycles an event's pool slot
-// before its handler runs, so a handler that schedules before it calls
-// Take could be handed the same ID. Freed slots form a free list, so
-// the steady state allocates nothing. The zero value is empty.
+// argument word, so Take is a single index, with no search. The
+// event's pool slot cannot serve as the key: the kernel recycles it
+// before the handler runs, so a handler that schedules before it calls
+// Take could be handed the same slot. Freed slab slots form a free
+// list, so the steady state allocates nothing. The zero value is empty.
 type Pending[T any] struct {
 	slots []pendingSlot[T]
 	free  int32 // first free slot + 1; 0 when none is free
