@@ -111,8 +111,8 @@ func TestArgReportsScheduledWord(t *testing.T) {
 // scheduling order, some at one instant, and checks that each handler
 // sees the state it was scheduled with. One handler schedules another
 // event of its kind before it calls Take: the kernel has already
-// recycled the firing event's pool slot, so the new event may reuse
-// its ID, and the two states must still not mix.
+// recycled the firing event's pool slot, so the new event may take that
+// slot, and the two states must still not mix.
 func TestPendingTakesOwnState(t *testing.T) {
 	for name, k := range map[string]*Kernel{"wheel": NewKernel(1), "heap": NewHeapKernel(1)} {
 		var p Pending[string]
