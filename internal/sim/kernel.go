@@ -349,7 +349,7 @@ func (k *Kernel) RunUntil(horizon Time) {
 			k.step()
 		}
 	} else {
-		// Drain the ready tail directly: a slot boundary's same-instant
+		// Drain the ready list directly: a slot boundary's same-instant
 		// batch dispatches in this loop without touching the wheels again.
 		for !k.stopped && k.wheel.ensureReady() && k.wheel.peekReady() <= horizon {
 			if k.executed >= k.checkAt && k.tripNow() {

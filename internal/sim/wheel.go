@@ -4,43 +4,45 @@ import "math/bits"
 
 // The hierarchical timer wheel replaces the original container/heap
 // scheduler on the kernel's hot path. Virtual time is quantised into
-// buckets of 2^wheelGranularity ns (~4.1 µs); four levels of 256 slots
-// each then cover spans of ~1 ms, ~268 ms, ~68 s and ~4.9 h of bucket
-// indices, and anything beyond the top level lands in a sorted spill
-// slice. Insert and cancel are O(1) for the wheel-resident common case
-// (slot boundaries, ack timeouts, sampling ticks), and events live in a
-// free-list pool so steady-state scheduling performs no allocation.
+// pages of 2^pageShift ns (~1 ms). The cursor's page is held in the
+// ready list; three outer levels of 256 slots each then cover spans of
+// ~268 ms, ~68 s and ~4.9 h of pages, and anything beyond the top level
+// lands in a sorted spill slice. Insert and cancel are O(1) for the wheel-resident case
+// (slot boundaries, sampling ticks), and events live in a free-list
+// pool so steady-state scheduling performs no allocation.
 //
 // Placement uses aligned pages rather than relative deltas: an event
-// whose level-L index shares the level-(L+1) page of the cursor goes
-// into level L at slot (index >> L*8) & 255. Because every level-L
-// resident shares the cursor's level-(L+1) page, a slot can never hold
-// events from two different rotations, and every resident's slot is at
-// or after the cursor's position within the page — so the occupancy
-// bitmap scan that advances the cursor can never step past a pending
-// event. Cascading a level-(L+1) bucket first rebases the cursor to
-// that bucket's base index and then re-places its events, which by the
-// same page argument always land at a lower level (or in ready).
+// whose page shares the cursor's level-(L+1) page but not its level-L
+// page goes into level L at slot (page >> (L-1)*8) & 255. Because every
+// level-L resident shares the cursor's level-(L+1) page, a slot can
+// never hold events from two different rotations, and every resident's
+// slot is after the cursor's position within the page — so the
+// occupancy bitmap scan that advances the cursor can never step past a
+// pending event. Cascading a level-(L+1) bucket first rebases the
+// cursor to that bucket's first page and then re-places its events,
+// which by the same page argument always land at a lower level (or in
+// ready).
 //
-// Events extracted from the current level-0 bucket move to the ready
-// list, sorted descending by (at, seq) so the next event to fire pops
-// from the end. A same-page schedule that lands at or before the cursor
-// (for example Schedule(0) from inside a handler) binary-searches into
-// ready; since a new event always carries the largest seq so far, FIFO
-// order among same-instant events is preserved exactly as the heap
-// scheduler ordered them. RunUntil drains the ready tail directly, so a
-// TDMA slot boundary with dozens of co-scheduled handlers dispatches in
-// one pass without any per-event re-heapification.
+// The ready list holds every event of the cursor's page and earlier,
+// sorted ascending by (at, seq) from its head, so the next event to
+// fire pops from the front. Events scheduled into the page — MCU
+// completions, radio settles and bursts, Schedule(0) from a handler —
+// usually fire after everything queued and append at the end; the rest
+// binary-search into place. Since a new event always carries the
+// largest seq so far, FIFO order among same-instant events is
+// preserved exactly as the heap scheduler ordered them. A TDMA slot
+// boundary with dozens of co-scheduled handlers dispatches in one pass
+// without any per-event re-heapification.
 const (
-	wheelBits        = 8
-	wheelSlots       = 1 << wheelBits
-	wheelMask        = wheelSlots - 1
-	wheelLevels      = 4
-	wheelGranularity = 12 // log2 ns per level-0 bucket: ~4.1 µs
+	wheelBits   = 8
+	wheelSlots  = 1 << wheelBits
+	wheelMask   = wheelSlots - 1
+	wheelLevels = 3  // outer levels, above the ready page
+	pageShift   = 20 // log2 ns per page: ~1.05 ms
 )
 
 // Location tags for pooled events. Non-negative locations encode
-// level*wheelSlots + slot.
+// (level-1)*wheelSlots + slot.
 const (
 	locFree  int32 = -1
 	locReady int32 = -2
@@ -80,11 +82,13 @@ type wheel struct {
 	allocd uint64
 	recycd uint64
 
+	// slots[l] and occ[l] are outer level l+1.
 	slots [wheelLevels][wheelSlots]int32
 	occ   [wheelLevels][wheelSlots / 64]uint64
-	cur   int64 // next level-0 bucket index not yet collected
+	page  int64 // the cursor: the index of the page ready holds
 
-	ready []int32 // descending (at, seq); next to fire at the end
+	ready []int32 // ascending (at, seq) from head; the cursor's page
+	head  int     // ready[:head] has fired
 	spill []int32 // ascending (at, seq); beyond the top level's span
 	live  int     // scheduled and not yet fired or cancelled
 }
@@ -168,76 +172,106 @@ func (w *wheel) schedule(at Time, seq uint64, h Handler, arg uint64) EventID {
 	return EventID(uint64(idx)+1)<<32 | EventID(e.gen)
 }
 
-// place files a pool entry into ready, a wheel bucket, or the spill,
-// according to its level-0 bucket index relative to the cursor.
+// pageOf reports the page pool entry idx falls in.
+func (w *wheel) pageOf(idx int32) int64 {
+	return int64(w.events[idx].at) >> pageShift
+}
+
+// place files a pool entry into ready, an outer-level bucket, or the
+// spill, according to its page relative to the cursor.
 func (w *wheel) place(idx int32) {
-	i0 := int64(w.events[idx].at) >> wheelGranularity
-	if i0 < w.cur {
+	pg := w.pageOf(idx)
+	if pg <= w.page {
 		w.readyInsert(idx)
 		return
 	}
 	var level int
 	switch {
-	case i0>>wheelBits == w.cur>>wheelBits:
-		level = 0
-	case i0>>(2*wheelBits) == w.cur>>(2*wheelBits):
+	case pg>>wheelBits == w.page>>wheelBits:
 		level = 1
-	case i0>>(3*wheelBits) == w.cur>>(3*wheelBits):
+	case pg>>(2*wheelBits) == w.page>>(2*wheelBits):
 		level = 2
-	case i0>>(4*wheelBits) == w.cur>>(4*wheelBits):
+	case pg>>(3*wheelBits) == w.page>>(3*wheelBits):
 		level = 3
 	default:
 		w.spillInsert(idx)
 		return
 	}
-	slot := int32(i0>>(level*wheelBits)) & wheelMask
-	w.bucketPush(level, slot, idx)
+	slot := int32(pg>>((level-1)*wheelBits)) & wheelMask
+	w.bucketPush(level-1, slot, idx)
 }
 
-func (w *wheel) bucketPush(level int, slot, idx int32) {
+// bucketPush links idx at the head of outer-level bucket (l, slot),
+// where l is the level minus one.
+func (w *wheel) bucketPush(l int, slot, idx int32) {
 	e := &w.events[idx]
-	head := w.slots[level][slot]
+	head := w.slots[l][slot]
 	e.next = head
 	e.prev = -1
-	e.loc = int32(level)*wheelSlots + slot
+	e.loc = int32(l)*wheelSlots + slot
 	if head >= 0 {
 		w.events[head].prev = idx
 	}
-	w.slots[level][slot] = idx
-	w.occ[level][slot>>6] |= 1 << (uint(slot) & 63)
+	w.slots[l][slot] = idx
+	w.occ[l][slot>>6] |= 1 << (uint(slot) & 63)
 }
 
 func (w *wheel) bucketUnlink(idx int32) {
 	e := &w.events[idx]
-	level, slot := e.loc/wheelSlots, e.loc%wheelSlots
+	l, slot := e.loc/wheelSlots, e.loc%wheelSlots
 	if e.prev >= 0 {
 		w.events[e.prev].next = e.next
 	} else {
-		w.slots[level][slot] = e.next
+		w.slots[l][slot] = e.next
 	}
 	if e.next >= 0 {
 		w.events[e.next].prev = e.prev
 	}
-	if w.slots[level][slot] < 0 {
-		w.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
+	if w.slots[l][slot] < 0 {
+		w.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
 	}
 }
 
-// readyInsert files idx into the descending-sorted ready list.
-func (w *wheel) readyInsert(idx int32) {
-	lo, hi := 0, len(w.ready)
+// readySearch returns the position in ready[head:] of the first event
+// that does not fire before idx.
+func (w *wheel) readySearch(idx int32) int {
+	lo, hi := w.head, len(w.ready)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if w.before(idx, w.ready[mid]) {
+		if w.before(w.ready[mid], idx) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	w.ready = append(w.ready, 0)
-	copy(w.ready[lo+1:], w.ready[lo:])
-	w.ready[lo] = idx
+	return lo
+}
+
+// readyInsert files idx into the ascending-sorted ready list. An event
+// that fires after everything queued appends; one that fires before
+// everything reuses a fired position when there is one.
+func (w *wheel) readyInsert(idx int32) {
 	w.events[idx].loc = locReady
+	n := len(w.ready)
+	if n == w.head || w.before(w.ready[n-1], idx) {
+		w.ready = append(w.ready, idx)
+		return
+	}
+	at := w.readySearch(idx)
+	if at == w.head && w.head > 0 {
+		w.head--
+		w.ready[w.head] = idx
+		return
+	}
+	w.ready = append(w.ready, 0)
+	copy(w.ready[at+1:], w.ready[at:])
+	w.ready[at] = idx
+}
+
+// readyRemove takes idx out of the ready list.
+func (w *wheel) readyRemove(idx int32) {
+	at := w.readySearch(idx) // idx itself: no other event ties its (at, seq)
+	w.ready = w.ready[:at+copy(w.ready[at:], w.ready[at+1:])]
 }
 
 // spillInsert files idx into the ascending-sorted spill slice.
@@ -272,10 +306,8 @@ func (w *wheel) spillRemove(idx int32) {
 	w.spill = w.spill[:len(w.spill)-1]
 }
 
-// cancel invalidates a pending event. Wheel and spill residents unlink
-// and recycle immediately; ready residents become tombstones (handler
-// nil) swept when the ready tail is next popped, so cancelling during a
-// same-instant batch never disturbs positions behind the tail.
+// cancel removes a pending event from wherever it is filed and
+// recycles its slot.
 //
 //hot:path
 func (w *wheel) cancel(id EventID) bool {
@@ -284,20 +316,19 @@ func (w *wheel) cancel(id EventID) bool {
 		return false
 	}
 	e := &w.events[idx]
-	if e.gen != uint32(id) || e.loc == locFree || e.handler == nil {
+	if e.gen != uint32(id) || e.loc == locFree {
 		return false
 	}
 	w.live--
 	switch e.loc {
 	case locReady:
-		e.handler = nil
+		w.readyRemove(idx)
 	case locSpill:
 		w.spillRemove(idx)
-		w.recycle(idx)
 	default:
 		w.bucketUnlink(idx)
-		w.recycle(idx)
 	}
+	w.recycle(idx)
 	return true
 }
 
@@ -317,41 +348,14 @@ func nextSet(occ *[wheelSlots / 64]uint64, from int) (int32, bool) {
 	}
 }
 
-// collect moves the contents of level-0 bucket slot into ready and
-// sorts ready descending. Buckets are small, so an insertion sort beats
-// sort.Slice and allocates nothing.
-func (w *wheel) collect(slot int32) {
-	idx := w.slots[0][slot]
-	w.slots[0][slot] = -1
-	w.occ[0][slot>>6] &^= 1 << (uint(slot) & 63)
-	for idx >= 0 {
-		e := &w.events[idx]
-		next := e.next
-		e.loc = locReady
-		e.next = -1
-		e.prev = -1
-		w.ready = append(w.ready, idx)
-		idx = next
-	}
-	r := w.ready
-	for i := 1; i < len(r); i++ {
-		x := r[i]
-		j := i - 1
-		for j >= 0 && w.before(r[j], x) {
-			r[j+1] = r[j]
-			j--
-		}
-		r[j+1] = x
-	}
-}
-
-// cascade re-places every event of the given bucket. The caller must
-// already have rebased the cursor to the bucket's base index, so each
-// event lands at a lower level (or in ready).
-func (w *wheel) cascade(level int, slot int32) {
-	idx := w.slots[level][slot]
-	w.slots[level][slot] = -1
-	w.occ[level][slot>>6] &^= 1 << (uint(slot) & 63)
+// cascade re-places every event of outer-level bucket (l, slot), l
+// being the level minus one. The caller must already have rebased the
+// cursor to the bucket's first page, so each event lands at a lower
+// level or in ready.
+func (w *wheel) cascade(l int, slot int32) {
+	idx := w.slots[l][slot]
+	w.slots[l][slot] = -1
+	w.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
 	for idx >= 0 {
 		next := w.events[idx].next
 		w.place(idx)
@@ -359,83 +363,57 @@ func (w *wheel) cascade(level int, slot int32) {
 	}
 }
 
-// ensureReady guarantees that, when it returns true, the ready tail is
-// the earliest live event. It sweeps cancelled tombstones, scans the
-// level-0 occupancy within the current page, and otherwise advances the
-// cursor by cascading the next occupied outer-level bucket or rebasing
-// from the spill.
+// ensureReady guarantees that, when it returns true, the ready head is
+// the earliest live event. It inlines into the dispatch loops; refill
+// does the work when the cursor's page has run dry.
 //
 //hot:path
 func (w *wheel) ensureReady() bool {
-	for {
-		for n := len(w.ready); n > 0; n = len(w.ready) {
-			idx := w.ready[n-1]
-			if w.events[idx].handler != nil {
-				return true
-			}
-			w.ready = w.ready[:n-1]
-			w.recycle(idx)
-		}
+	return w.head < len(w.ready) || w.refill()
+}
+
+// refill advances the cursor, by cascading the next occupied
+// outer-level bucket or rebasing from the spill, until ready holds an
+// event or none is left.
+func (w *wheel) refill() bool {
+	for w.head == len(w.ready) {
+		w.ready, w.head = w.ready[:0], 0
 		if w.live == 0 {
 			return false
 		}
-		if s, ok := nextSet(&w.occ[0], int(w.cur)&wheelMask); ok {
-			w.cur = w.cur&^int64(wheelMask) | int64(s)
-			w.collect(s)
-			w.cur++
-			if w.cur&wheelMask == 0 {
-				w.sync()
-			}
-			continue
-		}
 		w.advance()
 	}
+	return true
 }
 
-// sync restores the entry invariant after the cursor wraps into a new
-// page by natural increment: the outer-level buckets covering the
-// cursor's own position must be empty, or events parked there before
-// the wrap would sit invisible while fresh inserts keep the inner
-// levels busy and carry the cursor past them. Cascading top-down
-// redistributes any such bucket strictly below, onto slots at or after
-// the cursor. advance's rebases re-establish the invariant on their
-// own (the cascaded slot empties and lower positions reset to zero),
-// so only the wrap path needs this.
-func (w *wheel) sync() {
-	for level := wheelLevels - 1; level >= 1; level-- {
-		slot := int32(w.cur>>(level*wheelBits)) & wheelMask
-		if w.occ[level][slot>>6]&(1<<(uint(slot)&63)) != 0 {
-			w.cascade(level, slot)
-		}
-	}
-}
-
-// advance moves the cursor forward when the current level-0 page is
-// exhausted: it cascades the next occupied bucket of the innermost
-// outer level that has one (scanning from the cursor's position within
-// that level; already-drained slots have clear occupancy bits), or
-// rebases onto the spill's leading top-level page. Outer-level
-// residents are provably later than every inner-level resident, so
-// picking the innermost occupied level preserves time order.
+// advance moves the cursor forward when its page is exhausted: it
+// cascades the next occupied bucket of the innermost level that has one
+// (scanning from the cursor's position within that level; drained slots
+// have clear occupancy bits), or rebases onto the spill's leading
+// top-level page. Outer-level residents are provably later than every
+// inner-level resident, so picking the innermost occupied level
+// preserves time order. The buckets at the cursor's own positions are
+// always empty: placement files the cursor's page in ready, and a
+// rebase lands on the first page of the bucket it empties, so no
+// resident is ever left behind the cursor.
 func (w *wheel) advance() {
-	for level := 1; level < wheelLevels; level++ {
-		from := int(w.cur>>(level*wheelBits)) & wheelMask
-		if s, ok := nextSet(&w.occ[level], from); ok {
-			page := w.cur >> ((level + 1) * wheelBits) << wheelBits
-			w.cur = (page | int64(s)) << (level * wheelBits)
-			w.cascade(level, s)
+	for l := range wheelLevels {
+		from := int(w.page>>(l*wheelBits)) & wheelMask
+		if s, ok := nextSet(&w.occ[l], from); ok {
+			above := w.page >> ((l + 1) * wheelBits) << wheelBits
+			w.page = (above | int64(s)) << (l * wheelBits)
+			w.cascade(l, s)
 			return
 		}
 	}
-	// Spill rebase: jump to the first spilled event's bucket and pull
-	// in every spill entry sharing its top-level page. place re-files
-	// them into the wheels, never back into the spill.
-	first := w.spill[0]
-	w.cur = int64(w.events[first].at) >> wheelGranularity
-	topPage := w.cur >> (wheelLevels * wheelBits)
+	// Spill rebase: jump to the first spilled event's page and pull in
+	// every spill entry sharing its top-level page. place re-files them
+	// into the wheels, never back into the spill.
+	w.page = w.pageOf(w.spill[0])
+	top := w.page >> (wheelLevels * wheelBits)
 	n := 0
 	for _, idx := range w.spill {
-		if int64(w.events[idx].at)>>wheelGranularity>>(wheelLevels*wheelBits) != topPage {
+		if w.pageOf(idx)>>(wheelLevels*wheelBits) != top {
 			break
 		}
 		n++
@@ -453,9 +431,8 @@ func (w *wheel) advance() {
 //
 //hot:path
 func (w *wheel) popReady(f *fired) Handler {
-	n := len(w.ready) - 1
-	idx := w.ready[n]
-	w.ready = w.ready[:n]
+	idx := w.ready[w.head]
+	w.head++
 	e := &w.events[idx]
 	h := e.handler
 	*f = fired{at: e.at, seq: e.seq, arg: e.arg}
@@ -464,8 +441,8 @@ func (w *wheel) popReady(f *fired) Handler {
 	return h
 }
 
-// peekReady reports the instant of the ready tail. Only valid after
+// peekReady reports the instant of the ready head. Only valid after
 // ensureReady returned true.
 func (w *wheel) peekReady() Time {
-	return w.events[w.ready[len(w.ready)-1]].at
+	return w.events[w.ready[w.head]].at
 }

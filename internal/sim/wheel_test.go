@@ -10,8 +10,8 @@ import (
 // run workload derived from seed and records every observable: fire
 // order (tag, instant), Cancel return values, Pending counts and final
 // clock. Delays are drawn from a mix that covers same-instant ties,
-// single-bucket offsets, level-0/1/2 page crossings, far-future spill
-// entries and in-handler reschedules.
+// µs offsets, ready-page and level-1/2/3 crossings,
+// far-future spill entries and in-handler reschedules.
 func opTrace(k *Kernel, seed int64, ops int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	var trace []string
@@ -23,15 +23,15 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 		case 0:
 			return 0 // same-instant tie
 		case 1:
-			return Time(rng.Intn(1 << wheelGranularity)) // same bucket
+			return Time(rng.Intn(4096)) // a few µs
 		case 2:
-			return Time(rng.Int63n(int64(Millisecond))) // level 0
+			return Time(rng.Int63n(int64(Millisecond))) // the ready page
 		case 3:
-			return Time(rng.Int63n(int64(300 * Millisecond))) // level 1
+			return Time(rng.Int63n(int64(300 * Millisecond))) // levels 1-2
 		case 4:
-			return Time(rng.Int63n(int64(70 * Second))) // level 2
+			return Time(rng.Int63n(int64(70 * Second))) // levels 2-3
 		case 5:
-			return Time(rng.Int63n(int64(5 * 60 * Minute))) // level 3
+			return Time(rng.Int63n(int64(5 * 60 * Minute))) // level 3, spill
 		case 6:
 			return Time(4*60*60*int64(Second)) + Time(rng.Int63n(int64(10*60*Minute))) // spill
 		default:
