@@ -174,7 +174,8 @@ fuzz:
 
 # Non-test Go lines per internal/ package (test files and testdata
 # excluded), then their sum: the "least code" number that sits next to
-# ns/event.
+# ns/event. The CLIs under cmd/ follow as a separate subtotal, outside
+# that sum.
 loc:
 	@total=0; \
 	for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
@@ -182,7 +183,9 @@ loc:
 		[ $$n -gt 0 ] && printf '%6d  %s\n' $$n $$d; \
 		total=$$((total + n)); \
 	done; \
-	printf '%6d  total\n' $$total
+	printf '%6d  total\n' $$total; \
+	n=$$(find cmd -name '*.go' ! -name '*_test.go' -not -path '*/testdata/*' -exec cat {} + | wc -l); \
+	printf '%6d  cmd/\n' $$n
 
 # Quick eyeball check of the parallel sweep path.
 sweep-demo:

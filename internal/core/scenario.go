@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/audit"
 	"repro/internal/battery"
@@ -13,7 +16,8 @@ import (
 )
 
 // scenarioJSON is the on-disk scenario schema: a flat, readable form of
-// Config with string enums and duration strings.
+// Config with string enums and duration strings. Config.Scheduler has no
+// key: the heap is a test oracle, not a user choice.
 type scenarioJSON struct {
 	Mac          macJSON                `json:"mac"`           // "static" | {"protocol":"csma",...}
 	Nodes        int                    `json:"nodes"`         //
@@ -35,7 +39,6 @@ type scenarioJSON struct {
 	Battery      *batteryJSON           `json:"battery,omitempty"`       // live cell per node
 	BrownoutV    float64                `json:"brownoutV,omitempty"`     // supply cutoff (0 = cell default)
 	Degrade      *battery.DegradePolicy `json:"degradePolicy,omitempty"` // low-battery watermarks
-	Scheduler    string                 `json:"scheduler,omitempty"`     // "wheel" (default) | "heap"
 	MaxEvents    uint64                 `json:"maxEvents,omitempty"`     // kernel event budget (0 = unlimited)
 	Audit        *auditJSON             `json:"audit,omitempty"`         // runtime invariant audits
 }
@@ -67,7 +70,7 @@ func (m *macJSON) UnmarshalJSON(data []byte) error {
 	// recursing into this unmarshaller.
 	type alias macJSON
 	var a alias
-	if err := json.Unmarshal(data, &a); err != nil {
+	if err := decodeStrict(data, &a); err != nil {
 		return err
 	}
 	*m = macJSON(a)
@@ -141,11 +144,25 @@ func decodeBattery(bj *batteryJSON) (*battery.Battery, error) {
 	return &b, nil
 }
 
+// decodeStrict is json.Unmarshal that also rejects keys v has no field
+// for: a misspelled key must fail rather than leave its default.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 // ConfigFromJSON parses a scenario description. Validation happens at
 // Run; this only decodes the shape.
 func ConfigFromJSON(data []byte) (Config, error) {
 	var s scenarioJSON
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return Config{}, fmt.Errorf("core: bad scenario: %w", err)
 	}
 	cfg := Config{
@@ -165,7 +182,6 @@ func ConfigFromJSON(data []byte) (Config, error) {
 		SlotReclaimCycles: s.SlotReclaim,
 		TraceLimit:        s.TraceLimit,
 		Metrics:           s.Metrics,
-		Scheduler:         s.Scheduler,
 		MaxEvents:         s.MaxEvents,
 	}
 	// Normalise an explicit empty list to nil so a decode/encode round
@@ -245,7 +261,6 @@ func ConfigToJSON(cfg Config) ([]byte, error) {
 		Metrics:      cfg.Metrics,
 		BrownoutV:    cfg.BrownoutV,
 		Degrade:      cfg.Degrade,
-		Scheduler:    cfg.Scheduler,
 		MaxEvents:    cfg.MaxEvents,
 	}
 	if a := cfg.Audit; a != nil {

@@ -33,6 +33,7 @@ func FuzzLoadScenario(f *testing.F) {
 	// Adversarial shapes the on-disk corpus doesn't cover.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"nodes":2,"warm_up":"1s","mac":{"protocol":"csma","maxBackoff":2}}`))
 	// MAC selection: every registered protocol in bare-string form, the
 	// object form with tuning knobs, and shapes the loader must reject
 	// (unknown protocols, out-of-range or cross-protocol parameters).

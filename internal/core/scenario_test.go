@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -60,10 +61,27 @@ func TestConfigFromJSONErrors(t *testing.T) {
 		`{"mac": {"protocol": "lpl", "maxBE": 5}}`,               // CSMA knob on LPL
 		`{"mac": {"protocol": "lpl", "checkInterval": "-10ms"}}`, // negative cadence
 		`{"mac": {"protocol": "lpl", "checkInterval": "2s"}}`,    // beyond the 1 s ceiling
+		`{"nodes": 2} {"nodes": 3}`,                              // trailing data
 	}
 	for i, s := range cases {
 		if _, err := ConfigFromJSON([]byte(s)); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+	}
+
+	// Unknown keys fail loudly instead of leaving a default in place.
+	// (encoding/json matches keys case-insensitively, so "warmUp" is
+	// still the warmup key; a misspelling has to differ in letters.)
+	unknown := []string{
+		`{"warm_up": "1s"}`, // misspelled top-level key
+		`{"mac": {"protocol": "csma", "maxBackoff": 3}}`, // unknown knob in the mac object
+		`{"scheduler": "heap"}`,                          // the scheduler is not a scenario choice
+	}
+	for _, s := range unknown {
+		_, err := ConfigFromJSON([]byte(s))
+		if err == nil || !strings.HasPrefix(err.Error(), "core: bad scenario: ") ||
+			!strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want core: bad scenario: ... unknown field", s, err)
 		}
 	}
 }

@@ -576,3 +576,67 @@ func TestWallBudgetChainsOntoPointInterrupt(t *testing.T) {
 		t.Fatalf("err = %v, want an interrupt BudgetError", results[0].Err)
 	}
 }
+
+// TestResumedProgressCountsExecutedPointsOnly: journal-restored points
+// count toward Done, but they dispatched their events in an earlier
+// process and cost no wall time now, so Events and the ETA's per-point
+// mean come from the executed points alone.
+func TestResumedProgressCountsExecutedPointsOnly(t *testing.T) {
+	points := batch(4, testConfig)
+	path := filepath.Join(t.TempDir(), "sweep.jnl")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlier := func(core.Config) (core.Results, error) { return core.Results{KernelEvents: 5000}, nil }
+	if err := FirstErr(Run(points[:2], Options{Workers: 1, Journal: j, Exec: earlier})); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each executed point takes one second on the injected clock.
+	var clock time.Duration
+	exec := func(core.Config) (core.Results, error) {
+		clock += time.Second
+		return core.Results{KernelEvents: 1000}, nil
+	}
+	j, err = OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []Progress
+	results := Run(points, Options{
+		Workers:    1,
+		Journal:    j,
+		Exec:       exec,
+		Now:        func() time.Time { return time.Unix(0, 0).Add(clock) },
+		OnProgress: func(p Progress) { seen = append(seen, p) },
+	})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := Restored(results); got != 2 {
+		t.Fatalf("restored %d points, want 2", got)
+	}
+	want := []struct {
+		events uint64
+		eta    time.Duration
+	}{
+		{0, 0},              // restored: nothing executed, no estimate yet
+		{0, 0},              // restored
+		{1000, time.Second}, // one executed point at 1 s, one point left
+		{2000, 0},           // done
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("progress called %d times, want %d", len(seen), len(want))
+	}
+	for i, w := range want {
+		p := seen[i]
+		if p.Done != i+1 || p.Events != w.events || p.ETA != w.eta {
+			t.Errorf("progress %d: Done=%d Events=%d ETA=%v, want Done=%d Events=%d ETA=%v",
+				i, p.Done, p.Events, p.ETA, i+1, w.events, w.eta)
+		}
+	}
+}

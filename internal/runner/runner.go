@@ -111,12 +111,15 @@ type Progress struct {
 	Label string
 	// Elapsed is wall-clock time since Run started.
 	Elapsed time.Duration
-	// ETA estimates the remaining wall-clock time from the mean
-	// per-point rate so far (0 when Done == Total).
+	// ETA estimates the remaining wall-clock time from the mean wall
+	// time of the points executed so far (0 when Done == Total or
+	// nothing has executed yet). Journal-restored points cost no wall
+	// time, so they do not enter the mean.
 	ETA time.Duration
 	// Events is the cumulative count of kernel events dispatched by the
-	// completed points — the same counter the metrics snapshots carry, so
-	// progress throughput (events/s) and the final report agree.
+	// points executed so far — the same counter the metrics snapshots
+	// carry, so Events/Elapsed is this batch's throughput. Restored
+	// points dispatched theirs in an earlier process and add nothing.
 	Events uint64
 }
 
@@ -290,7 +293,7 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 	start := env.now()
 
 	var mu sync.Mutex // serialises done counting + OnProgress
-	done := 0
+	done, executed := 0, 0
 	var events uint64
 	finish := func(i int) {
 		if opts.OnProgress == nil {
@@ -299,11 +302,14 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
-		events += results[i].Res.KernelEvents
+		if !results[i].Restored {
+			executed++
+			events += results[i].Res.KernelEvents
+		}
 		elapsed := env.now().Sub(start)
 		var eta time.Duration
-		if rest := len(points) - done; rest > 0 {
-			eta = elapsed / time.Duration(done) * time.Duration(rest)
+		if rest := len(points) - done; rest > 0 && executed > 0 {
+			eta = elapsed / time.Duration(executed) * time.Duration(rest)
 		}
 		opts.OnProgress(Progress{
 			Done:    done,
