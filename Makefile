@@ -1,13 +1,13 @@
 # Developer and CI entry points. `make` (or `make ci`) is the gate every
 # change must pass: vet, the external linters (when installed), the
 # repo's own analyzer suite (banlint), build, the full test suite, a
-# race-detector pass, and the coverage floors.
+# race-detector pass, the coverage floors and the example programs.
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest examples bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
 
-ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest bench-check bench-module soak resume-check
+ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest examples bench-check bench-module soak resume-check
 
 vet:
 	$(GO) vet ./...
@@ -117,6 +117,15 @@ cover-lint:
 # this target runs it alone, verbosely, for MAC work.
 mactest:
 	$(GO) test -v -run TestConformance ./internal/mac/mactest
+
+# The programs under examples/ are the library's worked walkthroughs.
+# `make build` only compiles them; run each one and fail on a non-zero
+# exit, so an API change that breaks one at run time shows up here.
+examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
+		echo "examples: $$d ok"; \
+	done
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

@@ -211,40 +211,17 @@ func main() {
 		return
 	}
 
-	proto := mac.Protocol(*macName)
-	desc, ok := mac.Lookup(proto)
-	if !ok {
-		fatalf("unknown MAC %q (registered: %v)", *macName, mac.Protocols())
-	}
-	params := mac.Params{
-		MinBE:         *minBE,
-		MaxBE:         *maxBE,
-		MaxBackoffs:   *maxBackoff,
-		CheckInterval: sim.FromDuration(*checkEvery),
-	}
-	if err := desc.Validate(params); err != nil {
-		fatalf("%v", err)
-	}
-	var app core.AppKind
-	switch *appName {
-	case "streaming":
-		app = core.AppStreaming
-	case "rpeak":
-		app = core.AppRpeak
-	case "hrv":
-		app = core.AppHRV
-	case "eeg":
-		app = core.AppEEG
-	default:
-		fatalf("unknown app %q (want streaming, rpeak, hrv or eeg)", *appName)
-	}
-
 	cfg := core.Config{
-		Protocol:          proto,
-		MACParams:         params,
+		Protocol: mac.Protocol(*macName),
+		MACParams: mac.Params{
+			MinBE:         *minBE,
+			MaxBE:         *maxBE,
+			MaxBackoffs:   *maxBackoff,
+			CheckInterval: sim.FromDuration(*checkEvery),
+		},
 		Nodes:             *nodes,
 		Cycle:             sim.FromDuration(*cycle),
-		App:               app,
+		App:               core.AppKind(*appName),
 		SampleRateHz:      *fs,
 		HeartRateBPM:      *hr,
 		Duration:          sim.FromDuration(*duration),
@@ -316,17 +293,7 @@ func emit(res core.Results, format, metOut, traceOut string) {
 		fatalf("unknown format %q", format)
 	}
 	if metOut != "" {
-		var data []byte
-		if strings.HasSuffix(metOut, ".csv") {
-			data = []byte(res.Metrics.CSV())
-		} else {
-			var err error
-			data, err = res.Metrics.JSON()
-			if err != nil {
-				fatalf("metrics: %v", err)
-			}
-		}
-		if err := os.WriteFile(metOut, data, 0o644); err != nil {
+		if err := res.Metrics.WriteFile(metOut); err != nil {
 			fatalf("metrics: %v", err)
 		}
 	}

@@ -31,7 +31,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +47,7 @@ import (
 func main() {
 	var (
 		mode     = flag.String("mode", "cycle", "sweep dimension: cycle | nodes | fs | ber | drift | clock | crashrate | lifetime | maccompare")
-		appName  = flag.String("app", "streaming", "application: streaming | rpeak | hrv")
+		appName  = flag.String("app", "streaming", "application: streaming | rpeak | hrv | eeg")
 		macName  = flag.String("mac", "static", "MAC protocol: static | dynamic | csma | lpl (ignored by -mode maccompare, which runs them all)")
 		nodes    = flag.Int("nodes", 5, "node count (fixed dimensions)")
 		duration = flag.Duration("duration", 20*time.Second, "measurement window per point")
@@ -68,22 +67,7 @@ func main() {
 		*jnlPath = *resume
 	}
 
-	proto := mac.Protocol(*macName)
-	if _, ok := mac.Lookup(proto); !ok {
-		fatalf("unknown MAC %q (registered: %v)", *macName, mac.Protocols())
-	}
-	var app core.AppKind
-	switch *appName {
-	case "streaming":
-		app = core.AppStreaming
-	case "rpeak":
-		app = core.AppRpeak
-	case "hrv":
-		app = core.AppHRV
-	default:
-		fatalf("unknown app %q", *appName)
-	}
-
+	proto, app := mac.Protocol(*macName), core.AppKind(*appName)
 	base := core.Config{
 		Protocol: proto,
 		Nodes:    *nodes,
@@ -100,6 +84,15 @@ func main() {
 	}
 
 	base.Metrics = *metOut != ""
+	// A bad -mac or -app name fails here, before any point runs. The
+	// -nodes and -duration values are checked per point instead (a mode
+	// may override them, and a failed point still renders its CSV), and
+	// Validate fills in defaults, so it checks a copy.
+	check := base
+	check.Nodes, check.Duration = 1, sim.Second
+	if err := check.Validate(); err != nil {
+		fatalf("%v", err)
+	}
 
 	var points []runner.Point
 	add := func(label string, cfg core.Config) {
@@ -248,17 +241,7 @@ func main() {
 
 	if *metOut != "" {
 		if agg := runner.AggregateMetrics(results); agg != nil {
-			var data []byte
-			if strings.HasSuffix(*metOut, ".csv") {
-				data = []byte(agg.CSV())
-			} else {
-				var err error
-				data, err = agg.JSON()
-				if err != nil {
-					fatalf("metrics: %v", err)
-				}
-			}
-			if err := os.WriteFile(*metOut, data, 0o644); err != nil {
+			if err := agg.WriteFile(*metOut); err != nil {
 				fatalf("metrics: %v", err)
 			}
 		}

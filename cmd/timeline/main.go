@@ -40,14 +40,12 @@ func main() {
 	flag.Parse()
 
 	proto := mac.Protocol(*macName)
-	variant := mac.Static
 	var figure, legend string
 	switch proto {
 	case mac.ProtoStatic:
 		figure = "FIGURE 2 — static TDMA timeline"
 		legend = "(SB = beacon slot, SSRi = slot request, Si = assigned slot, RB = beacon reception)"
 	case mac.ProtoDynamic:
-		variant = mac.Dynamic
 		figure = "FIGURE 3 — dynamic TDMA timeline"
 		legend = "(SB = beacon slot, SSRi = slot request, Si = assigned slot, RB = beacon reception)"
 	case mac.ProtoCSMA:
@@ -75,20 +73,20 @@ func main() {
 	k := sim.NewKernel(*seed)
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(0)
-	baseOpts := []node.BaseOption{node.WithBaseProtocol(proto, mac.Params{})}
+	bsCfg := mac.BSConfig{Protocol: proto, StaticCycle: 60 * sim.Millisecond}
 	if *crash {
 		// Reclaim after 8 silent cycles: longer than the streaming app's
 		// inter-frame gap (so a live node is never reclaimed) but quick
 		// enough that the trace shows the base station freeing the dead
 		// node's slot before the reboot.
-		baseOpts = append(baseOpts, node.WithReclaimAfter(8))
+		bsCfg.ReclaimAfter = 8
 	}
-	base := node.NewBase(k, ch, tracer, variant, 60*sim.Millisecond, 0, baseOpts...)
+	base := node.NewBase(k, ch, tracer, bsCfg)
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: *seed})
 
 	var first *node.Sensor
 	for i := 0; i < 2; i++ {
-		opts := []node.Option{node.WithProtocol(proto, mac.Params{})}
+		var opts []node.Option
 		if *degrade {
 			// A nearly-empty cell: the cascade — stretch, downshift,
 			// beacon-only parking, brownout — plays out inside the trace.
@@ -96,7 +94,8 @@ func main() {
 			policy := battery.DefaultDegradePolicy()
 			opts = append(opts, node.WithBattery(cell, 0, &policy))
 		}
-		s := node.NewSensor(k, ch, tracer, uint8(i+1), platform.IMEC(), variant, opts...)
+		s := node.NewSensor(k, ch, tracer,
+			mac.NodeConfig{Protocol: proto, NodeID: uint8(i + 1), Profile: platform.IMEC()}, opts...)
 		s.AttachApp(func(env app.Env) app.App {
 			return app.NewStreaming(env, app.StreamingConfig{
 				SampleRateHz: 100, Channels: 2, Signal: sig,

@@ -21,7 +21,7 @@ func main() {
 	fmt.Println("Six-node on-body deployment (paper §3), dynamic TDMA, Rpeak, 60 s:")
 	for _, motion := range []body.Motion{body.Resting, body.Walking, body.Running} {
 		res, err := core.Run(core.Config{
-			Variant:    mac.Dynamic,
+			Protocol:   mac.ProtoDynamic,
 			Nodes:      len(placements),
 			App:        core.AppRpeak,
 			Duration:   60 * sim.Second,

@@ -29,14 +29,15 @@ import (
 func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	netID uint8, nodes int, cycle sim.Time, startAt sim.Time) (*node.Base, []*node.Sensor) {
 	plan := packet.PlanForNetwork(netID)
-	bs := node.NewBase(k, ch, tracer, mac.Static, cycle, 0,
-		node.WithBaseAddressPlan(fmt.Sprintf("bs%d", netID), plan))
+	bs := node.NewBase(k, ch, tracer,
+		mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: cycle, Plan: plan},
+		node.WithBaseName(fmt.Sprintf("bs%d", netID)))
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: int64(netID)})
 	var sensors []*node.Sensor
 	for i := 0; i < nodes; i++ {
 		id := uint8(i + 1)
-		s := node.NewSensor(k, ch, tracer, id, platform.IMEC(), mac.Static,
-			node.WithAddressPlan(plan),
+		s := node.NewSensor(k, ch, tracer,
+			mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: platform.IMEC(), Plan: plan},
 			node.WithName(fmt.Sprintf("n%d.%d", netID, id)))
 		s.AttachApp(func(env app.Env) app.App {
 			return app.NewStreaming(env, app.StreamingConfig{

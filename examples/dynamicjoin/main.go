@@ -16,7 +16,7 @@ import (
 
 func main() {
 	res, err := core.Run(core.Config{
-		Variant:      mac.Dynamic,
+		Protocol:     mac.ProtoDynamic,
 		Nodes:        5,
 		App:          core.AppRpeak,
 		SampleRateHz: 200,

@@ -26,7 +26,7 @@ func main() {
 		cycleSec := 12.0 / (2 * fs)
 		cycle := sim.Time(cycleSec * float64(sim.Second))
 		res, err := core.Run(core.Config{
-			Variant:      mac.Static,
+			Protocol:     mac.ProtoStatic,
 			Nodes:        5,
 			Cycle:        cycle,
 			App:          core.AppStreaming,

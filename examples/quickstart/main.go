@@ -15,7 +15,7 @@ import (
 
 func main() {
 	res, err := core.Run(core.Config{
-		Variant:      mac.Static,
+		Protocol:     mac.ProtoStatic,
 		Nodes:        1,
 		Cycle:        30 * sim.Millisecond,
 		App:          core.AppStreaming,

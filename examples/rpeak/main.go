@@ -16,7 +16,7 @@ import (
 
 func run(app core.AppKind, cycle sim.Time, fs float64) core.NodeResult {
 	res, err := core.Run(core.Config{
-		Variant:      mac.Static,
+		Protocol:     mac.ProtoStatic,
 		Nodes:        5,
 		Cycle:        cycle,
 		App:          app,

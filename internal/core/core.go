@@ -51,11 +51,11 @@ const (
 
 // Config describes one BAN scenario.
 type Config struct {
-	// Variant selects static or dynamic TDMA.
+	// Variant is an input alias for Protocol that Validate resolves; a
+	// Dynamic Variant next to any other Protocol is rejected.
 	Variant mac.Variant
 	// Protocol selects the MAC protocol by registry name ("static",
-	// "dynamic", "csma", "lpl"). Empty derives it from Variant, so
-	// historical configs keep working; Validate resolves it.
+	// "dynamic", "csma", "lpl"); empty selects Variant's TDMA protocol.
 	Protocol mac.Protocol
 	// MACParams carries the protocol's tuning knobs (CSMA backoff
 	// bounds, LPL check interval); the zero value selects each
@@ -200,10 +200,12 @@ func (c *Config) Validate() error {
 	}
 	if c.Protocol == "" {
 		c.Protocol = c.Variant.Protocol()
+	} else if c.Variant == mac.Dynamic && c.Protocol != mac.ProtoDynamic {
+		return fmt.Errorf("core: Variant dynamic contradicts Protocol %q", c.Protocol)
 	}
 	desc, ok := mac.Lookup(c.Protocol)
 	if !ok {
-		return fmt.Errorf("core: unknown MAC protocol %q", c.Protocol)
+		return fmt.Errorf("core: unknown MAC protocol %q (registered: %v)", c.Protocol, mac.Protocols())
 	}
 	if err := desc.Validate(c.MACParams); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -252,7 +254,7 @@ func (c *Config) Validate() error {
 			c.SampleRateHz = 128
 		}
 	default:
-		return fmt.Errorf("core: unknown app %q", c.App)
+		return fmt.Errorf("core: unknown app %q (want streaming, rpeak, hrv or eeg)", c.App)
 	}
 	if approx.Unset(c.HeartRateBPM) {
 		c.HeartRateBPM = 75
@@ -461,11 +463,8 @@ func Run(cfg Config) (Results, error) {
 	}
 	tracer := metrics.NewRecorder(ring)
 
-	baseOpts := []node.BaseOption{node.WithBaseProtocol(cfg.Protocol, cfg.MACParams)}
-	if cfg.SlotReclaimCycles > 0 {
-		baseOpts = append(baseOpts, node.WithReclaimAfter(cfg.SlotReclaimCycles))
-	}
-	base := node.NewBase(k, ch, tracer, cfg.Variant, cfg.Cycle, 0, baseOpts...)
+	base := node.NewBase(k, ch, tracer, mac.BSConfig{Protocol: cfg.Protocol, Params: cfg.MACParams,
+		StaticCycle: cfg.Cycle, ReclaimAfter: cfg.SlotReclaimCycles})
 
 	signal := ecg.NewGenerator(ecg.Params{
 		HeartRateBPM: cfg.HeartRateBPM,
@@ -479,18 +478,17 @@ func Run(cfg Config) (Results, error) {
 	sensors := make([]*node.Sensor, cfg.Nodes)
 	apps := make([]app.App, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
-		opts := []node.Option{node.WithProtocol(cfg.Protocol, cfg.MACParams)}
-		if cfg.ClockDriftPPM > 0 {
-			drift := cfg.ClockDriftPPM
-			if k.Rand().Intn(2) == 0 {
-				drift = -drift
-			}
-			opts = append(opts, node.WithClockDrift(drift))
+		nc := mac.NodeConfig{Protocol: cfg.Protocol, Params: cfg.MACParams, NodeID: uint8(i + 1),
+			Profile: prof, ClockDriftPPM: cfg.ClockDriftPPM}
+		// Each drifting node draws its sign; a drift-free run draws nothing.
+		if nc.ClockDriftPPM > 0 && k.Rand().Intn(2) == 0 {
+			nc.ClockDriftPPM = -nc.ClockDriftPPM
 		}
+		var opts []node.Option
 		if cfg.Battery != nil {
 			opts = append(opts, node.WithBattery(*cfg.Battery, cfg.BrownoutV, cfg.Degrade))
 		}
-		s := node.NewSensor(k, ch, tracer, uint8(i+1), prof, cfg.Variant, opts...)
+		s := node.NewSensor(k, ch, tracer, nc, opts...)
 		switch cfg.App {
 		case AppStreaming:
 			s.AttachApp(func(env app.Env) app.App {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/body"
@@ -64,6 +66,9 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.SampleRateHz = 0 },
 		func(c *Config) { c.Duration = 0 },
 		func(c *Config) { c.BER = 1.5 },
+		// A Dynamic Variant contradicts any other explicit Protocol.
+		func(c *Config) { c.Variant, c.Protocol = mac.Dynamic, mac.ProtoCSMA },
+		func(c *Config) { c.Variant, c.Protocol = mac.Dynamic, mac.ProtoStatic },
 	}
 	for i, mutate := range bad {
 		c := base
@@ -72,8 +77,14 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	// Rpeak defaults its rate.
+	// An unknown protocol's error names the registered ones.
 	c := base
+	c.Protocol = "aloha"
+	if err := (&c).Validate(); err == nil || !strings.Contains(err.Error(), "registered: [csma dynamic lpl static]") {
+		t.Errorf("unknown protocol: err = %v, want the registered list", err)
+	}
+	// Rpeak defaults its rate.
+	c = base
 	c.App = AppRpeak
 	c.SampleRateHz = 0
 	if err := (&c).Validate(); err != nil || c.SampleRateHz != 200 {
@@ -507,7 +518,9 @@ func TestBodyPlacements(t *testing.T) {
 }
 
 // TestDeterminism: identical (config, seed) produce identical energies
-// and statistics; different seeds differ somewhere.
+// and statistics; different seeds differ somewhere; and the Variant
+// alias is exact, so a TDMA protocol selected through Variant runs the
+// same simulation as the one selected by its Protocol name.
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		Variant: mac.Dynamic, Nodes: 3, App: AppRpeak,
@@ -535,6 +548,35 @@ func TestDeterminism(t *testing.T) {
 	if a.Node().RadioMJ() == c.Node().RadioMJ() &&
 		a.Channel == c.Channel {
 		t.Fatalf("different seeds produced identical stochastic outcomes")
+	}
+
+	for _, row := range []struct {
+		variant mac.Variant
+		proto   mac.Protocol
+		cycle   sim.Time
+	}{
+		{mac.Dynamic, mac.ProtoDynamic, 0},
+		{mac.Static, mac.ProtoStatic, 30 * sim.Millisecond},
+	} {
+		base := Config{
+			Nodes: 3, Cycle: row.cycle, App: AppRpeak, Duration: 5 * sim.Second,
+			Seed: 7, BER: 1e-4, Metrics: true, TraceLimit: DefaultTraceRing,
+		}
+		alias, named := base, base
+		alias.Variant = row.variant
+		named.Protocol = row.proto
+		a, err := Run(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(named)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Config.Variant = b.Config.Variant // the one intended difference
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: Variant and Protocol spellings ran different simulations", row.proto)
+		}
 	}
 }
 

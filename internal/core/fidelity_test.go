@@ -35,11 +35,11 @@ func TestEndToEndSignalFidelity(t *testing.T) {
 	k := sim.NewKernel(17)
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(0)
-	base := node.NewBase(k, ch, tracer, mac.Static, 60*sim.Millisecond, 0)
+	base := node.NewBase(k, ch, tracer, mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: 60 * sim.Millisecond})
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, NoiseAmp: 0.02, Seed: 17})
 
 	const fs = 100.0
-	s := node.NewSensor(k, ch, tracer, 1, platform.IMEC(), mac.Static)
+	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: platform.IMEC()})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewStreaming(env, app.StreamingConfig{
 			SampleRateHz: fs, Channels: 2, Signal: sig,
@@ -93,10 +93,10 @@ func TestEndToEndBeatReports(t *testing.T) {
 	k := sim.NewKernel(19)
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(0)
-	base := node.NewBase(k, ch, tracer, mac.Static, 120*sim.Millisecond, 0)
+	base := node.NewBase(k, ch, tracer, mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: 120 * sim.Millisecond})
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: 19})
 
-	s := node.NewSensor(k, ch, tracer, 1, platform.IMEC(), mac.Static)
+	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: platform.IMEC()})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewRpeak(env, app.RpeakConfig{Channels: 1, Signal: sig})
 	}, tracer)

@@ -214,15 +214,15 @@ func ConfigFromJSON(data []byte) (Config, error) {
 	}
 	desc, ok := mac.Lookup(proto)
 	if !ok {
-		return Config{}, fmt.Errorf("core: unknown mac %q", s.Mac.Protocol)
+		return Config{}, fmt.Errorf("core: unknown mac %q (registered: %v)", s.Mac.Protocol, mac.Protocols())
 	}
 	cfg.MACParams = s.Mac.params()
 	if err := desc.Validate(cfg.MACParams); err != nil {
 		return Config{}, err
 	}
 	cfg.Protocol = proto
-	// The Variant field mirrors the TDMA protocols for callers that still
-	// read it; contention protocols leave it at its zero value.
+	// Variant mirrors the dynamic protocol, as it always has: loaded
+	// configs stay equal to hand-built ones that use the alias.
 	if proto == mac.ProtoDynamic {
 		cfg.Variant = mac.Dynamic
 	}

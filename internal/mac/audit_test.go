@@ -49,8 +49,8 @@ func TestAuditFrameStatsLaws(t *testing.T) {
 // clean, then cooks the slot index past the cycle — the deliberate
 // violation the audit must catch.
 func TestAuditSlotTrip(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 21)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 21)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -87,9 +87,9 @@ func TestAuditSlotTrip(t *testing.T) {
 // (a dynamic slot outside the dense range, a stale or out-of-range
 // grant). Each case must be named and the restored table audit clean.
 func TestAuditSlotTableTrip(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 22)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 22)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -187,8 +187,8 @@ func TestAuditSlotTableTrip(t *testing.T) {
 // a reset taken while an ack window is open leaves the books balanced
 // even though the send landed in the previous epoch.
 func TestResetAccountingCarriesPendingAck(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 23)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 23)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()

@@ -122,7 +122,7 @@ func (m *beaconSync) releaseFlown(format string) {
 
 // guard reports the variant's beacon guard margin.
 func (m *beaconSync) guard() sim.Time {
-	if m.cfg.Variant == Dynamic {
+	if m.cfg.Protocol == ProtoDynamic {
 		return m.cfg.Profile.MAC.DynamicGuard
 	}
 	return m.cfg.Profile.MAC.StaticGuard
@@ -139,7 +139,7 @@ func (m *beaconSync) local(d sim.Time) sim.Time {
 
 // parseCycles reports the variant's beacon-parse cost.
 func (m *beaconSync) parseCycles() int64 {
-	if m.cfg.Variant == Dynamic {
+	if m.cfg.Protocol == ProtoDynamic {
 		return m.cfg.Profile.Cost.BeaconParseDynamic
 	}
 	return m.cfg.Profile.Cost.BeaconParseStatic
@@ -147,7 +147,7 @@ func (m *beaconSync) parseCycles() int64 {
 
 // maxBeaconPayload bounds the beacon size for window-timeout sizing.
 func (m *beaconSync) maxBeaconPayload() int {
-	if m.cfg.Variant == Dynamic {
+	if m.cfg.Protocol == ProtoDynamic {
 		return m.cfg.Profile.MAC.BeaconBasePayloadBytes +
 			m.cfg.Profile.MAC.SlotEntryBytes*m.cfg.Profile.MAC.MaxDynamicSlots
 	}
@@ -240,7 +240,7 @@ func (m *beaconSync) handleBeacon(b packet.Beacon, payloadLen int, afterParse fu
 		}
 		break
 	}
-	if m.cfg.Variant == Dynamic && m.state == stateJoined && !found {
+	if m.cfg.Protocol == ProtoDynamic && m.state == stateJoined && !found {
 		// The base station no longer lists us: rejoin.
 		m.rejoin()
 		return

@@ -14,9 +14,7 @@ import (
 
 // BSConfig parameterises the base-station MAC.
 type BSConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic").
+	// Protocol selects the MAC from the registry.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params Params
@@ -120,11 +118,11 @@ type BS struct {
 // NewBS wires a base station over its radio and OS.
 func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
-	if cfg.Variant == Static && cfg.StaticCycle <= 0 {
+	if cfg.Protocol != ProtoDynamic && cfg.StaticCycle <= 0 {
 		panic("mac: static base station needs a cycle length")
 	}
 	maxSlots := cfg.Profile.MAC.MaxStaticSlots
-	if cfg.Variant == Dynamic {
+	if cfg.Protocol == ProtoDynamic {
 		maxSlots = cfg.Profile.MAC.MaxDynamicSlots
 	}
 	bs := &BS{}
@@ -149,7 +147,7 @@ func (bs *BS) CycleLength() sim.Time { return bs.currentCycle() }
 // static grant matches the table.
 func (bs *BS) AuditTable() []string {
 	v := bs.audit()
-	if bs.cfg.Variant == Dynamic && !bs.needCompact {
+	if bs.cfg.Protocol == ProtoDynamic && !bs.needCompact {
 		for _, s := range bs.sortedIndices() {
 			if s >= len(bs.byIndex) {
 				v = append(v, fmt.Sprintf("dynamic slot %d outside the dense range 0..%d",
@@ -181,7 +179,7 @@ func (bs *BS) Start() {
 
 // currentCycle derives the cycle from the variant and the join state.
 func (bs *BS) currentCycle() sim.Time {
-	if bs.cfg.Variant == Static {
+	if bs.cfg.Protocol != ProtoDynamic {
 		return bs.cfg.StaticCycle
 	}
 	// Dynamic: SB+ES region plus one slot per joined node.
@@ -228,7 +226,7 @@ func (bs *BS) buildBeacon() {
 	p := bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.dropStaleGrants()
-		bs.needCompact = bs.needCompact || bs.cfg.Variant == Dynamic
+		bs.needCompact = bs.needCompact || bs.cfg.Protocol == ProtoDynamic
 	}
 	if bs.needCompact {
 		bs.compactSlots()
@@ -318,7 +316,7 @@ func (bs *BS) compactSlots() {
 // only after this one has been marshalled.
 func (bs *BS) beaconEntries() []packet.SlotEntry {
 	entries := bs.entries[:0]
-	if bs.cfg.Variant == Dynamic {
+	if bs.cfg.Protocol == ProtoDynamic {
 		for _, slot := range bs.sortedIndices() {
 			entries = append(entries, packet.SlotEntry{NodeID: bs.byIndex[slot], Slot: uint8(slot)})
 		}
@@ -364,7 +362,7 @@ func (bs *BS) releaseSlot() {
 	// Compaction is deferred to the next beacon build: renumbering now
 	// would misattribute frames from survivors that still transmit in
 	// their old slot indices for the rest of this cycle.
-	if bs.cfg.Variant == Dynamic {
+	if bs.cfg.Protocol == ProtoDynamic {
 		bs.needCompact = true
 	}
 }
@@ -377,12 +375,12 @@ func (bs *BS) assignSlot() {
 	if !ok {
 		return
 	}
-	if fresh && bs.cfg.Variant == Dynamic {
+	if fresh && bs.cfg.Protocol == ProtoDynamic {
 		metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindCycleGrow,
 			"nodes=%d next-cycle=%v", len(bs.byNode), bs.currentCycle())
 	}
 	bs.granted(node, slot)
-	if bs.cfg.Variant == Static {
+	if bs.cfg.Protocol != ProtoDynamic {
 		bs.grants = append(bs.grants, grant{
 			entry: packet.SlotEntry{NodeID: node, Slot: uint8(slot)},
 			left:  grantRepeat,
@@ -404,7 +402,7 @@ func (bs *BS) handleData(payload []byte) {
 	} else {
 		p := bs.cfg.Profile
 		airStart := bs.radio.LastRxFrameEnd() - p.Radio.Airtime(len(payload))
-		slot := int((airStart-bs.t0)/slotDuration(&p.MAC, bs.cfg.Variant, bs.cycle)) - 1
+		slot := int((airStart-bs.t0)/slotDuration(&p.MAC, bs.cfg.Protocol, bs.cycle)) - 1
 		if node, ok = bs.byIndex[slot]; !ok {
 			bs.stats.StrayFrames++
 		}

@@ -33,7 +33,7 @@ func buildBAN(t *testing.T, k *sim.Kernel, ch *channel.Channel, tracer *metrics.
 	bsRadio := radio.New(k, bsName, bsProf.Radio, ch, bsSched, bsLedger, tracer)
 	out := &ban{}
 	out.bs = NewBS(k, BSConfig{
-		Variant: Static, Profile: bsProf, StaticCycle: cycle, Plan: plan,
+		Protocol: ProtoStatic, Profile: bsProf, StaticCycle: cycle, Plan: plan,
 	}, bsSched, bsRadio, bsLedger, tracer)
 
 	prof := platform.IMEC()
@@ -45,7 +45,7 @@ func buildBAN(t *testing.T, k *sim.Kernel, ch *channel.Channel, tracer *metrics.
 		name := "n" + string(rune('0'+netID)) + "." + string(rune('0'+id))
 		rad := radio.New(k, name, prof.Radio, ch, sched, ledger, tracer)
 		nm := NewNodeMac(k, NodeConfig{
-			Variant: Static, NodeID: id, Profile: prof, Plan: plan,
+			Protocol: ProtoStatic, NodeID: id, Profile: prof, Plan: plan,
 		}, sched, rad, ledger, tracer)
 		out.nodes = append(out.nodes, nm)
 	}

@@ -86,7 +86,6 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	cfg.Variant = Static
 	m := &CSMANode{
 		minBE:       cfg.Params.MinBE,
 		maxBE:       cfg.Params.MaxBE,
@@ -418,7 +417,6 @@ func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if err := validateCSMAParams(cfg.Params); err != nil {
 		panic(err)
 	}
-	cfg.Variant = Static
 	if cfg.StaticCycle <= 0 {
 		cfg.StaticCycle = DefaultCSMACycle
 	}

@@ -12,8 +12,8 @@ import (
 // frame is eventually acknowledged or dropped, with at most one frame
 // still awaiting its acknowledgement at any instant.
 func TestFrameConservation(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 11)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 11)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -43,8 +43,8 @@ func TestFrameConservation(t *testing.T) {
 // TestSlotStretchSkipsSlots checks the duty-cycle-stretch rung: with a
 // cadence of k, exactly every k-th joined cycle sleeps through its slot.
 func TestSlotStretchSkipsSlots(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 12)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 12)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -81,9 +81,9 @@ func TestSlotStretchSkipsSlots(t *testing.T) {
 // compacts, and the parked node keeps beacon synchronisation alive at
 // the doze cadence without ever rejoining.
 func TestEnterBeaconOnlyReleasesSlot(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 13)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 13)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -143,8 +143,8 @@ func TestEnterBeaconOnlyReleasesSlot(t *testing.T) {
 // cycle: the battery does not replenish, so a rebooted beacon-only node
 // parks again right after its first beacon instead of requesting a slot.
 func TestBeaconOnlySurvivesCrash(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 14)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 14)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()

@@ -11,11 +11,11 @@ import (
 // error and runs it for the given horizon.
 func driftRun(t *testing.T, cycle sim.Time, driftPPM float64, horizon sim.Time) Stats {
 	t.Helper()
-	r := newRig(t, Static, cycle, 21)
+	r := newRig(t, ProtoStatic, cycle, 21)
 	prof := platform.IMEC()
 	// Rebuild the node with drift via NodeConfig (the rig helper builds
 	// drift-free nodes).
-	n := r.addNode(1, Static)
+	n := r.addNode(1, ProtoStatic)
 	n.cfg.ClockDriftPPM = driftPPM
 	_ = prof
 	r.k.Schedule(0, func(*sim.Kernel) {
@@ -82,8 +82,8 @@ func TestFastClockWithinGuardTolerated(t *testing.T) {
 }
 
 func TestDriftedNodeStillDeliversData(t *testing.T) {
-	r := newRig(t, Static, 60*sim.Millisecond, 23)
-	n := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 60*sim.Millisecond, 23)
+	n := r.addNode(1, ProtoStatic)
 	n.cfg.ClockDriftPPM = 500 // sloppy crystal
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()

@@ -31,9 +31,9 @@ func startSender(r *rig, n *NodeMac, period sim.Time) {
 // frees a dead node's slot. The dynamic cycle stays stretched and the
 // slot table keeps the entry forever.
 func TestDeadNodeSlotLeaksWithoutReclamation(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 11)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 11)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -69,11 +69,11 @@ func TestDeadNodeSlotLeaksWithoutReclamation(t *testing.T) {
 // cycle, and renumbers the survivors densely — and that the survivors
 // keep exchanging data through the renumbering.
 func TestDynamicReclaimFreesAndCompacts(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 12)
+	r := newRig(t, ProtoDynamic, 0, 12)
 	r.bs.cfg.ReclaimAfter = 5
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
-	n3 := r.addNode(3, Dynamic)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
+	n3 := r.addNode(3, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -123,11 +123,11 @@ func TestDynamicReclaimFreesAndCompacts(t *testing.T) {
 // freed slot index goes back to the pool and is handed to the next
 // joiner.
 func TestStaticReclaimReturnsSlotToPool(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 13)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 13)
 	r.bs.cfg.ReclaimAfter = 5
-	n1 := r.addNode(1, Static)
-	n2 := r.addNode(2, Static)
-	n3 := r.addNode(3, Static)
+	n1 := r.addNode(1, ProtoStatic)
+	n2 := r.addNode(2, ProtoStatic)
+	n3 := r.addNode(3, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -168,10 +168,10 @@ func TestStaticReclaimReturnsSlotToPool(t *testing.T) {
 func TestCrashDuringInflightFrame(t *testing.T) {
 	const seed = 21
 	run := func(crashAt, rebootAt sim.Time) (*rig, *NodeMac) {
-		r := newRig(t, Static, 30*sim.Millisecond, seed)
+		r := newRig(t, ProtoStatic, 30*sim.Millisecond, seed)
 		r.bs.cfg.ReclaimAfter = 5
-		n1 := r.addNode(1, Static)
-		n2 := r.addNode(2, Static)
+		n1 := r.addNode(1, ProtoStatic)
+		n2 := r.addNode(2, ProtoStatic)
 		r.k.Schedule(0, func(*sim.Kernel) {
 			r.bs.Start()
 			n1.Start()

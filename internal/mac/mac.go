@@ -29,9 +29,9 @@ const (
 
 // slotDuration reports the TDMA data-slot length under cycle, on the
 // base station and the node alike: fixed for the dynamic variant, a
-// share of the cycle for the static one.
-func slotDuration(p *platform.MACParams, v Variant, cycle sim.Time) sim.Time {
-	if v == Dynamic {
+// share of the cycle for every other protocol.
+func slotDuration(p *platform.MACParams, proto Protocol, cycle sim.Time) sim.Time {
+	if proto == ProtoDynamic {
 		return p.DynamicSlotDuration
 	}
 	return cycle / sim.Time(p.MaxStaticSlots+1)

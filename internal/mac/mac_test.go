@@ -24,7 +24,7 @@ type rig struct {
 	nodes  []*NodeMac
 }
 
-func newRig(t *testing.T, variant Variant, staticCycle sim.Time, seed int64) *rig {
+func newRig(t *testing.T, proto Protocol, staticCycle sim.Time, seed int64) *rig {
 	t.Helper()
 	k := sim.NewKernel(seed)
 	r := &rig{t: t, k: k, ch: channel.New(k), tracer: metrics.NewRecorder(0)}
@@ -35,7 +35,7 @@ func newRig(t *testing.T, variant Variant, staticCycle sim.Time, seed int64) *ri
 	bsSched := tinyos.NewSched(k, bsMCU, 0)
 	bsRadio := radio.New(k, "bs", bsProf.Radio, r.ch, bsSched, bsLedger, r.tracer)
 	r.bs = NewBS(k, BSConfig{
-		Variant:     variant,
+		Protocol:    proto,
 		Profile:     bsProf,
 		StaticCycle: staticCycle,
 	}, bsSched, bsRadio, bsLedger, r.tracer)
@@ -53,7 +53,7 @@ func logData(bs BSMAC) *[]RxRecord {
 	return &recs
 }
 
-func (r *rig) addNode(id uint8, variant Variant) *NodeMac {
+func (r *rig) addNode(id uint8, proto Protocol) *NodeMac {
 	r.t.Helper()
 	prof := platform.IMEC()
 	ledger := energy.NewLedger()
@@ -62,18 +62,18 @@ func (r *rig) addNode(id uint8, variant Variant) *NodeMac {
 	name := "node" + string(rune('0'+id))
 	rad := radio.New(r.k, name, prof.Radio, r.ch, sched, ledger, r.tracer)
 	nm := NewNodeMac(r.k, NodeConfig{
-		Variant: variant,
-		NodeID:  id,
-		Profile: prof,
+		Protocol: proto,
+		NodeID:   id,
+		Profile:  prof,
 	}, sched, rad, ledger, r.tracer)
 	r.nodes = append(r.nodes, nm)
 	return nm
 }
 
 func TestStaticJoinAndSteadyState(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 1)
-	n1 := r.addNode(1, Static)
-	n2 := r.addNode(2, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 1)
+	n1 := r.addNode(1, ProtoStatic)
+	n2 := r.addNode(2, ProtoStatic)
 	recs := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
@@ -129,8 +129,8 @@ func TestStaticJoinAndSteadyState(t *testing.T) {
 func TestStaticBeaconStaysSmallAfterJoins(t *testing.T) {
 	// Grants must expire so the steady-state static beacon returns to
 	// its 8-byte base (the calibration depends on it).
-	r := newRig(t, Static, 30*sim.Millisecond, 2)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 2)
+	n1 := r.addNode(1, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -145,10 +145,10 @@ func TestStaticBeaconStaysSmallAfterJoins(t *testing.T) {
 }
 
 func TestStaticNetworkFull(t *testing.T) {
-	r := newRig(t, Static, 60*sim.Millisecond, 3)
+	r := newRig(t, ProtoStatic, 60*sim.Millisecond, 3)
 	var nodes []*NodeMac
 	for id := uint8(1); id <= 6; id++ {
-		nodes = append(nodes, r.addNode(id, Static))
+		nodes = append(nodes, r.addNode(id, ProtoStatic))
 	}
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
@@ -172,10 +172,10 @@ func TestStaticNetworkFull(t *testing.T) {
 }
 
 func TestDynamicCycleGrowsWithJoins(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 4)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
-	n3 := r.addNode(3, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 4)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
+	n3 := r.addNode(3, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) { r.bs.Start() })
 	// Stagger the joins so cycle growth is observable.
 	r.k.Schedule(5*sim.Millisecond, func(*sim.Kernel) { n1.Start() })
@@ -207,8 +207,8 @@ func TestDynamicCycleGrowsWithJoins(t *testing.T) {
 }
 
 func TestDynamicDataFlow(t *testing.T) {
-	r := newRig(t, Dynamic, 0, 5)
-	n1 := r.addNode(1, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 5)
+	n1 := r.addNode(1, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -235,8 +235,8 @@ func TestDynamicDataFlow(t *testing.T) {
 }
 
 func TestNodeRejoinsAfterBeaconLoss(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 6)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 6)
+	n1 := r.addNode(1, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -259,8 +259,8 @@ func TestNodeRejoinsAfterBeaconLoss(t *testing.T) {
 }
 
 func TestQueueOverflowDropsPayloads(t *testing.T) {
-	r := newRig(t, Static, 120*sim.Millisecond, 7)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 120*sim.Millisecond, 7)
+	n1 := r.addNode(1, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -279,9 +279,9 @@ func TestQueueOverflowDropsPayloads(t *testing.T) {
 func TestCollidingJoinersEventuallyBothJoin(t *testing.T) {
 	// Two nodes starting simultaneously may collide on SSRs; random
 	// offsets must disentangle them within a few cycles.
-	r := newRig(t, Dynamic, 0, 8)
-	n1 := r.addNode(1, Dynamic)
-	n2 := r.addNode(2, Dynamic)
+	r := newRig(t, ProtoDynamic, 0, 8)
+	n1 := r.addNode(1, ProtoDynamic)
+	n2 := r.addNode(2, ProtoDynamic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -297,8 +297,8 @@ func TestCollidingJoinersEventuallyBothJoin(t *testing.T) {
 }
 
 func TestControlAccountingPositive(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 9)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 9)
+	n1 := r.addNode(1, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -325,9 +325,9 @@ func TestControlAccountingPositive(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, uint64, int) {
-		r := newRig(t, Dynamic, 0, 42)
-		n1 := r.addNode(1, Dynamic)
-		n2 := r.addNode(2, Dynamic)
+		r := newRig(t, ProtoDynamic, 0, 42)
+		n1 := r.addNode(1, ProtoDynamic)
+		n2 := r.addNode(2, ProtoDynamic)
 		r.k.Schedule(0, func(*sim.Kernel) {
 			r.bs.Start()
 			n1.Start()
@@ -351,8 +351,8 @@ func TestQueueingLatencyBounded(t *testing.T) {
 	// Streaming over a 30ms cycle: a payload waits at most about one
 	// cycle for its slot (plus the load pipeline), and on average about
 	// half of one.
-	r := newRig(t, Static, 30*sim.Millisecond, 14)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 14)
+	n1 := r.addNode(1, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()
@@ -385,8 +385,8 @@ func TestLatencyGrowsWithCycle(t *testing.T) {
 	// cycle (phase-locked traffic would see a constant, alignment-
 	// dependent wait instead).
 	measure := func(cycle, sendEvery sim.Time, seed int64) sim.Time {
-		r := newRig(t, Static, cycle, seed)
-		n1 := r.addNode(1, Static)
+		r := newRig(t, ProtoStatic, cycle, seed)
+		n1 := r.addNode(1, ProtoStatic)
 		r.k.Schedule(0, func(*sim.Kernel) {
 			r.bs.Start()
 			n1.Start()
@@ -424,12 +424,12 @@ func TestBSRequiresStaticCycle(t *testing.T) {
 	m := mcu.New(k, prof.MCU, l)
 	s := tinyos.NewSched(k, m, 0)
 	r := radio.New(k, "bs", prof.Radio, ch, s, l, nil)
-	NewBS(k, BSConfig{Variant: Static, Profile: prof}, s, r, l, nil)
+	NewBS(k, BSConfig{Protocol: ProtoStatic, Profile: prof}, s, r, l, nil)
 }
 
 func TestSendBeforeJoinQueues(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 10)
-	n1 := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 10)
+	n1 := r.addNode(1, ProtoStatic)
 	if !n1.Send(make([]byte, 18)) {
 		t.Fatalf("pre-join send rejected")
 	}
@@ -446,9 +446,9 @@ func TestSendBeforeJoinQueues(t *testing.T) {
 
 func TestAckAddressesAreUnicast(t *testing.T) {
 	// Overhearing check: node2's radio never accepts node1's acks.
-	r := newRig(t, Static, 30*sim.Millisecond, 11)
-	n1 := r.addNode(1, Static)
-	n2 := r.addNode(2, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 11)
+	n1 := r.addNode(1, ProtoStatic)
+	n2 := r.addNode(2, ProtoStatic)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()
 		n1.Start()

@@ -25,9 +25,7 @@ const (
 
 // NodeConfig parameterises a node-side MAC instance.
 type NodeConfig struct {
-	Variant Variant
-	// Protocol selects the MAC from the registry; empty derives it from
-	// Variant ("static"/"dynamic"), preserving the historical knob.
+	// Protocol selects the MAC from the registry.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params  Params

@@ -96,7 +96,7 @@ func (m *NodeMac) Send(payload []byte) bool {
 
 // slotDuration reports the data-slot length under the current cycle.
 func (m *NodeMac) slotDuration() sim.Time {
-	return slotDuration(&m.cfg.Profile.MAC, m.cfg.Variant, m.cycle)
+	return slotDuration(&m.cfg.Profile.MAC, m.cfg.Protocol, m.cycle)
 }
 
 // slotStart reports the offset of slot i from the beacon air start. Slot
@@ -158,7 +158,7 @@ func (m *NodeMac) scheduleSSR() {
 	// before the next beacon listen window opens.
 	windowOpen := m.cycle - m.guard() - p.Radio.RxSettle
 	var lo, hi sim.Time
-	if m.cfg.Variant == Dynamic {
+	if m.cfg.Protocol == ProtoDynamic {
 		// Random offset within the empty slot (ES), after the beacon.
 		lo = 2 * sim.Millisecond
 		hi = p.MAC.DynamicSlotDuration - ssrAir - p.Radio.TxSettle - 500*sim.Microsecond

@@ -33,8 +33,7 @@ const (
 	ProtoLPL Protocol = "lpl"
 )
 
-// Protocol maps a TDMA variant onto its protocol name, for callers that
-// still configure the MAC through the historical Variant knob.
+// Protocol maps a TDMA variant onto its protocol name.
 func (v Variant) Protocol() Protocol {
 	if v == Dynamic {
 		return ProtoDynamic
@@ -186,22 +185,12 @@ func Protocols() []Protocol {
 	return out
 }
 
-// resolve names the protocol a config selects: the explicit Protocol
-// field when set, else the one derived from the TDMA Variant.
-func resolveProtocol(explicit Protocol, v Variant) Protocol {
-	if explicit != "" {
-		return explicit
-	}
-	return v.Protocol()
-}
-
 // NewNode builds the node-side MAC for cfg's protocol via the registry.
 func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-	name := resolveProtocol(cfg.Protocol, cfg.Variant)
-	d, ok := Lookup(name)
+	d, ok := Lookup(cfg.Protocol)
 	if !ok {
-		panic(fmt.Sprintf("mac: unknown protocol %q", name))
+		panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
 	}
 	return d.NewNode(k, cfg, sched, r, ledger, tracer)
 }
@@ -210,10 +199,9 @@ func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 // registry.
 func NewBaseMAC(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-	name := resolveProtocol(cfg.Protocol, cfg.Variant)
-	d, ok := Lookup(name)
+	d, ok := Lookup(cfg.Protocol)
 	if !ok {
-		panic(fmt.Sprintf("mac: unknown protocol %q", name))
+		panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
 	}
 	return d.NewBS(k, cfg, sched, r, ledger, tracer)
 }
@@ -271,36 +259,23 @@ func validateLPLParams(p Params) error {
 }
 
 func init() {
-	register(Descriptor{
-		Name:     ProtoStatic,
-		Caps:     Capabilities{Slotted: true, Beacons: true},
-		Validate: validateTDMAParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-			cfg.Variant = Static
-			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-			cfg.Variant = Static
-			return NewBS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
-	register(Descriptor{
-		Name:     ProtoDynamic,
-		Caps:     Capabilities{Slotted: true, Beacons: true},
-		Validate: validateTDMAParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-			cfg.Variant = Dynamic
-			return NewNodeMac(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-			cfg.Variant = Dynamic
-			return NewBS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
+	newTDMANode := func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
+		ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
+		return NewNodeMac(k, cfg, sched, r, ledger, tracer)
+	}
+	newTDMABS := func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
+		ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
+		return NewBS(k, cfg, sched, r, ledger, tracer)
+	}
+	for _, name := range []Protocol{ProtoStatic, ProtoDynamic} {
+		register(Descriptor{
+			Name:     name,
+			Caps:     Capabilities{Slotted: true, Beacons: true},
+			Validate: validateTDMAParams,
+			NewNode:  newTDMANode,
+			NewBS:    newTDMABS,
+		})
+	}
 	register(Descriptor{
 		Name:     ProtoCSMA,
 		Caps:     Capabilities{Contention: true, Beacons: true},

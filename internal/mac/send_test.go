@@ -12,8 +12,8 @@ import (
 // station receives exactly the accepted payloads, in order: no frame
 // aliases the caller's buffer or another queued frame's.
 func TestSendCopiesPayload(t *testing.T) {
-	r := newRig(t, Static, 30*sim.Millisecond, 5)
-	n := r.addNode(1, Static)
+	r := newRig(t, ProtoStatic, 30*sim.Millisecond, 5)
+	n := r.addNode(1, ProtoStatic)
 	log := logData(r.bs)
 	r.k.Schedule(0, func(*sim.Kernel) {
 		r.bs.Start()

@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -216,5 +219,39 @@ func TestSnapshotCSVShape(t *testing.T) {
 	}
 	if !strings.Contains(csv, "hist,node1,,tx-to-ack,") {
 		t.Fatalf("hist row missing:\n%s", csv)
+	}
+}
+
+func TestSnapshotWriteFileFormat(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(0, "node1", KindDataTx, "")
+	s := Assemble(r, nil, nil, nil, 1)
+	wantJSON, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		want []byte
+	}{
+		{"m.csv", []byte(s.CSV())},
+		{"m.json", wantJSON},
+		{"m.out", wantJSON}, // any other suffix writes JSON too
+	} {
+		path := filepath.Join(dir, tc.name)
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: wrote\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+	if err := s.WriteFile(filepath.Join(dir, "missing", "m.csv")); err == nil {
+		t.Error("write into a missing directory succeeded")
 	}
 }

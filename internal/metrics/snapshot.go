@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
@@ -270,4 +271,19 @@ func (s *Snapshot) CSV() string {
 			avg.Milliseconds(), h.P50.Milliseconds(), h.P99.Milliseconds(), h.Max.Milliseconds())
 	}
 	return b.String()
+}
+
+// WriteFile writes the snapshot to path: the flat CSV table when the
+// path ends in ".csv", indented JSON otherwise.
+func (s *Snapshot) WriteFile(path string) error {
+	var data []byte
+	if strings.HasSuffix(path, ".csv") {
+		data = []byte(s.CSV())
+	} else {
+		var err error
+		if data, err = s.JSON(); err != nil {
+			return err
+		}
+	}
+	return os.WriteFile(path, data, 0o644)
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/mac"
 	"repro/internal/mcu"
 	"repro/internal/metrics"
-	"repro/internal/packet"
 	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
@@ -53,7 +52,6 @@ type Sensor struct {
 
 // sensorOpts collects the optional knobs of a sensor build.
 type sensorOpts struct {
-	mac       mac.NodeConfig
 	name      string
 	battery   *battery.Battery
 	brownoutV float64
@@ -62,27 +60,6 @@ type sensorOpts struct {
 
 // Option customises a sensor build.
 type Option func(*sensorOpts)
-
-// WithClockDrift gives the node's oscillator a frequency error in parts
-// per million (see mac.NodeConfig.ClockDriftPPM).
-func WithClockDrift(ppm float64) Option {
-	return func(o *sensorOpts) { o.mac.ClockDriftPPM = ppm }
-}
-
-// WithProtocol selects the node's MAC protocol by registry name and
-// passes its tuning parameters, overriding the TDMA variant argument.
-func WithProtocol(proto mac.Protocol, params mac.Params) Option {
-	return func(o *sensorOpts) {
-		o.mac.Protocol = proto
-		o.mac.Params = params
-	}
-}
-
-// WithAddressPlan binds the node to a specific BAN address plan, for
-// multi-network coexistence studies.
-func WithAddressPlan(p packet.AddressPlan) Option {
-	return func(o *sensorOpts) { o.mac.Plan = p }
-}
 
 // WithName overrides the node's medium identifier (needed when several
 // BANs share one channel and the default "node<id>" names would clash).
@@ -104,30 +81,25 @@ func WithBattery(cell battery.Battery, brownoutV float64, policy *battery.Degrad
 	}
 }
 
-// NewSensor builds the hardware/OS/MAC stack for node id on the shared
-// medium. Attach an application with AttachApp before Start.
+// NewSensor builds the hardware/OS/MAC stack for node cfg.NodeID on the
+// shared medium, on cfg.Profile's hardware, running cfg's MAC. Attach an
+// application with AttachApp before Start.
 func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
-	id uint8, prof platform.Profile, variant mac.Variant, opts ...Option) *Sensor {
-	o := sensorOpts{
-		name: fmt.Sprintf("node%d", id),
-		mac: mac.NodeConfig{
-			Variant: variant,
-			NodeID:  id,
-			Profile: prof,
-		},
-	}
+	cfg mac.NodeConfig, opts ...Option) *Sensor {
+	o := sensorOpts{name: fmt.Sprintf("node%d", cfg.NodeID)}
 	for _, opt := range opts {
 		opt(&o)
 	}
+	prof := cfg.Profile
 	ledger := energy.NewLedger()
 	m := mcu.New(k, prof.MCU, ledger)
 	sched := tinyos.NewSched(k, m, 0)
 	r := radio.New(k, o.name, prof.Radio, ch, sched, ledger, tracer)
 	fe := asic.New(k, prof.ASIC, ledger)
-	nm := mac.NewNode(k, o.mac, sched, r, ledger, tracer)
+	nm := mac.NewNode(k, cfg, sched, r, ledger, tracer)
 	s := &Sensor{
 		Name:     o.name,
-		ID:       id,
+		ID:       cfg.NodeID,
 		Profile:  prof,
 		Ledger:   ledger,
 		MCU:      m,
@@ -339,49 +311,26 @@ type Base struct {
 }
 
 // BaseOption customises a base-station build.
-type BaseOption func(*mac.BSConfig, *string)
+type BaseOption func(name *string)
 
-// WithBaseAddressPlan binds the base station to a specific BAN address
-// plan and medium name, for multi-network coexistence studies.
-func WithBaseAddressPlan(name string, p packet.AddressPlan) BaseOption {
-	return func(c *mac.BSConfig, n *string) {
-		c.Plan = p
-		*n = name
-	}
+// WithBaseName overrides the base station's medium identifier (needed
+// when several BANs share one channel and the default "bs" would clash).
+func WithBaseName(name string) BaseOption {
+	return func(n *string) { *n = name }
 }
 
-// WithReclaimAfter enables the base station's slot reclamation: a joined
-// node that stays silent for n consecutive beacon cycles loses its slot
-// (0 disables, the default).
-func WithReclaimAfter(n int) BaseOption {
-	return func(c *mac.BSConfig, _ *string) { c.ReclaimAfter = n }
-}
-
-// WithBaseProtocol selects the base station's MAC protocol by registry
-// name and passes its tuning parameters, overriding the variant argument.
-func WithBaseProtocol(proto mac.Protocol, params mac.Params) BaseOption {
-	return func(c *mac.BSConfig, _ *string) {
-		c.Protocol = proto
-		c.Params = params
-	}
-}
-
-// NewBase builds the base-station stack.
+// NewBase builds the base-station stack running cfg's MAC. The hardware
+// is always platform.BaseStation(), whatever cfg.Profile says.
 func NewBase(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
-	variant mac.Variant, staticCycle sim.Time, maxSlots int, opts ...BaseOption) *Base {
+	cfg mac.BSConfig, opts ...BaseOption) *Base {
 	prof := platform.BaseStation()
+	cfg.Profile = prof
 	ledger := energy.NewLedger()
 	m := mcu.New(k, prof.MCU, ledger)
 	sched := tinyos.NewSched(k, m, 0)
-	cfg := mac.BSConfig{
-		Variant:     variant,
-		Profile:     prof,
-		StaticCycle: staticCycle,
-		MaxSlots:    maxSlots,
-	}
 	name := "bs"
 	for _, opt := range opts {
-		opt(&cfg, &name)
+		opt(&name)
 	}
 	r := radio.New(k, name, prof.Radio, ch, sched, ledger, tracer)
 	bs := mac.NewBaseMAC(k, cfg, sched, r, ledger, tracer)

@@ -27,13 +27,17 @@ func newRig(t *testing.T) *rig {
 	tracer := metrics.NewRecorder(0)
 	return &rig{
 		k: k, ch: ch, tracer: tracer,
-		base: NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0),
+		base: NewBase(k, ch, tracer, mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: 30 * sim.Millisecond}),
 	}
+}
+
+func staticNode(id uint8) mac.NodeConfig {
+	return mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: platform.IMEC()}
 }
 
 func (r *rig) sensor(t *testing.T, id uint8) *Sensor {
 	t.Helper()
-	s := NewSensor(r.k, r.ch, r.tracer, id, platform.IMEC(), mac.Static)
+	s := NewSensor(r.k, r.ch, r.tracer, staticNode(id))
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: 1})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewStreaming(env, app.StreamingConfig{
@@ -107,7 +111,7 @@ func TestResetAccountingClearsEverything(t *testing.T) {
 
 func TestStartWithoutAppPanics(t *testing.T) {
 	r := newRig(t)
-	s := NewSensor(r.k, r.ch, r.tracer, 1, platform.IMEC(), mac.Static)
+	s := NewSensor(r.k, r.ch, r.tracer, staticNode(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("Start without app did not panic")
@@ -133,13 +137,15 @@ func TestDoubleAttachPanics(t *testing.T) {
 
 func TestSensorOptions(t *testing.T) {
 	r := newRig(t)
-	plan := packet.PlanForNetwork(3)
-	s := NewSensor(r.k, r.ch, r.tracer, 7, platform.IMEC(), mac.Static,
-		WithClockDrift(250),
-		WithAddressPlan(plan),
-		WithName("limb-node"))
+	cfg := staticNode(7)
+	cfg.ClockDriftPPM = 250
+	cfg.Plan = packet.PlanForNetwork(3)
+	s := NewSensor(r.k, r.ch, r.tracer, cfg, WithName("limb-node"))
 	if s.Name != "limb-node" || s.Radio.Name() != "limb-node" {
 		t.Fatalf("name option not applied: %q", s.Name)
+	}
+	if s.ID != 7 {
+		t.Fatalf("sensor ID %d, want the config's 7", s.ID)
 	}
 }
 
@@ -147,11 +153,14 @@ func TestBaseOptionPlanAndName(t *testing.T) {
 	k := sim.NewKernel(2)
 	ch := channel.New(k)
 	tracer := metrics.NewRecorder(0)
-	plan := packet.PlanForNetwork(4)
-	b := NewBase(k, ch, tracer, mac.Static, 30*sim.Millisecond, 0,
-		WithBaseAddressPlan("bs4", plan))
+	b := NewBase(k, ch, tracer, mac.BSConfig{
+		Protocol: mac.ProtoStatic, StaticCycle: 30 * sim.Millisecond, Plan: packet.PlanForNetwork(4),
+	}, WithBaseName("bs4"))
 	if b.Name != "bs4" || b.Radio.Name() != "bs4" {
 		t.Fatalf("base name option not applied: %q", b.Name)
+	}
+	if b.Profile.Name != platform.BaseStation().Name {
+		t.Fatalf("base profile %q, want the base-station hardware", b.Profile.Name)
 	}
 }
 
