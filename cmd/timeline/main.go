@@ -100,7 +100,7 @@ func main() {
 			return app.NewStreaming(env, app.StreamingConfig{
 				SampleRateHz: 100, Channels: 2, Signal: sig,
 			})
-		}, tracer)
+		})
 		// Stagger the joins so the figures' SSRi -> Si sequences are
 		// visible one at a time, as drawn in the paper.
 		at := sim.Time(i)*150*sim.Millisecond + 5*sim.Millisecond

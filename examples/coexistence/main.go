@@ -43,7 +43,7 @@ func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 			return app.NewStreaming(env, app.StreamingConfig{
 				SampleRateHz: 205, Channels: 2, Signal: sig,
 			})
-		}, tracer)
+		})
 		sensors = append(sensors, s)
 		at := startAt + sim.Time(i+1)*5*sim.Millisecond
 		sn := s

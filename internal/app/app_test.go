@@ -77,9 +77,6 @@ func newSignal(jitter float64) *ecg.Generator {
 func TestStreamingPacksEighteenBytePayloads(t *testing.T) {
 	h := newHarness(t)
 	s := NewStreaming(h.env, StreamingConfig{SampleRateHz: 205, Channels: 2, Signal: signal()})
-	if s.Name() != "ecg-stream" {
-		t.Fatalf("name = %q", s.Name())
-	}
 	s.Start()
 	h.k.RunUntil(sim.Second)
 	// 205 pairs/s -> 410 samples -> 34 full payloads of 12 samples.
@@ -91,8 +88,8 @@ func TestStreamingPacksEighteenBytePayloads(t *testing.T) {
 			t.Fatalf("payload length %d, want 18", len(p))
 		}
 	}
-	if s.PacketsSent() != 34 || s.PacketsDropped() != 0 {
-		t.Fatalf("sent=%d dropped=%d", s.PacketsSent(), s.PacketsDropped())
+	if c := s.Counts(); c.Sent != 34 || c.Dropped != 0 {
+		t.Fatalf("sent=%d dropped=%d", c.Sent, c.Dropped)
 	}
 }
 
@@ -126,8 +123,8 @@ func TestStreamingCountsDrops(t *testing.T) {
 	s := NewStreaming(h.env, StreamingConfig{SampleRateHz: 205, Channels: 2, Signal: signal()})
 	s.Start()
 	h.k.RunUntil(sim.Second)
-	if s.PacketsDropped() == 0 || s.PacketsSent() != 0 {
-		t.Fatalf("sent=%d dropped=%d with rejecting MAC", s.PacketsSent(), s.PacketsDropped())
+	if c := s.Counts(); c.Dropped == 0 || c.Sent != 0 {
+		t.Fatalf("sent=%d dropped=%d with rejecting MAC", c.Sent, c.Dropped)
 	}
 }
 
@@ -152,7 +149,7 @@ func TestStreamingResetCounters(t *testing.T) {
 	s.Start()
 	h.k.RunUntil(sim.Second)
 	s.ResetCounters()
-	if s.PacketsSent() != 0 || s.PacketsDropped() != 0 {
+	if s.Counts() != (Counts{}) {
 		t.Fatalf("counters not reset")
 	}
 }
@@ -179,17 +176,15 @@ func TestStreamingConfigValidation(t *testing.T) {
 func TestRpeakSendsBeatPackets(t *testing.T) {
 	h := newHarness(t)
 	r := NewRpeak(h.env, RpeakConfig{Channels: 2, Signal: signal()})
-	if r.Name() != "rpeak" {
-		t.Fatalf("name = %q", r.Name())
-	}
 	r.Start()
 	h.k.RunUntil(20 * sim.Second)
 	// 2 channels x 75 bpm x 20 s = ~50 beats.
-	if r.BeatsDetected() < 44 || r.BeatsDetected() > 54 {
-		t.Fatalf("beats = %d, want ~50", r.BeatsDetected())
+	c := r.Counts()
+	if c.Beats < 44 || c.Beats > 54 {
+		t.Fatalf("beats = %d, want ~50", c.Beats)
 	}
-	if r.PacketsSent() != uint64(len(h.mac.payloads)) {
-		t.Fatalf("sent counter %d vs mac %d", r.PacketsSent(), len(h.mac.payloads))
+	if c.Sent != uint64(len(h.mac.payloads)) {
+		t.Fatalf("sent counter %d vs mac %d", c.Sent, len(h.mac.payloads))
 	}
 	// Every payload decodes as a beat with the paper's lag semantics.
 	for _, p := range h.mac.payloads {
@@ -273,5 +268,53 @@ func TestRpeakMCUCostExceedsStreaming(t *testing.T) {
 	})
 	if rp <= stream {
 		t.Fatalf("rpeak cycles %d not above streaming %d at equal rate", rp, stream)
+	}
+}
+
+// TestDownshift checks the sample-rate rung on every application: a
+// factor above 1 divides the acquisition rate in place, smaller factors
+// are ignored, and a downshift while stopped carries into the next
+// Start.
+func TestDownshift(t *testing.T) {
+	cases := []struct {
+		name  string
+		rate  int64 // acquisitions per second before any downshift
+		build func(env Env) App
+	}{
+		{"streaming", 200, func(env Env) App {
+			return NewStreaming(env, StreamingConfig{SampleRateHz: 200, Channels: 2, Signal: signal()})
+		}},
+		{"rpeak", 200, func(env Env) App { return NewRpeak(env, RpeakConfig{Channels: 2, Signal: signal()}) }},
+		{"hrv", 200, func(env Env) App { return NewHRV(env, HRVConfig{Signal: signal()}) }},
+		{"eeg", 128, func(env Env) App { return NewEEGPower(env, EEGPowerConfig{Channels: 8, Signal: eegSignal()}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t)
+			a := tc.build(h.env)
+			fe := h.env.Frontend
+			taken := fe.SamplesTaken()
+			second := func(want int64) {
+				t.Helper()
+				end := h.k.Now() + sim.Second
+				h.k.RunUntil(end)
+				if got := fe.SamplesTaken() - taken; got != want {
+					t.Fatalf("%d acquisitions in the second to %v, want %d", got, end, want)
+				}
+				taken = fe.SamplesTaken()
+			}
+			a.Start()
+			second(tc.rate)
+			a.Downshift(1)
+			a.Downshift(0.5)
+			second(tc.rate)
+			a.Downshift(2)
+			second(tc.rate / 2)
+			a.Stop()
+			a.Downshift(2)
+			second(0)
+			a.Start()
+			second(tc.rate / 4)
+		})
 	}
 }

@@ -6,12 +6,6 @@ import (
 	"repro/internal/packet"
 )
 
-// EEGSource supplies multi-channel EEG samples (implemented by
-// ecg.EEGGenerator).
-type EEGSource interface {
-	SampleAt(ch int, i int64, fs float64) codec.Sample
-}
-
 // EEGPowerConfig parameterises the multi-channel EEG activity monitor.
 // Raw 24-channel EEG streaming does not fit the platform's one-frame-
 // per-cycle TDMA budget (24 ch x 100 Hz x 1.5 B = 3.6 kB/s against
@@ -27,7 +21,7 @@ type EEGPowerConfig struct {
 	// WindowSeconds is the summary period; 0 selects 1 s.
 	WindowSeconds float64
 	// Signal drives the electrodes.
-	Signal EEGSource
+	Signal Signal
 }
 
 // channelsPerPacket bounds one summary frame: kind + seq + chunk index +
@@ -36,18 +30,13 @@ const channelsPerPacket = 8
 
 // EEGPower is the EEG activity application.
 type EEGPower struct {
-	env Env
+	sampler
 	cfg EEGPowerConfig
 
 	accum   []int64 // sum of |x - mid| per channel, this window
 	samples int
 	perWin  int
 	seq     uint8
-
-	windows uint64
-	sent    uint64
-	dropped uint64
-	running bool
 }
 
 // NewEEGPower builds the application and configures the front-end.
@@ -71,88 +60,24 @@ func NewEEGPower(env Env, cfg EEGPowerConfig) *EEGPower {
 	if cfg.Signal == nil {
 		panic("app: eeg needs a signal source")
 	}
-	e := &EEGPower{
-		env:    env,
-		cfg:    cfg,
-		accum:  make([]int64, cfg.Channels),
-		perWin: int(cfg.SampleRateHz * cfg.WindowSeconds),
-	}
-	if e.perWin < 1 {
-		e.perWin = 1
-	}
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	src := eegSource{src: cfg.Signal, fs: cfg.SampleRateHz}
-	env.Frontend.Configure(src, channels, e.onAcquisition)
+	e := &EEGPower{cfg: cfg, accum: make([]int64, cfg.Channels)}
+	e.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, e.onAcquisition)
+	e.sizeWindow()
 	return e
 }
 
-// eegSource adapts an EEGSource to the ASIC's Source interface.
-type eegSource struct {
-	src EEGSource
-	fs  float64
-}
-
-// Sample implements asic.Source.
-func (s eegSource) Sample(ch int, i int64) codec.Sample { return s.src.SampleAt(ch, i, s.fs) }
-
-// Name implements App.
-func (e *EEGPower) Name() string { return "eeg-power" }
-
-// Start implements App.
-func (e *EEGPower) Start() {
-	if e.running {
-		return
-	}
-	e.running = true
-	e.env.Frontend.Start(e.cfg.SampleRateHz)
-}
-
-// Stop implements App.
-func (e *EEGPower) Stop() {
-	if !e.running {
-		return
-	}
-	e.running = false
-	e.env.Frontend.Stop()
-}
-
-// Downshift implements Downshifter: the window keeps its wall-clock
-// length (perWin shrinks with the rate), so summary packets still flow
-// at the same period but each one integrates fewer samples.
+// Downshift implements App: the window keeps its wall-clock length
+// (perWin shrinks with the rate), so summary packets still flow at the
+// same period but each one integrates fewer samples.
 func (e *EEGPower) Downshift(factor float64) {
-	if factor <= 1 {
-		return
+	if e.downshift(factor) {
+		e.sizeWindow()
 	}
-	e.cfg.SampleRateHz /= factor
-	e.perWin = int(e.cfg.SampleRateHz * e.cfg.WindowSeconds)
-	if e.perWin < 1 {
-		e.perWin = 1
-	}
-	channels := make([]int, e.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	e.env.Frontend.Configure(eegSource{src: e.cfg.Signal, fs: e.cfg.SampleRateHz}, channels, e.onAcquisition)
-	e.env.Frontend.Retune(e.cfg.SampleRateHz)
 }
 
-// WindowsSummarised reports completed windows.
-func (e *EEGPower) WindowsSummarised() uint64 { return e.windows }
-
-// PacketsSent reports summary frames handed to the MAC.
-func (e *EEGPower) PacketsSent() uint64 { return e.sent }
-
-// PacketsDropped reports frames the MAC queue refused.
-func (e *EEGPower) PacketsDropped() uint64 { return e.dropped }
-
-// ResetCounters zeroes the application statistics (post-warmup).
-func (e *EEGPower) ResetCounters() {
-	e.windows = 0
-	e.sent = 0
-	e.dropped = 0
+// sizeWindow sets the samples per window at the current rate.
+func (e *EEGPower) sizeWindow() {
+	e.perWin = max(int(e.rate*e.cfg.WindowSeconds), 1)
 }
 
 // onAcquisition accumulates per-channel activity; at window end the
@@ -182,7 +107,6 @@ func (e *EEGPower) onAcquisition(i int64, samples []codec.Sample) {
 			e.accum[ch] = 0
 		}
 		e.samples = 0
-		e.windows++
 		// Summarising and chunking is a deferred task.
 		e.env.Sched.PostFn("eeg-summarise", int64(len(window))*180, func() {
 			e.emit(window, n)
@@ -211,10 +135,6 @@ func (e *EEGPower) emit(sums []int64, n int64) {
 			}
 			payload = append(payload, byte(mean>>8), byte(mean))
 		}
-		if e.env.Mac.Send(payload) {
-			e.sent++
-		} else {
-			e.dropped++
-		}
+		e.send(payload)
 	}
 }

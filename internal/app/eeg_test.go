@@ -15,17 +15,11 @@ func eegSignal() *ecg.EEGGenerator {
 func TestEEGPowerChunksWindows(t *testing.T) {
 	h := newHarness(t)
 	e := NewEEGPower(h.env, EEGPowerConfig{Channels: 24, Signal: eegSignal()})
-	if e.Name() != "eeg-power" {
-		t.Fatalf("name = %q", e.Name())
-	}
 	e.Start()
 	h.k.RunUntil(5 * sim.Second)
 	// One window per second, 24 channels in chunks of 8 -> 3 frames each.
-	if e.WindowsSummarised() < 4 || e.WindowsSummarised() > 5 {
-		t.Fatalf("windows = %d, want ~5", e.WindowsSummarised())
-	}
-	if got := e.PacketsSent(); got != e.WindowsSummarised()*3 {
-		t.Fatalf("frames = %d, want 3 per window (%d windows)", got, e.WindowsSummarised())
+	if got := e.Counts().Sent; got%3 != 0 || got/3 < 4 || got/3 > 5 {
+		t.Fatalf("frames = %d, want 3 per window over ~5 windows", got)
 	}
 	// Frame layout: kind, seq, chunk, then 8 x 2-byte amplitudes.
 	seen := map[byte]map[byte]bool{}
@@ -106,7 +100,7 @@ func TestEEGPowerResetAndStop(t *testing.T) {
 	e.Start()
 	h.k.RunUntil(2 * sim.Second)
 	e.ResetCounters()
-	if e.PacketsSent() != 0 || e.WindowsSummarised() != 0 {
+	if e.Counts() != (Counts{}) {
 		t.Fatalf("counters not reset")
 	}
 	e.Stop()

@@ -26,20 +26,14 @@ type HRVConfig struct {
 
 // HRV is the on-node HRV analysis application.
 type HRV struct {
-	env Env
+	sampler
 	cfg HRVConfig
 
 	detector *ecg.Detector
 	lastBeat int64 // sample index of the previous beat (-1 = none)
 	sample   int64
 	rrs      []float64 // RR intervals of the open window, seconds
-
-	windows uint64
-	beats   uint64
-	sent    uint64
-	dropped uint64
-	seq     uint8
-	running bool
+	seq      uint8
 }
 
 // NewHRV builds the application and configures the front-end.
@@ -61,66 +55,23 @@ func NewHRV(env Env, cfg HRVConfig) *HRV {
 		panic("app: hrv needs a signal source")
 	}
 	h := &HRV{
-		env:      env,
 		cfg:      cfg,
 		detector: ecg.NewDetector(cfg.SampleRateHz),
 		lastBeat: -1,
 	}
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), []int{0}, h.onAcquisition)
+	h.configure(env, cfg.Signal, cfg.SampleRateHz, 1, h.onAcquisition)
 	return h
 }
 
-// Name implements App.
-func (h *HRV) Name() string { return "hrv" }
-
-// Start implements App.
-func (h *HRV) Start() {
-	if h.running {
-		return
-	}
-	h.running = true
-	h.env.Frontend.Start(h.cfg.SampleRateHz)
-}
-
-// Stop implements App.
-func (h *HRV) Stop() {
-	if !h.running {
-		return
-	}
-	h.running = false
-	h.env.Frontend.Stop()
-}
-
-// Downshift implements Downshifter. The detector is rebuilt at the new
-// rate and the RR baseline resets: a beat index from the old rate would
-// corrupt the first interval computed at the new one, so the stream
-// restarts from the next beat instead.
+// Downshift implements App. The detector is rebuilt at the new rate and
+// the RR baseline resets: a beat index from the old rate would corrupt
+// the first interval computed at the new one, so the stream restarts
+// from the next beat instead.
 func (h *HRV) Downshift(factor float64) {
-	if factor <= 1 {
-		return
+	if h.downshift(factor) {
+		h.detector = ecg.NewDetector(h.rate)
+		h.lastBeat = -1
 	}
-	h.cfg.SampleRateHz /= factor
-	h.detector = ecg.NewDetector(h.cfg.SampleRateHz)
-	h.lastBeat = -1
-	h.env.Frontend.Configure(signalSource(h.cfg.Signal, h.cfg.SampleRateHz), []int{0}, h.onAcquisition)
-	h.env.Frontend.Retune(h.cfg.SampleRateHz)
-}
-
-// BeatsDetected reports detected beats.
-func (h *HRV) BeatsDetected() uint64 { return h.beats }
-
-// WindowsSent reports summary packets handed to the MAC.
-func (h *HRV) WindowsSent() uint64 { return h.sent }
-
-// PacketsDropped reports summaries the MAC queue refused.
-func (h *HRV) PacketsDropped() uint64 { return h.dropped }
-
-// ResetCounters zeroes the application statistics (post-warmup).
-func (h *HRV) ResetCounters() {
-	h.windows = 0
-	h.beats = 0
-	h.sent = 0
-	h.dropped = 0
 }
 
 // onAcquisition runs the detector and the RR statistics pipeline.
@@ -136,9 +87,9 @@ func (h *HRV) onAcquisition(i int64, samples []codec.Sample) {
 			return
 		}
 		beatAt := idx - int64(lag)
-		h.beats++
+		h.counts.Beats++
 		if h.lastBeat >= 0 {
-			rr := float64(beatAt-h.lastBeat) / h.cfg.SampleRateHz
+			rr := float64(beatAt-h.lastBeat) / h.rate
 			h.rrs = append(h.rrs, rr)
 		}
 		h.lastBeat = beatAt
@@ -147,7 +98,6 @@ func (h *HRV) onAcquisition(i int64, samples []codec.Sample) {
 		}
 		window := h.rrs
 		h.rrs = nil
-		h.windows++
 		// Summarising a window is a deferred task; its cost scales with
 		// the window length (fixed-point statistics on the MSP430).
 		statCycles := int64(len(window)) * 220
@@ -190,11 +140,7 @@ func (h *HRV) sendSummary(rrs []float64) {
 		Beats:    uint8(len(rrs)),
 		Seq:      h.seq,
 	}
-	if h.env.Mac.Send(p.Marshal()) {
-		h.sent++
-	} else {
-		h.dropped++
-	}
+	h.send(p.Marshal())
 }
 
 // clampMs converts seconds to a bounded millisecond field.

@@ -10,18 +10,16 @@ import (
 func TestHRVSummarisesWindows(t *testing.T) {
 	h := newHarness(t)
 	a := NewHRV(h.env, HRVConfig{Signal: signal()})
-	if a.Name() != "hrv" {
-		t.Fatalf("name = %q", a.Name())
-	}
 	a.Start()
 	// 75 bpm: 16 RR intervals need 17 beats = ~13.6 s; run 60 s -> ~4
 	// windows.
 	h.k.RunUntil(60 * sim.Second)
-	if a.WindowsSent() < 3 || a.WindowsSent() > 5 {
-		t.Fatalf("windows = %d, want ~4", a.WindowsSent())
+	c := a.Counts()
+	if c.Sent < 3 || c.Sent > 5 {
+		t.Fatalf("windows = %d, want ~4", c.Sent)
 	}
-	if a.BeatsDetected() < 70 {
-		t.Fatalf("beats = %d, want ~75", a.BeatsDetected())
+	if c.Beats < 70 {
+		t.Fatalf("beats = %d, want ~75", c.Beats)
 	}
 	for _, p := range h.mac.payloads {
 		rep, err := packet.UnmarshalHRV(p)
@@ -91,7 +89,7 @@ func TestHRVResetCounters(t *testing.T) {
 	a.Start()
 	h.k.RunUntil(30 * sim.Second)
 	a.ResetCounters()
-	if a.WindowsSent() != 0 || a.BeatsDetected() != 0 || a.PacketsDropped() != 0 {
+	if a.Counts() != (Counts{}) {
 		t.Fatalf("counters not reset")
 	}
 	a.Stop()

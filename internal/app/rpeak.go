@@ -27,7 +27,7 @@ type RpeakConfig struct {
 // instead of the raw signal, cutting the radio load by more than an
 // order of magnitude at the cost of the detector's cycles.
 type Rpeak struct {
-	env Env
+	sampler
 	cfg RpeakConfig
 
 	detectors []*ecg.Detector
@@ -38,11 +38,7 @@ type Rpeak struct {
 	sampleDone   func()
 	assembleDone func()
 	payload      []byte // marshal scratch; Send copies it
-	beats        uint64
-	sent         uint64
-	dropped      uint64
 	seq          uint8
-	running      bool
 }
 
 // NewRpeak builds the application and configures the front-end.
@@ -60,77 +56,32 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 	if cfg.Signal == nil {
 		panic("app: rpeak needs a signal source")
 	}
-	r := &Rpeak{env: env, cfg: cfg,
+	r := &Rpeak{cfg: cfg,
 		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
 		found:    mcu.NewQueue[packet.Beat](env.Sched.MCU())}
 	r.sampleDone = r.onSampleDone
 	r.assembleDone = r.onAssembleDone
+	r.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, r.onAcquisition)
 	r.detectors = make([]*ecg.Detector, cfg.Channels)
-	for ch := range r.detectors {
-		r.detectors[ch] = ecg.NewDetector(cfg.SampleRateHz)
-	}
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), channels, r.onAcquisition)
+	r.buildDetectors()
 	return r
 }
 
-// Name implements App.
-func (r *Rpeak) Name() string { return "rpeak" }
-
-// Start implements App.
-func (r *Rpeak) Start() {
-	if r.running {
-		return
-	}
-	r.running = true
-	r.env.Frontend.Start(r.cfg.SampleRateHz)
-}
-
-// Stop implements App.
-func (r *Rpeak) Stop() {
-	if !r.running {
-		return
-	}
-	r.running = false
-	r.env.Frontend.Stop()
-}
-
-// Downshift implements Downshifter: the detectors are rebuilt at the
-// divided rate (their thresholds and refractory windows are calibrated
-// in samples, so they must match the new sampling period).
+// Downshift implements App: the detectors are rebuilt at the divided
+// rate (their thresholds and refractory windows are calibrated in
+// samples, so they must match the new sampling period).
 func (r *Rpeak) Downshift(factor float64) {
-	if factor <= 1 {
-		return
+	if r.downshift(factor) {
+		r.buildDetectors()
 	}
-	r.cfg.SampleRateHz /= factor
-	for ch := range r.detectors {
-		r.detectors[ch] = ecg.NewDetector(r.cfg.SampleRateHz)
-	}
-	channels := make([]int, r.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	r.env.Frontend.Configure(signalSource(r.cfg.Signal, r.cfg.SampleRateHz), channels, r.onAcquisition)
-	r.env.Frontend.Retune(r.cfg.SampleRateHz)
 }
 
-// BeatsDetected reports beats found across all channels.
-func (r *Rpeak) BeatsDetected() uint64 { return r.beats }
-
-// PacketsSent reports beat packets handed to the MAC.
-func (r *Rpeak) PacketsSent() uint64 { return r.sent }
-
-// PacketsDropped reports beat packets the MAC queue refused.
-func (r *Rpeak) PacketsDropped() uint64 { return r.dropped }
-
-// ResetCounters zeroes the application statistics (post-warmup).
-func (r *Rpeak) ResetCounters() {
-	r.beats = 0
-	r.sent = 0
-	r.dropped = 0
+// buildDetectors gives every channel a fresh detector at the current
+// rate.
+func (r *Rpeak) buildDetectors() {
+	for ch := range r.detectors {
+		r.detectors[ch] = ecg.NewDetector(r.rate)
+	}
 }
 
 // onAcquisition runs the detector over each channel's new sample.
@@ -156,7 +107,7 @@ func (r *Rpeak) onSampleDone() {
 		if lag == 0 {
 			continue
 		}
-		r.beats++
+		r.counts.Beats++
 		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
 			"ch=%d lag=%d", ch, lag)
 		r.seq++
@@ -171,9 +122,5 @@ func (r *Rpeak) onSampleDone() {
 //hot:path
 func (r *Rpeak) onAssembleDone() {
 	r.payload = r.found.Pop().AppendMarshal(r.payload[:0])
-	if r.env.Mac.Send(r.payload) {
-		r.sent++
-	} else {
-		r.dropped++
-	}
+	r.send(r.payload)
 }

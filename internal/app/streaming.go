@@ -27,7 +27,7 @@ type StreamingConfig struct {
 // packed (12-bit samples, 18 bytes) and handed to the MAC for the next
 // slot.
 type Streaming struct {
-	env Env
+	sampler
 	cfg StreamingConfig
 
 	buf []codec.Sample
@@ -41,9 +41,6 @@ type Streaming struct {
 	assembleDone func()
 	batch        []codec.Sample // assembly scratch
 	payload      []byte         // packing scratch; Send copies it
-	sent         uint64
-	dropped      uint64
-	running      bool
 }
 
 // NewStreaming builds the application and configures the front-end.
@@ -65,69 +62,19 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
-	s := &Streaming{env: env, cfg: cfg,
+	s := &Streaming{cfg: cfg,
 		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
 		batches:  mcu.NewQueue[codec.Sample](env.Sched.MCU())}
 	s.sampleDone = s.onSampleDone
 	s.assembleDone = s.onAssembleDone
-
-	channels := make([]int, cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	env.Frontend.Configure(signalSource(cfg.Signal, cfg.SampleRateHz), channels, s.onAcquisition)
+	s.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)
 	return s
 }
 
-// Name implements App.
-func (s *Streaming) Name() string { return "ecg-stream" }
-
-// Start implements App.
-func (s *Streaming) Start() {
-	if s.running {
-		return
-	}
-	s.running = true
-	s.env.Frontend.Start(s.cfg.SampleRateHz)
-}
-
-// Stop implements App.
-func (s *Streaming) Stop() {
-	if !s.running {
-		return
-	}
-	s.running = false
-	s.env.Frontend.Stop()
-}
-
-// Downshift implements Downshifter: the sampling rate divides by
-// factor, halving (at the default factor 2) the radio and MCU load per
-// unit time. The packet format is unchanged — payloads just fill more
-// slowly.
-func (s *Streaming) Downshift(factor float64) {
-	if factor <= 1 {
-		return
-	}
-	s.cfg.SampleRateHz /= factor
-	channels := make([]int, s.cfg.Channels)
-	for i := range channels {
-		channels[i] = i
-	}
-	s.env.Frontend.Configure(signalSource(s.cfg.Signal, s.cfg.SampleRateHz), channels, s.onAcquisition)
-	s.env.Frontend.Retune(s.cfg.SampleRateHz)
-}
-
-// PacketsSent reports how many payloads were handed to the MAC.
-func (s *Streaming) PacketsSent() uint64 { return s.sent }
-
-// PacketsDropped reports payloads the MAC queue refused.
-func (s *Streaming) PacketsDropped() uint64 { return s.dropped }
-
-// ResetCounters zeroes the application statistics (post-warmup).
-func (s *Streaming) ResetCounters() {
-	s.sent = 0
-	s.dropped = 0
-}
+// Downshift implements App: the sampling rate divides by factor,
+// halving (at the default factor 2) the radio and MCU load per unit
+// time. The packet format is unchanged — payloads just fill more slowly.
+func (s *Streaming) Downshift(factor float64) { s.downshift(factor) }
 
 // onAcquisition runs in hardware-event context for each sample set.
 //
@@ -171,9 +118,5 @@ func (s *Streaming) onAssembleDone() {
 		s.batch = append(s.batch, s.batches.Pop())
 	}
 	s.payload = codec.AppendPack(s.payload[:0], s.batch)
-	if s.env.Mac.Send(s.payload) {
-		s.sent++
-	} else {
-		s.dropped++
-	}
+	s.send(s.payload)
 }

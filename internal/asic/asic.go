@@ -22,12 +22,6 @@ type Source interface {
 	Sample(ch int, i int64) codec.Sample
 }
 
-// SourceFunc adapts a function to the Source interface.
-type SourceFunc func(ch int, i int64) codec.Sample
-
-// Sample implements Source.
-func (f SourceFunc) Sample(ch int, i int64) codec.Sample { return f(ch, i) }
-
 // SampleHandler receives one acquisition: the sample index and the
 // conversions of the enabled channels, in channel order. It runs in
 // hardware-event context; implementations charge their own MCU cycles.

@@ -17,11 +17,14 @@ func newFrontend() (*sim.Kernel, *Frontend, *energy.Ledger) {
 	return k, f, l
 }
 
-func countingSource() Source {
-	return SourceFunc(func(ch int, i int64) codec.Sample {
-		return codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
-	})
+// counting is a Source whose sample i of channel ch reads i + 1000·ch.
+type counting struct{}
+
+func (counting) Sample(ch int, i int64) codec.Sample {
+	return codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
 }
+
+func countingSource() Source { return counting{} }
 
 func TestSamplingRateAndChannelOrder(t *testing.T) {
 	k, f, _ := newFrontend()

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/app"
@@ -197,6 +198,27 @@ const (
 func (c *Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("core: Nodes must be positive, got %d", c.Nodes)
+	}
+	// flag.Float64 parses NaN and ±Inf, and NaN passes every range
+	// check below, so non-finite inputs stop here.
+	type param struct {
+		name string
+		v    float64
+	}
+	params := []param{{"SampleRateHz", c.SampleRateHz}, {"HeartRateBPM", c.HeartRateBPM},
+		{"BER", c.BER}, {"ClockDriftPPM", c.ClockDriftPPM}, {"BrownoutV", c.BrownoutV}}
+	if b := c.Burst; b != nil {
+		params = append(params, param{"Burst.PGoodToBad", b.PGoodToBad}, param{"Burst.PBadToGood", b.PBadToGood},
+			param{"Burst.BERGood", b.BERGood}, param{"Burst.BERBad", b.BERBad})
+	}
+	if b := c.Battery; b != nil {
+		params = append(params, param{"Battery.CapacityMAh", b.CapacityMAh},
+			param{"Battery.VoltageV", b.VoltageV}, param{"Battery.Efficiency", b.Efficiency})
+	}
+	for _, p := range params {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("core: %s must be finite, got %v", p.name, p.v)
+		}
 	}
 	if c.Protocol == "" {
 		c.Protocol = c.Variant.Protocol()
@@ -475,8 +497,27 @@ func Run(cfg Config) (Results, error) {
 	})
 	eeg := ecg.NewEEGGenerator(ecg.EEGParams{Seed: cfg.Seed})
 
+	var build func(env app.Env) app.App
+	switch cfg.App {
+	case AppStreaming:
+		build = func(env app.Env) app.App {
+			return app.NewStreaming(env, app.StreamingConfig{SampleRateHz: cfg.SampleRateHz, Channels: 2, Signal: signal})
+		}
+	case AppRpeak:
+		build = func(env app.Env) app.App {
+			return app.NewRpeak(env, app.RpeakConfig{SampleRateHz: cfg.SampleRateHz, Channels: 2, Signal: signal})
+		}
+	case AppHRV:
+		build = func(env app.Env) app.App {
+			return app.NewHRV(env, app.HRVConfig{SampleRateHz: cfg.SampleRateHz, Signal: signal})
+		}
+	case AppEEG:
+		build = func(env app.Env) app.App {
+			return app.NewEEGPower(env, app.EEGPowerConfig{Channels: 24, SampleRateHz: cfg.SampleRateHz, Signal: eeg})
+		}
+	}
+
 	sensors := make([]*node.Sensor, cfg.Nodes)
-	apps := make([]app.App, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		nc := mac.NodeConfig{Protocol: cfg.Protocol, Params: cfg.MACParams, NodeID: uint8(i + 1),
 			Profile: prof, ClockDriftPPM: cfg.ClockDriftPPM}
@@ -489,41 +530,8 @@ func Run(cfg Config) (Results, error) {
 			opts = append(opts, node.WithBattery(*cfg.Battery, cfg.BrownoutV, cfg.Degrade))
 		}
 		s := node.NewSensor(k, ch, tracer, nc, opts...)
-		switch cfg.App {
-		case AppStreaming:
-			s.AttachApp(func(env app.Env) app.App {
-				return app.NewStreaming(env, app.StreamingConfig{
-					SampleRateHz: cfg.SampleRateHz,
-					Channels:     2,
-					Signal:       signal,
-				})
-			}, tracer)
-		case AppRpeak:
-			s.AttachApp(func(env app.Env) app.App {
-				return app.NewRpeak(env, app.RpeakConfig{
-					SampleRateHz: cfg.SampleRateHz,
-					Channels:     2,
-					Signal:       signal,
-				})
-			}, tracer)
-		case AppHRV:
-			s.AttachApp(func(env app.Env) app.App {
-				return app.NewHRV(env, app.HRVConfig{
-					SampleRateHz: cfg.SampleRateHz,
-					Signal:       signal,
-				})
-			}, tracer)
-		case AppEEG:
-			s.AttachApp(func(env app.Env) app.App {
-				return app.NewEEGPower(env, app.EEGPowerConfig{
-					Channels:     24,
-					SampleRateHz: cfg.SampleRateHz,
-					Signal:       eeg,
-				})
-			}, tracer)
-		}
+		s.AttachApp(build)
 		sensors[i] = s
-		apps[i] = s.App
 	}
 
 	if cfg.BER > 0 || cfg.Burst != nil {
@@ -642,7 +650,7 @@ func Run(cfg Config) (Results, error) {
 		res.Faults = inj.Finalize()
 	}
 	res.BSEnergy = base.FinalizeEnergy(k.Now())
-	for i, s := range sensors {
+	for _, s := range sensors {
 		nr := NodeResult{
 			Name:   s.Name,
 			ID:     s.ID,
@@ -662,22 +670,8 @@ func Run(cfg Config) (Results, error) {
 			nr.DeliveryRatio = float64(nr.Mac.DataAcked) / float64(nr.Mac.DataSent)
 		}
 		nr.Battery = s.FinalizeBattery(k.Now())
-		switch a := apps[i].(type) {
-		case *app.Streaming:
-			nr.PacketsSent = a.PacketsSent()
-			nr.PacketsDropped = a.PacketsDropped()
-		case *app.Rpeak:
-			nr.PacketsSent = a.PacketsSent()
-			nr.PacketsDropped = a.PacketsDropped()
-			nr.Beats = a.BeatsDetected()
-		case *app.HRV:
-			nr.PacketsSent = a.WindowsSent()
-			nr.PacketsDropped = a.PacketsDropped()
-			nr.Beats = a.BeatsDetected()
-		case *app.EEGPower:
-			nr.PacketsSent = a.PacketsSent()
-			nr.PacketsDropped = a.PacketsDropped()
-		}
+		c := s.App.Counts()
+		nr.PacketsSent, nr.PacketsDropped, nr.Beats = c.Sent, c.Dropped, c.Beats
 		res.Nodes = append(res.Nodes, nr)
 	}
 	// Lifetime figures from the brownout instants. Deaths are collected in

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/battery"
 	"repro/internal/body"
 	"repro/internal/channel"
 	"repro/internal/energy"
@@ -69,6 +70,22 @@ func TestConfigValidate(t *testing.T) {
 		// A Dynamic Variant contradicts any other explicit Protocol.
 		func(c *Config) { c.Variant, c.Protocol = mac.Dynamic, mac.ProtoCSMA },
 		func(c *Config) { c.Variant, c.Protocol = mac.Dynamic, mac.ProtoStatic },
+		// Non-finite values, which flag.Float64 parses.
+		func(c *Config) { c.SampleRateHz = math.NaN() },
+		func(c *Config) { c.SampleRateHz = math.Inf(1) },
+		func(c *Config) { c.HeartRateBPM = math.NaN() },
+		func(c *Config) { c.HeartRateBPM = math.Inf(1) },
+		func(c *Config) { c.BER = math.NaN() },
+		func(c *Config) { c.ClockDriftPPM = math.Inf(1) },
+		func(c *Config) { c.ClockDriftPPM = math.NaN() },
+		func(c *Config) { c.Battery, c.BrownoutV = &battery.Battery{CapacityMAh: 220, VoltageV: 3}, math.NaN() },
+		func(c *Config) { c.Battery = &battery.Battery{CapacityMAh: math.Inf(1), VoltageV: 3} },
+		func(c *Config) { c.Battery = &battery.Battery{CapacityMAh: 220, VoltageV: math.Inf(1)} },
+		func(c *Config) { c.Battery = &battery.Battery{CapacityMAh: 220, VoltageV: 3, Efficiency: math.NaN()} },
+		func(c *Config) { c.Burst = &channel.BurstModel{PGoodToBad: math.NaN()} },
+		func(c *Config) { c.Burst = &channel.BurstModel{PBadToGood: math.NaN()} },
+		func(c *Config) { c.Burst = &channel.BurstModel{BERGood: math.NaN()} },
+		func(c *Config) { c.Burst = &channel.BurstModel{BERBad: math.NaN()} },
 	}
 	for i, mutate := range bad {
 		c := base

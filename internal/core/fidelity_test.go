@@ -44,7 +44,7 @@ func TestEndToEndSignalFidelity(t *testing.T) {
 		return app.NewStreaming(env, app.StreamingConfig{
 			SampleRateHz: fs, Channels: 2, Signal: sig,
 		})
-	}, tracer)
+	})
 
 	log := forwarded(base.BS)
 	k.Schedule(0, func(*sim.Kernel) { base.Start() })
@@ -99,7 +99,7 @@ func TestEndToEndBeatReports(t *testing.T) {
 	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: platform.IMEC()})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewRpeak(env, app.RpeakConfig{Channels: 1, Signal: sig})
-	}, tracer)
+	})
 
 	log := forwarded(base.BS)
 	k.Schedule(0, func(*sim.Kernel) { base.Start() })

@@ -118,24 +118,20 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	return s
 }
 
-// Env builds the application environment over this node's facilities.
-func (s *Sensor) Env(tracer *metrics.Recorder) app.Env {
-	return app.Env{
+// AttachApp installs the application the factory builds over this
+// node's facilities.
+func (s *Sensor) AttachApp(build func(env app.Env) app.App) {
+	if s.App != nil {
+		panic("node: application already attached")
+	}
+	s.App = build(app.Env{
 		Sched:    s.Sched,
 		Frontend: s.Frontend,
 		Mac:      s.Mac,
 		Cost:     s.Profile.Cost,
-		Tracer:   tracer,
+		Tracer:   s.tracer,
 		NodeName: s.Name,
-	}
-}
-
-// AttachApp installs the application built by the factory.
-func (s *Sensor) AttachApp(build func(env app.Env) app.App, tracer *metrics.Recorder) {
-	if s.App != nil {
-		panic("node: application already attached")
-	}
-	s.App = build(s.Env(tracer))
+	})
 }
 
 // OnBrownout registers a callback fired once when the node's battery
@@ -196,9 +192,7 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 		case battery.LevelStretch:
 			s.Mac.SetSlotStretch(p.StretchEvery)
 		case battery.LevelDownshift:
-			if d, ok := s.App.(app.Downshifter); ok {
-				d.Downshift(p.DownshiftFactor)
-			}
+			s.App.Downshift(p.DownshiftFactor)
 		case battery.LevelBeaconOnly:
 			if s.App != nil {
 				s.App.Stop()
@@ -279,9 +273,7 @@ func (s *Sensor) ResetAccounting(now sim.Time) {
 	s.MCU.ResetAccounting()
 	s.Radio.ResetAccounting()
 	s.Mac.ResetAccounting()
-	if r, ok := s.App.(interface{ ResetCounters() }); ok {
-		r.ResetCounters()
-	}
+	s.App.ResetCounters()
 }
 
 // FinalizeEnergy flushes the meters at instant now, attributes the

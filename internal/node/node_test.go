@@ -43,7 +43,7 @@ func (r *rig) sensor(t *testing.T, id uint8) *Sensor {
 		return app.NewStreaming(env, app.StreamingConfig{
 			SampleRateHz: 205, Channels: 2, Signal: sig,
 		})
-	}, r.tracer)
+	})
 	return s
 }
 
@@ -132,7 +132,7 @@ func TestDoubleAttachPanics(t *testing.T) {
 		return app.NewRpeak(env, app.RpeakConfig{
 			Signal: ecg.NewGenerator(ecg.Params{HeartRateBPM: 75}),
 		})
-	}, r.tracer)
+	})
 }
 
 func TestSensorOptions(t *testing.T) {
