@@ -39,7 +39,7 @@ func setup() (*sim.Kernel, *Channel, *fakeRadio, *fakeRadio, *fakeRadio) {
 }
 
 func img() []byte {
-	return packet.Frame{Dest: packet.AddrBSData, Payload: []byte{1, 2, 3, 4}}.Encode()
+	return packet.Frame{Dest: packet.AddrBSData, Payload: []byte{1, 2, 3, 4}}.AppendEncode(nil)
 }
 
 func TestCleanDeliveryToAllListeners(t *testing.T) {
@@ -55,7 +55,7 @@ func TestCleanDeliveryToAllListeners(t *testing.T) {
 		}
 	}
 	// Clean copies pass the receiver-side CRC.
-	_, ok, err := packet.Decode(bs.images[0])
+	_, ok, err := packet.DecodeInPlace(bs.images[0])
 	if err != nil || !ok {
 		t.Fatalf("clean copy failed CRC: ok=%v err=%v", ok, err)
 	}
@@ -79,7 +79,7 @@ func TestOverlapCorruptsBoth(t *testing.T) {
 			t.Fatalf("frame %d cause = %v, want collided", i, cause)
 		}
 		// Corrupted images must fail the receiver's CRC.
-		if _, ok, _ := packet.Decode(bs.images[i]); ok {
+		if _, ok, _ := packet.DecodeInPlace(bs.images[i]); ok {
 			t.Fatalf("collided frame %d passed CRC", i)
 		}
 	}
@@ -165,7 +165,7 @@ func TestBERCorruptsProbabilistically(t *testing.T) {
 	}
 	// Every corrupted copy fails CRC.
 	for i, cause := range bs.got {
-		_, ok, _ := packet.Decode(bs.images[i])
+		_, ok, _ := packet.DecodeInPlace(bs.images[i])
 		if cause == BitError && ok {
 			t.Fatalf("bit-error copy %d passed CRC", i)
 		}
@@ -440,7 +440,7 @@ func TestJammingCorruptsNewAndInFlightFrames(t *testing.T) {
 		}
 	}
 	// Jammed copies must fail the receiver-side CRC.
-	if _, ok, _ := packet.Decode(bs.images[0]); ok {
+	if _, ok, _ := packet.DecodeInPlace(bs.images[0]); ok {
 		t.Fatalf("jammed copy passed CRC")
 	}
 	if st := c.Stats(); st.JammedFrames != 2 {
@@ -460,7 +460,7 @@ func TestAbortTxTruncatesInFlight(t *testing.T) {
 			t.Fatalf("radio %s got %v, want one truncated copy", r.id, r.got)
 		}
 	}
-	if _, ok, _ := packet.Decode(bs.images[0]); ok {
+	if _, ok, _ := packet.DecodeInPlace(bs.images[0]); ok {
 		t.Fatalf("truncated copy passed CRC")
 	}
 	if st := c.Stats(); st.Truncated != 1 {

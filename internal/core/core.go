@@ -464,7 +464,7 @@ func (r Results) Node() NodeResult { return r.Nodes[0] }
 // Run builds and executes the scenario.
 func Run(cfg Config) (Results, error) {
 	if err := cfg.Validate(); err != nil {
-		return Results{}, &ConfigError{Err: err}
+		return Results{}, err
 	}
 	prof := platform.IMEC()
 	if cfg.Profile != nil {

@@ -36,21 +36,8 @@ func (e *BudgetError) Error() string {
 // Is makes errors.Is(err, ErrBudgetExceeded) match any BudgetError.
 func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExceeded }
 
-// ConfigError marks a validation failure: the configuration itself is
-// wrong, so re-running the point can never succeed — the batch runner's
-// retry policy treats it as permanent. Error returns the wrapped
-// message unchanged, so existing message-matching callers keep working.
-type ConfigError struct {
-	Err error
-}
-
-func (e *ConfigError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying validation error to errors.Is/As.
-func (e *ConfigError) Unwrap() error { return e.Err }
-
-// budgetErr converts a kernel watchdog trip into the point error the
-// batch layer classifies on; nil when the kernel ran to completion.
+// budgetErr converts a kernel watchdog trip into the run's error; nil
+// when the kernel ran to completion.
 func budgetErr(k *sim.Kernel) error {
 	switch k.Tripped() {
 	case sim.TripEvents:

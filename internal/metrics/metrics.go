@@ -10,9 +10,6 @@
 // from wall-clock time or worker scheduling. That is the determinism
 // contract the parallel runner relies on: equal configs produce
 // deep-equal snapshots at any -workers count.
-//
-// The legacy trace package is a compatibility shim over this one, so
-// every existing tracer call site feeds the same layer.
 package metrics
 
 import (

@@ -73,23 +73,17 @@ func (p AddressPlan) NodeAddr(id uint8) Address {
 
 // Frame is one ShockBurst frame as handed to the radio: destination
 // address plus payload. The preamble and CRC are generated by the radio
-// hardware (modelled in Encode).
+// hardware (modelled in AppendEncode).
 type Frame struct {
 	Dest    Address
 	Payload []byte
 }
 
-// Encode serialises the frame into its on-air image minus the preamble:
-// 3 address bytes, the payload, and the CRC-16 computed over address and
-// payload — exactly the bytes the nRF2401 clocks through its CRC unit.
-func (f Frame) Encode() []byte {
-	return f.AppendEncode(make([]byte, 0, f.EncodedBytes()))
-}
-
-// AppendEncode serialises the frame as Encode does, appending to dst and
-// returning the extended slice. With a caller-supplied scratch buffer of
-// sufficient capacity it performs no allocation — the radio's transmit
-// path reuses one buffer per radio this way.
+// AppendEncode appends the frame's on-air image minus the preamble to
+// dst: 3 address bytes, the payload, and the CRC-16 over both — exactly
+// the bytes the nRF2401 clocks through its CRC unit. With a scratch
+// buffer of sufficient capacity it allocates nothing; the radio's
+// transmit path reuses one buffer per radio this way.
 //
 //hot:path
 func (f Frame) AppendEncode(dst []byte) []byte {
@@ -100,36 +94,19 @@ func (f Frame) AppendEncode(dst []byte) []byte {
 	return binary.BigEndian.AppendUint16(dst, crc)
 }
 
-// EncodedBytes reports the on-air image size Encode would produce,
-// without building it. Airtime computations use this instead of
-// len(Encode()).
+// EncodedBytes reports the on-air image size AppendEncode would add,
+// without building it. Airtime computations use this.
 func (f Frame) EncodedBytes() int { return AddressBytes + len(f.Payload) + 2 }
 
 // ErrFrameTooShort reports an on-air image shorter than address + CRC.
 var ErrFrameTooShort = errors.New("packet: frame image too short")
 
-// Decode parses an on-air image produced by Encode (possibly corrupted in
-// flight). It returns the frame and whether the CRC check passed. A frame
-// with a failing CRC is still returned so callers can account for the
-// energy already spent receiving it.
-func Decode(image []byte) (Frame, bool, error) {
-	if len(image) < AddressBytes+2 {
-		return Frame{}, false, ErrFrameTooShort
-	}
-	body := image[:len(image)-2]
-	wantCRC := binary.BigEndian.Uint16(image[len(image)-2:])
-	ok := CRC16(body) == wantCRC
-	dest := Address(uint32(body[0])<<16 | uint32(body[1])<<8 | uint32(body[2]))
-	payload := make([]byte, len(body)-AddressBytes)
-	copy(payload, body[AddressBytes:])
-	return Frame{Dest: dest, Payload: payload}, ok, nil
-}
-
-// DecodeInPlace parses an on-air image like Decode but without copying:
-// the returned frame's Payload aliases image. Callers own the aliasing
-// contract — the frame must be consumed (or copied) before the image
-// buffer is reused. The radio's receive path decodes into a per-radio
-// scratch buffer this way, so steady-state reception allocates nothing.
+// DecodeInPlace parses an on-air image (possibly corrupted in flight)
+// and reports whether its CRC passed; a failing frame is still returned
+// so callers can account for the energy spent receiving it. The frame's
+// Payload aliases image, so it must be consumed (or copied) before the
+// image buffer is reused. The radio decodes into a per-radio scratch
+// buffer this way, so steady-state reception allocates nothing.
 //
 //hot:path
 func DecodeInPlace(image []byte) (Frame, bool, error) {
@@ -195,11 +172,6 @@ const BeaconBaseBytes = 8
 // SlotEntryBytes is the per-entry addition to an encoded beacon.
 const SlotEntryBytes = 2
 
-// Marshal encodes the beacon payload.
-func (b Beacon) Marshal() []byte {
-	return b.AppendMarshal(make([]byte, 0, b.EncodedBytes()))
-}
-
 // AppendMarshal encodes the beacon payload onto dst.
 //
 //hot:path
@@ -219,25 +191,10 @@ func (b Beacon) EncodedBytes() int {
 	return BeaconBaseBytes + SlotEntryBytes*len(b.Entries)
 }
 
-// UnmarshalBeacon decodes a beacon payload.
-func UnmarshalBeacon(p []byte) (Beacon, error) {
-	if len(p) < BeaconBaseBytes {
-		return Beacon{}, fmt.Errorf("packet: beacon payload %d bytes, need >= %d", len(p), BeaconBaseBytes)
-	}
-	if Kind(p[0]) != KindBeacon {
-		return Beacon{}, fmt.Errorf("packet: kind 0x%02x is not a beacon", p[0])
-	}
-	b, ok := ParseBeacon(p, nil)
-	if !ok {
-		return Beacon{}, fmt.Errorf("packet: beacon declares %d entries but payload is %d bytes", p[7], len(p))
-	}
-	return b, nil
-}
-
-// ParseBeacon decodes a beacon payload like UnmarshalBeacon, appending
-// the entries to entries (pass a reused slice truncated to zero length)
-// and reporting only whether the payload is a well-formed beacon, so a
-// receiver that reuses its entry storage decodes without allocating.
+// ParseBeacon decodes a beacon payload, appending the entries to
+// entries (pass a reused slice truncated to zero length) and reporting
+// whether the payload is a well-formed beacon, so a receiver that reuses
+// its entry storage decodes without allocating.
 //
 //hot:path
 func ParseBeacon(p []byte, entries []SlotEntry) (Beacon, bool) {
@@ -268,11 +225,6 @@ type SSR struct {
 
 // SSRBytes is the encoded slot-request size.
 const SSRBytes = 4
-
-// Marshal encodes the slot-request payload.
-func (s SSR) Marshal() []byte {
-	return s.AppendMarshal(make([]byte, 0, SSRBytes))
-}
 
 // AppendMarshal encodes the slot-request payload onto dst.
 //
@@ -311,11 +263,6 @@ type Release struct {
 // ReleaseBytes is the encoded slot-release size.
 const ReleaseBytes = 2
 
-// Marshal encodes the slot-release payload.
-func (r Release) Marshal() []byte {
-	return r.AppendMarshal(make([]byte, 0, ReleaseBytes))
-}
-
 // AppendMarshal encodes the slot-release payload onto dst.
 //
 //hot:path
@@ -337,9 +284,6 @@ type Ack struct{}
 // AckBytes is the encoded acknowledgement size.
 const AckBytes = 1
 
-// Marshal encodes the acknowledgement payload.
-func (Ack) Marshal() []byte { return []byte{byte(KindAck)} }
-
 // AppendMarshal encodes the acknowledgement payload onto dst.
 //
 //hot:path
@@ -357,11 +301,6 @@ type Strobe struct {
 
 // StrobeBytes is the encoded strobe size.
 const StrobeBytes = 2
-
-// Marshal encodes the strobe payload.
-func (s Strobe) Marshal() []byte {
-	return s.AppendMarshal(make([]byte, 0, StrobeBytes))
-}
 
 // AppendMarshal encodes the strobe payload onto dst.
 //
@@ -385,9 +324,6 @@ type StrobeAck struct{}
 
 // StrobeAckBytes is the encoded early-ack size.
 const StrobeAckBytes = 1
-
-// Marshal encodes the early-ack payload.
-func (StrobeAck) Marshal() []byte { return []byte{byte(KindStrobeAck)} }
 
 // AppendMarshal encodes the early-ack payload onto dst.
 func (StrobeAck) AppendMarshal(dst []byte) []byte { return append(dst, byte(KindStrobeAck)) }
@@ -413,11 +349,6 @@ type Beat struct {
 
 // BeatBytes is the encoded beat-packet size.
 const BeatBytes = 5
-
-// Marshal encodes the beat payload.
-func (b Beat) Marshal() []byte {
-	return b.AppendMarshal(make([]byte, 0, BeatBytes))
-}
 
 // AppendMarshal encodes the beat payload onto dst.
 func (b Beat) AppendMarshal(dst []byte) []byte {

@@ -39,26 +39,35 @@ func TestCRC16DetectsSingleBitFlips(t *testing.T) {
 
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	f := Frame{Dest: AddrBSData, Payload: []byte{1, 2, 3, 4, 5}}
-	img := f.Encode()
-	if len(img) != AddressBytes+5+2 {
-		t.Fatalf("image length = %d, want %d", len(img), AddressBytes+7)
+	img := f.AppendEncode(nil)
+	if len(img) != AddressBytes+5+2 || f.EncodedBytes() != len(img) {
+		t.Fatalf("image length = %d, EncodedBytes = %d, want %d", len(img), f.EncodedBytes(), AddressBytes+7)
 	}
-	got, ok, err := Decode(img)
+	// Appending after existing content leaves it in place.
+	if prefixed := f.AppendEncode([]byte{0xAA}); prefixed[0] != 0xAA || !bytes.Equal(prefixed[1:], img) {
+		t.Fatalf("AppendEncode with prefix = %x", prefixed)
+	}
+	got, ok, err := DecodeInPlace(img)
 	if err != nil || !ok {
-		t.Fatalf("Decode: ok=%v err=%v", ok, err)
+		t.Fatalf("DecodeInPlace: ok=%v err=%v", ok, err)
 	}
 	if got.Dest != f.Dest || !bytes.Equal(got.Payload, f.Payload) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, f)
+	}
+	// The payload aliases the image rather than copying it.
+	img[AddressBytes] = 0xFF
+	if got.Payload[0] != 0xFF {
+		t.Fatal("DecodeInPlace copied the payload")
 	}
 }
 
 func TestDecodeCorruptedFrameFailsCRC(t *testing.T) {
 	f := Frame{Dest: AddrBeacon, Payload: []byte{9, 8, 7}}
-	img := f.Encode()
+	img := f.AppendEncode(nil)
 	img[4] ^= 0x40 // flip a payload bit in flight
-	_, ok, err := Decode(img)
+	_, ok, err := DecodeInPlace(img)
 	if err != nil {
-		t.Fatalf("Decode error: %v", err)
+		t.Fatalf("DecodeInPlace error: %v", err)
 	}
 	if ok {
 		t.Fatalf("corrupted frame passed CRC")
@@ -67,23 +76,23 @@ func TestDecodeCorruptedFrameFailsCRC(t *testing.T) {
 
 func TestDecodeAddressCorruptionFailsCRC(t *testing.T) {
 	f := Frame{Dest: NodeAddress(3), Payload: []byte{1}}
-	img := f.Encode()
+	img := f.AppendEncode(nil)
 	img[0] ^= 0x01
-	_, ok, _ := Decode(img)
+	_, ok, _ := DecodeInPlace(img)
 	if ok {
 		t.Fatalf("address corruption passed CRC")
 	}
 }
 
 func TestDecodeTooShort(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2, 3, 4}); err == nil {
+	if _, _, err := DecodeInPlace([]byte{1, 2, 3, 4}); err == nil {
 		t.Fatalf("want ErrFrameTooShort")
 	}
 }
 
 func TestDecodeEmptyPayloadFrame(t *testing.T) {
 	f := Frame{Dest: NodeAddress(1)}
-	got, ok, err := Decode(f.Encode())
+	got, ok, err := DecodeInPlace(f.AppendEncode(nil))
 	if err != nil || !ok {
 		t.Fatalf("empty-payload frame: ok=%v err=%v", ok, err)
 	}
@@ -92,12 +101,12 @@ func TestDecodeEmptyPayloadFrame(t *testing.T) {
 	}
 }
 
-// Property: Decode(Encode(f)) is the identity with a passing CRC, for all
+// Property: DecodeInPlace(Encode(f)) is the identity with a passing CRC, for all
 // destinations and payloads.
 func TestQuickFrameRoundTrip(t *testing.T) {
 	f := func(dest uint32, payload []byte) bool {
 		fr := Frame{Dest: Address(dest & 0xFFFFFF), Payload: payload}
-		got, ok, err := Decode(fr.Encode())
+		got, ok, err := DecodeInPlace(fr.AppendEncode(nil))
 		return err == nil && ok && got.Dest == fr.Dest && bytes.Equal(got.Payload, fr.Payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -110,10 +119,10 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 func TestQuickSingleBitCorruptionCaught(t *testing.T) {
 	f := func(dest uint32, payload []byte, pos uint16) bool {
 		fr := Frame{Dest: Address(dest & 0xFFFFFF), Payload: payload}
-		img := fr.Encode()
+		img := fr.AppendEncode(nil)
 		i := int(pos) % (len(img) * 8)
 		img[i/8] ^= 1 << uint(i%8)
-		_, ok, err := Decode(img)
+		_, ok, err := DecodeInPlace(img)
 		return err == nil && !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -134,11 +143,11 @@ func TestNodeAddressUnique(t *testing.T) {
 
 func TestBeaconMarshalSizes(t *testing.T) {
 	b := Beacon{Seq: 7, CycleMicros: 30000}
-	if got := len(b.Marshal()); got != BeaconBaseBytes {
+	if got := len(b.AppendMarshal(nil)); got != BeaconBaseBytes || b.EncodedBytes() != got {
 		t.Fatalf("empty beacon = %d bytes, want %d", got, BeaconBaseBytes)
 	}
 	b.Entries = []SlotEntry{{1, 0}, {2, 1}, {3, 2}}
-	if got := len(b.Marshal()); got != BeaconBaseBytes+3*SlotEntryBytes {
+	if got := len(b.AppendMarshal(nil)); got != BeaconBaseBytes+3*SlotEntryBytes || b.EncodedBytes() != got {
 		t.Fatalf("3-entry beacon = %d bytes, want %d", got, BeaconBaseBytes+6)
 	}
 }
@@ -149,9 +158,9 @@ func TestBeaconRoundTrip(t *testing.T) {
 		CycleMicros: 60000,
 		Entries:     []SlotEntry{{NodeID: 5, Slot: 2}, {NodeID: 9, Slot: 4}},
 	}
-	out, err := UnmarshalBeacon(in.Marshal())
-	if err != nil {
-		t.Fatal(err)
+	out, ok := ParseBeacon(in.AppendMarshal(nil), nil)
+	if !ok {
+		t.Fatal("ParseBeacon rejected a marshalled beacon")
 	}
 	if out.Seq != in.Seq || out.CycleMicros != in.CycleMicros || len(out.Entries) != 2 {
 		t.Fatalf("round trip: %+v", out)
@@ -164,16 +173,22 @@ func TestBeaconRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalBeaconErrors(t *testing.T) {
-	if _, err := UnmarshalBeacon([]byte{1, 2}); err == nil {
+	if _, ok := ParseBeacon([]byte{1, 2}, nil); ok {
 		t.Fatalf("short payload accepted")
 	}
-	if _, err := UnmarshalBeacon(SSR{NodeID: 1}.Marshal()); err == nil {
+	if _, ok := ParseBeacon(SSR{NodeID: 1}.AppendMarshal(nil), nil); ok {
 		t.Fatalf("SSR payload accepted as beacon")
 	}
+	// A beacon-sized payload with another packet's kind byte.
+	notBeacon := Beacon{Seq: 1, CycleMicros: 1}.AppendMarshal(nil)
+	notBeacon[0] = byte(KindSSR)
+	if _, ok := ParseBeacon(notBeacon, nil); ok {
+		t.Fatalf("non-beacon kind accepted as beacon")
+	}
 	// Declared entry count exceeding the payload length.
-	b := Beacon{Seq: 1, CycleMicros: 1}.Marshal()
+	b := Beacon{Seq: 1, CycleMicros: 1}.AppendMarshal(nil)
 	b[7] = 9
-	if _, err := UnmarshalBeacon(b); err == nil {
+	if _, ok := ParseBeacon(b, nil); ok {
 		t.Fatalf("truncated entry table accepted")
 	}
 }
@@ -189,8 +204,8 @@ func TestQuickBeaconRoundTrip(t *testing.T) {
 		for _, r := range raw {
 			in.Entries = append(in.Entries, SlotEntry{NodeID: uint8(r >> 8), Slot: uint8(r)})
 		}
-		out, err := UnmarshalBeacon(in.Marshal())
-		if err != nil || out.Seq != in.Seq || out.CycleMicros != in.CycleMicros ||
+		out, ok := ParseBeacon(in.AppendMarshal(nil), nil)
+		if !ok || out.Seq != in.Seq || out.CycleMicros != in.CycleMicros ||
 			len(out.Entries) != len(in.Entries) {
 			return false
 		}
@@ -208,7 +223,7 @@ func TestQuickBeaconRoundTrip(t *testing.T) {
 
 func TestSSRRoundTrip(t *testing.T) {
 	in := SSR{NodeID: 3, Nonce: 0xBEEF}
-	p := in.Marshal()
+	p := in.AppendMarshal(nil)
 	if len(p) != SSRBytes {
 		t.Fatalf("SSR = %d bytes, want %d", len(p), SSRBytes)
 	}
@@ -219,13 +234,13 @@ func TestSSRRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSSR([]byte{1}); err == nil {
 		t.Fatalf("short SSR accepted")
 	}
-	if _, err := UnmarshalSSR(Ack{}.Marshal()); err == nil {
+	if _, err := UnmarshalSSR(Ack{}.AppendMarshal(nil)); err == nil {
 		t.Fatalf("ack accepted as SSR")
 	}
 }
 
 func TestAck(t *testing.T) {
-	p := Ack{}.Marshal()
+	p := Ack{}.AppendMarshal(nil)
 	if len(p) != AckBytes {
 		t.Fatalf("ack = %d bytes, want %d", len(p), AckBytes)
 	}
@@ -239,7 +254,7 @@ func TestAck(t *testing.T) {
 
 func TestBeatRoundTrip(t *testing.T) {
 	in := Beat{Channel: 1, Lag: 74, Seq: 9}
-	p := in.Marshal()
+	p := in.AppendMarshal(nil)
 	if len(p) != BeatBytes {
 		t.Fatalf("beat = %d bytes, want %d", len(p), BeatBytes)
 	}
@@ -262,10 +277,13 @@ func TestHRVRoundTrip(t *testing.T) {
 	if err != nil || out != in {
 		t.Fatalf("round trip: %+v err=%v", out, err)
 	}
+	if got := in.AppendMarshal([]byte{0xAA}); got[0] != 0xAA || !bytes.Equal(got[1:], p) {
+		t.Fatalf("AppendMarshal with prefix = %x, want aa%x", got, p)
+	}
 	if _, err := UnmarshalHRV(p[:5]); err == nil {
 		t.Fatalf("short HRV accepted")
 	}
-	if _, err := UnmarshalHRV(Beat{}.Marshal()); err == nil {
+	if _, err := UnmarshalHRV(Beat{}.AppendMarshal(nil)); err == nil {
 		t.Fatalf("beat accepted as HRV")
 	}
 }
@@ -285,11 +303,11 @@ func TestQuickHRVRoundTrip(t *testing.T) {
 // Property: SSR and Beat round-trip for all field values.
 func TestQuickControlRoundTrips(t *testing.T) {
 	f := func(id uint8, nonce uint16, ch uint8, lag uint16, seq uint8) bool {
-		s, err := UnmarshalSSR(SSR{NodeID: id, Nonce: nonce}.Marshal())
+		s, err := UnmarshalSSR(SSR{NodeID: id, Nonce: nonce}.AppendMarshal(nil))
 		if err != nil || s.NodeID != id || s.Nonce != nonce {
 			return false
 		}
-		b, err := UnmarshalBeat(Beat{Channel: ch, Lag: lag, Seq: seq}.Marshal())
+		b, err := UnmarshalBeat(Beat{Channel: ch, Lag: lag, Seq: seq}.AppendMarshal(nil))
 		return err == nil && b.Channel == ch && b.Lag == lag && b.Seq == seq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

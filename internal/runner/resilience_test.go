@@ -68,8 +68,8 @@ func TestRunCtxCancelSequentialIsPrefix(t *testing.T) {
 			if !r.Skipped {
 				t.Fatalf("point %d not skipped after the cancel", i)
 			}
-			if r.Err != nil || r.Attempts != 0 {
-				t.Fatalf("skipped point %d carries err=%v attempts=%d", i, r.Err, r.Attempts)
+			if r.Err != nil {
+				t.Fatalf("skipped point %d carries err=%v", i, r.Err)
 			}
 		}
 	}
@@ -140,107 +140,6 @@ func TestRunCtxAlreadyCancelled(t *testing.T) {
 	}
 }
 
-func TestRetryDeterministicAcrossWorkerCounts(t *testing.T) {
-	points := batch(5, testConfig)
-	target := points[2].Config.Seed
-	// The target point fails its first attempt (recognised by its
-	// attempt-0 seed) and succeeds on retry, which runs with
-	// RetrySeed(seed, 1).
-	exec := func(cfg core.Config) (core.Results, error) {
-		if cfg.Seed == target {
-			return core.Results{}, errors.New("transient wobble")
-		}
-		return core.Run(cfg)
-	}
-	opts := func(workers int) Options {
-		return Options{Workers: workers, Exec: exec, Retry: Retry{Max: 2}}
-	}
-	one := Run(points, opts(1))
-	four := Run(points, opts(4))
-
-	for i := range points {
-		if one[i].Err != nil {
-			t.Fatalf("point %d: %v", i, one[i].Err)
-		}
-		if !reflect.DeepEqual(one[i].Res, four[i].Res) {
-			t.Fatalf("point %d differs between 1 and 4 workers", i)
-		}
-	}
-	if one[2].Attempts != 2 {
-		t.Fatalf("target Attempts = %d, want 2", one[2].Attempts)
-	}
-	// The retried result is bit-identical to a fresh run of attempt 1.
-	fresh := points[2].Config
-	fresh.Seed = RetrySeed(target, 1)
-	want, err := core.Run(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one[2].Res, want) {
-		t.Fatalf("retried point differs from a fresh run of the same attempt")
-	}
-}
-
-func TestRetryNeverRetriesValidationErrors(t *testing.T) {
-	bad := testConfig(1)
-	bad.Nodes = 0
-	var execs atomic.Int32
-	exec := func(cfg core.Config) (core.Results, error) {
-		execs.Add(1)
-		return core.Run(cfg)
-	}
-	results := Run([]Point{{Label: "bad", Config: bad}}, Options{
-		Workers: 1, Exec: exec, Retry: Retry{Max: 5},
-	})
-	if execs.Load() != 1 || results[0].Attempts != 1 {
-		t.Fatalf("validation error retried: %d execs, %d attempts", execs.Load(), results[0].Attempts)
-	}
-	var cfgErr *core.ConfigError
-	if !errors.As(results[0].Err, &cfgErr) {
-		t.Fatalf("error %v is not a ConfigError", results[0].Err)
-	}
-}
-
-func TestRetryNeverRetriesEventBudget(t *testing.T) {
-	cfg := testConfig(1)
-	cfg.MaxEvents = 500
-	var execs atomic.Int32
-	exec := func(c core.Config) (core.Results, error) {
-		execs.Add(1)
-		return core.Run(c)
-	}
-	results := Run([]Point{{Label: "wedged", Config: cfg}}, Options{
-		Workers: 1, Exec: exec, Retry: Retry{Max: 5},
-	})
-	if !errors.Is(results[0].Err, core.ErrBudgetExceeded) {
-		t.Fatalf("error = %v, want a budget error", results[0].Err)
-	}
-	if execs.Load() != 1 {
-		t.Fatalf("deterministic budget trip retried %d times", execs.Load()-1)
-	}
-}
-
-func TestRetryBackoffDoublesThroughInjectedSleep(t *testing.T) {
-	var slept []time.Duration
-	exec := func(core.Config) (core.Results, error) {
-		return core.Results{}, errors.New("always down")
-	}
-	results := Run([]Point{{Label: "x", Config: testConfig(1)}}, Options{
-		Workers: 1,
-		Exec:    exec,
-		Retry:   Retry{Max: 3, Backoff: 10 * time.Millisecond},
-		Sleep:   func(d time.Duration) { slept = append(slept, d) },
-		Now:     func() time.Time { return time.Unix(0, 0) },
-	})
-	if results[0].Attempts != 4 {
-		t.Fatalf("Attempts = %d, want 4", results[0].Attempts)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	if !reflect.DeepEqual(slept, want) {
-		t.Fatalf("backoff sleeps = %v, want %v", slept, want)
-	}
-}
-
 func TestBudgetExceededDoesNotAbortSiblings(t *testing.T) {
 	points := batch(4, testConfig)
 	points[1].Config.MaxEvents = 200
@@ -259,51 +158,6 @@ func TestBudgetExceededDoesNotAbortSiblings(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("sibling %d aborted: %v", i, r.Err)
 		}
-	}
-}
-
-func TestBatchBudgetTightensPointBudget(t *testing.T) {
-	// The batch cap applies where the point has none, and never loosens
-	// a tighter per-point cap.
-	points := batch(2, testConfig)
-	points[1].Config.MaxEvents = 100
-	results := Run(points, Options{Workers: 1, Budget: Budget{MaxEvents: 300}})
-	var b0, b1 *core.BudgetError
-	if !errors.As(results[0].Err, &b0) || b0.Events != 300 {
-		t.Fatalf("point 0: %v, want a 300-event trip", results[0].Err)
-	}
-	if !errors.As(results[1].Err, &b1) || b1.Events != 100 {
-		t.Fatalf("point 1: %v, want the tighter 100-event trip", results[1].Err)
-	}
-}
-
-func TestWallBudgetTripsAsTransient(t *testing.T) {
-	// A fake clock that leaps an hour per reading makes the wall budget
-	// trip at the first poll, on every attempt; wall trips classify as
-	// transient, so the retry policy runs the point Max+1 times.
-	var ticks atomic.Int64
-	now := func() time.Time {
-		return time.Unix(ticks.Add(1)*3600, 0)
-	}
-	var execs atomic.Int32
-	exec := func(c core.Config) (core.Results, error) {
-		execs.Add(1)
-		return core.Run(c)
-	}
-	results := Run([]Point{{Label: "slow", Config: testConfig(1)}}, Options{
-		Workers: 1,
-		Exec:    exec,
-		Now:     now,
-		Sleep:   func(time.Duration) {},
-		Budget:  Budget{Wall: time.Second},
-		Retry:   Retry{Max: 2},
-	})
-	var bud *core.BudgetError
-	if !errors.As(results[0].Err, &bud) || bud.Cause != core.BudgetInterrupt {
-		t.Fatalf("error = %v, want an interrupt budget trip", results[0].Err)
-	}
-	if execs.Load() != 3 || results[0].Attempts != 3 {
-		t.Fatalf("wall trip not retried: %d execs, %d attempts", execs.Load(), results[0].Attempts)
 	}
 }
 
@@ -484,18 +338,6 @@ func TestPointKeySensitivity(t *testing.T) {
 	}
 }
 
-func TestRetrySeed(t *testing.T) {
-	if RetrySeed(42, 0) != 42 {
-		t.Fatal("attempt 0 must run the base seed")
-	}
-	if RetrySeed(42, 1) == 42 || RetrySeed(42, 1) != DeriveSeed(42, 1) {
-		t.Fatal("retry seeds must be DeriveSeed derivations")
-	}
-	if RetrySeed(42, 1) == RetrySeed(42, 2) {
-		t.Fatal("attempts must get distinct seeds")
-	}
-}
-
 func TestJournalOpenErrors(t *testing.T) {
 	dir := t.TempDir()
 	// Resuming from a directory is unreadable as a journal file.
@@ -563,14 +405,12 @@ func TestRunEmptyBatch(t *testing.T) {
 }
 
 func TestWallBudgetChainsOntoPointInterrupt(t *testing.T) {
-	// A point carrying its own interrupt hook keeps it when the batch
-	// adds a wall budget: the hooks chain, either one trips the run.
+	// A point carrying its own interrupt hook runs under it: the hook
+	// trips the kernel watchdog, and the point fails with an interrupt
+	// BudgetError rather than running to completion.
 	cfg := metricConfig(1)
 	cfg.Interrupt = func() bool { return true }
-	results := Run([]Point{{Label: "chained", Config: cfg}}, Options{
-		Workers: 1,
-		Budget:  Budget{Wall: time.Hour},
-	})
+	results := Run([]Point{{Label: "chained", Config: cfg}}, Options{Workers: 1})
 	var bud *core.BudgetError
 	if !errors.As(results[0].Err, &bud) || bud.Cause != core.BudgetInterrupt {
 		t.Fatalf("err = %v, want an interrupt BudgetError", results[0].Err)

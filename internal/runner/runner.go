@@ -20,18 +20,9 @@
 //
 // The batch layer is resilient (DESIGN.md §16): RunCtx stops dispatching
 // on context cancellation, drains in-flight points and marks the rest
-// Skipped; Options.Budget bounds each point's simulated-event count and
-// wall-clock time through the kernel watchdog; Options.Retry re-executes
-// transiently-failed points; Options.Journal persists completed points
-// so an interrupted sweep resumes where it stopped.
-//
-// Retry determinism contract: attempt n of a point runs with seed
-// RetrySeed(Config.Seed, n) — the base seed for attempt 0, a splitmix64
-// derivation for n > 0. The attempt seed depends only on the point's own
-// seed and the attempt number, never on worker count, scheduling, or
-// which sibling points failed, so a retried point is bit-identical to a
-// fresh run of the same attempt, and a batch where nothing fails is
-// byte-identical with retries enabled or disabled.
+// Skipped; Options.Journal persists completed points so an interrupted
+// sweep resumes where it stopped. A point bounds its own run through
+// Config.MaxEvents and Config.Interrupt, the kernel watchdog.
 //
 // Run with the race detector ("make race") to verify the isolation
 // assumption against the actual model code.
@@ -39,7 +30,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -49,15 +39,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-)
-
-// wallClock and wallSleep are the package's only wall-clock taps,
-// overridable through Options.Now/Options.Sleep. They feed display-only
-// state (progress ETAs, retry pacing, wall budgets) — never simulation
-// results.
-var (
-	wallClock = time.Now
-	wallSleep = time.Sleep
 )
 
 // Point is one experiment in a batch: a label for reporting plus the
@@ -85,15 +66,11 @@ type Result struct {
 	Res core.Results
 	// Err is the point's failure: a validation/run error from core.Run,
 	// a *core.BudgetError from the watchdog, or a *PanicError recovered
-	// from the model code. Retries, when enabled, have already run: this
-	// is the final attempt's error.
+	// from the model code.
 	Err error
 	// Skipped marks a point that was never executed because the batch
 	// context was cancelled first. Err is nil; Res is the zero value.
 	Skipped bool
-	// Attempts counts executions of this point (1 without retries; 0 for
-	// skipped or restored points).
-	Attempts int
 	// Restored marks a point whose result was loaded from the resume
 	// journal instead of executed. Res carries every numeric field
 	// bit-identical to the recorded run; Res.Trace is nil (traces are
@@ -123,50 +100,6 @@ type Progress struct {
 	Events uint64
 }
 
-// Retry is the batch retry policy. The zero value disables retries.
-type Retry struct {
-	// Max is the number of re-executions after the first failed attempt
-	// (so a point runs at most Max+1 times).
-	Max int
-	// Backoff is the pause before the first retry; each further retry
-	// doubles it. Zero retries immediately.
-	Backoff time.Duration
-	// Classify reports whether an error is transient (retry) or
-	// permanent (give up). Nil selects DefaultClassify.
-	Classify func(error) bool
-}
-
-// DefaultClassify is the retry policy's default transience test:
-// configuration errors can never succeed on re-run, and an exceeded
-// event budget is deterministic — the same budget trips at the same
-// event every time — so both are permanent. Everything else (recovered
-// panics, exec-level failures, wall-clock budget trips) is worth
-// another attempt.
-func DefaultClassify(err error) bool {
-	var cfgErr *core.ConfigError
-	if errors.As(err, &cfgErr) {
-		return false
-	}
-	var bud *core.BudgetError
-	if errors.As(err, &bud) {
-		return bud.Cause == core.BudgetInterrupt
-	}
-	return true
-}
-
-// Budget bounds each point's execution. The zero value is unlimited.
-type Budget struct {
-	// MaxEvents caps a point's dispatched kernel events (whole run,
-	// warmup included). A point whose own Config.MaxEvents is tighter
-	// keeps it; otherwise this cap applies. Deterministic: the trip
-	// event is a pure function of (Config, Seed).
-	MaxEvents uint64
-	// Wall caps a point's wall-clock time via the kernel's interrupt
-	// hook, polled every sim.DefaultPollEvery events. Trips are
-	// machine-dependent, so they classify as transient for retry.
-	Wall time.Duration
-}
-
 // PanicError is a panic recovered from inside one point's model code.
 type PanicError struct {
 	// Index and Label identify the point.
@@ -183,36 +116,23 @@ func (e *PanicError) Error() string {
 // Options tunes a batch run.
 type Options struct {
 	// Workers is the number of concurrent simulations. Zero or negative
-	// selects runtime.GOMAXPROCS(0). Workers == 1 runs the batch inline
-	// on the calling goroutine — exactly the pre-runner sequential
-	// behaviour.
+	// selects runtime.GOMAXPROCS(0).
 	Workers int
 	// OnProgress, when non-nil, is called after each point completes.
 	// Calls are serialised (never concurrent) but may arrive from worker
 	// goroutines in completion order, which is not input order.
 	OnProgress func(Progress)
 	// Exec overrides the function executed per point. Nil selects
-	// core.Run. Tests use it to inject failures; alternative backends
-	// (e.g. the analytic model) can slot in here.
+	// core.Run. Tests use it to inject failures.
 	Exec func(core.Config) (core.Results, error)
-	// Retry re-executes transiently-failed points (see the package's
-	// retry determinism contract). Zero value: no retries.
-	Retry Retry
-	// Budget bounds each point's simulated-event count and wall-clock
-	// time, converting a wedged scenario into a *core.BudgetError
-	// instead of a hung sweep. Zero value: unlimited.
-	Budget Budget
 	// Journal, when non-nil, persists each completed point and restores
 	// points recorded by a previous run (see OpenJournal). Restores are
 	// keyed by hash(label, config): a point whose key has a committed
 	// record is not executed.
 	Journal *Journal
-	// Now overrides the wall clock used for progress ETAs and wall
-	// budgets. Nil selects time.Now. Simulation results never depend on
-	// it.
+	// Now overrides the wall clock used for progress ETAs. Nil selects
+	// time.Now. Simulation results never depend on it.
 	Now func() time.Time
-	// Sleep overrides the retry backoff pause. Nil selects time.Sleep.
-	Sleep func(time.Duration)
 }
 
 func (o Options) workers(points int) int {
@@ -229,44 +149,6 @@ func (o Options) workers(points int) int {
 	return w
 }
 
-func (o Options) exec() func(core.Config) (core.Results, error) {
-	if o.Exec != nil {
-		return o.Exec
-	}
-	return core.Run
-}
-
-func (o Options) env() *runEnv {
-	e := &runEnv{
-		exec:     o.exec(),
-		retry:    o.Retry,
-		classify: o.Retry.Classify,
-		budget:   o.Budget,
-		now:      o.Now,
-		sleep:    o.Sleep,
-	}
-	if e.classify == nil {
-		e.classify = DefaultClassify
-	}
-	if e.now == nil {
-		e.now = wallClock
-	}
-	if e.sleep == nil {
-		e.sleep = wallSleep
-	}
-	return e
-}
-
-// runEnv is the resolved per-batch execution environment.
-type runEnv struct {
-	exec     func(core.Config) (core.Results, error)
-	retry    Retry
-	classify func(error) bool
-	budget   Budget
-	now      func() time.Time
-	sleep    func(time.Duration)
-}
-
 // Run executes every point and returns one Result per point, in input
 // order. It blocks until the whole batch has completed; failed points
 // carry their error in Result.Err and never abort the rest of the batch.
@@ -280,7 +162,7 @@ func Run(points []Point, opts Options) []Result {
 // work), and marks every undispatched point Skipped. The returned slice
 // always has one entry per input point, in input order. Cancellation
 // does not abort a running point; bound individual points with
-// Options.Budget instead.
+// Config.MaxEvents or Config.Interrupt instead.
 func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 	results := make([]Result, len(points))
 	for i := range results {
@@ -289,8 +171,15 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 	if len(points) == 0 {
 		return results
 	}
-	env := opts.env()
-	start := env.now()
+	exec := opts.Exec
+	if exec == nil {
+		exec = core.Run
+	}
+	now := opts.Now
+	if now == nil {
+		now = time.Now
+	}
+	start := now()
 
 	var mu sync.Mutex // serialises done counting + OnProgress
 	done, executed := 0, 0
@@ -306,7 +195,7 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 			executed++
 			events += results[i].Res.KernelEvents
 		}
-		elapsed := env.now().Sub(start)
+		elapsed := now().Sub(start)
 		var eta time.Duration
 		if rest := len(points) - done; rest > 0 && executed > 0 {
 			eta = elapsed / time.Duration(executed) * time.Duration(rest)
@@ -335,38 +224,20 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 		pending = append(pending, i)
 	}
 
-	record := func(i int) {
-		if opts.Journal != nil {
-			opts.Journal.record(&results[i])
-		}
-	}
-
-	workers := opts.workers(len(pending))
-	if workers == 1 {
-		for _, i := range pending {
-			if ctx.Err() != nil {
-				results[i].Skipped = true
-				continue
-			}
-			results[i] = env.runPoint(points, i)
-			record(i)
-			finish(i)
-		}
-		return results
-	}
-
 	// Workers pull indices from a channel and write to disjoint slots of
 	// the pre-allocated results slice, so collection is ordered and
 	// lock-free by construction.
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := opts.workers(len(pending)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = env.runPoint(points, i)
-				record(i)
+				results[i] = runPoint(exec, points, i)
+				if opts.Journal != nil {
+					opts.Journal.record(&results[i])
+				}
 				finish(i)
 			}
 		}()
@@ -386,40 +257,21 @@ func RunCtx(ctx context.Context, points []Point, opts Options) []Result {
 		for _, j := range pending[n:] {
 			results[j].Skipped = true
 		}
-		close(idx)
-		wg.Wait()
-		return results
+		break
 	}
 	close(idx)
 	wg.Wait()
 	return results
 }
 
-// runPoint executes one point under the retry policy.
-func (e *runEnv) runPoint(points []Point, i int) Result {
-	for attempt := 0; ; attempt++ {
-		r := e.attempt(points, i, attempt)
-		r.Attempts = attempt + 1
-		if r.Err == nil || attempt >= e.retry.Max || !e.classify(r.Err) {
-			return r
-		}
-		if e.retry.Backoff > 0 {
-			e.sleep(e.retry.Backoff << attempt)
-		}
-	}
-}
-
-// attempt executes one attempt of one point, converting a model panic
-// into an error so a single bad configuration cannot kill a
-// thousand-point sweep. The point runs under pprof labels
-// ("point", "index"), so a CPU profile of a sweep attributes samples to
-// experiment points, not just to model functions.
-func (e *runEnv) attempt(points []Point, i, attempt int) (r Result) {
+// runPoint executes one point, converting a model panic into an error
+// so a single bad configuration cannot kill a thousand-point sweep. The
+// point runs under pprof labels ("point", "index"), so a CPU profile of
+// a sweep attributes samples to experiment points, not just to model
+// functions.
+func runPoint(exec func(core.Config) (core.Results, error), points []Point, i int) (r Result) {
 	p := points[i]
 	r = Result{Index: i, Label: p.Label, Config: p.Config}
-	cfg := p.Config
-	cfg.Seed = RetrySeed(cfg.Seed, attempt)
-	cfg = e.budgeted(cfg)
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.Err = &PanicError{Index: i, Label: p.Label, Value: rec}
@@ -427,31 +279,9 @@ func (e *runEnv) attempt(points []Point, i, attempt int) (r Result) {
 	}()
 	labels := pprof.Labels("point", p.Label, "index", strconv.Itoa(i))
 	pprof.Do(context.Background(), labels, func(context.Context) {
-		r.Res, r.Err = e.exec(cfg)
+		r.Res, r.Err = exec(p.Config)
 	})
 	return r
-}
-
-// budgeted applies the batch budget to one attempt's config: the event
-// cap tightens (the smaller of the point's own and the batch's), and
-// the wall budget chains onto any interrupt hook the point already
-// carries.
-func (e *runEnv) budgeted(cfg core.Config) core.Config {
-	if b := e.budget.MaxEvents; b > 0 && (cfg.MaxEvents == 0 || b < cfg.MaxEvents) {
-		cfg.MaxEvents = b
-	}
-	if e.budget.Wall > 0 {
-		deadline := e.now().Add(e.budget.Wall)
-		prev := cfg.Interrupt
-		now := e.now
-		cfg.Interrupt = func() bool {
-			if prev != nil && prev() {
-				return true
-			}
-			return now().After(deadline)
-		}
-	}
-	return cfg
 }
 
 // AggregateMetrics merges the metrics snapshots of every successful point
@@ -520,16 +350,4 @@ func DeriveSeed(base int64, index int) int64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
-}
-
-// RetrySeed maps a point's base seed and a retry attempt to the seed
-// that attempt runs with: the base itself for attempt 0, a DeriveSeed
-// derivation for each retry. Depends only on (base, attempt), so a
-// retried point is bit-identical to a fresh run of the same attempt at
-// any worker count.
-func RetrySeed(base int64, attempt int) int64 {
-	if attempt == 0 {
-		return base
-	}
-	return DeriveSeed(base, attempt)
 }
