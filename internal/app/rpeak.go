@@ -39,6 +39,7 @@ type Rpeak struct {
 	assembleDone func()
 	payload      []byte // marshal scratch; Send copies it
 	seq          uint8
+	trace        metrics.NodeID // env.NodeName's ID in env.Tracer
 }
 
 // NewRpeak builds the application and configures the front-end.
@@ -64,6 +65,7 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 	r.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, r.onAcquisition)
 	r.detectors = make([]*ecg.Detector, cfg.Channels)
 	r.buildDetectors()
+	r.trace = env.Tracer.ID(env.NodeName)
 	return r
 }
 
@@ -108,7 +110,7 @@ func (r *Rpeak) onSampleDone() {
 			continue
 		}
 		r.counts.Beats++
-		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.env.NodeName, metrics.KindBeat,
+		metrics.Record2(r.env.Tracer, r.env.Sched.Kernel().Now(), r.trace, metrics.KindBeat,
 			"ch=%d lag=%d", ch, lag)
 		r.seq++
 		if r.env.Sched.PostFn("rpeak-assemble", r.env.Cost.BeatPacketAssembly, r.assembleDone) {

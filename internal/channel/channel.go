@@ -14,6 +14,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/approx"
 	"repro/internal/sim"
@@ -123,6 +124,7 @@ type Stats struct {
 
 type transmission struct {
 	from  Transceiver
+	src   int // from's path-table index
 	image []byte
 	start sim.Time
 	end   sim.Time
@@ -132,19 +134,35 @@ type transmission struct {
 	finish sim.Handler
 }
 
+// path is the state of one directed path.
+type path struct {
+	link Link
+	// bad is the Gilbert-Elliott state of a bursty link.
+	bad bool
+	// blackout counts the open blackout windows; a positive depth
+	// suppresses delivery entirely (the path is shadowed). Depth
+	// counting lets overlapping fault windows compose.
+	blackout int
+}
+
 // Channel is the shared medium. All methods must run on the simulation
 // goroutine.
 type Channel struct {
-	k     *sim.Kernel
+	k *sim.Kernel
+	// nodes holds the attached radios in attach order, the order a frame
+	// is delivered in; row[i] is nodes[i]'s path-table index.
 	nodes []Transceiver
-	byID  map[string]Transceiver
-	links map[[2]string]Link
-	// burstBad tracks the Gilbert-Elliott state of each bursty link.
-	burstBad map[[2]string]bool
-	// blackouts counts active blackout windows per directed path; a
-	// positive depth suppresses delivery entirely (the path is shadowed).
-	// Depth counting lets overlapping fault windows compose.
-	blackouts map[[2]string]int
+	row   []int
+	// byName numbers every name the medium knows: each attached radio's
+	// and each name SetLink or SetBlackout used, attached yet or not.
+	// Names are resolved only there and in Attach.
+	byName map[string]int
+	// paths is the dim×dim table of directed paths, row-major by sender,
+	// over every indexed name. It stays nil until the first SetLink or
+	// SetBlackout, so the default fully connected, error-free BAN never
+	// reads it.
+	paths []path
+	dim   int
 	// jamDepth counts active interference bursts; while positive, every
 	// frame on the air is corrupted.
 	jamDepth int
@@ -161,40 +179,63 @@ type Channel struct {
 
 // New creates an empty medium on the kernel.
 func New(k *sim.Kernel) *Channel {
-	return &Channel{
-		k:         k,
-		byID:      make(map[string]Transceiver),
-		links:     make(map[[2]string]Link),
-		burstBad:  make(map[[2]string]bool),
-		blackouts: make(map[[2]string]int),
-	}
+	return &Channel{k: k, byName: make(map[string]int)}
 }
 
-// Attach adds a radio to the medium. IDs must be unique.
+// Attach adds a radio to the medium. IDs must be unique. Paths already
+// set for the radio's ID apply to it.
 func (c *Channel) Attach(t Transceiver) {
 	id := t.ChannelID()
-	if _, dup := c.byID[id]; dup {
+	i := c.indexOf(id)
+	if slices.Contains(c.row, i) {
 		panic(fmt.Sprintf("channel: duplicate transceiver %q", id))
 	}
-	c.byID[id] = t
 	c.nodes = append(c.nodes, t)
+	c.row = append(c.row, i)
+}
+
+// indexOf returns name's path-table index, numbering a new name and
+// growing an allocated table to cover it.
+func (c *Channel) indexOf(name string) int {
+	i, ok := c.byName[name]
+	if !ok {
+		i = len(c.byName)
+		c.byName[name] = i
+		if c.paths != nil {
+			c.resize()
+		}
+	}
+	return i
+}
+
+// path returns the directed path from -> to, allocating the table on
+// first use.
+func (c *Channel) path(from, to string) *path {
+	f, t := c.indexOf(from), c.indexOf(to)
+	if c.paths == nil {
+		c.resize()
+	}
+	return &c.paths[f*c.dim+t]
+}
+
+// resize reallocates the path table over every indexed name, keeping the
+// existing paths; new paths are fully connected and error-free.
+func (c *Channel) resize() {
+	n := len(c.byName)
+	paths := make([]path, n*n)
+	for i := range paths {
+		paths[i].link.Connected = true
+	}
+	for f := 0; f < c.dim; f++ {
+		copy(paths[f*n:], c.paths[f*c.dim:(f+1)*c.dim])
+	}
+	c.paths, c.dim = paths, n
 }
 
 // SetLink overrides the path from -> to. Paths default to
 // {Connected: true, BER: 0} (a fully connected, error-free BAN).
 func (c *Channel) SetLink(from, to string, l Link) {
-	c.links[[2]string{from, to}] = l
-}
-
-// link reports the effective path parameters. The default fully
-// connected, error-free medium skips hashing the path.
-func (c *Channel) link(from, to string) Link {
-	if len(c.links) > 0 {
-		if l, ok := c.links[[2]string{from, to}]; ok {
-			return l
-		}
-	}
-	return Link{Connected: true}
+	c.path(from, to).link = l
 }
 
 // SetBlackout opens (active) or closes an additional blackout window on
@@ -203,16 +244,11 @@ func (c *Channel) link(from, to string) Link {
 // SetLink parameters, so blackouts compose with BER/burst models instead
 // of overwriting them. Closing more windows than were opened is a no-op.
 func (c *Channel) SetBlackout(from, to string, active bool) {
-	key := [2]string{from, to}
+	p := c.path(from, to)
 	if active {
-		c.blackouts[key]++
-		return
-	}
-	if c.blackouts[key] > 0 {
-		c.blackouts[key]--
-		if c.blackouts[key] == 0 {
-			delete(c.blackouts, key)
-		}
+		p.blackout++
+	} else if p.blackout > 0 {
+		p.blackout--
 	}
 }
 
@@ -272,6 +308,7 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 		tx = c.newTransmission()
 	}
 	tx.from = from
+	tx.src = c.rowOf(from)
 	tx.image = append(tx.image[:0], image...)
 	tx.start = now
 	tx.end = now + airtime
@@ -300,6 +337,16 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	c.k.ScheduleAt(tx.end, tx.finish)
 }
 
+// rowOf returns an attached radio's path-table index.
+func (c *Channel) rowOf(t Transceiver) int {
+	for i, n := range c.nodes {
+		if n == t {
+			return c.row[i]
+		}
+	}
+	panic(fmt.Sprintf("channel: transmission from unattached radio %q", t.ChannelID()))
+}
+
 // newTransmission grows the transmission pool by one record, with its
 // end-of-frame handler bound.
 //
@@ -322,18 +369,24 @@ func (c *Channel) finishTx(tx *transmission) {
 			break
 		}
 	}
-	fromID := tx.from.ChannelID()
-	for _, rx := range c.nodes {
+	var out []path // the sender's row of paths
+	if c.paths != nil {
+		out = c.paths[tx.src*c.dim : (tx.src+1)*c.dim]
+	}
+	for j, rx := range c.nodes {
 		if rx == tx.from {
 			continue
 		}
-		l := c.link(fromID, rx.ChannelID())
-		if !l.Connected {
-			continue
-		}
-		if len(c.blackouts) > 0 && c.blackouts[[2]string{fromID, rx.ChannelID()}] > 0 {
-			c.stats.BlackoutDrops++
-			continue
+		var p *path
+		if out != nil {
+			p = &out[c.row[j]]
+			if !p.link.Connected {
+				continue
+			}
+			if p.blackout > 0 {
+				c.stats.BlackoutDrops++
+				continue
+			}
 		}
 		since, listening := rx.ListeningSince()
 		if !listening {
@@ -348,24 +401,9 @@ func (c *Channel) finishTx(tx *transmission) {
 		}
 		cause := tx.cause
 		image := tx.image
-		ber := l.BER
-		if l.Burst != nil {
-			key := [2]string{fromID, rx.ChannelID()}
-			bad := c.burstBad[key]
-			// Evolve the Gilbert-Elliott state once per frame.
-			if bad {
-				if c.k.Rand().Float64() < l.Burst.PBadToGood {
-					bad = false
-				}
-			} else if c.k.Rand().Float64() < l.Burst.PGoodToBad {
-				bad = true
-			}
-			c.burstBad[key] = bad
-			if bad {
-				ber = l.Burst.BERBad
-			} else {
-				ber = l.Burst.BERGood
-			}
+		var ber float64
+		if p != nil {
+			ber = c.frameBER(p)
 		}
 		if cause == Clean && ber > 0 {
 			bits := len(image) * 8
@@ -383,6 +421,26 @@ func (c *Channel) finishTx(tx *transmission) {
 	}
 	tx.from = nil
 	c.txPool = append(c.txPool, tx)
+}
+
+// frameBER reports the bit error rate one frame sees on path p, first
+// evolving a bursty link's Gilbert-Elliott state.
+func (c *Channel) frameBER(p *path) float64 {
+	b := p.link.Burst
+	if b == nil {
+		return p.link.BER
+	}
+	if p.bad {
+		if c.k.Rand().Float64() < b.PBadToGood {
+			p.bad = false
+		}
+	} else if c.k.Rand().Float64() < b.PGoodToBad {
+		p.bad = true
+	}
+	if p.bad {
+		return b.BERBad
+	}
+	return b.BERGood
 }
 
 // corruptCopy flips one to three bits of a copy of image so that the

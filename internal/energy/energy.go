@@ -282,24 +282,40 @@ const (
 	LossControl LossCategory = "control-overhead"
 )
 
+// lossCategories are the categories in report order.
+var lossCategories = [...]LossCategory{LossCollision, LossIdleListening, LossOverhearing, LossControl}
+
 // AllLossCategories lists the categories in report order.
 func AllLossCategories() []LossCategory {
-	return []LossCategory{LossCollision, LossIdleListening, LossOverhearing, LossControl}
+	return append([]LossCategory(nil), lossCategories[:]...)
+}
+
+// lossIndex returns c's position in lossCategories, or -1.
+func lossIndex(c LossCategory) int {
+	for i, lc := range lossCategories {
+		if lc == c {
+			return i
+		}
+	}
+	return -1
 }
 
 // Ledger aggregates the meters of one node plus loss-category attribution.
 type Ledger struct {
+	// order holds the meters in registration order, which every sweep
+	// walks; meters serves only the by-name lookup.
+	order  []*Meter
 	meters map[string]*Meter
-	order  []string
-	losses map[LossCategory]float64
+	// losses holds each category's joules, indexed like lossCategories;
+	// attributed marks the categories charged since the last Reset, the
+	// ones a Report lists.
+	losses     [len(lossCategories)]float64
+	attributed [len(lossCategories)]bool
 }
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{
-		meters: make(map[string]*Meter),
-		losses: make(map[LossCategory]float64),
-	}
+	return &Ledger{meters: make(map[string]*Meter)}
 }
 
 // Register adds a meter to the ledger. Component names must be unique.
@@ -308,7 +324,7 @@ func (l *Ledger) Register(m *Meter) {
 		panic(fmt.Sprintf("energy: duplicate meter %q", m.Name()))
 	}
 	l.meters[m.Name()] = m
-	l.order = append(l.order, m.Name())
+	l.order = append(l.order, m)
 }
 
 // Meter returns the registered meter with the given name, or nil.
@@ -321,15 +337,25 @@ func (l *Ledger) AttributeLoss(c LossCategory, joules float64) {
 	if joules < 0 {
 		panic("energy: negative loss attribution")
 	}
-	l.losses[c] += joules
+	i := lossIndex(c)
+	if i < 0 {
+		panic(fmt.Sprintf("energy: unknown loss category %q", c))
+	}
+	l.losses[i] += joules
+	l.attributed[i] = true
 }
 
 // Loss reports the energy attributed to a category, in joules.
-func (l *Ledger) Loss(c LossCategory) float64 { return l.losses[c] }
+func (l *Ledger) Loss(c LossCategory) float64 {
+	if i := lossIndex(c); i >= 0 {
+		return l.losses[i]
+	}
+	return 0
+}
 
 // Flush flushes every registered meter at instant now.
 func (l *Ledger) Flush(now sim.Time) {
-	for _, m := range l.meters {
+	for _, m := range l.order {
 		m.Flush(now)
 	}
 }
@@ -337,19 +363,18 @@ func (l *Ledger) Flush(now sim.Time) {
 // Reset zeroes every meter and all loss attributions, restarting
 // integration at instant now.
 func (l *Ledger) Reset(now sim.Time) {
-	for _, m := range l.meters {
+	for _, m := range l.order {
 		m.Reset(now)
 	}
-	l.losses = make(map[LossCategory]float64)
+	l.losses, l.attributed = [len(lossCategories)]float64{}, [len(lossCategories)]bool{}
 }
 
 // TotalJ reports the node's total energy across all components, summed
-// in registration order so the float total is bit-identical run to run
-// (map iteration order must not reach a float accumulation).
+// in registration order so the float total is bit-identical run to run.
 func (l *Ledger) TotalJ() float64 {
 	var e float64
-	for _, name := range l.order {
-		e += l.meters[name].EnergyJ()
+	for _, m := range l.order {
+		e += m.EnergyJ()
 	}
 	return e
 }
@@ -358,11 +383,10 @@ func (l *Ledger) TotalJ() float64 {
 func (l *Ledger) Report() Report {
 	r := Report{
 		Components: make([]ComponentReport, 0, len(l.order)),
-		Losses:     make(map[LossCategory]float64, len(l.losses)),
+		Losses:     map[LossCategory]float64{},
 	}
-	for _, name := range l.order {
-		m := l.meters[name]
-		cr := ComponentReport{Name: name, States: map[State]StateReport{}}
+	for _, m := range l.order {
+		cr := ComponentReport{Name: m.Name(), States: map[State]StateReport{}}
 		for _, s := range m.States() {
 			cr.States[s] = StateReport{Time: m.TimeIn(s), EnergyJ: m.EnergyInJ(s)}
 			cr.EnergyJ += m.EnergyInJ(s)
@@ -370,8 +394,10 @@ func (l *Ledger) Report() Report {
 		r.Components = append(r.Components, cr)
 		r.TotalJ += cr.EnergyJ
 	}
-	for c, j := range l.losses {
-		r.Losses[c] = j
+	for i, c := range lossCategories {
+		if l.attributed[i] {
+			r.Losses[c] = l.losses[i]
+		}
 	}
 	return r
 }

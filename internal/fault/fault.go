@@ -236,6 +236,10 @@ type Injector struct {
 	k      *sim.Kernel
 	ch     *channel.Channel
 	tracer *metrics.Recorder
+	// channelTrace and nodeTrace are the tracer IDs the injector records
+	// under: the "channel" pseudo-node and each node's "node<N>".
+	channelTrace metrics.NodeID
+	nodeTrace    map[uint8]metrics.NodeID
 
 	nodes map[uint8]NodeHooks
 	ids   []uint8 // sorted, for deterministic aggregate snapshots
@@ -257,6 +261,8 @@ func New(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder) *Injector
 		k:             k,
 		ch:            ch,
 		tracer:        tracer,
+		channelTrace:  tracer.ID("channel"),
+		nodeTrace:     make(map[uint8]metrics.NodeID),
 		nodes:         make(map[uint8]NodeHooks),
 		pendingRejoin: make(map[uint8][]int),
 		openCrash:     make(map[uint8]*window),
@@ -270,6 +276,7 @@ func (inj *Injector) AddNode(id uint8, h NodeHooks) {
 		panic(fmt.Sprintf("fault: duplicate node %d", id))
 	}
 	inj.nodes[id] = h
+	inj.nodeTrace[id] = inj.tracer.ID(fmt.Sprintf("node%d", id))
 	inj.ids = append(inj.ids, id)
 	sort.Slice(inj.ids, func(i, j int) bool { return inj.ids[i] < inj.ids[j] })
 }
@@ -323,11 +330,11 @@ func (inj *Injector) installCrash(idx int, f Fault) {
 		h.Crash() // the MAC traces the crash event itself
 	})
 	if f.RebootAfter > 0 {
-		node := f.Node
+		node, trace := f.Node, inj.nodeTrace[f.Node]
 		inj.k.ScheduleAt(f.At+f.RebootAfter, func(*sim.Kernel) {
 			inj.outcomes[idx].RebootedAt = inj.k.Now()
 			inj.pendingRejoin[node] = append(inj.pendingRejoin[node], idx)
-			metrics.Record1(inj.tracer, inj.k.Now(), fmt.Sprintf("node%d", node), metrics.KindReboot,
+			metrics.Record1(inj.tracer, inj.k.Now(), trace, metrics.KindReboot,
 				"outage=%v", f.RebootAfter)
 			h.Reboot()
 		})
@@ -377,11 +384,11 @@ func (inj *Injector) installBlackout(idx int, f Fault) {
 			w = window{idx: idx, node: tracked, sent: s.DataSent, acked: s.DataAcked}
 		}
 		inj.ch.SetBlackout(f.From, f.To, true)
-		metrics.Record2(inj.tracer, inj.k.Now(), "channel", metrics.KindLinkDown, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), inj.channelTrace, metrics.KindLinkDown, "%s>%s", f.From, f.To)
 	})
 	inj.k.ScheduleAt(f.Until, func(*sim.Kernel) {
 		inj.ch.SetBlackout(f.From, f.To, false)
-		metrics.Record2(inj.tracer, inj.k.Now(), "channel", metrics.KindLinkUp, "%s>%s", f.From, f.To)
+		metrics.Record2(inj.tracer, inj.k.Now(), inj.channelTrace, metrics.KindLinkUp, "%s>%s", f.From, f.To)
 		if haveNode {
 			s := h.Stats()
 			inj.outcomes[idx].SentDuring = satSub(s.DataSent, w.sent)
@@ -395,11 +402,11 @@ func (inj *Injector) installInterference(idx int, f Fault) {
 	inj.k.ScheduleAt(f.At, func(*sim.Kernel) {
 		sent0, acked0 = inj.aggregate()
 		inj.ch.SetJamming(true)
-		inj.tracer.Record(inj.k.Now(), "channel", metrics.KindJamOn, "")
+		inj.tracer.RecordID(inj.k.Now(), inj.channelTrace, metrics.KindJamOn, "")
 	})
 	inj.k.ScheduleAt(f.Until, func(*sim.Kernel) {
 		inj.ch.SetJamming(false)
-		inj.tracer.Record(inj.k.Now(), "channel", metrics.KindJamOff, "")
+		inj.tracer.RecordID(inj.k.Now(), inj.channelTrace, metrics.KindJamOff, "")
 		sent, acked := inj.aggregate()
 		inj.outcomes[idx].SentDuring = satSub(sent, sent0)
 		inj.outcomes[idx].AckedDuring = satSub(acked, acked0)

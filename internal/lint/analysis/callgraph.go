@@ -25,7 +25,8 @@ import (
 // closure built inside F is part of F's behaviour, whether F invokes it
 // or schedules it. Known imprecision, documented in DESIGN.md §15:
 // calls through plain func-typed values (the kernel's Handler dispatch)
-// and package-level variable initializers are not traversed.
+// and package-level variable initializers are not traversed (nodetaint
+// handles variables initialised from a sink itself).
 
 // EdgeKind classifies how a call edge was resolved.
 type EdgeKind int

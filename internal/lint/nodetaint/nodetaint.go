@@ -13,9 +13,19 @@
 // Findings inside the cone are nodeterm's job and are not re-reported
 // here: a tainted callee *inside* the cone already carries a direct
 // diagnostic at its own sink call.
+//
+// A package-level variable initialised from a sink (var clock =
+// time.Now, read as clock()) hides the sink from the call graph: the
+// initializer belongs to no function and a call through the variable
+// has no edge. Every function that reads such a variable therefore
+// counts as calling the sink, and a cone function reading one declared
+// outside the cone is reported at the read.
 package nodetaint
 
 import (
+	"go/ast"
+	"go/token"
+	"go/types"
 	"strings"
 
 	"repro/internal/lint/analysis"
@@ -48,10 +58,18 @@ func run(pass *analysis.ProgramPass) error {
 			}
 		}
 	}
-	if len(sinks) == 0 {
+	holders := sinkHolders(pass.Prog.All())
+	reads := holderReads(cg, holders)
+	targets := sinks
+	for _, fnode := range cg.Funcs() {
+		if len(reads[fnode]) > 0 {
+			targets = append(targets, fnode)
+		}
+	}
+	if len(targets) == 0 {
 		return nil
 	}
-	tainted := cg.ReachesAny(sinks)
+	tainted := cg.ReachesAny(targets)
 
 	// Report every call from a cone package to a tainted module
 	// function outside the cone — once per call site.
@@ -63,6 +81,13 @@ func run(pass *analysis.ProgramPass) error {
 		if !selected[fnode.Pkg] || !nodeterm.InCone(fnode.Pkg.Path) {
 			continue
 		}
+		for _, r := range reads[fnode] {
+			if !nodeterm.InCone(r.v.Pkg().Path()) {
+				sink := holders[r.v]
+				pass.Reportf(r.pos, "%s is initialised from %s, so reading it reaches %s outside the call graph; ambient nondeterminism must not be reachable from the simulation cone — %s",
+					varName(r.v), sink.Name, sink.Name, hintOf(sink))
+			}
+		}
 		reported := make(map[int]bool)
 		for _, e := range fnode.Out {
 			callee := e.Callee
@@ -73,14 +98,80 @@ func run(pass *analysis.ProgramPass) error {
 				continue
 			}
 			reported[int(e.Pos)] = true
-			path := cg.PathTo(callee, asSet(sinks))
-			sink := sinkInfo[path[len(path)-1]]
+			path := cg.PathTo(callee, asSet(targets))
+			chain := renderChain(path, sinkInfo)
+			sink, ok := sinkInfo[path[len(path)-1]]
+			if !ok { // the chain ends reading a sink holder
+				v := reads[path[len(path)-1]][0].v
+				sink = holders[v]
+				chain += " -> " + varName(v) + " -> " + sink.Name
+			}
 			pass.Reportf(e.Pos, "call to %s reaches %s via %s; ambient nondeterminism must not be reachable from the simulation cone — %s",
-				callee.Name(), sink.Name, renderChain(path, sinkInfo), hintOf(sink))
+				callee.Name(), sink.Name, chain, hintOf(sink))
 		}
 	}
 	return nil
 }
+
+// sinkHolders finds the package-level variables whose initializer
+// references a sink, with the first sink each references.
+func sinkHolders(pkgs []*analysis.Package) map[*types.Var]nodeterm.Sink {
+	holders := make(map[*types.Var]nodeterm.Sink)
+	for _, pkg := range pkgs {
+		for _, init := range pkg.Info.InitOrder {
+			if sink, found := firstSink(pkg, init.Rhs); found {
+				for _, v := range init.Lhs {
+					holders[v] = sink
+				}
+			}
+		}
+	}
+	return holders
+}
+
+// firstSink reports the first sink function expr references.
+func firstSink(pkg *analysis.Package, expr ast.Expr) (sink nodeterm.Sink, found bool) {
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && !found {
+			if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+				sink, found = nodeterm.ClassifySink(fn)
+			}
+		}
+		return !found
+	})
+	return sink, found
+}
+
+// holderRead is one read of a sink holder inside a function body.
+type holderRead struct {
+	v   *types.Var
+	pos token.Pos
+}
+
+// holderReads lists, per local function, its reads of sink holders in
+// source order.
+func holderReads(cg *analysis.CallGraph, holders map[*types.Var]nodeterm.Sink) map[*analysis.Node][]holderRead {
+	reads := make(map[*analysis.Node][]holderRead)
+	if len(holders) == 0 {
+		return reads
+	}
+	for _, fnode := range cg.Funcs() {
+		ast.Inspect(fnode.Decl.Body, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if v, ok := fnode.Pkg.Info.Uses[id].(*types.Var); ok {
+					if _, held := holders[v]; held {
+						reads[fnode] = append(reads[fnode], holderRead{v: v, pos: id.Pos()})
+					}
+				}
+			}
+			return true
+		})
+	}
+	return reads
+}
+
+// varName renders a package variable as "pkg.name".
+func varName(v *types.Var) string { return v.Pkg().Name() + "." + v.Name() }
 
 func asSet(nodes []*analysis.Node) map[*analysis.Node]bool {
 	set := make(map[*analysis.Node]bool, len(nodes))

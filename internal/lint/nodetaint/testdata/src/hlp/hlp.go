@@ -52,6 +52,24 @@ func Draw() float64 {
 
 func apply(f func() float64) float64 { return f() }
 
+// clock holds the wall clock in a package variable: the initializer
+// belongs to no function, and a call through the variable has no
+// call-graph edge.
+var clock = time.Now
+
+// ViaVariable reads the wall clock through the package variable.
+func ViaVariable() int64 { return clock().UnixNano() }
+
+// WallNow exports a sink holder for cone code to call directly.
+var WallNow = time.Now
+
+// epoch is initialised from a call, not a function value; reading it
+// is a constant, so it holds no sink.
+var epoch = time.Unix(0, 0)
+
+// Epoch reads a constant instant.
+func Epoch() int64 { return epoch.UnixNano() }
+
 // Pure is taint-free.
 func Pure(x int) int { return x * 2 }
 

@@ -32,6 +32,23 @@ func ViaReference() float64 {
 	return hlp.Draw() // want `call to hlp\.Draw reaches rand\.Float64`
 }
 
+// ViaVariable reaches time.Now through a helper that calls it through
+// a package variable.
+func ViaVariable() int64 {
+	return hlp.ViaVariable() // want `call to hlp\.ViaVariable reaches time\.Now via hlp\.ViaVariable -> hlp\.clock -> time\.Now`
+}
+
+// DirectVariable calls a non-cone sink holder itself.
+func DirectVariable() int64 {
+	return hlp.WallNow().UnixNano() // want `hlp\.WallNow is initialised from time\.Now`
+}
+
+// EpochOK reads a variable initialised by calling time.Unix, which is
+// not a sink.
+func EpochOK() int64 {
+	return hlp.Epoch()
+}
+
 // Clean calls a pure helper: no taint, no diagnostic.
 func Clean() int {
 	return hlp.Pure(21)

@@ -113,7 +113,7 @@ func (m *beaconSync) EnterBeaconOnly() {
 func (m *beaconSync) releaseFlown(format string) {
 	m.stats.ReleasesSent++
 	m.chargeControlTx(packet.ReleaseBytes)
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotRelease, format, m.slot)
+	metrics.Record1(m.tracer, m.k.Now(), m.trace, metrics.KindSlotRelease, format, m.slot)
 	m.radio.PowerDown()
 	m.park()
 }
@@ -211,7 +211,7 @@ func (m *beaconSync) handleBeacon(b packet.Beacon, payloadLen int, afterParse fu
 	m.missed = 0
 	m.t0 = airStart
 	m.cycle = sim.Time(b.CycleMicros) * sim.Microsecond
-	metrics.Record2(m.tracer, now, m.name, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
+	metrics.Record2(m.tracer, now, m.trace, metrics.KindBeaconRx, "seq=%d cycle=%v", b.Seq, m.cycle)
 
 	if m.state == stateSearching {
 		m.state = stateRequesting

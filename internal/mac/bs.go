@@ -276,7 +276,7 @@ func (bs *BS) onBeaconSent() {
 	p := bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
-	metrics.Record3(bs.tracer, bs.k.Now(), "bs", metrics.KindBeaconTx,
+	metrics.Record3(bs.tracer, bs.k.Now(), bs.trace, metrics.KindBeaconTx,
 		"seq=%d cycle=%v nodes=%d", bs.seq, bs.cycle, len(bs.byNode))
 	bs.listen()
 	// The burst just ended; its air start is the reference.
@@ -376,7 +376,7 @@ func (bs *BS) assignSlot() {
 		return
 	}
 	if fresh && bs.cfg.Protocol == ProtoDynamic {
-		metrics.Record2(bs.tracer, bs.k.Now(), "bs", metrics.KindCycleGrow,
+		metrics.Record2(bs.tracer, bs.k.Now(), bs.trace, metrics.KindCycleGrow,
 			"nodes=%d next-cycle=%v", len(bs.byNode), bs.currentCycle())
 	}
 	bs.granted(node, slot)

@@ -23,6 +23,7 @@ type bsCore struct {
 	radio  *radio.Radio
 	ledger *energy.Ledger
 	tracer *metrics.Recorder
+	trace  metrics.NodeID // "bs" in tracer
 
 	memberTable
 	// memberDetail ("node=%d slot=%d") and reclaimDetail trace an index
@@ -93,6 +94,7 @@ func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio
 		cfg.Plan = packet.DefaultPlan()
 	}
 	c.k, c.cfg, c.sched, c.radio, c.ledger, c.tracer = k, cfg, sched, r, ledger, tracer
+	c.trace = tracer.ID("bs")
 	c.memberTable = newMemberTable(cfg.MaxSlots, noun)
 	c.memberDetail = "node=%d " + noun + "=%d"
 	c.reclaimDetail = c.memberDetail + " after=%d"
@@ -170,7 +172,7 @@ func (c *bsCore) admitNext() (node uint8, idx int, fresh, ok bool) {
 
 // granted records that node holds idx.
 func (c *bsCore) granted(node uint8, idx int) {
-	metrics.Record2(c.tracer, c.k.Now(), "bs", metrics.KindSlotGrant, c.memberDetail, node, idx)
+	metrics.Record2(c.tracer, c.k.Now(), c.trace, metrics.KindSlotGrant, c.memberDetail, node, idx)
 }
 
 // retire frees node's index on its voluntary release, reporting false
@@ -181,7 +183,7 @@ func (c *bsCore) retire(node uint8) bool {
 		return false
 	}
 	c.stats.SlotsReleased++
-	metrics.Record2(c.tracer, c.k.Now(), "bs", metrics.KindSlotRelease, c.memberDetail, node, idx)
+	metrics.Record2(c.tracer, c.k.Now(), c.trace, metrics.KindSlotRelease, c.memberDetail, node, idx)
 	return true
 }
 
@@ -195,7 +197,7 @@ func (c *bsCore) reclaimSilent() bool {
 	gone := c.sweepSilent(c.cfg.ReclaimAfter)
 	for _, g := range gone {
 		c.stats.SlotsReclaimed++
-		metrics.Record3(c.tracer, c.k.Now(), "bs", metrics.KindSlotReclaim,
+		metrics.Record3(c.tracer, c.k.Now(), c.trace, metrics.KindSlotReclaim,
 			c.reclaimDetail, g.node, g.idx, c.cfg.ReclaimAfter)
 	}
 	return len(gone) > 0
@@ -220,7 +222,7 @@ func (c *bsCore) sender(payload []byte) (uint8, []byte, bool) {
 func (c *bsCore) accept(node uint8, payload []byte) {
 	delete(c.silent, node)
 	c.stats.DataReceived++
-	metrics.Record2(c.tracer, c.k.Now(), "bs", metrics.KindDataRx, "node=%d len=%d", node, len(payload))
+	metrics.Record2(c.tracer, c.k.Now(), c.trace, metrics.KindDataRx, "node=%d len=%d", node, len(payload))
 }
 
 // oweData queues the acknowledgement of a member's accepted data frame.

@@ -155,7 +155,7 @@ func (m *LPLNode) Start() {
 		// Battery-parked across a reboot: with no beacons to track, a
 		// parked LPL node is simply silent.
 		m.state = stateParked
-		m.tracer.Record(m.k.Now(), m.name, metrics.KindParked, "")
+		m.tracer.RecordID(m.k.Now(), m.trace, metrics.KindParked, "")
 		return
 	}
 	m.state = stateRequesting

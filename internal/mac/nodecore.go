@@ -58,6 +58,7 @@ type nodeCore struct {
 	radio  *radio.Radio
 	ledger *energy.Ledger
 	tracer *metrics.Recorder
+	trace  metrics.NodeID // name's ID in tracer
 
 	state nodeState
 	// slot is the index the base station granted (a TDMA slot, a CSMA
@@ -129,7 +130,7 @@ func (c *nodeCore) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *r
 		cfg.Plan = packet.DefaultPlan()
 	}
 	c.k, c.cfg, c.name, c.sched, c.radio = k, cfg, r.Name(), sched, r
-	c.ledger, c.tracer = ledger, tracer
+	c.ledger, c.tracer, c.trace = ledger, tracer, tracer.ID(c.name)
 	c.slot = -1
 	c.resetAccess = resetAccess
 }
@@ -217,14 +218,14 @@ func (c *nodeCore) join(slot int) {
 	c.state = stateJoined
 	c.joinedSince = now
 	if c.rejoinArmed {
-		c.tracer.Observe(c.name, metrics.HistRejoin, now-c.rejoinFrom)
+		c.tracer.Observe(c.trace, metrics.HistRejoin, now-c.rejoinFrom)
 		c.rejoinArmed = false
 	}
 	c.joinedEver = true
 	if slot < 0 {
-		c.tracer.Record(now, c.name, metrics.KindJoined, "")
+		c.tracer.RecordID(now, c.trace, metrics.KindJoined, "")
 	} else {
-		metrics.Record1(c.tracer, now, c.name, metrics.KindJoined, "slot=%d", slot)
+		metrics.Record1(c.tracer, now, c.trace, metrics.KindJoined, "slot=%d", slot)
 	}
 	for _, fn := range c.onJoined {
 		fn()
@@ -249,7 +250,7 @@ func (c *nodeCore) halt(to nodeState, kind metrics.Kind) {
 	c.queue.Reset()
 	c.loading = false
 	c.releasePending = false
-	c.tracer.Record(c.k.Now(), c.name, kind, "")
+	c.tracer.RecordID(c.k.Now(), c.trace, kind, "")
 }
 
 // Crash models a node power loss: the complete protocol state — join
@@ -292,7 +293,7 @@ func (c *nodeCore) skipStretched(format string) bool {
 		return false
 	}
 	c.stats.SlotsSkipped++
-	metrics.Record1(c.tracer, c.k.Now(), c.name, metrics.KindSlotSkip, format, c.stretchCount)
+	metrics.Record1(c.tracer, c.k.Now(), c.trace, metrics.KindSlotSkip, format, c.stretchCount)
 	return true
 }
 
@@ -367,7 +368,7 @@ func (c *nodeCore) noteQueueDelay() {
 	c.stats.LatencySum += lat
 	c.stats.LatencyCount++
 	c.stats.LatencyMax = max(c.stats.LatencyMax, lat)
-	c.tracer.Observe(c.name, metrics.HistSlotWait, lat)
+	c.tracer.Observe(c.trace, metrics.HistSlotWait, lat)
 }
 
 // idFrame marshals the in-flight payload behind the sender-ID header.
@@ -387,7 +388,7 @@ func (c *nodeCore) nextSSR() packet.SSR {
 func (c *nodeCore) ssrFlown() {
 	c.stats.SSRSent++
 	c.chargeControlTx(packet.SSRBytes)
-	metrics.Record1(c.tracer, c.k.Now(), c.name, metrics.KindSSRTx, "nonce=%d", c.ssrNonce)
+	metrics.Record1(c.tracer, c.k.Now(), c.trace, metrics.KindSSRTx, "nonce=%d", c.ssrNonce)
 }
 
 // dataFlown counts the data burst that just ended and listens for its
@@ -397,7 +398,7 @@ func (c *nodeCore) dataFlown(expiry sim.Handler) {
 		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", c.name, c.state, c.stats))
 	}
 	c.stats.DataSent++
-	metrics.Record1(c.tracer, c.k.Now(), c.name, metrics.KindDataTx, "len=%d", c.dataHeader+len(c.inFlight.payload))
+	metrics.Record1(c.tracer, c.k.Now(), c.trace, metrics.KindDataTx, "len=%d", c.dataHeader+len(c.inFlight.payload))
 	c.ackWaiting = true
 	c.ackOpenAt = c.k.Now()
 	c.radio.SetRxAddresses(c.cfg.Plan.NodeAddr(c.cfg.NodeID))
@@ -416,12 +417,12 @@ func (c *nodeCore) ackArrived() bool {
 	c.k.Cancel(c.ackTimeout)
 	c.radio.PowerDown()
 	c.accountControlRx(now - c.ackOpenAt)
-	c.tracer.Observe(c.name, metrics.HistTxToAck, now-c.ackOpenAt)
+	c.tracer.Observe(c.trace, metrics.HistTxToAck, now-c.ackOpenAt)
 	c.stats.DataAcked++
 	if c.hasInFlight {
 		c.finishInFlight()
 	}
-	c.tracer.Record(now, c.name, metrics.KindAckRx, "")
+	c.tracer.RecordID(now, c.trace, metrics.KindAckRx, "")
 	return true
 }
 
@@ -438,7 +439,7 @@ func (c *nodeCore) ackMissed() bool {
 	c.radio.PowerDown()
 	c.accountControlRx(now - c.ackOpenAt)
 	c.stats.AckMissed++
-	c.tracer.Record(now, c.name, metrics.KindAckMissed, "")
+	c.tracer.RecordID(now, c.trace, metrics.KindAckMissed, "")
 	if !c.hasInFlight {
 		return true
 	}
@@ -452,7 +453,7 @@ func (c *nodeCore) ackMissed() bool {
 		c.dropInFlight()
 	} else {
 		c.stats.DataDropped++
-		c.tracer.Record(now, c.name, metrics.KindDataDropped, "")
+		c.tracer.RecordID(now, c.trace, metrics.KindDataDropped, "")
 		c.finishInFlight()
 	}
 	return true

@@ -425,7 +425,7 @@ func (m *NodeMac) fireSlot() {
 		return // window overlap guard; skip this cycle
 	}
 	m.loaded = false
-	metrics.Record1(m.tracer, m.k.Now(), m.name, metrics.KindSlotStart, "slot=%d", m.slot)
+	metrics.Record1(m.tracer, m.k.Now(), m.trace, metrics.KindSlotStart, "slot=%d", m.slot)
 	m.noteQueueDelay()
 	m.radio.Fire(m.dataSent)
 }

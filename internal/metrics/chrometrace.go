@@ -72,7 +72,7 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	for _, e := range events {
 		ce := chromeEvent{
-			Name:  string(e.Kind),
+			Name:  e.Kind.String(),
 			Phase: "i",
 			TS:    float64(e.At) / 1e3, // ns -> µs
 			PID:   1,

@@ -72,10 +72,10 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 // node names, kinds and details (chrome://tracing rejects the whole file
 // on one malformed record).
 func FuzzChromeTrace(f *testing.F) {
-	f.Add("bs", string(KindBeaconTx), "cycle=60ms", int64(0), uint8(3))
-	f.Add("node1", "weird\"kind\n", "detail with \x00 and \xff", int64(-5), uint8(9))
-	f.Add("", "", "", int64(1)<<62, uint8(0))
-	f.Fuzz(func(t *testing.T, node, kind, detail string, at int64, n uint8) {
+	f.Add("bs", uint8(KindBeaconTx), "cycle=60ms", int64(0), uint8(3))
+	f.Add("node1", uint8(255), "detail with \x00 and \xff", int64(-5), uint8(9))
+	f.Add("", uint8(0), "", int64(1)<<62, uint8(0))
+	f.Fuzz(func(t *testing.T, node string, kind uint8, detail string, at int64, n uint8) {
 		events := make([]Event, int(n%8)+1)
 		for i := range events {
 			events[i] = Event{
@@ -93,7 +93,7 @@ func FuzzChromeTrace(f *testing.F) {
 			t.Fatalf("exporter errored on in-memory buffer: %v", err)
 		}
 		if !json.Valid(buf.Bytes()) {
-			t.Fatalf("invalid JSON from events %q/%q/%q: %s", node, kind, detail, buf.Bytes())
+			t.Fatalf("invalid JSON from events %q/%d/%q: %s", node, kind, detail, buf.Bytes())
 		}
 	})
 }

@@ -20,66 +20,138 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind classifies a recorded event.
+// Kind classifies a recorded event. It indexes the recorder's counter
+// arrays; its String name is what every output prints (timeline lines,
+// "event.<kind>" counters, Chrome trace events).
 //
 //lint:exhaustive
-type Kind string
+type Kind uint8
 
 // The event kinds the framework emits.
 const (
-	KindBeaconTx   Kind = "beacon-tx"   // base station sent a beacon (SB slot)
-	KindBeaconRx   Kind = "beacon-rx"   // node received a beacon (RB in the figures)
-	KindSSRTx      Kind = "ssr-tx"      // node sent a slot request (SSRi)
-	KindSlotGrant  Kind = "slot-grant"  // base station assigned a slot (Si created)
-	KindSlotStart  Kind = "slot-start"  // a node's data slot began
-	KindDataTx     Kind = "data-tx"     // node transmitted a data frame
-	KindDataRx     Kind = "data-rx"     // base station accepted a data frame
-	KindAckRx      Kind = "ack-rx"      // node received the acknowledgement
-	KindAckMissed  Kind = "ack-missed"  // ack window elapsed with no ack
-	KindCollision  Kind = "collision"   // a frame was corrupted by overlap
-	KindCRCDrop    Kind = "crc-drop"    // radio discarded a frame on CRC
-	KindAddrFilter Kind = "addr-filter" // radio discarded an overheard frame
-	KindCycleGrow  Kind = "cycle-grow"  // dynamic TDMA extended its cycle
-	KindJoined     Kind = "joined"      // node completed the join handshake
-	KindBeat       Kind = "beat"        // Rpeak application detected a beat
+	KindBeaconTx   Kind = iota // base station sent a beacon (SB slot)
+	KindBeaconRx               // node received a beacon (RB in the figures)
+	KindSSRTx                  // node sent a slot request (SSRi)
+	KindSlotGrant              // base station assigned a slot (Si created)
+	KindSlotStart              // a node's data slot began
+	KindDataTx                 // node transmitted a data frame
+	KindDataRx                 // base station accepted a data frame
+	KindAckRx                  // node received the acknowledgement
+	KindAckMissed              // ack window elapsed with no ack
+	KindCollision              // a frame was corrupted by overlap
+	KindCRCDrop                // radio discarded a frame on CRC
+	KindAddrFilter             // radio discarded an overheard frame
+	KindCycleGrow              // dynamic TDMA extended its cycle
+	KindJoined                 // node completed the join handshake
+	KindBeat                   // Rpeak application detected a beat
 
 	// Fault-injection events (internal/fault).
-	KindCrash       Kind = "crash"        // node lost power (fault injection)
-	KindReboot      Kind = "reboot"       // node cold-booted after a crash
-	KindSlotReclaim Kind = "slot-reclaim" // base station freed a silent node's slot
-	KindLinkDown    Kind = "link-down"    // a path entered a blackout window
-	KindLinkUp      Kind = "link-up"      // a blacked-out path was restored
-	KindJamOn       Kind = "jam-on"       // external interference burst began
-	KindJamOff      Kind = "jam-off"      // external interference burst ended
+	KindCrash       // node lost power (fault injection)
+	KindReboot      // node cold-booted after a crash
+	KindSlotReclaim // base station freed a silent node's slot
+	KindLinkDown    // a path entered a blackout window
+	KindLinkUp      // a blacked-out path was restored
+	KindJamOn       // external interference burst began
+	KindJamOff      // external interference burst ended
 
 	// Battery-lifecycle events (internal/battery through the node layer).
-	KindBrownout    Kind = "brownout"     // battery depleted; node crashed for good
-	KindDegrade     Kind = "degrade"      // node entered a lower-power degradation level
-	KindParked      Kind = "parked"       // node settled into beacon-only mode (no slot)
-	KindSlotSkip    Kind = "slot-skip"    // duty-cycle stretch slept through a data slot
-	KindSlotRelease Kind = "slot-release" // node handed its slot back to the base station
-	KindDataDropped Kind = "data-dropped" // frame discarded after retry exhaustion
+	KindBrownout    // battery depleted; node crashed for good
+	KindDegrade     // node entered a lower-power degradation level
+	KindParked      // node settled into beacon-only mode (no slot)
+	KindSlotSkip    // duty-cycle stretch slept through a data slot
+	KindSlotRelease // node handed its slot back to the base station
+	KindDataDropped // frame discarded after retry exhaustion
 )
 
-// Histogram metric names. The MAC layer observes these through its
-// tracer; the snapshot reports one histogram per (node, name) pair.
+// kinds is the number of Kind constants: KindDataDropped is the last.
+const kinds = int(KindDataDropped) + 1
+
+var kindNames = map[Kind]string{
+	KindBeaconTx:    "beacon-tx",
+	KindBeaconRx:    "beacon-rx",
+	KindSSRTx:       "ssr-tx",
+	KindSlotGrant:   "slot-grant",
+	KindSlotStart:   "slot-start",
+	KindDataTx:      "data-tx",
+	KindDataRx:      "data-rx",
+	KindAckRx:       "ack-rx",
+	KindAckMissed:   "ack-missed",
+	KindCollision:   "collision",
+	KindCRCDrop:     "crc-drop",
+	KindAddrFilter:  "addr-filter",
+	KindCycleGrow:   "cycle-grow",
+	KindJoined:      "joined",
+	KindBeat:        "beat",
+	KindCrash:       "crash",
+	KindReboot:      "reboot",
+	KindSlotReclaim: "slot-reclaim",
+	KindLinkDown:    "link-down",
+	KindLinkUp:      "link-up",
+	KindJamOn:       "jam-on",
+	KindJamOff:      "jam-off",
+	KindBrownout:    "brownout",
+	KindDegrade:     "degrade",
+	KindParked:      "parked",
+	KindSlotSkip:    "slot-skip",
+	KindSlotRelease: "slot-release",
+	KindDataDropped: "data-dropped",
+}
+
+// String names the kind.
+func (k Kind) String() string {
+	if s, ok := kindNames[k]; ok {
+		return s
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// Hist names a latency histogram. The MAC and node layers observe these
+// through their tracer; the snapshot reports one histogram per (node,
+// hist) pair under the hist's String name.
+//
+//lint:exhaustive
+type Hist uint8
+
 const (
 	// HistSlotWait is the queueing delay from Send() to the start of the
 	// transmitting burst — TDMA's latency cost for collision-free
 	// delivery.
-	HistSlotWait = "slot-wait"
+	HistSlotWait Hist = iota
 	// HistTxToAck is the span from the end of a data burst to the
 	// acknowledgement's arrival (the turnaround the base station's
 	// fast-path ack is designed to minimise).
-	HistTxToAck = "tx-to-ack"
+	HistTxToAck
 	// HistRejoin is the span from losing a slot (missed-beacon resync,
 	// reclaim, crash/reboot) to holding one again.
-	HistRejoin = "rejoin-time"
+	HistRejoin
 	// HistDegraded is the residency time of each completed stay in a
 	// degraded battery level (stretch, downshift, beacon-only) —
 	// how long the graceful-degradation ladder holds a node at each rung.
-	HistDegraded = "degraded-time"
+	HistDegraded
 )
+
+// hists is the number of Hist constants: HistDegraded is the last.
+const hists = int(HistDegraded) + 1
+
+var histNames = map[Hist]string{
+	HistSlotWait: "slot-wait",
+	HistTxToAck:  "tx-to-ack",
+	HistRejoin:   "rejoin-time",
+	HistDegraded: "degraded-time",
+}
+
+// String names the histogram.
+func (h Hist) String() string {
+	if s, ok := histNames[h]; ok {
+		return s
+	}
+	return fmt.Sprintf("hist(%d)", uint8(h))
+}
+
+// NodeID is a recorder's dense index for one node name. A component
+// resolves its ID once, with Recorder.ID, and records under it, so a
+// per-event counter bump indexes an array instead of hashing a name.
+type NodeID int
 
 // Event is one recorded occurrence.
 type Event struct {
@@ -97,18 +169,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%10.3fms  %-6s %-12s %s", e.At.Milliseconds(), e.Node, e.Kind, e.Detail)
 }
 
-// counterKey identifies one (node, kind) event counter.
-type counterKey struct {
-	node string
-	kind Kind
-}
-
-// histKey identifies one (node, metric) histogram.
-type histKey struct {
-	node string
-	name string
-}
-
 // Recorder accumulates events, counters and histograms for one run. A
 // nil *Recorder is valid and drops everything, so components can
 // instrument unconditionally.
@@ -121,8 +181,20 @@ type Recorder struct {
 	// overflows or is off.
 	offered uint64
 	dropped uint64
-	counts  map[counterKey]uint64
-	hists   map[histKey]*Histogram
+	// nodes[id] holds the name and statistics behind NodeID id, and ids
+	// inverts the names. IDs are handed out densely in first-use order;
+	// names come back only at the edges (Events, CounterRows, HistRows).
+	nodes []nodeStats
+	ids   map[string]NodeID
+}
+
+// nodeStats is one node's name, its event counters indexed by Kind and
+// its histograms indexed by Hist. A histogram stays nil until its first
+// sample.
+type nodeStats struct {
+	name   string
+	counts [kinds]uint64
+	hists  [hists]*Histogram
 }
 
 // NoRing is the NewRecorder limit that keeps no event log at all: the
@@ -136,31 +208,50 @@ const NoRing = -1
 // (0 = unlimited, NoRing = none). Counters and histograms are never
 // limited.
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{
-		limit:  limit,
-		counts: make(map[counterKey]uint64),
-		hists:  make(map[histKey]*Histogram),
-	}
+	return &Recorder{limit: limit, ids: make(map[string]NodeID)}
 }
 
-// Record appends an event and bumps its (node, kind) counter. Safe on a
-// nil receiver. When the ring limit is hit the event itself is dropped
-// (oldest events are the protocol-establishing ones worth keeping) but
-// the drop is counted and the counters stay exact.
+// ID returns the NodeID recording under node, assigning the next dense
+// ID on the name's first use. A nil recorder returns 0, which every
+// recording call on it ignores.
+func (r *Recorder) ID(node string) NodeID {
+	if r == nil {
+		return 0
+	}
+	if id, ok := r.ids[node]; ok {
+		return id
+	}
+	id := NodeID(len(r.nodes))
+	r.ids[node] = id
+	r.nodes = append(r.nodes, nodeStats{name: node})
+	return id
+}
+
+// Record appends an event under a node name; see RecordID.
 func (r *Recorder) Record(at sim.Time, node string, kind Kind, detail string) {
+	r.RecordID(at, r.ID(node), kind, detail)
+}
+
+// RecordID appends an event and bumps its (node, kind) counter. Safe on
+// a nil receiver. When the ring limit is hit the event itself is
+// dropped (oldest events are the protocol-establishing ones worth
+// keeping) but the drop is counted and the counters stay exact.
+func (r *Recorder) RecordID(at sim.Time, node NodeID, kind Kind, detail string) {
 	if r == nil {
 		return
 	}
 	if r.count(node, kind) {
-		r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: detail})
+		r.events = append(r.events, Event{At: at, Node: r.nodes[node].name, Kind: kind, Detail: detail})
 	}
 }
 
 // count bumps the (node, kind) counter for one offered event and reports
 // whether the ring keeps it, counting the drop when a full ring cannot.
-func (r *Recorder) count(node string, kind Kind) bool {
+//
+//hot:path
+func (r *Recorder) count(node NodeID, kind Kind) bool {
 	r.offered++
-	r.counts[counterKey{node, kind}]++
+	r.nodes[node].counts[kind]++
 	switch {
 	case r.limit == NoRing:
 		return false
@@ -174,19 +265,19 @@ func (r *Recorder) count(node string, kind Kind) bool {
 // Record1 records an event whose detail is format applied to a. The
 // argument stays unboxed and the detail unformatted unless the ring
 // keeps the event, so a run without a ring pays only the counter.
-func Record1[A any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A) {
+func Record1[A any](r *Recorder, at sim.Time, node NodeID, kind Kind, format string, a A) {
 	Record3(r, at, node, kind, format, a, noArg{}, noArg{})
 }
 
 // Record2 is Record1 with two arguments.
-func Record2[A, B any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A, b B) {
+func Record2[A, B any](r *Recorder, at sim.Time, node NodeID, kind Kind, format string, a A, b B) {
 	Record3(r, at, node, kind, format, a, b, noArg{})
 }
 
 // Record3 is Record1 with three arguments.
 //
 //lint:allow hotalloc the detail is formatted only for an event the opt-in ring keeps
-func Record3[A, B, C any](r *Recorder, at sim.Time, node string, kind Kind, format string, a A, b B, c C) {
+func Record3[A, B, C any](r *Recorder, at sim.Time, node NodeID, kind Kind, format string, a A, b B, c C) {
 	if r == nil || !r.count(node, kind) {
 		return
 	}
@@ -197,48 +288,39 @@ func Record3[A, B, C any](r *Recorder, at sim.Time, node string, kind Kind, form
 		}
 		args = args[:len(args)-1]
 	}
-	r.events = append(r.events, Event{At: at, Node: node, Kind: kind, Detail: fmt.Sprintf(format, args...)})
+	r.events = append(r.events, Event{At: at, Node: r.nodes[node].name, Kind: kind, Detail: fmt.Sprintf(format, args...)})
 }
 
 // noArg fills the argument slots Record1 and Record2 leave unused.
 type noArg struct{}
 
-// Observe adds one latency sample to the (node, name) histogram. Safe on
-// a nil receiver. Negative samples are clamped to zero (they cannot
-// arise from a causally ordered run; clamping keeps arbitrary inputs
-// from corrupting bucket math).
-func (r *Recorder) Observe(node, name string, v sim.Time) {
+// Observe adds one latency sample to the (node, h) histogram. Safe on a
+// nil receiver. Negative samples are clamped to zero (they cannot arise
+// from a causally ordered run; clamping keeps arbitrary inputs from
+// corrupting bucket math).
+func (r *Recorder) Observe(node NodeID, h Hist, v sim.Time) {
 	if r == nil {
 		return
 	}
-	k := histKey{node, name}
-	h := r.hists[k]
-	if h == nil {
-		h = NewHistogram()
-		r.hists[k] = h
+	p := &r.nodes[node].hists[h]
+	if *p == nil {
+		*p = NewHistogram()
 	}
-	h.Observe(v)
+	(*p).Observe(v)
 }
 
 // ResetDerived zeroes the counters and histograms, so a measurement
 // window excludes the join transient — mirroring the components'
 // ResetAccounting. The event log (and its dropped count) is kept: the
-// timeline's whole point is showing the join sequence.
+// timeline's whole point is showing the join sequence. Node IDs stay
+// valid.
 func (r *Recorder) ResetDerived() {
 	if r == nil {
 		return
 	}
-	r.counts = make(map[counterKey]uint64)
-	r.hists = make(map[histKey]*Histogram)
-}
-
-// Histogram returns the (node, name) histogram, or nil when no sample
-// was observed.
-func (r *Recorder) Histogram(node, name string) *Histogram {
-	if r == nil {
-		return nil
+	for i := range r.nodes {
+		r.nodes[i].counts, r.nodes[i].hists = [kinds]uint64{}, [hists]*Histogram{}
 	}
-	return r.hists[histKey{node, name}]
 }
 
 // Events returns the recorded events in record order (the ring may have
@@ -281,20 +363,6 @@ func (r *Recorder) Filter(kind Kind) []Event {
 	return out
 }
 
-// ByNode returns the retained events attributed to node, in order.
-func (r *Recorder) ByNode(node string) []Event {
-	if r == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range r.events {
-		if e.Node == node {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Count reports how many events of the given kind were recorded, summed
 // over all nodes. Unlike Filter, the count is exact even when the ring
 // limit dropped events.
@@ -303,57 +371,60 @@ func (r *Recorder) Count(kind Kind) int {
 		return 0
 	}
 	var n uint64
-	for k, c := range r.counts {
-		if k.kind == kind {
-			n += c
-		}
+	for i := range r.nodes {
+		n += r.nodes[i].counts[kind]
 	}
 	return int(n)
 }
 
-// CountBy reports the exact event count for one (node, kind) pair.
-func (r *Recorder) CountBy(node string, kind Kind) uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.counts[counterKey{node, kind}]
-}
-
-// CounterRows snapshots every (node, kind) counter, sorted by node then
-// kind so the output is deterministic.
+// CounterRows snapshots every non-zero (node, kind) counter, sorted by
+// node then kind name so the output is deterministic.
 func (r *Recorder) CounterRows() []CounterRow {
 	if r == nil {
 		return nil
 	}
-	rows := make([]CounterRow, 0, len(r.counts))
-	for k, v := range r.counts {
-		rows = append(rows, CounterRow{Node: k.node, Name: "event." + string(k.kind), Value: v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Node != rows[j].Node {
-			return rows[i].Node < rows[j].Node
+	rows := []CounterRow{}
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		for k, v := range n.counts {
+			if v > 0 {
+				rows = append(rows, CounterRow{Node: n.name, Name: "event." + Kind(k).String(), Value: v})
+			}
 		}
-		return rows[i].Name < rows[j].Name
-	})
+	}
+	byNodeName(rows, func(c CounterRow) (string, string) { return c.Node, c.Name })
 	return rows
 }
 
-// HistRows snapshots every histogram, sorted by node then name.
+// HistRows snapshots every histogram with a sample, sorted by node then
+// name.
 func (r *Recorder) HistRows() []HistRow {
 	if r == nil {
 		return nil
 	}
-	rows := make([]HistRow, 0, len(r.hists))
-	for k, h := range r.hists {
-		rows = append(rows, h.Row(k.node, k.name))
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Node != rows[j].Node {
-			return rows[i].Node < rows[j].Node
+	rows := []HistRow{}
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		for k, h := range n.hists {
+			if h != nil {
+				rows = append(rows, h.Row(n.name, Hist(k).String()))
+			}
 		}
-		return rows[i].Name < rows[j].Name
-	})
+	}
+	byNodeName(rows, func(h HistRow) (string, string) { return h.Node, h.Name })
 	return rows
+}
+
+// byNodeName sorts rows by their (node, name) key.
+func byNodeName[T any](rows []T, key func(T) (string, string)) {
+	sort.Slice(rows, func(i, j int) bool {
+		ni, ki := key(rows[i])
+		nj, kj := key(rows[j])
+		if ni != nj {
+			return ni < nj
+		}
+		return ki < kj
+	})
 }
 
 // Render formats the whole timeline as text. When the ring limit dropped

@@ -30,8 +30,8 @@ func TestRecorderCountsSurviveRingLimit(t *testing.T) {
 	if got := r.Count(KindDataTx); got != 10 {
 		t.Fatalf("Count = %d, want exact 10 despite the ring limit", got)
 	}
-	if got := r.CountBy("node1", KindDataTx); got != 10 {
-		t.Fatalf("CountBy = %d, want 10", got)
+	if got := counter(r, "node1", KindDataTx); got != 10 {
+		t.Fatalf("node1 data-tx counter = %d, want 10", got)
 	}
 	// The kept events are the oldest: the join sequence end of the run.
 	if r.Events()[0].At != 0 || r.Events()[2].At != 2*sim.Millisecond {
@@ -57,13 +57,13 @@ func TestRecorderRenderReportsDrops(t *testing.T) {
 func TestRecorderResetDerived(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, "node1", KindJoined, "")
-	r.Observe("node1", HistSlotWait, 5*sim.Millisecond)
+	r.Observe(r.ID("node1"), HistSlotWait, 5*sim.Millisecond)
 	r.ResetDerived()
 	if got := r.Count(KindJoined); got != 0 {
 		t.Fatalf("counter survived ResetDerived: %d", got)
 	}
-	if h := r.Histogram("node1", HistSlotWait); h != nil {
-		t.Fatalf("histogram survived ResetDerived: %+v", h)
+	if rows := r.HistRows(); len(rows) != 0 {
+		t.Fatalf("histogram survived ResetDerived: %+v", rows)
 	}
 	// The event log is the run's timeline and must survive.
 	if got := len(r.Events()); got != 1 {
@@ -78,12 +78,13 @@ func TestRecorderResetDerived(t *testing.T) {
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "n", KindDataTx, "")
-	Record1(r, 0, "n", KindDataTx, "x%d", 1)
-	r.Observe("n", HistSlotWait, sim.Millisecond)
+	id := r.ID("n")
+	Record1(r, 0, id, KindDataTx, "x%d", 1)
+	r.Observe(id, HistSlotWait, sim.Millisecond)
 	r.ResetDerived()
 	if r.Count(KindDataTx) != 0 || r.Events() != nil || r.Render() != "" ||
 		r.Dropped() != 0 || r.Recorded() != 0 || r.CounterRows() != nil ||
-		r.HistRows() != nil || r.Histogram("n", HistSlotWait) != nil {
+		r.HistRows() != nil {
 		t.Fatal("nil recorder leaked state")
 	}
 }
@@ -171,7 +172,7 @@ func TestSnapshotMergeOrderInvariant(t *testing.T) {
 		for i := uint64(0); i < v; i++ {
 			r.Record(0, node, KindDataTx, "")
 		}
-		r.Observe(node, HistSlotWait, lat)
+		r.Observe(r.ID(node), HistSlotWait, lat)
 		return Assemble(r, nil, nil, []CounterRow{{Node: node, Name: "mac.data-sent", Value: v}}, v)
 	}
 	a := mk("node1", 3, 5*sim.Millisecond)
@@ -201,7 +202,7 @@ func TestSnapshotMergeOrderInvariant(t *testing.T) {
 func TestSnapshotCSVShape(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, "node1", KindDataTx, "")
-	r.Observe("node1", HistTxToAck, 400*sim.Microsecond)
+	r.Observe(r.ID("node1"), HistTxToAck, 400*sim.Microsecond)
 	s := Assemble(r, nil, nil, nil, 1)
 	csv := s.CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
@@ -253,5 +254,85 @@ func TestSnapshotWriteFileFormat(t *testing.T) {
 	}
 	if err := s.WriteFile(filepath.Join(dir, "missing", "m.csv")); err == nil {
 		t.Error("write into a missing directory succeeded")
+	}
+}
+
+// counter reads one (node, kind) counter through CounterRows.
+func counter(r *Recorder, node string, kind Kind) uint64 {
+	for _, c := range r.CounterRows() {
+		if c.Node == node && c.Name == "event."+kind.String() {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// TestRowsSortByNameNotID checks that the snapshot rows come out in name
+// order whatever order the names were given IDs in, and that a reset
+// followed by the same traffic reproduces them exactly.
+func TestRowsSortByNameNotID(t *testing.T) {
+	r := NewRecorder(NoRing)
+	names := []string{"node3", "bs", "node10", "node1", "channel"}
+	ids := make([]NodeID, len(names))
+	for i, n := range names {
+		ids[i] = r.ID(n)
+	}
+	traffic := func() {
+		for i, id := range ids {
+			Record1(r, 0, id, KindDataTx, "%d", i)
+			Record1(r, 0, id, KindBeaconRx, "%d", i)
+			r.Observe(id, HistTxToAck, sim.Time(i+1)*sim.Millisecond)
+			r.Observe(id, HistSlotWait, sim.Time(i+1)*sim.Millisecond)
+		}
+	}
+	traffic()
+	counters, hists := r.CounterRows(), r.HistRows()
+	for i := 1; i < len(counters); i++ {
+		a, b := counters[i-1], counters[i]
+		if a.Node > b.Node || (a.Node == b.Node && a.Name >= b.Name) {
+			t.Fatalf("counter rows out of order at %d: %+v then %+v", i, a, b)
+		}
+	}
+	if counters[0].Node != "bs" || counters[0].Name != "event.beacon-rx" || hists[0].Name != "slot-wait" {
+		t.Fatalf("first rows %+v / %+v, want bs beacon-rx and slot-wait", counters[0], hists[0])
+	}
+	r.ResetDerived()
+	if r.ID("node3") != ids[0] {
+		t.Fatal("ResetDerived renumbered a node")
+	}
+	traffic()
+	if !reflect.DeepEqual(r.CounterRows(), counters) || !reflect.DeepEqual(r.HistRows(), hists) {
+		t.Fatal("rows changed across ResetDerived and identical traffic")
+	}
+}
+
+// TestKindAndHistNames pins every name the outputs print: the counter
+// rows, timelines, Chrome traces and goldens all carry these strings.
+func TestKindAndHistNames(t *testing.T) {
+	kindsWant := []string{
+		"beacon-tx", "beacon-rx", "ssr-tx", "slot-grant", "slot-start", "data-tx", "data-rx",
+		"ack-rx", "ack-missed", "collision", "crc-drop", "addr-filter", "cycle-grow", "joined",
+		"beat", "crash", "reboot", "slot-reclaim", "link-down", "link-up", "jam-on", "jam-off",
+		"brownout", "degrade", "parked", "slot-skip", "slot-release", "data-dropped",
+	}
+	if len(kindNames) != kinds || kinds != len(kindsWant) {
+		t.Fatalf("%d kind names, %d kinds, want %d", len(kindNames), kinds, len(kindsWant))
+	}
+	for i, want := range kindsWant {
+		if got := Kind(i).String(); got != want {
+			t.Errorf("Kind(%d) = %q, want %q", i, got, want)
+		}
+	}
+	histsWant := []string{"slot-wait", "tx-to-ack", "rejoin-time", "degraded-time"}
+	if len(histNames) != hists || hists != len(histsWant) {
+		t.Fatalf("%d hist names, %d hists, want %d", len(histNames), hists, len(histsWant))
+	}
+	for i, want := range histsWant {
+		if got := Hist(i).String(); got != want {
+			t.Errorf("Hist(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if Kind(kinds).String() != "kind(28)" || Hist(hists).String() != "hist(4)" {
+		t.Errorf("out-of-range names %q, %q", Kind(kinds), Hist(hists))
 	}
 }

@@ -11,7 +11,7 @@ func TestRecordAndQuery(t *testing.T) {
 	r := NewRecorder(0)
 	r.Record(0, "bs", KindBeaconTx, "seq=0")
 	r.Record(5*sim.Millisecond, "node1", KindBeaconRx, "seq=0")
-	Record1(r, 6*sim.Millisecond, "node1", KindSSRTx, "nonce=%d", 42)
+	Record1(r, 6*sim.Millisecond, r.ID("node1"), KindSSRTx, "nonce=%d", 42)
 	r.Record(30*sim.Millisecond, "bs", KindBeaconTx, "seq=1")
 
 	if got := len(r.Events()); got != 4 {
@@ -20,9 +20,8 @@ func TestRecordAndQuery(t *testing.T) {
 	if got := r.Count(KindBeaconTx); got != 2 {
 		t.Fatalf("beacon-tx count = %d, want 2", got)
 	}
-	by := r.ByNode("node1")
-	if len(by) != 2 || by[1].Detail != "nonce=42" {
-		t.Fatalf("ByNode = %+v", by)
+	if e := r.Events()[2]; e.Node != "node1" || e.Kind != KindSSRTx || e.Detail != "nonce=42" {
+		t.Fatalf("ID-recorded event = %+v", e)
 	}
 	f := r.Filter(KindSSRTx)
 	if len(f) != 1 || f[0].At != 6*sim.Millisecond {
@@ -33,8 +32,8 @@ func TestRecordAndQuery(t *testing.T) {
 func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, "bs", KindBeaconTx, "")
-	Record1(r, 0, "bs", KindBeaconTx, "x%d", 1)
-	if r.Events() != nil || r.Filter(KindBeaconTx) != nil || r.ByNode("bs") != nil {
+	Record1(r, 0, r.ID("bs"), KindBeaconTx, "x%d", 1)
+	if r.Events() != nil || r.Filter(KindBeaconTx) != nil {
 		t.Fatalf("nil recorder returned data")
 	}
 	if r.Count(KindBeaconTx) != 0 {

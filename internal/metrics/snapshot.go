@@ -132,20 +132,8 @@ func (s *Snapshot) sortRows() {
 		}
 		return a.State < b.State
 	})
-	sort.Slice(s.Counters, func(i, j int) bool {
-		a, b := s.Counters[i], s.Counters[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Name < b.Name
-	})
-	sort.Slice(s.Hists, func(i, j int) bool {
-		a, b := s.Hists[i], s.Hists[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Name < b.Name
-	})
+	byNodeName(s.Counters, func(c CounterRow) (string, string) { return c.Node, c.Name })
+	byNodeName(s.Hists, func(h HistRow) (string, string) { return h.Node, h.Name })
 }
 
 // Counter reports the value of one (node, name) counter (0 if absent).

@@ -46,6 +46,7 @@ type Sensor struct {
 
 	k          *sim.Kernel
 	tracer     *metrics.Recorder
+	trace      metrics.NodeID // Name's ID in tracer
 	onBrownout func()
 	poll       sim.Handler // pollBattery, bound once
 }
@@ -110,6 +111,7 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 		App:      nil,
 		k:        k,
 		tracer:   tracer,
+		trace:    tracer.ID(o.name),
 	}
 	if o.battery != nil {
 		s.Bat = battery.NewState(*o.battery, o.brownoutV, o.degrade, k.Now())
@@ -175,10 +177,10 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 		return false
 	}
 	if tr.From > battery.LevelNormal && tr.TimeInFrom > 0 {
-		s.tracer.Observe(s.Name, metrics.HistDegraded, tr.TimeInFrom)
+		s.tracer.Observe(s.trace, metrics.HistDegraded, tr.TimeInFrom)
 	}
 	if tr.Died {
-		metrics.Record2(s.tracer, now, s.Name, metrics.KindBrownout, "v=%.2f soc=%.1f%%",
+		metrics.Record2(s.tracer, now, s.trace, metrics.KindBrownout, "v=%.2f soc=%.1f%%",
 			s.Bat.VoltageV(), s.Bat.SOC()*100)
 		s.Crash()
 		if s.onBrownout != nil {
@@ -205,7 +207,7 @@ func (s *Sensor) settleBattery(now sim.Time) bool {
 			// either is a battery state-machine bug.
 			panic("node: degradation walk reached " + lvl.String() + " without a brownout")
 		}
-		metrics.Record2(s.tracer, now, s.Name, metrics.KindDegrade, "level=%s soc=%.1f%%",
+		metrics.Record2(s.tracer, now, s.trace, metrics.KindDegrade, "level=%s soc=%.1f%%",
 			lvl, s.Bat.SOC()*100)
 	}
 	return false
@@ -223,7 +225,7 @@ func (s *Sensor) FinalizeBattery(now sim.Time) *battery.Report {
 	}
 	if lvl := s.Bat.Level(); lvl > battery.LevelNormal && lvl < battery.LevelDead {
 		if open := now - s.Bat.LevelSince(); open > 0 {
-			s.tracer.Observe(s.Name, metrics.HistDegraded, open)
+			s.tracer.Observe(s.trace, metrics.HistDegraded, open)
 		}
 	}
 	rep := s.Bat.Snapshot(now)

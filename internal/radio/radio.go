@@ -87,6 +87,7 @@ type Radio struct {
 	modeState [ModeRx + 1]energy.Handle
 	ledger    *energy.Ledger
 	tracer    *metrics.Recorder
+	trace     metrics.NodeID // name's ID in tracer
 
 	mode      Mode
 	rxSince   sim.Time // listening valid from this instant (after settle)
@@ -154,6 +155,7 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		meter:  meter,
 		ledger: ledger,
 		tracer: tracer,
+		trace:  tracer.ID(name),
 		loads:  mcu.NewQueue[load](sched.MCU()),
 	}
 	r.modeState = [...]energy.Handle{
@@ -450,14 +452,14 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		// retransmission.
 		r.stats.CRCDrops++
 		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*air.Seconds())
-		metrics.Record1(r.tracer, r.k.Now(), r.name, metrics.KindCRCDrop, "cause=%v", cause)
+		metrics.Record1(r.tracer, r.k.Now(), r.trace, metrics.KindCRCDrop, "cause=%v", cause)
 		return
 	}
 	if !r.accepts(frame.Dest) {
 		// Overheard frame: address checked on-chip, never forwarded.
 		r.stats.AddrDrops++
 		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*air.Seconds())
-		metrics.Record1(r.tracer, r.k.Now(), r.name, metrics.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
+		metrics.Record1(r.tracer, r.k.Now(), r.trace, metrics.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
 		return
 	}
 

@@ -107,9 +107,9 @@ func sampleSnapshot() *metrics.Snapshot {
 	rec.Record(0, "bs", metrics.KindBeaconTx, "")
 	rec.Record(10*sim.Millisecond, "node1", metrics.KindBeaconRx, "")
 	rec.Record(12*sim.Millisecond, "node1", metrics.KindDataTx, "")
-	rec.Observe("node1", metrics.HistSlotWait, 5*sim.Millisecond)
-	rec.Observe("node1", metrics.HistSlotWait, 9*sim.Millisecond)
-	rec.Observe("node1", metrics.HistTxToAck, 420*sim.Microsecond)
+	rec.Observe(rec.ID("node1"), metrics.HistSlotWait, 5*sim.Millisecond)
+	rec.Observe(rec.ID("node1"), metrics.HistSlotWait, 9*sim.Millisecond)
+	rec.Observe(rec.ID("node1"), metrics.HistTxToAck, 420*sim.Microsecond)
 	s := metrics.Assemble(rec, nil, nil, []metrics.CounterRow{
 		{Node: "node1", Name: "mac.data-sent", Value: 1},
 	}, 12345)
