@@ -130,25 +130,6 @@ func parseBattery(spec string) (*battery.Battery, error) {
 	return &b, nil
 }
 
-// applyBatteryFlags overlays the battery flags onto a config (they
-// compose with a scenario file the same way the fault flags do).
-func applyBatteryFlags(cfg *core.Config, spec string, brownoutV float64, degrade bool) {
-	if spec != "" {
-		b, err := parseBattery(spec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cfg.Battery = b
-	}
-	if brownoutV > 0 {
-		cfg.BrownoutV = brownoutV
-	}
-	if degrade {
-		p := battery.DefaultDegradePolicy()
-		cfg.Degrade = &p
-	}
-}
-
 func main() {
 	var (
 		appName    = flag.String("app", "streaming", "application: streaming | rpeak | hrv | eeg")
@@ -182,60 +163,79 @@ func main() {
 	var faults []fault.Fault
 	faultFlags(&faults)
 	flag.Parse()
+	if *format != "text" && *format != "json" {
+		fatalf("unknown format %q (want text or json)", *format)
+	}
 
+	var cfg core.Config
 	if *confPath != "" {
 		data, err := os.ReadFile(*confPath)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		cfg, err := core.ConfigFromJSON(data)
-		if err != nil {
+		if cfg, err = core.ConfigFromJSON(data); err != nil {
 			fatalf("%v", err)
 		}
-		// Fault flags compose with a scenario file: they append to its
-		// schedule rather than replacing it.
-		cfg.Faults = append(cfg.Faults, faults...)
 		if *reclaim > 0 {
 			cfg.SlotReclaimCycles = *reclaim
 		}
-		applyBatteryFlags(&cfg, *batSpec, *brownout, *degrade)
-		applyAuditFlags(&cfg, *auditOn, *auditEvery)
-		applyBudgetFlag(&cfg, *maxEvents)
-		applyTraceFlag(&cfg, *traceOut)
-		cfg.Metrics = cfg.Metrics || *withMet || *metOut != ""
-		res, err := core.Run(cfg)
+	} else {
+		cfg = core.Config{
+			Protocol: mac.Protocol(*macName),
+			MACParams: mac.Params{
+				MinBE:         *minBE,
+				MaxBE:         *maxBE,
+				MaxBackoffs:   *maxBackoff,
+				CheckInterval: sim.FromDuration(*checkEvery),
+			},
+			Nodes:             *nodes,
+			Cycle:             sim.FromDuration(*cycle),
+			App:               core.AppKind(*appName),
+			SampleRateHz:      *fs,
+			HeartRateBPM:      *hr,
+			Duration:          sim.FromDuration(*duration),
+			Warmup:            sim.FromDuration(*warmup),
+			Seed:              *seed,
+			BER:               *ber,
+			SlotReclaimCycles: *reclaim,
+		}
+	}
+	// The overlay flags compose with a scenario file: fault flags append
+	// to its schedule, the audit and budget flags only tighten it.
+	cfg.Faults = append(cfg.Faults, faults...)
+	cfg.Metrics = cfg.Metrics || *withMet || *metOut != ""
+	if *batSpec != "" {
+		b, err := parseBattery(*batSpec)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		emit(res, *format, *metOut, *traceOut)
-		return
+		cfg.Battery = b
 	}
-
-	cfg := core.Config{
-		Protocol: mac.Protocol(*macName),
-		MACParams: mac.Params{
-			MinBE:         *minBE,
-			MaxBE:         *maxBE,
-			MaxBackoffs:   *maxBackoff,
-			CheckInterval: sim.FromDuration(*checkEvery),
-		},
-		Nodes:             *nodes,
-		Cycle:             sim.FromDuration(*cycle),
-		App:               core.AppKind(*appName),
-		SampleRateHz:      *fs,
-		HeartRateBPM:      *hr,
-		Duration:          sim.FromDuration(*duration),
-		Warmup:            sim.FromDuration(*warmup),
-		Seed:              *seed,
-		BER:               *ber,
-		Faults:            faults,
-		SlotReclaimCycles: *reclaim,
-		Metrics:           *withMet || *metOut != "",
+	if *brownout > 0 {
+		cfg.BrownoutV = *brownout
 	}
-	applyBatteryFlags(&cfg, *batSpec, *brownout, *degrade)
-	applyAuditFlags(&cfg, *auditOn, *auditEvery)
-	applyBudgetFlag(&cfg, *maxEvents)
-	applyTraceFlag(&cfg, *traceOut)
+	if *degrade {
+		p := battery.DefaultDegradePolicy()
+		cfg.Degrade = &p
+	}
+	if *auditOn || *auditEvery != 0 {
+		if cfg.Audit == nil {
+			cfg.Audit = &audit.Config{}
+		}
+		if *auditEvery != 0 {
+			// Negative values flow through so validation rejects them,
+			// the same as a bad checkInterval in a scenario file.
+			cfg.Audit.Every = sim.FromDuration(*auditEvery)
+		}
+	}
+	if *maxEvents > 0 && (cfg.MaxEvents == 0 || *maxEvents < cfg.MaxEvents) {
+		cfg.MaxEvents = *maxEvents
+	}
+	// -trace-out reads the event ring; a scenario file's own traceLimit
+	// wins.
+	if *traceOut != "" && cfg.TraceLimit == 0 {
+		cfg.TraceLimit = core.DefaultTraceRing
+	}
 	res, err := core.Run(cfg)
 	if err != nil {
 		fatalf("%v", err)
@@ -243,54 +243,13 @@ func main() {
 	emit(res, *format, *metOut, *traceOut)
 }
 
-// applyTraceFlag opts the run into the retained event ring when
-// -trace-out asks for the timeline; a scenario file's own traceLimit
-// wins.
-func applyTraceFlag(cfg *core.Config, traceOut string) {
-	if traceOut != "" && cfg.TraceLimit == 0 {
-		cfg.TraceLimit = core.DefaultTraceRing
-	}
-}
-
-// applyBudgetFlag overlays -max-events onto a config. Like the other
-// overlay flags it composes with a scenario file and only tightens: a
-// file's smaller budget wins.
-func applyBudgetFlag(cfg *core.Config, maxEvents uint64) {
-	if maxEvents == 0 {
-		return
-	}
-	if cfg.MaxEvents == 0 || maxEvents < cfg.MaxEvents {
-		cfg.MaxEvents = maxEvents
-	}
-}
-
-// applyAuditFlags overlays the audit flags onto a config; like the fault
-// and battery flags they compose with a scenario file (a file's audit
-// block is kept, the flags only tighten it).
-func applyAuditFlags(cfg *core.Config, on bool, every time.Duration) {
-	if !on && every == 0 {
-		return
-	}
-	if cfg.Audit == nil {
-		cfg.Audit = &audit.Config{}
-	}
-	if every != 0 {
-		// Negative values flow through so validation rejects them, the
-		// same as a bad checkInterval in a scenario file.
-		cfg.Audit.Every = sim.FromDuration(every)
-	}
-}
-
 // emit prints the run in the chosen format and writes the optional
 // metrics and Chrome-trace artefacts.
 func emit(res core.Results, format, metOut, traceOut string) {
-	switch format {
-	case "json":
+	if format == "json" {
 		printJSON(res)
-	case "text":
+	} else {
 		printText(res)
-	default:
-		fatalf("unknown format %q", format)
 	}
 	if metOut != "" {
 		if err := res.Metrics.WriteFile(metOut); err != nil {
@@ -298,14 +257,7 @@ func emit(res core.Results, format, metOut, traceOut string) {
 		}
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			fatalf("trace: %v", err)
-		}
-		if err := metrics.WriteChromeTrace(f, res.Trace.Events()); err != nil {
-			fatalf("trace: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := res.Trace.WriteChromeTraceFile(traceOut); err != nil {
 			fatalf("trace: %v", err)
 		}
 		if d := res.Trace.Dropped(); d > 0 {

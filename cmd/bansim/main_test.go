@@ -50,3 +50,24 @@ func TestTraceRingOverflowExitsZero(t *testing.T) {
 		t.Fatal("the 50-event ring dropped nothing; the overflow path was not exercised")
 	}
 }
+
+// TestBadFormatFailsBeforeRun: an unknown -format is rejected before the
+// simulation starts, not after an hour-long run has finished.
+func TestBadFormatFailsBeforeRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the bansim binary")
+	}
+	bin := filepath.Join(t.TempDir(), "bansim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building bansim: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-format", "yaml", "-duration", "1h", "-max-events", "1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err == nil {
+		t.Fatal("bansim accepted -format yaml")
+	}
+	if !strings.Contains(errb.String(), `unknown format "yaml"`) || out.Len() > 0 {
+		t.Fatalf("want only the format error, got stdout %q, stderr %q", out.String(), errb.String())
+	}
+}

@@ -1,6 +1,7 @@
 // Command tables regenerates every table and figure of the paper's
-// evaluation section (Tables 1-4 and Figure 4) and prints them next to
-// the published values with per-row and average errors.
+// evaluation section (Tables 1-4 and Figure 4), prints them next to the
+// published values with per-row and average errors, and follows them
+// with the extension experiments.
 //
 // Simulation points fan out across -workers goroutines (default: all
 // cores); the printed numbers are identical at any worker count.
@@ -26,8 +27,6 @@ import (
 	"syscall"
 
 	"repro/internal/experiments"
-	"repro/internal/paperdata"
-	"repro/internal/report"
 	"repro/internal/sim"
 )
 
@@ -36,7 +35,7 @@ func main() {
 		table   = flag.String("table", "all", "table1|table2|table3|table4|figure4|extensions|all")
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		fast    = flag.Bool("fast", false, "run 6 s windows instead of the paper's 60 s")
-		format  = flag.String("format", "text", "output format: text | md | csv")
+		format  = flag.String("format", "text", "output format: text | md | csv (md and csv for the tables only)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = sequential; results are identical either way)")
 	)
 	flag.Parse()
@@ -48,105 +47,8 @@ func main() {
 	if *fast {
 		opts.Duration = 6 * sim.Second
 	}
-	render := func(t report.TableReport) string {
-		switch *format {
-		case "md":
-			return t.RenderMarkdown()
-		case "csv":
-			return t.RenderCSV()
-		case "text":
-			return t.Render()
-		default:
-			fatalf("unknown format %q", *format)
-			return ""
-		}
+	if err := experiments.Print(os.Stdout, *table, *format, opts); err != nil {
+		fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+		os.Exit(1)
 	}
-
-	exit := 0
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
-		exit = 1
-	}
-
-	var tabs []report.TableReport
-	switch *table {
-	case "extensions":
-		ext, err := experiments.Extensions(opts)
-		if err != nil {
-			fail("%v", err)
-			break
-		}
-		fmt.Print(ext.Render())
-	case "all":
-		all, err := experiments.ReproduceAll(opts)
-		if err != nil {
-			fail("%v", err)
-			break
-		}
-		tabs = all
-		for _, t := range tabs {
-			fmt.Println(render(t))
-			if errs, ok := paperdata.PaperAvgErrors[t.ID]; ok && *format == "text" {
-				fmt.Printf("(the paper's own simulator: radio %.1f%%, uC %.1f%% avg error vs real)\n\n",
-					errs[0], errs[1])
-			}
-		}
-		if *format == "text" && ctx.Err() == nil {
-			if err := printFigure4(opts); err != nil {
-				fail("%v", err)
-			}
-		}
-	case "figure4":
-		if err := printFigure4(opts); err != nil {
-			fail("%v", err)
-		}
-	default:
-		t, err := experiments.Reproduce(*table, opts)
-		if err != nil {
-			fail("%v", err)
-			break
-		}
-		tabs = []report.TableReport{t}
-		fmt.Println(render(t))
-	}
-
-	// The omitted-row scan is the failure contract: any salvaged partial
-	// table exits non-zero with a one-line summary on stderr.
-	omitted := 0
-	first := ""
-	for _, t := range tabs {
-		for _, r := range t.Rows {
-			if r.Omitted != "" {
-				omitted++
-				if first == "" {
-					first = fmt.Sprintf("%s/%s: %s", t.ID, r.Label, r.Omitted)
-				}
-			}
-		}
-	}
-	if omitted > 0 {
-		if ctx.Err() != nil {
-			fail("interrupted: partial tables, %d row(s) omitted (first: %s)", omitted, first)
-		} else {
-			fail("%d row(s) omitted (first: %s)", omitted, first)
-		}
-	}
-	os.Exit(exit)
-}
-
-func printFigure4(opts experiments.Options) error {
-	bars, err := experiments.Figure4(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report.RenderFigure4(bars))
-	f := paperdata.Figure4()
-	fmt.Printf("(paper, real: streaming %.1f+%.1f mJ, rpeak %.1f+%.1f mJ -> 65%% saving)\n",
-		f.StreamingRadioRealMJ, f.StreamingMCURealMJ, f.RpeakRadioRealMJ, f.RpeakMCURealMJ)
-	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tables: "+format+"\n", args...)
-	os.Exit(1)
 }

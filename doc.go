@@ -33,8 +33,11 @@
 //   - internal/experiments table/figure regeneration
 //   - internal/battery    lifetime projection (extension)
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; cmd/tables prints them, cmd/bansim runs ad-hoc
-// scenarios, cmd/timeline traces the Figure 2/3 protocol timelines, and
-// examples/ holds runnable walkthroughs.
+// internal/experiments is the one generator of every table, figure and
+// extension experiment of the paper's evaluation: cmd/tables prints
+// them (its full output is pinned by a golden test, and EXPERIMENTS.md
+// is checked against it), cmd/timeline traces the Figure 2/3 protocol
+// timelines from the experiments' scenario, and the benchmarks in
+// bench_test.go only time the generators. cmd/bansim runs ad-hoc
+// scenarios and examples/ holds runnable walkthroughs.
 package repro

@@ -142,20 +142,6 @@ func simulateGrid(grid []gridPoint, o Options) []simRow {
 	return out
 }
 
-// completeGrid is simulateGrid for the callers that cannot salvage a
-// partial batch: the first omitted row becomes an error.
-func completeGrid(grid []gridPoint, o Options) ([]core.NodeResult, error) {
-	rows := simulateGrid(grid, o)
-	out := make([]core.NodeResult, len(rows))
-	for i, r := range rows {
-		if r.omit != "" {
-			return nil, fmt.Errorf("experiments: %s: %s", grid[i].row.Label, r.omit)
-		}
-		out[i] = r.node
-	}
-	return out, nil
-}
-
 // analyticRow evaluates the closed-form model at one sweep point.
 func analyticRow(spec tableSpec, row paperdata.Row, o Options) (analytic.Estimate, error) {
 	return analytic.Compute(analytic.Scenario{
@@ -211,15 +197,11 @@ func assembleTable(spec tableSpec, sims []simRow, o Options) (report.TableReport
 // the runner. Failed or skipped points surface as omitted rows in a
 // partial table, not as an error.
 func Reproduce(id string, o Options) (report.TableReport, error) {
-	spec, err := specFor(id)
+	tabs, err := reproduce([]string{id}, o)
 	if err != nil {
 		return report.TableReport{}, err
 	}
-	grid := make([]gridPoint, len(spec.data.Rows))
-	for i, row := range spec.data.Rows {
-		grid[i] = gridPoint{spec, row}
-	}
-	return assembleTable(spec, simulateGrid(grid, o), o)
+	return tabs[0], nil
 }
 
 // ReproduceAll regenerates the four tables. All rows of all tables are
@@ -227,10 +209,13 @@ func Reproduce(id string, o Options) (report.TableReport, error) {
 // (18 simulations) keeps every worker busy. When Options.Ctx fires
 // mid-batch the completed rows are still assembled; the rest render as
 // omitted rows of partial tables.
-func ReproduceAll(o Options) ([]report.TableReport, error) {
+func ReproduceAll(o Options) ([]report.TableReport, error) { return reproduce(TableIDs(), o) }
+
+// reproduce regenerates the tables ids in one runner batch.
+func reproduce(ids []string, o Options) ([]report.TableReport, error) {
 	var grid []gridPoint
 	var specs []tableSpec
-	for _, id := range TableIDs() {
+	for _, id := range ids {
 		spec, err := specFor(id)
 		if err != nil {
 			return nil, err
@@ -242,15 +227,14 @@ func ReproduceAll(o Options) ([]report.TableReport, error) {
 	}
 	sims := simulateGrid(grid, o)
 	var out []report.TableReport
-	off := 0
 	for _, spec := range specs {
 		n := len(spec.data.Rows)
-		t, err := assembleTable(spec, sims[off:off+n], o)
+		t, err := assembleTable(spec, sims[:n], o)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, t)
-		off += n
+		sims = sims[n:]
 	}
 	return out, nil
 }
@@ -259,18 +243,25 @@ func ReproduceAll(o Options) ([]report.TableReport, error) {
 // streaming point against the 120 ms on-node Rpeak point, as stacked
 // radio+µC bars.
 func Figure4(o Options) ([]report.Bar, error) {
-	sSpec, _ := specFor("table1")
-	rSpec, _ := specFor("table3")
-	sims, err := completeGrid([]gridPoint{
-		{sSpec, paperdata.Table1().Rows[0]},
-		{rSpec, paperdata.Table3().Rows[3]},
-	}, o)
+	tabs, err := reproduce([]string{"table1", "table3"}, o)
 	if err != nil {
 		return nil, err
 	}
-	s := o.scale()
+	return figure4(tabs[0], tabs[1])
+}
+
+// figure4 reads the bars off the tables: they are Table 1's 205 Hz row
+// and Table 3's 120 ms row, so each number has one generator. Neither
+// figure can salvage a partial table, so an omitted row is an error.
+func figure4(t1, t3 report.TableReport) ([]report.Bar, error) {
+	s, r := t1.Rows[0], t3.Rows[3]
+	for _, row := range []report.Comparison{s, r} {
+		if row.Omitted != "" {
+			return nil, fmt.Errorf("experiments: %s: %s", row.Label, row.Omitted)
+		}
+	}
 	return []report.Bar{
-		{Label: "ECG streaming (30ms)", RadioMJ: sims[0].RadioMJ() * s, MCUMJ: sims[0].MCUMJ() * s},
-		{Label: "Rpeak on node (120ms)", RadioMJ: sims[1].RadioMJ() * s, MCUMJ: sims[1].MCUMJ() * s},
+		{Label: "ECG streaming (30ms)", RadioMJ: s.OursRadioMJ, MCUMJ: s.OursMCUMJ},
+		{Label: "Rpeak on node (120ms)", RadioMJ: r.OursRadioMJ, MCUMJ: r.OursMCUMJ},
 	}, nil
 }

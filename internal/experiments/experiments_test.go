@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Short windows keep this suite fast; the bench harness runs the full
+// Short windows keep this suite fast; the tables golden runs the full
 // 60 s windows.
 var fast = Options{Seed: 1, Duration: 6 * sim.Second}
 
@@ -98,7 +98,25 @@ func TestExtensionsFast(t *testing.T) {
 		t.Fatalf("control share = %.1f%%", ext.ControlShare)
 	}
 	if ext.CrystalMissed != 0 || ext.DCOMissed == 0 {
-		t.Fatalf("drift cliff wrong: crystal=%d dco=%d", ext.CrystalMissed, ext.DCOMissed)
+		t.Fatalf("drift cliff wrong: crystal=%v dco=%v", ext.CrystalMissed, ext.DCOMissed)
+	}
+	// Everything Render prints under its "60 s basis" header is scaled
+	// to it, the missed-beacon counts included: the 6 s run lands near
+	// the full window's count, not a tenth of it.
+	full, err := Extensions(Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := float64(ext.DCOMissed) / float64(full.DCOMissed); r < 0.8 || r > 1.25 {
+		t.Fatalf("6 s run reports %v missed beacons, the 60 s run %v: not on one basis",
+			ext.DCOMissed, full.DCOMissed)
+	}
+	if ext.NoisyRadioMJ <= ext.CleanRadioMJ {
+		t.Fatalf("bit errors did not cost radio energy: clean %.1f, noisy %.1f mJ",
+			ext.CleanRadioMJ, ext.NoisyRadioMJ)
+	}
+	if ext.SimVsAnalytic <= 0 || ext.SimVsAnalytic > 3 {
+		t.Fatalf("event simulator vs analytic model on table1: %.2f%%", ext.SimVsAnalytic)
 	}
 	if !(ext.MCU1MHz < ext.MCU4MHz && ext.MCU4MHz < ext.MCU8MHz) {
 		t.Fatalf("clock scaling not monotone: %.1f %.1f %.1f",

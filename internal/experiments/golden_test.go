@@ -14,7 +14,7 @@ import (
 	"repro/internal/platform"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden energy files")
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 // goldenTolerance is the maximum relative energy drift the regression
 // suite accepts: 0.1%. Energies are deterministic functions of

@@ -19,7 +19,10 @@
 // initializer belongs to no function and a call through the variable
 // has no edge. Every function that reads such a variable therefore
 // counts as calling the sink, and a cone function reading one declared
-// outside the cone is reported at the read.
+// outside the cone is reported at the read. The same holds for a
+// variable initialised from a tainted module function or from another
+// such variable (var clock = hlp.Stamp); holders and taint are grown
+// together until neither changes.
 package nodetaint
 
 import (
@@ -58,18 +61,28 @@ func run(pass *analysis.ProgramPass) error {
 			}
 		}
 	}
-	holders := sinkHolders(pass.Prog.All())
-	reads := holderReads(cg, holders)
-	targets := sinks
-	for _, fnode := range cg.Funcs() {
-		if len(reads[fnode]) > 0 {
-			targets = append(targets, fnode)
+	// Holders make their readers targets, and a new target can taint
+	// the function another holder is initialised from: grow both until
+	// neither changes.
+	t := &taint{sinkInfo: sinkInfo, holders: make(map[*types.Var]holder)}
+	var tainted map[*analysis.Node]bool
+	for {
+		t.reads = holderReads(cg, t.holders)
+		targets := sinks
+		for _, fnode := range cg.Funcs() {
+			if len(t.reads[fnode]) > 0 {
+				targets = append(targets, fnode)
+			}
+		}
+		t.targets = make(map[*analysis.Node]bool, len(targets))
+		for _, n := range targets {
+			t.targets[n] = true
+		}
+		tainted = cg.ReachesAny(targets)
+		if !t.addHolders(cg, pass.Prog.All(), tainted) {
+			break
 		}
 	}
-	if len(targets) == 0 {
-		return nil
-	}
-	tainted := cg.ReachesAny(targets)
 
 	// Report every call from a cone package to a tainted module
 	// function outside the cone — once per call site.
@@ -81,11 +94,12 @@ func run(pass *analysis.ProgramPass) error {
 		if !selected[fnode.Pkg] || !nodeterm.InCone(fnode.Pkg.Path) {
 			continue
 		}
-		for _, r := range reads[fnode] {
+		for _, r := range t.reads[fnode] {
 			if !nodeterm.InCone(r.v.Pkg().Path()) {
-				sink := holders[r.v]
+				h := t.holders[r.v]
+				from, _, _ := strings.Cut(h.chain, " -> ")
 				pass.Reportf(r.pos, "%s is initialised from %s, so reading it reaches %s outside the call graph; ambient nondeterminism must not be reachable from the simulation cone — %s",
-					varName(r.v), sink.Name, sink.Name, hintOf(sink))
+					varName(r.v), from, h.sink.Name, hintOf(h.sink))
 			}
 		}
 		reported := make(map[int]bool)
@@ -98,14 +112,7 @@ func run(pass *analysis.ProgramPass) error {
 				continue
 			}
 			reported[int(e.Pos)] = true
-			path := cg.PathTo(callee, asSet(targets))
-			chain := renderChain(path, sinkInfo)
-			sink, ok := sinkInfo[path[len(path)-1]]
-			if !ok { // the chain ends reading a sink holder
-				v := reads[path[len(path)-1]][0].v
-				sink = holders[v]
-				chain += " -> " + varName(v) + " -> " + sink.Name
-			}
+			chain, sink := t.describe(cg.PathTo(callee, t.targets))
 			pass.Reportf(e.Pos, "call to %s reaches %s via %s; ambient nondeterminism must not be reachable from the simulation cone — %s",
 				callee.Name(), sink.Name, chain, hintOf(sink))
 		}
@@ -113,33 +120,73 @@ func run(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// sinkHolders finds the package-level variables whose initializer
-// references a sink, with the first sink each references.
-func sinkHolders(pkgs []*analysis.Package) map[*types.Var]nodeterm.Sink {
-	holders := make(map[*types.Var]nodeterm.Sink)
+// holder is a package variable that reaches sink once called; chain
+// renders the path from what its initializer references (the sink, a
+// tainted module function or another holder) to the sink.
+type holder struct {
+	sink  nodeterm.Sink
+	chain string
+}
+
+// taint is the propagation state: the sinks, the holders, their reads
+// and the nodes taint flows back from (the sinks and the readers).
+type taint struct {
+	sinkInfo map[*analysis.Node]nodeterm.Sink
+	holders  map[*types.Var]holder
+	reads    map[*analysis.Node][]holderRead
+	targets  map[*analysis.Node]bool
+}
+
+// describe renders a call path ending at a target as a chain, with the
+// sink it reaches; a path ending at a holder's reader continues through
+// the holder.
+func (t *taint) describe(path []*analysis.Node) (string, nodeterm.Sink) {
+	last := path[len(path)-1]
+	chain := renderChain(path, t.sinkInfo)
+	if sink, ok := t.sinkInfo[last]; ok {
+		return chain, sink
+	}
+	v := t.reads[last][0].v
+	return chain + " -> " + varName(v) + " -> " + t.holders[v].chain, t.holders[v].sink
+}
+
+// addHolders makes a holder of every package variable whose initializer
+// first references a sink, a tainted module function or a holder, and
+// reports whether it found a new one.
+func (t *taint) addHolders(cg *analysis.CallGraph, pkgs []*analysis.Package, tainted map[*analysis.Node]bool) bool {
+	added := false
 	for _, pkg := range pkgs {
 		for _, init := range pkg.Info.InitOrder {
-			if sink, found := firstSink(pkg, init.Rhs); found {
-				for _, v := range init.Lhs {
-					holders[v] = sink
+			var h holder
+			ast.Inspect(init.Rhs, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || h.chain != "" {
+					return h.chain == ""
+				}
+				switch obj := pkg.Info.Uses[id].(type) {
+				case *types.Func:
+					if sink, ok := nodeterm.ClassifySink(obj); ok {
+						h = holder{sink, sink.Name}
+					} else if fn := cg.Lookup(obj); fn != nil && fn.Local() && tainted[fn] {
+						chain, sink := t.describe(cg.PathTo(fn, t.targets))
+						h = holder{sink, chain}
+					}
+				case *types.Var:
+					if held, ok := t.holders[obj]; ok {
+						h = holder{held.sink, varName(obj) + " -> " + held.chain}
+					}
+				}
+				return h.chain == ""
+			})
+			for _, v := range init.Lhs {
+				if _, known := t.holders[v]; h.chain != "" && !known {
+					t.holders[v] = h
+					added = true
 				}
 			}
 		}
 	}
-	return holders
-}
-
-// firstSink reports the first sink function expr references.
-func firstSink(pkg *analysis.Package, expr ast.Expr) (sink nodeterm.Sink, found bool) {
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !found {
-			if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
-				sink, found = nodeterm.ClassifySink(fn)
-			}
-		}
-		return !found
-	})
-	return sink, found
+	return added
 }
 
 // holderRead is one read of a sink holder inside a function body.
@@ -150,7 +197,7 @@ type holderRead struct {
 
 // holderReads lists, per local function, its reads of sink holders in
 // source order.
-func holderReads(cg *analysis.CallGraph, holders map[*types.Var]nodeterm.Sink) map[*analysis.Node][]holderRead {
+func holderReads(cg *analysis.CallGraph, holders map[*types.Var]holder) map[*analysis.Node][]holderRead {
 	reads := make(map[*analysis.Node][]holderRead)
 	if len(holders) == 0 {
 		return reads
@@ -172,14 +219,6 @@ func holderReads(cg *analysis.CallGraph, holders map[*types.Var]nodeterm.Sink) m
 
 // varName renders a package variable as "pkg.name".
 func varName(v *types.Var) string { return v.Pkg().Name() + "." + v.Name() }
-
-func asSet(nodes []*analysis.Node) map[*analysis.Node]bool {
-	set := make(map[*analysis.Node]bool, len(nodes))
-	for _, n := range nodes {
-		set[n] = true
-	}
-	return set
-}
 
 // renderChain formats a call path as "hlp.Stamp -> hlp.inner ->
 // time.Now" for the diagnostic.

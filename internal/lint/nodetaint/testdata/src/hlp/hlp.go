@@ -79,3 +79,25 @@ func Seeded(seed int64) float64 {
 	r := rand.New(rand.NewSource(seed))
 	return r.Float64()
 }
+
+// stamp holds a tainted module function, not a sink: the taint reaches
+// the variable only through Stamp's own call chain.
+var stamp = Stamp
+
+// ViaTaintedVariable reads the wall clock through stamp.
+func ViaTaintedVariable() int64 { return stamp() }
+
+// Stamper exports a holder of a tainted module function.
+var Stamper = Stamp
+
+// relay holds another holder.
+var relay = Stamper
+
+// ViaRelay reads the wall clock through two variables.
+func ViaRelay() int64 { return relay() }
+
+// pure holds a taint-free module function.
+var pure = Pure
+
+// PureVariable calls a clean function through a variable.
+func PureVariable() int { return pure(1) }

@@ -43,6 +43,29 @@ func DirectVariable() int64 {
 	return hlp.WallNow().UnixNano() // want `hlp\.WallNow is initialised from time\.Now`
 }
 
+// ViaTaintedVariable reaches time.Now through a helper that calls a
+// package variable initialised from a tainted module function.
+func ViaTaintedVariable() int64 {
+	return hlp.ViaTaintedVariable() // want `call to hlp\.ViaTaintedVariable reaches time\.Now via hlp\.ViaTaintedVariable -> hlp\.stamp -> hlp\.Stamp -> hlp\.inner -> time\.Now`
+}
+
+// DirectTaintedVariable calls a non-cone holder of a tainted module
+// function itself.
+func DirectTaintedVariable() int64 {
+	return hlp.Stamper() // want `hlp\.Stamper is initialised from hlp\.Stamp, so reading it reaches time\.Now`
+}
+
+// ViaRelay reaches time.Now through a variable initialised from
+// another holder.
+func ViaRelay() int64 {
+	return hlp.ViaRelay() // want `call to hlp\.ViaRelay reaches time\.Now via hlp\.ViaRelay -> hlp\.relay -> hlp\.Stamper -> hlp\.Stamp -> hlp\.inner -> time\.Now`
+}
+
+// PureVariableOK calls a clean function through a variable.
+func PureVariableOK() int {
+	return hlp.PureVariable()
+}
+
 // EpochOK reads a variable initialised by calling time.Unix, which is
 // not a sink.
 func EpochOK() int64 {

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"os"
 	"sort"
 )
 
@@ -86,4 +88,14 @@ func WriteChromeTrace(w io.Writer, events []Event) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// WriteChromeTraceFile writes the recorder's retained events to path as
+// Chrome trace_event JSON.
+func (r *Recorder) WriteChromeTraceFile(path string) error {
+	var b bytes.Buffer
+	if err := WriteChromeTrace(&b, r.Events()); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
 }

@@ -3,6 +3,8 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
@@ -96,4 +98,30 @@ func FuzzChromeTrace(f *testing.F) {
 			t.Fatalf("invalid JSON from events %q/%d/%q: %s", node, kind, detail, buf.Bytes())
 		}
 	})
+}
+
+// TestWriteChromeTraceFile: the file holds exactly what WriteChromeTrace
+// renders for the recorder's retained events.
+func TestWriteChromeTraceFile(t *testing.T) {
+	r := NewRecorder(0)
+	r.Record(5*sim.Millisecond, "node1", KindSSRTx, "nonce=1")
+	r.Record(6*sim.Millisecond, "bs", KindSlotGrant, "node=1 slot=0")
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := r.WriteChromeTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteChromeTrace(&want, r.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file differs from the rendered trace:\n%s\nwant\n%s", got, want.Bytes())
+	}
+	if err := r.WriteChromeTraceFile(filepath.Join(path, "nested")); err == nil {
+		t.Fatal("writing under a regular file succeeded")
+	}
 }
