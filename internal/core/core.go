@@ -196,8 +196,9 @@ const (
 
 // Validate checks the configuration, applying documented defaults.
 func (c *Config) Validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("core: Nodes must be positive, got %d", c.Nodes)
+	// Node IDs are one byte, and 0 is no node.
+	if c.Nodes <= 0 || c.Nodes > math.MaxUint8 {
+		return fmt.Errorf("core: Nodes must be in 1..%d, got %d", math.MaxUint8, c.Nodes)
 	}
 	// flag.Float64 parses NaN and ±Inf, and NaN passes every range
 	// check below, so non-finite inputs stop here.
@@ -240,6 +241,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Protocol == mac.ProtoCSMA && c.Cycle == 0 {
 		c.Cycle = mac.DefaultCSMACycle
+	}
+	if floor := mac.MinCycle(c.Protocol, platform.BaseStation()); c.Cycle < floor {
+		return fmt.Errorf("core: %s Cycle %v below the base station's %v beacon turnaround", c.Protocol, c.Cycle, floor)
 	}
 	// Negative times would reach the kernel as horizons or delays in the
 	// past, which it rejects by panicking; scenario files are untrusted

@@ -86,6 +86,12 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Burst = &channel.BurstModel{PBadToGood: math.NaN()} },
 		func(c *Config) { c.Burst = &channel.BurstModel{BERGood: math.NaN()} },
 		func(c *Config) { c.Burst = &channel.BurstModel{BERBad: math.NaN()} },
+		// One-byte node IDs, the base station's beacon turnaround and
+		// the LPL probe window bound the network.
+		func(c *Config) { c.Nodes = 256 },
+		func(c *Config) { c.Cycle = 800 * sim.Microsecond },
+		func(c *Config) { c.Protocol, c.Cycle = mac.ProtoCSMA, 900*sim.Microsecond },
+		func(c *Config) { c.Protocol, c.Cycle, c.MACParams = mac.ProtoLPL, 0, mac.Params{CheckInterval: 1} },
 	}
 	for i, mutate := range bad {
 		c := base
@@ -99,6 +105,22 @@ func TestConfigValidate(t *testing.T) {
 	c.Protocol = "aloha"
 	if err := (&c).Validate(); err == nil || !strings.Contains(err.Error(), "registered: [csma dynamic lpl static]") {
 		t.Errorf("unknown protocol: err = %v, want the registered list", err)
+	}
+	// A short cycle's error names the turnaround it falls short of.
+	c = base
+	c.Cycle = 800 * sim.Microsecond
+	floor := mac.MinCycle(mac.ProtoStatic, platform.BaseStation())
+	if err := (&c).Validate(); err == nil || !strings.Contains(err.Error(), floor.String()) {
+		t.Errorf("short cycle: err = %v, want the %v minimum named", err, floor)
+	}
+	c.Cycle = floor
+	if err := (&c).Validate(); err != nil {
+		t.Errorf("cycle at the %v minimum rejected: %v", floor, err)
+	}
+	c = base
+	c.Nodes = 255
+	if err := (&c).Validate(); err != nil {
+		t.Errorf("255 nodes rejected: %v", err)
 	}
 	// Rpeak defaults its rate.
 	c = base

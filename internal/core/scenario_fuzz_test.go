@@ -1,18 +1,32 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
+)
+
+// The fuzzer runs every config Validate accepts for at most
+// fuzzEventCap kernel events, which must carry the run at least
+// fuzzMinSpan into simulated time: a component scheduling faster than
+// that stalls any real-length run.
+const (
+	fuzzEventCap = 100_000
+	fuzzMinSpan  = sim.Millisecond
 )
 
 // FuzzLoadScenario hammers the scenario JSON loader: arbitrary input
 // must either decode cleanly or return an error — never panic — and a
 // successfully decoded config must survive an encode/decode round trip
-// unchanged. The corpus is seeded from the real scenario files under
-// scenarios/, so mutations start from every construct the schema
-// actually uses (duration strings, burst models, drift).
+// unchanged. Whatever Validate accepts must also run, under an event
+// cap, to a result or a *BudgetError. The corpus is seeded from the real
+// scenario files under scenarios/, so mutations start from every
+// construct the schema actually uses (duration strings, burst models,
+// drift).
 //
 // Run with: go test -fuzz FuzzLoadScenario ./internal/core
 func FuzzLoadScenario(f *testing.F) {
@@ -85,6 +99,13 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add([]byte(`{"nodes":2,"duration":"5s","metrics":true,"traceLimit":100}`))
 	f.Add([]byte(`{"metrics":false,"traceLimit":-1}`))
 	f.Add([]byte(`{"metrics":1,"traceLimit":"many"}`))
+	// Shapes Validate once let through to a kernel panic or a stalled
+	// run: a beacon cycle shorter than the base station's turnaround, an
+	// LPL check interval shorter than its probe, and more nodes than
+	// one-byte IDs can name.
+	f.Add([]byte(`{"mac":"static","nodes":5,"cycle":"800us","app":"streaming","sampleRateHz":205,"duration":"2s"}`))
+	f.Add([]byte(`{"mac":{"protocol":"lpl","checkInterval":"1ns"},"nodes":5,"app":"streaming","sampleRateHz":205,"duration":"2s"}`))
+	f.Add([]byte(`{"mac":"static","nodes":300,"cycle":"30ms","app":"streaming","sampleRateHz":205,"duration":"2s"}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg, err := ConfigFromJSON(data)
@@ -109,10 +130,24 @@ func FuzzLoadScenario(f *testing.F) {
 		// Validation applies defaults or rejects — it must not panic,
 		// and whatever it accepts must carry non-negative times (the
 		// kernel panics on negative horizons, so Validate is the gate).
-		if err := cfg.Validate(); err == nil {
-			if cfg.Duration < 0 || cfg.Warmup < 0 || cfg.Cycle < 0 || cfg.StartStagger < 0 {
-				t.Fatalf("Validate accepted negative times: %+v", cfg)
-			}
+		if err := cfg.Validate(); err != nil {
+			return
+		}
+		if cfg.Duration < 0 || cfg.Warmup < 0 || cfg.Cycle < 0 || cfg.StartStagger < 0 {
+			t.Fatalf("Validate accepted negative times: %+v", cfg)
+		}
+		capped := cfg.MaxEvents == 0 || cfg.MaxEvents > fuzzEventCap
+		if capped {
+			cfg.MaxEvents = fuzzEventCap
+		}
+		_, err = Run(cfg)
+		var budget *BudgetError
+		switch {
+		case err == nil:
+		case !errors.As(err, &budget):
+			t.Fatalf("Run failed on a validated config: %v\ninput: %q", err, data)
+		case capped && budget.At < fuzzMinSpan:
+			t.Fatalf("%d events simulated only %v\ninput: %q", budget.Events, budget.At, data)
 		}
 	})
 }

@@ -202,7 +202,7 @@ func TestResetAccountingCarriesPendingAck(t *testing.T) {
 	// law holds at every later poll.
 	sawCarry := false
 	poll := sim.NewTimer(r.k, func(*sim.Kernel) {
-		if !sawCarry && n1.ackWaiting && n1.Joined() {
+		if !sawCarry && n1.ack.open && n1.Joined() {
 			n1.ResetAccounting()
 			if n1.carrySent != 1 {
 				t.Fatal("reset inside an open ack window did not carry the send")

@@ -25,9 +25,7 @@ type beaconSync struct {
 	// beacon is the last parsed beacon; its Entries slice is reused.
 	beacon packet.Beacon
 
-	windowOpenAt  sim.Time
-	windowTimeout sim.EventID
-	windowActive  bool
+	window rxWindow // the listen for an expected beacon
 	// Window opens file their generation and stride by event ID; a crash
 	// cancels the window's timeout, so it carries none.
 	windowOpens    sim.Pending[windowArm]
@@ -82,7 +80,7 @@ func (m *beaconSync) CycleLength() sim.Time { return m.cycle }
 // Crash implements NodeMAC: the core's crash, with the open beacon
 // window closed so its timeout cannot fire against the rebooted node.
 func (m *beaconSync) Crash() {
-	m.closeWindow()
+	m.window.close(m.k)
 	m.missed = 0
 	m.nodeCore.Crash()
 }
@@ -196,8 +194,8 @@ func (m *beaconSync) handleBeacon(b packet.Beacon, payloadLen int, afterParse fu
 	airStart := frameEnd - m.cfg.Profile.Radio.Airtime(payloadLen)
 
 	m.radio.PowerDown()
-	if m.closeWindow() {
-		m.accountControlRx(now - m.windowOpenAt)
+	if m.window.close(m.k) {
+		m.accountControlRx(now - m.window.at)
 	} else if m.state == stateSearching {
 		// The whole continuous search listen is idle listening except
 		// the beacon frame itself.
@@ -266,10 +264,7 @@ func (m *beaconSync) windowStride() sim.Time {
 func (m *beaconSync) scheduleNextWindow() {
 	stride := m.windowStride()
 	openAt := m.t0 + m.local(stride*m.cycle-m.guard()-m.cfg.Profile.Radio.RxSettle)
-	now := m.k.Now()
-	if openAt <= now {
-		openAt = now // degenerate cycles: open immediately
-	}
+	openAt = max(openAt, m.k.Now()) // degenerate cycles: open immediately
 	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
 }
 
@@ -282,7 +277,7 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 	if m.gen != a.gen {
 		return // armed before a crash
 	}
-	if m.windowActive || m.state == stateSearching {
+	if m.window.open || m.state == stateSearching {
 		return
 	}
 	if m.radio.Mode() == radio.ModeTx {
@@ -293,8 +288,7 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 		return
 	}
 	p := &m.cfg.Profile
-	m.windowActive = true
-	m.windowOpenAt = k.Now()
+	m.window.open, m.window.at = true, k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
 	m.radio.StartRx()
 	// The timeout sits one guard past the locally-expected beacon so the
@@ -305,33 +299,17 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 	deadline := m.t0 + m.local(a.stride*m.cycle) + m.guard() +
 		p.Radio.Airtime(m.maxBeaconPayload()) +
 		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-	if deadline < k.Now() {
-		deadline = k.Now()
-	}
-	m.windowTimeout = k.ScheduleAt(deadline, m.onWindowExpiry)
-}
-
-// closeWindow ends an open beacon window early, reporting whether one
-// was open.
-func (m *beaconSync) closeWindow() bool {
-	if !m.windowActive {
-		return false
-	}
-	m.k.Cancel(m.windowTimeout)
-	m.windowActive = false
-	return true
+	m.window.timeout = k.ScheduleAt(max(deadline, k.Now()), m.onWindowExpiry)
 }
 
 // windowTimedOut handles a silent beacon window.
 //
 //hot:path
 func (m *beaconSync) windowTimedOut(*sim.Kernel) {
-	if !m.windowActive {
+	if !m.window.expire() {
 		return
 	}
-	m.windowActive = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.windowOpenAt)
+	m.endWindow(&m.window)
 	m.windowLost()
 }
 

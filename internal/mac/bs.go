@@ -14,7 +14,7 @@ import (
 
 // BSConfig parameterises the base-station MAC.
 type BSConfig struct {
-	// Protocol selects the MAC from the registry.
+	// Protocol selects the MAC.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params Params
@@ -22,8 +22,7 @@ type BSConfig struct {
 	Profile platform.Profile
 	// StaticCycle is the fixed TDMA cycle (static variant only).
 	StaticCycle sim.Time
-	// MaxSlots caps the network size; 0 selects the profile default for
-	// the variant.
+	// MaxSlots caps the network size; 0 selects the protocol's slotCap.
 	MaxSlots int
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan().
@@ -121,12 +120,8 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	if cfg.Protocol != ProtoDynamic && cfg.StaticCycle <= 0 {
 		panic("mac: static base station needs a cycle length")
 	}
-	maxSlots := cfg.Profile.MAC.MaxStaticSlots
-	if cfg.Protocol == ProtoDynamic {
-		maxSlots = cfg.Profile.MAC.MaxDynamicSlots
-	}
 	bs := &BS{}
-	bs.init(k, cfg, sched, r, ledger, tracer, maxSlots, "slot", bs.ackMayFly, bs.ackFlown)
+	bs.init(k, cfg, sched, r, ledger, tracer, "slot", bs.ackMayFly, bs.ackFlown)
 	bs.onPrepare = bs.prepareBeacon
 	bs.onBeaconDue = bs.beaconDue
 	bs.beaconBuilt = bs.buildBeacon
@@ -188,18 +183,43 @@ func (bs *BS) currentCycle() sim.Time {
 
 // scheduleBeacon arms the beacon whose burst must start at fireAt.
 func (bs *BS) scheduleBeacon(fireAt sim.Time) {
-	p := bs.cfg.Profile
-	// Preparation lead: build task + FIFO load + margin.
-	lead := p.MCU.CyclesToTime(p.Cost.BSBeaconBuild) +
-		p.Radio.TxClockIn(p.Radio.AddressBytes+bs.maxBeaconBytes()) +
-		150*sim.Microsecond
 	bs.beaconFireAt = fireAt
-	bs.k.ScheduleAt(fireAt-lead-p.Radio.TxSettle, bs.onPrepare)
+	bs.k.ScheduleAt(fireAt-beaconLead(&bs.cfg.Profile, bs.max), bs.onPrepare)
 }
 
-// maxBeaconBytes bounds the beacon payload for lead-time sizing.
-func (bs *BS) maxBeaconBytes() int {
-	return packet.BeaconBaseBytes + packet.SlotEntryBytes*bs.max
+// beaconLead reports how long before its burst a beacon starts preparing
+// on profile p, sized for a table of up to slots entries: build task,
+// FIFO load, margin and transmit settle.
+func beaconLead(p *platform.Profile, slots int) sim.Time {
+	return p.MCU.CyclesToTime(p.Cost.BSBeaconBuild) +
+		p.Radio.TxClockIn(p.Radio.AddressBytes+packet.BeaconBaseBytes+packet.SlotEntryBytes*slots) +
+		150*sim.Microsecond + p.Radio.TxSettle
+}
+
+// MinCycle reports the shortest Cycle the base station of a static or
+// CSMA network keeps on profile p, and 0 for the protocols that derive
+// their own period. Once a beacon has flown, the next one's beaconLead
+// must still lie ahead. Every grant stays in grantRepeat beacons, so a
+// member that asked again before its grant was advertised can hold that
+// many entries in one beacon.
+func MinCycle(proto Protocol, p platform.Profile) sim.Time {
+	switch proto {
+	case ProtoStatic, ProtoCSMA:
+		slots := slotCap(proto, &p.MAC)
+		return beaconLead(&p, slots) + p.Radio.Airtime(packet.BeaconBaseBytes+packet.SlotEntryBytes*grantRepeat*slots)
+	case ProtoDynamic, ProtoLPL:
+	}
+	return 0
+}
+
+// slotCap reports proto's default member cap: static TDMA's slot count,
+// and the dynamic table's size for every other protocol, whose cycle has
+// no fixed slot geometry to limit it.
+func slotCap(proto Protocol, p *platform.MACParams) int {
+	if proto == ProtoStatic {
+		return p.MaxStaticSlots
+	}
+	return p.MaxDynamicSlots
 }
 
 // prepareBeacon opens the SB region and builds the beacon, which then
@@ -247,11 +267,7 @@ func (bs *BS) buildBeacon() {
 	bs.beaconWaits = 2
 	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
 	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, bs.beaconLoadDone)
-	fireEvent := bs.beaconFireAt - p.Radio.TxSettle
-	if fireEvent < bs.k.Now() {
-		fireEvent = bs.k.Now() // congestion ate the lead; fly late
-	}
-	bs.k.ScheduleAt(fireEvent, bs.onBeaconDue)
+	bs.k.ScheduleAt(max(bs.beaconFireAt-p.Radio.TxSettle, bs.k.Now()), bs.onBeaconDue)
 }
 
 // beaconStep fires the beacon once both its FIFO load and its instant

@@ -22,7 +22,7 @@ func openLPLWake(t *testing.T, r *protoRig, node uint8) *LPLBS {
 		})
 	})
 	r.k.RunUntil(DefaultLPLCheckInterval + 5*sim.Millisecond)
-	if !bs.waking || !bs.awaitingPayload {
+	if !bs.waking || !bs.payload.open {
 		t.Fatal("the early ack did not open a payload window")
 	}
 	return bs
@@ -43,9 +43,9 @@ func TestLPLDroppedSlotAssignEndsWake(t *testing.T) {
 			Dest:    packet.DefaultPlan().BSCtrl,
 			Payload: packet.SSR{NodeID: 1}.AppendMarshal(nil),
 		})
-		if bs.waking || bs.awaitingPayload || bs.radio.Mode() == radio.ModeRx {
+		if bs.waking || bs.payload.open || bs.radio.Mode() == radio.ModeRx {
 			t.Errorf("wake still open after the dropped slot-assign post (waking=%v awaiting=%v radio=%v)",
-				bs.waking, bs.awaitingPayload, bs.radio.Mode())
+				bs.waking, bs.payload.open, bs.radio.Mode())
 		}
 	})
 	r.k.RunUntil(r.k.Now() + 1900*sim.Millisecond)
@@ -82,7 +82,7 @@ func TestSenderIDAttribution(t *testing.T) {
 				var deliver func(packet.Frame)
 				var owed func() int
 				switch bs := r.bs.(type) {
-				case *CSMABS:
+				case *BS:
 					r.k.Schedule(0, func(*sim.Kernel) { bs.Start() })
 					r.k.RunUntil(5 * sim.Millisecond)
 					bs.admit(2)

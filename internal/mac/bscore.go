@@ -82,13 +82,13 @@ type RxRecord struct {
 }
 
 // init wires the core over its radio and OS and applies the shared
-// config defaults: the address plan, and maxSlots members when the
+// config defaults: the address plan, and the protocol's slotCap when the
 // config names no cap. noun is what the table calls an index.
 func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *metrics.Recorder, maxSlots int, noun string,
+	ledger *energy.Ledger, tracer *metrics.Recorder, noun string,
 	mayAck func(a owedAck) bool, acked func(a owedAck)) {
 	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = maxSlots
+		cfg.MaxSlots = slotCap(cfg.Protocol, &cfg.Profile.MAC)
 	}
 	if cfg.Plan == (packet.AddressPlan{}) {
 		cfg.Plan = packet.DefaultPlan()

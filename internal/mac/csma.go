@@ -83,25 +83,10 @@ type CSMANode struct {
 // protocol keeps.
 func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMANode {
-	if err := validateCSMAParams(cfg.Params); err != nil {
-		panic(err)
-	}
-	m := &CSMANode{
-		minBE:       cfg.Params.MinBE,
-		maxBE:       cfg.Params.MaxBE,
-		maxBackoffs: cfg.Params.MaxBackoffs,
-	}
+	p := csmaDefaults(cfg.Params)
+	m := &CSMANode{minBE: p.MinBE, maxBE: p.MaxBE, maxBackoffs: p.MaxBackoffs}
 	m.init(k, cfg, sched, r, ledger, tracer, m.endAttempt)
 	m.dataHeader = packet.DataHeaderBytes
-	if m.minBE == 0 {
-		m.minBE = defaultMinBE
-	}
-	if m.maxBE == 0 {
-		m.maxBE = defaultMaxBE
-	}
-	if m.maxBackoffs == 0 {
-		m.maxBackoffs = defaultMaxBackoffs
-	}
 	m.onBackoffDue = m.ccaStart
 	m.onCCADue = m.ccaSample
 	m.onAckExpiry = m.ackExpired
@@ -152,7 +137,7 @@ func (m *CSMANode) afterBeacon() {
 // runs per beacon cycle; an attempt that runs out of time or backoffs
 // leaves the frame loaded for the next cycle.
 func (m *CSMANode) beginAttempt(op csmaOp) {
-	if m.attemptActive || m.loading || m.ackWaiting {
+	if m.attemptActive || m.loading || m.ack.open {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
@@ -401,34 +386,18 @@ func (m *CSMANode) AuditProtocol() []string {
 
 // --- base station ---------------------------------------------------------
 
-// CSMABS is the base station of the slotted CSMA/CA protocol: the static
-// TDMA base station's beacon cadence, join handling and silence reclaim,
-// with data frames attributed by their sender-ID header instead of slot
-// timing (any member may transmit at any contention offset).
-type CSMABS struct {
-	*BS
-}
-
-// NewCSMABS wires a CSMA/CA base station. A zero StaticCycle selects
-// DefaultCSMACycle; a zero MaxSlots admits MaxDynamicSlots members (the
-// contention period has no slot geometry to limit it).
+// NewCSMABS wires the base station of the slotted CSMA/CA protocol: the
+// static TDMA base station's beacon cadence, join handling and silence
+// reclaim, with data frames attributed by their sender-ID header instead
+// of slot timing (any member may transmit at any contention offset). A
+// zero StaticCycle selects DefaultCSMACycle; a zero MaxSlots admits
+// MaxDynamicSlots members.
 func NewCSMABS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-	ledger *energy.Ledger, tracer *metrics.Recorder) *CSMABS {
-	if err := validateCSMAParams(cfg.Params); err != nil {
-		panic(err)
-	}
+	ledger *energy.Ledger, tracer *metrics.Recorder) *BS {
 	if cfg.StaticCycle <= 0 {
 		cfg.StaticCycle = DefaultCSMACycle
 	}
-	if cfg.MaxSlots <= 0 {
-		cfg.MaxSlots = cfg.Profile.MAC.MaxDynamicSlots
-	}
 	bs := NewBS(k, cfg, sched, r, ledger, tracer)
 	bs.idHeader = true
-	return &CSMABS{BS: bs}
+	return bs
 }
-
-var (
-	_ NodeMAC = (*CSMANode)(nil)
-	_ BSMAC   = (*CSMABS)(nil)
-)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/packet"
+	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
@@ -69,15 +70,10 @@ type LPLNode struct {
 	op       lplOp
 	opActive bool
 
-	strobeCount   int
-	strobeWaiting bool // early-ack listen gap open
-	strobeOpenAt  sim.Time
-	gapTimeout    sim.EventID
-
-	ssrOpenAt  sim.Time
-	ssrTimeout sim.EventID
-	ssrWaiting bool
-	burstLeft  int
+	strobeCount int
+	gap         rxWindow // post-strobe listen for the early ack
+	ssrWait     rxWindow // listen for the association ack
+	burstLeft   int
 
 	// Steady-state steps, each a handler bound once in NewLPLNode. Crash
 	// and park cancel the gap, SSR and ack timeouts; delayed restarts
@@ -107,16 +103,10 @@ type lplRetry struct {
 // station's sampling period (core wires both from one config).
 func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLNode {
-	if err := validateLPLParams(cfg.Params); err != nil {
-		panic(err)
-	}
 	p := cfg.Profile
-	m := &LPLNode{checkInterval: cfg.Params.CheckInterval}
+	m := &LPLNode{checkInterval: lplCheckInterval(cfg.Params)}
 	m.init(k, cfg, sched, r, ledger, tracer, m.stopTrain)
 	m.dataHeader = packet.DataHeaderBytes
-	if m.checkInterval <= 0 {
-		m.checkInterval = DefaultLPLCheckInterval
-	}
 	// Post-strobe listen gap: early ack settle-to-drain plus the base
 	// station's turnaround margin.
 	m.strobeGap = p.Radio.RxSettle + p.Radio.Airtime(packet.StrobeAckBytes) +
@@ -190,25 +180,9 @@ func (m *LPLNode) EnterBeaconOnly() {
 // stopTrain ends the strobe train and closes its listen windows (crash,
 // park).
 func (m *LPLNode) stopTrain() {
-	m.closeStrobeGap()
-	m.closeSSRWait()
+	m.gap.close(m.k)
+	m.ssrWait.close(m.k)
 	m.endOp()
-}
-
-func (m *LPLNode) closeStrobeGap() {
-	if !m.strobeWaiting {
-		return
-	}
-	m.strobeWaiting = false
-	m.k.Cancel(m.gapTimeout)
-}
-
-func (m *LPLNode) closeSSRWait() {
-	if !m.ssrWaiting {
-		return
-	}
-	m.ssrWaiting = false
-	m.k.Cancel(m.ssrTimeout)
 }
 
 // Send implements Mac: a queued frame launches a strobe train if none is
@@ -219,9 +193,7 @@ func (m *LPLNode) Send(payload []byte) bool {
 	if !m.nodeCore.Send(payload) {
 		return false
 	}
-	if m.state == stateJoined && !m.opActive {
-		m.startDataOp()
-	}
+	m.startDataOp()
 	return true
 }
 
@@ -253,7 +225,8 @@ func (m *LPLNode) startJoinOp() {
 	m.strobeStep()
 }
 
-// startDataOp launches a data delivery strobe train.
+// startDataOp launches a data delivery strobe train when the node is
+// joined, has a frame queued and runs no train yet.
 func (m *LPLNode) startDataOp() {
 	if m.state != stateJoined || m.opActive || m.queue.Len() == 0 {
 		return
@@ -334,29 +307,18 @@ func (m *LPLNode) onStrobeSent() {
 	}
 	m.stats.StrobesSent++
 	m.chargeControlTx(packet.StrobeBytes)
-	m.openStrobeGap()
-}
-
-// openStrobeGap listens briefly for the early ack that truncates the
-// train.
-func (m *LPLNode) openStrobeGap() {
-	m.strobeWaiting = true
-	m.strobeOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	m.gapTimeout = m.k.Schedule(m.strobeGap, m.onGapExpiry)
+	// Listen briefly for the early ack that truncates the train.
+	m.listenFor(&m.gap, m.strobeGap, m.onGapExpiry)
 }
 
 // onStrobeGapTimeout closes an unanswered listen gap.
 //
 //hot:path
 func (m *LPLNode) onStrobeGapTimeout(*sim.Kernel) {
-	if !m.strobeWaiting {
+	if !m.gap.expire() {
 		return
 	}
-	m.strobeWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.strobeOpenAt)
+	m.endWindow(&m.gap)
 	if m.radio.ChannelBusy() {
 		// The gap heard a foreign transaction (another node's train or
 		// payload exchange): defer politely instead of strobing over it.
@@ -371,13 +333,10 @@ func (m *LPLNode) onStrobeGapTimeout(*sim.Kernel) {
 // handleStrobeAck truncates the train: the receiver is awake and
 // waiting.
 func (m *LPLNode) handleStrobeAck() {
-	if !m.strobeWaiting {
+	if !m.gap.close(m.k) {
 		return
 	}
-	m.strobeWaiting = false
-	m.k.Cancel(m.gapTimeout)
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.strobeOpenAt)
+	m.endWindow(&m.gap)
 	m.stats.EarlyAcks++
 	m.burstLeft = lplWakeBurst - 1
 	m.sendPayload()
@@ -424,7 +383,7 @@ func (m *LPLNode) sendSSR() {
 					return
 				}
 				m.ssrFlown()
-				m.openSSRWait()
+				m.listenFor(&m.ssrWait, m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
 			})
 		})
 	})
@@ -453,24 +412,13 @@ func (m *LPLNode) onDataSent() {
 	m.dataFlown(m.onAckExpiry)
 }
 
-// openSSRWait listens for the association ack.
-func (m *LPLNode) openSSRWait() {
-	m.ssrWaiting = true
-	m.ssrOpenAt = m.k.Now()
-	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
-	m.radio.StartRx()
-	m.ssrTimeout = m.k.Schedule(m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
-}
-
 // onSSRTimeout retries the association after a randomised backoff (the
 // receiver woke but the handshake broke: collision, or membership full).
 func (m *LPLNode) onSSRTimeout(*sim.Kernel) {
-	if !m.ssrWaiting {
+	if !m.ssrWait.expire() {
 		return
 	}
-	m.ssrWaiting = false
-	m.radio.PowerDown()
-	m.accountControlRx(m.k.Now() - m.ssrOpenAt)
+	m.endWindow(&m.ssrWait)
 	m.endOp()
 	m.retryAfter(m.checkInterval+sim.Time(m.k.Rand().Int63n(int64(m.checkInterval))), lplOpSSR)
 }
@@ -478,17 +426,11 @@ func (m *LPLNode) onSSRTimeout(*sim.Kernel) {
 // handleAck resolves whichever handshake is waiting: the association
 // (while requesting) or a data frame.
 func (m *LPLNode) handleAck() {
-	now := m.k.Now()
-	if m.ssrWaiting {
-		m.ssrWaiting = false
-		m.k.Cancel(m.ssrTimeout)
-		m.radio.PowerDown()
-		m.accountControlRx(now - m.ssrOpenAt)
+	if m.ssrWait.close(m.k) {
+		m.endWindow(&m.ssrWait)
 		m.endOp()
 		m.join(-1)
-		if m.queue.Len() > 0 {
-			m.startDataOp()
-		}
+		m.startDataOp()
 		return
 	}
 	if !m.ackArrived() {
@@ -502,9 +444,7 @@ func (m *LPLNode) handleAck() {
 		return
 	}
 	m.endOp()
-	if m.queue.Len() > 0 {
-		m.startDataOp()
-	}
+	m.startDataOp()
 }
 
 // onAckTimeout treats the payload as lost (the wake window closed, or
@@ -549,7 +489,7 @@ func (m *LPLNode) AuditProtocol() []string {
 		v = append(v, fmt.Sprintf("StrobeFails %d imply more than the %d strobes sent (budget %d)",
 			s.StrobeFails, s.StrobesSent, m.maxStrobes))
 	}
-	if m.strobeWaiting && !m.opActive {
+	if m.gap.open && !m.opActive {
 		v = append(v, "strobe gap open with no active train")
 	}
 	return v
@@ -567,12 +507,11 @@ type LPLBS struct {
 	checkInterval sim.Time
 	startAt       sim.Time
 
-	waking          bool // a probe/wake owns the radio
-	acking          bool // early ack committed: turnaround/transmit in progress
-	awaitingPayload bool // receive window open for a payload
-	probeOpenAt     sim.Time
-	probeTimeout    sim.EventID
-	payloadTimeout  sim.EventID
+	waking       bool     // a probe/wake owns the radio
+	acking       bool     // early ack committed: turnaround/transmit in progress
+	payload      rxWindow // receive window for the sender's cargo
+	probeOpenAt  sim.Time
+	probeTimeout sim.EventID
 
 	// Steady-state steps, each a handler bound once in NewLPLBS. One probe
 	// is armed at a time, so its state lives in fields.
@@ -588,15 +527,8 @@ type LPLBS struct {
 // members.
 func NewLPLBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *LPLBS {
-	if err := validateLPLParams(cfg.Params); err != nil {
-		panic(err)
-	}
-	bs := &LPLBS{checkInterval: cfg.Params.CheckInterval}
-	bs.init(k, cfg, sched, r, ledger, tracer, cfg.Profile.MAC.MaxDynamicSlots, "member",
-		bs.ackMayFly, bs.ackFlown)
-	if bs.checkInterval <= 0 {
-		bs.checkInterval = DefaultLPLCheckInterval
-	}
+	bs := &LPLBS{checkInterval: lplCheckInterval(cfg.Params)}
+	bs.init(k, cfg, sched, r, ledger, tracer, "member", bs.ackMayFly, bs.ackFlown)
 	bs.onProbe = bs.probe
 	bs.onProbeExpiry = bs.onProbeIdle
 	bs.onPayloadExpiry = bs.onPayloadTimeout
@@ -641,16 +573,19 @@ func (bs *LPLBS) probe(*sim.Kernel) {
 	bs.waking = true
 	bs.probeOpenAt = bs.k.Now()
 	bs.listen()
-	window := bs.cfg.Profile.Radio.RxSettle + lplMaxStrobeSpacing
-	bs.probeTimeout = bs.k.Schedule(window, bs.onProbeExpiry)
+	bs.probeTimeout = bs.k.Schedule(lplProbeWindow(&bs.cfg.Profile), bs.onProbeExpiry)
 }
+
+// lplProbeWindow reports how long a probe on profile p listens: one full
+// strobe spacing once the receiver has settled.
+func lplProbeWindow(p *platform.Profile) sim.Time { return p.Radio.RxSettle + lplMaxStrobeSpacing }
 
 // onProbeIdle closes a silent sampling window: its receiver-on time is
 // the protocol's idle-listening cost.
 //
 //hot:path
 func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
-	if !bs.waking || bs.awaitingPayload {
+	if !bs.waking || bs.payload.open {
 		return
 	}
 	bs.waking = false
@@ -682,7 +617,7 @@ func (bs *LPLBS) onFrame(f packet.Frame) {
 // early ack that truncates the sender's train.
 func (bs *LPLBS) handleStrobe(s packet.Strobe) {
 	bs.stats.StrobesHeard++
-	if !bs.waking || bs.acking || bs.awaitingPayload {
+	if !bs.waking || bs.acking || bs.payload.open {
 		// A second sender's strobe during an already-open wake — or one
 		// caught in the ack-turnaround gap, before the radio commits to
 		// transmit: ignored; its train retries at the next probe.
@@ -696,7 +631,7 @@ func (bs *LPLBS) handleStrobe(s packet.Strobe) {
 // ackMayFly drops an early ack whose wake closed, or found a payload
 // window already open, during the turnaround.
 func (bs *LPLBS) ackMayFly(a owedAck) bool {
-	return a.kind != ackEarly || (bs.waking && !bs.awaitingPayload)
+	return a.kind != ackEarly || (bs.waking && !bs.payload.open)
 }
 
 // ackFlown ends the wake after the association ack, and otherwise
@@ -712,23 +647,23 @@ func (bs *LPLBS) ackFlown(a owedAck) {
 // openPayloadWindow holds the receiver on for the sender's cargo.
 func (bs *LPLBS) openPayloadWindow() {
 	bs.acking = false
-	bs.awaitingPayload = true
+	bs.payload.open = true
 	bs.listen()
-	bs.payloadTimeout = bs.k.Schedule(lplPayloadWait, bs.onPayloadExpiry)
+	bs.payload.timeout = bs.k.Schedule(lplPayloadWait, bs.onPayloadExpiry)
 }
 
 // onPayloadTimeout ends a wake whose sender went quiet.
 //
 //hot:path
 func (bs *LPLBS) onPayloadTimeout(*sim.Kernel) {
-	if bs.awaitingPayload {
+	if bs.payload.expire() {
 		bs.endWake()
 	}
 }
 
 func (bs *LPLBS) endWake() {
 	bs.acking = false
-	bs.awaitingPayload = false
+	bs.payload.open = false
 	bs.waking = false
 	if bs.radio.Mode() == radio.ModeRx {
 		bs.radio.PowerDown()
@@ -740,10 +675,12 @@ func (bs *LPLBS) endWake() {
 // A full task queue drops the assignment; the wake then ends as a
 // rejection does, and the node's SSR timeout retries.
 func (bs *LPLBS) handleSSR(ssr packet.SSR) {
-	if !bs.awaitingPayload {
+	if !bs.payload.open {
 		return
 	}
-	bs.k.Cancel(bs.payloadTimeout)
+	// The window stays open, without its timeout, until the
+	// association ack has flown.
+	bs.k.Cancel(bs.payload.timeout)
 	if !bs.requestSlot(ssr.NodeID, bs.slotAssigned) {
 		bs.endWake()
 	}
@@ -768,15 +705,14 @@ func (bs *LPLBS) handleRelease(rel packet.Release) { bs.retire(rel.NodeID) }
 // handleData accepts a member's payload (sender-ID header attribution),
 // acks it, and reopens the window for a burst continuation.
 func (bs *LPLBS) handleData(payload []byte) {
-	if !bs.awaitingPayload {
+	if !bs.payload.open {
 		return
 	}
 	node, payload, ok := bs.sender(payload)
 	if !ok {
 		return
 	}
-	bs.k.Cancel(bs.payloadTimeout)
-	bs.awaitingPayload = false
+	bs.payload.close(bs.k)
 	// The radio is committed to the data ack from here until the window
 	// reopens: a strobe caught in the gap must not start a second
 	// transmit (see handleStrobe's guard).
@@ -784,8 +720,3 @@ func (bs *LPLBS) handleData(payload []byte) {
 	bs.accept(node, payload)
 	bs.oweData(node, payload)
 }
-
-var (
-	_ NodeMAC = (*LPLNode)(nil)
-	_ BSMAC   = (*LPLBS)(nil)
-)

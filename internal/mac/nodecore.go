@@ -25,7 +25,7 @@ const (
 
 // NodeConfig parameterises a node-side MAC instance.
 type NodeConfig struct {
-	// Protocol selects the MAC from the registry.
+	// Protocol selects the MAC.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params  Params
@@ -98,9 +98,7 @@ type nodeCore struct {
 	ctrlBuf  []byte
 	ssrNonce uint16
 
-	ackOpenAt  sim.Time
-	ackTimeout sim.EventID
-	ackWaiting bool
+	ack rxWindow // the data frame's acknowledgement wait
 
 	// Graceful-degradation controls (battery lifecycle).
 	stretchEvery   int    // skip every this-many transmission opportunities (0 = off)
@@ -171,7 +169,7 @@ func (c *nodeCore) Generation() uint64 { return c.gen }
 func (c *nodeCore) ResetAccounting() {
 	c.stats = Stats{}
 	c.carrySent = 0
-	if c.ackWaiting {
+	if c.ack.open {
 		// A frame sent in the old epoch resolves in the new one.
 		c.carrySent = 1
 	}
@@ -236,7 +234,12 @@ func (c *nodeCore) join(slot int) {
 // rejoin all pass through here.
 func (c *nodeCore) leave(to nodeState) {
 	c.resetAccess()
-	c.closeAckWindow()
+	if c.ack.close(c.k) {
+		// The frame in flight can no longer be resolved: its ack would be
+		// ignored and its timeout must not fire against the fresh state.
+		// Counting it abandoned keeps the frame-conservation law exact.
+		c.stats.Abandoned++
+	}
 	c.noteLeftSlot()
 	c.state = to
 	c.slot = -1
@@ -399,25 +402,18 @@ func (c *nodeCore) dataFlown(expiry sim.Handler) {
 	}
 	c.stats.DataSent++
 	metrics.Record1(c.tracer, c.k.Now(), c.trace, metrics.KindDataTx, "len=%d", c.dataHeader+len(c.inFlight.payload))
-	c.ackWaiting = true
-	c.ackOpenAt = c.k.Now()
-	c.radio.SetRxAddresses(c.cfg.Plan.NodeAddr(c.cfg.NodeID))
-	c.radio.StartRx()
-	c.ackTimeout = c.k.Schedule(c.cfg.Profile.MAC.AckTimeout, expiry)
+	c.listenFor(&c.ack, c.cfg.Profile.MAC.AckTimeout, expiry)
 }
 
 // ackArrived closes the acknowledgement window on success and retires
 // the frame. It reports false when no window was open.
 func (c *nodeCore) ackArrived() bool {
-	if !c.ackWaiting {
+	if !c.ack.close(c.k) {
 		return false
 	}
 	now := c.k.Now()
-	c.ackWaiting = false
-	c.k.Cancel(c.ackTimeout)
-	c.radio.PowerDown()
-	c.accountControlRx(now - c.ackOpenAt)
-	c.tracer.Observe(c.trace, metrics.HistTxToAck, now-c.ackOpenAt)
+	c.endWindow(&c.ack)
+	c.tracer.Observe(c.trace, metrics.HistTxToAck, now-c.ack.at)
 	c.stats.DataAcked++
 	if c.hasInFlight {
 		c.finishInFlight()
@@ -431,13 +427,11 @@ func (c *nodeCore) ackArrived() bool {
 // and the frame is requeued at the front for a retry, or dropped once
 // its retries are exhausted. It reports false when no window was open.
 func (c *nodeCore) ackMissed() bool {
-	if !c.ackWaiting {
+	if !c.ack.expire() {
 		return false
 	}
 	now := c.k.Now()
-	c.ackWaiting = false
-	c.radio.PowerDown()
-	c.accountControlRx(now - c.ackOpenAt)
+	c.endWindow(&c.ack)
 	c.stats.AckMissed++
 	c.tracer.RecordID(now, c.trace, metrics.KindAckMissed, "")
 	if !c.hasInFlight {
@@ -459,18 +453,51 @@ func (c *nodeCore) ackMissed() bool {
 	return true
 }
 
-// closeAckWindow tears down a pending acknowledgement wait when the
-// protocol state that owned it is being reset (crash, rejoin, park).
-// The transmitted frame can no longer be resolved — its ack would be
-// ignored and its timeout must not fire against the fresh state — so it
-// is counted as abandoned, keeping the frame-conservation law exact.
-func (c *nodeCore) closeAckWindow() {
-	if !c.ackWaiting {
-		return
+// rxWindow is one timed listen: the receiver stays on from at until a
+// frame closes the window or its timeout expires. The node core's ack
+// wait, the beacon window and LPL's strobe gap and SSR wait are all one,
+// and so is the LPL base station's payload window.
+type rxWindow struct {
+	open    bool
+	at      sim.Time
+	timeout sim.EventID
+}
+
+// close ends the window before its timeout, which it cancels. It
+// reports whether the window was open.
+func (w *rxWindow) close(k *sim.Kernel) bool {
+	if !w.open {
+		return false
 	}
-	c.ackWaiting = false
-	c.k.Cancel(c.ackTimeout)
-	c.stats.Abandoned++
+	w.open = false
+	k.Cancel(w.timeout)
+	return true
+}
+
+// expire ends the window from its timeout handler. It reports whether
+// the window was open.
+func (w *rxWindow) expire() bool {
+	if !w.open {
+		return false
+	}
+	w.open = false
+	return true
+}
+
+// listenFor opens w on the node's own address for d; expiry is its
+// timeout handler.
+func (c *nodeCore) listenFor(w *rxWindow, d sim.Time, expiry sim.Handler) {
+	w.open, w.at = true, c.k.Now()
+	c.radio.SetRxAddresses(c.cfg.Plan.NodeAddr(c.cfg.NodeID))
+	c.radio.StartRx()
+	w.timeout = c.k.Schedule(d, expiry)
+}
+
+// endWindow powers the receiver down after w closed and charges its
+// listen time to the control overhead.
+func (c *nodeCore) endWindow(w *rxWindow) {
+	c.radio.PowerDown()
+	c.accountControlRx(c.k.Now() - w.at)
 }
 
 // accountControlRx charges a closed receive window to the control
@@ -497,7 +524,7 @@ func (c *nodeCore) chargeControlTx(n int) {
 // hold). Safe to call at any instant: the counters and the ack window
 // are updated atomically within each kernel event.
 func (c *nodeCore) AuditFrame() []string {
-	return AuditFrameStats(c.stats, c.carrySent, c.ackWaiting)
+	return AuditFrameStats(c.stats, c.carrySent, c.ack.open)
 }
 
 // AuditFrameStats is the pure form of the frame-conservation laws, over

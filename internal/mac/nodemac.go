@@ -157,29 +157,18 @@ func (m *NodeMac) scheduleSSR() {
 	// The whole SSR operation (prep, load, settle, burst) must finish
 	// before the next beacon listen window opens.
 	windowOpen := m.cycle - m.guard() - p.Radio.RxSettle
-	var lo, hi sim.Time
+	lastFire := windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
+	// Static: anywhere in the receive region after the SB slot.
+	lo, hi := m.slotDuration(), lastFire
 	if m.cfg.Protocol == ProtoDynamic {
 		// Random offset within the empty slot (ES), after the beacon.
 		lo = 2 * sim.Millisecond
-		hi = p.MAC.DynamicSlotDuration - ssrAir - p.Radio.TxSettle - 500*sim.Microsecond
-	} else {
-		// Static: anywhere in the receive region after the SB slot.
-		lo = m.slotDuration()
-		hi = windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
-	}
-	if hi > windowOpen-ssrAir-p.Radio.TxSettle-300*sim.Microsecond {
-		hi = windowOpen - ssrAir - p.Radio.TxSettle - 300*sim.Microsecond
-	}
-	if hi <= lo {
-		return // degenerate geometry; try next cycle
+		hi = min(p.MAC.DynamicSlotDuration-ssrAir-p.Radio.TxSettle-500*sim.Microsecond, lastFire)
 	}
 	// The transmit must start after preparation completes.
-	earliest := m.k.Now() - m.t0 + loadLead
-	if earliest > lo {
-		lo = earliest
-	}
+	lo = max(lo, m.k.Now()-m.t0+loadLead)
 	if hi <= lo {
-		return
+		return // degenerate geometry; try next cycle
 	}
 	off := lo + sim.Time(m.k.Rand().Int63n(int64(hi-lo)))
 	fireAt := m.t0 + m.local(off)
@@ -271,7 +260,7 @@ func (m *NodeMac) relPrepDue(k *sim.Kernel) {
 	if m.gen != arm.gen {
 		return // armed before a crash
 	}
-	if m.state != stateJoined || !m.releasePending || m.ackWaiting ||
+	if m.state != stateJoined || !m.releasePending || m.ack.open ||
 		m.loading || m.radio.Mode() == radio.ModeRx {
 		return // busy radio or pipeline; retry on the next beacon
 	}
@@ -367,7 +356,7 @@ func (m *NodeMac) takeAttempt(id uint64) bool {
 //
 //hot:path
 func (m *NodeMac) tryLoad() {
-	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ackWaiting || m.queue.Len() == 0 {
+	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ack.open || m.queue.Len() == 0 {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {

@@ -8,27 +8,33 @@ import (
 	"repro/internal/sim"
 )
 
-func TestProtocolRegistry(t *testing.T) {
+// TestProtocolSet checks the closed protocol set: Protocols lists it
+// sorted and without duplicates, Lookup resolves every entry and nothing
+// else, and NewNode/NewBaseMAC build every entry.
+func TestProtocolSet(t *testing.T) {
 	got := Protocols()
-	want := []Protocol{ProtoCSMA, ProtoDynamic, ProtoLPL, ProtoStatic}
-	if len(got) != len(want) {
-		t.Fatalf("Protocols() = %v", got)
+	if len(got) != 4 {
+		t.Fatalf("Protocols() = %v, want the four protocols", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Protocols() = %v, want %v", got, want)
+	for i := 1; i < len(got); i++ {
+		if got[i-1] >= got[i] {
+			t.Fatalf("Protocols() = %v is not sorted and unique", got)
 		}
 	}
 	if _, ok := Lookup("aloha"); ok {
-		t.Fatalf("Lookup accepted an unregistered protocol")
+		t.Fatalf("Lookup accepted an unknown protocol")
 	}
 	for _, p := range got {
 		d, ok := Lookup(p)
-		if !ok || d.Name != p || d.NewNode == nil || d.NewBS == nil || d.Validate == nil {
+		if !ok || d.Name != p || d.Validate == nil {
 			t.Fatalf("descriptor for %q incomplete: %+v", p, d)
 		}
 		if err := d.Validate(Params{}); err != nil {
 			t.Fatalf("%q rejects the zero Params: %v", p, err)
+		}
+		r := newProtoRig(t, p, Params{}, 30*sim.Millisecond, 1)
+		if r.bs == nil || r.addNode(1, p, Params{}) == nil {
+			t.Fatalf("%q: NewBaseMAC/NewNode built nothing", p)
 		}
 	}
 	if Static.Protocol() != ProtoStatic || Dynamic.Protocol() != ProtoDynamic {
@@ -75,6 +81,9 @@ func TestParamValidators(t *testing.T) {
 		{ProtoLPL, Params{CheckInterval: -sim.Millisecond}, false},
 		{ProtoLPL, Params{CheckInterval: 2 * sim.Second}, false},
 		{ProtoLPL, Params{MaxBE: 5}, false},
+		{ProtoLPL, Params{CheckInterval: sim.Nanosecond}, false},
+		{ProtoLPL, Params{CheckInterval: 2 * sim.Millisecond}, false}, // shorter than a probe
+		{ProtoLPL, Params{CheckInterval: 3 * sim.Millisecond}, true},
 	}
 	for i, c := range cases {
 		d, _ := Lookup(c.proto)
@@ -464,8 +473,8 @@ func TestLPLNoisyAcks(t *testing.T) {
 	}
 }
 
-// TestTDMAViaRegistry drives both TDMA flavours through the registry
-// factories and the strategy interface — the same construction path
+// TestTDMAViaRegistry drives both TDMA flavours through NewNode and
+// NewBaseMAC and the strategy interface — the same construction path
 // every other protocol takes — including the protocol-audit entry
 // points the TDMA types inherit.
 func TestTDMAViaRegistry(t *testing.T) {
@@ -542,11 +551,11 @@ func TestCrashWhileAckPending(t *testing.T) {
 			pending := func() bool {
 				switch n := n1.(type) {
 				case *NodeMac:
-					return n.ackWaiting
+					return n.ack.open
 				case *CSMANode:
-					return n.ackWaiting
+					return n.ack.open
 				case *LPLNode:
-					return n.ackWaiting
+					return n.ack.open
 				}
 				return false
 			}

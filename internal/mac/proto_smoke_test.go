@@ -14,8 +14,8 @@ import (
 	"repro/internal/tinyos"
 )
 
-// protoRig assembles a BS plus sensor nodes for any registered protocol,
-// through the registry factories (the same path core.Run takes).
+// protoRig assembles a BS plus sensor nodes for any protocol, through
+// NewBaseMAC and NewNode (the same path core.Run takes).
 type protoRig struct {
 	t       *testing.T
 	k       *sim.Kernel

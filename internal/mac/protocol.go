@@ -2,18 +2,19 @@ package mac
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/energy"
 	"repro/internal/metrics"
+	"repro/internal/platform"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/tinyos"
 )
 
-// Protocol names a registered MAC protocol. The two TDMA flavours keep
-// the names the scenario schema has always used; the contention
-// protocols extend the set.
+// Protocol names a MAC protocol of the closed set below: adding one means
+// adding a constant and a case to every switch exhaustcap names. The two
+// TDMA flavours keep the names the scenario schema has always used; the
+// contention protocols extend the set.
 //
 //lint:exhaustive
 type Protocol string
@@ -87,7 +88,7 @@ const maxLPLCheckInterval = sim.Second
 
 // NodeMAC is the full node-side strategy interface: the application's
 // Mac view plus the lifecycle, degradation and audit hooks the node and
-// core layers drive. Every registered protocol implements it.
+// core layers drive. Every protocol implements it.
 type NodeMAC interface {
 	Mac
 	// Crash models a node power loss: all protocol state is forgotten
@@ -143,67 +144,61 @@ type BSMAC interface {
 	AuditTable() []string
 }
 
-// Descriptor registers one protocol with the zoo: its capability flags,
-// parameter validation, and the two factories.
+// Descriptor describes one protocol of the zoo: its capability flags and
+// its parameter validation.
 type Descriptor struct {
 	Name Protocol
 	Caps Capabilities
 	// Validate rejects out-of-range or foreign Params for this
 	// protocol. The zero Params is always valid.
 	Validate func(p Params) error
-	// NewNode and NewBS build the two sides over the shared stack.
-	NewNode func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC
-	NewBS func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC
-}
-
-var registry = map[Protocol]Descriptor{}
-
-// register adds a protocol at package init; duplicate names are a
-// programming error.
-func register(d Descriptor) {
-	if _, dup := registry[d.Name]; dup {
-		panic(fmt.Sprintf("mac: protocol %q registered twice", d.Name))
-	}
-	registry[d.Name] = d
 }
 
 // Lookup resolves a protocol name.
 func Lookup(name Protocol) (Descriptor, bool) {
-	d, ok := registry[name]
-	return d, ok
-}
-
-// Protocols lists the registered protocol names, sorted.
-func Protocols() []Protocol {
-	out := make([]Protocol, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	d := Descriptor{Name: name}
+	switch name {
+	case ProtoStatic, ProtoDynamic:
+		d.Caps, d.Validate = Capabilities{Slotted: true, Beacons: true}, validateTDMAParams
+	case ProtoCSMA:
+		d.Caps, d.Validate = Capabilities{Contention: true, Beacons: true}, validateCSMAParams
+	case ProtoLPL:
+		d.Caps, d.Validate = Capabilities{Contention: true}, validateLPLParams
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return d, d.Validate != nil
 }
 
-// NewNode builds the node-side MAC for cfg's protocol via the registry.
+// Protocols lists the protocol names, sorted.
+func Protocols() []Protocol { return []Protocol{ProtoCSMA, ProtoDynamic, ProtoLPL, ProtoStatic} }
+
+// NewNode builds the node-side MAC for cfg's protocol. cfg.Params must
+// have passed the protocol's Validate, as core.Config.Validate ensures.
 func NewNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-	d, ok := Lookup(cfg.Protocol)
-	if !ok {
-		panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
+	switch cfg.Protocol {
+	case ProtoStatic, ProtoDynamic:
+		return NewNodeMac(k, cfg, sched, r, ledger, tracer)
+	case ProtoCSMA:
+		return NewCSMANode(k, cfg, sched, r, ledger, tracer)
+	case ProtoLPL:
+		return NewLPLNode(k, cfg, sched, r, ledger, tracer)
 	}
-	return d.NewNode(k, cfg, sched, r, ledger, tracer)
+	panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
 }
 
-// NewBaseMAC builds the base-station MAC for cfg's protocol via the
-// registry.
+// NewBaseMAC builds the base-station MAC for cfg's protocol. cfg.Params
+// must have passed the protocol's Validate.
 func NewBaseMAC(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-	d, ok := Lookup(cfg.Protocol)
-	if !ok {
-		panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
+	switch cfg.Protocol {
+	case ProtoStatic, ProtoDynamic:
+		return NewBS(k, cfg, sched, r, ledger, tracer)
+	case ProtoCSMA:
+		return NewCSMABS(k, cfg, sched, r, ledger, tracer)
+	case ProtoLPL:
+		return NewLPLBS(k, cfg, sched, r, ledger, tracer)
 	}
-	return d.NewBS(k, cfg, sched, r, ledger, tracer)
+	panic(fmt.Sprintf("mac: unknown protocol %q", cfg.Protocol))
 }
 
 // validateTDMAParams rejects any contention tuning on a TDMA protocol:
@@ -222,24 +217,14 @@ func validateCSMAParams(p Params) error {
 	if p.CheckInterval != 0 {
 		return fmt.Errorf("mac: checkInterval is an LPL parameter, not a CSMA one")
 	}
-	if p.MinBE < 0 || p.MaxBE < 0 || p.MaxBackoffs < 0 {
-		return fmt.Errorf("mac: negative CSMA backoff parameter")
+	if p.MinBE < 0 || p.MaxBE < 0 || p.MinBE > maxBackoffExponent || p.MaxBE > maxBackoffExponent {
+		return fmt.Errorf("mac: backoff exponents %d/%d outside 0..%d", p.MinBE, p.MaxBE, maxBackoffExponent)
 	}
-	if p.MinBE > maxBackoffExponent || p.MaxBE > maxBackoffExponent {
-		return fmt.Errorf("mac: backoff exponent beyond %d", maxBackoffExponent)
+	if d := csmaDefaults(p); d.MinBE > d.MaxBE {
+		return fmt.Errorf("mac: MinBE %d above MaxBE %d", d.MinBE, d.MaxBE)
 	}
-	minBE, maxBE := p.MinBE, p.MaxBE
-	if minBE == 0 {
-		minBE = defaultMinBE
-	}
-	if maxBE == 0 {
-		maxBE = defaultMaxBE
-	}
-	if minBE > maxBE {
-		return fmt.Errorf("mac: MinBE %d above MaxBE %d", minBE, maxBE)
-	}
-	if p.MaxBackoffs > maxCSMABackoffs {
-		return fmt.Errorf("mac: MaxBackoffs %d beyond %d", p.MaxBackoffs, maxCSMABackoffs)
+	if p.MaxBackoffs < 0 || p.MaxBackoffs > maxCSMABackoffs {
+		return fmt.Errorf("mac: MaxBackoffs %d outside 0..%d", p.MaxBackoffs, maxCSMABackoffs)
 	}
 	return nil
 }
@@ -249,62 +234,35 @@ func validateLPLParams(p Params) error {
 	if p.MinBE != 0 || p.MaxBE != 0 || p.MaxBackoffs != 0 {
 		return fmt.Errorf("mac: backoff exponents are CSMA parameters, not LPL ones")
 	}
-	if p.CheckInterval < 0 {
-		return fmt.Errorf("mac: negative LPL check interval %v", p.CheckInterval)
-	}
-	if p.CheckInterval > maxLPLCheckInterval {
-		return fmt.Errorf("mac: LPL check interval %v beyond %v", p.CheckInterval, maxLPLCheckInterval)
+	// An interval shorter than the probe window only skips probes.
+	bs := platform.BaseStation()
+	probe := lplProbeWindow(&bs)
+	if p.CheckInterval != 0 && (p.CheckInterval < probe || p.CheckInterval > maxLPLCheckInterval) {
+		return fmt.Errorf("mac: LPL check interval %v outside %v (one probe window) to %v",
+			p.CheckInterval, probe, maxLPLCheckInterval)
 	}
 	return nil
 }
 
-func init() {
-	newTDMANode := func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-		return NewNodeMac(k, cfg, sched, r, ledger, tracer)
+// csmaDefaults fills the zero backoff fields of p with the defaults.
+func csmaDefaults(p Params) Params {
+	if p.MinBE == 0 {
+		p.MinBE = defaultMinBE
 	}
-	newTDMABS := func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-		ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-		return NewBS(k, cfg, sched, r, ledger, tracer)
+	if p.MaxBE == 0 {
+		p.MaxBE = defaultMaxBE
 	}
-	for _, name := range []Protocol{ProtoStatic, ProtoDynamic} {
-		register(Descriptor{
-			Name:     name,
-			Caps:     Capabilities{Slotted: true, Beacons: true},
-			Validate: validateTDMAParams,
-			NewNode:  newTDMANode,
-			NewBS:    newTDMABS,
-		})
+	if p.MaxBackoffs == 0 {
+		p.MaxBackoffs = defaultMaxBackoffs
 	}
-	register(Descriptor{
-		Name:     ProtoCSMA,
-		Caps:     Capabilities{Contention: true, Beacons: true},
-		Validate: validateCSMAParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-			return NewCSMANode(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-			return NewCSMABS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
-	register(Descriptor{
-		Name:     ProtoLPL,
-		Caps:     Capabilities{Contention: true},
-		Validate: validateLPLParams,
-		NewNode: func(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) NodeMAC {
-			return NewLPLNode(k, cfg, sched, r, ledger, tracer)
-		},
-		NewBS: func(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
-			ledger *energy.Ledger, tracer *metrics.Recorder) BSMAC {
-			return NewLPLBS(k, cfg, sched, r, ledger, tracer)
-		},
-	})
+	return p
 }
 
-var (
-	_ NodeMAC = (*NodeMac)(nil)
-	_ BSMAC   = (*BS)(nil)
-)
+// lplCheckInterval resolves p's sampling period: zero selects
+// DefaultLPLCheckInterval.
+func lplCheckInterval(p Params) sim.Time {
+	if p.CheckInterval == 0 {
+		return DefaultLPLCheckInterval
+	}
+	return p.CheckInterval
+}

@@ -31,9 +31,9 @@ func deliverZeroCycleBeacon(t *testing.T, n NodeMAC) {
 func windowOpen(n NodeMAC) bool {
 	switch m := n.(type) {
 	case *NodeMac:
-		return m.windowActive
+		return m.window.open
 	case *CSMANode:
-		return m.windowActive
+		return m.window.open
 	}
 	return false
 }
