@@ -16,6 +16,25 @@ func BenchmarkSampleAt(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleAtShared replays the access pattern of core.Run: five
+// nodes sharing one generator, each sampling both channels from its own
+// start offset, so four of every five lookups hit the memo. One op is one
+// sample.
+func BenchmarkSampleAtShared(b *testing.B) {
+	b.ReportAllocs()
+	g := NewGenerator(Params{HeartRateBPM: 75, JitterFrac: 0.02, NoiseAmp: 0.02, BaselineAmp: 0.05, Seed: 1})
+	offsets := [...]int64{0, 3, 17, 40, 41}
+	n := 0
+	for step := int64(0); n < b.N; step++ {
+		for _, off := range offsets {
+			for ch := 0; ch < 2; ch++ {
+				g.SampleAt(ch, step+off, 205)
+				n++
+			}
+		}
+	}
+}
+
 // BenchmarkDetectorPush measures the streaming R-peak detector.
 func BenchmarkDetectorPush(b *testing.B) {
 	b.ReportAllocs()

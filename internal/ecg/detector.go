@@ -15,7 +15,9 @@ import "repro/internal/codec"
 // back below half the threshold, which rejects the T wave and noise
 // spikes. A refractory period of 250 ms suppresses double detection.
 type Detector struct {
-	fs float64
+	// per-rate constants, fixed at construction.
+	alpha      float64 // baseline EMA weight, ~1.6 s time constant
+	refractory int64   // samples suppressed after a beat
 
 	// baseline removal: exponential moving average of the raw signal.
 	baseline    float64
@@ -46,9 +48,10 @@ func NewDetector(fs float64) *Detector {
 		panic("ecg: detector sampling rate must be positive")
 	}
 	return &Detector{
-		fs:       fs,
-		peakEMA:  0.3, // bootstrap estimate; adapts within a few beats
-		lastBeat: -1 << 62,
+		alpha:      1.0 / (1.6 * fs),
+		refractory: int64(refractorySeconds * fs),
+		peakEMA:    0.3, // bootstrap estimate; adapts within a few beats
+		lastBeat:   -1 << 62,
 	}
 }
 
@@ -67,12 +70,10 @@ func (d *Detector) Push(s codec.Sample) int {
 		d.baseline = x
 		d.baselineSet = true
 	}
-	alpha := 1.0 / (1.6 * d.fs)
-	d.baseline += alpha * (x - d.baseline)
+	d.baseline += float64(d.alpha * (x - d.baseline))
 	v := x - d.baseline
 
 	thr := 0.5 * d.peakEMA
-	refractory := int64(refractorySeconds * d.fs)
 
 	if d.inPeak {
 		if v > d.peakVal {
@@ -85,7 +86,7 @@ func (d *Detector) Push(s codec.Sample) int {
 			d.lastBeat = d.peakIdx
 			d.beats++
 			// Adapt the amplitude estimate toward the confirmed peak.
-			d.peakEMA += 0.25 * (d.peakVal - d.peakEMA)
+			d.peakEMA += float64(0.25 * (d.peakVal - d.peakEMA))
 			lag := int(i - d.peakIdx)
 			if lag < 1 {
 				lag = 1
@@ -95,7 +96,7 @@ func (d *Detector) Push(s codec.Sample) int {
 		return 0
 	}
 
-	if v > thr && i-d.lastBeat > refractory {
+	if v > thr && i-d.lastBeat > d.refractory {
 		d.inPeak = true
 		d.peakVal = v
 		d.peakIdx = i

@@ -9,6 +9,12 @@
 // jitter, measurement noise and baseline wander. Only the beat rate and
 // the per-sample compute path matter to the energy experiments, which the
 // synthetic signal reproduces exactly.
+//
+// Every float64(x*y) conversion around a product that is then added is
+// the Go spec's way to round the product on its own: it stops a platform
+// that has them (arm64) from fusing the pair into one multiply-add, which
+// rounds once and could move a sample, so every platform computes the
+// same samples and beats.
 package ecg
 
 import (
@@ -26,13 +32,26 @@ type wave struct {
 }
 
 // pqrst is the canonical beat morphology (amplitudes relative to R).
-var pqrst = []wave{
+var pqrst = [...]wave{
 	{offset: -0.200, amp: 0.15, sigma: 0.025},  // P
 	{offset: -0.025, amp: -0.12, sigma: 0.010}, // Q
 	{offset: 0.000, amp: 1.00, sigma: 0.011},   // R
 	{offset: 0.025, amp: -0.20, sigma: 0.010},  // S
 	{offset: 0.220, amp: 0.30, sigma: 0.045},   // T
 }
+
+// cutSigmas is the distance, in standard deviations, beyond which
+// ValueAt skips a wave.
+const cutSigmas = 8
+
+// pqrstCut holds each pqrst wave's squared cut-off distance, (cutSigmas·σ)².
+var pqrstCut = func() (cut [len(pqrst)]float64) {
+	for j, w := range pqrst {
+		c := cutSigmas * w.sigma
+		cut[j] = c * c
+	}
+	return cut
+}()
 
 // Params configures a generator.
 type Params struct {
@@ -59,9 +78,10 @@ type Params struct {
 // reproducible regardless of event interleaving.
 //
 // A run shares one generator across its nodes, so every node and
-// channel asks for the same sample instants; SampleAt memoises the clean
-// signal per instant in a small direct-mapped table and evaluates the
-// sum of Gaussians once per instant instead of once per node and
+// channel asks for the same sample instants; SampleAt memoises each
+// instant's clean value and the quantised samples of channels 0 and 1 in
+// a small direct-mapped table, so the sum of Gaussians, the noise hash
+// and the quantiser run once per instant instead of once per node and
 // channel. The memo makes a Generator unsafe for concurrent use: give
 // each goroutine its own.
 type Generator struct {
@@ -70,17 +90,28 @@ type Generator struct {
 	memo   []memoEntry // allocated on the first SampleAt
 }
 
-// memoSize is the number of entries in the clean-signal memo (a power of
-// two). Nodes start sampling a few cycles apart, so their sample indices
-// trail each other by tens of instants; 1024 entries cover about five
-// seconds at the paper's highest rate.
-const memoSize = 1024
+// memoSize is the number of entries in the sample memo (a power of two).
+// Nodes start sampling a few cycles apart, so their sample indices trail
+// each other by tens of instants; 512 entries cover 2.5 s at the paper's
+// highest rate, in 16 KiB.
+const memoSize = 512
 
-// memoEntry caches ValueAt(t) under the bit pattern of t. The empty key
-// is the bit pattern of NaN, which no sample instant has.
+// memoChannels is the number of channels whose quantised samples the memo
+// holds; SampleAt computes higher channels from the memoised clean value.
+const memoChannels = 2
+
+// memoEntry caches one sample instant under the bit pattern of t and the
+// sample index i: the clean value ValueAt(t) and, for each channel whose
+// bit is set in filled, its quantised sample. The key holds i because the
+// noise hashes i, so one instant reached at two rates has two sets of
+// samples. The empty key is the bit pattern of NaN, which no sample
+// instant has.
 type memoEntry struct {
-	key uint64
-	v   float64
+	key    uint64
+	i      int64
+	v      float64
+	s      [memoChannels]codec.Sample
+	filled uint8
 }
 
 // emptyKey marks an unused memo entry.
@@ -109,17 +140,19 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// unit maps a hash to [-1, 1).
+// unit maps a hash to [-1, 1). Dividing by 2^52 scales exactly as
+// dividing by 2^53 and doubling would, without a doubling that the
+// compiler turns into an add and fuses.
 func unit(x uint64) float64 {
-	return float64(x>>11)/float64(1<<53)*2 - 1
+	return float64(float64(x>>11)/float64(1<<52)) - 1
 }
 
 // beatTime reports the R-peak instant of beat k (k may be negative).
 func (g *Generator) beatTime(k int64) float64 {
-	t := (float64(k) + 0.5) * g.period
+	t := float64((float64(k) + 0.5) * g.period)
 	if g.p.JitterFrac > 0 {
 		j := unit(splitmix64(uint64(k) ^ uint64(g.p.Seed)))
-		t += j * g.p.JitterFrac * g.period
+		t += float64(j * g.p.JitterFrac * g.period)
 	}
 	return t
 }
@@ -127,18 +160,29 @@ func (g *Generator) beatTime(k int64) float64 {
 // ValueAt evaluates the clean signal (morphology + baseline wander,
 // without measurement noise) at time t seconds, in R-peak-relative units
 // scaled by Amplitude.
+//
+// A wave whose centre lies more than cutSigmas (8) standard deviations
+// from t is skipped. Each skipped term is below |amp|·e^(−32) ≈ 1.3·10⁻¹⁴
+// with |amp| ≤ 1, and at most 15 are skipped, so together they are below
+// 10⁻⁹ of one 12-bit LSB after scaling: a quantised sample can differ
+// from the full sum only if its exact value lies that close to a
+// quantisation boundary.
 func (g *Generator) ValueAt(t float64) float64 {
 	k := int64(math.Floor(t / g.period))
 	var v float64
 	// Neighbouring beats can contribute through their P/T tails.
 	for dk := int64(-1); dk <= 1; dk++ {
 		r := g.beatTime(k + dk)
-		for _, w := range pqrst {
+		for j := range pqrst {
+			w := &pqrst[j]
 			d := t - (r + w.offset)
-			v += w.amp * math.Exp(-d*d/(2*w.sigma*w.sigma))
+			if d*d > pqrstCut[j] {
+				continue
+			}
+			v += float64(w.amp * math.Exp(-d*d/(2*w.sigma*w.sigma)))
 		}
 	}
-	v += g.p.BaselineAmp * math.Sin(2*math.Pi*0.3*t)
+	v += float64(g.p.BaselineAmp * math.Sin(2*math.Pi*0.3*t))
 	return v * g.p.Amplitude
 }
 
@@ -147,32 +191,49 @@ func (g *Generator) ValueAt(t float64) float64 {
 // noise. Distinct channels see the same heart with decorrelated noise.
 func (g *Generator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
-	v := g.clean(i, t)
+	e := g.entry(i, t)
+	if e == nil {
+		return g.sample(ch, i, g.ValueAt(t))
+	}
+	if uint(ch) >= memoChannels {
+		return g.sample(ch, i, e.v)
+	}
+	if bit := uint8(1) << ch; e.filled&bit == 0 {
+		e.s[ch] = g.sample(ch, i, e.v)
+		e.filled |= bit
+	}
+	return e.s[ch]
+}
+
+// sample adds channel ch's noise at index i to the clean value v and
+// quantises the sum.
+func (g *Generator) sample(ch int, i int64, v float64) codec.Sample {
 	if g.p.NoiseAmp > 0 {
 		h := splitmix64(uint64(i)*2654435761 ^ uint64(ch)<<32 ^ uint64(g.p.Seed))
-		v += unit(h) * g.p.NoiseAmp * g.p.Amplitude
+		v += float64(unit(h) * g.p.NoiseAmp * g.p.Amplitude)
 	}
 	return codec.Quantize(v)
 }
 
-// clean is ValueAt(t) through the memo. Sample i of any rate lands in
-// entry i mod memoSize, so consecutive instants never evict each other;
-// two rates sharing the generator (a downshifted node beside full-rate
-// ones) only cost each other misses, never a wrong value, because the
-// key is t itself.
-func (g *Generator) clean(i int64, t float64) float64 {
+// entry returns the memo entry of sample i at instant t, holding
+// ValueAt(t), or nil when t is the empty key. Sample i of any rate lands
+// in entry i mod memoSize, so consecutive instants never evict each
+// other; two rates sharing the generator (a downshifted node beside
+// full-rate ones) only cost each other misses, never a wrong sample,
+// because the key is (t, i) itself.
+func (g *Generator) entry(i int64, t float64) *memoEntry {
 	if g.memo == nil {
 		g.initMemo()
 	}
 	key := math.Float64bits(t)
 	if key == emptyKey {
-		return g.ValueAt(t)
+		return nil
 	}
 	e := &g.memo[uint64(i)&(memoSize-1)]
-	if e.key != key {
-		e.key, e.v = key, g.ValueAt(t)
+	if e.key != key || e.i != i {
+		*e = memoEntry{key: key, i: i, v: g.ValueAt(t)}
 	}
-	return e.v
+	return e
 }
 
 // initMemo allocates the memo on the generator's first sample, so a run

@@ -83,6 +83,54 @@ func TestValueDeterministicAndOrderFree(t *testing.T) {
 	}
 }
 
+// valueAtFull is ValueAt without the cut-off: all 15 Gaussians, in the
+// same order and with the same expressions. It is the reference the
+// pruned evaluation must reproduce.
+func valueAtFull(g *Generator, t float64) float64 {
+	k := int64(math.Floor(t / g.period))
+	var v float64
+	for dk := int64(-1); dk <= 1; dk++ {
+		r := g.beatTime(k + dk)
+		for _, w := range pqrst {
+			d := t - (r + w.offset)
+			v += float64(w.amp * math.Exp(-d*d/(2*w.sigma*w.sigma)))
+		}
+	}
+	v += float64(g.p.BaselineAmp * math.Sin(2*math.Pi*0.3*t))
+	return v * g.p.Amplitude
+}
+
+// TestPrunedSamplesMatchFullEvaluation checks that skipping far waves
+// changes no quantised sample, on a grid of heart rates from 40 to 180
+// bpm, the sampling rates the simulator, the soak corpus and the tables
+// use, several seeds and both channels, and that every clean value stays
+// within the bound ValueAt documents: 10⁻⁹ of one LSB.
+func TestPrunedSamplesMatchFullEvaluation(t *testing.T) {
+	const seconds = 40
+	bound := 1e-9 * 2 / float64(codec.MaxSample)
+	for _, seed := range []int64{1, 2, 3, 4} {
+		for _, bpm := range []float64{40, 60, 75, 90, 120, 180} {
+			p := Params{HeartRateBPM: bpm, JitterFrac: 0.02, NoiseAmp: 0.02, BaselineAmp: 0.05, Seed: seed}
+			for _, fs := range []float64{55, 100, 102.5, 105, 128, 200, 205, 250} {
+				g := NewGenerator(p)
+				for i := int64(0); i < int64(seconds*fs); i++ {
+					at := float64(i) / fs
+					full := valueAtFull(g, at)
+					if diff := math.Abs(g.ValueAt(at) - full); diff > bound {
+						t.Fatalf("seed %d, %g bpm, t=%v: pruned value is %g from the full sum, above %g", seed, bpm, at, diff, bound)
+					}
+					for ch := 0; ch < 2; ch++ {
+						if got, want := g.SampleAt(ch, i, fs), g.sample(ch, i, full); got != want {
+							t.Fatalf("seed %d, %g bpm, %g Hz, sample %d ch %d = %d, full evaluation says %d",
+								seed, bpm, fs, i, ch, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestChannelsDecorrelatedNoise(t *testing.T) {
 	g := NewGenerator(Params{HeartRateBPM: 75, NoiseAmp: 0.05, Seed: 3})
 	same := 0

@@ -56,14 +56,17 @@ const (
 // phase derives a deterministic per-channel, per-band phase offset.
 func (g *EEGGenerator) phase(ch int, band int) float64 {
 	h := splitmix64(uint64(ch)*0x9E37 ^ uint64(band)<<16 ^ uint64(g.p.Seed))
-	return float64(h>>11) / float64(1<<53) * 2 * math.Pi
+	// Dividing by 2^52 is unit's exact halving-and-doubling; the
+	// conversion keeps an inlined caller from fusing the product into its
+	// add (see the package comment).
+	return float64(float64(h>>11) / float64(1<<52) * math.Pi)
 }
 
 // ValueAt evaluates channel ch's clean signal at time t seconds.
 func (g *EEGGenerator) ValueAt(ch int, t float64) float64 {
-	v := g.p.AlphaAmp*math.Sin(2*math.Pi*alphaHz*t+g.phase(ch, 0)) +
-		g.p.ThetaAmp*math.Sin(2*math.Pi*thetaHz*t+g.phase(ch, 1)) +
-		g.p.BetaAmp*math.Sin(2*math.Pi*betaHz*t+g.phase(ch, 2))
+	v := float64(g.p.AlphaAmp*math.Sin(float64(2*math.Pi*alphaHz*t)+g.phase(ch, 0))) +
+		float64(g.p.ThetaAmp*math.Sin(float64(2*math.Pi*thetaHz*t)+g.phase(ch, 1))) +
+		float64(g.p.BetaAmp*math.Sin(float64(2*math.Pi*betaHz*t)+g.phase(ch, 2)))
 	return v * g.p.Amplitude
 }
 
@@ -74,7 +77,7 @@ func (g *EEGGenerator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	v := g.ValueAt(ch, t)
 	if g.p.NoiseAmp > 0 {
 		h := splitmix64(uint64(i)*0x85EBCA77 ^ uint64(ch)<<40 ^ uint64(g.p.Seed)<<8)
-		v += unit(h) * g.p.NoiseAmp * g.p.Amplitude
+		v += float64(unit(h) * g.p.NoiseAmp * g.p.Amplitude)
 	}
 	return codec.Quantize(v)
 }

@@ -1,9 +1,11 @@
 package ecg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"repro/internal/codec"
 )
 
 func memoParams() Params {
@@ -69,14 +71,46 @@ func TestMemoCollidingIndices(t *testing.T) {
 	}
 }
 
-// TestMemoHitsSharedInstants checks the memo does its job: once an
-// instant is in the table, asking for it again reads the table instead
-// of re-evaluating the sum of Gaussians.
+// TestMemoHitsSharedInstants checks the memo does its job: once a
+// channel's sample of an instant is in the table, asking for it again
+// reads the table instead of re-evaluating the signal, the noise and the
+// quantiser.
 func TestMemoHitsSharedInstants(t *testing.T) {
 	g := NewGenerator(memoParams())
-	g.SampleAt(0, 7, 205)
-	g.memo[7].v = 0.5 // plant a marker the signal never yields there
-	if got := g.clean(7, 7.0/205); math.Float64bits(got) != math.Float64bits(0.5) {
-		t.Fatalf("memoised instant recomputed: got %v, want the cached 0.5", got)
+	for ch := 0; ch < memoChannels; ch++ {
+		g.SampleAt(ch, 7, 205)
+		e := &g.memo[7]
+		e.s[ch] = codec.MaxSample + 1 // plant a marker the quantiser never yields
+		if got := g.SampleAt(ch, 7, 205); got != codec.MaxSample+1 {
+			t.Fatalf("memoised sample of ch %d recomputed: got %d, want the cached marker", ch, got)
+		}
+	}
+}
+
+// TestMemoKeysOnIndex covers two sample indices that name the same
+// instant at different rates and share a table entry: i=memoSize at
+// 100 Hz and i=2·memoSize at 200 Hz are both t = 5.12 s in entry 0. The
+// noise hashes i, so each must get its own samples.
+func TestMemoKeysOnIndex(t *testing.T) {
+	shared := NewGenerator(memoParams())
+	pairs := []struct {
+		i  int64
+		fs float64
+	}{{memoSize, 100}, {2 * memoSize, 200}, {memoSize, 100}}
+	for _, p := range pairs {
+		for ch := 0; ch < memoChannels; ch++ {
+			if got, want := uint16(shared.SampleAt(ch, p.i, p.fs)), sampleFresh(ch, p.i, p.fs); got != want {
+				t.Fatalf("sample %d at %g Hz ch %d = %d, fresh generator says %d", p.i, p.fs, ch, got, want)
+			}
+		}
+	}
+}
+
+// TestMemoFootprint holds the memo to 16 KiB, the size at which the
+// per-run allocation it adds stays within the benchmark's bytes/event
+// bound.
+func TestMemoFootprint(t *testing.T) {
+	if got := memoSize * unsafe.Sizeof(memoEntry{}); got > 16<<10 {
+		t.Fatalf("memo is %d bytes, want at most 16 KiB", got)
 	}
 }
