@@ -123,8 +123,7 @@ type Stats struct {
 }
 
 type transmission struct {
-	from  Transceiver
-	src   int // from's path-table index
+	port  int // the sender's attach index
 	image []byte
 	start sim.Time
 	end   sim.Time
@@ -182,9 +181,10 @@ func New(k *sim.Kernel) *Channel {
 	return &Channel{k: k, byName: make(map[string]int)}
 }
 
-// Attach adds a radio to the medium. IDs must be unique. Paths already
-// set for the radio's ID apply to it.
-func (c *Channel) Attach(t Transceiver) {
+// Attach adds a radio to the medium and returns its port, the attach
+// index the radio names itself by in BeginTx and AbortTx. IDs must be
+// unique. Paths already set for the radio's ID apply to it.
+func (c *Channel) Attach(t Transceiver) int {
 	id := t.ChannelID()
 	i := c.indexOf(id)
 	if slices.Contains(c.row, i) {
@@ -192,6 +192,7 @@ func (c *Channel) Attach(t Transceiver) {
 	}
 	c.nodes = append(c.nodes, t)
 	c.row = append(c.row, i)
+	return len(c.nodes) - 1
 }
 
 // indexOf returns name's path-table index, numbering a new name and
@@ -272,14 +273,14 @@ func (c *Channel) SetJamming(active bool) {
 	}
 }
 
-// AbortTx marks every in-flight frame from the given radio as truncated:
+// AbortTx marks every in-flight frame from the given port as truncated:
 // the transmitter died mid-burst, so the partial frame fails every
 // receiver's CRC. Delivery timing is unchanged (listeners were committed
 // to the frame's airtime either way).
-func (c *Channel) AbortTx(from Transceiver) {
+func (c *Channel) AbortTx(port int) {
 	now := c.k.Now()
 	for _, tx := range c.active {
-		if tx.from == from && tx.end > now && tx.cause == Clean {
+		if tx.port == port && tx.end > now && tx.cause == Clean {
 			tx.cause = Truncated
 			c.stats.Truncated++
 		}
@@ -289,15 +290,18 @@ func (c *Channel) AbortTx(from Transceiver) {
 // Stats returns a copy of the medium counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// BeginTx puts a frame on the air from the given radio for the given
-// airtime. Any temporal overlap with another in-flight frame corrupts
-// both (single interference domain). Delivery to each listening radio
-// happens at end-of-frame.
+// BeginTx puts a frame on the air from the radio attached at port for
+// the given airtime. Any temporal overlap with another in-flight frame
+// corrupts both (single interference domain). Delivery to each listening
+// radio happens at end-of-frame.
 //
 //hot:path
-func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
+func (c *Channel) BeginTx(port int, image []byte, airtime sim.Time) {
 	if airtime <= 0 {
 		panic("channel: non-positive airtime")
+	}
+	if uint(port) >= uint(len(c.nodes)) {
+		panic(fmt.Sprintf("channel: transmission from unattached port %d", port))
 	}
 	now := c.k.Now()
 	var tx *transmission
@@ -307,8 +311,7 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	} else {
 		tx = c.newTransmission()
 	}
-	tx.from = from
-	tx.src = c.rowOf(from)
+	tx.port = port
 	tx.image = append(tx.image[:0], image...)
 	tx.start = now
 	tx.end = now + airtime
@@ -337,16 +340,6 @@ func (c *Channel) BeginTx(from Transceiver, image []byte, airtime sim.Time) {
 	c.k.ScheduleAt(tx.end, tx.finish)
 }
 
-// rowOf returns an attached radio's path-table index.
-func (c *Channel) rowOf(t Transceiver) int {
-	for i, n := range c.nodes {
-		if n == t {
-			return c.row[i]
-		}
-	}
-	panic(fmt.Sprintf("channel: transmission from unattached radio %q", t.ChannelID()))
-}
-
 // newTransmission grows the transmission pool by one record, with its
 // end-of-frame handler bound.
 //
@@ -371,10 +364,11 @@ func (c *Channel) finishTx(tx *transmission) {
 	}
 	var out []path // the sender's row of paths
 	if c.paths != nil {
-		out = c.paths[tx.src*c.dim : (tx.src+1)*c.dim]
+		src := c.row[tx.port]
+		out = c.paths[src*c.dim : (src+1)*c.dim]
 	}
 	for j, rx := range c.nodes {
-		if rx == tx.from {
+		if j == tx.port {
 			continue
 		}
 		var p *path
@@ -419,7 +413,6 @@ func (c *Channel) finishTx(tx *transmission) {
 		c.stats.Deliveries++
 		rx.Deliver(image, cause)
 	}
-	tx.from = nil
 	c.txPool = append(c.txPool, tx)
 }
 

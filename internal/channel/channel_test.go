@@ -1,6 +1,8 @@
 package channel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,7 @@ import (
 // fakeRadio implements Transceiver for channel tests.
 type fakeRadio struct {
 	id        string
+	port      int // Attach's return
 	listening bool
 	since     sim.Time
 	got       []Corruption
@@ -32,9 +35,9 @@ func setup() (*sim.Kernel, *Channel, *fakeRadio, *fakeRadio, *fakeRadio) {
 	a := &fakeRadio{id: "a", listening: true}
 	b := &fakeRadio{id: "b", listening: true}
 	bs := &fakeRadio{id: "bs", listening: true}
-	c.Attach(a)
-	c.Attach(b)
-	c.Attach(bs)
+	a.port = c.Attach(a)
+	b.port = c.Attach(b)
+	bs.port = c.Attach(bs)
 	return k, c, a, b, bs
 }
 
@@ -44,7 +47,7 @@ func img() []byte {
 
 func TestCleanDeliveryToAllListeners(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(a.got) != 0 {
 		t.Fatalf("sender received its own frame")
@@ -67,8 +70,8 @@ func TestCleanDeliveryToAllListeners(t *testing.T) {
 
 func TestOverlapCorruptsBoth(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
-	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	// The base station hears both frames, both collided.
 	if len(bs.got) != 2 {
@@ -90,9 +93,9 @@ func TestOverlapCorruptsBoth(t *testing.T) {
 
 func TestBackToBackFramesDoNotCollide(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	// Second frame starts exactly when the first ends.
-	k.Schedule(100*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b, img(), 100*sim.Microsecond) })
+	k.Schedule(100*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	for i, cause := range bs.got {
 		if cause != Clean {
@@ -107,7 +110,7 @@ func TestBackToBackFramesDoNotCollide(t *testing.T) {
 func TestLateListenerMissesFrame(t *testing.T) {
 	k, c, a, b, _ := setup()
 	b.listening = false
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Schedule(30*sim.Microsecond, func(k *sim.Kernel) {
 		b.listening = true
 		b.since = k.Now() // tuned in mid-frame
@@ -125,7 +128,7 @@ func TestNotListeningGetsNothing(t *testing.T) {
 	k, c, a, b, bs := setup()
 	b.listening = false
 	bs.listening = false
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(b.got)+len(bs.got) != 0 {
 		t.Fatalf("non-listening radios received frames")
@@ -135,7 +138,7 @@ func TestNotListeningGetsNothing(t *testing.T) {
 func TestDisconnectedLink(t *testing.T) {
 	k, c, a, b, bs := setup()
 	c.SetLink("a", "b", Link{Connected: false})
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(b.got) != 0 {
 		t.Fatalf("disconnected link delivered")
@@ -151,7 +154,7 @@ func TestBERCorruptsProbabilistically(t *testing.T) {
 	n := 500
 	for i := 0; i < n; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a, img(), 76*sim.Microsecond) })
+		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond) })
 	}
 	k.Run()
 	var bad int
@@ -179,7 +182,7 @@ func TestZeroBERNeverCorrupts(t *testing.T) {
 	k, c, a, _, bs := setup()
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a, img(), 76*sim.Microsecond) })
+		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond) })
 	}
 	k.Run()
 	for _, cause := range bs.got {
@@ -211,8 +214,8 @@ func TestBurstyErrorsCluster(t *testing.T) {
 		c := New(k)
 		tx := &fakeRadio{id: "tx"}
 		rx := &fakeRadio{id: "rx", listening: true}
-		c.Attach(tx)
-		c.Attach(rx)
+		tx.port = c.Attach(tx)
+		rx.port = c.Attach(rx)
 		burst := &BurstModel{PGoodToBad: 0.02, PBadToGood: 0.18, BERGood: 0, BERBad: 9e-3}
 		if uniform {
 			c.SetLink("tx", "rx", Link{Connected: true, BER: burst.MeanBER()})
@@ -222,7 +225,7 @@ func TestBurstyErrorsCluster(t *testing.T) {
 		const n = 4000
 		for i := 0; i < n; i++ {
 			at := sim.Time(i) * sim.Millisecond
-			k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(tx, img(), 76*sim.Microsecond) })
+			k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(tx.port, img(), 76*sim.Microsecond) })
 		}
 		k.Run()
 		runLen := 0
@@ -270,19 +273,37 @@ func TestNonPositiveAirtimePanics(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k)
 	r := &fakeRadio{id: "x"}
-	c.Attach(r)
+	r.port = c.Attach(r)
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("zero airtime did not panic")
 		}
 	}()
-	c.BeginTx(r, []byte{1}, 0)
+	c.BeginTx(r.port, []byte{1}, 0)
+}
+
+func TestBeginTxUnknownPortPanics(t *testing.T) {
+	_, c, _, _, _ := setup() // ports 0-2
+	for _, port := range []int{3, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("port %d", port); !strings.Contains(msg, want) {
+					t.Fatalf("BeginTx on port %d panicked with %q, want a message naming %q", port, msg, want)
+				}
+			}()
+			c.BeginTx(port, img(), 100*sim.Microsecond)
+		}()
+	}
+	if st := c.Stats(); st.Transmissions != 0 {
+		t.Fatalf("Transmissions = %d after rejected ports, want 0", st.Transmissions)
+	}
 }
 
 func TestBusy(t *testing.T) {
 	k, c, a, _, _ := setup()
 	k.Schedule(0, func(*sim.Kernel) {
-		c.BeginTx(a, img(), 100*sim.Microsecond)
+		c.BeginTx(a.port, img(), 100*sim.Microsecond)
 		if !c.Busy() {
 			t.Errorf("channel not busy during transmission")
 		}
@@ -296,10 +317,10 @@ func TestBusy(t *testing.T) {
 func TestThreeWayCollision(t *testing.T) {
 	k, c, a, b, bs := setup()
 	d := &fakeRadio{id: "d", listening: true}
-	c.Attach(d)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
-	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b, img(), 100*sim.Microsecond) })
-	k.Schedule(20*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(bs, img(), 100*sim.Microsecond) })
+	d.port = c.Attach(d)
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(20*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(bs.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	// d hears all three, all corrupted.
 	if len(d.got) != 3 {
@@ -324,15 +345,15 @@ func TestQuickConservation(t *testing.T) {
 		c := New(k)
 		tx := &fakeRadio{id: "tx"}
 		rx := &fakeRadio{id: "rx", listening: true}
-		c.Attach(tx)
-		c.Attach(rx)
+		tx.port = c.Attach(tx)
+		rx.port = c.Attach(rx)
 		if len(starts) > 40 {
 			starts = starts[:40]
 		}
 		for _, s := range starts {
 			at := sim.Time(s) * sim.Microsecond
 			k.ScheduleAt(at, func(*sim.Kernel) {
-				c.BeginTx(tx, img(), 50*sim.Microsecond)
+				c.BeginTx(tx.port, img(), 50*sim.Microsecond)
 			})
 		}
 		k.Run()
@@ -353,13 +374,13 @@ func TestQuickCollisionSymmetry(t *testing.T) {
 		a := &fakeRadio{id: "a"}
 		b := &fakeRadio{id: "b"}
 		w := &fakeRadio{id: "w", listening: true}
-		c.Attach(a)
-		c.Attach(b)
-		c.Attach(w)
+		a.port = c.Attach(a)
+		b.port = c.Attach(b)
+		w.port = c.Attach(w)
 		air := 100 * sim.Microsecond
 		g := sim.Time(gap) * 2 * sim.Microsecond
-		k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), air) })
-		k.ScheduleAt(g, func(*sim.Kernel) { c.BeginTx(b, img(), air) })
+		k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), air) })
+		k.ScheduleAt(g, func(*sim.Kernel) { c.BeginTx(b.port, img(), air) })
 		k.Run()
 		if len(w.got) != 2 {
 			return false
@@ -378,7 +399,7 @@ func TestQuickCollisionSymmetry(t *testing.T) {
 func TestBlackoutSuppressesDelivery(t *testing.T) {
 	k, c, a, b, bs := setup()
 	c.SetBlackout("a", "bs", true)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(bs.got) != 0 {
 		t.Fatalf("bs received %v through a blackout", bs.got)
@@ -398,13 +419,13 @@ func TestBlackoutDepthComposes(t *testing.T) {
 	c.SetBlackout("a", "bs", true)
 	c.SetBlackout("a", "bs", true)
 	c.SetBlackout("a", "bs", false)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(bs.got) != 0 {
 		t.Fatalf("path delivered with one of two windows still open")
 	}
 	c.SetBlackout("a", "bs", false)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(bs.got) != 1 || bs.got[0] != Clean {
 		t.Fatalf("bs got %v after both windows closed, want one clean copy", bs.got)
@@ -412,7 +433,7 @@ func TestBlackoutDepthComposes(t *testing.T) {
 	// Closing more windows than were opened must not wedge the path.
 	c.SetBlackout("a", "bs", false)
 	c.SetBlackout("a", "bs", true)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	if len(bs.got) != 1 {
 		t.Fatalf("over-closing cancelled a later window")
@@ -422,13 +443,13 @@ func TestBlackoutDepthComposes(t *testing.T) {
 func TestJammingCorruptsNewAndInFlightFrames(t *testing.T) {
 	k, c, a, b, bs := setup()
 	// Frame in flight when the burst starts.
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.SetJamming(true) })
 	// Frame born inside the burst.
-	k.Schedule(120*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b, img(), 100*sim.Microsecond) })
+	k.Schedule(120*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
 	k.Schedule(300*sim.Microsecond, func(*sim.Kernel) { c.SetJamming(false) })
 	// Frame after the burst ends: clean again.
-	k.Schedule(400*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(400*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	k.Run()
 	want := []Corruption{Jammed, Jammed, Clean}
 	if len(bs.got) != 3 {
@@ -450,10 +471,10 @@ func TestJammingCorruptsNewAndInFlightFrames(t *testing.T) {
 
 func TestAbortTxTruncatesInFlight(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
 	// The transmitter dies mid-burst; listeners were committed to the
 	// airtime, so a corrupted copy still arrives on schedule.
-	k.Schedule(40*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a) })
+	k.Schedule(40*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) })
 	k.Run()
 	for _, r := range []*fakeRadio{b, bs} {
 		if len(r.got) != 1 || r.got[0] != Truncated {
@@ -472,10 +493,10 @@ func TestAbortTxLeavesOtherSendersAlone(t *testing.T) {
 	k, c, a, b, bs := setup()
 	// Non-overlapping frames from two senders; aborting a's must not
 	// touch b's.
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a, img(), 100*sim.Microsecond) })
-	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a) })
-	k.Schedule(200*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b, img(), 100*sim.Microsecond) })
-	k.Schedule(210*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a) }) // nothing of a's in flight
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) })
+	k.Schedule(200*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(210*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) }) // nothing of a's in flight
 	k.Run()
 	if len(bs.got) != 2 || bs.got[0] != Truncated || bs.got[1] != Clean {
 		t.Fatalf("bs got %v, want [truncated clean]", bs.got)

@@ -11,7 +11,7 @@ func attachAll(c *Channel, names ...string) map[string]*fakeRadio {
 	out := make(map[string]*fakeRadio, len(names))
 	for _, n := range names {
 		r := &fakeRadio{id: n, listening: true}
-		c.Attach(r)
+		r.port = c.Attach(r)
 		out[n] = r
 	}
 	return out
@@ -19,7 +19,7 @@ func attachAll(c *Channel, names ...string) map[string]*fakeRadio {
 
 // sendFrom puts one frame on the air from r and runs it to delivery.
 func sendFrom(k *sim.Kernel, c *Channel, r *fakeRadio) {
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(r, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(r.port, img(), 100*sim.Microsecond) })
 	k.Run()
 }
 
@@ -96,6 +96,7 @@ func TestBlackoutOnUnattachedNames(t *testing.T) {
 // it adds no allocation of its own.
 type countRadio struct {
 	id      string
+	port    int
 	clean   int
 	corrupt int
 }
@@ -119,7 +120,7 @@ func TestFinishTxAllocationFree(t *testing.T) {
 	radios := make([]*countRadio, len(names))
 	for i, n := range names {
 		radios[i] = &countRadio{id: n}
-		c.Attach(radios[i])
+		radios[i].port = c.Attach(radios[i])
 	}
 	for _, from := range names {
 		for _, to := range names {
@@ -130,7 +131,7 @@ func TestFinishTxAllocationFree(t *testing.T) {
 	c.SetBlackout("a", "c", true)
 	frame := img()
 	send := func() {
-		c.BeginTx(radios[0], frame, 100*sim.Microsecond)
+		c.BeginTx(radios[0].port, frame, 100*sim.Microsecond)
 		k.Run()
 	}
 	for i := 0; i < 20; i++ { // grow the pools

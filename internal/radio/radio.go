@@ -81,6 +81,7 @@ type Radio struct {
 	name   string
 	params platform.RadioParams
 	ch     *channel.Channel
+	port   int // the radio's attach index on ch
 	sched  *tinyos.Sched
 	meter  *energy.Meter
 	// modeState maps each Mode to its meter state, resolved once.
@@ -103,17 +104,20 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
-	// gen invalidates in-flight transmit/drain steps across a crash: each
-	// scheduled step only applies when the generation it was issued
-	// under is still current.
+	// gen invalidates in-flight transmit steps across a crash: settle and
+	// burst-end events carry the generation they were issued under in
+	// their argument word and only apply while it is still current.
 	gen uint64
-	// Per-event state of the transmit and receive sequences, each stepped
-	// by a handler bound once in New, so a frame allocates nothing.
-	// Kernel-timed steps are filed by event ID; FIFO clock-ins ride on
-	// the MCU.
-	settling   sim.Pending[burst]
-	bursting   sim.Pending[burst]
-	drains     sim.Pending[drain]
+	// drainTok numbers RX FIFO drains; a drain event carries its token in
+	// the argument word, so only the current drain may complete.
+	drainTok uint64
+	// State of the transmit and receive sequences, each stepped by a
+	// handler bound once in New, so a frame allocates nothing. txBusy
+	// gates Fire, so at most one burst is settling or on the air, and a
+	// drain runs only while no other is in progress: one field each
+	// holds it. FIFO clock-ins ride on the MCU.
+	tx         burst
+	rx         packet.Frame // the frame being drained
 	loads      mcu.Queue[load]
 	onSettle   sim.Handler
 	onBurstEnd sim.Handler
@@ -168,22 +172,15 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	r.onBurstEnd = r.burstEnd
 	r.onDrained = r.drained
 	r.onLoaded = r.loadDone
-	ch.Attach(r)
+	r.port = ch.Attach(r)
 	return r
 }
 
 // burst is one transmission between Fire and the end of its burst.
 type burst struct {
-	gen   uint64
 	frame packet.Frame
 	air   sim.Time
 	done  func()
-}
-
-// drain is one accepted frame being clocked out of the RX FIFO.
-type drain struct {
-	gen   uint64
-	frame packet.Frame
 }
 
 // load is one frame being clocked into the TX FIFO.
@@ -353,40 +350,37 @@ func (r *Radio) Fire(done func()) {
 	r.hasLoaded = false
 	r.txBusy = true
 	r.setMode(ModeTx)
-	air := r.params.Airtime(len(frame.Payload))
-	r.settling.Schedule(r.k, r.params.TxSettle, r.onSettle,
-		burst{gen: r.gen, frame: frame, air: air, done: done})
+	r.tx = burst{frame: frame, air: r.params.Airtime(len(frame.Payload)), done: done}
+	r.k.ScheduleArgAt(r.k.Now()+r.params.TxSettle, r.onSettle, r.gen)
 }
 
 // settle puts a fired frame on the air once the PLL has settled.
 //
 //hot:path
 func (r *Radio) settle(k *sim.Kernel) {
-	b := r.settling.Take(k)
-	if r.gen != b.gen {
+	if k.Arg() != r.gen {
 		return // crashed during PLL settling; nothing reached the air
 	}
 	// Encode into the per-radio scratch; the channel copies the image
 	// into its own pooled buffer, so txBuf is free again on return.
-	r.txBuf = b.frame.AppendEncode(r.txBuf[:0])
-	r.ch.BeginTx(r, r.txBuf, b.air)
-	r.bursting.Schedule(k, b.air, r.onBurstEnd, b)
+	r.txBuf = r.tx.frame.AppendEncode(r.txBuf[:0])
+	r.ch.BeginTx(r.port, r.txBuf, r.tx.air)
+	k.ScheduleArgAt(k.Now()+r.tx.air, r.onBurstEnd, r.gen)
 }
 
 // burstEnd returns the radio to standby when a burst has left the air.
 //
 //hot:path
 func (r *Radio) burstEnd(k *sim.Kernel) {
-	b := r.bursting.Take(k)
-	if r.gen != b.gen {
+	if k.Arg() != r.gen {
 		return // crashed mid-burst; AbortTx already truncated it
 	}
 	r.stats.TxFrames++
-	r.txAirTime += b.air
+	r.txAirTime += r.tx.air
 	r.txBusy = false
 	r.setMode(ModeStandby)
-	if b.done != nil {
-		b.done()
+	if done := r.tx.done; done != nil {
+		done()
 	}
 }
 
@@ -397,7 +391,7 @@ func (r *Radio) burstEnd(k *sim.Kernel) {
 func (r *Radio) Crash() {
 	r.gen++
 	if r.txBusy {
-		r.ch.AbortTx(r)
+		r.ch.AbortTx(r.port)
 		r.txBusy = false
 	}
 	r.loaded = packet.Frame{}
@@ -467,21 +461,22 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 	// interrupt per byte (cheap), then the upper layer handler runs.
 	r.lastRxEnd = r.k.Now()
 	r.draining = true
+	r.rx = frame
+	r.drainTok++
 	drainDur := r.params.RxClockOut(len(frame.Payload))
 	r.productiveRx += drainDur
-	r.drains.Schedule(r.k, drainDur, r.onDrained, drain{gen: r.gen, frame: frame})
+	r.k.ScheduleArgAt(r.k.Now()+drainDur, r.onDrained, r.drainTok)
 }
 
 // drained hands a frame to the upper layer once the RX FIFO is empty.
 //
 //hot:path
 func (r *Radio) drained(k *sim.Kernel) {
-	d := r.drains.Take(k)
-	if r.gen != d.gen {
-		return // node crashed mid-drain; the frame is lost
-	}
-	if r.mode != ModeRx || !r.draining {
-		return // upper layer repurposed the radio mid-drain
+	if k.Arg() != r.drainTok || !r.draining {
+		// A crash or a mode change by the upper layer (each clears
+		// draining) ended this drain early and lost its frame; a later
+		// drain may be in progress in its place.
+		return
 	}
 	r.draining = false
 	r.rxSince = k.Now() // listening resumes after the drain
@@ -491,10 +486,10 @@ func (r *Radio) drained(k *sim.Kernel) {
 	// preempts whatever task is running, so time-critical reactions
 	// (power the radio down, stamp the frame) are immediate, while any
 	// heavy processing the handler wants is posted as a task.
-	isrCycles := int64(len(d.frame.Payload)+1) * r.params.PerByteISRCycles
+	isrCycles := int64(len(r.rx.Payload)+1) * r.params.PerByteISRCycles
 	r.sched.Interrupt("radio-rx", isrCycles, nil)
 	if r.onRecv != nil {
-		r.onRecv(d.frame)
+		r.onRecv(r.rx)
 	}
 }
 

@@ -105,6 +105,60 @@ func TestStandbyAbortsDrain(t *testing.T) {
 	}
 }
 
+func TestRestartedRxDoesNotOrphanDrain(t *testing.T) {
+	// Standby + StartRx abandons a drain, and a second frame starts its
+	// own drain before the abandoned one would have ended. Only the
+	// second drain may complete: the handler sees the second frame,
+	// intact, at the second drain's end, and never the first.
+	r := newRig()
+	prm := platform.IMEC().Radio
+	tx1 := r.station("node1", platform.IMEC())
+	tx2 := r.station("node3", platform.IMEC())
+	rx := r.station("node2", platform.IMEC()) // 24B drain at 100kbps = 1.92ms
+	rx.radio.SetRxAddresses(packet.AddrBSData)
+	var payloads [][]byte
+	var at []sim.Time
+	rx.radio.SetReceiveHandler(func(f packet.Frame) {
+		payloads = append(payloads, append([]byte(nil), f.Payload...))
+		at = append(at, r.k.Now())
+	})
+	second := []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}
+	var end2 sim.Time
+	r.k.Schedule(0, func(*sim.Kernel) {
+		rx.radio.StartRx()
+		tx2.radio.Load(packet.AddrBSData, second, nil) // fired later
+	})
+	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
+		// The first frame ends at ~5.76ms and drains until ~7.68ms.
+		tx1.radio.Transmit(packet.AddrBSData, make([]byte, 24), func() {
+			r.k.Schedule(1200*sim.Microsecond, func(*sim.Kernel) {
+				rx.radio.Standby()
+				rx.radio.StartRx()
+				// The second frame ends at ~7.49ms, inside the first
+				// frame's abandoned drain window.
+				r.k.Schedule(prm.RxSettle, func(*sim.Kernel) {
+					tx2.radio.Fire(func() { end2 = r.k.Now() })
+				})
+			})
+		})
+	})
+	r.k.RunUntil(20 * sim.Millisecond)
+	if len(payloads) != 1 {
+		t.Fatalf("handler ran %d times at %v, want once", len(payloads), at)
+	}
+	if string(payloads[0]) != string(second) {
+		t.Fatalf("handler got payload %v, want the second frame's %v", payloads[0], second)
+	}
+	if want := end2 + prm.RxClockOut(len(second)); at[0] != want {
+		t.Fatalf("second frame handled at %v, want its drain end %v", at[0], want)
+	}
+	// RxAccepted counts frames handed to the MCU; the abandoned first
+	// frame is not one.
+	if st := rx.radio.Stats(); st.RxAccepted != 1 || st.CRCDrops != 0 {
+		t.Fatalf("stats %+v, want 1 accepted and no CRC drops", st)
+	}
+}
+
 func TestPowerDownDuringTransmitPanics(t *testing.T) {
 	r := newRig()
 	tx := r.station("node1", platform.IMEC())
