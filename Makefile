@@ -154,7 +154,7 @@ bench-check:
 bench-module:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# The chaos soak corpus (README "Auditing & soak testing"): 64 fixed
+# The chaos soak corpus (README "Auditing & soak testing"): 3000 fixed
 # seeds, each a randomized scenario run on both schedulers with every
 # runtime invariant audited plus the wheel-vs-heap differential oracle.
 # On failure cmd/soak shrinks the scenario to a minimal reproducer
@@ -162,11 +162,13 @@ bench-module:
 # same seeds every run — so CI is deterministic; rotate it by bumping
 # SOAK_START (e.g. to the PR number times 1000) when the fixed range has
 # been mined out, and widen it locally with SOAK_SEEDS for deeper runs.
-SOAK_SEEDS = 64
+# The corpus runs in 20-30 s on a 2-vCPU host; the budget keeps twice
+# that, because an expired budget ends the run early without failing.
+SOAK_SEEDS = 3000
 SOAK_START = 1
 
 soak:
-	$(GO) run ./cmd/soak -seeds $(SOAK_SEEDS) -start $(SOAK_START) -budget 30s -q
+	$(GO) run ./cmd/soak -seeds $(SOAK_SEEDS) -start $(SOAK_START) -budget 60s -q
 
 # The resilience acceptance test (DESIGN.md section 16): a journaled
 # sweep killed mid-batch and resumed with -resume must emit CSV

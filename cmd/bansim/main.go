@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/approx"
 	"repro/internal/audit"
 	"repro/internal/battery"
 	"repro/internal/core"
@@ -176,7 +177,8 @@ func main() {
 		if cfg, err = core.ConfigFromJSON(data); err != nil {
 			fatalf("%v", err)
 		}
-		if *reclaim > 0 {
+		if *reclaim != 0 {
+			// Negative values flow through so validation rejects them.
 			cfg.SlotReclaimCycles = *reclaim
 		}
 	} else {
@@ -211,7 +213,8 @@ func main() {
 		}
 		cfg.Battery = b
 	}
-	if *brownout > 0 {
+	if !approx.Unset(*brownout) {
+		// Negative values flow through so validation rejects them.
 		cfg.BrownoutV = *brownout
 	}
 	if *degrade {

@@ -71,3 +71,36 @@ func TestBadFormatFailsBeforeRun(t *testing.T) {
 		t.Fatalf("want only the format error, got stdout %q, stderr %q", out.String(), errb.String())
 	}
 }
+
+// TestNegativeOverlayFlagsRejected: a negative -brownout or (over a
+// scenario file) -reclaim reaches validation and fails the run with its
+// core error, instead of silently running on the default.
+func TestNegativeOverlayFlagsRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the bansim binary")
+	}
+	bin := filepath.Join(t.TempDir(), "bansim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building bansim: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-battery", "cr2032@0.0001", "-brownout", "-2"}, "core: BrownoutV -2"},
+		{[]string{"-config", "../../scenarios/table1_row1.json", "-reclaim", "-5"},
+			"core: negative SlotReclaimCycles -5"},
+	} {
+		cmd := exec.Command(bin, append(tc.args, "-duration", "1s")...)
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		if err := cmd.Run(); err == nil {
+			t.Errorf("bansim %v exited 0", tc.args)
+			continue
+		}
+		if !strings.Contains(errb.String(), tc.want) || out.Len() > 0 {
+			t.Errorf("bansim %v: want only %q, got stdout %q, stderr %q",
+				tc.args, tc.want, out.String(), errb.String())
+		}
+	}
+}

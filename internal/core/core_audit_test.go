@@ -72,6 +72,32 @@ func TestAuditCleanUnderChaos(t *testing.T) {
 	}
 }
 
+// TestAuditLPLWakeStraddlingReset runs the shrunk soak scenario whose
+// only wake straddles the warm-up reset: its early ack lands before
+// ResetAccounting and its payloads after, so the first sweep afterwards
+// sees payloads with no early ack. The channel-access law grants one
+// straddling wake its whole burst, and the run must audit clean.
+func TestAuditLPLWakeStraddlingReset(t *testing.T) {
+	cfg, err := ConfigFromJSON([]byte(`{
+		"mac": {"protocol": "lpl", "checkInterval": "83ms"},
+		"nodes": 1, "app": "streaming", "sampleRateHz": 175,
+		"duration": "736.75ms", "warmup": "1s", "seed": 1113,
+		"metrics": true, "audit": {"checkInterval": "50ms"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Audit.Checks == 0 {
+		t.Fatal("no invariant sweeps ran")
+	}
+	if res.Audit.Failed() {
+		t.Fatalf("invariants violated:\n%v", res.Audit.Violations)
+	}
+}
+
 // TestAuditObserverOnly requires byte-identical results with auditing on
 // and off, apart from Results.Audit itself and the kernel event count
 // (the sweep ticks are events). This is the engine's core contract: it

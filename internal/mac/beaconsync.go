@@ -26,18 +26,16 @@ type beaconSync struct {
 	beacon packet.Beacon
 
 	window rxWindow // the listen for an expected beacon
-	// Window opens file their generation and stride by event ID; a crash
-	// cancels the window's timeout, so it carries none.
-	windowOpens    sim.Pending[windowArm]
+	// A window open carries its generation and stride in the event's
+	// argument word (see windowStrideBits); a crash cancels the window's
+	// timeout, so it carries none.
 	onWindowOpen   sim.Handler
 	onWindowExpiry sim.Handler
 }
 
-// windowArm is the state of one armed beacon window.
-type windowArm struct {
-	gen    uint64
-	stride sim.Time
-}
+// windowStrideBits is the low part of a window open's argument word
+// that holds its stride; the crash generation sits above it.
+const windowStrideBits = 8
 
 // parkBeaconEvery is the parked node's doze ratio: a beacon-only node
 // wakes for one beacon window in this many cycles and dead-reckons
@@ -265,7 +263,7 @@ func (m *beaconSync) scheduleNextWindow() {
 	stride := m.windowStride()
 	openAt := m.t0 + m.local(stride*m.cycle-m.guard()-m.cfg.Profile.Radio.RxSettle)
 	openAt = max(openAt, m.k.Now()) // degenerate cycles: open immediately
-	m.windowOpens.ScheduleAt(m.k, openAt, m.onWindowOpen, windowArm{gen: m.gen, stride: stride})
+	m.k.ScheduleArgAt(openAt, m.onWindowOpen, m.gen<<windowStrideBits|uint64(stride))
 }
 
 // windowOpened turns the receiver on for an expected beacon and arms the
@@ -273,10 +271,10 @@ func (m *beaconSync) scheduleNextWindow() {
 //
 //hot:path
 func (m *beaconSync) windowOpened(k *sim.Kernel) {
-	a := m.windowOpens.Take(k)
-	if m.gen != a.gen {
+	if k.Arg()>>windowStrideBits != m.gen {
 		return // armed before a crash
 	}
+	stride := sim.Time(k.Arg() & (1<<windowStrideBits - 1))
 	if m.window.open || m.state == stateSearching {
 		return
 	}
@@ -296,7 +294,7 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 	// late clocks alike. A saturated MCU can delay the whole pipeline
 	// past the nominal deadline; clamp so the window closes immediately
 	// instead of scheduling into the past.
-	deadline := m.t0 + m.local(a.stride*m.cycle) + m.guard() +
+	deadline := m.t0 + m.local(stride*m.cycle) + m.guard() +
 		p.Radio.Airtime(m.maxBeaconPayload()) +
 		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
 	m.window.timeout = k.ScheduleAt(max(deadline, k.Now()), m.onWindowExpiry)

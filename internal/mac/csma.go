@@ -67,8 +67,8 @@ type CSMANode struct {
 	be            int // current backoff exponent
 
 	// Steady-state steps, each a handler bound once in NewCSMANode; the
-	// backoff and CCA steps file their generation by event ID.
-	ccaSteps     sim.Pending[uint64]
+	// backoff and CCA steps carry their generation in the event's
+	// argument word.
 	onBackoffDue sim.Handler
 	onCCADue     sim.Handler
 	onAckExpiry  sim.Handler
@@ -247,7 +247,7 @@ func (m *CSMANode) scheduleBackoffStep() {
 		m.attemptActive = false
 		return
 	}
-	m.ccaSteps.ScheduleAt(m.k, at, m.onBackoffDue, m.gen)
+	m.k.ScheduleArgAt(at, m.onBackoffDue, m.gen)
 }
 
 // ccaStart turns the receiver on for the clear-channel assessment once
@@ -255,7 +255,7 @@ func (m *CSMANode) scheduleBackoffStep() {
 //
 //hot:path
 func (m *CSMANode) ccaStart(k *sim.Kernel) {
-	if gen := m.ccaSteps.Take(k); m.gen != gen {
+	if k.Arg() != m.gen {
 		return // armed before a crash
 	}
 	if !m.attemptActive || m.state == stateCrashed || m.state == stateParked {
@@ -268,14 +268,14 @@ func (m *CSMANode) ccaStart(k *sim.Kernel) {
 	}
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	m.ccaSteps.Schedule(m.k, m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.onCCADue, m.gen)
+	m.k.ScheduleArgAt(k.Now()+m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.onCCADue, m.gen)
 }
 
 // ccaSample reads the energy-detect verdict at the end of the window.
 //
 //hot:path
 func (m *CSMANode) ccaSample(k *sim.Kernel) {
-	if gen := m.ccaSteps.Take(k); m.gen != gen {
+	if k.Arg() != m.gen {
 		return // armed before a crash
 	}
 	if !m.attemptActive {

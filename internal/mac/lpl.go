@@ -76,9 +76,9 @@ type LPLNode struct {
 	burstLeft   int
 
 	// Steady-state steps, each a handler bound once in NewLPLNode. Crash
-	// and park cancel the gap, SSR and ack timeouts; delayed restarts
-	// file their generation by event ID.
-	retries      sim.Pending[lplRetry]
+	// and park cancel the gap, SSR and ack timeouts; a delayed restart
+	// carries its generation and op in the event's argument word, as
+	// gen<<2 | op, where lplOpNone resumes a deferred train.
 	onRetry      sim.Handler
 	onGapExpiry  sim.Handler
 	onSSRExpiry  sim.Handler
@@ -87,15 +87,6 @@ type LPLNode struct {
 	strobeSent   func()
 	dataLoaded   func()
 	dataSent     func()
-}
-
-// lplRetry is the state of a delayed restart: the generation it was
-// armed under, and whether it resumes a deferred train or launches a
-// fresh one for op.
-type lplRetry struct {
-	gen    uint64
-	op     lplOp
-	resume bool
 }
 
 // NewLPLNode wires an LPL node MAC over its radio and OS. A zero
@@ -243,24 +234,24 @@ func (m *LPLNode) startDataOp() {
 }
 
 // retryAfter launches a fresh train for op after delay, unless a crash
-// intervenes.
+// intervenes; lplOpNone resumes the deferred train instead.
 func (m *LPLNode) retryAfter(delay sim.Time, op lplOp) {
-	m.retries.Schedule(m.k, delay, m.onRetry, lplRetry{gen: m.gen, op: op})
+	m.k.ScheduleArgAt(m.k.Now()+delay, m.onRetry, m.gen<<2|uint64(op))
 }
 
 // retryDue runs a delayed restart.
 //
 //hot:path
 func (m *LPLNode) retryDue(k *sim.Kernel) {
-	r := m.retries.Take(k)
-	switch {
-	case m.gen != r.gen:
-		// Armed before a crash.
-	case r.resume:
+	if k.Arg()>>2 != m.gen {
+		return // armed before a crash
+	}
+	switch lplOp(k.Arg() & 3) {
+	case lplOpNone:
 		m.strobeStep()
-	case r.op == lplOpSSR:
+	case lplOpSSR:
 		m.startJoinOp()
-	default:
+	case lplOpData:
 		m.startDataOp()
 	}
 }
@@ -324,7 +315,7 @@ func (m *LPLNode) onStrobeGapTimeout(*sim.Kernel) {
 		// payload exchange): defer politely instead of strobing over it.
 		// The pause does not consume the strobe budget.
 		delay := lplDeferFloor + sim.Time(m.k.Rand().Int63n(int64(lplDeferSpan)))
-		m.retries.Schedule(m.k, delay, m.onRetry, lplRetry{gen: m.gen, resume: true})
+		m.retryAfter(delay, lplOpNone)
 		return
 	}
 	m.strobeStep()
@@ -473,7 +464,9 @@ func (m *LPLNode) endOp() {
 // early ack truncated a train that strobed at least once, every payload
 // burst rode a wake that an early ack opened (bounded by the per-wake
 // burst budget), and every exhausted train consumed a full strobe budget
-// (all with one epoch-straddle credit).
+// (all with one epoch-straddle credit). The payload law's credit is one
+// whole wake: a wake whose early ack came before ResetAccounting may
+// carry its full burst after it.
 func (m *LPLNode) AuditProtocol() []string {
 	var v []string
 	s := m.stats
@@ -481,8 +474,8 @@ func (m *LPLNode) AuditProtocol() []string {
 		v = append(v, fmt.Sprintf("EarlyAcks %d exceed StrobesSent %d (+1 straddle credit)",
 			s.EarlyAcks, s.StrobesSent))
 	}
-	if payloads := s.DataSent + s.SSRSent; payloads > lplWakeBurst*s.EarlyAcks+1 {
-		v = append(v, fmt.Sprintf("%d payloads exceed %d early acks × burst %d (+1 straddle credit)",
+	if payloads := s.DataSent + s.SSRSent; payloads > lplWakeBurst*(s.EarlyAcks+1) {
+		v = append(v, fmt.Sprintf("%d payloads exceed %d early acks × burst %d (+1 straddle wake)",
 			payloads, s.EarlyAcks, lplWakeBurst))
 	}
 	if s.StrobeFails*uint64(m.maxStrobes) > s.StrobesSent+uint64(m.maxStrobes) {

@@ -18,11 +18,10 @@ import (
 type NodeMac struct {
 	beaconSync
 
-	// Per-event state of the steady-state protocol steps, each stepped by
-	// a handler bound once in NewNodeMac, so a beacon cycle allocates
-	// nothing: slot fires file their generation by event ID; MCU and
-	// radio completions need no state beyond the MAC's own fields.
-	slotFires    sim.Pending[uint64]
+	// Steady-state protocol steps, each a handler bound once in
+	// NewNodeMac, so a beacon cycle allocates nothing: a slot fire
+	// carries its generation in the event's argument word; MCU and radio
+	// completions need no state beyond the MAC's own fields.
 	onSlotDue    sim.Handler
 	onAckExpiry  sim.Handler
 	beaconParsed func()
@@ -30,15 +29,16 @@ type NodeMac struct {
 	dataLoaded   func()
 	dataSent     func()
 	// Control-frame transients (slot request, slot release), stepped the
-	// same way. Each attempt is numbered: its prep and fire events carry
-	// (generation, attempt), its prep ISR and FIFO clock-in queue their
-	// state on the MCU, and ctrlAttempts records whether the frame was
-	// loaded until the attempt's fire event reads it.
-	ctrlSteps    sim.Pending[ctrlArm]
+	// same way. Each attempt is numbered, and only the latest is live:
+	// ctrlAttempt is its number, ctrlGen the generation it was armed
+	// under, and ctrlLoaded whether its frame made it into the radio
+	// FIFO. Its prep and fire events carry the number, and its prep ISR
+	// and FIFO clock-in queue their state on the MCU.
+	ctrlAttempt  uint64
+	ctrlGen      uint64
+	ctrlLoaded   bool
 	ctrlPreps    mcu.Queue[ctrlPrep]
 	ctrlLoads    mcu.Queue[uint64]
-	ctrlAttempts []ctrlAttempt
-	ctrlSeq      uint64
 	onSSRPrep    sim.Handler
 	onSSRFire    sim.Handler
 	onRelPrep    sim.Handler
@@ -179,23 +179,20 @@ func (m *NodeMac) scheduleSSR() {
 		return
 	}
 	m.ssrScheduled = true
-	arm := ctrlArm{gen: m.gen, attempt: m.newAttempt()}
-	m.ctrlSteps.ScheduleAt(m.k, prepAt, m.onSSRPrep, arm)
-	m.ctrlSteps.ScheduleAt(m.k, fireAt, m.onSSRFire, arm)
+	m.armAttempt(prepAt, m.onSSRPrep, fireAt, m.onSSRFire)
 }
 
 // ssrPrepDue prepares the slot request: the prep ISR marshals and loads
 // it.
 func (m *NodeMac) ssrPrepDue(k *sim.Kernel) {
-	arm := m.ctrlSteps.Take(k)
-	if m.gen != arm.gen {
+	if !m.attemptLive(k) {
 		return // armed before a crash
 	}
 	if m.state != stateRequesting || m.radio.Mode() == radio.ModeRx {
 		m.ssrScheduled = false
 		return
 	}
-	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt, ssr: m.nextSSR()})
+	m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt, ssr: m.nextSSR()})
 	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ssrPrepped)
 }
 
@@ -213,12 +210,10 @@ func (m *NodeMac) onSSRPrepped() {
 
 // ssrFireDue fires the slot request at its offset if it was loaded.
 func (m *NodeMac) ssrFireDue(k *sim.Kernel) {
-	arm := m.ctrlSteps.Take(k)
-	loaded := m.takeAttempt(arm.attempt)
-	if m.gen != arm.gen {
+	if !m.attemptLive(k) {
 		return // armed before a crash
 	}
-	if m.state != stateRequesting || !loaded || m.radio.Mode() == radio.ModeRx {
+	if m.state != stateRequesting || !m.ctrlLoaded || m.radio.Mode() == radio.ModeRx {
 		m.ssrScheduled = false
 		return
 	}
@@ -248,16 +243,13 @@ func (m *NodeMac) scheduleRelease() {
 	if prepAt <= m.k.Now() {
 		return // our slot already passed this cycle; announce on the next
 	}
-	arm := ctrlArm{gen: m.gen, attempt: m.newAttempt()}
-	m.ctrlSteps.ScheduleAt(m.k, prepAt, m.onRelPrep, arm)
-	m.ctrlSteps.ScheduleAt(m.k, fireAt, m.onRelFire, arm)
+	m.armAttempt(prepAt, m.onRelPrep, fireAt, m.onRelFire)
 }
 
 // relPrepDue prepares the slot release: the prep ISR marshals and loads
 // it.
 func (m *NodeMac) relPrepDue(k *sim.Kernel) {
-	arm := m.ctrlSteps.Take(k)
-	if m.gen != arm.gen {
+	if !m.attemptLive(k) {
 		return // armed before a crash
 	}
 	if m.state != stateJoined || !m.releasePending || m.ack.open ||
@@ -268,7 +260,7 @@ func (m *NodeMac) relPrepDue(k *sim.Kernel) {
 	// already stopped, and the release overwrites the FIFO.
 	m.loaded = false
 	m.dropInFlight()
-	m.ctrlPreps.Push(ctrlPrep{attempt: arm.attempt})
+	m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt})
 	m.sched.Interrupt("release-prep", m.cfg.Profile.Cost.SSRPrep, m.relPrepped)
 }
 
@@ -285,12 +277,10 @@ func (m *NodeMac) onRelPrepped() {
 
 // relFireDue fires the slot release in the node's slot if it was loaded.
 func (m *NodeMac) relFireDue(k *sim.Kernel) {
-	arm := m.ctrlSteps.Take(k)
-	loaded := m.takeAttempt(arm.attempt)
-	if m.gen != arm.gen {
+	if !m.attemptLive(k) {
 		return // armed before a crash
 	}
-	if m.state != stateJoined || !m.releasePending || !loaded ||
+	if m.state != stateJoined || !m.releasePending || !m.ctrlLoaded ||
 		m.radio.Mode() == radio.ModeRx {
 		return
 	}
@@ -300,53 +290,35 @@ func (m *NodeMac) relFireDue(k *sim.Kernel) {
 // onRelSent accounts the slot release once it has flown and parks.
 func (m *NodeMac) onRelSent() { m.releaseFlown("slot=%d") }
 
-// ctrlArm is the state of a control-frame attempt's prep and fire events.
-type ctrlArm struct {
-	gen     uint64
-	attempt uint64
-}
-
 // ctrlPrep is the state of a control frame's prep ISR.
 type ctrlPrep struct {
 	attempt uint64
 	ssr     packet.SSR // zero for a release
 }
 
-// ctrlAttempt records whether an attempt's frame has been loaded.
-type ctrlAttempt struct {
-	id     uint64
-	loaded bool
+// armAttempt makes a new control-frame attempt the live one, replacing
+// any attempt a crash left behind, and arms its prep and fire events.
+func (m *NodeMac) armAttempt(prepAt sim.Time, prep sim.Handler, fireAt sim.Time, fire sim.Handler) {
+	m.ctrlAttempt++
+	m.ctrlGen, m.ctrlLoaded = m.gen, false
+	m.k.ScheduleArgAt(prepAt, prep, m.ctrlAttempt)
+	m.k.ScheduleArgAt(fireAt, fire, m.ctrlAttempt)
 }
 
-// newAttempt numbers a control-frame attempt and tracks it until its
-// fire event reads whether the frame made it into the radio FIFO.
-func (m *NodeMac) newAttempt() uint64 {
-	m.ctrlSeq++
-	m.ctrlAttempts = append(m.ctrlAttempts, ctrlAttempt{id: m.ctrlSeq})
-	return m.ctrlSeq
+// attemptLive reports whether the prep or fire event being dispatched
+// belongs to the live attempt and no crash has intervened since it was
+// armed.
+func (m *NodeMac) attemptLive(k *sim.Kernel) bool {
+	return k.Arg() == m.ctrlAttempt && m.ctrlGen == m.gen
 }
 
 // onCtrlLoaded marks an attempt's frame loaded. A load completing after
-// its attempt's fire event has no one left to tell.
+// a newer attempt was armed has no one left to tell, and one completing
+// after its own attempt's fire event is never read.
 func (m *NodeMac) onCtrlLoaded() {
-	id := m.ctrlLoads.Pop()
-	for i := range m.ctrlAttempts {
-		if m.ctrlAttempts[i].id == id {
-			m.ctrlAttempts[i].loaded = true
-		}
+	if m.ctrlLoads.Pop() == m.ctrlAttempt {
+		m.ctrlLoaded = true
 	}
-}
-
-// takeAttempt ends an attempt at its fire event, reporting whether its
-// frame was loaded in time.
-func (m *NodeMac) takeAttempt(id uint64) bool {
-	for i, a := range m.ctrlAttempts {
-		if a.id == id {
-			m.ctrlAttempts = append(m.ctrlAttempts[:i], m.ctrlAttempts[i+1:]...)
-			return a.loaded
-		}
-	}
-	panic(fmt.Sprintf("mac %s: fire event for unknown attempt %d", m.name, id))
 }
 
 // --- steady state: data path ---------------------------------------------
@@ -391,14 +363,14 @@ func (m *NodeMac) scheduleSlotFire() {
 	if fireAt <= m.k.Now() {
 		return // our slot already passed this cycle
 	}
-	m.slotFires.ScheduleAt(m.k, fireAt, m.onSlotDue, m.gen)
+	m.k.ScheduleArgAt(fireAt, m.onSlotDue, m.gen)
 }
 
 // slotDue runs at the node's slot boundary.
 //
 //hot:path
 func (m *NodeMac) slotDue(k *sim.Kernel) {
-	if gen := m.slotFires.Take(k); m.gen != gen {
+	if k.Arg() != m.gen {
 		return // armed before a crash
 	}
 	m.fireSlot()

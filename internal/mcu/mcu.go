@@ -49,13 +49,16 @@ type MCU struct {
 	sleep  energy.Handle
 	active energy.Handle
 	off    energy.Handle
-	// gen invalidates queued completions across a crash: a completion
-	// only applies its effects when the generation it was issued under
-	// is still current.
+	// gen invalidates queued completions across a crash: each completion
+	// event carries the generation it was issued under as its argument
+	// word, and only applies its effects while that is still current.
 	gen uint64
-	// pending holds each queued computation's completion state; complete
-	// is its handler, bound once so queuing work allocates nothing.
-	pending  sim.Pending[completion]
+	// dones holds the callbacks of the queued computations that have
+	// one, in submission order: completions of one generation dispatch
+	// in that order, since the work ends in it and events at one
+	// instant fire in sequence order. complete is the completion
+	// handler, bound once so queuing work allocates nothing.
+	dones    sim.FIFO[func()]
 	complete sim.Handler
 
 	execs      uint64
@@ -95,12 +98,6 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 // a kernel event, whose handler puts the MCU to sleep: no reserved
 // position stands in for it.
 const completionEvent = math.MaxUint64
-
-// completion is the state of one queued computation.
-type completion struct {
-	gen  uint64
-	done func()
-}
 
 // Params reports the electrical parameters the MCU was built with.
 func (m *MCU) Params() platform.MCUParams { return m.params }
@@ -199,7 +196,8 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	end := start + dur
 	m.activeTime += dur
 	if done != nil {
-		m.pending.ScheduleAt(m.k, end, m.complete, completion{gen: m.gen, done: done})
+		m.dones.Push(done)
+		m.k.ScheduleArgAt(end, m.complete, m.gen)
 	}
 	if end == m.busyUntil && !woke {
 		// Zero-length work at the instant the queued work runs out: the
@@ -233,11 +231,10 @@ func (m *MCU) idle(end sim.Time, event bool) {
 //
 //hot:path
 func (m *MCU) onComplete(k *sim.Kernel) {
-	c := m.pending.Take(k)
-	if m.gen != c.gen {
+	if k.Arg() != m.gen {
 		return // the node crashed; this computation never completed
 	}
-	c.done()
+	m.dones.Pop()()
 	// Sleep only if the completion callback queued nothing further.
 	if end := k.Now(); m.busyUntil == end && m.awake {
 		m.awake = false
@@ -252,6 +249,7 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 // is cut off at the crash instant.
 func (m *MCU) Crash() {
 	m.gen++
+	m.dones.Reset()
 	m.busyUntil = m.k.Now()
 	m.awake = false
 	m.meter.Enter(m.k.Now(), m.off)

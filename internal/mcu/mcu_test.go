@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,48 @@ func TestExecAllocationFree(t *testing.T) {
 		l.Flush(horizon)
 	}); n != 0 {
 		t.Fatalf("Exec with a nil done allocated %v times per computation", n)
+	}
+}
+
+// TestCrashAbandonsQueuedCallbacks crashes the MCU with one computation
+// running and one queued, then submits new work whose completions
+// interleave with the abandoned ones' stale events: one stale event
+// dispatches between the first two new completions and one between the
+// last two. Each computation has its own callback, so the test sees
+// whether a callback ran, and whether it ran at its own completion
+// instant, on both schedulers.
+func TestCrashAbandonsQueuedCallbacks(t *testing.T) {
+	for name, k := range map[string]*sim.Kernel{"wheel": sim.NewKernel(1), "heap": sim.NewHeapKernel(1)} {
+		m := New(k, platform.IMEC().MCU, energy.NewLedger())
+		var got []string
+		ends := map[string]sim.Time{}
+		submit := func(id string, cycles int64) {
+			ends[id] = m.Exec(cycles, func() {
+				if k.Now() != ends[id] {
+					t.Errorf("%s: %s completed at %v, want %v", name, id, k.Now(), ends[id])
+				}
+				got = append(got, id)
+			})
+		}
+		k.Schedule(0, func(*sim.Kernel) {
+			submit("a", 8000)  // 1 ms: completes before the crash
+			submit("b", 80000) // 10 ms: running at the crash
+			submit("c", 8000)  // queued behind b
+		})
+		k.Schedule(2*sim.Millisecond, func(*sim.Kernel) {
+			m.Crash()
+			m.Reboot()
+			submit("d", 800)   // ends before b's stale completion
+			submit("e", 72000) // ends between b's and c's
+			submit("f", 16000) // ends after c's
+		})
+		k.Run()
+		if want := "[a d e f]"; fmt.Sprint(got) != want {
+			t.Fatalf("%s: callbacks ran %v, want %s", name, got, want)
+		}
+		if !(ends["d"] < ends["b"] && ends["b"] < ends["e"] && ends["e"] < ends["c"] && ends["c"] < ends["f"]) {
+			t.Fatalf("%s: completions do not interleave: %v", name, ends)
+		}
 	}
 }
 

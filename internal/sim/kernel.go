@@ -231,8 +231,10 @@ func (k *Kernel) ScheduleAt(at Time, handler Handler) EventID {
 
 // ScheduleArgAt is ScheduleAt with an argument word the handler reads
 // back with Arg. A handler shared by several pending events (a method
-// value bound once, instead of a closure per event) uses it to find the
-// state of the event that fired; see Pending.
+// value bound once, instead of a closure per event) uses it to tell the
+// event that fired apart: typically the crash generation it was armed
+// under, with a small tag in the low bits where one is needed, while
+// any other state lives in the component's fields or a FIFO.
 func (k *Kernel) ScheduleArgAt(at Time, handler Handler, arg uint64) EventID {
 	if handler == nil {
 		panic("sim: ScheduleAt with nil handler")

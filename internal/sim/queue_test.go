@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -81,9 +80,10 @@ func TestFIFOEmptyPanics(t *testing.T) {
 	}
 }
 
-// TestArgReportsScheduledWord pins the contract Pending rests on:
-// inside a handler, Arg is the word ScheduleArgAt was given, on both
-// schedulers, whatever order the events fire in; ScheduleAt gives 0.
+// TestArgReportsScheduledWord pins the contract every handler that
+// carries a crash generation or a tag in its event rests on: inside a
+// handler, Arg is the word ScheduleArgAt was given, on both schedulers,
+// whatever order the events fire in; ScheduleAt gives 0.
 func TestArgReportsScheduledWord(t *testing.T) {
 	for name, k := range map[string]*Kernel{"wheel": NewKernel(1), "heap": NewHeapKernel(1)} {
 		var seen []uint64
@@ -107,59 +107,8 @@ func TestArgReportsScheduledWord(t *testing.T) {
 	}
 }
 
-// TestPendingTakesOwnState schedules events of one kind that fire out of
-// scheduling order, some at one instant, and checks that each handler
-// sees the state it was scheduled with. One handler schedules another
-// event of its kind before it calls Take: the kernel has already
-// recycled the firing event's pool slot, so the new event may take that
-// slot, and the two states must still not mix.
-func TestPendingTakesOwnState(t *testing.T) {
-	for name, k := range map[string]*Kernel{"wheel": NewKernel(1), "heap": NewHeapKernel(1)} {
-		var p Pending[string]
-		var got []string
-		var h Handler
-		h = func(k *Kernel) {
-			if k.Now() == 10 && len(got) == 0 {
-				p.ScheduleAt(k, 25, h, "nested")
-			}
-			got = append(got, p.Take(k))
-		}
-		p.ScheduleAt(k, 30, h, "c")
-		p.ScheduleAt(k, 10, h, "a")
-		p.ScheduleAt(k, 20, h, "b1")
-		p.ScheduleAt(k, 20, h, "b2")
-		k.Run()
-		want := []string{"a", "b1", "b2", "nested", "c"}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("%s: handlers saw %v, want %v", name, got, want)
-		}
-		// The drained slab serves a second round just as well.
-		got = got[:0]
-		p.ScheduleAt(k, 50, h, "e")
-		p.ScheduleAt(k, 40, h, "d")
-		k.Run()
-		if fmt.Sprint(got) != "[d e]" {
-			t.Fatalf("%s: second round saw %v, want [d e]", name, got)
-		}
-	}
-}
-
-func TestPendingTakeOutsideItsEventPanics(t *testing.T) {
-	k := NewKernel(1)
-	var p Pending[int]
-	k.Schedule(0, func(k *Kernel) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Take from a foreign event did not panic")
-			}
-		}()
-		p.Take(k)
-	})
-	k.Run()
-}
-
-// TestQueuesSteadyStateAllocFree checks that a warmed-up FIFO and Pending
-// cycle entries without allocating.
+// TestQueuesSteadyStateAllocFree checks that a warmed-up FIFO cycles
+// entries without allocating.
 func TestQueuesSteadyStateAllocFree(t *testing.T) {
 	var q FIFO[func()]
 	fn := func() {}
@@ -174,21 +123,5 @@ func TestQueuesSteadyStateAllocFree(t *testing.T) {
 		q.Pop()
 	}); n != 0 {
 		t.Fatalf("FIFO push/pop allocated %v times per run", n)
-	}
-
-	k := NewKernel(1)
-	var p Pending[uint64]
-	var h Handler
-	h = func(k *Kernel) { p.Take(k) }
-	for i := 0; i < 8; i++ {
-		p.Schedule(k, Time(i), h, 0)
-	}
-	k.Run()
-	if n := testing.AllocsPerRun(100, func() {
-		p.Schedule(k, Microsecond, h, 1)
-		p.Schedule(k, 2*Microsecond, h, 2)
-		k.Run()
-	}); n != 0 {
-		t.Fatalf("Pending schedule/take allocated %v times per run", n)
 	}
 }
