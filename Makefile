@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest examples bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest examples fma-check bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
 
-ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest examples bench-check bench-module soak resume-check
+ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest examples fma-check bench-check bench-module soak resume-check
 
 vet:
 	$(GO) vet ./...
@@ -126,6 +126,29 @@ examples:
 		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
 		echo "examples: $$d ok"; \
 	done
+
+# The same numbers on every CPU. arm64, ppc64le, s390x and riscv64 have
+# fused multiply-add instructions, which round x*y + z once where amd64
+# (which never fuses) rounds twice, so a fused model would give another
+# slot instant or energy for the same seed there. Cross-build each CLI
+# that runs the model for each of them and fail on any fused instruction
+# (FMADDD, FNMSUB, ...; MADBR and MSDBR on s390x) in a repro/internal
+# function. Write float64(x*y) + z to keep the two roundings. It needs
+# only the local toolchain: nothing runs on the target.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+FMA_CMDS = tables soak bansim
+
+fma-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; fail=0; \
+	for arch in $(FMA_ARCHES); do for cmd in $(FMA_CMDS); do \
+		GOARCH=$$arch $(GO) build -o "$$dir/$$cmd" ./cmd/$$cmd || exit 1; \
+		found=$$($(GO) tool objdump "$$dir/$$cmd" | awk ' \
+			/^TEXT / { fn = $$2 } \
+			fn ~ /^repro\/internal\// && $$4 ~ /^(FN?M(ADD|SUB)|M[AS][DE]BR?$$|WFN?M[AS][DE]B$$)/ { print "  " fn, $$1, $$4 }'); \
+		if [ -n "$$found" ]; then echo "fma-check: fused multiply-adds in $$cmd for $$arch:"; echo "$$found"; fail=1; fi; \
+	done; done; \
+	if [ $$fail -eq 0 ]; then echo "fma-check: no fused multiply-adds in repro/internal on $(FMA_ARCHES)"; fi; \
+	exit $$fail
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

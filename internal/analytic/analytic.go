@@ -50,10 +50,10 @@ type Estimate struct {
 }
 
 // RadioMJ reports the radio estimate in millijoules.
-func (e Estimate) RadioMJ() float64 { return e.RadioJ * 1e3 }
+func (e Estimate) RadioMJ() float64 { return float64(e.RadioJ * 1e3) }
 
 // MCUMJ reports the microcontroller estimate in millijoules.
-func (e Estimate) MCUMJ() float64 { return e.MCUJ * 1e3 }
+func (e Estimate) MCUMJ() float64 { return float64(e.MCUJ * 1e3) }
 
 // Compute evaluates the model.
 func Compute(s Scenario) (Estimate, error) {
@@ -141,9 +141,9 @@ func Compute(s Scenario) (Estimate, error) {
 	ackWindow := ackLatency + r.RxClockOut(prof.MAC.AckPayloadBytes)
 
 	est := Estimate{}
-	est.BeaconListenJ = pRx * beaconWindow.Seconds() * cyclesPerSec * secs
-	est.DataTxJ = pTx * txDur.Seconds() * pktPerSec * secs
-	est.AckListenJ = pRx * ackWindow.Seconds() * pktPerSec * secs
+	est.BeaconListenJ = float64(pRx * beaconWindow.Seconds() * cyclesPerSec * secs)
+	est.DataTxJ = float64(pTx * txDur.Seconds() * pktPerSec * secs)
+	est.AckListenJ = float64(pRx * ackWindow.Seconds() * pktPerSec * secs)
 	est.RadioJ = est.BeaconListenJ + est.DataTxJ + est.AckListenJ
 
 	// Microcontroller: two-state model on top of the power-save floor.
@@ -183,10 +183,10 @@ func Compute(s Scenario) (Estimate, error) {
 		perSecActive += sim.Time(float64(perPkt) * pktPerSec)
 	}
 	activeSecs := perSecActive.Seconds() * secs
-	pActive := m.ActiveA * m.VoltageV
-	pSave := m.PowerSaveA * m.VoltageV
-	est.MCUBaselineJ = pSave * secs
-	est.MCUActiveJ = (pActive - pSave) * activeSecs
+	pActive := float64(m.ActiveA * m.VoltageV)
+	pSave := float64(m.PowerSaveA * m.VoltageV)
+	est.MCUBaselineJ = float64(pSave * secs)
+	est.MCUActiveJ = float64((pActive - pSave) * activeSecs)
 	est.MCUJ = est.MCUBaselineJ + est.MCUActiveJ
 
 	est.ASICJ = prof.ASIC.PowerW * secs

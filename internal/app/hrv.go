@@ -124,7 +124,7 @@ func (h *HRV) sendSummary(rrs []float64) {
 	var ssq float64
 	for i := 1; i < len(rrs); i++ {
 		d := rrs[i] - rrs[i-1]
-		ssq += d * d
+		ssq += float64(d * d)
 	}
 	rmssd := 0.0
 	if len(rrs) > 1 {
@@ -145,7 +145,7 @@ func (h *HRV) sendSummary(rrs []float64) {
 
 // clampMs converts seconds to a bounded millisecond field.
 func clampMs(s float64) uint16 {
-	ms := s * 1e3
+	ms := float64(s * 1e3)
 	if ms < 0 {
 		return 0
 	}

@@ -62,9 +62,17 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
+	// The buffer holds at most a payload's worth plus one acquisition,
+	// and the assembly scratch one payload's worth: one allocation backs
+	// both, and the packing scratch is sized for one payload.
+	spp, ch := cfg.SamplesPerPacket, cfg.Channels
+	scratch := make([]codec.Sample, 2*spp+ch)
 	s := &Streaming{cfg: cfg,
 		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
-		batches:  mcu.NewQueue[codec.Sample](env.Sched.MCU())}
+		batches:  mcu.NewQueue[codec.Sample](env.Sched.MCU()),
+		buf:      scratch[: 0 : spp+ch],
+		batch:    scratch[spp+ch : spp+ch],
+		payload:  make([]byte, 0, codec.BytesFor(spp))}
 	s.sampleDone = s.onSampleDone
 	s.assembleDone = s.onAssembleDone
 	s.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)

@@ -199,7 +199,7 @@ func (b Battery) VoltageAt(soc float64) float64 {
 			if span > 0 {
 				t = (soc - lo.soc) / span
 			}
-			return b.VoltageV * (lo.frac + t*(hi.frac-lo.frac))
+			return b.VoltageV * (lo.frac + float64(t*(hi.frac-lo.frac)))
 		}
 	}
 	return b.VoltageV * dischargeCurve[len(dischargeCurve)-1].frac

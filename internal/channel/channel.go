@@ -71,6 +71,10 @@ type Transceiver interface {
 	// in-flight corruption. The image of a corrupted frame has bits
 	// flipped, so the receiver's own CRC check fails naturally.
 	Deliver(image []byte, cause Corruption)
+	// EndBurst tells the sender that its frame has left the air, after
+	// the last delivery of that frame, handing back the word the sender
+	// passed to BeginTx.
+	EndBurst(word uint64)
 }
 
 // Link describes one directed path between two radios.
@@ -123,7 +127,8 @@ type Stats struct {
 }
 
 type transmission struct {
-	port  int // the sender's attach index
+	port  int    // the sender's attach index
+	word  uint64 // handed back to the sender by EndBurst
 	image []byte
 	start sim.Time
 	end   sim.Time
@@ -276,7 +281,9 @@ func (c *Channel) SetJamming(active bool) {
 // AbortTx marks every in-flight frame from the given port as truncated:
 // the transmitter died mid-burst, so the partial frame fails every
 // receiver's CRC. Delivery timing is unchanged (listeners were committed
-// to the frame's airtime either way).
+// to the frame's airtime either way), and EndBurst still runs at the
+// frame's end: the sender tells a crashed burst's word by its own
+// generation.
 func (c *Channel) AbortTx(port int) {
 	now := c.k.Now()
 	for _, tx := range c.active {
@@ -293,10 +300,11 @@ func (c *Channel) Stats() Stats { return c.stats }
 // BeginTx puts a frame on the air from the radio attached at port for
 // the given airtime. Any temporal overlap with another in-flight frame
 // corrupts both (single interference domain). Delivery to each listening
-// radio happens at end-of-frame.
+// radio happens at end-of-frame, in the same event that then ends the
+// sender's burst with EndBurst(word).
 //
 //hot:path
-func (c *Channel) BeginTx(port int, image []byte, airtime sim.Time) {
+func (c *Channel) BeginTx(port int, image []byte, airtime sim.Time, word uint64) {
 	if airtime <= 0 {
 		panic("channel: non-positive airtime")
 	}
@@ -311,7 +319,7 @@ func (c *Channel) BeginTx(port int, image []byte, airtime sim.Time) {
 	} else {
 		tx = c.newTransmission()
 	}
-	tx.port = port
+	tx.port, tx.word = port, word
 	tx.image = append(tx.image[:0], image...)
 	tx.start = now
 	tx.end = now + airtime
@@ -351,7 +359,7 @@ func (c *Channel) newTransmission() *transmission {
 }
 
 // finishTx delivers a frame that has left the air to every radio that
-// can hear it, then recycles its record.
+// can hear it, recycles its record, then ends the sender's burst.
 //
 //hot:path
 func (c *Channel) finishTx(tx *transmission) {
@@ -414,6 +422,7 @@ func (c *Channel) finishTx(tx *transmission) {
 		rx.Deliver(image, cause)
 	}
 	c.txPool = append(c.txPool, tx)
+	c.nodes[tx.port].EndBurst(tx.word)
 }
 
 // frameBER reports the bit error rate one frame sees on path p, first

@@ -28,6 +28,7 @@ func (f *fakeRadio) Deliver(image []byte, cause Corruption) {
 	f.got = append(f.got, cause)
 	f.images = append(f.images, image)
 }
+func (f *fakeRadio) EndBurst(uint64) {}
 
 func setup() (*sim.Kernel, *Channel, *fakeRadio, *fakeRadio, *fakeRadio) {
 	k := sim.NewKernel(5)
@@ -47,7 +48,7 @@ func img() []byte {
 
 func TestCleanDeliveryToAllListeners(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(a.got) != 0 {
 		t.Fatalf("sender received its own frame")
@@ -70,8 +71,8 @@ func TestCleanDeliveryToAllListeners(t *testing.T) {
 
 func TestOverlapCorruptsBoth(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
-	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
+	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	// The base station hears both frames, both collided.
 	if len(bs.got) != 2 {
@@ -93,9 +94,9 @@ func TestOverlapCorruptsBoth(t *testing.T) {
 
 func TestBackToBackFramesDoNotCollide(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	// Second frame starts exactly when the first ends.
-	k.Schedule(100*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(100*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	for i, cause := range bs.got {
 		if cause != Clean {
@@ -110,7 +111,7 @@ func TestBackToBackFramesDoNotCollide(t *testing.T) {
 func TestLateListenerMissesFrame(t *testing.T) {
 	k, c, a, b, _ := setup()
 	b.listening = false
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Schedule(30*sim.Microsecond, func(k *sim.Kernel) {
 		b.listening = true
 		b.since = k.Now() // tuned in mid-frame
@@ -128,7 +129,7 @@ func TestNotListeningGetsNothing(t *testing.T) {
 	k, c, a, b, bs := setup()
 	b.listening = false
 	bs.listening = false
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(b.got)+len(bs.got) != 0 {
 		t.Fatalf("non-listening radios received frames")
@@ -138,7 +139,7 @@ func TestNotListeningGetsNothing(t *testing.T) {
 func TestDisconnectedLink(t *testing.T) {
 	k, c, a, b, bs := setup()
 	c.SetLink("a", "b", Link{Connected: false})
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(b.got) != 0 {
 		t.Fatalf("disconnected link delivered")
@@ -154,7 +155,7 @@ func TestBERCorruptsProbabilistically(t *testing.T) {
 	n := 500
 	for i := 0; i < n; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond) })
+		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond, 0) })
 	}
 	k.Run()
 	var bad int
@@ -182,7 +183,7 @@ func TestZeroBERNeverCorrupts(t *testing.T) {
 	k, c, a, _, bs := setup()
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * sim.Millisecond
-		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond) })
+		k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(a.port, img(), 76*sim.Microsecond, 0) })
 	}
 	k.Run()
 	for _, cause := range bs.got {
@@ -225,7 +226,7 @@ func TestBurstyErrorsCluster(t *testing.T) {
 		const n = 4000
 		for i := 0; i < n; i++ {
 			at := sim.Time(i) * sim.Millisecond
-			k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(tx.port, img(), 76*sim.Microsecond) })
+			k.ScheduleAt(at, func(*sim.Kernel) { c.BeginTx(tx.port, img(), 76*sim.Microsecond, 0) })
 		}
 		k.Run()
 		runLen := 0
@@ -279,7 +280,7 @@ func TestNonPositiveAirtimePanics(t *testing.T) {
 			t.Fatalf("zero airtime did not panic")
 		}
 	}()
-	c.BeginTx(r.port, []byte{1}, 0)
+	c.BeginTx(r.port, []byte{1}, 0, 0)
 }
 
 func TestBeginTxUnknownPortPanics(t *testing.T) {
@@ -292,7 +293,7 @@ func TestBeginTxUnknownPortPanics(t *testing.T) {
 					t.Fatalf("BeginTx on port %d panicked with %q, want a message naming %q", port, msg, want)
 				}
 			}()
-			c.BeginTx(port, img(), 100*sim.Microsecond)
+			c.BeginTx(port, img(), 100*sim.Microsecond, 0)
 		}()
 	}
 	if st := c.Stats(); st.Transmissions != 0 {
@@ -303,7 +304,7 @@ func TestBeginTxUnknownPortPanics(t *testing.T) {
 func TestBusy(t *testing.T) {
 	k, c, a, _, _ := setup()
 	k.Schedule(0, func(*sim.Kernel) {
-		c.BeginTx(a.port, img(), 100*sim.Microsecond)
+		c.BeginTx(a.port, img(), 100*sim.Microsecond, 0)
 		if !c.Busy() {
 			t.Errorf("channel not busy during transmission")
 		}
@@ -318,9 +319,9 @@ func TestThreeWayCollision(t *testing.T) {
 	k, c, a, b, bs := setup()
 	d := &fakeRadio{id: "d", listening: true}
 	d.port = c.Attach(d)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
-	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
-	k.Schedule(20*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(bs.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
+	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond, 0) })
+	k.Schedule(20*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(bs.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	// d hears all three, all corrupted.
 	if len(d.got) != 3 {
@@ -353,7 +354,7 @@ func TestQuickConservation(t *testing.T) {
 		for _, s := range starts {
 			at := sim.Time(s) * sim.Microsecond
 			k.ScheduleAt(at, func(*sim.Kernel) {
-				c.BeginTx(tx.port, img(), 50*sim.Microsecond)
+				c.BeginTx(tx.port, img(), 50*sim.Microsecond, 0)
 			})
 		}
 		k.Run()
@@ -379,8 +380,8 @@ func TestQuickCollisionSymmetry(t *testing.T) {
 		w.port = c.Attach(w)
 		air := 100 * sim.Microsecond
 		g := sim.Time(gap) * 2 * sim.Microsecond
-		k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), air) })
-		k.ScheduleAt(g, func(*sim.Kernel) { c.BeginTx(b.port, img(), air) })
+		k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), air, 0) })
+		k.ScheduleAt(g, func(*sim.Kernel) { c.BeginTx(b.port, img(), air, 0) })
 		k.Run()
 		if len(w.got) != 2 {
 			return false
@@ -399,7 +400,7 @@ func TestQuickCollisionSymmetry(t *testing.T) {
 func TestBlackoutSuppressesDelivery(t *testing.T) {
 	k, c, a, b, bs := setup()
 	c.SetBlackout("a", "bs", true)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(bs.got) != 0 {
 		t.Fatalf("bs received %v through a blackout", bs.got)
@@ -419,13 +420,13 @@ func TestBlackoutDepthComposes(t *testing.T) {
 	c.SetBlackout("a", "bs", true)
 	c.SetBlackout("a", "bs", true)
 	c.SetBlackout("a", "bs", false)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(bs.got) != 0 {
 		t.Fatalf("path delivered with one of two windows still open")
 	}
 	c.SetBlackout("a", "bs", false)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(bs.got) != 1 || bs.got[0] != Clean {
 		t.Fatalf("bs got %v after both windows closed, want one clean copy", bs.got)
@@ -433,7 +434,7 @@ func TestBlackoutDepthComposes(t *testing.T) {
 	// Closing more windows than were opened must not wedge the path.
 	c.SetBlackout("a", "bs", false)
 	c.SetBlackout("a", "bs", true)
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	if len(bs.got) != 1 {
 		t.Fatalf("over-closing cancelled a later window")
@@ -443,13 +444,13 @@ func TestBlackoutDepthComposes(t *testing.T) {
 func TestJammingCorruptsNewAndInFlightFrames(t *testing.T) {
 	k, c, a, b, bs := setup()
 	// Frame in flight when the burst starts.
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Schedule(50*sim.Microsecond, func(*sim.Kernel) { c.SetJamming(true) })
 	// Frame born inside the burst.
-	k.Schedule(120*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(120*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond, 0) })
 	k.Schedule(300*sim.Microsecond, func(*sim.Kernel) { c.SetJamming(false) })
 	// Frame after the burst ends: clean again.
-	k.Schedule(400*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(400*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 	want := []Corruption{Jammed, Jammed, Clean}
 	if len(bs.got) != 3 {
@@ -471,7 +472,7 @@ func TestJammingCorruptsNewAndInFlightFrames(t *testing.T) {
 
 func TestAbortTxTruncatesInFlight(t *testing.T) {
 	k, c, a, b, bs := setup()
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	// The transmitter dies mid-burst; listeners were committed to the
 	// airtime, so a corrupted copy still arrives on schedule.
 	k.Schedule(40*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) })
@@ -493,12 +494,59 @@ func TestAbortTxLeavesOtherSendersAlone(t *testing.T) {
 	k, c, a, b, bs := setup()
 	// Non-overlapping frames from two senders; aborting a's must not
 	// touch b's.
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(a.port, img(), 100*sim.Microsecond, 0) })
 	k.Schedule(10*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) })
-	k.Schedule(200*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond) })
+	k.Schedule(200*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(b.port, img(), 100*sim.Microsecond, 0) })
 	k.Schedule(210*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(a.port) }) // nothing of a's in flight
 	k.Run()
 	if len(bs.got) != 2 || bs.got[0] != Truncated || bs.got[1] != Clean {
 		t.Fatalf("bs got %v, want [truncated clean]", bs.got)
+	}
+}
+
+// logRadio is a listening Transceiver that logs its deliveries and burst
+// ends with the dispatch (the kernel's executed count) each ran in.
+type logRadio struct {
+	id   string
+	port int
+	k    *sim.Kernel
+	log  *[]string
+}
+
+func (r *logRadio) ChannelID() string                { return r.id }
+func (r *logRadio) ListeningSince() (sim.Time, bool) { return 0, true }
+func (r *logRadio) Deliver(_ []byte, cause Corruption) {
+	*r.log = append(*r.log, fmt.Sprintf("%d deliver %s %v", r.k.Executed(), r.id, cause))
+}
+func (r *logRadio) EndBurst(word uint64) {
+	*r.log = append(*r.log, fmt.Sprintf("%d end %s %d", r.k.Executed(), r.id, word))
+}
+
+// TestEndBurstFollowsDeliveries checks that a frame's end hands the
+// sender its word after the frame's last delivery, in the same dispatch,
+// for a clean frame over a blacked-out path and for a truncated one.
+func TestEndBurstFollowsDeliveries(t *testing.T) {
+	k := sim.NewKernel(5)
+	c := New(k)
+	var log []string
+	radios := map[string]*logRadio{}
+	for _, id := range []string{"a", "b", "c"} {
+		radios[id] = &logRadio{id: id, k: k, log: &log}
+		radios[id].port = c.Attach(radios[id])
+	}
+	c.SetBlackout("a", "c", true)
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(radios["a"].port, img(), 100*sim.Microsecond, 7) })
+	k.Schedule(200*sim.Microsecond, func(*sim.Kernel) { c.BeginTx(radios["b"].port, img(), 100*sim.Microsecond, 9) })
+	k.Schedule(250*sim.Microsecond, func(*sim.Kernel) { c.AbortTx(radios["b"].port) })
+	k.Run()
+	want := []string{
+		"2 deliver b clean", "2 end a 7",
+		"5 deliver a truncated", "5 deliver c truncated", "5 end b 9",
+	}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("log:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+	if st := c.Stats(); st.BlackoutDrops != 1 || st.Truncated != 1 {
+		t.Fatalf("stats %+v, want 1 blackout drop and 1 truncated frame", st)
 	}
 }

@@ -19,7 +19,7 @@ func attachAll(c *Channel, names ...string) map[string]*fakeRadio {
 
 // sendFrom puts one frame on the air from r and runs it to delivery.
 func sendFrom(k *sim.Kernel, c *Channel, r *fakeRadio) {
-	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(r.port, img(), 100*sim.Microsecond) })
+	k.Schedule(0, func(*sim.Kernel) { c.BeginTx(r.port, img(), 100*sim.Microsecond, 0) })
 	k.Run()
 }
 
@@ -110,6 +110,7 @@ func (r *countRadio) Deliver(_ []byte, cause Corruption) {
 		r.corrupt++
 	}
 }
+func (r *countRadio) EndBurst(uint64) {}
 
 // TestFinishTxAllocationFree pins steady-state delivery over
 // error-prone, bursty and blacked-out paths to zero allocations.
@@ -131,7 +132,7 @@ func TestFinishTxAllocationFree(t *testing.T) {
 	c.SetBlackout("a", "c", true)
 	frame := img()
 	send := func() {
-		c.BeginTx(radios[0].port, frame, 100*sim.Microsecond)
+		c.BeginTx(radios[0].port, frame, 100*sim.Microsecond, 0)
 		k.Run()
 	}
 	for i := 0; i < 20; i++ { // grow the pools

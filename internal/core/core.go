@@ -645,6 +645,7 @@ func Run(cfg Config) (Results, error) {
 	cfg.Interrupt = nil
 	res := Results{
 		Config:    cfg,
+		Nodes:     make([]NodeResult, 0, len(sensors)),
 		BSStats:   base.BS.Stats(),
 		Channel:   ch.Stats(),
 		Trace:     tracer,

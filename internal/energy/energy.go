@@ -10,6 +10,7 @@
 package energy
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -45,10 +46,8 @@ func (d Draw) Power() float64 { return d.CurrentA * d.VoltageV }
 // Reset once that instant has passed.
 type Meter struct {
 	name    string
-	states  []State // sorted
-	draws   []Draw  // draws[i] is the operating point of states[i]
-	timeIn  []sim.Time
-	cur     Handle // the current state
+	states  []meterState // sorted by name
+	cur     Handle       // the current state
 	since   sim.Time
 	started bool
 
@@ -56,6 +55,14 @@ type Meter struct {
 	// deferAt is its instant.
 	deferred Handle
 	deferAt  sim.Time
+}
+
+// meterState is one of a meter's states: its name, its operating point
+// and its accumulated residency.
+type meterState struct {
+	name   State
+	draw   Draw
+	timeIn sim.Time
 }
 
 // Handle is a meter's dense index of one of its states, resolved once
@@ -68,16 +75,11 @@ const noDefer Handle = -1
 // NewMeter creates a meter for a component with the given state table.
 // Call Start before the first transition.
 func NewMeter(name string, draws map[State]Draw) *Meter {
-	m := &Meter{name: name, states: make([]State, 0, len(draws)), deferred: noDefer}
-	for s := range draws {
-		m.states = append(m.states, s)
+	m := &Meter{name: name, states: make([]meterState, 0, len(draws)), deferred: noDefer}
+	for s, d := range draws {
+		m.states = append(m.states, meterState{name: s, draw: d})
 	}
-	slices.Sort(m.states)
-	m.draws = make([]Draw, len(m.states))
-	for i, s := range m.states {
-		m.draws[i] = draws[s]
-	}
-	m.timeIn = make([]sim.Time, len(m.states))
+	slices.SortFunc(m.states, func(a, b meterState) int { return cmp.Compare(a.name, b.name) })
 	return m
 }
 
@@ -148,7 +150,7 @@ func (m *Meter) Undefer() { m.deferred = noDefer }
 // move charges the interval up to now to the current state and enters
 // next.
 func (m *Meter) move(now sim.Time, next Handle) {
-	m.timeIn[m.cur] += now - m.since
+	m.states[m.cur].timeIn += now - m.since
 	m.cur = next
 	m.since = now
 }
@@ -164,7 +166,7 @@ func (m *Meter) settle(now sim.Time) {
 
 // State reports the component's current power state.
 func (m *Meter) State() State {
-	return m.states[m.cur]
+	return m.states[m.cur].name
 }
 
 // Flush charges the interval since the last transition to the current
@@ -178,7 +180,7 @@ func (m *Meter) Flush(now sim.Time) {
 		panic(fmt.Sprintf("energy: meter %q flush time went backwards", m.name))
 	}
 	m.settle(now)
-	m.timeIn[m.cur] += now - m.since
+	m.states[m.cur].timeIn += now - m.since
 	m.since = now
 }
 
@@ -186,7 +188,7 @@ func (m *Meter) Flush(now sim.Time) {
 // last Flush or Transition); 0 for a state the meter does not know.
 func (m *Meter) TimeIn(s State) sim.Time {
 	if i, ok := m.index(s); ok {
-		return m.timeIn[i]
+		return m.states[i].timeIn
 	}
 	return 0
 }
@@ -202,7 +204,9 @@ func (m *Meter) Reset(now sim.Time) {
 		panic(fmt.Sprintf("energy: meter %q reset time went backwards", m.name))
 	}
 	m.settle(now)
-	clear(m.timeIn)
+	for i := range m.states {
+		m.states[i].timeIn = 0
+	}
 	m.since = now
 }
 
@@ -213,10 +217,16 @@ func (m *Meter) Reset(now sim.Time) {
 // invariance.
 func (m *Meter) EnergyJ() float64 {
 	var e float64
-	for i, d := range m.draws {
-		e += d.Power() * m.timeIn[i].Seconds()
+	for i := range m.states {
+		e += m.states[i].energyJ()
 	}
 	return e
+}
+
+// energyJ prices the state's residency. The conversion keeps a sum of
+// these from fusing into multiply-adds on CPUs that have them.
+func (s *meterState) energyJ() float64 {
+	return float64(s.draw.Power() * s.timeIn.Seconds())
 }
 
 // EnergyInJ reports the energy accumulated in one state.
@@ -225,27 +235,31 @@ func (m *Meter) EnergyInJ(s State) float64 {
 	if !ok {
 		return 0
 	}
-	return m.draws[i].Power() * m.timeIn[i].Seconds()
+	return m.states[i].energyJ()
 }
 
 // States reports the meter's known states in sorted order.
 func (m *Meter) States() []State {
-	return append([]State(nil), m.states...)
+	out := make([]State, len(m.states))
+	for i := range m.states {
+		out[i] = m.states[i].name
+	}
+	return out
 }
 
 // TotalTime reports the sum of residence times over all states.
 func (m *Meter) TotalTime() sim.Time {
 	var t sim.Time
-	for _, d := range m.timeIn {
-		t += d
+	for i := range m.states {
+		t += m.states[i].timeIn
 	}
 	return t
 }
 
 // index finds state s.
 func (m *Meter) index(s State) (Handle, bool) {
-	for i, x := range m.states {
-		if x == s {
+	for i := range m.states {
+		if m.states[i].name == s {
 			return Handle(i), true
 		}
 	}
@@ -303,9 +317,10 @@ func lossIndex(c LossCategory) int {
 // Ledger aggregates the meters of one node plus loss-category attribution.
 type Ledger struct {
 	// order holds the meters in registration order, which every sweep
-	// walks; meters serves only the by-name lookup.
+	// and the by-name lookup walk. It starts out in inline, which holds a
+	// node's radio, microcontroller and front end.
 	order  []*Meter
-	meters map[string]*Meter
+	inline [3]*Meter
 	// losses holds each category's joules, indexed like lossCategories;
 	// attributed marks the categories charged since the last Reset, the
 	// ones a Report lists.
@@ -315,20 +330,28 @@ type Ledger struct {
 
 // NewLedger creates an empty ledger.
 func NewLedger() *Ledger {
-	return &Ledger{meters: make(map[string]*Meter)}
+	l := &Ledger{}
+	l.order = l.inline[:0]
+	return l
 }
 
 // Register adds a meter to the ledger. Component names must be unique.
 func (l *Ledger) Register(m *Meter) {
-	if _, dup := l.meters[m.Name()]; dup {
+	if l.Meter(m.Name()) != nil {
 		panic(fmt.Sprintf("energy: duplicate meter %q", m.Name()))
 	}
-	l.meters[m.Name()] = m
 	l.order = append(l.order, m)
 }
 
 // Meter returns the registered meter with the given name, or nil.
-func (l *Ledger) Meter(name string) *Meter { return l.meters[name] }
+func (l *Ledger) Meter(name string) *Meter {
+	for _, m := range l.order {
+		if m.name == name {
+			return m
+		}
+	}
+	return nil
+}
 
 // AttributeLoss charges joules of already-metered energy to a loss
 // category. This is attribution, not additional energy: the joules were
@@ -386,10 +409,12 @@ func (l *Ledger) Report() Report {
 		Losses:     map[LossCategory]float64{},
 	}
 	for _, m := range l.order {
-		cr := ComponentReport{Name: m.Name(), States: map[State]StateReport{}}
-		for _, s := range m.States() {
-			cr.States[s] = StateReport{Time: m.TimeIn(s), EnergyJ: m.EnergyInJ(s)}
-			cr.EnergyJ += m.EnergyInJ(s)
+		cr := ComponentReport{Name: m.Name(), States: make(map[State]StateReport, len(m.states))}
+		for i := range m.states {
+			s := &m.states[i]
+			e := s.energyJ()
+			cr.States[s.name] = StateReport{Time: s.timeIn, EnergyJ: e}
+			cr.EnergyJ += e
 		}
 		r.Components = append(r.Components, cr)
 		r.TotalJ += cr.EnergyJ
@@ -417,7 +442,7 @@ type ComponentReport struct {
 
 // EnergyMJ reports the component total in millijoules, the unit used in
 // the paper's tables.
-func (c ComponentReport) EnergyMJ() float64 { return c.EnergyJ * 1e3 }
+func (c ComponentReport) EnergyMJ() float64 { return float64(c.EnergyJ * 1e3) }
 
 // Report is a plain-data snapshot of a node's energy accounting.
 type Report struct {
@@ -438,4 +463,4 @@ func (r Report) Component(name string) (ComponentReport, bool) {
 }
 
 // TotalMJ reports the node total in millijoules.
-func (r Report) TotalMJ() float64 { return r.TotalJ * 1e3 }
+func (r Report) TotalMJ() float64 { return float64(r.TotalJ * 1e3) }

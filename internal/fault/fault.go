@@ -276,7 +276,7 @@ func (inj *Injector) AddNode(id uint8, h NodeHooks) {
 		panic(fmt.Sprintf("fault: duplicate node %d", id))
 	}
 	inj.nodes[id] = h
-	inj.nodeTrace[id] = inj.tracer.ID(fmt.Sprintf("node%d", id))
+	inj.nodeTrace[id] = inj.tracer.ID("node" + strconv.Itoa(int(id)))
 	inj.ids = append(inj.ids, id)
 	sort.Slice(inj.ids, func(i, j int) bool { return inj.ids[i] < inj.ids[j] })
 }

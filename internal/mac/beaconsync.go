@@ -130,7 +130,7 @@ func (m *beaconSync) local(d sim.Time) sim.Time {
 	if approx.Unset(m.cfg.ClockDriftPPM) {
 		return d
 	}
-	return sim.Time(float64(d) * (1 + m.cfg.ClockDriftPPM*1e-6))
+	return sim.Time(float64(d) * (1 + float64(m.cfg.ClockDriftPPM*1e-6)))
 }
 
 // parseCycles reports the variant's beacon-parse cost.

@@ -131,6 +131,7 @@ func (c *nodeCore) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *r
 	c.ledger, c.tracer, c.trace = ledger, tracer, tracer.ID(c.name)
 	c.slot = -1
 	c.resetAccess = resetAccess
+	c.txQueue.init(cfg.Profile.Radio.MaxPayloadBytes)
 }
 
 // OnJoined implements Mac. Multiple callbacks may be registered; each
@@ -327,6 +328,22 @@ func (q *txQueue) enqueue(payload []byte, at sim.Time) {
 	}
 	buf = append(buf[:0], payload...)
 	q.queue.Push(txItem{payload: buf, enqueuedAt: at})
+}
+
+// txBuffers is how many payload buffers a queue starts with: a full
+// queue plus the frame in flight, all a node holds in steady state.
+const txBuffers = DefaultTxQueueCap + 1
+
+// init gives the queue txBuffers empty payload buffers of size bytes
+// each, carved out of one allocation. A longer payload outgrows its
+// buffer by append, and a queue that runs out makes new buffers the
+// same way.
+func (q *txQueue) init(size int) {
+	slab := make([]byte, txBuffers*size)
+	q.spare = make([][]byte, txBuffers)
+	for i := range q.spare {
+		q.spare[i] = slab[i*size : i*size : (i+1)*size]
+	}
 }
 
 // launch puts the head of the queue in flight.

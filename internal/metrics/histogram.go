@@ -13,17 +13,22 @@ import (
 // boundaries (rather than adaptive ones) are what make histogram
 // aggregation across runs and workers deterministic: merging is plain
 // bucket-wise addition.
-var histBounds = func() []sim.Time {
-	var out []sim.Time
-	for scale := 10 * sim.Microsecond; scale <= 10*sim.Second; scale *= 10 {
-		out = append(out, scale, 2*scale, 5*scale)
+var histBounds = func() (out [histBuckets - 1]sim.Time) {
+	scale := 10 * sim.Microsecond
+	for i := 0; i < len(out); i += 3 {
+		out[i], out[i+1], out[i+2] = scale, 2*scale, 5*scale
+		scale *= 10
 	}
 	return out
 }()
 
+// histBuckets is the bucket count: three bounds in each of the seven
+// decades from 10 µs to 10 s, plus the overflow bucket.
+const histBuckets = 3*7 + 1
+
 // HistBounds returns the shared bucket upper bounds (a copy).
 func HistBounds() []sim.Time {
-	return append([]sim.Time(nil), histBounds...)
+	return append([]sim.Time(nil), histBounds[:]...)
 }
 
 // Histogram aggregates latency samples into the fixed shared buckets.
@@ -37,11 +42,23 @@ type Histogram struct {
 	Max    sim.Time
 }
 
-// NewHistogram creates an empty histogram over the shared bounds.
+// NewHistogram creates an empty histogram over the shared bounds, its
+// buckets in the same allocation.
 //
 //lint:allow hotalloc a recorder creates each (node, name) histogram once, on its first sample
 func NewHistogram() *Histogram {
-	return &Histogram{Counts: make([]uint64, len(histBounds)+1)}
+	b := &struct {
+		h      Histogram
+		counts [histBuckets]uint64
+	}{}
+	b.h.Counts = b.counts[:]
+	return &b.h
+}
+
+// reset empties the histogram, keeping its buckets.
+func (h *Histogram) reset() {
+	clear(h.Counts)
+	*h = Histogram{Counts: h.Counts}
 }
 
 // Observe adds one sample. Negative samples clamp to zero.

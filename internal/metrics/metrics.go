@@ -190,7 +190,7 @@ type Recorder struct {
 
 // nodeStats is one node's name, its event counters indexed by Kind and
 // its histograms indexed by Hist. A histogram stays nil until its first
-// sample.
+// sample, and empty (N == 0) after a ResetDerived until its next one.
 type nodeStats struct {
 	name   string
 	counts [kinds]uint64
@@ -208,8 +208,13 @@ const NoRing = -1
 // (0 = unlimited, NoRing = none). Counters and histograms are never
 // limited.
 func NewRecorder(limit int) *Recorder {
-	return &Recorder{limit: limit, ids: make(map[string]NodeID)}
+	return &Recorder{limit: limit, ids: make(map[string]NodeID), nodes: make([]nodeStats, 0, initialNodes)}
 }
+
+// initialNodes is the node-table capacity a recorder starts with: a
+// base station, five sensors and the fault injector's channel
+// pseudo-node fit without growing it.
+const initialNodes = 8
 
 // ID returns the NodeID recording under node, assigning the next dense
 // ID on the name's first use. A nil recorder returns 0, which every
@@ -311,15 +316,22 @@ func (r *Recorder) Observe(node NodeID, h Hist, v sim.Time) {
 
 // ResetDerived zeroes the counters and histograms, so a measurement
 // window excludes the join transient — mirroring the components'
-// ResetAccounting. The event log (and its dropped count) is kept: the
-// timeline's whole point is showing the join sequence. Node IDs stay
+// ResetAccounting. Histograms are emptied in place, and every output
+// skips an empty one. The event log (and its dropped count) is kept:
+// the timeline's whole point is showing the join sequence. Node IDs stay
 // valid.
 func (r *Recorder) ResetDerived() {
 	if r == nil {
 		return
 	}
 	for i := range r.nodes {
-		r.nodes[i].counts, r.nodes[i].hists = [kinds]uint64{}, [hists]*Histogram{}
+		n := &r.nodes[i]
+		n.counts = [kinds]uint64{}
+		for _, h := range n.hists {
+			if h != nil {
+				h.reset()
+			}
+		}
 	}
 }
 
@@ -388,13 +400,21 @@ func (r *Recorder) CounterRows() []CounterRow {
 		n := &r.nodes[i]
 		for k, v := range n.counts {
 			if v > 0 {
-				rows = append(rows, CounterRow{Node: n.name, Name: "event." + Kind(k).String(), Value: v})
+				rows = append(rows, CounterRow{Node: n.name, Name: counterNames[k], Value: v})
 			}
 		}
 	}
 	byNodeName(rows, func(c CounterRow) (string, string) { return c.Node, c.Name })
 	return rows
 }
+
+// counterNames[k] is the counter row name of Kind k, "event.<kind>".
+var counterNames = func() (out [kinds]string) {
+	for k := range out {
+		out[k] = "event." + Kind(k).String()
+	}
+	return out
+}()
 
 // HistRows snapshots every histogram with a sample, sorted by node then
 // name.
@@ -406,7 +426,7 @@ func (r *Recorder) HistRows() []HistRow {
 	for i := range r.nodes {
 		n := &r.nodes[i]
 		for k, h := range n.hists {
-			if h != nil {
+			if h != nil && h.N > 0 {
 				rows = append(rows, h.Row(n.name, Hist(k).String()))
 			}
 		}

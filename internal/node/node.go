@@ -5,7 +5,7 @@
 package node
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/app"
 	"repro/internal/asic"
@@ -87,7 +87,7 @@ func WithBattery(cell battery.Battery, brownoutV float64, policy *battery.Degrad
 // application with AttachApp before Start.
 func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	cfg mac.NodeConfig, opts ...Option) *Sensor {
-	o := sensorOpts{name: fmt.Sprintf("node%d", cfg.NodeID)}
+	o := sensorOpts{name: "node" + strconv.Itoa(int(cfg.NodeID))}
 	for _, opt := range opts {
 		opt(&o)
 	}

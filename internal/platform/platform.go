@@ -101,7 +101,7 @@ func (m MCUParams) AtClock(clockHz float64) MCUParams {
 	perHz := (m.ActiveA - mcuLeakageA) / m.ClockHz
 	out := m
 	out.ClockHz = clockHz
-	out.ActiveA = mcuLeakageA + perHz*clockHz
+	out.ActiveA = mcuLeakageA + float64(perHz*clockHz)
 	return out
 }
 

@@ -104,9 +104,10 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
-	// gen invalidates in-flight transmit steps across a crash: settle and
-	// burst-end events carry the generation they were issued under in
-	// their argument word and only apply while it is still current.
+	// gen invalidates in-flight transmit steps across a crash: the settle
+	// event carries the generation it was issued under in its argument
+	// word, settle hands it to BeginTx, and the channel hands it back to
+	// EndBurst; each step applies only while it is still current.
 	gen uint64
 	// drainTok numbers RX FIFO drains; a drain event carries its token in
 	// the argument word, so only the current drain may complete.
@@ -115,26 +116,22 @@ type Radio struct {
 	// handler bound once in New, so a frame allocates nothing. txBusy
 	// gates Fire, so at most one burst is settling or on the air, and a
 	// drain runs only while no other is in progress: one field each
-	// holds it. FIFO clock-ins ride on the MCU.
-	tx         burst
-	rx         packet.Frame // the frame being drained
-	loads      mcu.Queue[load]
-	onSettle   sim.Handler
-	onBurstEnd sim.Handler
-	onDrained  sim.Handler
-	onLoaded   func()
+	// holds it. FIFO clock-ins ride on the MCU; the burst's end rides on
+	// the channel's end-of-frame event (EndBurst).
+	tx        burst
+	rx        packet.Frame // the frame being drained
+	loads     mcu.Queue[load]
+	onSettle  sim.Handler
+	onDrained sim.Handler
+	onLoaded  func()
 
 	// rxAddrs[:nRxAddrs] is the hardware address filter.
 	rxAddrs  [maxRxAddrs]packet.Address
 	nRxAddrs int
 	onRecv   ReceiveFunc
 
-	stats Stats
-	// productiveRx accumulates receiver-on time occupied by frames
-	// (airtime + drain), the complement of idle listening.
-	productiveRx sim.Time
-	txAirTime    sim.Time
-	lastRxEnd    sim.Time
+	stats     Stats
+	lastRxEnd sim.Time
 }
 
 // New creates a radio, registers its energy meter and attaches it to the
@@ -150,6 +147,11 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	})
 	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateRadioOff)
+	// One allocation backs both scratch buffers, each sized for the
+	// largest image this radio sends; a longer image from another radio
+	// outgrows rxBuf by append.
+	img := params.AddressBytes + params.MaxPayloadBytes + params.CRCBytes
+	scratch := make([]byte, 2*img)
 	r := &Radio{
 		k:      k,
 		name:   name,
@@ -161,6 +163,8 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		tracer: tracer,
 		trace:  tracer.ID(name),
 		loads:  mcu.NewQueue[load](sched.MCU()),
+		txBuf:  scratch[:0:img],
+		rxBuf:  scratch[img:img],
 	}
 	r.modeState = [...]energy.Handle{
 		ModeOff:     meter.Handle(platform.StateRadioOff),
@@ -169,7 +173,6 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		ModeRx:      meter.Handle(platform.StateRadioRX),
 	}
 	r.onSettle = r.settle
-	r.onBurstEnd = r.burstEnd
 	r.onDrained = r.drained
 	r.onLoaded = r.loadDone
 	r.port = ch.Attach(r)
@@ -206,25 +209,14 @@ func (r *Radio) Mode() Mode { return r.mode }
 // Stats returns a copy of the radio counters.
 func (r *Radio) Stats() Stats { return r.stats }
 
-// ProductiveRxTime reports receiver-on time occupied by frames; the rest
-// of the RX residency is idle listening.
-func (r *Radio) ProductiveRxTime() sim.Time { return r.productiveRx }
-
-// TxAirTime reports cumulative on-air transmission time.
-func (r *Radio) TxAirTime() sim.Time { return r.txAirTime }
-
 // LastRxFrameEnd reports the end-of-frame instant of the most recently
 // accepted frame — the hardware timestamp upper layers use to recover
 // protocol timing (e.g. the beacon's on-air start for slot scheduling).
 func (r *Radio) LastRxFrameEnd() sim.Time { return r.lastRxEnd }
 
-// ResetAccounting zeroes the radio's statistics and time accumulators.
-// Used after simulation warm-up so measurements cover steady state only.
-func (r *Radio) ResetAccounting() {
-	r.stats = Stats{}
-	r.productiveRx = 0
-	r.txAirTime = 0
-}
+// ResetAccounting zeroes the radio's statistics. Used after simulation
+// warm-up so measurements cover steady state only.
+func (r *Radio) ResetAccounting() { r.stats = Stats{} }
 
 // RxPowerW reports the receive-mode power draw.
 func (r *Radio) RxPowerW() float64 { return r.params.RxA * r.params.VoltageV }
@@ -364,19 +356,20 @@ func (r *Radio) settle(k *sim.Kernel) {
 	// Encode into the per-radio scratch; the channel copies the image
 	// into its own pooled buffer, so txBuf is free again on return.
 	r.txBuf = r.tx.frame.AppendEncode(r.txBuf[:0])
-	r.ch.BeginTx(r.port, r.txBuf, r.tx.air)
-	k.ScheduleArgAt(k.Now()+r.tx.air, r.onBurstEnd, r.gen)
+	r.ch.BeginTx(r.port, r.txBuf, r.tx.air, r.gen)
 }
 
-// burstEnd returns the radio to standby when a burst has left the air.
+// EndBurst implements channel.Transceiver: it returns the radio to
+// standby when its burst has left the air. The channel calls it at the
+// frame's end, after the frame's last delivery, with the generation
+// settle put the frame on the air under.
 //
 //hot:path
-func (r *Radio) burstEnd(k *sim.Kernel) {
-	if k.Arg() != r.gen {
+func (r *Radio) EndBurst(gen uint64) {
+	if gen != r.gen {
 		return // crashed mid-burst; AbortTx already truncated it
 	}
 	r.stats.TxFrames++
-	r.txAirTime += r.tx.air
 	r.txBusy = false
 	r.setMode(ModeStandby)
 	if done := r.tx.done; done != nil {
@@ -398,11 +391,6 @@ func (r *Radio) Crash() {
 	r.hasLoaded = false
 	r.draining = false
 	r.setMode(ModeOff)
-}
-
-// Transmit is Load followed immediately by Fire.
-func (r *Radio) Transmit(dest packet.Address, payload []byte, done func()) {
-	r.Load(dest, payload, func() { r.Fire(done) })
 }
 
 // ChannelBusy reports whether any burst is on the air — the radio's
@@ -434,10 +422,6 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 	// per-frame payload allocation.
 	r.rxBuf = append(r.rxBuf[:0], image...)
 	frame, crcOK, err := packet.DecodeInPlace(r.rxBuf)
-	air := sim.Time(float64(len(image)+r.params.PreambleBytes) * 8 /
-		r.params.BitrateHz * float64(sim.Second))
-	r.productiveRx += air
-
 	if err != nil || !crcOK {
 		// The nRF2401 discards the frame internally; the receive energy
 		// for the airtime is already metered — attribute it. Collisions
@@ -445,14 +429,14 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 		// too, since both manifest as CRC-discarded frames needing
 		// retransmission.
 		r.stats.CRCDrops++
-		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*air.Seconds())
+		r.ledger.AttributeLoss(energy.LossCollision, r.RxPowerW()*r.imageAir(image).Seconds())
 		metrics.Record1(r.tracer, r.k.Now(), r.trace, metrics.KindCRCDrop, "cause=%v", cause)
 		return
 	}
 	if !r.accepts(frame.Dest) {
 		// Overheard frame: address checked on-chip, never forwarded.
 		r.stats.AddrDrops++
-		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*air.Seconds())
+		r.ledger.AttributeLoss(energy.LossOverhearing, r.RxPowerW()*r.imageAir(image).Seconds())
 		metrics.Record1(r.tracer, r.k.Now(), r.trace, metrics.KindAddrFilter, "dest=%06x", uint32(frame.Dest))
 		return
 	}
@@ -464,8 +448,14 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 	r.rx = frame
 	r.drainTok++
 	drainDur := r.params.RxClockOut(len(frame.Payload))
-	r.productiveRx += drainDur
 	r.k.ScheduleArgAt(r.k.Now()+drainDur, r.onDrained, r.drainTok)
+}
+
+// imageAir is the airtime of a delivered on-air image, preamble
+// included: the receive time a dropped frame cost.
+func (r *Radio) imageAir(image []byte) sim.Time {
+	return sim.Time(float64(len(image)+r.params.PreambleBytes) * 8 /
+		r.params.BitrateHz * float64(sim.Second))
 }
 
 // drained hands a frame to the upper layer once the RX FIFO is empty.

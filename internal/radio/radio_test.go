@@ -44,6 +44,11 @@ func (r *rig) station(name string, prof platform.Profile) *station {
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// transmit loads a frame and fires it once the FIFO holds it.
+func transmit(r *Radio, dest packet.Address, payload []byte, done func()) {
+	r.Load(dest, payload, func() { r.Fire(done) })
+}
+
 func TestTransmitDeliversToAddressedReceiver(t *testing.T) {
 	r := newRig()
 	tx := r.station("node1", platform.IMEC())
@@ -51,7 +56,7 @@ func TestTransmitDeliversToAddressedReceiver(t *testing.T) {
 	rx.radio.SetRxAddresses(packet.AddrBSData)
 	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, []byte{1, 2, 3}, nil)
+		transmit(tx.radio, packet.AddrBSData, []byte{1, 2, 3}, nil)
 	})
 	r.k.RunUntil(20 * sim.Millisecond)
 	if len(rx.got) != 1 {
@@ -72,7 +77,7 @@ func TestAddressFilterDropsAndAttributesOverhearing(t *testing.T) {
 	eav.radio.SetRxAddresses(packet.NodeAddress(2)) // not the destination
 	r.k.Schedule(0, func(*sim.Kernel) { eav.radio.StartRx() })
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, []byte{1, 2, 3}, nil)
+		transmit(tx.radio, packet.AddrBSData, []byte{1, 2, 3}, nil)
 	})
 	r.k.RunUntil(20 * sim.Millisecond)
 	if len(eav.got) != 0 {
@@ -99,8 +104,8 @@ func TestCollisionDropsWithCRCAndAttributesLoss(t *testing.T) {
 	// Fire both nodes so their bursts overlap. Load takes ~ the same time
 	// on both, so simultaneous Transmits collide on the air.
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		a.radio.Transmit(packet.AddrBSData, []byte{1, 2, 3}, nil)
-		b.radio.Transmit(packet.AddrBSData, []byte{4, 5, 6}, nil)
+		transmit(a.radio, packet.AddrBSData, []byte{1, 2, 3}, nil)
+		transmit(b.radio, packet.AddrBSData, []byte{4, 5, 6}, nil)
 	})
 	r.k.RunUntil(30 * sim.Millisecond)
 	if len(bs.got) != 0 {
@@ -121,7 +126,7 @@ func TestTxEnergyMatchesCalibration(t *testing.T) {
 	tx := r.station("node1", platform.IMEC())
 	done := false
 	r.k.Schedule(0, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, make([]byte, 18), func() { done = true })
+		transmit(tx.radio, packet.AddrBSData, make([]byte, 18), func() { done = true })
 	})
 	r.k.RunUntil(20 * sim.Millisecond)
 	if !done {
@@ -155,7 +160,7 @@ func TestRxSettleBlocksCapture(t *testing.T) {
 	rx := r.station("bs", platform.BaseStation())
 	rx.radio.SetRxAddresses(packet.AddrBSData)
 	r.k.Schedule(0, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, make([]byte, 18), nil)
+		transmit(tx.radio, packet.AddrBSData, make([]byte, 18), nil)
 	})
 	// Load = 3.36ms, settle 195us, so the burst flies at ~3.56ms. Turn
 	// the receiver on 50us into the burst.
@@ -175,7 +180,7 @@ func TestDrainKeepsRadioInRx(t *testing.T) {
 	rx.radio.SetReceiveHandler(func(packet.Frame) { handledAt = r.k.Now() })
 	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, make([]byte, 18), nil)
+		transmit(tx.radio, packet.AddrBSData, make([]byte, 18), nil)
 	})
 	r.k.RunUntil(20 * sim.Millisecond)
 	if handledAt == 0 {
@@ -189,26 +194,6 @@ func TestDrainKeepsRadioInRx(t *testing.T) {
 	}
 	if rx.radio.Mode() != ModeRx {
 		t.Fatalf("radio left RX after drain: %v", rx.radio.Mode())
-	}
-}
-
-func TestProductiveRxTracksFrames(t *testing.T) {
-	r := newRig()
-	tx := r.station("node1", platform.IMEC())
-	rx := r.station("bs", platform.BaseStation())
-	rx.radio.SetRxAddresses(packet.AddrBSData)
-	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
-	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		tx.radio.Transmit(packet.AddrBSData, make([]byte, 18), nil)
-	})
-	r.k.RunUntil(20 * sim.Millisecond)
-	// Airtime 192us + drain 72us (2Mbps) = 264us productive.
-	want := 192*sim.Microsecond + 72*sim.Microsecond
-	if got := rx.radio.ProductiveRxTime(); got != want {
-		t.Fatalf("productive RX = %v, want %v", got, want)
-	}
-	if got := tx.radio.TxAirTime(); got != 192*sim.Microsecond {
-		t.Fatalf("TxAirTime = %v, want 192us", got)
 	}
 }
 

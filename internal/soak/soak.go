@@ -93,8 +93,8 @@ func Generate(seed int64) core.Config {
 		cfg.BER = []float64{1e-5, 1e-4, 5e-4, 2e-3}[r.Intn(4)]
 	case 2:
 		cfg.Burst = &channel.BurstModel{
-			PGoodToBad: 0.01 + 0.1*r.Float64(),
-			PBadToGood: 0.05 + 0.3*r.Float64(),
+			PGoodToBad: 0.01 + float64(0.1*r.Float64()),
+			PBadToGood: 0.05 + float64(0.3*r.Float64()),
 			BERGood:    0,
 			BERBad:     []float64{1e-3, 5e-3, 2e-2}[r.Intn(3)],
 		}
