@@ -297,7 +297,7 @@ func printText(res core.Results) {
 		for _, comp := range n.Energy.Components {
 			fmt.Printf("  %-6s:", comp.Name)
 			for _, st := range orderedStates(comp) {
-				sr := comp.States[st]
+				sr := comp.States.Get(st)
 				if sr.Time == 0 {
 					continue
 				}

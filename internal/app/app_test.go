@@ -43,9 +43,11 @@ type harness struct {
 	mac *fakeMac
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t *testing.T) *harness { return newHarnessOn(t, sim.NewKernel(1)) }
+
+// newHarnessOn builds the harness over kernel k.
+func newHarnessOn(t *testing.T, k *sim.Kernel) *harness {
 	t.Helper()
-	k := sim.NewKernel(1)
 	l := energy.NewLedger()
 	prof := platform.IMEC()
 	m := mcu.New(k, prof.MCU, l)

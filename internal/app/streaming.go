@@ -26,16 +26,22 @@ type StreamingConfig struct {
 // one sample per channel; once a payload's worth has accumulated it is
 // packed (12-bit samples, 18 bytes) and handed to the MAC for the next
 // slot.
+//
+// An acquisition's samples enter the buffer with its ISR's submission,
+// and only the ISR that completes a payload has a completion callback:
+// the others cost the kernel no event. isrs marks where every ISR
+// completes, so a crash drops the samples of exactly the ISRs it
+// abandoned, the buffer's tail.
 type Streaming struct {
 	sampler
 	cfg StreamingConfig
 
-	buf []codec.Sample
-	// acquired holds each acquisition's samples from the hardware event
-	// until its ISR completes, and batches each full payload's samples
-	// until its assembly task runs; sampleDone and assembleDone, bound
-	// once, pop them.
-	acquired     mcu.Queue[codec.Sample]
+	// buf holds the samples of the acquisitions since the last payload
+	// ISR completed, in order; the ISRs of its tail may still be running.
+	buf  []codec.Sample
+	isrs mcu.Marks
+	// batches holds each full payload's samples until its assembly task
+	// runs; sampleDone and assembleDone are bound once.
 	batches      mcu.Queue[codec.Sample]
 	sampleDone   func()
 	assembleDone func()
@@ -62,17 +68,20 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
-	// The buffer holds at most a payload's worth plus one acquisition,
-	// and the assembly scratch one payload's worth: one allocation backs
-	// both, and the packing scratch is sized for one payload.
-	spp, ch := cfg.SamplesPerPacket, cfg.Channels
-	scratch := make([]codec.Sample, 2*spp+ch)
+	// The buffer holds a payload's worth plus the acquisitions whose
+	// ISRs queue behind the payload ISR's, which two payloads' worth
+	// leaves room for; the assembly scratch holds one payload's worth.
+	// One allocation backs both, the packing scratch is sized for one
+	// payload and the batch queue for one payload's worth.
+	spp := cfg.SamplesPerPacket
+	scratch := make([]codec.Sample, 3*spp)
 	s := &Streaming{cfg: cfg,
-		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
-		batches:  mcu.NewQueue[codec.Sample](env.Sched.MCU()),
-		buf:      scratch[: 0 : spp+ch],
-		batch:    scratch[spp+ch : spp+ch],
-		payload:  make([]byte, 0, codec.BytesFor(spp))}
+		batches: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
+		buf:     scratch[: 0 : 2*spp],
+		batch:   scratch[2*spp : 2*spp],
+		payload: make([]byte, 0, codec.BytesFor(spp))}
+	s.batches.Grow(spp)
+	env.Sched.MCU().Track(&s.isrs)
 	s.sampleDone = s.onSampleDone
 	s.assembleDone = s.onAssembleDone
 	s.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)
@@ -84,31 +93,33 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 // time. The packet format is unchanged — payloads just fill more slowly.
 func (s *Streaming) Downshift(factor float64) { s.downshift(factor) }
 
-// onAcquisition runs in hardware-event context for each sample set.
+// onAcquisition runs in hardware-event context for each sample set: it
+// buffers the samples and runs the acquisition ISR, whose completion
+// posts the packet assembly if it completes a payload.
 //
 //hot:path
 func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
-	for _, v := range samples {
-		s.acquired.Push(v)
+	if lost := s.isrs.Settle(); lost > 0 {
+		s.buf = s.buf[:len(s.buf)-lost*s.cfg.Channels]
+	}
+	s.buf = append(s.buf, samples...)
+	var done func()
+	if len(s.buf)%s.cfg.SamplesPerPacket == 0 {
+		done = s.sampleDone
 	}
 	// The per-pair cost covers the acquisition ISR and buffering.
-	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, s.sampleDone)
+	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, done)
+	s.isrs.Mark()
 }
 
-// onSampleDone buffers one acquisition when its ISR completes and posts
-// the packet assembly once a payload's worth has accumulated.
+// onSampleDone completes a payload's last ISR: it posts the packet
+// assembly of the payload's worth at the head of the buffer.
 //
 //hot:path
 func (s *Streaming) onSampleDone() {
-	for range s.cfg.Channels {
-		s.buf = append(s.buf, s.acquired.Pop())
-	}
-	spp := s.cfg.SamplesPerPacket
-	if len(s.buf) < spp {
-		return
-	}
 	// Packet assembly is a deferred task (header + packing); a full task
 	// queue drops the batch.
+	spp := s.cfg.SamplesPerPacket
 	if s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, s.assembleDone) {
 		for _, v := range s.buf[:spp] {
 			s.batches.Push(v)

@@ -48,11 +48,10 @@ type Frontend struct {
 // New creates a front-end and registers its meter. The ASIC starts
 // powered off.
 func New(k *sim.Kernel, params platform.ASICParams, ledger *energy.Ledger) *Frontend {
-	meter := energy.NewMeter(platform.ComponentASIC, map[energy.State]energy.Draw{
+	meter := ledger.Add(platform.ComponentASIC, map[energy.State]energy.Draw{
 		platform.StateASICOn:  {CurrentA: params.PowerW / params.VoltageV, VoltageV: params.VoltageV},
 		platform.StateASICOff: {},
 	})
-	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateASICOff)
 	f := &Frontend{k: k, params: params, meter: meter}
 	f.timer = sim.NewTimer(k, f.tick)

@@ -11,6 +11,7 @@ package energy
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -75,12 +76,19 @@ const noDefer Handle = -1
 // NewMeter creates a meter for a component with the given state table.
 // Call Start before the first transition.
 func NewMeter(name string, draws map[State]Draw) *Meter {
-	m := &Meter{name: name, states: make([]meterState, 0, len(draws)), deferred: noDefer}
+	m := &Meter{}
+	m.init(name, draws, make([]meterState, 0, len(draws)))
+	return m
+}
+
+// init builds the meter in place over states, an empty slice with room
+// for the state table.
+func (m *Meter) init(name string, draws map[State]Draw, states []meterState) {
+	*m = Meter{name: name, states: states, deferred: noDefer}
 	for s, d := range draws {
 		m.states = append(m.states, meterState{name: s, draw: d})
 	}
 	slices.SortFunc(m.states, func(a, b meterState) int { return cmp.Compare(a.name, b.name) })
-	return m
 }
 
 // Name reports the component name the meter was created with.
@@ -321,6 +329,13 @@ type Ledger struct {
 	// node's radio, microcontroller and front end.
 	order  []*Meter
 	inline [3]*Meter
+	// meters and slab back the meters Add builds: a node's three
+	// components and their 13 states live in the ledger's own
+	// allocation. Meters beyond that allocate their own.
+	meters  [3]Meter
+	nmeters int
+	slab    []meterState
+	states  [13]meterState
 	// losses holds each category's joules, indexed like lossCategories;
 	// attributed marks the categories charged since the last Reset, the
 	// ones a Report lists.
@@ -332,7 +347,29 @@ type Ledger struct {
 func NewLedger() *Ledger {
 	l := &Ledger{}
 	l.order = l.inline[:0]
+	l.slab = l.states[:0]
 	return l
+}
+
+// Add creates a component's meter with the given state table, as
+// NewMeter does, and registers it.
+func (l *Ledger) Add(name string, draws map[State]Draw) *Meter {
+	var m *Meter
+	if l.nmeters < len(l.meters) {
+		m = &l.meters[l.nmeters]
+		l.nmeters++
+	} else {
+		m = new(Meter)
+	}
+	n, end := len(l.slab), len(l.slab)+len(draws)
+	if end <= cap(l.slab) {
+		m.init(name, draws, l.slab[n:n:end])
+		l.slab = l.slab[:end]
+	} else {
+		m.init(name, draws, make([]meterState, 0, len(draws)))
+	}
+	l.Register(m)
+	return m
 }
 
 // Register adds a meter to the ledger. Component names must be unique.
@@ -408,14 +445,21 @@ func (l *Ledger) Report() Report {
 		Components: make([]ComponentReport, 0, len(l.order)),
 		Losses:     map[LossCategory]float64{},
 	}
+	n := 0
 	for _, m := range l.order {
-		cr := ComponentReport{Name: m.Name(), States: make(map[State]StateReport, len(m.states))}
+		n += len(m.states)
+	}
+	states := make(StateReports, 0, n) // one allocation backs every component's
+	for _, m := range l.order {
+		from := len(states)
+		cr := ComponentReport{Name: m.Name()}
 		for i := range m.states {
 			s := &m.states[i]
 			e := s.energyJ()
-			cr.States[s.name] = StateReport{Time: s.timeIn, EnergyJ: e}
+			states = append(states, StateReport{State: s.name, Time: s.timeIn, EnergyJ: e})
 			cr.EnergyJ += e
 		}
+		cr.States = states[from:len(states):len(states)]
 		r.Components = append(r.Components, cr)
 		r.TotalJ += cr.EnergyJ
 	}
@@ -429,15 +473,67 @@ func (l *Ledger) Report() Report {
 
 // StateReport is the per-state slice of a component report.
 type StateReport struct {
+	State   State `json:"-"`
 	Time    sim.Time
 	EnergyJ float64
+}
+
+// StateReports lists a component's per-state reports sorted by state
+// name. In JSON it is an object keyed by state name.
+type StateReports []StateReport
+
+// Get returns the report of state s, the zero value for a state the
+// component does not have.
+func (r StateReports) Get(s State) StateReport {
+	for _, sr := range r {
+		if sr.State == s {
+			return sr
+		}
+	}
+	return StateReport{}
+}
+
+// MarshalJSON encodes the reports as an object keyed by state name, in
+// name order, exactly as encoding/json writes a map of them.
+func (r StateReports) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for i, sr := range r {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		k, err := json.Marshal(string(sr.State))
+		if err != nil {
+			return nil, err
+		}
+		v, err := json.Marshal(sr)
+		if err != nil {
+			return nil, err
+		}
+		b = append(append(append(b, k...), ':'), v...)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON decodes the object MarshalJSON writes.
+func (r *StateReports) UnmarshalJSON(b []byte) error {
+	var m map[State]StateReport
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*r = make(StateReports, 0, len(m))
+	for s, sr := range m {
+		sr.State = s
+		*r = append(*r, sr)
+	}
+	slices.SortFunc(*r, func(a, b StateReport) int { return cmp.Compare(a.State, b.State) })
+	return nil
 }
 
 // ComponentReport is the per-component slice of a node energy report.
 type ComponentReport struct {
 	Name    string
 	EnergyJ float64
-	States  map[State]StateReport
+	States  StateReports
 }
 
 // EnergyMJ reports the component total in millijoules, the unit used in

@@ -1,7 +1,11 @@
 package energy
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +301,73 @@ func TestReportEnergyMJ(t *testing.T) {
 	cr := ComponentReport{EnergyJ: 0.5406}
 	if !approx(cr.EnergyMJ(), 540.6, 1e-9) {
 		t.Fatalf("EnergyMJ = %v, want 540.6", cr.EnergyMJ())
+	}
+}
+
+// TestStateReportsJSON pins the report's JSON to the form a map of the
+// states took (an object keyed by state name, in name order) and checks
+// that it decodes back.
+func TestStateReportsJSON(t *testing.T) {
+	l := NewLedger()
+	m := l.Add("radio", map[State]Draw{"tx": {CurrentA: 1e-2, VoltageV: 3}, "off": {}, "rx": {CurrentA: 2e-2, VoltageV: 3}})
+	m.Start(0, "off")
+	m.Transition(sim.Second, "rx")
+	m.Transition(3*sim.Second, "tx")
+	l.Flush(4 * sim.Second)
+	states := l.Report().Components[0].States
+	got, err := json.Marshal(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asMap := map[State]StateReport{}
+	for _, sr := range states {
+		asMap[sr.State] = sr
+	}
+	want, err := json.Marshal(asMap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("JSON %s, want the map form %s", got, want)
+	}
+	var back StateReports
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, states) {
+		t.Fatalf("decoded %v, want %v", back, states)
+	}
+	if sr := states.Get("rx"); sr.Time != 2*sim.Second {
+		t.Fatalf("Get(rx) = %+v, want 2s", sr)
+	}
+	if sr := states.Get("lpm"); sr != (StateReport{}) {
+		t.Fatalf("Get of an unknown state = %+v, want zero", sr)
+	}
+}
+
+// TestLedgerAddBeyondInline builds more meters and states than the
+// ledger's own allocation holds and checks that every meter keeps its
+// own states.
+func TestLedgerAddBeyondInline(t *testing.T) {
+	l := NewLedger()
+	var ms []*Meter
+	for i := range 5 {
+		m := l.Add(fmt.Sprintf("c%d", i), map[State]Draw{
+			"a": {CurrentA: float64(i + 1), VoltageV: 1}, "b": {}, "c": {}, "d": {}})
+		m.Start(0, "b")
+		m.Transition(sim.Time(i+1)*sim.Second, "a")
+		ms = append(ms, m)
+	}
+	l.Flush(10 * sim.Second)
+	for i, m := range ms {
+		if l.Meter(m.Name()) != m {
+			t.Fatalf("meter %s not registered", m.Name())
+		}
+		if got, want := m.TimeIn("a"), sim.Time(9-i)*sim.Second; got != want {
+			t.Fatalf("%s: %v in a, want %v", m.Name(), got, want)
+		}
+		if got, want := m.EnergyJ(), float64((i+1)*(9-i)); !approx(got, want, 1e-9) {
+			t.Fatalf("%s: %v J, want %v", m.Name(), got, want)
+		}
 	}
 }

@@ -243,7 +243,7 @@ func (bs *BS) prepareBeacon(*sim.Kernel) {
 //
 //hot:path
 func (bs *BS) buildBeacon() {
-	p := bs.cfg.Profile
+	p := &bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.dropStaleGrants()
 		bs.needCompact = bs.needCompact || bs.cfg.Protocol == ProtoDynamic
@@ -289,7 +289,7 @@ func (bs *BS) beaconDue(*sim.Kernel) { bs.beaconStep() }
 //
 //hot:path
 func (bs *BS) onBeaconSent() {
-	p := bs.cfg.Profile
+	p := &bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
 	metrics.Record3(bs.tracer, bs.k.Now(), bs.trace, metrics.KindBeaconTx,
@@ -416,7 +416,7 @@ func (bs *BS) handleData(payload []byte) {
 	if bs.idHeader {
 		node, payload, ok = bs.sender(payload)
 	} else {
-		p := bs.cfg.Profile
+		p := &bs.cfg.Profile
 		airStart := bs.radio.LastRxFrameEnd() - p.Radio.Airtime(len(payload))
 		slot := int((airStart-bs.t0)/slotDuration(&p.MAC, bs.cfg.Protocol, bs.cycle)) - 1
 		if node, ok = bs.byIndex[slot]; !ok {

@@ -123,7 +123,7 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 // strobeSpacing reports the cadence of the strobe train: FIFO reload,
 // settle, strobe burst, listen gap.
 func (m *LPLNode) strobeSpacing() sim.Time {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	return p.Radio.TxClockIn(p.Radio.AddressBytes+packet.StrobeBytes) +
 		p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes) + m.strobeGap
 }

@@ -31,23 +31,21 @@ type NodeMac struct {
 	// Control-frame transients (slot request, slot release), stepped the
 	// same way. Each attempt is numbered, and only the latest is live:
 	// ctrlAttempt is its number, ctrlGen the generation it was armed
-	// under, and ctrlLoaded whether its frame made it into the radio
+	// under, ctrlRelease whether it is a release rather than a slot
+	// request, and ctrlLoaded whether its frame made it into the radio
 	// FIFO. Its prep and fire events carry the number, and its prep ISR
 	// and FIFO clock-in queue their state on the MCU.
 	ctrlAttempt  uint64
 	ctrlGen      uint64
+	ctrlRelease  bool
 	ctrlLoaded   bool
 	ctrlPreps    mcu.Queue[ctrlPrep]
 	ctrlLoads    mcu.Queue[uint64]
-	onSSRPrep    sim.Handler
-	onSSRFire    sim.Handler
-	onRelPrep    sim.Handler
-	onRelFire    sim.Handler
-	ssrPrepped   func()
-	relPrepped   func()
+	onCtrlPrep   sim.Handler
+	onCtrlFire   sim.Handler
+	ctrlPrepped  func()
 	ctrlLoadDone func()
-	ssrSent      func()
-	relSent      func()
+	ctrlSent     func()
 	ssrScheduled bool
 }
 
@@ -64,15 +62,11 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	m.dataSent = m.onDataSent
 	m.ctrlPreps = mcu.NewQueue[ctrlPrep](sched.MCU())
 	m.ctrlLoads = mcu.NewQueue[uint64](sched.MCU())
-	m.onSSRPrep = m.ssrPrepDue
-	m.onSSRFire = m.ssrFireDue
-	m.onRelPrep = m.relPrepDue
-	m.onRelFire = m.relFireDue
-	m.ssrPrepped = m.onSSRPrepped
-	m.relPrepped = m.onRelPrepped
+	m.onCtrlPrep = m.ctrlPrepDue
+	m.onCtrlFire = m.ctrlFireDue
+	m.ctrlPrepped = m.onCtrlPrepped
 	m.ctrlLoadDone = m.onCtrlLoaded
-	m.ssrSent = m.onSSRSent
-	m.relSent = m.onRelSent
+	m.ctrlSent = m.onCtrlSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
@@ -149,7 +143,7 @@ func (m *NodeMac) scheduleSSR() {
 	if m.ssrScheduled {
 		return
 	}
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	ssrAir := p.Radio.Airtime(packet.SSRBytes)
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.SSRBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
@@ -179,52 +173,7 @@ func (m *NodeMac) scheduleSSR() {
 		return
 	}
 	m.ssrScheduled = true
-	m.armAttempt(prepAt, m.onSSRPrep, fireAt, m.onSSRFire)
-}
-
-// ssrPrepDue prepares the slot request: the prep ISR marshals and loads
-// it.
-func (m *NodeMac) ssrPrepDue(k *sim.Kernel) {
-	if !m.attemptLive(k) {
-		return // armed before a crash
-	}
-	if m.state != stateRequesting || m.radio.Mode() == radio.ModeRx {
-		m.ssrScheduled = false
-		return
-	}
-	m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt, ssr: m.nextSSR()})
-	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ssrPrepped)
-}
-
-// onSSRPrepped loads the slot request into the radio FIFO.
-func (m *NodeMac) onSSRPrepped() {
-	c := m.ctrlPreps.Pop()
-	if m.radio.Mode() == radio.ModeRx {
-		m.ssrScheduled = false
-		return
-	}
-	m.ctrlBuf = c.ssr.AppendMarshal(m.ctrlBuf[:0])
-	m.ctrlLoads.Push(c.attempt)
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ctrlLoadDone)
-}
-
-// ssrFireDue fires the slot request at its offset if it was loaded.
-func (m *NodeMac) ssrFireDue(k *sim.Kernel) {
-	if !m.attemptLive(k) {
-		return // armed before a crash
-	}
-	if m.state != stateRequesting || !m.ctrlLoaded || m.radio.Mode() == radio.ModeRx {
-		m.ssrScheduled = false
-		return
-	}
-	m.radio.Fire(m.ssrSent)
-}
-
-// onSSRSent accounts the slot request once it has flown.
-func (m *NodeMac) onSSRSent() {
-	m.ssrScheduled = false
-	m.ssrFlown()
-	m.radio.PowerDown()
+	m.armAttempt(prepAt, fireAt, false)
 }
 
 // scheduleRelease transmits the voluntary slot release in the node's own
@@ -235,7 +184,7 @@ func (m *NodeMac) onSSRSent() {
 //
 //hot:path
 func (m *NodeMac) scheduleRelease() {
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.ReleaseBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
 	fireAt := m.t0 + m.local(m.slotStart(m.slot))
@@ -243,14 +192,23 @@ func (m *NodeMac) scheduleRelease() {
 	if prepAt <= m.k.Now() {
 		return // our slot already passed this cycle; announce on the next
 	}
-	m.armAttempt(prepAt, m.onRelPrep, fireAt, m.onRelFire)
+	m.armAttempt(prepAt, fireAt, true)
 }
 
-// relPrepDue prepares the slot release: the prep ISR marshals and loads
-// it.
-func (m *NodeMac) relPrepDue(k *sim.Kernel) {
+// ctrlPrepDue prepares the live attempt's slot request or release: the
+// prep ISR marshals and loads it.
+func (m *NodeMac) ctrlPrepDue(k *sim.Kernel) {
 	if !m.attemptLive(k) {
 		return // armed before a crash
+	}
+	if !m.ctrlRelease {
+		if m.state != stateRequesting || m.radio.Mode() == radio.ModeRx {
+			m.ssrScheduled = false
+			return
+		}
+		m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt, ssr: m.nextSSR()})
+		m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ctrlPrepped)
+		return
 	}
 	if m.state != stateJoined || !m.releasePending || m.ack.open ||
 		m.loading || m.radio.Mode() == radio.ModeRx {
@@ -260,49 +218,76 @@ func (m *NodeMac) relPrepDue(k *sim.Kernel) {
 	// already stopped, and the release overwrites the FIFO.
 	m.loaded = false
 	m.dropInFlight()
-	m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt})
-	m.sched.Interrupt("release-prep", m.cfg.Profile.Cost.SSRPrep, m.relPrepped)
+	m.ctrlPreps.Push(ctrlPrep{attempt: m.ctrlAttempt, release: true})
+	m.sched.Interrupt("release-prep", m.cfg.Profile.Cost.SSRPrep, m.ctrlPrepped)
 }
 
-// onRelPrepped loads the slot release into the radio FIFO.
-func (m *NodeMac) onRelPrepped() {
+// onCtrlPrepped loads the prepared slot request or release into the
+// radio FIFO.
+func (m *NodeMac) onCtrlPrepped() {
 	c := m.ctrlPreps.Pop()
 	if m.radio.Mode() == radio.ModeRx {
+		if !c.release {
+			m.ssrScheduled = false
+		}
 		return
 	}
-	m.ctrlBuf = packet.Release{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
+	if c.release {
+		m.ctrlBuf = packet.Release{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
+	} else {
+		m.ctrlBuf = c.ssr.AppendMarshal(m.ctrlBuf[:0])
+	}
 	m.ctrlLoads.Push(c.attempt)
 	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ctrlLoadDone)
 }
 
-// relFireDue fires the slot release in the node's slot if it was loaded.
-func (m *NodeMac) relFireDue(k *sim.Kernel) {
+// ctrlFireDue fires the live attempt's frame if it was loaded: a slot
+// request at its offset, a release in the node's slot.
+func (m *NodeMac) ctrlFireDue(k *sim.Kernel) {
 	if !m.attemptLive(k) {
 		return // armed before a crash
 	}
-	if m.state != stateJoined || !m.releasePending || !m.ctrlLoaded ||
+	if !m.ctrlRelease {
+		if m.state != stateRequesting || !m.ctrlLoaded || m.radio.Mode() == radio.ModeRx {
+			m.ssrScheduled = false
+			return
+		}
+	} else if m.state != stateJoined || !m.releasePending || !m.ctrlLoaded ||
 		m.radio.Mode() == radio.ModeRx {
 		return
 	}
-	m.radio.Fire(m.relSent)
+	m.radio.Fire(m.ctrlSent)
 }
 
-// onRelSent accounts the slot release once it has flown and parks.
-func (m *NodeMac) onRelSent() { m.releaseFlown("slot=%d") }
+// onCtrlSent accounts the fired frame once it has flown: a slot request
+// powers the radio down, a release parks the MAC. No attempt is armed
+// while a control frame is on the air, so the live one is the one that
+// flew.
+func (m *NodeMac) onCtrlSent() {
+	if m.ctrlRelease {
+		m.releaseFlown("slot=%d")
+		return
+	}
+	m.ssrScheduled = false
+	m.ssrFlown()
+	m.radio.PowerDown()
+}
 
 // ctrlPrep is the state of a control frame's prep ISR.
 type ctrlPrep struct {
 	attempt uint64
+	release bool
 	ssr     packet.SSR // zero for a release
 }
 
-// armAttempt makes a new control-frame attempt the live one, replacing
-// any attempt a crash left behind, and arms its prep and fire events.
-func (m *NodeMac) armAttempt(prepAt sim.Time, prep sim.Handler, fireAt sim.Time, fire sim.Handler) {
+// armAttempt makes a new control-frame attempt, a slot release or a slot
+// request, the live one, replacing any attempt a crash left behind, and
+// arms its prep and fire events.
+func (m *NodeMac) armAttempt(prepAt, fireAt sim.Time, release bool) {
 	m.ctrlAttempt++
-	m.ctrlGen, m.ctrlLoaded = m.gen, false
-	m.k.ScheduleArgAt(prepAt, prep, m.ctrlAttempt)
-	m.k.ScheduleArgAt(fireAt, fire, m.ctrlAttempt)
+	m.ctrlGen, m.ctrlLoaded, m.ctrlRelease = m.gen, false, release
+	m.k.ScheduleArgAt(prepAt, m.onCtrlPrep, m.ctrlAttempt)
+	m.k.ScheduleArgAt(fireAt, m.onCtrlFire, m.ctrlAttempt)
 }
 
 // attemptLive reports whether the prep or fire event being dispatched
@@ -334,7 +319,7 @@ func (m *NodeMac) tryLoad() {
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 		return
 	}
-	p := m.cfg.Profile
+	p := &m.cfg.Profile
 	item := m.queue.Peek()
 	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
 	margin := 500 * sim.Microsecond

@@ -18,6 +18,13 @@
 // that position, exactly when the elided event would have put it to
 // sleep. Work with a callback still completes through a kernel event,
 // which puts the MCU to sleep itself.
+//
+// A component whose work carries state across its completions (a
+// streaming application's samples, say) can still submit it without a
+// callback: a Marks it registers with Track records each computation's
+// completion position, and learns at a crash which of them dispatch had
+// passed, so the component keeps exactly the effects of the
+// computations that completed and drops those the crash abandoned.
 package mcu
 
 import (
@@ -44,6 +51,10 @@ type MCU struct {
 	busyUntil sim.Time
 	idleSeq   uint64
 	awake     bool
+	// doneSeq is the sequence number of the last queued work's
+	// completion: its event's, or the reserved one of an elided
+	// completion. With busyUntil it is the position a Marks records.
+	doneSeq uint64
 	// sleep is the low-power mode the MCU idles in; it and the other
 	// handles are the meter's states, resolved once.
 	sleep  energy.Handle
@@ -60,6 +71,9 @@ type MCU struct {
 	// handler, bound once so queuing work allocates nothing.
 	dones    sim.FIFO[func()]
 	complete sim.Handler
+	// marks lists the Marks registered with Track, linked through their
+	// next fields; a crash settles each.
+	marks *Marks
 
 	execs      uint64
 	cyclesRun  int64
@@ -70,7 +84,7 @@ type MCU struct {
 // it in the power-save state at the kernel's current instant.
 func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 	v := params.VoltageV
-	meter := energy.NewMeter(platform.ComponentMCU, map[energy.State]energy.Draw{
+	meter := ledger.Add(platform.ComponentMCU, map[energy.State]energy.Draw{
 		platform.StateMCUOff:       {},
 		platform.StateMCUActive:    {CurrentA: params.ActiveA, VoltageV: v},
 		platform.StateMCUPowerSave: {CurrentA: params.PowerSaveA, VoltageV: v},
@@ -79,7 +93,6 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 		platform.StateMCULPM3:      {CurrentA: params.DeepModesA[2], VoltageV: v},
 		platform.StateMCULPM4:      {CurrentA: params.DeepModesA[3], VoltageV: v},
 	})
-	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
 	m := &MCU{
 		k:         k,
@@ -198,6 +211,7 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	if done != nil {
 		m.dones.Push(done)
 		m.k.ScheduleArgAt(end, m.complete, m.gen)
+		m.doneSeq = m.k.Seq()
 	}
 	if end == m.busyUntil && !woke {
 		// Zero-length work at the instant the queued work runs out: the
@@ -224,6 +238,7 @@ func (m *MCU) idle(end sim.Time, event bool) {
 		return
 	}
 	m.idleSeq = m.k.Reserve()
+	m.doneSeq = m.idleSeq
 	m.meter.Defer(end, m.sleep)
 }
 
@@ -248,6 +263,9 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 // the aborted work; the energy meter — the accounting source of truth —
 // is cut off at the crash instant.
 func (m *MCU) Crash() {
+	for q := m.marks; q != nil; q = q.next {
+		q.crashed()
+	}
 	m.gen++
 	m.dones.Reset()
 	m.busyUntil = m.k.Now()
@@ -301,5 +319,70 @@ func (q *Queue[T]) DropAbandoned() {
 	}
 }
 
+// Grow sizes an empty queue for n entries (sim.FIFO.Grow).
+func (q *Queue[T]) Grow(n int) { q.q.Grow(n) }
+
 // Len reports the number of queued entries, abandoned ones included.
 func (q *Queue[T]) Len() int { return q.q.Len() }
+
+// Marks follows where the computations a component submits to the MCU
+// complete, in submission order, so that the component learns which of
+// them a crash abandoned even when their completions cost no kernel
+// event. Call Mark right after each submission whose fate matters, and
+// Settle before acting on the state of earlier ones: it reports how many
+// marked computations crashes abandoned since the last Settle. A
+// computation counts as completed exactly when dispatch has passed its
+// completion position, its event's or the one reserved for it, as
+// sim.Kernel.Passed judges it at the crash. The zero value is usable once
+// registered with Track. Steady state allocates nothing.
+type Marks struct {
+	m    *MCU
+	q    sim.FIFO[mark]
+	lost int
+	next *Marks
+}
+
+// mark is the dispatch position at which one computation completes.
+type mark struct {
+	at  sim.Time
+	seq uint64
+}
+
+// Track registers q with m: q follows the computations submitted to m,
+// and each Crash of m settles it. q must not move afterwards.
+func (m *MCU) Track(q *Marks) {
+	q.m = m
+	q.next, m.marks = m.marks, q
+}
+
+// Mark records the completion position of the computation most
+// recently submitted to the MCU.
+//
+//hot:path
+func (q *Marks) Mark() { q.q.Push(mark{at: q.m.busyUntil, seq: q.m.doneSeq}) }
+
+// Settle forgets the marks of the computations that have completed and
+// reports how many marked computations crashes abandoned since the last
+// Settle. Abandoned computations are always the latest ones marked
+// before their crash.
+//
+//hot:path
+func (q *Marks) Settle() int {
+	for q.q.Len() > 0 {
+		if c := q.q.Peek(); !q.m.k.Passed(c.at, c.seq) {
+			break
+		}
+		q.q.Pop()
+	}
+	n := q.lost
+	q.lost = 0
+	return n
+}
+
+// crashed counts every marked computation still running at a crash as
+// abandoned.
+func (q *Marks) crashed() {
+	lost := q.Settle()
+	q.lost = lost + q.q.Len()
+	q.q.Reset()
+}

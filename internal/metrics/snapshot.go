@@ -85,17 +85,11 @@ func Assemble(rec *Recorder, energies []NodeEnergy, extraStates []StateRow, extr
 	}
 	for _, ne := range energies {
 		for _, comp := range ne.Report.Components {
-			states := make([]string, 0, len(comp.States))
-			for st := range comp.States {
-				states = append(states, string(st))
-			}
-			sort.Strings(states)
-			for _, st := range states {
-				sr := comp.States[energy.State(st)]
+			for _, sr := range comp.States {
 				s.States = append(s.States, StateRow{
 					Node:      ne.Node,
 					Component: comp.Name,
-					State:     st,
+					State:     string(sr.State),
 					Time:      sr.Time,
 					EnergyMJ:  sr.EnergyJ * 1e3,
 				})

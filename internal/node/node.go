@@ -29,9 +29,8 @@ const batteryPollInterval = 50 * sim.Millisecond
 
 // Sensor is one wireless sensor node.
 type Sensor struct {
-	Name    string
-	ID      uint8
-	Profile platform.Profile
+	Name string
+	ID   uint8
 
 	Ledger   *energy.Ledger
 	MCU      *mcu.MCU
@@ -46,7 +45,8 @@ type Sensor struct {
 
 	k          *sim.Kernel
 	tracer     *metrics.Recorder
-	trace      metrics.NodeID // Name's ID in tracer
+	trace      metrics.NodeID     // Name's ID in tracer
+	cost       platform.CostModel // the application's cycle costs
 	onBrownout func()
 	poll       sim.Handler // pollBattery, bound once
 }
@@ -101,7 +101,6 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	s := &Sensor{
 		Name:     o.name,
 		ID:       cfg.NodeID,
-		Profile:  prof,
 		Ledger:   ledger,
 		MCU:      m,
 		Sched:    sched,
@@ -112,6 +111,7 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 		k:        k,
 		tracer:   tracer,
 		trace:    tracer.ID(o.name),
+		cost:     prof.Cost,
 	}
 	if o.battery != nil {
 		s.Bat = battery.NewState(*o.battery, o.brownoutV, o.degrade, k.Now())
@@ -130,7 +130,7 @@ func (s *Sensor) AttachApp(build func(env app.Env) app.App) {
 		Sched:    s.Sched,
 		Frontend: s.Frontend,
 		Mac:      s.Mac,
-		Cost:     s.Profile.Cost,
+		Cost:     s.cost,
 		Tracer:   s.tracer,
 		NodeName: s.Name,
 	})

@@ -144,27 +144,27 @@ type RadioParams struct {
 }
 
 // FrameOverheadBytes reports the non-payload bytes of every frame.
-func (r RadioParams) FrameOverheadBytes() int {
+func (r *RadioParams) FrameOverheadBytes() int {
 	return r.PreambleBytes + r.AddressBytes + r.CRCBytes
 }
 
 // Airtime reports the on-air duration of a frame with the given payload
 // length.
-func (r RadioParams) Airtime(payloadBytes int) sim.Time {
+func (r *RadioParams) Airtime(payloadBytes int) sim.Time {
 	bits := float64(8 * (payloadBytes + r.FrameOverheadBytes()))
 	return sim.Time(bits / r.BitrateHz * float64(sim.Second))
 }
 
 // TxClockIn reports how long the MCU takes to load payloadBytes plus
 // header bytes into the TX FIFO.
-func (r RadioParams) TxClockIn(payloadBytes int) sim.Time {
+func (r *RadioParams) TxClockIn(payloadBytes int) sim.Time {
 	bits := float64(8 * payloadBytes)
 	return sim.Time(bits / r.TxFIFOClockInHz * float64(sim.Second))
 }
 
 // RxClockOut reports how long draining payloadBytes from the RX FIFO
 // keeps the radio in RX after the frame ends.
-func (r RadioParams) RxClockOut(payloadBytes int) sim.Time {
+func (r *RadioParams) RxClockOut(payloadBytes int) sim.Time {
 	bits := float64(8 * payloadBytes)
 	return sim.Time(bits / r.RxFIFOClockOutHz * float64(sim.Second))
 }

@@ -139,13 +139,12 @@ type Radio struct {
 func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Channel,
 	sched *tinyos.Sched, ledger *energy.Ledger, tracer *metrics.Recorder) *Radio {
 	v := params.VoltageV
-	meter := energy.NewMeter(platform.ComponentRadio, map[energy.State]energy.Draw{
+	meter := ledger.Add(platform.ComponentRadio, map[energy.State]energy.Draw{
 		platform.StateRadioOff:     {},
 		platform.StateRadioStandby: {CurrentA: params.StandbyA, VoltageV: v},
 		platform.StateRadioTX:      {CurrentA: params.TxA, VoltageV: v},
 		platform.StateRadioRX:      {CurrentA: params.RxA, VoltageV: v},
 	})
-	ledger.Register(meter)
 	meter.Start(k.Now(), platform.StateRadioOff)
 	// One allocation backs both scratch buffers, each sized for the
 	// largest image this radio sends; a longer image from another radio

@@ -261,6 +261,11 @@ func (k *Kernel) Reserve() uint64 {
 	return k.nextSeq
 }
 
+// Seq reports the sequence number the latest ScheduleAt or Reserve
+// took: with its instant, the dispatch position of the event just
+// scheduled.
+func (k *Kernel) Seq() uint64 { return k.nextSeq }
+
 // Passed reports whether dispatch has moved beyond the position an
 // event at instant at with sequence number seq would hold: at lies in
 // the past, or the event firing now at at was scheduled after seq.

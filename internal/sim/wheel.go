@@ -93,7 +93,12 @@ type wheel struct {
 	live  int     // scheduled and not yet fired or cancelled
 }
 
+// initialPool is the event pool's starting capacity: a five-node run
+// keeps fewer events pending than this, so its pool never grows.
+const initialPool = 32
+
 func (w *wheel) init() {
+	w.events = make([]poolEvent, 0, initialPool)
 	w.free = -1
 	for l := range w.slots {
 		for s := range w.slots[l] {
@@ -349,17 +354,38 @@ func nextSet(occ *[wheelSlots / 64]uint64, from int) (int32, bool) {
 }
 
 // cascade re-places every event of outer-level bucket (l, slot), l
-// being the level minus one. The caller must already have rebased the
-// cursor to the bucket's first page, so each event lands at a lower
-// level or in ready.
+// being the level minus one, into an empty ready list. The caller must
+// already have rebased the cursor to the bucket's first page, so each
+// event lands at a lower level or in ready.
+//
+// bucketPush links newest first, so the walk starts at the bucket's
+// tail: events scheduled in order mostly fire in order, so those bound
+// for ready append nearly sorted, and one insertion sort files them
+// instead of a binary search and a shift per event.
 func (w *wheel) cascade(l int, slot int32) {
 	idx := w.slots[l][slot]
 	w.slots[l][slot] = -1
 	w.occ[l][slot>>6] &^= 1 << (uint(slot) & 63)
+	for w.events[idx].next >= 0 {
+		idx = w.events[idx].next
+	}
 	for idx >= 0 {
-		next := w.events[idx].next
-		w.place(idx)
-		idx = next
+		prev := w.events[idx].prev
+		if w.pageOf(idx) <= w.page {
+			w.events[idx].loc = locReady
+			w.ready = append(w.ready, idx)
+		} else {
+			w.place(idx)
+		}
+		idx = prev
+	}
+	r := w.ready
+	for i := 1; i < len(r); i++ {
+		x, j := r[i], i
+		for ; j > 0 && w.before(x, r[j-1]); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = x
 	}
 }
 
