@@ -307,7 +307,7 @@ func printText(res core.Results) {
 		}
 		fmt.Printf("  losses:")
 		for _, cat := range energy.AllLossCategories() {
-			fmt.Printf("  %s=%.3fmJ", cat, n.Energy.Losses[cat]*1e3)
+			fmt.Printf("  %s=%.3fmJ", cat, n.Energy.Losses.Get(cat)*1e3)
 		}
 		fmt.Println()
 		fmt.Printf("  mac: beacons=%d missed=%d sent=%d acked=%d ackMiss=%d retries=%d drops=%d\n",
@@ -431,8 +431,10 @@ func printJSON(res core.Results) {
 			Delivery:     n.DeliveryRatio,
 			Battery:      n.Battery,
 		}
-		for cat, j := range n.Energy.Losses {
-			jn.Losses[string(cat)] = j * 1e3
+		for _, cat := range energy.AllLossCategories() {
+			if j, ok := n.Energy.Losses.Lookup(cat); ok {
+				jn.Losses[string(cat)] = j * 1e3
+			}
 		}
 		out.Nodes = append(out.Nodes, jn)
 	}

@@ -313,10 +313,10 @@ func writeSweepCSV(w *csv.Writer, results []runner.Result) {
 			strconv.FormatUint(n.Mac.Retries, 10),
 			f1(n.Mac.AvgLatency().Milliseconds()),
 			f1(n.Mac.LatencyMax.Milliseconds()),
-			f3(n.Energy.Losses[energy.LossCollision] * 1e3),
-			f3(n.Energy.Losses[energy.LossIdleListening] * 1e3),
-			f3(n.Energy.Losses[energy.LossOverhearing] * 1e3),
-			f3(n.Energy.Losses[energy.LossControl] * 1e3),
+			f3(n.Energy.Losses.Get(energy.LossCollision) * 1e3),
+			f3(n.Energy.Losses.Get(energy.LossIdleListening) * 1e3),
+			f3(n.Energy.Losses.Get(energy.LossOverhearing) * 1e3),
+			f3(n.Energy.Losses.Get(energy.LossControl) * 1e3),
 			f3(meanAvailability(r.Res.Nodes)),
 			f3(meanDelivery(r.Res.Nodes)),
 			strconv.FormatUint(r.Res.BSStats.SlotsReclaimed, 10),

@@ -33,11 +33,12 @@ func buildBAN(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 		mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: cycle, Plan: plan},
 		node.WithBaseName(fmt.Sprintf("bs%d", netID)))
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: int64(netID)})
+	prof := platform.IMEC()
 	var sensors []*node.Sensor
 	for i := 0; i < nodes; i++ {
 		id := uint8(i + 1)
 		s := node.NewSensor(k, ch, tracer,
-			mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: platform.IMEC(), Plan: plan},
+			mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: &prof, Plan: plan},
 			node.WithName(fmt.Sprintf("n%d.%d", netID, id)))
 		s.AttachApp(func(env app.Env) app.App {
 			return app.NewStreaming(env, app.StreamingConfig{

@@ -36,7 +36,7 @@ func main() {
 
 	fmt.Println("radio losses (the paper's §4.2 categories):")
 	for _, cat := range energy.AllLossCategories() {
-		fmt.Printf("  %-16s %8.3f mJ\n", cat, n.Energy.Losses[cat]*1e3)
+		fmt.Printf("  %-16s %8.3f mJ\n", cat, n.Energy.Losses.Get(cat)*1e3)
 	}
 
 	fmt.Printf("\nprotocol: %d beacons, %d data frames sent, %d acked\n",

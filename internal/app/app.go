@@ -5,6 +5,8 @@
 package app
 
 import (
+	"fmt"
+
 	"repro/internal/asic"
 	"repro/internal/codec"
 	"repro/internal/mac"
@@ -75,12 +77,17 @@ type sampler struct {
 // rate Hz, handing each acquisition to h.
 func (s *sampler) configure(env Env, sig Signal, rate float64, channels int, h asic.SampleHandler) {
 	s.env, s.signal, s.rate = env, sig, rate
-	list := make([]int, channels)
-	for i := range list {
-		list[i] = i
+	if channels > len(firstChannels) {
+		panic(fmt.Sprintf("app: %d channels, the front-end has %d", channels, len(firstChannels)))
 	}
-	env.Frontend.Configure(s, list, h)
+	env.Frontend.Configure(s, firstChannels[:channels:channels], h)
 }
+
+// firstChannels lists the front-end's channel numbers in order; every
+// application enables a prefix of it, which the front-end keeps and
+// never changes.
+var firstChannels = [...]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+	13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}
 
 // Sample implements asic.Source at the current rate.
 //

@@ -179,3 +179,49 @@ func TestCrashAtISRCompletionInstant(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashDropsPostedPayload: a payload's last ISR completes and posts
+// its assembly, then a crash abandons the assembly task. The payload
+// stays at the head of the buffer until the next assembly runs, which
+// must skip it and send only the acquisitions made after the reboot.
+func TestCrashDropsPostedPayload(t *testing.T) {
+	kernels(t, func(t *testing.T, k *sim.Kernel) {
+		r := newISRRig(t, k)
+		p := r.h.env.Sched.MCU().Params()
+		lastISR := r.isrEnd() + 5*p.CyclesToTime(r.h.env.Cost.SamplePairStreaming)
+		k.Schedule(0, func(*sim.Kernel) {
+			for i := range 6 {
+				r.acquire(codec.Sample(100 + 2*i))
+			}
+		})
+		k.ScheduleAt(lastISR+1, func(*sim.Kernel) {
+			r.crash()
+			for i := range 6 {
+				r.acquire(codec.Sample(200 + 2*i))
+			}
+		})
+		wantPairs(t, r.payload(t), 200, 202, 204, 206, 208, 210)
+	})
+}
+
+// TestFullTaskQueueDropsPayload: a payload whose assembly finds the task
+// queue full is dropped from the buffer, and the next payload carries
+// the acquisitions after it.
+func TestFullTaskQueueDropsPayload(t *testing.T) {
+	kernels(t, func(t *testing.T, k *sim.Kernel) {
+		r := newISRRig(t, k)
+		k.Schedule(0, func(*sim.Kernel) {
+			for i := range 6 {
+				r.acquire(codec.Sample(100 + 2*i))
+			}
+			// Tasks queued behind the payload's ISRs fill the queue
+			// when its last ISR completes.
+			for r.h.env.Sched.PostFn("filler", 1, nil) {
+			}
+			for i := range 6 {
+				r.acquire(codec.Sample(200 + 2*i))
+			}
+		})
+		wantPairs(t, r.payload(t), 200, 202, 204, 206, 208, 210)
+	})
+}

@@ -36,17 +36,22 @@ type Streaming struct {
 	sampler
 	cfg StreamingConfig
 
-	// buf holds the samples of the acquisitions since the last payload
-	// ISR completed, in order; the ISRs of its tail may still be running.
+	// buf holds, in order, the samples of the payloads posted for
+	// assembly and then those of the acquisitions since the last payload
+	// ISR completed; the ISRs of its tail may still be running.
 	buf  []codec.Sample
 	isrs mcu.Marks
-	// batches holds each full payload's samples until its assembly task
-	// runs; sampleDone and assembleDone are bound once.
-	batches      mcu.Queue[codec.Sample]
+	// batches numbers each payload posted for assembly, from 1, until
+	// its task runs; a crash drops the tasks it abandons, so the number
+	// a task pops tells how many payloads at the head of buf went with
+	// them. assembled is the number of the last payload taken off buf.
+	// sampleDone and assembleDone are bound once.
+	batches      mcu.Queue[uint64]
+	posted       uint64
+	assembled    uint64
 	sampleDone   func()
 	assembleDone func()
-	batch        []codec.Sample // assembly scratch
-	payload      []byte         // packing scratch; Send copies it
+	payload      []byte // packing scratch; Send copies it
 }
 
 // NewStreaming builds the application and configures the front-end.
@@ -68,19 +73,15 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	if cfg.Signal == nil {
 		panic("app: streaming needs a signal source")
 	}
-	// The buffer holds a payload's worth plus the acquisitions whose
-	// ISRs queue behind the payload ISR's, which two payloads' worth
-	// leaves room for; the assembly scratch holds one payload's worth.
-	// One allocation backs both, the packing scratch is sized for one
-	// payload and the batch queue for one payload's worth.
+	// The buffer holds a payload awaiting assembly, the next payload's
+	// worth and the acquisitions whose ISRs queue behind the payload
+	// ISR's, which three payloads' worth leaves room for; the packing
+	// scratch is sized for one payload.
 	spp := cfg.SamplesPerPacket
-	scratch := make([]codec.Sample, 3*spp)
 	s := &Streaming{cfg: cfg,
-		batches: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
-		buf:     scratch[: 0 : 2*spp],
-		batch:   scratch[2*spp : 2*spp],
+		batches: mcu.NewQueue[uint64](env.Sched.MCU()),
+		buf:     make([]codec.Sample, 0, 3*spp),
 		payload: make([]byte, 0, codec.BytesFor(spp))}
-	s.batches.Grow(spp)
 	env.Sched.MCU().Track(&s.isrs)
 	s.sampleDone = s.onSampleDone
 	s.assembleDone = s.onAssembleDone
@@ -113,29 +114,34 @@ func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
 }
 
 // onSampleDone completes a payload's last ISR: it posts the packet
-// assembly of the payload's worth at the head of the buffer.
+// assembly of the payload's worth that follows the payloads already
+// posted in the buffer.
 //
 //hot:path
 func (s *Streaming) onSampleDone() {
 	// Packet assembly is a deferred task (header + packing); a full task
-	// queue drops the batch.
-	spp := s.cfg.SamplesPerPacket
+	// queue drops the payload.
 	if s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, s.assembleDone) {
-		for _, v := range s.buf[:spp] {
-			s.batches.Push(v)
-		}
+		s.posted++
+		s.batches.Push(s.posted)
+		return
 	}
-	s.buf = append(s.buf[:0], s.buf[spp:]...)
+	spp := s.cfg.SamplesPerPacket
+	at := int(s.posted-s.assembled) * spp
+	s.buf = append(s.buf[:at], s.buf[at+spp:]...)
 }
 
-// onAssembleDone packs the oldest batch and hands it to the MAC.
+// onAssembleDone packs the oldest payload whose task survived and hands
+// it to the MAC, dropping those ahead of it whose tasks a crash
+// abandoned.
 //
 //hot:path
 func (s *Streaming) onAssembleDone() {
-	s.batch = s.batch[:0]
-	for range s.cfg.SamplesPerPacket {
-		s.batch = append(s.batch, s.batches.Pop())
-	}
-	s.payload = codec.AppendPack(s.payload[:0], s.batch)
+	n := s.batches.Pop()
+	spp := s.cfg.SamplesPerPacket
+	at := int(n-s.assembled-1) * spp
+	s.payload = codec.AppendPack(s.payload[:0], s.buf[at:at+spp])
+	s.buf = append(s.buf[:0], s.buf[at+spp:]...)
+	s.assembled = n
 	s.send(s.payload)
 }

@@ -39,11 +39,21 @@ type Frontend struct {
 	channels []int
 	onSample SampleHandler
 	samples  []codec.Sample // conversion register, reused per acquisition
+	register [maxChannels]codec.Sample
 
-	timer   *sim.Timer
+	// The sample timer: while running, the next acquisition is event
+	// next, and each acquisition schedules the one a period later before
+	// it converts. onTick is tick, bound once.
+	period  sim.Time
+	next    sim.EventID
+	onTick  sim.Handler
 	idx     int64
 	running bool
 }
+
+// maxChannels is the biopotential ASIC's channel count (§3.1), the size
+// of the conversion register.
+const maxChannels = 25
 
 // New creates a front-end and registers its meter. The ASIC starts
 // powered off.
@@ -54,7 +64,7 @@ func New(k *sim.Kernel, params platform.ASICParams, ledger *energy.Ledger) *Fron
 	})
 	meter.Start(k.Now(), platform.StateASICOff)
 	f := &Frontend{k: k, params: params, meter: meter}
-	f.timer = sim.NewTimer(k, f.tick)
+	f.onTick = f.tick
 	return f
 }
 
@@ -62,9 +72,10 @@ func New(k *sim.Kernel, params platform.ASICParams, ledger *energy.Ledger) *Fron
 func (f *Frontend) Params() platform.ASICParams { return f.params }
 
 // Configure selects the signal source, the enabled channels and the
-// sample handler. Must be called before Start.
+// sample handler. Must be called before Start. The front-end keeps
+// channels: the caller must not change it afterwards.
 func (f *Frontend) Configure(src Source, channels []int, h SampleHandler) {
-	if len(channels) == 0 || len(channels) > f.params.Channels {
+	if len(channels) == 0 || len(channels) > min(f.params.Channels, maxChannels) {
 		panic(fmt.Sprintf("asic: %d channels requested, hardware has %d", len(channels), f.params.Channels))
 	}
 	for _, ch := range channels {
@@ -73,8 +84,8 @@ func (f *Frontend) Configure(src Source, channels []int, h SampleHandler) {
 		}
 	}
 	f.source = src
-	f.channels = append([]int(nil), channels...)
-	f.samples = make([]codec.Sample, len(channels))
+	f.channels = channels
+	f.samples = f.register[:len(channels)]
 	f.onSample = h
 }
 
@@ -92,8 +103,14 @@ func (f *Frontend) Start(fs float64) {
 	}
 	f.running = true
 	f.meter.Transition(f.k.Now(), platform.StateASICOn)
-	period := sim.Time(float64(sim.Second)/fs + 0.5)
-	f.timer.StartPeriodic(period)
+	f.startTimer(fs)
+}
+
+// startTimer arms the sample timer at fs Hz: the first acquisition
+// completes one period from now.
+func (f *Frontend) startTimer(fs float64) {
+	f.period = sim.Time(float64(sim.Second)/fs + 0.5)
+	f.next = f.k.Schedule(f.period, f.onTick)
 }
 
 // Retune changes the sampling rate of a running front-end in place —
@@ -107,8 +124,8 @@ func (f *Frontend) Retune(fs float64) {
 	if !f.running {
 		return
 	}
-	f.timer.Stop()
-	f.timer.StartPeriodic(sim.Time(float64(sim.Second)/fs + 0.5))
+	f.k.Cancel(f.next)
+	f.startTimer(fs)
 }
 
 // Stop powers the front-end down.
@@ -117,7 +134,7 @@ func (f *Frontend) Stop() {
 		return
 	}
 	f.running = false
-	f.timer.Stop()
+	f.k.Cancel(f.next)
 	f.meter.Transition(f.k.Now(), platform.StateASICOff)
 }
 
@@ -130,7 +147,8 @@ func (f *Frontend) SamplesTaken() int64 { return f.idx }
 // tick converts the enabled channels and hands the acquisition over.
 //
 //hot:path
-func (f *Frontend) tick(*sim.Kernel) {
+func (f *Frontend) tick(k *sim.Kernel) {
+	f.next = k.Schedule(f.period, f.onTick)
 	for j, ch := range f.channels {
 		f.samples[j] = f.source.Sample(ch, f.idx)
 	}

@@ -127,15 +127,13 @@ type Stats struct {
 }
 
 type transmission struct {
+	id    int    // the record's index in Channel.txs
 	port  int    // the sender's attach index
 	word  uint64 // handed back to the sender by EndBurst
 	image []byte
 	start sim.Time
 	end   sim.Time
 	cause Corruption // Clean until an overlap corrupts it
-	// finish is the end-of-frame handler, bound to this record once when
-	// the pool first creates it.
-	finish sim.Handler
 }
 
 // path is the state of one directed path.
@@ -179,11 +177,42 @@ type Channel struct {
 	// Deliver, so one buffer serves every delivery.
 	txPool     []*transmission
 	corruptBuf []byte
+	// txs holds every transmission record by id: an end-of-frame event
+	// carries its record's id in the argument word, for finish, the
+	// handler bound once in New.
+	txs    []*transmission
+	finish sim.Handler
+	// inline backs the first attachments, transmission records and
+	// image buffers, so a body-area network of a few radios grows none
+	// of them.
+	inline struct {
+		nodes             [inlinePorts]Transceiver
+		row               [inlinePorts]int
+		active, pool, txs [inlineTx]*transmission
+		tx                [inlineTx]transmission
+		images            [inlineTx + 1][inlineImage]byte // the last one is corruptBuf's
+	}
 }
+
+// The medium's inline storage holds inlinePorts attachments and
+// inlineTx transmission records, each with an image buffer of
+// inlineImage bytes, room for a whole nRF2401 frame (a longer image
+// outgrows its buffer by append).
+const (
+	inlinePorts = 8
+	inlineTx    = 4
+	inlineImage = 32
+)
 
 // New creates an empty medium on the kernel.
 func New(k *sim.Kernel) *Channel {
-	return &Channel{k: k, byName: make(map[string]int)}
+	c := &Channel{k: k, byName: make(map[string]int)}
+	in := &c.inline
+	c.nodes, c.row = in.nodes[:0], in.row[:0]
+	c.active, c.txPool, c.txs = in.active[:0], in.pool[:0], in.txs[:0]
+	c.corruptBuf = in.images[inlineTx][:0]
+	c.finish = c.finishTx
+	return c
 }
 
 // Attach adds a radio to the medium and returns its port, the attach
@@ -345,24 +374,34 @@ func (c *Channel) BeginTx(port int, image []byte, airtime sim.Time, word uint64)
 	}
 	c.active = append(c.active, tx)
 	c.stats.Transmissions++
-	c.k.ScheduleAt(tx.end, tx.finish)
+	c.k.ScheduleArgAt(tx.end, c.finish, uint64(tx.id))
 }
 
-// newTransmission grows the transmission pool by one record, with its
-// end-of-frame handler bound.
+// newTransmission grows the transmission pool by one record: an inline
+// one while they last.
 //
 //lint:allow hotalloc pool-miss growth only; steady state recycles transmissions through txPool
 func (c *Channel) newTransmission() *transmission {
-	tx := &transmission{}
-	tx.finish = func(*sim.Kernel) { c.finishTx(tx) }
+	id := len(c.txs)
+	var tx *transmission
+	if id < inlineTx {
+		tx = &c.inline.tx[id]
+		tx.image = c.inline.images[id][:0]
+	} else {
+		tx = &transmission{}
+	}
+	tx.id = id
+	c.txs = append(c.txs, tx)
 	return tx
 }
 
-// finishTx delivers a frame that has left the air to every radio that
-// can hear it, recycles its record, then ends the sender's burst.
+// finishTx delivers the frame whose end-of-frame event is firing, which
+// has left the air, to every radio that can hear it, recycles its
+// record, then ends the sender's burst.
 //
 //hot:path
-func (c *Channel) finishTx(tx *transmission) {
+func (c *Channel) finishTx(k *sim.Kernel) {
+	tx := c.txs[k.Arg()]
 	// Drop tx from the active list.
 	for i, a := range c.active {
 		if a == tx {

@@ -27,9 +27,9 @@ type budgetCase struct {
 // paper-tables row (Table 2, n=1, dynamic TDMA). A run's allocations are
 // fixed costs, so allocations per kernel event rise whenever a change
 // removes events. The ceilings sit about 3% above the counts measured
-// with Go 1.24 on amd64 (set-up and full run: table1-stream 311 and 418
-// allocations, lpl-stream 283 and 407, rpeak-onnode 311 and 428,
-// chaos-observed 470 and 683, the Table 2 row 107 and 147), so spending
+// with Go 1.24 on amd64 (set-up and full run: table1-stream 263 and 350
+// allocations, lpl-stream 240 and 302, rpeak-onnode 268 and 360,
+// chaos-observed 427 and 595, the Table 2 row 95 and 124), so spending
 // this budget is a deliberate, visible change.
 func budgetCases() []budgetCase {
 	cell := battery.CR2032()
@@ -38,15 +38,15 @@ func budgetCases() []budgetCase {
 		{name: "table1-stream",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
 				App: AppStreaming, SampleRateHz: 205, Duration: 60 * sim.Second, Seed: 1},
-			setupAllocs: 320, setupKB: 53, fullAllocs: 431, fullKB: 79},
+			setupAllocs: 271, setupKB: 50, fullAllocs: 361, fullKB: 67},
 		{name: "lpl-stream",
 			cfg: Config{Protocol: mac.ProtoLPL, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 205, Warmup: 15 * sim.Second, Duration: 30 * sim.Second, Seed: 1},
-			setupAllocs: 292, setupKB: 52, fullAllocs: 419, fullKB: 79},
+			setupAllocs: 248, setupKB: 49, fullAllocs: 312, fullKB: 66},
 		{name: "rpeak-onnode",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
 				App: AppRpeak, Duration: 60 * sim.Second, Seed: 1},
-			setupAllocs: 320, setupKB: 52, fullAllocs: 441, fullKB: 79},
+			setupAllocs: 277, setupKB: 51, fullAllocs: 371, fullKB: 67},
 		{name: "chaos-observed",
 			cfg: Config{Protocol: mac.ProtoCSMA, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 55, Duration: 60 * sim.Second, Seed: 1, BER: 2e-4, Metrics: true,
@@ -58,11 +58,11 @@ func budgetCases() []budgetCase {
 				Battery: &cell,
 				Degrade: &battery.DegradePolicy{StretchSOC: 0.5, StretchEvery: 3,
 					DownshiftSOC: 0.3, BeaconOnlySOC: 0.08}},
-			setupAllocs: 484, setupKB: 86, fullAllocs: 703, fullKB: 157},
+			setupAllocs: 440, setupKB: 85, fullAllocs: 613, fullKB: 144},
 		{name: "paper-tables table2 n=1",
 			cfg: Config{Variant: mac.Dynamic, Nodes: 1, App: AppStreaming,
 				SampleRateHz: 300, Duration: paperdata.Window, Seed: 1},
-			setupAllocs: 110, setupKB: 26, fullAllocs: 151, fullKB: 46},
+			setupAllocs: 98, setupKB: 26, fullAllocs: 128, fullKB: 38},
 	}
 }
 

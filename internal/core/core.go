@@ -524,7 +524,7 @@ func Run(cfg Config) (Results, error) {
 	sensors := make([]*node.Sensor, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		nc := mac.NodeConfig{Protocol: cfg.Protocol, Params: cfg.MACParams, NodeID: uint8(i + 1),
-			Profile: prof, ClockDriftPPM: cfg.ClockDriftPPM}
+			Profile: &prof, ClockDriftPPM: cfg.ClockDriftPPM}
 		// Each drifting node draws its sign; a drift-free run draws nothing.
 		if nc.ClockDriftPPM > 0 && k.Rand().Intn(2) == 0 {
 			nc.ClockDriftPPM = -nc.ClockDriftPPM

@@ -417,15 +417,15 @@ func TestLossAccountingSane(t *testing.T) {
 	}
 	n := res.Node()
 	radioJ := n.RadioMJ() / 1e3
-	control := n.Energy.Losses[energy.LossControl]
+	control := n.Energy.Losses.Get(energy.LossControl)
 	if control <= 0 {
 		t.Fatalf("no control overhead attributed")
 	}
 	if control > radioJ {
 		t.Fatalf("control loss %.3f J exceeds radio energy %.3f J", control, radioJ)
 	}
-	for cat, j := range n.Energy.Losses {
-		if j < 0 {
+	for _, cat := range energy.AllLossCategories() {
+		if j := n.Energy.Losses.Get(cat); j < 0 {
 			t.Fatalf("negative loss %v = %v", cat, j)
 		}
 	}
@@ -450,7 +450,7 @@ func TestBERCausesCollisionLossesAndRetries(t *testing.T) {
 	if n.Mac.AckMissed == 0 && n.Radio.CRCDrops == 0 {
 		t.Fatalf("noise produced neither ack misses nor CRC drops at the node")
 	}
-	if n.Energy.Losses[energy.LossCollision] <= 0 {
+	if n.Energy.Losses.Get(energy.LossCollision) <= 0 {
 		t.Fatalf("no collision-category loss attributed under noise")
 	}
 	noisy := n.RadioMJ()
@@ -670,8 +670,8 @@ func TestOverhearingDuringJoin(t *testing.T) {
 	}
 	var totalOverhear, totalIdle float64
 	for _, n := range res.Nodes {
-		totalOverhear += n.Energy.Losses[energy.LossOverhearing]
-		totalIdle += n.Energy.Losses[energy.LossIdleListening]
+		totalOverhear += n.Energy.Losses.Get(energy.LossOverhearing)
+		totalIdle += n.Energy.Losses.Get(energy.LossIdleListening)
 	}
 	if totalIdle <= 0 {
 		t.Fatalf("join phase attributed no idle listening")

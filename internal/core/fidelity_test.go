@@ -39,7 +39,8 @@ func TestEndToEndSignalFidelity(t *testing.T) {
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, NoiseAmp: 0.02, Seed: 17})
 
 	const fs = 100.0
-	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: platform.IMEC()})
+	prof := platform.IMEC()
+	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: &prof})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewStreaming(env, app.StreamingConfig{
 			SampleRateHz: fs, Channels: 2, Signal: sig,
@@ -96,7 +97,8 @@ func TestEndToEndBeatReports(t *testing.T) {
 	base := node.NewBase(k, ch, tracer, mac.BSConfig{Protocol: mac.ProtoStatic, StaticCycle: 120 * sim.Millisecond})
 	sig := ecg.NewGenerator(ecg.Params{HeartRateBPM: 75, Seed: 19})
 
-	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: platform.IMEC()})
+	prof := platform.IMEC()
+	s := node.NewSensor(k, ch, tracer, mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: 1, Profile: &prof})
 	s.AttachApp(func(env app.Env) app.App {
 		return app.NewRpeak(env, app.RpeakConfig{Channels: 1, Signal: sig})
 	})

@@ -78,40 +78,48 @@ type Params struct {
 // reproducible regardless of event interleaving.
 //
 // A run shares one generator across its nodes, so every node and
-// channel asks for the same sample instants; SampleAt memoises each
-// instant's clean value and the quantised samples of channels 0 and 1 in
-// a small direct-mapped table, so the sum of Gaussians, the noise hash
-// and the quantiser run once per instant instead of once per node and
-// channel. The memo makes a Generator unsafe for concurrent use: give
-// each goroutine its own.
+// channel asks for the same sample instants; SampleAt memoises the
+// quantised samples of channels 0 and 1 of each instant in a small
+// direct-mapped table, so the sum of Gaussians, the noise hash and the
+// quantiser run once per instant instead of once per node and channel.
+// The memo makes a Generator unsafe for concurrent use: give each
+// goroutine its own.
 type Generator struct {
 	p      Params
 	period float64
-	memo   []memoEntry // allocated on the first SampleAt
+	memo   []memoEntry // allocated on the first SampleAt; a power of two long
+	// evals counts the clean values computed to fill memo entries.
+	evals int64
 }
 
-// memoSize is the number of entries in the sample memo (a power of two).
-// Nodes start sampling a few cycles apart, so their sample indices trail
-// each other by tens of instants; 512 entries cover 2.5 s at the paper's
-// highest rate, in 16 KiB.
+// memoSize is the number of entries the sample memo starts with. A node
+// samples from the instant it joins, so the indices of the nodes sharing
+// the generator trail the leader's by the spread of their join instants:
+// 0 for static TDMA, at most 12 instants for dynamic TDMA and CSMA, and
+// 143 to 881 for LPL (seeds 1-8 of the lpl-stream benchmark), whose
+// nodes join up to 4.3 s apart. 512 entries cover 2.5 s at the paper's
+// highest rate, in 8 KiB; a lookup that finds a later instant of its
+// slot's index already there is a reader trailing by more than the
+// table, and doubles it, up to memoMaxSize entries.
 const memoSize = 512
 
+// memoMaxSize bounds the memo's growth: 4096 entries cover a trail of
+// 20 s at 205 Hz, in 64 KiB.
+const memoMaxSize = 4096
+
 // memoChannels is the number of channels whose quantised samples the memo
-// holds; SampleAt computes higher channels from the memoised clean value.
+// holds; SampleAt computes higher channels from the clean value afresh.
 const memoChannels = 2
 
 // memoEntry caches one sample instant under the bit pattern of t and the
-// sample index i: the clean value ValueAt(t) and, for each channel whose
-// bit is set in filled, its quantised sample. The key holds i because the
-// noise hashes i, so one instant reached at two rates has two sets of
-// samples. The empty key is the bit pattern of NaN, which no sample
-// instant has.
+// sample index i: the quantised samples of channels 0 and 1, both filled
+// on the miss. The key holds i because the noise hashes i, so one instant
+// reached at two rates has two sets of samples. The empty key is the bit
+// pattern of NaN, which no sample instant has.
 type memoEntry struct {
-	key    uint64
-	i      int64
-	v      float64
-	s      [memoChannels]codec.Sample
-	filled uint8
+	key uint64
+	i   int32
+	s   [memoChannels]codec.Sample
 }
 
 // emptyKey marks an unused memo entry.
@@ -191,16 +199,12 @@ func (g *Generator) ValueAt(t float64) float64 {
 // noise. Distinct channels see the same heart with decorrelated noise.
 func (g *Generator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
+	if uint(ch) >= memoChannels {
+		return g.sample(ch, i, g.ValueAt(t))
+	}
 	e := g.entry(i, t)
 	if e == nil {
 		return g.sample(ch, i, g.ValueAt(t))
-	}
-	if uint(ch) >= memoChannels {
-		return g.sample(ch, i, e.v)
-	}
-	if bit := uint8(1) << ch; e.filled&bit == 0 {
-		e.s[ch] = g.sample(ch, i, e.v)
-		e.filled |= bit
 	}
 	return e.s[ch]
 }
@@ -215,36 +219,59 @@ func (g *Generator) sample(ch int, i int64, v float64) codec.Sample {
 	return codec.Quantize(v)
 }
 
-// entry returns the memo entry of sample i at instant t, holding
-// ValueAt(t), or nil when t is the empty key. Sample i of any rate lands
-// in entry i mod memoSize, so consecutive instants never evict each
-// other; two rates sharing the generator (a downshifted node beside
-// full-rate ones) only cost each other misses, never a wrong sample,
-// because the key is (t, i) itself.
+// entry returns the memo entry of sample i at instant t, holding its
+// samples, or nil when t is the empty key or i lies outside the int32
+// range. Sample i of any rate lands in entry i mod len(memo), so
+// consecutive instants never evict each other; two rates sharing the
+// generator (a downshifted node beside full-rate ones) only cost each
+// other misses, never a wrong sample, because the key is (t, i) itself.
 func (g *Generator) entry(i int64, t float64) *memoEntry {
 	if g.memo == nil {
-		g.initMemo()
+		g.memo = newMemo(memoSize)
 	}
 	key := math.Float64bits(t)
-	if key == emptyKey {
+	if key == emptyKey || int64(int32(i)) != i {
 		return nil
 	}
-	e := &g.memo[uint64(i)&(memoSize-1)]
-	if e.key != key || e.i != i {
-		*e = memoEntry{key: key, i: i, v: g.ValueAt(t)}
+	e := &g.memo[uint64(i)&uint64(len(g.memo)-1)]
+	if e.key == key && int64(e.i) == i {
+		return e
 	}
+	if int64(e.i) > i && math.Float64frombits(e.key) > t && len(g.memo) < memoMaxSize {
+		// A reader trailing by more than the table: the instant it asks
+		// for was evicted by a later one, as will be all its next ones.
+		g.growMemo()
+		e = &g.memo[uint64(i)&uint64(len(g.memo)-1)]
+	}
+	v := g.ValueAt(t)
+	g.evals++
+	*e = memoEntry{key: key, i: int32(i), s: [memoChannels]codec.Sample{g.sample(0, i, v), g.sample(1, i, v)}}
 	return e
 }
 
-// initMemo allocates the memo on the generator's first sample, so a run
-// that never samples (a set-up, an EEG-only network) never pays for it.
+// newMemo allocates an empty memo of n entries: on the generator's first
+// sample, so a run that never samples (a set-up, an EEG-only network)
+// never pays for it, and when a trailing reader doubles it.
 //
-//lint:allow hotalloc the memo is allocated once per generator, on its first sample
-func (g *Generator) initMemo() {
-	g.memo = make([]memoEntry, memoSize)
-	for j := range g.memo {
-		g.memo[j].key = emptyKey
+//lint:allow hotalloc the memo is allocated on a generator's first sample and at most three times more
+func newMemo(n int) []memoEntry {
+	memo := make([]memoEntry, n)
+	for j := range memo {
+		memo[j].key = emptyKey
 	}
+	return memo
+}
+
+// growMemo doubles the memo, keeping every entry: entries in distinct
+// slots of the old table land in distinct slots of the new one.
+func (g *Generator) growMemo() {
+	memo := newMemo(2 * len(g.memo))
+	for _, e := range g.memo {
+		if e.key != emptyKey {
+			memo[uint64(e.i)&uint64(len(memo)-1)] = e
+		}
+	}
+	g.memo = memo
 }
 
 // BeatTimes lists the ground-truth R-peak instants in [t0, t1), for

@@ -1,7 +1,9 @@
 package ecg
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -106,11 +108,77 @@ func TestMemoKeysOnIndex(t *testing.T) {
 	}
 }
 
-// TestMemoFootprint holds the memo to 16 KiB, the size at which the
-// per-run allocation it adds stays within the benchmark's bytes/event
-// bound.
+// TestMemoFootprint holds the memo to 8 KiB as it starts, 16 bytes an
+// entry.
 func TestMemoFootprint(t *testing.T) {
-	if got := memoSize * unsafe.Sizeof(memoEntry{}); got > 16<<10 {
-		t.Fatalf("memo is %d bytes, want at most 16 KiB", got)
+	if got := unsafe.Sizeof(memoEntry{}); got != 16 {
+		t.Fatalf("memo entry is %d bytes, want 16", got)
+	}
+	if got := memoSize * unsafe.Sizeof(memoEntry{}); got > 8<<10 {
+		t.Fatalf("memo is %d bytes, want at most 8 KiB", got)
+	}
+}
+
+// TestMemoTrailingReaders replays the sampling of the lpl-stream
+// benchmark (five LPL nodes at 205 Hz for 45 s) at seeds 1 and 2: each
+// node samples both channels from the instant it joins, one period
+// apart. At seed 1 the last node joins 430 instants after the first and
+// the memo must not grow: each distinct instant is computed once. At
+// seed 2 the trail is 861, beyond the 512 entries the memo starts with:
+// the last node's first lookup finds a later instant in its slot and
+// doubles the memo, so only the 350 instants the leader had already
+// pushed out of the table (0-349) are computed twice. Every sample must
+// match the unmemoised computation.
+func TestMemoTrailingReaders(t *testing.T) {
+	const period = 4878049 // ns: 205 Hz, as the front-end rounds it
+	const horizon = 45e9   // ns
+	for _, tc := range []struct {
+		seed  int
+		joins []int64 // ns
+		size  int
+		twice int // instants computed twice
+	}{
+		{1, []int64{102981410, 903375800, 1403690509, 1803062860, 2203719646}, memoSize, 0},
+		{2, []int64{103049392, 603605967, 1103103056, 1503077094, 4303972287}, 2 * memoSize, 350},
+	} {
+		type lookup struct{ at, i int64 }
+		var lookups []lookup
+		for _, join := range tc.joins {
+			for i, at := int64(0), join+period; at < horizon; i, at = i+1, at+period {
+				lookups = append(lookups, lookup{at, i})
+			}
+		}
+		slices.SortStableFunc(lookups, func(a, b lookup) int { return cmp.Compare(a.at, b.at) })
+		g, ref := NewGenerator(memoParams()), NewGenerator(memoParams())
+		distinct := map[int64]bool{}
+		for _, l := range lookups {
+			distinct[l.i] = true
+			for ch := 0; ch < 2; ch++ {
+				want := ref.sample(ch, l.i, ref.ValueAt(float64(l.i)/205))
+				if got := g.SampleAt(ch, l.i, 205); got != want {
+					t.Fatalf("seed %d: sample %d ch %d = %d, unmemoised %d", tc.seed, l.i, ch, got, want)
+				}
+			}
+		}
+		if want := int64(len(distinct) + tc.twice); g.evals != want {
+			t.Errorf("seed %d: %d clean values computed for %d distinct instants, want %d", tc.seed, g.evals, len(distinct), want)
+		}
+		if len(g.memo) != tc.size {
+			t.Errorf("seed %d: memo has %d entries, want %d", tc.seed, len(g.memo), tc.size)
+		}
+	}
+}
+
+// TestMemoGrowthBounded alternates a reader with one a full table
+// behind it, which evicts its instants at every size: the memo stops
+// doubling at memoMaxSize.
+func TestMemoGrowthBounded(t *testing.T) {
+	g := NewGenerator(memoParams())
+	for i := int64(0); i < 4*memoMaxSize; i++ {
+		g.SampleAt(0, i+4*memoMaxSize, 205)
+		g.SampleAt(0, i, 205)
+	}
+	if len(g.memo) != memoMaxSize {
+		t.Fatalf("memo has %d entries, want the %d cap", len(g.memo), memoMaxSize)
 	}
 }

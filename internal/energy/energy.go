@@ -443,7 +443,7 @@ func (l *Ledger) TotalJ() float64 {
 func (l *Ledger) Report() Report {
 	r := Report{
 		Components: make([]ComponentReport, 0, len(l.order)),
-		Losses:     map[LossCategory]float64{},
+		Losses:     Losses{j: l.losses, set: l.attributed},
 	}
 	n := 0
 	for _, m := range l.order {
@@ -462,11 +462,6 @@ func (l *Ledger) Report() Report {
 		cr.States = states[from:len(states):len(states)]
 		r.Components = append(r.Components, cr)
 		r.TotalJ += cr.EnergyJ
-	}
-	for i, c := range lossCategories {
-		if l.attributed[i] {
-			r.Losses[c] = l.losses[i]
-		}
 	}
 	return r
 }
@@ -544,7 +539,57 @@ func (c ComponentReport) EnergyMJ() float64 { return float64(c.EnergyJ * 1e3) }
 type Report struct {
 	Components []ComponentReport
 	TotalJ     float64
-	Losses     map[LossCategory]float64
+	Losses     Losses
+}
+
+// Losses holds a report's joules per loss category, for the categories
+// charged since the ledger's last reset. In JSON it is an object keyed by
+// category, exactly as encoding/json writes a map of them.
+type Losses struct {
+	j   [len(lossCategories)]float64
+	set [len(lossCategories)]bool
+}
+
+// Get returns the joules charged to c, 0 for a category never charged.
+func (l Losses) Get(c LossCategory) float64 {
+	j, _ := l.Lookup(c)
+	return j
+}
+
+// Lookup returns the joules charged to c and whether any were.
+func (l Losses) Lookup(c LossCategory) (float64, bool) {
+	if i := lossIndex(c); i >= 0 && l.set[i] {
+		return l.j[i], true
+	}
+	return 0, false
+}
+
+// MarshalJSON encodes the charged categories as an object in key order.
+func (l Losses) MarshalJSON() ([]byte, error) {
+	m := make(map[LossCategory]float64, len(lossCategories))
+	for i, c := range lossCategories {
+		if l.set[i] {
+			m[c] = l.j[i]
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON decodes the object MarshalJSON writes.
+func (l *Losses) UnmarshalJSON(b []byte) error {
+	var m map[LossCategory]float64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*l = Losses{}
+	for c, j := range m {
+		i := lossIndex(c)
+		if i < 0 {
+			return fmt.Errorf("energy: unknown loss category %q", c)
+		}
+		l.j[i], l.set[i] = j, true
+	}
+	return nil
 }
 
 // Component returns the report for the named component (zero value if

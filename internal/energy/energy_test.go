@@ -246,7 +246,7 @@ func TestLedgerLossAttribution(t *testing.T) {
 		t.Fatalf("unattributed category nonzero")
 	}
 	r := l.Report()
-	if !approx(r.Losses[LossOverhearing], 1e-3, 1e-12) {
+	if !approx(r.Losses.Get(LossOverhearing), 1e-3, 1e-12) {
 		t.Fatalf("report losses = %v", r.Losses)
 	}
 }
@@ -342,6 +342,44 @@ func TestStateReportsJSON(t *testing.T) {
 	}
 	if sr := states.Get("lpm"); sr != (StateReport{}) {
 		t.Fatalf("Get of an unknown state = %+v, want zero", sr)
+	}
+}
+
+// TestLossesJSON checks that a report's losses encode exactly as the map
+// of the charged categories they replace, decode back, and answer
+// lookups of uncharged categories with zero.
+func TestLossesJSON(t *testing.T) {
+	l := NewLedger()
+	l.AttributeLoss(LossOverhearing, 2e-3)
+	l.AttributeLoss(LossCollision, 1e-3)
+	l.AttributeLoss(LossControl, 0)
+	losses := l.Report().Losses
+	got, err := json.Marshal(losses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(map[LossCategory]float64{LossOverhearing: 2e-3, LossCollision: 1e-3, LossControl: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("JSON %s, want the map form %s", got, want)
+	}
+	var back Losses
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != losses {
+		t.Fatalf("decoded %+v, want %+v", back, losses)
+	}
+	if j, ok := losses.Lookup(LossIdleListening); ok || j != 0 {
+		t.Fatalf("Lookup of an uncharged category = %v, %v; want 0, false", j, ok)
+	}
+	if j, ok := losses.Lookup(LossControl); !ok || j != 0 {
+		t.Fatalf("Lookup of a category charged 0 J = %v, %v; want 0, true", j, ok)
+	}
+	if err := json.Unmarshal([]byte(`{"thermal":1}`), &back); err == nil {
+		t.Fatal("decoded an unknown loss category")
 	}
 }
 

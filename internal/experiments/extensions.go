@@ -101,7 +101,7 @@ func Extensions(o Options) (ExtensionResults, error) {
 	hi, lo := node(0), node(3)
 	out.MCUShareHighHz = hi.MCUMJ() / hi.TotalMJ() * 100
 	out.MCUShareLowHz = lo.MCUMJ() / lo.TotalMJ() * 100
-	out.ControlShare = hi.Energy.Losses[energy.LossControl] * 1e3 / hi.RadioMJ() * 100
+	out.ControlShare = hi.Energy.Losses.Get(energy.LossControl) * 1e3 / hi.RadioMJ() * 100
 	out.StreamingTotalMJ = hi.TotalMJ() * s
 
 	out.CleanRadioMJ = node(4).RadioMJ() * s

@@ -285,7 +285,7 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 		m.windowLost()
 		return
 	}
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	m.window.open, m.window.at = true, k.Now()
 	m.radio.SetRxAddresses(m.cfg.Plan.Beacon)
 	m.radio.StartRx()

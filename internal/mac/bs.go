@@ -18,8 +18,9 @@ type BSConfig struct {
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
 	Params Params
-	// Profile is normally platform.BaseStation().
-	Profile platform.Profile
+	// Profile is normally platform.BaseStation(), shared by reference
+	// like NodeConfig.Profile.
+	Profile *platform.Profile
 	// StaticCycle is the fixed TDMA cycle (static variant only).
 	StaticCycle sim.Time
 	// MaxSlots caps the network size; 0 selects the protocol's slotCap.
@@ -184,7 +185,7 @@ func (bs *BS) currentCycle() sim.Time {
 // scheduleBeacon arms the beacon whose burst must start at fireAt.
 func (bs *BS) scheduleBeacon(fireAt sim.Time) {
 	bs.beaconFireAt = fireAt
-	bs.k.ScheduleAt(fireAt-beaconLead(&bs.cfg.Profile, bs.max), bs.onPrepare)
+	bs.k.ScheduleAt(fireAt-beaconLead(bs.cfg.Profile, bs.max), bs.onPrepare)
 }
 
 // beaconLead reports how long before its burst a beacon starts preparing
@@ -243,7 +244,7 @@ func (bs *BS) prepareBeacon(*sim.Kernel) {
 //
 //hot:path
 func (bs *BS) buildBeacon() {
-	p := &bs.cfg.Profile
+	p := bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.dropStaleGrants()
 		bs.needCompact = bs.needCompact || bs.cfg.Protocol == ProtoDynamic
@@ -289,7 +290,7 @@ func (bs *BS) beaconDue(*sim.Kernel) { bs.beaconStep() }
 //
 //hot:path
 func (bs *BS) onBeaconSent() {
-	p := &bs.cfg.Profile
+	p := bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
 	metrics.Record3(bs.tracer, bs.k.Now(), bs.trace, metrics.KindBeaconTx,
@@ -416,7 +417,7 @@ func (bs *BS) handleData(payload []byte) {
 	if bs.idHeader {
 		node, payload, ok = bs.sender(payload)
 	} else {
-		p := &bs.cfg.Profile
+		p := bs.cfg.Profile
 		airStart := bs.radio.LastRxFrameEnd() - p.Radio.Airtime(len(payload))
 		slot := int((airStart-bs.t0)/slotDuration(&p.MAC, bs.cfg.Protocol, bs.cycle)) - 1
 		if node, ok = bs.byIndex[slot]; !ok {

@@ -151,7 +151,7 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 		m.dropInFlight()
 		m.op = csmaOpNone
 	}
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	if !m.loaded {
 		switch op {
 		case csmaOpData:
@@ -206,7 +206,7 @@ func (m *CSMANode) onFrameLoaded() {
 // opTailNeed reports how long an attempt needs after its CCA clears:
 // settle, burst, and (for data) the acknowledgement window.
 func (m *CSMANode) opTailNeed(op csmaOp, payloadLen int) sim.Time {
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	switch op {
 	case csmaOpData:
 		return p.Radio.TxSettle + p.Radio.Airtime(packet.DataHeaderBytes+payloadLen) +

@@ -79,14 +79,19 @@ type LPLNode struct {
 	// and park cancel the gap, SSR and ack timeouts; a delayed restart
 	// carries its generation and op in the event's argument word, as
 	// gen<<2 | op, where lplOpNone resumes a deferred train.
-	onRetry      sim.Handler
-	onGapExpiry  sim.Handler
-	onSSRExpiry  sim.Handler
-	onAckExpiry  sim.Handler
-	strobeLoaded func()
-	strobeSent   func()
-	dataLoaded   func()
-	dataSent     func()
+	onRetry     sim.Handler
+	onGapExpiry sim.Handler
+	onSSRExpiry sim.Handler
+	onAckExpiry sim.Handler
+	strobeSent  func()
+	ssrPrepped  func()
+	ssrSent     func()
+	dataLoaded  func()
+	dataSent    func()
+	// ssr is the association request the prep ISR marshals, and ssrGen
+	// the crash generation it was prepared under.
+	ssr    packet.SSR
+	ssrGen uint64
 }
 
 // NewLPLNode wires an LPL node MAC over its radio and OS. A zero
@@ -112,8 +117,9 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	m.onGapExpiry = m.onStrobeGapTimeout
 	m.onSSRExpiry = m.onSSRTimeout
 	m.onAckExpiry = m.onAckTimeout
-	m.strobeLoaded = m.onStrobeLoaded
 	m.strobeSent = m.onStrobeSent
+	m.ssrPrepped = m.onSSRPrepped
+	m.ssrSent = m.onSSRSent
 	m.dataLoaded = m.onDataLoaded
 	m.dataSent = m.onDataSent
 	r.SetReceiveHandler(m.onFrame)
@@ -123,7 +129,7 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 // strobeSpacing reports the cadence of the strobe train: FIFO reload,
 // settle, strobe burst, listen gap.
 func (m *LPLNode) strobeSpacing() sim.Time {
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	return p.Radio.TxClockIn(p.Radio.AddressBytes+packet.StrobeBytes) +
 		p.Radio.TxSettle + p.Radio.Airtime(packet.StrobeBytes) + m.strobeGap
 }
@@ -169,8 +175,10 @@ func (m *LPLNode) EnterBeaconOnly() {
 }
 
 // stopTrain ends the strobe train and closes its listen windows (crash,
-// park).
+// park). A strobe or SSR still clocking into the FIFO never flies: the
+// radio powers down as its clock-in ends.
 func (m *LPLNode) stopTrain() {
+	m.radio.CancelFire()
 	m.gap.close(m.k)
 	m.ssrWait.close(m.k)
 	m.endOp()
@@ -274,18 +282,7 @@ func (m *LPLNode) strobeStep() {
 	}
 	m.strobeCount++
 	m.ctrlBuf = packet.Strobe{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.strobeLoaded)
-}
-
-// onStrobeLoaded fires a strobe once it sits in the radio FIFO.
-//
-//hot:path
-func (m *LPLNode) onStrobeLoaded() {
-	if m.state == stateParked || m.state == stateCrashed || !m.opActive {
-		m.radio.PowerDown()
-		return
-	}
-	m.radio.Fire(m.strobeSent)
+	m.radio.LoadFire(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.strobeSent)
 }
 
 // onStrobeSent accounts a strobe once it has flown.
@@ -352,32 +349,34 @@ func (m *LPLNode) sendPayload() {
 	}
 }
 
-// sendSSR delivers the association request.
-//
-//lint:allow hotalloc association is a join transient, not a per-frame step
+// sendSSR delivers the association request: a prep ISR, then the FIFO
+// clock-in and burst.
 func (m *LPLNode) sendSSR() {
-	ssr := m.nextSSR()
-	gen := m.gen
-	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, func() {
-		if m.gen != gen || !m.opActive {
-			return
-		}
-		m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-		m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, func() {
-			if m.state == stateParked || m.state == stateCrashed {
-				m.radio.PowerDown()
-				return
-			}
-			m.radio.Fire(func() {
-				if m.state == stateParked || m.state == stateCrashed {
-					m.radio.PowerDown()
-					return
-				}
-				m.ssrFlown()
-				m.listenFor(&m.ssrWait, m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
-			})
-		})
-	})
+	m.ssr, m.ssrGen = m.nextSSR(), m.gen
+	m.sched.Interrupt("ssr-prep", m.cfg.Profile.Cost.SSRPrep, m.ssrPrepped)
+}
+
+// onSSRPrepped loads and fires the prepared association request.
+//
+//hot:path
+func (m *LPLNode) onSSRPrepped() {
+	if m.gen != m.ssrGen || !m.opActive {
+		return
+	}
+	m.ctrlBuf = m.ssr.AppendMarshal(m.ctrlBuf[:0])
+	m.radio.LoadFire(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ssrSent)
+}
+
+// onSSRSent listens for the association ack once the request has flown.
+//
+//hot:path
+func (m *LPLNode) onSSRSent() {
+	if m.state == stateParked || m.state == stateCrashed {
+		m.radio.PowerDown()
+		return
+	}
+	m.ssrFlown()
+	m.listenFor(&m.ssrWait, m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
 }
 
 // onDataLoaded fires the loaded payload.
@@ -566,7 +565,7 @@ func (bs *LPLBS) probe(*sim.Kernel) {
 	bs.waking = true
 	bs.probeOpenAt = bs.k.Now()
 	bs.listen()
-	bs.probeTimeout = bs.k.Schedule(lplProbeWindow(&bs.cfg.Profile), bs.onProbeExpiry)
+	bs.probeTimeout = bs.k.Schedule(lplProbeWindow(bs.cfg.Profile), bs.onProbeExpiry)
 }
 
 // lplProbeWindow reports how long a probe on profile p listens: one full

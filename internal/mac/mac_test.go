@@ -36,7 +36,7 @@ func newRig(t *testing.T, proto Protocol, staticCycle sim.Time, seed int64) *rig
 	bsRadio := radio.New(k, "bs", bsProf.Radio, r.ch, bsSched, bsLedger, r.tracer)
 	r.bs = NewBS(k, BSConfig{
 		Protocol:    proto,
-		Profile:     bsProf,
+		Profile:     &bsProf,
 		StaticCycle: staticCycle,
 	}, bsSched, bsRadio, bsLedger, r.tracer)
 	return r
@@ -64,7 +64,7 @@ func (r *rig) addNode(id uint8, proto Protocol) *NodeMac {
 	nm := NewNodeMac(r.k, NodeConfig{
 		Protocol: proto,
 		NodeID:   id,
-		Profile:  prof,
+		Profile:  &prof,
 	}, sched, rad, ledger, r.tracer)
 	r.nodes = append(r.nodes, nm)
 	return nm
@@ -424,7 +424,7 @@ func TestBSRequiresStaticCycle(t *testing.T) {
 	m := mcu.New(k, prof.MCU, l)
 	s := tinyos.NewSched(k, m, 0)
 	r := radio.New(k, "bs", prof.Radio, ch, s, l, nil)
-	NewBS(k, BSConfig{Protocol: ProtoStatic, Profile: prof}, s, r, l, nil)
+	NewBS(k, BSConfig{Protocol: ProtoStatic, Profile: &prof}, s, r, l, nil)
 }
 
 func TestSendBeforeJoinQueues(t *testing.T) {

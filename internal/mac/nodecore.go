@@ -28,9 +28,12 @@ type NodeConfig struct {
 	// Protocol selects the MAC.
 	Protocol Protocol
 	// Params tunes the contention protocols (ignored by TDMA).
-	Params  Params
-	NodeID  uint8
-	Profile platform.Profile
+	Params Params
+	NodeID uint8
+	// Profile is the node's hardware, shared by reference: every node of
+	// a network points at one profile, which must not change once a MAC
+	// is built on it.
+	Profile *platform.Profile
 	// Plan is the BAN's address assignment; the zero value selects
 	// packet.DefaultPlan(). Co-located networks use distinct plans.
 	Plan packet.AddressPlan
@@ -65,6 +68,8 @@ type nodeCore struct {
 	// membership); -1 while none is held, and always for LPL.
 	slot     int
 	onJoined []func()
+	// joinedInline backs onJoined for the usual one or two callbacks.
+	joinedInline [2]func()
 	// gen invalidates kernel events armed before a crash: every scheduled
 	// step that a crash does not cancel carries the generation it was
 	// issued under and returns without effect when a crash has bumped it
@@ -130,8 +135,9 @@ func (c *nodeCore) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *r
 	c.k, c.cfg, c.name, c.sched, c.radio = k, cfg, r.Name(), sched, r
 	c.ledger, c.tracer, c.trace = ledger, tracer, tracer.ID(c.name)
 	c.slot = -1
+	c.onJoined = c.joinedInline[:0]
 	c.resetAccess = resetAccess
-	c.txQueue.init(cfg.Profile.Radio.MaxPayloadBytes)
+	c.dataBuf, c.ctrlBuf = c.txQueue.init(cfg.Profile.Radio.MaxPayloadBytes)
 }
 
 // OnJoined implements Mac. Multiple callbacks may be registered; each
@@ -335,15 +341,18 @@ func (q *txQueue) enqueue(payload []byte, at sim.Time) {
 const txBuffers = DefaultTxQueueCap + 1
 
 // init gives the queue txBuffers empty payload buffers of size bytes
-// each, carved out of one allocation. A longer payload outgrows its
-// buffer by append, and a queue that runs out makes new buffers the
+// each, carved out of one allocation, and returns two more from it for
+// the node's data and control frame scratch. A longer payload outgrows
+// its buffer by append, and a queue that runs out makes new buffers the
 // same way.
-func (q *txQueue) init(size int) {
-	slab := make([]byte, txBuffers*size)
-	q.spare = make([][]byte, txBuffers)
-	for i := range q.spare {
-		q.spare[i] = slab[i*size : i*size : (i+1)*size]
+func (q *txQueue) init(size int) (data, ctrl []byte) {
+	slab := make([]byte, (txBuffers+2)*size)
+	bufs := make([][]byte, txBuffers+2)
+	for i := range bufs {
+		bufs[i] = slab[i*size : i*size : (i+1)*size]
 	}
+	q.spare = bufs[:txBuffers]
+	return bufs[txBuffers], bufs[txBuffers+1]
 }
 
 // launch puts the head of the queue in flight.
@@ -454,7 +463,7 @@ func (c *nodeCore) ackMissed() bool {
 	if !c.hasInFlight {
 		return true
 	}
-	p := &c.cfg.Profile
+	p := c.cfg.Profile
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(c.dataHeader+len(c.inFlight.payload))
 	c.ledger.AttributeLoss(energy.LossCollision, c.radio.TxPowerW()*txDur.Seconds())
 	if c.inFlight.retries < DefaultMaxRetries {
@@ -530,7 +539,7 @@ func (c *nodeCore) accountControlRx(d sim.Time) {
 // chargeControlTx charges an n-byte control burst (settle plus airtime)
 // to the control overhead loss category.
 func (c *nodeCore) chargeControlTx(n int) {
-	p := &c.cfg.Profile
+	p := c.cfg.Profile
 	txDur := p.Radio.TxSettle + p.Radio.Airtime(n)
 	c.controlTxTime += txDur
 	c.ledger.AttributeLoss(energy.LossControl, c.radio.TxPowerW()*txDur.Seconds())

@@ -143,7 +143,7 @@ func (m *NodeMac) scheduleSSR() {
 	if m.ssrScheduled {
 		return
 	}
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	ssrAir := p.Radio.Airtime(packet.SSRBytes)
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.SSRBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
@@ -184,7 +184,7 @@ func (m *NodeMac) scheduleSSR() {
 //
 //hot:path
 func (m *NodeMac) scheduleRelease() {
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	loadLead := p.Radio.TxClockIn(p.Radio.AddressBytes+packet.ReleaseBytes) +
 		p.MCU.CyclesToTime(p.Cost.SSRPrep) + 100*sim.Microsecond
 	fireAt := m.t0 + m.local(m.slotStart(m.slot))
@@ -319,7 +319,7 @@ func (m *NodeMac) tryLoad() {
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
 		return
 	}
-	p := &m.cfg.Profile
+	p := m.cfg.Profile
 	item := m.queue.Peek()
 	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
 	margin := 500 * sim.Microsecond

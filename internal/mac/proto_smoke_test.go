@@ -54,7 +54,7 @@ func newProtoRig(t *testing.T, proto Protocol, params Params, cycle sim.Time, se
 	r.bs = NewBaseMAC(k, BSConfig{
 		Protocol:    proto,
 		Params:      params,
-		Profile:     bsProf,
+		Profile:     &bsProf,
 		StaticCycle: cycle,
 	}, bsSched, bsRadio, bsLedger, r.tracer)
 	return r
@@ -71,7 +71,7 @@ func (r *protoRig) addNode(id uint8, proto Protocol, params Params) NodeMAC {
 		Protocol: proto,
 		Params:   params,
 		NodeID:   id,
-		Profile:  prof,
+		Profile:  &prof,
 	}, sched, rad, ledger, r.tracer)
 	r.nodes = append(r.nodes, nm)
 	r.ledgers = append(r.ledgers, ledger)

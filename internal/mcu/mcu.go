@@ -142,6 +142,14 @@ func (m *MCU) asleep() bool {
 	return !m.awake || m.k.Passed(m.busyUntil, m.idleSeq)
 }
 
+// Completion reports the dispatch position at which the work most
+// recently submitted completes: its instant, and the sequence number of
+// its completion event or of the position reserved for its elided one.
+// The work has completed once sim.Kernel.Passed holds for them.
+//
+//hot:path
+func (m *MCU) Completion() (sim.Time, uint64) { return m.busyUntil, m.doneSeq }
+
 // Busy reports whether the MCU is currently executing (or has queued
 // work).
 func (m *MCU) Busy() bool { return m.k.Now() < m.busyUntil }
@@ -359,7 +367,10 @@ func (m *MCU) Track(q *Marks) {
 // recently submitted to the MCU.
 //
 //hot:path
-func (q *Marks) Mark() { q.q.Push(mark{at: q.m.busyUntil, seq: q.m.doneSeq}) }
+func (q *Marks) Mark() {
+	at, seq := q.m.Completion()
+	q.q.Push(mark{at: at, seq: seq})
+}
 
 // Settle forgets the marks of the computations that have completed and
 // reports how many marked computations crashes abandoned since the last

@@ -96,7 +96,7 @@ func Assemble(rec *Recorder, energies []NodeEnergy, extraStates []StateRow, extr
 			}
 		}
 		for _, cat := range energy.AllLossCategories() {
-			if j, ok := ne.Report.Losses[cat]; ok {
+			if j, ok := ne.Report.Losses.Lookup(cat); ok {
 				s.States = append(s.States, StateRow{
 					Node:      ne.Node,
 					Component: "loss",

@@ -48,7 +48,7 @@ type Sensor struct {
 	trace      metrics.NodeID     // Name's ID in tracer
 	cost       platform.CostModel // the application's cycle costs
 	onBrownout func()
-	poll       sim.Handler // pollBattery, bound once
+	poll       sim.Handler // pollBattery, bound once with a battery
 }
 
 // sensorOpts collects the optional knobs of a sensor build.
@@ -115,8 +115,8 @@ func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	}
 	if o.battery != nil {
 		s.Bat = battery.NewState(*o.battery, o.brownoutV, o.degrade, k.Now())
+		s.poll = s.pollBattery
 	}
-	s.poll = s.pollBattery
 	return s
 }
 
@@ -317,26 +317,16 @@ func WithBaseName(name string) BaseOption {
 // is always platform.BaseStation(), whatever cfg.Profile says.
 func NewBase(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	cfg mac.BSConfig, opts ...BaseOption) *Base {
-	prof := platform.BaseStation()
-	cfg.Profile = prof
-	ledger := energy.NewLedger()
-	m := mcu.New(k, prof.MCU, ledger)
-	sched := tinyos.NewSched(k, m, 0)
-	name := "bs"
+	b := &Base{Name: "bs", Profile: platform.BaseStation(), Ledger: energy.NewLedger()}
 	for _, opt := range opts {
-		opt(&name)
+		opt(&b.Name)
 	}
-	r := radio.New(k, name, prof.Radio, ch, sched, ledger, tracer)
-	bs := mac.NewBaseMAC(k, cfg, sched, r, ledger, tracer)
-	return &Base{
-		Name:    name,
-		Profile: prof,
-		Ledger:  ledger,
-		MCU:     m,
-		Sched:   sched,
-		Radio:   r,
-		BS:      bs,
-	}
+	cfg.Profile = &b.Profile
+	b.MCU = mcu.New(k, b.Profile.MCU, b.Ledger)
+	b.Sched = tinyos.NewSched(k, b.MCU, 0)
+	b.Radio = radio.New(k, b.Name, b.Profile.Radio, ch, b.Sched, b.Ledger, tracer)
+	b.BS = mac.NewBaseMAC(k, cfg, b.Sched, b.Radio, b.Ledger, tracer)
+	return b
 }
 
 // Start begins the beacon cycle.

@@ -32,7 +32,8 @@ func newRig(t *testing.T) *rig {
 }
 
 func staticNode(id uint8) mac.NodeConfig {
-	return mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: platform.IMEC()}
+	prof := platform.IMEC()
+	return mac.NodeConfig{Protocol: mac.ProtoStatic, NodeID: id, Profile: &prof}
 }
 
 func (r *rig) sensor(t *testing.T, id uint8) *Sensor {

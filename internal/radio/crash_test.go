@@ -123,31 +123,38 @@ func TestCrashStaleEventsLeaveReusedRadioAlone(t *testing.T) {
 }
 
 // TestFrameCycleAllocationFree pins the steady-state frame cycle, Load
-// through Fire, settle, burst end, Deliver and drain to the receive
-// handler, to zero allocations.
+// through Fire (or LoadFire), settle, burst end, Deliver and drain to the
+// receive handler, to zero allocations.
 func TestFrameCycleAllocationFree(t *testing.T) {
-	r := newRig()
-	tx := r.station("node1", platform.IMEC())
-	rx := r.station("bs", platform.BaseStation())
-	rx.radio.SetRxAddresses(packet.AddrBSData)
-	got := 0
-	rx.radio.SetReceiveHandler(func(packet.Frame) { got++ })
-	payload := make([]byte, 18)
-	sent := 0
-	fire := func() { tx.radio.Fire(nil) }
-	cycle := func() {
-		rx.radio.StartRx()
-		tx.radio.Load(packet.AddrBSData, payload, fire)
-		r.k.RunUntil(r.k.Now() + 10*sim.Millisecond)
-		sent++
-	}
-	for i := 0; i < 20; i++ { // grow the pools
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("frame cycle allocates %.2f times per frame", allocs)
-	}
-	if got != sent || rx.radio.Stats().RxAccepted != uint64(sent) {
-		t.Fatalf("handler ran %d times, RxAccepted %d, for %d frames", got, rx.radio.Stats().RxAccepted, sent)
+	for _, loadFire := range []bool{false, true} {
+		r := newRig()
+		tx := r.station("node1", platform.IMEC())
+		rx := r.station("bs", platform.BaseStation())
+		rx.radio.SetRxAddresses(packet.AddrBSData)
+		got := 0
+		rx.radio.SetReceiveHandler(func(packet.Frame) { got++ })
+		payload := make([]byte, 18)
+		sent := 0
+		fire := func() { tx.radio.Fire(nil) }
+		cycle := func() {
+			rx.radio.StartRx()
+			if loadFire {
+				tx.radio.LoadFire(packet.AddrBSData, payload, nil)
+			} else {
+				tx.radio.Load(packet.AddrBSData, payload, fire)
+			}
+			r.k.RunUntil(r.k.Now() + 10*sim.Millisecond)
+			sent++
+		}
+		for i := 0; i < 20; i++ { // grow the pools
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Fatalf("frame cycle (LoadFire %v) allocates %.2f times per frame", loadFire, allocs)
+		}
+		if got != sent || rx.radio.Stats().RxAccepted != uint64(sent) {
+			t.Fatalf("LoadFire %v: handler ran %d times, RxAccepted %d, for %d frames",
+				loadFire, got, rx.radio.Stats().RxAccepted, sent)
+		}
 	}
 }

@@ -104,6 +104,15 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
+	// clocking is set while a LoadFire's FIFO clock-in may still run: it
+	// ends at the MCU dispatch position (clockInAt, clockInSeq), where the
+	// radio leaves standby for after, TX or (once CancelFire called the
+	// burst off) off. The meter holds that move as its deferred
+	// transition, so the end of the clock-in costs no kernel event.
+	clocking   bool
+	clockInAt  sim.Time
+	clockInSeq uint64
+	after      Mode
 	// gen invalidates in-flight transmit steps across a crash: the settle
 	// event carries the generation it was issued under in its argument
 	// word, settle hands it to BeginTx, and the channel hands it back to
@@ -203,7 +212,12 @@ func (r *Radio) Name() string { return r.name }
 func (r *Radio) Params() platform.RadioParams { return r.params }
 
 // Mode reports the current operating mode.
-func (r *Radio) Mode() Mode { return r.mode }
+func (r *Radio) Mode() Mode {
+	if r.clockedIn() {
+		return r.after
+	}
+	return r.mode
+}
 
 // Stats returns a copy of the radio counters.
 func (r *Radio) Stats() Stats { return r.stats }
@@ -293,20 +307,28 @@ func (r *Radio) StartRx() {
 //
 //hot:path
 func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
+	r.clockIn("Load", payload, r.onLoaded)
+	r.loads.Push(load{frame: packet.Frame{Dest: dest, Payload: payload}, done: done})
+}
+
+// clockIn moves the radio to standby and has the MCU clock payload into
+// the TX FIFO, running done (if non-nil) as the clock-in ends. op names
+// the caller in the panic on a busy radio or an oversized payload.
+//
+//hot:path
+func (r *Radio) clockIn(op string, payload []byte, done func()) {
 	if r.txBusy {
-		panic(fmt.Sprintf("radio %s: Load during transmit sequence", r.name))
+		panic(fmt.Sprintf("radio %s: %s during transmit sequence", r.name, op))
 	}
 	if r.mode == ModeRx {
-		panic(fmt.Sprintf("radio %s: Load while receiving", r.name))
+		panic(fmt.Sprintf("radio %s: %s while receiving", r.name, op))
 	}
 	if len(payload) > r.params.MaxPayloadBytes {
 		panic(fmt.Sprintf("radio %s: payload %dB exceeds ShockBurst FIFO (%dB)",
 			r.name, len(payload), r.params.MaxPayloadBytes))
 	}
 	r.setMode(ModeStandby)
-	loadDur := r.params.TxClockIn(r.params.AddressBytes + len(payload))
-	r.loads.Push(load{frame: packet.Frame{Dest: dest, Payload: payload}, done: done})
-	r.sched.BusyLoad("radio-fifo-load", loadDur, r.onLoaded)
+	r.sched.BusyLoad("radio-fifo-load", r.params.TxClockIn(r.params.AddressBytes+len(payload)), done)
 }
 
 // loadDone completes the oldest FIFO clock-in.
@@ -319,6 +341,50 @@ func (r *Radio) loadDone() {
 	if l.done != nil {
 		l.done()
 	}
+}
+
+// LoadFire is Load followed by Fire as the clock-in ends: the MCU clocks
+// the frame into the FIFO, and the radio settles its PLL and bursts it
+// straight away. sent runs when the burst ends and the radio is back in
+// standby. The end of the clock-in is the MCU's elided completion, so no
+// kernel event marks it: the radio moves from standby to TX there
+// through its meter's deferred transition. CancelFire calls the burst
+// off until then. The payload is retained as with Load.
+//
+//hot:path
+func (r *Radio) LoadFire(dest packet.Address, payload []byte, sent func()) {
+	r.clockIn("LoadFire", payload, nil)
+	r.clockInAt, r.clockInSeq = r.sched.MCU().Completion()
+	r.clocking, r.after = true, ModeTx
+	r.meter.Defer(r.clockInAt, r.modeState[ModeTx])
+	r.txBusy = true
+	r.tx = burst{frame: packet.Frame{Dest: dest, Payload: payload},
+		air: r.params.Airtime(len(payload)), done: sent}
+	r.k.ScheduleArgAt(r.clockInAt+r.params.TxSettle, r.onSettle, r.gen)
+}
+
+// CancelFire calls off the burst of a LoadFire whose FIFO clock-in is
+// still running (the MAC parked or crashed): nothing reaches the air,
+// its sent callback never runs, and the radio powers down as the
+// clock-in ends. Once the clock-in has ended it does nothing, and the
+// burst goes ahead.
+func (r *Radio) CancelFire() {
+	if !r.clocking || r.after != ModeTx || r.clockedIn() {
+		return
+	}
+	r.gen++
+	r.txBusy = false
+	r.tx = burst{}
+	r.after = ModeOff
+	r.meter.Defer(r.clockInAt, r.modeState[ModeOff])
+}
+
+// clockedIn reports whether a LoadFire's clock-in has ended: dispatch
+// has passed its position.
+//
+//hot:path
+func (r *Radio) clockedIn() bool {
+	return r.clocking && r.k.Passed(r.clockInAt, r.clockInSeq)
 }
 
 // Fire transmits the frame previously loaded with Load: PLL settling,
@@ -352,6 +418,7 @@ func (r *Radio) settle(k *sim.Kernel) {
 	if k.Arg() != r.gen {
 		return // crashed during PLL settling; nothing reached the air
 	}
+	r.clocking, r.mode = false, ModeTx
 	// Encode into the per-radio scratch; the channel copies the image
 	// into its own pooled buffer, so txBuf is free again on return.
 	r.txBuf = r.tx.frame.AppendEncode(r.txBuf[:0])
@@ -482,8 +549,18 @@ func (r *Radio) drained(k *sim.Kernel) {
 	}
 }
 
-// setMode performs the meter transition for a mode change.
+// setMode performs the meter transition for a mode change. A change
+// before a LoadFire's clock-in ends (a crash, or a use of the radio
+// after CancelFire) supersedes the move the meter holds for that end.
 func (r *Radio) setMode(m Mode) {
+	if r.clocking {
+		if r.clockedIn() {
+			r.mode = r.after
+		} else {
+			r.meter.Undefer()
+		}
+		r.clocking = false
+	}
 	if r.mode == m {
 		return
 	}

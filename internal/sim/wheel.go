@@ -99,6 +99,7 @@ const initialPool = 32
 
 func (w *wheel) init() {
 	w.events = make([]poolEvent, 0, initialPool)
+	w.ready = make([]int32, 0, initialPool)
 	w.free = -1
 	for l := range w.slots {
 		for s := range w.slots[l] {
