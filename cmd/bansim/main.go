@@ -112,13 +112,8 @@ func faultFlags(faults *[]fault.Fault) {
 // optional @scale multiplying the rated capacity.
 func parseBattery(spec string) (*battery.Battery, error) {
 	name, scalePart, hasScale := strings.Cut(spec, "@")
-	var b battery.Battery
-	switch name {
-	case "cr2032":
-		b = battery.CR2032()
-	case "lipo160":
-		b = battery.LiPo160()
-	default:
+	b, ok := battery.Preset(name)
+	if !ok {
 		return nil, fmt.Errorf("unknown battery %q (want cr2032 or lipo160)", name)
 	}
 	if hasScale {

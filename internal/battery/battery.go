@@ -52,6 +52,18 @@ func LiPo160() Battery {
 	return Battery{CapacityMAh: lipo160CapacityMAh, VoltageV: lipo160VoltageV, Efficiency: defaultEfficiency}
 }
 
+// Preset returns the cell a scenario or a flag names, "cr2032" or
+// "lipo160"; ok is false for any other name.
+func Preset(name string) (b Battery, ok bool) {
+	switch name {
+	case "cr2032":
+		return CR2032(), true
+	case "lipo160":
+		return LiPo160(), true
+	}
+	return Battery{}, false
+}
+
 // UsableJ reports the usable energy in joules.
 func (b Battery) UsableJ() float64 {
 	eff := b.Efficiency

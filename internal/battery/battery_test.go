@@ -57,6 +57,19 @@ func TestStockCells(t *testing.T) {
 	}
 }
 
+func TestPreset(t *testing.T) {
+	for name, want := range map[string]Battery{"cr2032": CR2032(), "lipo160": LiPo160()} {
+		if got, ok := Preset(name); !ok || got != want {
+			t.Errorf("Preset(%q) = %+v, %v; want %+v, true", name, got, ok, want)
+		}
+	}
+	for _, name := range []string{"", "CR2032", "aa"} {
+		if _, ok := Preset(name); ok {
+			t.Errorf("Preset(%q) accepted an unknown cell", name)
+		}
+	}
+}
+
 func TestLowerLoadLastsLonger(t *testing.T) {
 	b := CR2032()
 	hi, _ := b.Lifetime(0.7108, 60*sim.Second) // streaming node

@@ -119,14 +119,8 @@ type batteryJSON struct {
 
 // decodeBattery resolves a batteryJSON into a concrete cell.
 func decodeBattery(bj *batteryJSON) (*battery.Battery, error) {
-	var b battery.Battery
-	switch bj.Cell {
-	case "":
-	case "cr2032":
-		b = battery.CR2032()
-	case "lipo160":
-		b = battery.LiPo160()
-	default:
+	b, ok := battery.Preset(bj.Cell)
+	if !ok && bj.Cell != "" {
 		return nil, fmt.Errorf("core: unknown battery cell %q", bj.Cell)
 	}
 	if bj.CapacityMAh > 0 {

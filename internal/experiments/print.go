@@ -45,13 +45,14 @@ func Print(w io.Writer, block, format string, o Options) error {
 	}
 	omitted, first := 0, ""
 	for _, t := range tabs {
+		errs := paperdata.PaperAvgErrors[t.ID]
 		switch format {
 		case "md":
-			emit(t.RenderMarkdown())
+			emit(fmt.Sprintf("%s\n(the paper's own simulator: radio %.1f%%, µC %.1f%% average \\|error\\| vs real)\n",
+				t.RenderMarkdown(), errs[0], errs[1]))
 		case "csv":
 			emit(t.RenderCSV())
 		default:
-			errs := paperdata.PaperAvgErrors[t.ID]
 			emit(fmt.Sprintf("%s\n(the paper's own simulator: radio %.1f%%, uC %.1f%% avg error vs real)\n",
 				t.Render(), errs[0], errs[1]))
 		}

@@ -15,8 +15,9 @@
 //	})
 //
 // The analyzer flags a func literal passed to Kernel.Schedule /
-// Kernel.ScheduleAt / sim.NewTimer that captures a pointer to a struct
-// with a `gen` field while its body never mentions a generation.
+// Kernel.ScheduleAt / Kernel.ScheduleArgAt / sim.NewTimer that captures
+// a pointer to a struct with a `gen` field while its body never mentions
+// a generation.
 // Components without a `gen` field have no crash lifecycle and are not
 // constrained.
 package eventgen
@@ -57,7 +58,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // schedulingCall reports whether call arms a future kernel event:
-// (*sim.Kernel).Schedule / ScheduleAt, or sim.NewTimer.
+// (*sim.Kernel).Schedule / ScheduleAt / ScheduleArgAt, or sim.NewTimer.
 func schedulingCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -74,7 +75,7 @@ func schedulingCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if sig.Recv() == nil {
 		return fn.Name() == "NewTimer"
 	}
-	if fn.Name() != "Schedule" && fn.Name() != "ScheduleAt" {
+	if n := fn.Name(); n != "Schedule" && n != "ScheduleAt" && n != "ScheduleArgAt" {
 		return false
 	}
 	recv := sig.Recv().Type()

@@ -32,6 +32,26 @@ func (m *nodeMac) armChecked() {
 	})
 }
 
+// argUnchecked arms through ScheduleArgAt, the model's event idiom,
+// and drops the argument word instead of comparing the generation it
+// carries. Flagged.
+func (m *nodeMac) argUnchecked() {
+	m.k.ScheduleArgAt(5, func(*sim.Kernel) { // want `scheduled callback captures crash-aware m but never checks its generation`
+		m.armed = true
+	}, m.gen)
+}
+
+// argChecked carries the generation in the argument word and compares
+// it on dispatch. Quiet.
+func (m *nodeMac) argChecked() {
+	m.k.ScheduleArgAt(5, func(k *sim.Kernel) {
+		if k.Arg() != m.gen {
+			return // armed before a crash
+		}
+		m.armed = true
+	}, m.gen)
+}
+
 // timerUnchecked reaches the kernel through sim.NewTimer: same rule.
 func (m *nodeMac) timerUnchecked() *sim.Timer {
 	return sim.NewTimer(m.k, func(*sim.Kernel) { // want `scheduled callback captures crash-aware m`

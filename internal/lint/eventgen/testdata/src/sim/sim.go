@@ -23,6 +23,16 @@ func (k *Kernel) Schedule(d Time, h Handler) EventID { _ = d; _ = h; return 0 }
 // ScheduleAt posts handler at an absolute instant.
 func (k *Kernel) ScheduleAt(at Time, h Handler) EventID { _ = at; _ = h; return 0 }
 
+// ScheduleArgAt posts handler at an absolute instant with an argument
+// word the handler reads back through Arg.
+func (k *Kernel) ScheduleArgAt(at Time, h Handler, arg uint64) EventID {
+	_, _, _ = at, h, arg
+	return 0
+}
+
+// Arg reports the argument word of the event being dispatched.
+func (k *Kernel) Arg() uint64 { return 0 }
+
 // Timer is a restartable timer built on the kernel.
 type Timer struct{ fn Handler }
 

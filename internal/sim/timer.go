@@ -1,8 +1,8 @@
 package sim
 
 // Timer is a restartable one-shot or periodic timer built on the kernel.
-// It mirrors the facility TinyOS exposes to components: the MAC and the
-// applications arm timers for slot boundaries and sampling ticks.
+// The model schedules its events on the kernel directly; tests use Timer
+// as a periodic traffic source and poller.
 type Timer struct {
 	k       *Kernel
 	fn      Handler

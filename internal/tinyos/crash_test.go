@@ -63,18 +63,3 @@ func TestPostFnAllocationFree(t *testing.T) {
 		t.Fatalf("PostFn allocated %v times per task", n)
 	}
 }
-
-// TestTimerFiringAllocationFree covers the OS timer's ISR path.
-func TestTimerFiringAllocationFree(t *testing.T) {
-	k, s := newSched(t, 0)
-	tm := NewTimer(s, "tick", func() {})
-	tm.StartPeriodic(sim.Millisecond)
-	k.RunUntil(10 * sim.Millisecond)
-	until := k.Now()
-	if n := testing.AllocsPerRun(100, func() {
-		until += sim.Millisecond
-		k.RunUntil(until)
-	}); n != 0 {
-		t.Fatalf("a timer firing allocated %v times", n)
-	}
-}

@@ -1,8 +1,8 @@
 // Package tinyos models the embedded operating system of the sensor node:
 // a TinyOS-like run-to-completion task scheduler with a bounded task
-// queue, interrupt handlers that bypass the queue, virtual timers, and the
-// power policy that chooses a low-power mode for the microcontroller
-// during inactive periods (§3.2.1, §4.1 of the paper).
+// queue, interrupt handlers that bypass the queue, and the power policy
+// that chooses a low-power mode for the microcontroller during inactive
+// periods (§3.2.1, §4.1 of the paper).
 package tinyos
 
 import (
@@ -130,46 +130,6 @@ func (s *Sched) Dropped() uint64 { return s.dropped }
 
 // QueueLen reports the tasks pending or running.
 func (s *Sched) QueueLen() int { return s.queued }
-
-// Timer is a virtual OS timer: each firing costs a small bookkeeping task
-// (timer ISR + re-arm) before the user callback runs.
-type Timer struct {
-	s        *Sched
-	inner    *sim.Timer
-	overhead int64
-	name     string
-	fn       func()
-}
-
-// TimerOverheadCycles is the per-firing bookkeeping cost of the virtual
-// timer service (compare/re-arm, dispatch).
-const TimerOverheadCycles = 120
-
-// NewTimer creates a stopped OS timer that runs fn on each firing.
-func NewTimer(s *Sched, name string, fn func()) *Timer {
-	t := &Timer{s: s, overhead: TimerOverheadCycles, name: name, fn: fn}
-	t.inner = sim.NewTimer(s.k, t.fire)
-	return t
-}
-
-// fire runs the timer ISR, then the user callback.
-func (t *Timer) fire(*sim.Kernel) { t.s.Interrupt(t.name, t.overhead, t.fn) }
-
-// StartOneShot arms the timer once, d from now.
-func (t *Timer) StartOneShot(d sim.Time) { t.inner.StartOneShot(d) }
-
-// StartPeriodic arms the timer every period.
-func (t *Timer) StartPeriodic(period sim.Time) { t.inner.StartPeriodic(period) }
-
-// StartPeriodicAt arms the timer first at the absolute instant first,
-// then every period.
-func (t *Timer) StartPeriodicAt(first, period sim.Time) { t.inner.StartPeriodicAt(first, period) }
-
-// Stop disarms the timer.
-func (t *Timer) Stop() { t.inner.Stop() }
-
-// Running reports whether the timer is armed.
-func (t *Timer) Running() bool { return t.inner.Running() }
 
 // PowerPolicy selects the low-power mode to enter for an expected idle
 // gap, mirroring the TinyOS MSP430 power decision: deeper modes have

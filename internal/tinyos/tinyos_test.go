@@ -97,56 +97,6 @@ func TestNegativeCyclesPanic(t *testing.T) {
 	}
 }
 
-func TestTimerFiresWithOverhead(t *testing.T) {
-	k, s := newSched(t, 0)
-	var at []sim.Time
-	tm := NewTimer(s, "sample", func() { at = append(at, k.Now()) })
-	tm.StartPeriodic(5 * sim.Millisecond)
-	k.RunUntil(16 * sim.Millisecond)
-	if len(at) != 3 {
-		t.Fatalf("fired %d times, want 3", len(at))
-	}
-	// Callback lands after the ISR overhead (120 cycles = 15us) plus the
-	// wakeup ramp, not exactly on the tick.
-	if at[0] <= 5*sim.Millisecond {
-		t.Fatalf("callback at %v, want after the 5ms tick", at[0])
-	}
-	if at[0] > 5*sim.Millisecond+100*sim.Microsecond {
-		t.Fatalf("callback at %v, overhead unexpectedly large", at[0])
-	}
-	tm.Stop()
-	if tm.Running() {
-		t.Fatalf("timer running after Stop")
-	}
-}
-
-func TestTimerOneShotAndRestart(t *testing.T) {
-	k, s := newSched(t, 0)
-	count := 0
-	tm := NewTimer(s, "x", func() { count++ })
-	tm.StartOneShot(2 * sim.Millisecond)
-	tm.StartOneShot(4 * sim.Millisecond)
-	k.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want 1 (restart cancels)", count)
-	}
-}
-
-func TestTimerStartPeriodicAt(t *testing.T) {
-	k, s := newSched(t, 0)
-	var first sim.Time
-	tm := NewTimer(s, "x", func() {
-		if first == 0 {
-			first = k.Now()
-		}
-	})
-	tm.StartPeriodicAt(7*sim.Millisecond, 10*sim.Millisecond)
-	k.RunUntil(8 * sim.Millisecond)
-	if first < 7*sim.Millisecond || first > 7*sim.Millisecond+100*sim.Microsecond {
-		t.Fatalf("first firing at %v, want ~7ms", first)
-	}
-}
-
 func TestMCUAccessor(t *testing.T) {
 	_, s := newSched(t, 0)
 	if s.MCU() == nil {
