@@ -6,6 +6,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/ecg"
 	"repro/internal/mcu"
+	"repro/internal/tinyos"
 )
 
 // StreamingConfig parameterises the ECG streaming application of §5.1.
@@ -28,28 +29,26 @@ type StreamingConfig struct {
 // slot.
 //
 // An acquisition's samples enter the buffer with its ISR's submission,
-// and only the ISR that completes a payload has a completion callback:
-// the others cost the kernel no event. isrs marks where every ISR
-// completes, so a crash drops the samples of exactly the ISRs it
-// abandoned, the buffer's tail.
+// and no ISR has a completion callback: the ISR that completes a
+// payload chains the payload's assembly task to its completion
+// (tinyos.Sched.Chain), so the kernel pays one event per payload, the
+// task's. isrs marks where every ISR completes, so a crash drops the
+// samples of exactly the ISRs it abandoned, the buffer's tail.
 type Streaming struct {
 	sampler
 	cfg StreamingConfig
 
-	// buf holds, in order, the samples of the payloads posted for
-	// assembly and then those of the acquisitions since the last payload
-	// ISR completed; the ISRs of its tail may still be running.
-	buf  []codec.Sample
-	isrs mcu.Marks
-	// batches numbers each payload posted for assembly, from 1, until
-	// its task runs; a crash drops the tasks it abandons, so the number
-	// a task pops tells how many payloads at the head of buf went with
-	// them. assembled is the number of the last payload taken off buf.
-	// sampleDone and assembleDone are bound once.
-	batches      mcu.Queue[uint64]
-	posted       uint64
+	// buf holds, in order, the payloads after the one assembled last,
+	// each posted for assembly or dropped by a full task queue, and then
+	// the acquisitions since; the ISRs of its tail may still be running.
+	// Payloads are numbered from 1 in buffer order, and a payload's
+	// assembly task carries its number as its Arg: assembled is the
+	// number of the payload taken off buf last, and a task skips the
+	// payloads ahead of its own, whose tasks a crash abandoned or a full
+	// queue dropped. assembleDone is bound once.
+	buf          []codec.Sample
+	isrs         mcu.Marks
 	assembled    uint64
-	sampleDone   func()
 	assembleDone func()
 	payload      []byte // packing scratch; Send copies it
 }
@@ -79,11 +78,9 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	// scratch is sized for one payload.
 	spp := cfg.SamplesPerPacket
 	s := &Streaming{cfg: cfg,
-		batches: mcu.NewQueue[uint64](env.Sched.MCU()),
 		buf:     make([]codec.Sample, 0, 3*spp),
 		payload: make([]byte, 0, codec.BytesFor(spp))}
 	env.Sched.MCU().Track(&s.isrs)
-	s.sampleDone = s.onSampleDone
 	s.assembleDone = s.onAssembleDone
 	s.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)
 	return s
@@ -95,8 +92,8 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 func (s *Streaming) Downshift(factor float64) { s.downshift(factor) }
 
 // onAcquisition runs in hardware-event context for each sample set: it
-// buffers the samples and runs the acquisition ISR, whose completion
-// posts the packet assembly if it completes a payload.
+// buffers the samples and runs the acquisition ISR, which posts the
+// packet assembly as it completes if it completes a payload.
 //
 //hot:path
 func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
@@ -104,40 +101,24 @@ func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
 		s.buf = s.buf[:len(s.buf)-lost*s.cfg.Channels]
 	}
 	s.buf = append(s.buf, samples...)
-	var done func()
-	if len(s.buf)%s.cfg.SamplesPerPacket == 0 {
-		done = s.sampleDone
-	}
 	// The per-pair cost covers the acquisition ISR and buffering.
-	s.env.Sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, done)
+	sched := s.env.Sched
+	sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, nil)
 	s.isrs.Mark()
-}
-
-// onSampleDone completes a payload's last ISR: it posts the packet
-// assembly of the payload's worth that follows the payloads already
-// posted in the buffer.
-//
-//hot:path
-func (s *Streaming) onSampleDone() {
-	// Packet assembly is a deferred task (header + packing); a full task
-	// queue drops the payload.
-	if s.env.Sched.PostFn("ecg-assemble", s.env.Cost.PacketAssembly, s.assembleDone) {
-		s.posted++
-		s.batches.Push(s.posted)
-		return
+	if n := len(s.buf); n%s.cfg.SamplesPerPacket == 0 {
+		// Packet assembly is a deferred task (header + packing); a full
+		// task queue drops the payload.
+		sched.Chain(tinyos.Task{Name: "ecg-assemble", Cycles: s.env.Cost.PacketAssembly,
+			Run: s.assembleDone, Arg: s.assembled + uint64(n/s.cfg.SamplesPerPacket)})
 	}
-	spp := s.cfg.SamplesPerPacket
-	at := int(s.posted-s.assembled) * spp
-	s.buf = append(s.buf[:at], s.buf[at+spp:]...)
 }
 
-// onAssembleDone packs the oldest payload whose task survived and hands
-// it to the MAC, dropping those ahead of it whose tasks a crash
-// abandoned.
+// onAssembleDone packs the payload its task carries and hands it to the
+// MAC, dropping those ahead of it.
 //
 //hot:path
 func (s *Streaming) onAssembleDone() {
-	n := s.batches.Pop()
+	n := s.env.Sched.Arg()
 	spp := s.cfg.SamplesPerPacket
 	at := int(n-s.assembled-1) * spp
 	s.payload = codec.AppendPack(s.payload[:0], s.buf[at:at+spp])

@@ -13,23 +13,26 @@ import (
 	"repro/internal/sim"
 )
 
-// budgetCase is one configuration and the ceilings on what a run of it
-// may allocate: at a 1 ns window (set-up alone) and over the full run.
+// budgetCase is one configuration, the kernel events its full run
+// dispatches, and the ceilings on what a run of it may allocate: at a
+// 1 ns window (set-up alone) and over the full run.
 type budgetCase struct {
 	name                 string
 	cfg                  Config
+	events               uint64
 	setupAllocs, setupKB uint64
 	fullAllocs, fullKB   uint64
 }
 
 // budgetCases are the benchmark's table1-stream, lpl-stream,
-// rpeak-onnode and chaos-observed configurations at seed 1, and one
-// paper-tables row (Table 2, n=1, dynamic TDMA). A run's allocations are
-// fixed costs, so allocations per kernel event rise whenever a change
-// removes events. The ceilings sit about 3% above the counts measured
-// with Go 1.24 on amd64 (set-up and full run: table1-stream 263 and 350
-// allocations, lpl-stream 240 and 302, rpeak-onnode 268 and 360,
-// chaos-observed 427 and 595, the Table 2 row 95 and 124), so spending
+// rpeak-onnode and chaos-observed configurations at seed 1, and two
+// paper-tables rows (Table 1 at 55 Hz, static TDMA; Table 2, n=1,
+// dynamic TDMA). A run's allocations are fixed costs, so allocations
+// per kernel event rise whenever a change removes events. The ceilings
+// sit about 3% above the counts measured with Go 1.24 on amd64 (set-up
+// and full run: table1-stream 222 and 292 allocations, lpl-stream 221
+// and 271, rpeak-onnode 232 and 312, chaos-observed 401 and 557, the
+// Table 1 row 222 and 292, the Table 2 row 82 and 106), so spending
 // this budget is a deliberate, visible change.
 func budgetCases() []budgetCase {
 	cell := battery.CR2032()
@@ -38,15 +41,18 @@ func budgetCases() []budgetCase {
 		{name: "table1-stream",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
 				App: AppStreaming, SampleRateHz: 205, Duration: 60 * sim.Second, Seed: 1},
-			setupAllocs: 271, setupKB: 50, fullAllocs: 361, fullKB: 67},
+			events:      222287,
+			setupAllocs: 229, setupKB: 49, fullAllocs: 301, fullKB: 64},
 		{name: "lpl-stream",
 			cfg: Config{Protocol: mac.ProtoLPL, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 205, Warmup: 15 * sim.Second, Duration: 30 * sim.Second, Seed: 1},
-			setupAllocs: 248, setupKB: 49, fullAllocs: 312, fullKB: 66},
+			events:      250968,
+			setupAllocs: 228, setupKB: 49, fullAllocs: 279, fullKB: 65},
 		{name: "rpeak-onnode",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
 				App: AppRpeak, Duration: 60 * sim.Second, Seed: 1},
-			setupAllocs: 277, setupKB: 51, fullAllocs: 371, fullKB: 67},
+			events:      146450,
+			setupAllocs: 239, setupKB: 50, fullAllocs: 321, fullKB: 66},
 		{name: "chaos-observed",
 			cfg: Config{Protocol: mac.ProtoCSMA, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 55, Duration: 60 * sim.Second, Seed: 1, BER: 2e-4, Metrics: true,
@@ -58,11 +64,18 @@ func budgetCases() []budgetCase {
 				Battery: &cell,
 				Degrade: &battery.DegradePolicy{StretchSOC: 0.5, StretchEvery: 3,
 					DownshiftSOC: 0.3, BeaconOnlySOC: 0.08}},
-			setupAllocs: 440, setupKB: 85, fullAllocs: 613, fullKB: 144},
+			events:      63713,
+			setupAllocs: 413, setupKB: 84, fullAllocs: 574, fullKB: 143},
+		{name: "paper-tables table1 F=55Hz",
+			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
+				App: AppStreaming, SampleRateHz: 55, Duration: paperdata.Window, Seed: 1},
+			events:      56760,
+			setupAllocs: 229, setupKB: 49, fullAllocs: 301, fullKB: 64},
 		{name: "paper-tables table2 n=1",
 			cfg: Config{Variant: mac.Dynamic, Nodes: 1, App: AppStreaming,
 				SampleRateHz: 300, Duration: paperdata.Window, Seed: 1},
-			setupAllocs: 98, setupKB: 26, fullAllocs: 128, fullKB: 38},
+			events:      81883,
+			setupAllocs: 85, setupKB: 26, fullAllocs: 110, fullKB: 37},
 	}
 }
 
@@ -70,11 +83,13 @@ func budgetCases() []budgetCase {
 // the least of three runs after a first that pays any one-off package
 // initialisation: the runtime and the test harness now and then
 // allocate during a run on their own account, which only adds.
-func runCost(t *testing.T, cfg Config) (allocs, bytes uint64) {
+func runCost(t *testing.T, cfg Config) (allocs, bytes, events uint64) {
 	t.Helper()
-	if _, err := Run(cfg); err != nil {
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	events = res.KernelEvents
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	for range 3 {
 		var before, after runtime.MemStats
@@ -88,12 +103,15 @@ func runCost(t *testing.T, cfg Config) (allocs, bytes uint64) {
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return allocs, bytes
+	return allocs, bytes, events
 }
 
 // TestAllocationBudget pins the allocations and bytes per run of the
 // benchmark's Table-1, LPL, Rpeak and chaos configurations and of a
-// Table 2 row, set-up alone and over the full run.
+// Table 1 and a Table 2 row, set-up alone and over the full run, next
+// to the exact kernel events of the full run: a change that removes
+// events shows here what it must save in allocations to keep
+// allocations per event from rising.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -109,8 +127,11 @@ func TestAllocationBudget(t *testing.T) {
 			{"set-up", setup, c.setupAllocs, c.setupKB},
 			{"full run", c.cfg, c.fullAllocs, c.fullKB},
 		} {
-			allocs, bytes := runCost(t, run.cfg)
-			t.Logf("%s %s: %d allocations, %.1f kB", c.name, run.what, allocs, float64(bytes)/1e3)
+			allocs, bytes, events := runCost(t, run.cfg)
+			t.Logf("%s %s: %d allocations, %.1f kB, %d events", c.name, run.what, allocs, float64(bytes)/1e3, events)
+			if run.what == "full run" && events != c.events {
+				t.Errorf("%s: %d kernel events, want %d", c.name, events, c.events)
+			}
 			if allocs > run.maxAllocs || bytes > run.maxKB*1000 {
 				t.Errorf("%s %s: %d allocations and %.1f kB, budget %d and %d kB",
 					c.name, run.what, allocs, float64(bytes)/1e3, run.maxAllocs, run.maxKB)

@@ -26,15 +26,16 @@ type beaconSync struct {
 	beacon packet.Beacon
 
 	window rxWindow // the listen for an expected beacon
-	// A window open carries its generation and stride in the event's
-	// argument word (see windowStrideBits); a crash cancels the window's
-	// timeout, so it carries none.
-	onWindowOpen   sim.Handler
-	onWindowExpiry sim.Handler
+	// onWindow, bound once, handles a window's open and its timeout. An
+	// open carries its generation and stride in the event's argument
+	// word (see windowStrideBits); a crash cancels the window's timeout,
+	// so it carries none, and a zero word tells it apart.
+	onWindow sim.Handler
 }
 
 // windowStrideBits is the low part of a window open's argument word
-// that holds its stride; the crash generation sits above it.
+// that holds its stride, at least 1; the crash generation sits above
+// it.
 const windowStrideBits = 8
 
 // parkBeaconEvery is the parked node's doze ratio: a beacon-only node
@@ -50,8 +51,19 @@ const parkBeaconEvery = 8
 func (m *beaconSync) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder, resetAccess func()) {
 	m.nodeCore.init(k, cfg, sched, r, ledger, tracer, resetAccess)
-	m.onWindowOpen = m.windowOpened
-	m.onWindowExpiry = m.windowTimedOut
+	m.onWindow = m.windowDue
+}
+
+// windowDue dispatches a beacon window's open or, with a zero argument
+// word, its timeout.
+//
+//hot:path
+func (m *beaconSync) windowDue(k *sim.Kernel) {
+	if k.Arg() == 0 {
+		m.windowTimedOut()
+		return
+	}
+	m.windowOpened(k)
 }
 
 // Start implements Mac: listen continuously for a first beacon.
@@ -263,7 +275,7 @@ func (m *beaconSync) scheduleNextWindow() {
 	stride := m.windowStride()
 	openAt := m.t0 + m.local(stride*m.cycle-m.guard()-m.cfg.Profile.Radio.RxSettle)
 	openAt = max(openAt, m.k.Now()) // degenerate cycles: open immediately
-	m.k.ScheduleArgAt(openAt, m.onWindowOpen, m.gen<<windowStrideBits|uint64(stride))
+	m.k.ScheduleArgAt(openAt, m.onWindow, m.gen<<windowStrideBits|uint64(stride))
 }
 
 // windowOpened turns the receiver on for an expected beacon and arms the
@@ -297,13 +309,13 @@ func (m *beaconSync) windowOpened(k *sim.Kernel) {
 	deadline := m.t0 + m.local(stride*m.cycle) + m.guard() +
 		p.Radio.Airtime(m.maxBeaconPayload()) +
 		p.Radio.RxClockOut(m.maxBeaconPayload()) + 500*sim.Microsecond
-	m.window.timeout = k.ScheduleAt(max(deadline, k.Now()), m.onWindowExpiry)
+	m.window.timeout = k.ScheduleAt(max(deadline, k.Now()), m.onWindow)
 }
 
 // windowTimedOut handles a silent beacon window.
 //
 //hot:path
-func (m *beaconSync) windowTimedOut(*sim.Kernel) {
+func (m *beaconSync) windowTimedOut() {
 	if !m.window.expire() {
 		return
 	}

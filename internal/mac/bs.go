@@ -102,17 +102,14 @@ type BS struct {
 	// crashes and its beacon chain is strictly sequential (the next
 	// beacon is armed only once this one has flown), so the beacon's
 	// state lives in fields.
-	beaconFireAt   sim.Time // burst instant of the beacon being prepared
-	beaconBytes    int      // its encoded payload size
-	beaconWaits    int      // its FIFO load and instant still awaited
-	onPrepare      sim.Handler
-	onBeaconDue    sim.Handler
-	beaconBuilt    func()
-	beaconLoadDone func()
-	beaconSent     func()
-	slotAssigned   func()
-	slotReleased   func()
-	entries        []packet.SlotEntry // the beacon's entry list, reused across cycles
+	beaconFireAt sim.Time    // burst instant of the beacon being prepared
+	beaconBytes  int         // its encoded payload size
+	onBeacon     sim.Handler // a beacon's preparation (arg 0) and instant (arg 1)
+	beaconBuilt  func()
+	beaconSent   func()
+	slotAssigned func()
+	slotReleased func()
+	entries      []packet.SlotEntry // the beacon's entry list, reused across cycles
 }
 
 // NewBS wires a base station over its radio and OS.
@@ -123,10 +120,8 @@ func NewBS(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio.Radio,
 	}
 	bs := &BS{}
 	bs.init(k, cfg, sched, r, ledger, tracer, "slot", bs.ackMayFly, bs.ackFlown)
-	bs.onPrepare = bs.prepareBeacon
-	bs.onBeaconDue = bs.beaconDue
+	bs.onBeacon = bs.beaconStep
 	bs.beaconBuilt = bs.buildBeacon
-	bs.beaconLoadDone = bs.beaconStep
 	bs.beaconSent = bs.onBeaconSent
 	bs.slotAssigned = bs.assignSlot
 	bs.slotReleased = bs.releaseSlot
@@ -185,7 +180,7 @@ func (bs *BS) currentCycle() sim.Time {
 // scheduleBeacon arms the beacon whose burst must start at fireAt.
 func (bs *BS) scheduleBeacon(fireAt sim.Time) {
 	bs.beaconFireAt = fireAt
-	bs.k.ScheduleAt(fireAt-beaconLead(bs.cfg.Profile, bs.max), bs.onPrepare)
+	bs.k.ScheduleAt(fireAt-beaconLead(bs.cfg.Profile, bs.max), bs.onBeacon)
 }
 
 // beaconLead reports how long before its burst a beacon starts preparing
@@ -223,11 +218,23 @@ func slotCap(proto Protocol, p *platform.MACParams) int {
 	return p.MaxDynamicSlots
 }
 
+// beaconStep runs a step of the beacon path: its preparation, or with
+// an argument word of 1, its instant.
+//
+//hot:path
+func (bs *BS) beaconStep(k *sim.Kernel) {
+	if k.Arg() == 0 {
+		bs.prepareBeacon()
+	} else {
+		bs.beaconDue()
+	}
+}
+
 // prepareBeacon opens the SB region and builds the beacon, which then
 // flies on time.
 //
 //hot:path
-func (bs *BS) prepareBeacon(*sim.Kernel) {
+func (bs *BS) prepareBeacon() {
 	bs.inBeaconPrep = true
 	bs.radio.Standby() // stop listening; the SB slot begins
 	bs.sched.Interrupt("bs-beacon-build", bs.cfg.Profile.Cost.BSBeaconBuild, bs.beaconBuilt)
@@ -265,26 +272,16 @@ func (bs *BS) buildBeacon() {
 	// slot-assign task from a late SSR, say) the FIFO load can slip past
 	// the nominal instant; the beacon then flies as soon as the load
 	// completes, and the nodes' guard margins absorb the small delay.
-	bs.beaconWaits = 2
 	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
-	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, bs.beaconLoadDone)
-	bs.k.ScheduleAt(max(bs.beaconFireAt-p.Radio.TxSettle, bs.k.Now()), bs.onBeaconDue)
+	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, nil)
+	bs.k.ScheduleArgAt(max(bs.beaconFireAt-p.Radio.TxSettle, bs.k.Now()), bs.onBeacon, 1)
 }
 
-// beaconStep fires the beacon once both its FIFO load and its instant
-// have come, in either order.
+// beaconDue fires the beacon at its instant, or as its FIFO clock-in
+// ends if that is still running (radio.Radio.Fire).
 //
 //hot:path
-func (bs *BS) beaconStep() {
-	if bs.beaconWaits--; bs.beaconWaits == 0 {
-		bs.radio.Fire(bs.beaconSent)
-	}
-}
-
-// beaconDue marks the beacon's instant.
-//
-//hot:path
-func (bs *BS) beaconDue(*sim.Kernel) { bs.beaconStep() }
+func (bs *BS) beaconDue() { bs.radio.Fire(bs.beaconSent) }
 
 // onBeaconSent reopens the receiver and arms the next beacon.
 //

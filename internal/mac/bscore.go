@@ -41,21 +41,27 @@ type bsCore struct {
 	ackBuf  []byte // marshal scratch: one ack is loaded at a time
 
 	// The ack chain, stepped by handlers bound once in init. Owed acks
-	// wait in acks for their turnaround ISR, then in ackLoads for their
-	// FIFO load: LPL's join ack skips the turnaround, so a load can
-	// overtake a pending turnaround. Both ride MCU completions, which
-	// keep posting order.
+	// wait in acks for their turnaround ISR, which rides an MCU
+	// completion; firing is the one clocking in or on the air. Each
+	// acknowledged data frame waits in forwards for its forwarding task,
+	// numbered by handed, the task's Arg.
 	mayAck        func(a owedAck) bool
 	acked         func(a owedAck)
 	acks          sim.FIFO[owedAck]
-	ackLoads      sim.FIFO[owedAck]
 	firing        owedAck
-	forwards      sim.FIFO[RxRecord] // frames awaiting the forwarding task
-	nodeTasks     sim.FIFO[uint8]    // nodes awaiting a slot-assign or release task
+	handed        uint64
+	forwards      sim.FIFO[forwardRec]
+	nodeTasks     sim.FIFO[uint8] // nodes awaiting a slot-assign or release task
 	ackTurnaround func()
-	ackLoaded     func()
 	ackSent       func()
 	forwarded     func()
+}
+
+// forwardRec is an acknowledged data frame and the number of its
+// forwarding task.
+type forwardRec struct {
+	n   uint64
+	rec RxRecord
 }
 
 // ackKind names what an owed acknowledgement answers.
@@ -96,13 +102,22 @@ func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio
 	c.k, c.cfg, c.sched, c.radio, c.ledger, c.tracer = k, cfg, sched, r, ledger, tracer
 	c.trace = tracer.ID("bs")
 	c.memberTable = newMemberTable(cfg.MaxSlots, noun)
-	c.memberDetail = "node=%d " + noun + "=%d"
-	c.reclaimDetail = c.memberDetail + " after=%d"
+	c.memberDetail, c.reclaimDetail = memberDetails(noun)
 	c.mayAck, c.acked = mayAck, acked
 	c.ackTurnaround = c.turnAck
-	c.ackLoaded = c.onAckLoaded
 	c.ackSent = c.onAckSent
 	c.forwarded = c.forward
+}
+
+// memberDetails reports the trace details that render an index under
+// the table's noun, "slot" or "member": the member's, and its
+// reclaim's. They are constants, so building a base station allocates
+// no format.
+func memberDetails(noun string) (member, reclaim string) {
+	if noun == "slot" {
+		return "node=%d slot=%d", "node=%d slot=%d after=%d"
+	}
+	return "node=%d member=%d", "node=%d member=%d after=%d"
 }
 
 // OnData implements BSMAC: fn runs for each accepted data frame once its
@@ -267,7 +282,12 @@ func (c *bsCore) turnAck() {
 	c.loadAck(a)
 }
 
-// loadAck clocks acknowledgement a into the radio FIFO.
+// loadAck clocks acknowledgement a into the radio FIFO, to fly as the
+// clock-in ends. A data frame's forwarding to the collecting device is
+// posted as the clock-in ends, off the fast path, so it cannot delay
+// the FIFO load past the node's listen window.
+//
+//hot:path
 func (c *bsCore) loadAck(a owedAck) {
 	c.radio.Standby()
 	if a.kind == ackEarly {
@@ -275,27 +295,15 @@ func (c *bsCore) loadAck(a owedAck) {
 	} else {
 		c.ackBuf = packet.Ack{}.AppendMarshal(c.ackBuf[:0])
 	}
-	c.ackLoads.Push(a)
-	c.radio.Load(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackLoaded)
-}
-
-// onAckLoaded fires a loaded acknowledgement. A data frame's forwarding
-// to the collecting device is posted behind it, off the fast path, so
-// it cannot delay the FIFO load past the node's listen window.
-//
-//hot:path
-func (c *bsCore) onAckLoaded() {
-	a := c.ackLoads.Pop()
 	c.firing = a
-	c.radio.Fire(c.ackSent)
+	c.radio.LoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent)
 	if a.kind != ackData {
 		return
 	}
-	if c.sched.PostFn("bs-data-handle", c.cfg.Profile.Cost.BSDataHandle, c.forwarded) {
-		c.forwards.Push(a.rec)
-	} else {
-		c.recycle(a.rec.Payload)
-	}
+	c.handed++
+	c.forwards.Push(forwardRec{n: c.handed, rec: a.rec})
+	c.sched.Chain(tinyos.Task{Name: "bs-data-handle", Cycles: c.cfg.Profile.Cost.BSDataHandle,
+		Run: c.forwarded, Arg: c.handed})
 }
 
 // onAckSent counts an acknowledgement once it has flown and hands it to
@@ -311,11 +319,16 @@ func (c *bsCore) onAckSent() {
 	c.acked(c.firing)
 }
 
-// forward hands an acknowledged frame to the data sink.
+// forward hands an acknowledged frame to the data sink, recycling the
+// frames ahead of it, whose tasks a full queue dropped.
 //
 //hot:path
 func (c *bsCore) forward() {
-	rec := c.forwards.Pop()
+	f := c.forwards.Pop()
+	for ; f.n != c.sched.Arg(); f = c.forwards.Pop() {
+		c.recycle(f.rec.Payload)
+	}
+	rec := f.rec
 	if c.onData != nil {
 		c.onData(rec)
 	}

@@ -69,8 +69,7 @@ type CSMANode struct {
 	// Steady-state steps, each a handler bound once in NewCSMANode; the
 	// backoff and CCA steps carry their generation in the event's
 	// argument word.
-	onBackoffDue sim.Handler
-	onCCADue     sim.Handler
+	onContend    sim.Handler
 	onAckExpiry  sim.Handler
 	beaconParsed func()
 	frameLoaded  func()
@@ -87,8 +86,7 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	m := &CSMANode{minBE: p.MinBE, maxBE: p.MaxBE, maxBackoffs: p.MaxBackoffs}
 	m.init(k, cfg, sched, r, ledger, tracer, m.endAttempt)
 	m.dataHeader = packet.DataHeaderBytes
-	m.onBackoffDue = m.ccaStart
-	m.onCCADue = m.ccaSample
+	m.onContend = m.contendDue
 	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
 	m.frameLoaded = m.onFrameLoaded
@@ -247,7 +245,23 @@ func (m *CSMANode) scheduleBackoffStep() {
 		m.attemptActive = false
 		return
 	}
-	m.k.ScheduleArgAt(at, m.onBackoffDue, m.gen)
+	m.k.ScheduleArgAt(at, m.onContend, m.gen<<1)
+}
+
+// contendDue runs a contention step: the end of a backoff wait, or with
+// the argument word's low bit set, the end of a CCA window. The word's
+// high bits hold the generation the step was armed under.
+//
+//hot:path
+func (m *CSMANode) contendDue(k *sim.Kernel) {
+	if k.Arg()>>1 != m.gen {
+		return // armed before a crash
+	}
+	if k.Arg()&1 == 0 {
+		m.ccaStart(k)
+	} else {
+		m.ccaSample()
+	}
 }
 
 // ccaStart turns the receiver on for the clear-channel assessment once
@@ -255,9 +269,6 @@ func (m *CSMANode) scheduleBackoffStep() {
 //
 //hot:path
 func (m *CSMANode) ccaStart(k *sim.Kernel) {
-	if k.Arg() != m.gen {
-		return // armed before a crash
-	}
 	if !m.attemptActive || m.state == stateCrashed || m.state == stateParked {
 		m.attemptActive = false
 		return
@@ -268,16 +279,13 @@ func (m *CSMANode) ccaStart(k *sim.Kernel) {
 	}
 	m.radio.SetRxAddresses(m.cfg.Plan.NodeAddr(m.cfg.NodeID))
 	m.radio.StartRx()
-	m.k.ScheduleArgAt(k.Now()+m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.onCCADue, m.gen)
+	m.k.ScheduleArgAt(k.Now()+m.cfg.Profile.Radio.RxSettle+csmaCCADuration, m.onContend, m.gen<<1|1)
 }
 
 // ccaSample reads the energy-detect verdict at the end of the window.
 //
 //hot:path
-func (m *CSMANode) ccaSample(k *sim.Kernel) {
-	if k.Arg() != m.gen {
-		return // armed before a crash
-	}
+func (m *CSMANode) ccaSample() {
 	if !m.attemptActive {
 		return
 	}

@@ -86,7 +86,6 @@ type LPLNode struct {
 	strobeSent  func()
 	ssrPrepped  func()
 	ssrSent     func()
-	dataLoaded  func()
 	dataSent    func()
 	// ssr is the association request the prep ISR marshals, and ssrGen
 	// the crash generation it was prepared under.
@@ -120,7 +119,6 @@ func NewLPLNode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	m.strobeSent = m.onStrobeSent
 	m.ssrPrepped = m.onSSRPrepped
 	m.ssrSent = m.onSSRSent
-	m.dataLoaded = m.onDataLoaded
 	m.dataSent = m.onDataSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
@@ -175,8 +173,8 @@ func (m *LPLNode) EnterBeaconOnly() {
 }
 
 // stopTrain ends the strobe train and closes its listen windows (crash,
-// park). A strobe or SSR still clocking into the FIFO never flies: the
-// radio powers down as its clock-in ends.
+// park). A strobe, SSR or payload still clocking into the FIFO never
+// flies: the radio powers down as its clock-in ends.
 func (m *LPLNode) stopTrain() {
 	m.radio.CancelFire()
 	m.gap.close(m.k)
@@ -345,7 +343,8 @@ func (m *LPLNode) sendPayload() {
 			}
 			m.launch()
 		}
-		m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), m.dataLoaded)
+		m.radio.LoadFire(m.cfg.Plan.BSData, m.idFrame(), m.dataSent)
+		m.oweQueueDelay()
 	}
 }
 
@@ -377,18 +376,6 @@ func (m *LPLNode) onSSRSent() {
 	}
 	m.ssrFlown()
 	m.listenFor(&m.ssrWait, m.cfg.Profile.MAC.AckTimeout, m.onSSRExpiry)
-}
-
-// onDataLoaded fires the loaded payload.
-//
-//hot:path
-func (m *LPLNode) onDataLoaded() {
-	if m.state == stateParked || m.state == stateCrashed {
-		m.radio.PowerDown()
-		return
-	}
-	m.noteQueueDelay()
-	m.radio.Fire(m.dataSent)
 }
 
 // onDataSent awaits the acknowledgement once the payload has flown.

@@ -60,3 +60,49 @@ func TestLPLParkMidStrobeClockIn(t *testing.T) {
 		t.Fatalf("radio off for %v, want every instant outside the clock-in", off)
 	}
 }
+
+// TestLPLPayloadDelayOwedToClockInEnd pins where an LPL payload's
+// queueing delay is recorded. The payload bursts as its FIFO clock-in
+// ends, with no kernel event there, so the delay is owed from the
+// LoadFire and counts in the accounting epoch of the clock-in's end: a
+// reset before that end keeps it, one after it drops it with the rest
+// of the old epoch, and a crash before that end calls the burst off and
+// records nothing.
+func TestLPLPayloadDelayOwedToClockInEnd(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		act       func(n *LPLNode)
+		at        func(end sim.Time) sim.Time
+		wantCount uint64
+	}{
+		{"reset before the end", func(n *LPLNode) { n.ResetAccounting() }, func(end sim.Time) sim.Time { return end - 1 }, 1},
+		{"reset after the end", func(n *LPLNode) { n.ResetAccounting() }, func(end sim.Time) sim.Time { return end + 1 }, 0},
+		{"crash before the end", func(n *LPLNode) { n.ResetAccounting(); n.Crash() }, func(end sim.Time) sim.Time { return end - 1 }, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newProtoRig(t, ProtoLPL, Params{}, 0, 3)
+			n := r.addNode(1, ProtoLPL, Params{}).(*LPLNode)
+			r.k.Schedule(0, func(*sim.Kernel) {
+				r.bs.Start()
+				n.Start()
+			})
+			n.OnJoined(func() { n.Send(make([]byte, 18)) })
+			for !n.owed.due {
+				if r.k.Now() > 10*DefaultLPLCheckInterval {
+					t.Fatal("no payload clocked in")
+				}
+				r.k.RunUntil(r.k.Now() + 10*sim.Microsecond)
+			}
+			end, lat := n.owed.at, n.owed.lat
+			if end <= r.k.Now()+1 {
+				t.Fatalf("clock-in ends at %v, too close to %v", end, r.k.Now())
+			}
+			r.k.ScheduleAt(c.at(end), func(*sim.Kernel) { c.act(n) })
+			r.k.RunUntil(end + 50*sim.Millisecond)
+			s := n.Stats()
+			if s.LatencyCount != c.wantCount || s.LatencySum != sim.Time(c.wantCount)*lat {
+				t.Fatalf("%d delays summing to %v recorded, want %d of %v", s.LatencyCount, s.LatencySum, c.wantCount, lat)
+			}
+		})
+	}
+}

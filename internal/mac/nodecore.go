@@ -90,12 +90,14 @@ type nodeCore struct {
 	rejoinFrom  sim.Time
 
 	txQueue
+	// owed is a queueing delay not yet recorded (oweQueueDelay).
+	owed owedDelay
 	// dataHeader is the size of the sender-ID header the contention MACs
 	// prepend to a data payload (0 for TDMA, which attributes frames by
 	// slot timing).
 	dataHeader int
-	loading    bool // FIFO clock-in of the next frame in progress
-	loaded     bool // a frame sits in the radio FIFO
+	loading    bool // CSMA: FIFO clock-in of the next frame in progress
+	loaded     bool // a frame sits in (or is clocking into) the radio FIFO
 	// dataBuf/ctrlBuf are marshal scratch for the sender-ID-framed data
 	// payload and the control frames. A node sends at most one control
 	// frame at a time, so one buffer suffices.
@@ -153,7 +155,10 @@ func (c *nodeCore) Joined() bool { return c.state == stateJoined }
 func (c *nodeCore) Slot() int { return c.slot }
 
 // Stats implements Mac.
-func (c *nodeCore) Stats() Stats { return c.stats }
+func (c *nodeCore) Stats() Stats {
+	c.settleDelay()
+	return c.stats
+}
 
 // ControlRxTime reports receiver-on time spent in control windows
 // (beacon, CCA, strobe-gap and ack listening) for loss accounting.
@@ -174,6 +179,7 @@ func (c *nodeCore) Generation() uint64 { return c.gen }
 
 // ResetAccounting zeroes statistics and loss accumulators (post-warmup).
 func (c *nodeCore) ResetAccounting() {
+	c.settleDelay()
 	c.stats = Stats{}
 	c.carrySent = 0
 	if c.ack.open {
@@ -256,6 +262,8 @@ func (c *nodeCore) leave(to nodeState) {
 
 // halt ends the data path: the queue empties and no release is owed.
 func (c *nodeCore) halt(to nodeState, kind metrics.Kind) {
+	c.settleDelay()
+	c.owed.due = false // the burst was called off with the clock-in
 	c.leave(to)
 	c.queue.Reset()
 	c.loading = false
@@ -390,10 +398,44 @@ func (c *nodeCore) Send(payload []byte) bool {
 // noteQueueDelay records the in-flight frame's Send-to-burst queueing
 // delay as its burst starts.
 func (c *nodeCore) noteQueueDelay() {
-	if !c.hasInFlight {
-		return
+	if c.hasInFlight {
+		c.recordDelay(c.k.Now() - c.inFlight.enqueuedAt)
 	}
-	lat := c.k.Now() - c.inFlight.enqueuedAt
+}
+
+// owedDelay is a queueing delay that comes due at a dispatch position.
+type owedDelay struct {
+	due bool
+	lat sim.Time
+	at  sim.Time
+	seq uint64
+}
+
+// oweQueueDelay is noteQueueDelay for the in-flight frame whose burst
+// starts as the FIFO clock-in just submitted ends (radio.LoadFire). That
+// end costs no kernel event, so the delay is owed until dispatch passes
+// it: settleDelay records it then, at the latest when the counters are
+// read or reset. A halt before then drops it, since the burst is called
+// off with the clock-in.
+func (c *nodeCore) oweQueueDelay() {
+	c.settleDelay()
+	at, seq := c.sched.MCU().Completion()
+	c.owed = owedDelay{due: true, lat: at - c.inFlight.enqueuedAt, at: at, seq: seq}
+}
+
+// settleDelay records an owed queueing delay once dispatch has passed
+// the instant it came due.
+//
+//hot:path
+func (c *nodeCore) settleDelay() {
+	if c.owed.due && c.k.Passed(c.owed.at, c.owed.seq) {
+		c.owed.due = false
+		c.recordDelay(c.owed.lat)
+	}
+}
+
+// recordDelay records one Send-to-burst queueing delay.
+func (c *nodeCore) recordDelay(lat sim.Time) {
 	c.stats.LatencySum += lat
 	c.stats.LatencyCount++
 	c.stats.LatencyMax = max(c.stats.LatencyMax, lat)

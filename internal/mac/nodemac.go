@@ -21,30 +21,29 @@ type NodeMac struct {
 	// Steady-state protocol steps, each a handler bound once in
 	// NewNodeMac, so a beacon cycle allocates nothing: a slot fire
 	// carries its generation in the event's argument word; MCU and radio
-	// completions need no state beyond the MAC's own fields.
-	onSlotDue    sim.Handler
+	// completions need no state beyond the MAC's own fields. A data
+	// frame's FIFO clock-in ends with the radio powering down
+	// (radio.LoadPark), so loaded is set from its start, and the slot
+	// fires it only once the radio reports it Loaded.
+	onTimer      sim.Handler // slot fires and control-frame steps (see timerDue)
 	onAckExpiry  sim.Handler
 	beaconParsed func()
 	ackProcessed func()
-	dataLoaded   func()
 	dataSent     func()
 	// Control-frame transients (slot request, slot release), stepped the
 	// same way. Each attempt is numbered, and only the latest is live:
 	// ctrlAttempt is its number, ctrlGen the generation it was armed
 	// under, ctrlRelease whether it is a release rather than a slot
-	// request, and ctrlLoaded whether its frame made it into the radio
-	// FIFO. Its prep and fire events carry the number, and its prep ISR
-	// and FIFO clock-in queue their state on the MCU.
+	// request, and ctrlLoad the number of the attempt whose frame was
+	// clocked into the radio FIFO last, where it waits in standby. Its
+	// prep and fire events carry the number, and its prep ISR queues its
+	// state on the MCU.
 	ctrlAttempt  uint64
 	ctrlGen      uint64
 	ctrlRelease  bool
-	ctrlLoaded   bool
+	ctrlLoad     uint64
 	ctrlPreps    mcu.Queue[ctrlPrep]
-	ctrlLoads    mcu.Queue[uint64]
-	onCtrlPrep   sim.Handler
-	onCtrlFire   sim.Handler
 	ctrlPrepped  func()
-	ctrlLoadDone func()
 	ctrlSent     func()
 	ssrScheduled bool
 }
@@ -54,18 +53,13 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
 	m := &NodeMac{}
 	m.init(k, cfg, sched, r, ledger, tracer, m.resetSSR)
-	m.onSlotDue = m.slotDue
+	m.onTimer = m.timerDue
 	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
 	m.ackProcessed = m.tryLoad
-	m.dataLoaded = m.onDataLoaded
 	m.dataSent = m.onDataSent
 	m.ctrlPreps = mcu.NewQueue[ctrlPrep](sched.MCU())
-	m.ctrlLoads = mcu.NewQueue[uint64](sched.MCU())
-	m.onCtrlPrep = m.ctrlPrepDue
-	m.onCtrlFire = m.ctrlFireDue
 	m.ctrlPrepped = m.onCtrlPrepped
-	m.ctrlLoadDone = m.onCtrlLoaded
 	m.ctrlSent = m.onCtrlSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
@@ -195,10 +189,36 @@ func (m *NodeMac) scheduleRelease() {
 	m.armAttempt(prepAt, fireAt, true)
 }
 
+// The timer events of a NodeMac share one handler, timerDue: the low
+// bits of an event's argument word tag its step, and the bits above
+// hold the crash generation of a slot fire or the attempt number of a
+// control-frame step.
+const (
+	timerSlot     = iota // fire the data frame at the slot boundary
+	timerCtrlPrep        // prepare a control frame
+	timerCtrlFire        // fire it
+	timerTagBits  = 2
+)
+
+// timerDue dispatches a timer event to its step.
+//
+//hot:path
+func (m *NodeMac) timerDue(k *sim.Kernel) {
+	v := k.Arg() >> timerTagBits
+	switch k.Arg() & (1<<timerTagBits - 1) {
+	case timerSlot:
+		m.slotDue(v)
+	case timerCtrlPrep:
+		m.ctrlPrepDue(v)
+	default:
+		m.ctrlFireDue(v)
+	}
+}
+
 // ctrlPrepDue prepares the live attempt's slot request or release: the
 // prep ISR marshals and loads it.
-func (m *NodeMac) ctrlPrepDue(k *sim.Kernel) {
-	if !m.attemptLive(k) {
+func (m *NodeMac) ctrlPrepDue(attempt uint64) {
+	if !m.attemptLive(attempt) {
 		return // armed before a crash
 	}
 	if !m.ctrlRelease {
@@ -211,7 +231,7 @@ func (m *NodeMac) ctrlPrepDue(k *sim.Kernel) {
 		return
 	}
 	if m.state != stateJoined || !m.releasePending || m.ack.open ||
-		m.loading || m.radio.Mode() == radio.ModeRx {
+		m.loaded && !m.radio.Loaded() || m.radio.Mode() == radio.ModeRx {
 		return // busy radio or pipeline; retry on the next beacon
 	}
 	// Any stale data frame in the FIFO is abandoned: the application is
@@ -237,22 +257,23 @@ func (m *NodeMac) onCtrlPrepped() {
 	} else {
 		m.ctrlBuf = c.ssr.AppendMarshal(m.ctrlBuf[:0])
 	}
-	m.ctrlLoads.Push(c.attempt)
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ctrlLoadDone)
+	m.ctrlLoad = c.attempt
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, nil)
 }
 
 // ctrlFireDue fires the live attempt's frame if it was loaded: a slot
 // request at its offset, a release in the node's slot.
-func (m *NodeMac) ctrlFireDue(k *sim.Kernel) {
-	if !m.attemptLive(k) {
+func (m *NodeMac) ctrlFireDue(attempt uint64) {
+	if !m.attemptLive(attempt) {
 		return // armed before a crash
 	}
+	loaded := m.ctrlLoad == m.ctrlAttempt && m.radio.Loaded()
 	if !m.ctrlRelease {
-		if m.state != stateRequesting || !m.ctrlLoaded || m.radio.Mode() == radio.ModeRx {
+		if m.state != stateRequesting || !loaded || m.radio.Mode() == radio.ModeRx {
 			m.ssrScheduled = false
 			return
 		}
-	} else if m.state != stateJoined || !m.releasePending || !m.ctrlLoaded ||
+	} else if m.state != stateJoined || !m.releasePending || !loaded ||
 		m.radio.Mode() == radio.ModeRx {
 		return
 	}
@@ -285,25 +306,16 @@ type ctrlPrep struct {
 // arms its prep and fire events.
 func (m *NodeMac) armAttempt(prepAt, fireAt sim.Time, release bool) {
 	m.ctrlAttempt++
-	m.ctrlGen, m.ctrlLoaded, m.ctrlRelease = m.gen, false, release
-	m.k.ScheduleArgAt(prepAt, m.onCtrlPrep, m.ctrlAttempt)
-	m.k.ScheduleArgAt(fireAt, m.onCtrlFire, m.ctrlAttempt)
+	m.ctrlGen, m.ctrlRelease = m.gen, release
+	m.k.ScheduleArgAt(prepAt, m.onTimer, m.ctrlAttempt<<timerTagBits|timerCtrlPrep)
+	m.k.ScheduleArgAt(fireAt, m.onTimer, m.ctrlAttempt<<timerTagBits|timerCtrlFire)
 }
 
-// attemptLive reports whether the prep or fire event being dispatched
-// belongs to the live attempt and no crash has intervened since it was
-// armed.
-func (m *NodeMac) attemptLive(k *sim.Kernel) bool {
-	return k.Arg() == m.ctrlAttempt && m.ctrlGen == m.gen
-}
-
-// onCtrlLoaded marks an attempt's frame loaded. A load completing after
-// a newer attempt was armed has no one left to tell, and one completing
-// after its own attempt's fire event is never read.
-func (m *NodeMac) onCtrlLoaded() {
-	if m.ctrlLoads.Pop() == m.ctrlAttempt {
-		m.ctrlLoaded = true
-	}
+// attemptLive reports whether the prep or fire event of attempt being
+// dispatched belongs to the live attempt and no crash has intervened
+// since it was armed.
+func (m *NodeMac) attemptLive(attempt uint64) bool {
+	return attempt == m.ctrlAttempt && m.ctrlGen == m.gen
 }
 
 // --- steady state: data path ---------------------------------------------
@@ -313,7 +325,7 @@ func (m *NodeMac) onCtrlLoaded() {
 //
 //hot:path
 func (m *NodeMac) tryLoad() {
-	if m.state != stateJoined || m.releasePending || m.loading || m.loaded || m.ack.open || m.queue.Len() == 0 {
+	if m.state != stateJoined || m.releasePending || m.loaded || m.ack.open || m.queue.Len() == 0 {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
@@ -327,17 +339,9 @@ func (m *NodeMac) tryLoad() {
 		return // too close to the beacon window; retry after the beacon
 	}
 	m.launch()
-	m.loading = true
-	m.radio.Load(m.cfg.Plan.BSData, item.payload, m.dataLoaded)
-}
-
-// onDataLoaded parks the radio once the data frame sits in its FIFO.
-//
-//hot:path
-func (m *NodeMac) onDataLoaded() {
-	m.loading = false
 	m.loaded = true
-	m.radio.PowerDown() // FIFO retains the frame; sleep until the slot
+	// The FIFO retains the frame; the radio sleeps until the slot.
+	m.radio.LoadPark(m.cfg.Plan.BSData, item.payload)
 }
 
 // scheduleSlotFire arms this cycle's transmission at the slot boundary.
@@ -348,23 +352,25 @@ func (m *NodeMac) scheduleSlotFire() {
 	if fireAt <= m.k.Now() {
 		return // our slot already passed this cycle
 	}
-	m.k.ScheduleArgAt(fireAt, m.onSlotDue, m.gen)
+	m.k.ScheduleArgAt(fireAt, m.onTimer, m.gen<<timerTagBits|timerSlot)
 }
 
-// slotDue runs at the node's slot boundary.
+// slotDue runs at the node's slot boundary; gen is the generation its
+// event was armed under.
 //
 //hot:path
-func (m *NodeMac) slotDue(k *sim.Kernel) {
-	if k.Arg() != m.gen {
+func (m *NodeMac) slotDue(gen uint64) {
+	if gen != m.gen {
 		return // armed before a crash
 	}
 	m.fireSlot()
 }
 
 // fireSlot transmits the loaded frame at the slot boundary and opens the
-// acknowledgement window.
+// acknowledgement window. A slot that comes before the frame's clock-in
+// has ended is skipped.
 func (m *NodeMac) fireSlot() {
-	if m.state != stateJoined || !m.loaded {
+	if m.state != stateJoined || !m.loaded || !m.radio.Loaded() {
 		return
 	}
 	if m.radio.Mode() == radio.ModeRx {

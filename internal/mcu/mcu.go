@@ -25,6 +25,16 @@
 // completion position, and learns at a crash which of them dispatch had
 // passed, so the component keeps exactly the effects of the
 // computations that completed and drops those the crash abandoned.
+//
+// Work can also be chained to the work submitted last (Chain): queued to
+// start the instant that work completes, as if its completion callback
+// had submitted it, with no kernel event at the hand-off. Work submitted
+// before the hand-off position passes would have queued ahead of the
+// chained work, so the submitter first falls back with Unchain: the
+// chained work is taken back, and the elided completion becomes a kernel
+// event at the very position reserved for it (sim.Kernel.ScheduleReserved),
+// whose callback submits the chained work there as a plain hand-off
+// would. tinyos.Sched.Chain posts tasks this way.
 package mcu
 
 import (
@@ -74,6 +84,11 @@ type MCU struct {
 	// marks lists the Marks registered with Track, linked through their
 	// next fields; a crash settles each.
 	marks *Marks
+	// shared is set when the work submitted last has no callback and no
+	// completion position of its own (see execFor); chain is the work
+	// Chain queued last, kept for Unchain.
+	shared bool
+	chain  chained
 
 	execs      uint64
 	cyclesRun  int64
@@ -225,8 +240,10 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 		// Zero-length work at the instant the queued work runs out: the
 		// earlier completion, ahead of this one, still finds nothing
 		// left to run and puts the MCU to sleep.
+		m.shared = done == nil
 		return end
 	}
+	m.shared = false
 	m.busyUntil = end
 	m.idle(end, done != nil)
 	return end
@@ -248,6 +265,74 @@ func (m *MCU) idle(end sim.Time, event bool) {
 	m.idleSeq = m.k.Reserve()
 	m.doneSeq = m.idleSeq
 	m.meter.Defer(end, m.sleep)
+}
+
+// chained is work Chain queued behind work whose completion is elided:
+// the dispatch position it was handed off at, its length and cycles,
+// and its completion event.
+type chained struct {
+	at     sim.Time
+	seq    uint64
+	dur    sim.Time
+	cycles int64
+	event  sim.EventID
+}
+
+// Chain queues cycles of computation, completing with done, to start
+// the instant the work submitted last completes, as if that work's
+// completion callback had submitted it, but without the kernel event
+// that callback would cost. That work must have no callback. Chain
+// reports false when the work has no completion position of its own to
+// hand off at (zero-length work submitted the instant the queued work
+// ran out shares the earlier work's): it then queues nothing and runs
+// done through a completion event at the hand-off instead, exactly as
+// a submission with done as its callback would.
+//
+// Work submitted before the hand-off position passes would queue
+// behind the chained work instead of ahead of it, so the caller first
+// takes the chained work back with Unchain.
+//
+//hot:path
+func (m *MCU) Chain(cycles int64, done func()) bool {
+	if m.shared {
+		m.dones.Push(done)
+		m.k.ScheduleArgAt(m.busyUntil, m.complete, m.gen)
+		m.doneSeq = m.k.Seq()
+		return false
+	}
+	if m.idleSeq == completionEvent {
+		panic("mcu: Chain behind work that has a completion callback")
+	}
+	dur := m.params.CyclesToTime(cycles)
+	at, seq := m.busyUntil, m.doneSeq
+	end := at + dur
+	m.execs++
+	m.cyclesRun += cycles
+	m.activeTime += dur
+	m.dones.Push(done)
+	ev := m.k.ScheduleArgAt(end, m.complete, m.gen)
+	m.doneSeq = m.k.Seq()
+	m.busyUntil = end
+	m.idle(end, true)
+	m.chain = chained{at: at, seq: seq, dur: dur, cycles: cycles, event: ev}
+	return true
+}
+
+// Unchain takes back the work Chain queued last, before its hand-off
+// position has passed and before any other work was submitted. Its
+// done runs at the hand-off instead, through a completion event of the
+// work it followed after all, which takes the dispatch position
+// reserved for the elided completion: exactly where the callback of a
+// plain submission would have run.
+func (m *MCU) Unchain() {
+	c := m.chain
+	m.k.Cancel(c.event)
+	m.execs--
+	m.cyclesRun -= c.cycles
+	m.activeTime -= c.dur
+	m.k.ScheduleReserved(c.at, c.seq, m.complete, m.gen)
+	m.busyUntil, m.doneSeq = c.at, c.seq
+	m.chain = chained{}
 }
 
 // onComplete finishes one queued computation.
@@ -274,6 +359,13 @@ func (m *MCU) Crash() {
 	for q := m.marks; q != nil; q = q.next {
 		q.crashed()
 	}
+	if c := m.chain; c.event != 0 && !m.k.Passed(c.at, c.seq) {
+		// Chained work not handed off yet was never submitted.
+		m.execs--
+		m.cyclesRun -= c.cycles
+		m.activeTime -= c.dur
+	}
+	m.chain = chained{}
 	m.gen++
 	m.dones.Reset()
 	m.busyUntil = m.k.Now()
@@ -318,6 +410,10 @@ func (q *Queue[T]) Pop() T {
 	}
 	return q.q.Pop().v
 }
+
+// PopBack removes and returns the entry pushed last, whose computation
+// was taken back before it ran.
+func (q *Queue[T]) PopBack() T { return q.q.PopBack().v }
 
 // DropAbandoned discards the entries of computations a crash abandoned.
 // After the MCU's Crash that is every entry.

@@ -13,6 +13,24 @@
 //     paper's loss categories;
 //   - received payloads are clocked out of the RX FIFO byte-by-byte under
 //     interrupt, keeping the receiver on for the drain tail.
+//
+// A FIFO clock-in ends at the MCU's completion of the programmed-I/O
+// loop, and the call that starts it names what the radio does there:
+//
+//   - Load keeps the radio in standby with the frame in the FIFO, for a
+//     later Fire (a control frame fired at its instant, the base
+//     station's beacon);
+//   - LoadPark powers the radio down with the frame retained (the TDMA
+//     node's payload, fired in its slot);
+//   - LoadFire settles the PLL and bursts the frame (LPL strobes and
+//     payloads, the base station's acknowledgements).
+//
+// None of the three costs a kernel event at the end of the clock-in:
+// the move out of standby is the meter's deferred transition at that
+// instant, and Loaded and Mode read the end as passed once
+// sim.Kernel.Passed clears the clock-in's reserved dispatch position. A
+// Fire before then bursts as the clock-in ends. Only a Load given a
+// callback completes through an MCU event.
 package radio
 
 import (
@@ -20,7 +38,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/energy"
-	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
@@ -90,12 +107,10 @@ type Radio struct {
 	tracer    *metrics.Recorder
 	trace     metrics.NodeID // name's ID in tracer
 
-	mode      Mode
-	rxSince   sim.Time // listening valid from this instant (after settle)
-	draining  bool
-	txBusy    bool
-	hasLoaded bool
-	loaded    packet.Frame // frame sitting in the TX FIFO after Load
+	mode     Mode
+	rxSince  sim.Time // listening valid from this instant (after settle)
+	draining bool
+	txBusy   bool
 	// txBuf and rxBuf are per-radio scratch buffers for the on-air image:
 	// encode into txBuf at burst start, copy a delivered image into rxBuf
 	// and decode in place. Steady-state transmit and receive therefore
@@ -104,14 +119,19 @@ type Radio struct {
 	// (ListeningSince reports not-listening while draining).
 	txBuf []byte
 	rxBuf []byte
-	// clocking is set while a LoadFire's FIFO clock-in may still run: it
-	// ends at the MCU dispatch position (clockInAt, clockInSeq), where the
-	// radio leaves standby for after, TX or (once CancelFire called the
-	// burst off) off. The meter holds that move as its deferred
-	// transition, so the end of the clock-in costs no kernel event.
-	clocking   bool
+	// The TX FIFO. The latest clock-in ends at the MCU dispatch position
+	// (clockInAt, clockInSeq). hasLoaded is set from its start while
+	// loaded, its frame, waits for Fire; the frame is in the FIFO once
+	// dispatch has passed that position (Loaded). clocking is set while
+	// the radio leaves standby there for after: TX for a burst, off for
+	// LoadPark or a burst CancelFire called off. The meter holds that
+	// move as its deferred transition, so the end of the clock-in costs
+	// no kernel event.
+	hasLoaded  bool
+	loaded     packet.Frame
 	clockInAt  sim.Time
 	clockInSeq uint64
+	clocking   bool
 	after      Mode
 	// gen invalidates in-flight transmit steps across a crash: the settle
 	// event carries the generation it was issued under in its argument
@@ -129,10 +149,8 @@ type Radio struct {
 	// the channel's end-of-frame event (EndBurst).
 	tx        burst
 	rx        packet.Frame // the frame being drained
-	loads     mcu.Queue[load]
 	onSettle  sim.Handler
 	onDrained sim.Handler
-	onLoaded  func()
 
 	// rxAddrs[:nRxAddrs] is the hardware address filter.
 	rxAddrs  [maxRxAddrs]packet.Address
@@ -170,7 +188,6 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 		ledger: ledger,
 		tracer: tracer,
 		trace:  tracer.ID(name),
-		loads:  mcu.NewQueue[load](sched.MCU()),
 		txBuf:  scratch[:0:img],
 		rxBuf:  scratch[img:img],
 	}
@@ -182,7 +199,6 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	}
 	r.onSettle = r.settle
 	r.onDrained = r.drained
-	r.onLoaded = r.loadDone
 	r.port = ch.Attach(r)
 	return r
 }
@@ -191,12 +207,6 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 type burst struct {
 	frame packet.Frame
 	air   sim.Time
-	done  func()
-}
-
-// load is one frame being clocked into the TX FIFO.
-type load struct {
-	frame packet.Frame
 	done  func()
 }
 
@@ -271,8 +281,13 @@ func (r *Radio) PowerDown() {
 	r.setMode(ModeOff)
 }
 
-// Standby moves the radio to standby. Illegal while transmitting.
+// Standby moves the radio to standby. Illegal while transmitting, but
+// a no-op while a LoadFire's clock-in runs: the radio stands by until
+// the burst anyway.
 func (r *Radio) Standby() {
+	if r.clocking && r.after == ModeTx && !r.clockedIn() {
+		return
+	}
 	if r.txBusy {
 		panic(fmt.Sprintf("radio %s: Standby during transmit sequence", r.name))
 	}
@@ -296,9 +311,11 @@ func (r *Radio) StartRx() {
 }
 
 // Load clocks a frame into the TX FIFO: the MCU runs a programmed-I/O
-// loop at the ShockBurst clock-in rate while the radio sits in standby.
-// done runs when the FIFO holds the complete frame. The radio must not be
-// receiving or transmitting.
+// loop at the ShockBurst clock-in rate while the radio sits in standby,
+// where it stays once the FIFO holds the frame. done (if non-nil) runs
+// as the clock-in ends, through the MCU's completion event; without it
+// the end costs no kernel event, and Loaded tells when it has come. The
+// radio must not be receiving or transmitting.
 //
 // The payload slice is retained, not copied: the caller must keep its
 // bytes unchanged until the frame has started its burst (Fire's settle
@@ -307,13 +324,25 @@ func (r *Radio) StartRx() {
 //
 //hot:path
 func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
-	r.clockIn("Load", payload, r.onLoaded)
-	r.loads.Push(load{frame: packet.Frame{Dest: dest, Payload: payload}, done: done})
+	r.clockIn("Load", payload, done)
+	r.loaded, r.hasLoaded = packet.Frame{Dest: dest, Payload: payload}, true
+}
+
+// LoadPark is Load for a frame that waits in the FIFO with the radio
+// powered down: the radio moves from standby to off as the clock-in
+// ends, through its meter's deferred transition, so no kernel event
+// marks the end. Loaded tells when it has come.
+//
+//hot:path
+func (r *Radio) LoadPark(dest packet.Address, payload []byte) {
+	r.Load(dest, payload, nil)
+	r.moveAfterClockIn(ModeOff)
 }
 
 // clockIn moves the radio to standby and has the MCU clock payload into
-// the TX FIFO, running done (if non-nil) as the clock-in ends. op names
-// the caller in the panic on a busy radio or an oversized payload.
+// the TX FIFO, running done (if non-nil) as the clock-in ends, whose
+// dispatch position it records. op names the caller in the panic on a
+// busy radio or an oversized payload.
 //
 //hot:path
 func (r *Radio) clockIn(op string, payload []byte, done func()) {
@@ -329,38 +358,39 @@ func (r *Radio) clockIn(op string, payload []byte, done func()) {
 	}
 	r.setMode(ModeStandby)
 	r.sched.BusyLoad("radio-fifo-load", r.params.TxClockIn(r.params.AddressBytes+len(payload)), done)
+	r.clockInAt, r.clockInSeq = r.sched.MCU().Completion()
 }
 
-// loadDone completes the oldest FIFO clock-in.
+// moveAfterClockIn has the radio leave standby for mode as the latest
+// clock-in ends.
 //
 //hot:path
-func (r *Radio) loadDone() {
-	l := r.loads.Pop()
-	r.loaded = l.frame
-	r.hasLoaded = true
-	if l.done != nil {
-		l.done()
-	}
+func (r *Radio) moveAfterClockIn(mode Mode) {
+	r.clocking, r.after = true, mode
+	r.meter.Defer(r.clockInAt, r.modeState[mode])
 }
 
-// LoadFire is Load followed by Fire as the clock-in ends: the MCU clocks
-// the frame into the FIFO, and the radio settles its PLL and bursts it
-// straight away. sent runs when the burst ends and the radio is back in
-// standby. The end of the clock-in is the MCU's elided completion, so no
-// kernel event marks it: the radio moves from standby to TX there
-// through its meter's deferred transition. CancelFire calls the burst
-// off until then. The payload is retained as with Load.
+// Loaded reports whether the TX FIFO holds a complete frame for Fire:
+// dispatch has passed the end of its clock-in, and no Fire or crash has
+// taken it since.
+//
+//hot:path
+func (r *Radio) Loaded() bool {
+	return r.hasLoaded && r.k.Passed(r.clockInAt, r.clockInSeq)
+}
+
+// LoadFire is Load followed by Fire: the MCU clocks the frame into the
+// FIFO, and the radio settles its PLL and bursts it as the clock-in
+// ends. sent runs when the burst ends and the radio is back in standby.
+// CancelFire calls the burst off until the clock-in has ended. The
+// payload is retained as with Load.
 //
 //hot:path
 func (r *Radio) LoadFire(dest packet.Address, payload []byte, sent func()) {
 	r.clockIn("LoadFire", payload, nil)
-	r.clockInAt, r.clockInSeq = r.sched.MCU().Completion()
-	r.clocking, r.after = true, ModeTx
-	r.meter.Defer(r.clockInAt, r.modeState[ModeTx])
-	r.txBusy = true
-	r.tx = burst{frame: packet.Frame{Dest: dest, Payload: payload},
-		air: r.params.Airtime(len(payload)), done: sent}
-	r.k.ScheduleArgAt(r.clockInAt+r.params.TxSettle, r.onSettle, r.gen)
+	r.hasLoaded = false
+	r.moveAfterClockIn(ModeTx)
+	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInAt)
 }
 
 // CancelFire calls off the burst of a LoadFire whose FIFO clock-in is
@@ -375,12 +405,11 @@ func (r *Radio) CancelFire() {
 	r.gen++
 	r.txBusy = false
 	r.tx = burst{}
-	r.after = ModeOff
-	r.meter.Defer(r.clockInAt, r.modeState[ModeOff])
+	r.moveAfterClockIn(ModeOff)
 }
 
-// clockedIn reports whether a LoadFire's clock-in has ended: dispatch
-// has passed its position.
+// clockedIn reports whether dispatch has passed the end of a clock-in
+// the radio leaves standby at.
 //
 //hot:path
 func (r *Radio) clockedIn() bool {
@@ -388,8 +417,10 @@ func (r *Radio) clockedIn() bool {
 }
 
 // Fire transmits the frame previously loaded with Load: PLL settling,
-// then the 1 Mbps burst. done runs when the burst ends and the radio is
-// back in standby.
+// then the 1 Mbps burst. If the frame's clock-in is still running, the
+// burst starts as it ends: the radio leaves standby for TX there
+// through its meter's deferred transition. done runs when the burst
+// ends and the radio is back in standby.
 //
 //hot:path
 func (r *Radio) Fire(done func()) {
@@ -405,10 +436,24 @@ func (r *Radio) Fire(done func()) {
 	frame := r.loaded
 	r.loaded = packet.Frame{}
 	r.hasLoaded = false
+	if r.k.Passed(r.clockInAt, r.clockInSeq) {
+		r.setMode(ModeTx)
+		r.startBurst(frame, done, r.k.Now())
+		return
+	}
+	r.moveAfterClockIn(ModeTx)
+	r.startBurst(frame, done, r.clockInAt)
+}
+
+// startBurst starts frame's transmit sequence, the radio in TX from
+// start: the PLL settles, then the frame goes on the air. done runs
+// when the burst ends.
+//
+//hot:path
+func (r *Radio) startBurst(frame packet.Frame, done func(), start sim.Time) {
 	r.txBusy = true
-	r.setMode(ModeTx)
 	r.tx = burst{frame: frame, air: r.params.Airtime(len(frame.Payload)), done: done}
-	r.k.ScheduleArgAt(r.k.Now()+r.params.TxSettle, r.onSettle, r.gen)
+	r.k.ScheduleArgAt(start+r.params.TxSettle, r.onSettle, r.gen)
 }
 
 // settle puts a fired frame on the air once the PLL has settled.
@@ -550,8 +595,9 @@ func (r *Radio) drained(k *sim.Kernel) {
 }
 
 // setMode performs the meter transition for a mode change. A change
-// before a LoadFire's clock-in ends (a crash, or a use of the radio
-// after CancelFire) supersedes the move the meter holds for that end.
+// before a clock-in the radio leaves standby at has ended (a crash, a
+// power-down, or a use of the radio after CancelFire) supersedes the
+// move the meter holds for that end.
 func (r *Radio) setMode(m Mode) {
 	if r.clocking {
 		if r.clockedIn() {

@@ -261,6 +261,26 @@ func (k *Kernel) Reserve() uint64 {
 	return k.nextSeq
 }
 
+// ScheduleReserved is ScheduleArgAt for an event that takes the
+// sequence number seq, which an earlier Reserve returned, instead of a
+// fresh one: a component that elided an event turns it back into one
+// at exactly the place in the dispatch order the elided event held.
+// Events scheduled before and after the reservation keep their order
+// relative to it. The position must not have passed yet, and each
+// reserved number may be scheduled once.
+func (k *Kernel) ScheduleReserved(at Time, seq uint64, handler Handler, arg uint64) EventID {
+	if handler == nil {
+		panic("sim: ScheduleReserved with nil handler")
+	}
+	if seq > k.nextSeq || k.Passed(at, seq) {
+		panic(fmt.Sprintf("sim: ScheduleReserved at a position not reserved or already passed (now=%v, at=%v, seq=%d)", k.now, at, seq))
+	}
+	if k.legacy != nil {
+		return k.legacy.schedule(at, seq, handler, arg)
+	}
+	return k.wheel.schedule(at, seq, handler, arg)
+}
+
 // Seq reports the sequence number the latest ScheduleAt or Reserve
 // took: with its instant, the dispatch position of the event just
 // scheduled.

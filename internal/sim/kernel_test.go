@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -88,6 +89,52 @@ func TestZeroDelayRunsAfterCurrentInstantQueue(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
+		}
+	}
+}
+
+// TestScheduleReservedTakesElidedPlace pins Kernel.ScheduleReserved on
+// both schedulers: an event scheduled at a reserved sequence number
+// dispatches exactly where the elided event sat, after the same-instant
+// events scheduled before the reservation and before those scheduled
+// after it, whether it is scheduled from outside a handler, from an
+// earlier instant's handler, or from a same-instant handler ahead of it.
+// A position that has passed, or a number not reserved yet, panics.
+func TestScheduleReservedTakesElidedPlace(t *testing.T) {
+	for name, k := range map[string]*Kernel{"wheel": NewKernel(1), "heap": NewHeapKernel(1)} {
+		var got []string
+		note := func(s string) Handler { return func(*Kernel) { got = append(got, s) } }
+		at := 5 * Millisecond
+		k.ScheduleAt(at, note("before"))
+		early := k.Reserve()
+		k.ScheduleAt(at, note("between"))
+		fromHandler := k.Reserve()
+		var sameInstant uint64
+		k.ScheduleAt(at, func(k *Kernel) {
+			got = append(got, "trigger")
+			k.ScheduleReserved(at, sameInstant, note("reserved-same-instant"), 0)
+			for _, seq := range []uint64{early, k.Seq() + 1} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s: ScheduleReserved at seq %d did not panic", name, seq)
+						}
+					}()
+					k.ScheduleReserved(at, seq, note("bad"), 0)
+				}()
+			}
+		})
+		k.ScheduleAt(at, note("after"))
+		sameInstant = k.Reserve()
+		k.ScheduleAt(at, note("last"))
+		k.ScheduleReserved(at, early, note("reserved-early"), 0)
+		k.ScheduleAt(Millisecond, func(k *Kernel) {
+			k.ScheduleReserved(at, fromHandler, note("reserved-from-handler"), 0)
+		})
+		k.Run()
+		want := "before reserved-early between reserved-from-handler trigger after reserved-same-instant last"
+		if g := strings.Join(got, " "); g != want {
+			t.Errorf("%s: dispatch order\n got  %s\n want %s", name, g, want)
 		}
 	}
 }

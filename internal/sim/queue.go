@@ -51,6 +51,20 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
+// PopBack removes and returns the tail item, the one pushed last. It
+// panics on an empty queue.
+func (q *FIFO[T]) PopBack() T {
+	if q.n == 0 {
+		panic("sim: PopBack from an empty FIFO")
+	}
+	var zero T
+	q.n--
+	i := (q.head + q.n) & (len(q.buf) - 1)
+	v := q.buf[i]
+	q.buf[i] = zero
+	return v
+}
+
 // Peek returns the head item without removing it. It panics on an empty
 // queue.
 func (q *FIFO[T]) Peek() T {

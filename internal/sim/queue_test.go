@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestFIFOMatchesSliceModel drives random push/push-front/pop sequences
+// TestFIFOMatchesSliceModel drives random push/push-front/pop/pop-back sequences
 // through the ring, across its growth and wrap-around, against a plain
 // slice queue.
 func TestFIFOMatchesSliceModel(t *testing.T) {
@@ -23,6 +23,11 @@ func TestFIFOMatchesSliceModel(t *testing.T) {
 			q.PushFront(next)
 			model = append([]int{next}, model...)
 			next++
+		case op < 6 && len(model) > 0:
+			if got, want := q.PopBack(), model[len(model)-1]; got != want {
+				t.Fatalf("step %d: PopBack = %d, want %d", step, got, want)
+			}
+			model = model[:len(model)-1]
 		case len(model) > 0:
 			if got := q.Peek(); got != model[0] {
 				t.Fatalf("step %d: Peek = %d, want %d", step, got, model[0])
@@ -68,7 +73,7 @@ func TestFIFOGrowKeepsOrderAndClearsDuplicates(t *testing.T) {
 
 func TestFIFOEmptyPanics(t *testing.T) {
 	var q FIFO[int]
-	for name, fn := range map[string]func(){"Pop": func() { q.Pop() }, "Peek": func() { q.Peek() }} {
+	for name, fn := range map[string]func(){"Pop": func() { q.Pop() }, "PopBack": func() { q.PopBack() }, "Peek": func() { q.Peek() }} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -28,9 +28,10 @@ import "math/bits"
 // fire pops from the front. Events scheduled into the page — MCU
 // completions, radio settles and bursts, Schedule(0) from a handler —
 // usually fire after everything queued and append at the end; the rest
-// binary-search into place. Since a new event always carries the
-// largest seq so far, FIFO order among same-instant events is
-// preserved exactly as the heap scheduler ordered them. A TDMA slot
+// binary-search into place, among them an event scheduled at a
+// reserved sequence number (Kernel.ScheduleReserved). Ordering by
+// (at, seq) keeps FIFO order among same-instant events exactly as the
+// heap scheduler ordered them. A TDMA slot
 // boundary with dozens of co-scheduled handlers dispatches in one pass
 // without any per-event re-heapification.
 const (

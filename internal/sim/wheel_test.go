@@ -54,8 +54,35 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 		ids = append(ids, k.Schedule(delay(), h))
 	}
 
+	// reserved holds positions taken with Reserve whose events are still
+	// elided; a later op schedules one there with ScheduleReserved.
+	type position struct {
+		at  Time
+		seq uint64
+	}
+	var reserved []position
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
+		case 10:
+			reserved = append(reserved, position{k.Now() + delay(), k.Reserve()})
+			continue
+		case 11:
+			if len(reserved) == 0 {
+				continue
+			}
+			j := rng.Intn(len(reserved))
+			p := reserved[j]
+			reserved = append(reserved[:j], reserved[j+1:]...)
+			if k.Passed(p.at, p.seq) {
+				trace = append(trace, fmt.Sprintf("reserved %d passed", p.seq))
+				continue
+			}
+			t := tag
+			tag++
+			ids = append(ids, k.ScheduleReserved(p.at, p.seq, func(kk *Kernel) {
+				trace = append(trace, fmt.Sprintf("fire reserved %d @%d", t, kk.Now()))
+			}, 0))
+			continue
 		case 0, 1, 2, 3, 4:
 			schedule()
 		case 5, 6:
@@ -78,7 +105,8 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 // TestWheelMatchesHeapRandomized pins the timer wheel against the
 // original heap scheduler (the reference model) on randomized
 // workloads: identical fire order, instants, cancel results and
-// counters, across ties, generation invalidation and spill overflow.
+// counters, across ties, generation invalidation, spill overflow and
+// events scheduled at reserved sequence numbers.
 func TestWheelMatchesHeapRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		wheelTrace := opTrace(NewKernel(0), seed, 400)

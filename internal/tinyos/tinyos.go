@@ -19,11 +19,23 @@ import (
 const DefaultQueueCap = 7
 
 // Task is one unit of deferred computation. Cycles is its calibrated
-// execution cost; Run applies its effects when the computation completes.
+// execution cost; Run applies its effects when the computation completes,
+// and reads Arg back with Sched.Arg, so one Run bound once serves every
+// post.
 type Task struct {
 	Name   string
 	Cycles int64
 	Run    func()
+	Arg    uint64
+}
+
+// task is the completion state of an accepted task, or of a hand-off
+// that posts one.
+type task struct {
+	run     func()
+	arg     uint64
+	cycles  int64
+	handoff bool
 }
 
 // Sched is the operating-system scheduler bound to one MCU.
@@ -36,10 +48,19 @@ type Sched struct {
 	posted  uint64
 	dropped uint64
 
-	// tasks holds the Run of every accepted task in posting order; the
-	// task completion, bound once as taskDone, pops it.
-	tasks    mcu.Queue[func()]
+	// tasks holds, in completion order, the Run and Arg of every
+	// accepted task, and the hand-offs of chained tasks that fell back
+	// to a post (see Chain); the completion, bound once as taskDone, pops
+	// them, and arg holds a task's Arg while its Run runs.
+	tasks    mcu.Queue[task]
 	taskDone func()
+	arg      uint64
+
+	// chained is set while the task Chain accepted last waits for its
+	// hand-off position (chainAt, chainSeq).
+	chained  bool
+	chainAt  sim.Time
+	chainSeq uint64
 }
 
 // NewSched creates a scheduler over the given MCU. queueCap <= 0 selects
@@ -48,7 +69,7 @@ func NewSched(k *sim.Kernel, m *mcu.MCU, queueCap int) *Sched {
 	if queueCap <= 0 {
 		queueCap = DefaultQueueCap
 	}
-	s := &Sched{k: k, mcu: m, queueCap: queueCap, tasks: mcu.NewQueue[func()](m)}
+	s := &Sched{k: k, mcu: m, queueCap: queueCap, tasks: mcu.NewQueue[task](m)}
 	s.taskDone = s.finishTask
 	return s
 }
@@ -66,16 +87,78 @@ func (s *Sched) Post(t Task) bool {
 	if t.Cycles < 0 {
 		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
 	}
+	s.settle()
 	if s.queued >= s.queueCap {
 		s.dropped++
 		return false
 	}
-	s.queued++
-	s.posted++
-	s.tasks.Push(t.Run)
+	s.accept(t)
 	s.mcu.Exec(t.Cycles, s.taskDone)
 	return true
 }
+
+// accept counts t into the queue.
+//
+//hot:path
+func (s *Sched) accept(t Task) {
+	s.queued++
+	s.posted++
+	s.tasks.Push(task{run: t.Run, arg: t.Arg, cycles: t.Cycles})
+}
+
+// Chain posts t the instant the work submitted last (an interrupt or a
+// FIFO load without a callback) completes, as that work's completion
+// callback would, but without the kernel event the callback costs.
+//
+// The task is accepted, and its computation queued, at once. That is
+// exact: by the hand-off position every task posted before the work
+// it follows has completed, so the queue has room for it there. Until
+// that position passes, QueueLen and Posted count the task already.
+// Work submitted before then would run ahead of the task had it been
+// posted at the hand-off, so the submission first falls back: the task
+// leaves the queue, and the work it follows completes through a kernel
+// event at the position reserved for it, which posts the task there
+// as an ordinary Post would, dropping it if the queue is full by then.
+// A crash before the hand-off abandons the work and the task together,
+// and Posted no longer counts it.
+//
+//hot:path
+func (s *Sched) Chain(t Task) {
+	if t.Cycles < 0 {
+		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
+	}
+	at, seq := s.mcu.Completion()
+	if !s.mcu.Chain(t.Cycles, s.taskDone) {
+		// The work has no position to chain to: hand off through an event.
+		s.tasks.Push(task{run: t.Run, arg: t.Arg, cycles: t.Cycles, handoff: true})
+		return
+	}
+	s.accept(t)
+	s.chained, s.chainAt, s.chainSeq = true, at, seq
+}
+
+// settle runs before any work is submitted: a chained task whose
+// hand-off position has not passed falls back to a post at it.
+//
+//hot:path
+func (s *Sched) settle() {
+	if !s.chained {
+		return
+	}
+	s.chained = false
+	if s.k.Passed(s.chainAt, s.chainSeq) {
+		return
+	}
+	t := s.tasks.PopBack()
+	t.handoff = true
+	s.tasks.Push(t)
+	s.queued--
+	s.posted--
+	s.mcu.Unchain()
+}
+
+// Arg reports the Arg of the task whose Run is running.
+func (s *Sched) Arg() uint64 { return s.arg }
 
 // PostFn is Post with inline fields. Posting allocates nothing when run
 // is a function value that already exists (a method value bound once).
@@ -89,10 +172,15 @@ func (s *Sched) PostFn(name string, cycles int64, run func()) bool {
 //
 //hot:path
 func (s *Sched) finishTask() {
-	run := s.tasks.Pop()
+	t := s.tasks.Pop()
+	if t.handoff {
+		s.Post(Task{Cycles: t.cycles, Run: t.run, Arg: t.arg})
+		return
+	}
 	s.queued--
-	if run != nil {
-		run()
+	if t.run != nil {
+		s.arg = t.arg
+		t.run()
 	}
 }
 
@@ -100,6 +188,10 @@ func (s *Sched) finishTask() {
 // MCU's Crash, which abandons every queued computation: the tasks in
 // flight never complete, so they leave the queue and free their slots.
 func (s *Sched) Crash() {
+	if s.chained && !s.k.Passed(s.chainAt, s.chainSeq) {
+		s.posted-- // the chained task was never posted
+	}
+	s.chained = false
 	s.tasks.DropAbandoned()
 	s.queued = s.tasks.Len()
 }
@@ -112,6 +204,7 @@ func (s *Sched) Interrupt(name string, cycles int64, run func()) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("tinyos: interrupt %q with negative cycles", name))
 	}
+	s.settle()
 	s.mcu.Exec(cycles, run)
 }
 
@@ -119,6 +212,7 @@ func (s *Sched) Interrupt(name string, cycles int64, run func()) {
 // programmed-I/O transfers (the ShockBurst TX FIFO clock-in) whose pace
 // is set by a bus clock rather than an instruction count.
 func (s *Sched) BusyLoad(name string, d sim.Time, run func()) {
+	s.settle()
 	s.mcu.ExecDur(d, run)
 }
 
