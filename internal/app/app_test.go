@@ -38,9 +38,10 @@ func (f *fakeMac) Send(p []byte) bool {
 var _ mac.Mac = (*fakeMac)(nil)
 
 type harness struct {
-	k   *sim.Kernel
-	env Env
-	mac *fakeMac
+	k      *sim.Kernel
+	env    Env
+	mac    *fakeMac
+	ledger *energy.Ledger
 }
 
 func newHarness(t *testing.T) *harness { return newHarnessOn(t, sim.NewKernel(1)) }
@@ -55,8 +56,9 @@ func newHarnessOn(t *testing.T, k *sim.Kernel) *harness {
 	fe := asic.New(k, prof.ASIC, l)
 	fm := &fakeMac{}
 	return &harness{
-		k:   k,
-		mac: fm,
+		k:      k,
+		mac:    fm,
+		ledger: l,
 		env: Env{
 			Sched:    sched,
 			Frontend: fe,
@@ -254,13 +256,14 @@ func TestEnvValidation(t *testing.T) {
 }
 
 func TestRpeakMCUCostExceedsStreaming(t *testing.T) {
-	// §5.2: local preprocessing raises MCU work. Verify per-acquisition
-	// cycle charges are higher for Rpeak at equal rates.
-	run := func(build func(h *harness)) int64 {
+	// §5.2: local preprocessing raises MCU work. Verify the MCU spends
+	// longer active for Rpeak at equal rates.
+	run := func(build func(h *harness)) sim.Time {
 		h := newHarness(t)
 		build(h)
 		h.k.RunUntil(10 * sim.Second)
-		return h.env.Sched.MCU().CyclesRun()
+		h.ledger.Flush(h.k.Now())
+		return h.ledger.Meter(platform.ComponentMCU).TimeIn(platform.StateMCUActive)
 	}
 	stream := run(func(h *harness) {
 		NewStreaming(h.env, StreamingConfig{SampleRateHz: 200, Channels: 2, Signal: signal()}).Start()
@@ -269,7 +272,7 @@ func TestRpeakMCUCostExceedsStreaming(t *testing.T) {
 		NewRpeak(h.env, RpeakConfig{SampleRateHz: 200, Channels: 2, Signal: signal()}).Start()
 	})
 	if rp <= stream {
-		t.Fatalf("rpeak cycles %d not above streaming %d at equal rate", rp, stream)
+		t.Fatalf("rpeak active time %v not above streaming %v at equal rate", rp, stream)
 	}
 }
 

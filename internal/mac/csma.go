@@ -72,6 +72,7 @@ type CSMANode struct {
 	onContend    sim.Handler
 	onAckExpiry  sim.Handler
 	beaconParsed func()
+	ssrPrepped   func()
 	frameLoaded  func()
 	frameSent    func()
 }
@@ -89,6 +90,7 @@ func NewCSMANode(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Ra
 	m.onContend = m.contendDue
 	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
+	m.ssrPrepped = m.onSSRPrepped
 	m.frameLoaded = m.onFrameLoaded
 	m.frameSent = m.onFrameSent
 	r.SetReceiveHandler(m.onFrame)
@@ -166,19 +168,10 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 			m.loading = true
 			m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), m.frameLoaded)
 		case csmaOpSSR:
-			ssr := m.nextSSR()
+			m.nextSSR()
 			m.op = csmaOpSSR
 			m.loading = true
-			//lint:allow hotalloc association is a join transient, not a per-frame step
-			m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, func() {
-				if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
-					m.loading = false
-					m.op = csmaOpNone
-					return
-				}
-				m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-				m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
-			})
+			m.sched.Interrupt("ssr-prep", p.Cost.SSRPrep, m.ssrPrepped)
 		case csmaOpRelease:
 			m.op = csmaOpRelease
 			m.loading = true
@@ -188,6 +181,20 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 		return
 	}
 	m.startBackoff()
+}
+
+// onSSRPrepped loads the slot request whose prep just ran. The loading
+// guard keeps one prep in flight, so the request is the one that drew
+// the latest nonce.
+func (m *CSMANode) onSSRPrepped() {
+	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
+		m.loading = false
+		m.op = csmaOpNone
+		return
+	}
+	ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
+	m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
 }
 
 // onFrameLoaded contends for the channel once the frame sits in the

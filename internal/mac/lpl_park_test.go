@@ -28,7 +28,7 @@ func TestLPLParkMidStrobeClockIn(t *testing.T) {
 		r.k.RunUntil(r.k.Now() + 10*sim.Microsecond)
 	}
 	started := r.k.Now() // the clock-in started in the last step
-	end, _ := m.Completion()
+	end := m.Completion().At
 	if end <= r.k.Now()+1 {
 		t.Fatalf("clock-in ends at %v, too close to %v to park inside it", end, r.k.Now())
 	}
@@ -93,7 +93,7 @@ func TestLPLPayloadDelayOwedToClockInEnd(t *testing.T) {
 				}
 				r.k.RunUntil(r.k.Now() + 10*sim.Microsecond)
 			}
-			end, lat := n.owed.at, n.owed.lat
+			end, lat := n.owed.at.At, n.owed.lat
 			if end <= r.k.Now()+1 {
 				t.Fatalf("clock-in ends at %v, too close to %v", end, r.k.Now())
 			}

@@ -407,8 +407,7 @@ func (c *nodeCore) noteQueueDelay() {
 type owedDelay struct {
 	due bool
 	lat sim.Time
-	at  sim.Time
-	seq uint64
+	at  sim.Pos
 }
 
 // oweQueueDelay is noteQueueDelay for the in-flight frame whose burst
@@ -419,8 +418,8 @@ type owedDelay struct {
 // off with the clock-in.
 func (c *nodeCore) oweQueueDelay() {
 	c.settleDelay()
-	at, seq := c.sched.MCU().Completion()
-	c.owed = owedDelay{due: true, lat: at - c.inFlight.enqueuedAt, at: at, seq: seq}
+	at := c.sched.MCU().Completion()
+	c.owed = owedDelay{due: true, lat: at.At - c.inFlight.enqueuedAt, at: at}
 }
 
 // settleDelay records an owed queueing delay once dispatch has passed
@@ -428,7 +427,7 @@ func (c *nodeCore) oweQueueDelay() {
 //
 //hot:path
 func (c *nodeCore) settleDelay() {
-	if c.owed.due && c.k.Passed(c.owed.at, c.owed.seq) {
+	if c.owed.due && c.k.Passed(c.owed.at) {
 		c.owed.due = false
 		c.recordDelay(c.owed.lat)
 	}

@@ -33,12 +33,10 @@ type step struct {
 	state  energy.State
 }
 
-// trace is what a script leaves behind: every meter residency plus the
-// MCU's own counters.
+// trace is what a script leaves behind: every meter residency, and
+// whether the MCU is still busy.
 type trace struct {
 	residency map[energy.State]sim.Time
-	active    sim.Time
-	execs     uint64
 	busy      bool
 }
 
@@ -82,7 +80,7 @@ func runScript(params platform.MCUParams, steps []step, done func(), horizon sim
 	k.RunUntil(horizon)
 	l.Flush(k.Now())
 	meter := l.Meter(platform.ComponentMCU)
-	tr := trace{residency: map[energy.State]sim.Time{}, active: m.ActiveTime(), execs: m.Execs(), busy: m.Busy()}
+	tr := trace{residency: map[energy.State]sim.Time{}, busy: m.Busy()}
 	for _, s := range meter.States() {
 		tr.residency[s] = meter.TimeIn(s)
 	}
@@ -90,7 +88,9 @@ func runScript(params platform.MCUParams, steps []step, done func(), horizon sim
 }
 
 // diffScript runs steps with a nil done, which schedules no completion
-// event, and with a no-op done, which does, and fails on any difference.
+// event, and with a no-op done, whose event takes the position reserved
+// for the completion, and fails on any difference: a callback must not
+// move the instant the core goes back to sleep.
 func diffScript(t *testing.T, name string, params platform.MCUParams, steps []step, horizon sim.Time) trace {
 	t.Helper()
 	lazy := runScript(params, steps, nil, horizon)
@@ -101,8 +101,9 @@ func diffScript(t *testing.T, name string, params platform.MCUParams, steps []st
 	return lazy
 }
 
-// TestLazyIdleMatchesCompletionEvents pins the deferred sleep against
-// the completion event it replaces, one hazard per case.
+// TestLazyIdleMatchesCompletionEvents pins the deferred sleep, with and
+// without a completion event at the reserved position, one hazard per
+// case.
 func TestLazyIdleMatchesCompletionEvents(t *testing.T) {
 	const us = sim.Microsecond
 	p := platform.IMEC().MCU
@@ -224,15 +225,15 @@ func TestLazyIdleMatchesCompletionEvents(t *testing.T) {
 // completion event fired inside the run.
 func TestLazyIdleAcrossRunUntil(t *testing.T) {
 	for _, done := range []func(){nil, func() {}} {
-		k, m, _ := newMCU(t)
+		k, m, l := newMCU(t)
 		var end sim.Time
 		k.Schedule(0, func(*sim.Kernel) { end = m.Exec(800, done) })
 		k.RunUntil(sim.Microsecond)
 		k.RunUntil(end)
 		m.Exec(800, done)
 		p := m.Params()
-		if want := 2 * (p.WakeupLatency + p.CyclesToTime(800)); m.ActiveTime() != want {
-			t.Fatalf("done=%v: active time %v, want %v (a second wake-up)", done != nil, m.ActiveTime(), want)
+		if got, want := activeTime(k, l, sim.Millisecond), 2*(p.WakeupLatency+p.CyclesToTime(800)); got != want {
+			t.Fatalf("done=%v: active time %v, want %v (a second wake-up)", done != nil, got, want)
 		}
 	}
 }

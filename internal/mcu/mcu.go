@@ -10,14 +10,14 @@
 // top of it), and the MCU drops into the scheduler-selected low-power
 // mode whenever the work queue drains.
 //
-// Dropping back to sleep is residency bookkeeping only, so work without
-// a completion callback costs no kernel event: its Exec leaves the
-// energy meter a deferred transition into the sleep state at the instant
-// the work ends, and reserves the dispatch position its completion event
-// would have taken. The MCU counts as asleep once dispatch has passed
-// that position, exactly when the elided event would have put it to
-// sleep. Work with a callback still completes through a kernel event,
-// which puts the MCU to sleep itself.
+// The energy meter's residency is the MCU's one account of its
+// activity. Every computation reserves the dispatch position of its
+// completion (sim.Kernel.Reserve) and leaves the meter a deferred
+// transition into the sleep state at the instant the work ends: the MCU
+// counts as asleep once dispatch has passed that position. Dropping back
+// to sleep is residency bookkeeping only, so work without a completion
+// callback costs no kernel event; a callback runs in an event scheduled
+// at the reserved position (sim.Kernel.ScheduleReserved).
 //
 // A component whose work carries state across its completions (a
 // streaming application's samples, say) can still submit it without a
@@ -29,17 +29,16 @@
 // Work can also be chained to the work submitted last (Chain): queued to
 // start the instant that work completes, as if its completion callback
 // had submitted it, with no kernel event at the hand-off. Work submitted
-// before the hand-off position passes would have queued ahead of the
-// chained work, so the submitter first falls back with Unchain: the
-// chained work is taken back, and the elided completion becomes a kernel
-// event at the very position reserved for it (sim.Kernel.ScheduleReserved),
-// whose callback submits the chained work there as a plain hand-off
-// would. tinyos.Sched.Chain posts tasks this way.
+// before the hand-off position passes (Chained) would have queued ahead
+// of the chained work, so the submitter first falls back with Unchain:
+// the chained work is taken back, and the work it followed gets a
+// completion event at its reserved position after all, whose callback
+// submits the chained work there as a plain hand-off would.
+// tinyos.Sched.Chain posts tasks this way.
 package mcu
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/energy"
 	"repro/internal/platform"
@@ -53,18 +52,19 @@ type MCU struct {
 	params platform.MCUParams
 	meter  *energy.Meter
 
-	// busyUntil is the instant the queued work runs out. awake is false
-	// while the MCU sleeps with no work run since, or is crashed. When
-	// the last queued work has no callback, idleSeq is the dispatch
-	// position reserved for its elided completion, from which on the
-	// MCU is asleep (see asleep); otherwise it is completionEvent.
-	busyUntil sim.Time
-	idleSeq   uint64
-	awake     bool
-	// doneSeq is the sequence number of the last queued work's
-	// completion: its event's, or the reserved one of an elided
-	// completion. With busyUntil it is the position a Marks records.
-	doneSeq uint64
+	// idle is the completion position the MCU goes back to sleep at:
+	// its instant is when the queued work runs out, and the MCU is
+	// asleep once dispatch has passed it. awake is false while the MCU sleeps
+	// with no work run since, or is crashed.
+	idle  sim.Pos
+	awake bool
+	// done is the completion position of the work submitted last, the
+	// one a Marks records; event is its completion event, 0 when that
+	// work has no callback. shared is set when that work has no callback
+	// and no completion position of its own (see execFor).
+	done   sim.Pos
+	event  sim.EventID
+	shared bool
 	// sleep is the low-power mode the MCU idles in; it and the other
 	// handles are the meter's states, resolved once.
 	sleep  energy.Handle
@@ -84,15 +84,8 @@ type MCU struct {
 	// marks lists the Marks registered with Track, linked through their
 	// next fields; a crash settles each.
 	marks *Marks
-	// shared is set when the work submitted last has no callback and no
-	// completion position of its own (see execFor); chain is the work
-	// Chain queued last, kept for Unchain.
-	shared bool
-	chain  chained
-
-	execs      uint64
-	cyclesRun  int64
-	activeTime sim.Time
+	// chain is the work Chain queued last, kept for Unchain.
+	chain chained
 }
 
 // New creates an MCU, registers its energy meter on the ledger and starts
@@ -110,22 +103,17 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 	})
 	meter.Start(k.Now(), platform.StateMCUPowerSave)
 	m := &MCU{
-		k:         k,
-		params:    params,
-		meter:     meter,
-		busyUntil: k.Now(),
-		sleep:     meter.Handle(platform.StateMCUPowerSave),
-		active:    meter.Handle(platform.StateMCUActive),
-		off:       meter.Handle(platform.StateMCUOff),
+		k:      k,
+		params: params,
+		meter:  meter,
+		idle:   sim.Pos{At: k.Now()},
+		sleep:  meter.Handle(platform.StateMCUPowerSave),
+		active: meter.Handle(platform.StateMCUActive),
+		off:    meter.Handle(platform.StateMCUOff),
 	}
 	m.complete = m.onComplete
 	return m
 }
-
-// completionEvent is idleSeq when the last queued work completes through
-// a kernel event, whose handler puts the MCU to sleep: no reserved
-// position stands in for it.
-const completionEvent = math.MaxUint64
 
 // Params reports the electrical parameters the MCU was built with.
 func (m *MCU) Params() platform.MCUParams { return m.params }
@@ -144,47 +132,29 @@ func (m *MCU) SetSleepState(s energy.State) {
 	if m.asleep() {
 		m.meter.Enter(m.k.Now(), m.sleep)
 	} else {
-		m.meter.Defer(m.busyUntil, m.sleep)
+		m.meter.Defer(m.idle.At, m.sleep)
 	}
 }
 
 // asleep reports whether the MCU sits in its sleep state at the kernel's
 // dispatch position: it has not run since it last slept, or dispatch has
-// passed the position reserved for its last work's elided completion.
+// passed the completion position of its last work.
 //
 //hot:path
 func (m *MCU) asleep() bool {
-	return !m.awake || m.k.Passed(m.busyUntil, m.idleSeq)
+	return !m.awake || m.k.Passed(m.idle)
 }
 
 // Completion reports the dispatch position at which the work most
-// recently submitted completes: its instant, and the sequence number of
-// its completion event or of the position reserved for its elided one.
-// The work has completed once sim.Kernel.Passed holds for them.
+// recently submitted completes. The work has completed once
+// sim.Kernel.Passed holds for it.
 //
 //hot:path
-func (m *MCU) Completion() (sim.Time, uint64) { return m.busyUntil, m.doneSeq }
+func (m *MCU) Completion() sim.Pos { return m.done }
 
 // Busy reports whether the MCU is currently executing (or has queued
 // work).
-func (m *MCU) Busy() bool { return m.k.Now() < m.busyUntil }
-
-// Execs reports how many execution requests have been issued.
-func (m *MCU) Execs() uint64 { return m.execs }
-
-// CyclesRun reports the total instruction cycles executed.
-func (m *MCU) CyclesRun() int64 { return m.cyclesRun }
-
-// ActiveTime reports the cumulative time spent in the active state.
-func (m *MCU) ActiveTime() sim.Time { return m.activeTime }
-
-// ResetAccounting zeroes the MCU's execution counters (not its meter;
-// reset that through the ledger).
-func (m *MCU) ResetAccounting() {
-	m.execs = 0
-	m.cyclesRun = 0
-	m.activeTime = 0
-}
+func (m *MCU) Busy() bool { return m.k.Now() < m.idle.At }
 
 // Exec queues cycles of computation. The work starts immediately if the
 // MCU is idle (after the wakeup ramp if it was sleeping) or after all
@@ -196,7 +166,7 @@ func (m *MCU) ResetAccounting() {
 //
 //hot:path
 func (m *MCU) Exec(cycles int64, done func()) sim.Time {
-	return m.execFor(m.params.CyclesToTime(cycles), cycles, done)
+	return m.execFor(m.params.CyclesToTime(cycles), done)
 }
 
 // ExecDur queues computation lasting an explicit wall duration, used for
@@ -206,22 +176,18 @@ func (m *MCU) ExecDur(d sim.Time, done func()) sim.Time {
 	if d < 0 {
 		panic("mcu: negative duration")
 	}
-	cycles := int64(float64(d) / float64(sim.Second) * m.params.ClockHz)
-	return m.execFor(d, cycles, done)
+	return m.execFor(d, done)
 }
 
-func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
+func (m *MCU) execFor(dur sim.Time, done func()) sim.Time {
 	now := m.k.Now()
-	m.execs++
-	m.cyclesRun += cycles
-
 	start, woke := now, false
-	if m.busyUntil > now {
-		start = m.busyUntil
+	if m.idle.At > now {
+		start = m.idle.At
 	} else if m.asleep() {
 		// Waking from a low-power mode costs the stand-by→active ramp;
 		// the core draws active current during the ramp. Enter first
-		// applies the meter's deferred sleep at busyUntil.
+		// applies the meter's deferred sleep at the last work's end.
 		dur += m.params.WakeupLatency
 		woke = true
 		m.awake = true
@@ -230,52 +196,31 @@ func (m *MCU) execFor(dur sim.Time, cycles int64, done func()) sim.Time {
 	// Otherwise the last work ended at this very instant and its
 	// completion has not passed yet: the core runs straight on.
 	end := start + dur
-	m.activeTime += dur
-	if done != nil {
-		m.dones.Push(done)
-		m.k.ScheduleArgAt(end, m.complete, m.gen)
-		m.doneSeq = m.k.Seq()
-	}
-	if end == m.busyUntil && !woke {
-		// Zero-length work at the instant the queued work runs out: the
-		// earlier completion, ahead of this one, still finds nothing
-		// left to run and puts the MCU to sleep.
-		m.shared = done == nil
+	// Zero-length work at the instant the queued work runs out leaves the
+	// MCU to sleep at the earlier work's completion, ahead of its own.
+	own := end != m.idle.At || woke
+	m.shared = !own && done == nil
+	m.event = 0
+	if m.shared {
 		return end
 	}
-	m.shared = false
-	m.busyUntil = end
-	m.idle(end, done != nil)
+	m.done = m.k.Reserve(end)
+	if own {
+		m.idle = m.done
+		m.meter.Defer(end, m.sleep)
+	}
+	if done != nil {
+		m.dones.Push(done)
+		m.event = m.k.ScheduleReserved(m.done, m.complete, m.gen)
+	}
 	return end
 }
 
-// idle records how the MCU goes back to sleep once the queued work runs
-// out at end, replacing what it held for earlier work, which new work
-// has pushed back. A completion event (event set) puts it to sleep
-// itself. Otherwise the meter holds the sleep transition, and idle
-// reserves the dispatch position the elided event would have taken.
-//
-//hot:path
-func (m *MCU) idle(end sim.Time, event bool) {
-	if event {
-		m.idleSeq = completionEvent
-		m.meter.Undefer()
-		return
-	}
-	m.idleSeq = m.k.Reserve()
-	m.doneSeq = m.idleSeq
-	m.meter.Defer(end, m.sleep)
-}
-
 // chained is work Chain queued behind work whose completion is elided:
-// the dispatch position it was handed off at, its length and cycles,
-// and its completion event.
+// the position it was handed off at, and its completion event.
 type chained struct {
-	at     sim.Time
-	seq    uint64
-	dur    sim.Time
-	cycles int64
-	event  sim.EventID
+	at    sim.Pos
+	event sim.EventID
 }
 
 // Chain queues cycles of computation, completing with done, to start
@@ -295,47 +240,41 @@ type chained struct {
 //hot:path
 func (m *MCU) Chain(cycles int64, done func()) bool {
 	if m.shared {
-		m.dones.Push(done)
-		m.k.ScheduleArgAt(m.busyUntil, m.complete, m.gen)
-		m.doneSeq = m.k.Seq()
+		m.execFor(0, done)
 		return false
 	}
-	if m.idleSeq == completionEvent {
+	if m.event != 0 {
 		panic("mcu: Chain behind work that has a completion callback")
 	}
-	dur := m.params.CyclesToTime(cycles)
-	at, seq := m.busyUntil, m.doneSeq
-	end := at + dur
-	m.execs++
-	m.cyclesRun += cycles
-	m.activeTime += dur
-	m.dones.Push(done)
-	ev := m.k.ScheduleArgAt(end, m.complete, m.gen)
-	m.doneSeq = m.k.Seq()
-	m.busyUntil = end
-	m.idle(end, true)
-	m.chain = chained{at: at, seq: seq, dur: dur, cycles: cycles, event: ev}
+	at := m.done
+	m.execFor(m.params.CyclesToTime(cycles), done)
+	m.chain = chained{at: at, event: m.event}
 	return true
+}
+
+// Chained reports whether the work Chain queued last is still waiting
+// for its hand-off position, so that Unchain can take it back.
+//
+//hot:path
+func (m *MCU) Chained() bool {
+	return m.chain.event != 0 && !m.k.Passed(m.chain.at)
 }
 
 // Unchain takes back the work Chain queued last, before its hand-off
 // position has passed and before any other work was submitted. Its
 // done runs at the hand-off instead, through a completion event of the
-// work it followed after all, which takes the dispatch position
-// reserved for the elided completion: exactly where the callback of a
-// plain submission would have run.
+// work it followed after all, at that work's reserved position: exactly
+// where the callback of a plain submission would have run.
 func (m *MCU) Unchain() {
 	c := m.chain
 	m.k.Cancel(c.event)
-	m.execs--
-	m.cyclesRun -= c.cycles
-	m.activeTime -= c.dur
-	m.k.ScheduleReserved(c.at, c.seq, m.complete, m.gen)
-	m.busyUntil, m.doneSeq = c.at, c.seq
+	m.event = m.k.ScheduleReserved(c.at, m.complete, m.gen)
+	m.idle, m.done = c.at, c.at
+	m.meter.Defer(c.at.At, m.sleep)
 	m.chain = chained{}
 }
 
-// onComplete finishes one queued computation.
+// onComplete runs the callback of one queued computation.
 //
 //hot:path
 func (m *MCU) onComplete(k *sim.Kernel) {
@@ -343,32 +282,19 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 		return // the node crashed; this computation never completed
 	}
 	m.dones.Pop()()
-	// Sleep only if the completion callback queued nothing further.
-	if end := k.Now(); m.busyUntil == end && m.awake {
-		m.awake = false
-		m.meter.Enter(end, m.sleep)
-	}
 }
 
 // Crash models a node power loss: all queued computation is abandoned
 // (its completion callbacks never run), and the core stops drawing
-// current until Reboot. ActiveTime keeps the already-charged estimate of
-// the aborted work; the energy meter — the accounting source of truth —
-// is cut off at the crash instant.
+// current until Reboot. The energy meter is cut off at the crash instant.
 func (m *MCU) Crash() {
 	for q := m.marks; q != nil; q = q.next {
 		q.crashed()
 	}
-	if c := m.chain; c.event != 0 && !m.k.Passed(c.at, c.seq) {
-		// Chained work not handed off yet was never submitted.
-		m.execs--
-		m.cyclesRun -= c.cycles
-		m.activeTime -= c.dur
-	}
 	m.chain = chained{}
 	m.gen++
 	m.dones.Reset()
-	m.busyUntil = m.k.Now()
+	m.idle = sim.Pos{At: m.k.Now()}
 	m.awake = false
 	m.meter.Enter(m.k.Now(), m.off)
 }
@@ -423,9 +349,6 @@ func (q *Queue[T]) DropAbandoned() {
 	}
 }
 
-// Grow sizes an empty queue for n entries (sim.FIFO.Grow).
-func (q *Queue[T]) Grow(n int) { q.q.Grow(n) }
-
 // Len reports the number of queued entries, abandoned ones included.
 func (q *Queue[T]) Len() int { return q.q.Len() }
 
@@ -441,15 +364,9 @@ func (q *Queue[T]) Len() int { return q.q.Len() }
 // registered with Track. Steady state allocates nothing.
 type Marks struct {
 	m    *MCU
-	q    sim.FIFO[mark]
+	q    sim.FIFO[sim.Pos]
 	lost int
 	next *Marks
-}
-
-// mark is the dispatch position at which one computation completes.
-type mark struct {
-	at  sim.Time
-	seq uint64
 }
 
 // Track registers q with m: q follows the computations submitted to m,
@@ -463,10 +380,7 @@ func (m *MCU) Track(q *Marks) {
 // recently submitted to the MCU.
 //
 //hot:path
-func (q *Marks) Mark() {
-	at, seq := q.m.Completion()
-	q.q.Push(mark{at: at, seq: seq})
-}
+func (q *Marks) Mark() { q.q.Push(q.m.done) }
 
 // Settle forgets the marks of the computations that have completed and
 // reports how many marked computations crashes abandoned since the last
@@ -476,7 +390,7 @@ func (q *Marks) Mark() {
 //hot:path
 func (q *Marks) Settle() int {
 	for q.q.Len() > 0 {
-		if c := q.q.Peek(); !q.m.k.Passed(c.at, c.seq) {
+		if !q.m.k.Passed(q.q.Peek()) {
 			break
 		}
 		q.q.Pop()

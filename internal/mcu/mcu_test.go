@@ -19,6 +19,14 @@ func newMCU(t *testing.T) (*sim.Kernel, *MCU, *energy.Ledger) {
 	return k, m, l
 }
 
+// activeTime runs k to horizon and reports the MCU meter's active
+// residency.
+func activeTime(k *sim.Kernel, l *energy.Ledger, horizon sim.Time) sim.Time {
+	k.RunUntil(horizon)
+	l.Flush(k.Now())
+	return l.Meter(platform.ComponentMCU).TimeIn(platform.StateMCUActive)
+}
+
 func TestExecTiming(t *testing.T) {
 	k, m, _ := newMCU(t)
 	var doneAt sim.Time
@@ -52,15 +60,14 @@ func TestExecSerializes(t *testing.T) {
 }
 
 func TestWakeupChargedOncePerSleepExit(t *testing.T) {
-	k, m, _ := newMCU(t)
+	k, m, l := newMCU(t)
 	k.Schedule(0, func(*sim.Kernel) {
 		m.Exec(800, nil) // wakes: 100us + 6us
 		m.Exec(800, nil) // back-to-back: no second ramp
 	})
-	k.Run()
 	want := 200*sim.Microsecond + 6*sim.Microsecond
-	if m.ActiveTime() != want {
-		t.Fatalf("active time = %v, want %v", m.ActiveTime(), want)
+	if got := activeTime(k, l, sim.Millisecond); got != want {
+		t.Fatalf("active time = %v, want %v", got, want)
 	}
 }
 
@@ -85,28 +92,24 @@ func TestSleepsAfterQueueDrains(t *testing.T) {
 }
 
 func TestDoneCallbackCanChainWithoutSleep(t *testing.T) {
-	k, m, _ := newMCU(t)
+	k, m, l := newMCU(t)
 	k.Schedule(0, func(*sim.Kernel) {
 		m.Exec(800, func() { m.Exec(800, nil) })
 	})
-	k.Run()
 	// Chained exec continues without a second wakeup ramp.
 	want := 200*sim.Microsecond + 6*sim.Microsecond
-	if m.ActiveTime() != want {
-		t.Fatalf("active time = %v, want %v", m.ActiveTime(), want)
+	if got := activeTime(k, l, sim.Millisecond); got != want {
+		t.Fatalf("active time = %v, want %v", got, want)
 	}
 }
 
 func TestExecDur(t *testing.T) {
-	k, m, _ := newMCU(t)
-	k.Schedule(0, func(*sim.Kernel) { m.ExecDur(3840*sim.Microsecond, nil) })
-	k.Run()
+	k, m, l := newMCU(t)
+	var end sim.Time
+	k.Schedule(0, func(*sim.Kernel) { end = m.ExecDur(3840*sim.Microsecond, nil) })
 	want := 3840*sim.Microsecond + 6*sim.Microsecond
-	if m.ActiveTime() != want {
-		t.Fatalf("active = %v, want %v (FIFO clock-in + wake)", m.ActiveTime(), want)
-	}
-	if m.CyclesRun() != int64(3840*8) { // 3840us at 8MHz
-		t.Fatalf("cycles = %d, want %d", m.CyclesRun(), 3840*8)
+	if got := activeTime(k, l, 10*sim.Millisecond); got != want || end != want {
+		t.Fatalf("active = %v, ends at %v, want %v (FIFO clock-in + wake)", got, end, want)
 	}
 }
 
@@ -159,15 +162,19 @@ func TestSetSleepStateRejectsActive(t *testing.T) {
 
 func TestExecsAndBusy(t *testing.T) {
 	k, m, _ := newMCU(t)
+	var end sim.Time
 	k.Schedule(0, func(*sim.Kernel) {
-		m.Exec(80000, nil)
+		end = m.Exec(80000, nil)
 		if !m.Busy() {
 			t.Errorf("MCU not busy right after Exec")
 		}
+		if c := m.Completion(); c.At != end || k.Passed(c) {
+			t.Errorf("completion %+v, want a position at %v not passed yet", c, end)
+		}
 	})
-	k.Run()
-	if m.Execs() != 1 {
-		t.Fatalf("Execs = %d", m.Execs())
+	k.RunUntil(20 * sim.Millisecond)
+	if m.Busy() || !k.Passed(m.Completion()) {
+		t.Fatalf("at %v the work has not completed", k.Now())
 	}
 }
 
@@ -179,19 +186,30 @@ func TestQuickEnergyDecomposition(t *testing.T) {
 		k := sim.NewKernel(2)
 		l := energy.NewLedger()
 		m := New(k, p, l)
+		// busy sums the MCU's busy periods from the completion instants:
+		// a period runs from an Exec that finds the MCU idle to the end
+		// of the last Exec queued before it drains.
+		var busy, start, end sim.Time
 		at := sim.Time(0)
 		for _, b := range bursts {
 			at += sim.Time(b%1000+1) * sim.Microsecond
 			cycles := int64(b%5000 + 1)
-			k.ScheduleAt(at, func(*sim.Kernel) { m.Exec(cycles, nil) })
+			k.ScheduleAt(at, func(k *sim.Kernel) {
+				if k.Now() > end {
+					busy += end - start
+					start = k.Now()
+				}
+				end = m.Exec(cycles, nil)
+			})
 		}
 		horizon := at + sim.Second
 		k.RunUntil(horizon)
+		busy += end - start
 		l.Flush(k.Now())
 		meter := l.Meter(platform.ComponentMCU)
 		active := meter.TimeIn(platform.StateMCUActive)
 		save := meter.TimeIn(platform.StateMCUPowerSave)
-		if active != m.ActiveTime() {
+		if active != busy {
 			return false
 		}
 		if active+save < horizon { // queue may run past horizon; never less

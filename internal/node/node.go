@@ -272,7 +272,6 @@ func (s *Sensor) ResetAccounting(now sim.Time) {
 		s.Bat.NoteLedgerReset()
 	}
 	s.Ledger.Reset(now)
-	s.MCU.ResetAccounting()
 	s.Radio.ResetAccounting()
 	s.Mac.ResetAccounting()
 	s.App.ResetCounters()
@@ -336,7 +335,6 @@ func (b *Base) Start() { b.BS.Start() }
 func (b *Base) ResetAccounting(now sim.Time) {
 	b.Ledger.Flush(now)
 	b.Ledger.Reset(now)
-	b.MCU.ResetAccounting()
 	b.Radio.ResetAccounting()
 	b.BS.ResetAccounting()
 }

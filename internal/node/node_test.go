@@ -94,7 +94,7 @@ func TestResetAccountingClearsEverything(t *testing.T) {
 	if s.Mac.Stats().DataSent != 0 || s.Radio.Stats().TxFrames != 0 {
 		t.Fatalf("statistics survived reset")
 	}
-	if s.MCU.ActiveTime() != 0 {
+	if s.Ledger.Meter(platform.ComponentMCU).TimeIn(platform.StateMCUActive) != 0 {
 		t.Fatalf("MCU active time survived reset")
 	}
 	// Energy integrates fresh from the reset instant.

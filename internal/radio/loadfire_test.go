@@ -53,7 +53,7 @@ func newFireRig(r *rig) *fireRig {
 func (f *fireRig) loadFire(t *testing.T) {
 	f.rx.radio.StartRx()
 	f.tx.radio.LoadFire(packet.AddrBSData, []byte{1, 2}, func() { f.sent++ })
-	if at, _ := f.tx.sched.MCU().Completion(); at != f.end {
+	if at := f.tx.sched.MCU().Completion().At; at != f.end {
 		t.Fatalf("clock-in ends at %v, want %v", at, f.end)
 	}
 }

@@ -28,9 +28,10 @@
 // None of the three costs a kernel event at the end of the clock-in:
 // the move out of standby is the meter's deferred transition at that
 // instant, and Loaded and Mode read the end as passed once
-// sim.Kernel.Passed clears the clock-in's reserved dispatch position. A
-// Fire before then bursts as the clock-in ends. Only a Load given a
-// callback completes through an MCU event.
+// sim.Kernel.Passed clears the clock-in's completion position
+// (mcu.MCU.Completion). A Fire before then bursts as the clock-in ends.
+// Only a Load given a callback costs an event: the MCU runs the
+// callback at that same position.
 package radio
 
 import (
@@ -120,17 +121,16 @@ type Radio struct {
 	txBuf []byte
 	rxBuf []byte
 	// The TX FIFO. The latest clock-in ends at the MCU dispatch position
-	// (clockInAt, clockInSeq). hasLoaded is set from its start while
-	// loaded, its frame, waits for Fire; the frame is in the FIFO once
-	// dispatch has passed that position (Loaded). clocking is set while
-	// the radio leaves standby there for after: TX for a burst, off for
-	// LoadPark or a burst CancelFire called off. The meter holds that
-	// move as its deferred transition, so the end of the clock-in costs
-	// no kernel event.
+	// clockInEnd. hasLoaded is set from its start while loaded, its
+	// frame, waits for Fire; the frame is in the FIFO once dispatch has
+	// passed that position (Loaded). clocking is set while the radio
+	// leaves standby there for after: TX for a burst, off for LoadPark or
+	// a burst CancelFire called off. The meter holds that move as its
+	// deferred transition, so the end of the clock-in costs no kernel
+	// event.
 	hasLoaded  bool
 	loaded     packet.Frame
-	clockInAt  sim.Time
-	clockInSeq uint64
+	clockInEnd sim.Pos
 	clocking   bool
 	after      Mode
 	// gen invalidates in-flight transmit steps across a crash: the settle
@@ -358,7 +358,7 @@ func (r *Radio) clockIn(op string, payload []byte, done func()) {
 	}
 	r.setMode(ModeStandby)
 	r.sched.BusyLoad("radio-fifo-load", r.params.TxClockIn(r.params.AddressBytes+len(payload)), done)
-	r.clockInAt, r.clockInSeq = r.sched.MCU().Completion()
+	r.clockInEnd = r.sched.MCU().Completion()
 }
 
 // moveAfterClockIn has the radio leave standby for mode as the latest
@@ -367,7 +367,7 @@ func (r *Radio) clockIn(op string, payload []byte, done func()) {
 //hot:path
 func (r *Radio) moveAfterClockIn(mode Mode) {
 	r.clocking, r.after = true, mode
-	r.meter.Defer(r.clockInAt, r.modeState[mode])
+	r.meter.Defer(r.clockInEnd.At, r.modeState[mode])
 }
 
 // Loaded reports whether the TX FIFO holds a complete frame for Fire:
@@ -376,7 +376,7 @@ func (r *Radio) moveAfterClockIn(mode Mode) {
 //
 //hot:path
 func (r *Radio) Loaded() bool {
-	return r.hasLoaded && r.k.Passed(r.clockInAt, r.clockInSeq)
+	return r.hasLoaded && r.k.Passed(r.clockInEnd)
 }
 
 // LoadFire is Load followed by Fire: the MCU clocks the frame into the
@@ -390,7 +390,7 @@ func (r *Radio) LoadFire(dest packet.Address, payload []byte, sent func()) {
 	r.clockIn("LoadFire", payload, nil)
 	r.hasLoaded = false
 	r.moveAfterClockIn(ModeTx)
-	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInAt)
+	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInEnd.At)
 }
 
 // CancelFire calls off the burst of a LoadFire whose FIFO clock-in is
@@ -413,7 +413,7 @@ func (r *Radio) CancelFire() {
 //
 //hot:path
 func (r *Radio) clockedIn() bool {
-	return r.clocking && r.k.Passed(r.clockInAt, r.clockInSeq)
+	return r.clocking && r.k.Passed(r.clockInEnd)
 }
 
 // Fire transmits the frame previously loaded with Load: PLL settling,
@@ -436,13 +436,13 @@ func (r *Radio) Fire(done func()) {
 	frame := r.loaded
 	r.loaded = packet.Frame{}
 	r.hasLoaded = false
-	if r.k.Passed(r.clockInAt, r.clockInSeq) {
+	if r.k.Passed(r.clockInEnd) {
 		r.setMode(ModeTx)
 		r.startBurst(frame, done, r.k.Now())
 		return
 	}
 	r.moveAfterClockIn(ModeTx)
-	r.startBurst(frame, done, r.clockInAt)
+	r.startBurst(frame, done, r.clockInEnd.At)
 }
 
 // startBurst starts frame's transmit sequence, the radio in TX from

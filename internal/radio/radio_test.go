@@ -143,7 +143,7 @@ func TestTxEnergyMatchesCalibration(t *testing.T) {
 		t.Fatalf("TX energy = %.2f uJ, want ~19.0", uj)
 	}
 	// The load occupied the MCU for 21 bytes at 50 kbps = 3.36 ms.
-	mcuActive := tx.sched.MCU().ActiveTime()
+	mcuActive := tx.ledger.Meter(platform.ComponentMCU).TimeIn(platform.StateMCUActive)
 	if mcuActive < 3360*sim.Microsecond || mcuActive > 3400*sim.Microsecond {
 		t.Fatalf("MCU busy %v during load, want ~3.36ms", mcuActive)
 	}

@@ -249,52 +249,53 @@ func (k *Kernel) ScheduleArgAt(at Time, handler Handler, arg uint64) EventID {
 	return k.wheel.schedule(at, k.nextSeq, handler, arg)
 }
 
-// Reserve takes the sequence number an event scheduled now would get,
-// without scheduling one, and returns it. A component that elides an
-// event whose only effect is bookkeeping reserves its place in the
-// dispatch order instead, and asks Passed whether the elided event
-// would have fired yet. Events scheduled before and after the
-// reservation keep their relative order, exactly as if the elided
-// event were still queued.
-func (k *Kernel) Reserve() uint64 {
-	k.nextSeq++
-	return k.nextSeq
+// Pos is a dispatch position: the instant an event fires at and its
+// sequence number, which orders the events of one instant.
+type Pos struct {
+	At  Time
+	Seq uint64
 }
 
-// ScheduleReserved is ScheduleArgAt for an event that takes the
-// sequence number seq, which an earlier Reserve returned, instead of a
-// fresh one: a component that elided an event turns it back into one
-// at exactly the place in the dispatch order the elided event held.
-// Events scheduled before and after the reservation keep their order
-// relative to it. The position must not have passed yet, and each
-// reserved number may be scheduled once.
-func (k *Kernel) ScheduleReserved(at Time, seq uint64, handler Handler, arg uint64) EventID {
+// Reserve takes the dispatch position an event scheduled now at instant
+// at would get, without scheduling one, and returns it. A component that
+// elides an event whose only effect is bookkeeping reserves its place in
+// the dispatch order instead, and asks Passed whether the elided event
+// would have fired yet. Events scheduled before and after the
+// reservation keep their relative order, exactly as if the elided event
+// were still queued. at must not lie in the past.
+func (k *Kernel) Reserve(at Time) Pos {
+	k.nextSeq++
+	return Pos{At: at, Seq: k.nextSeq}
+}
+
+// ScheduleReserved is ScheduleArgAt for an event at the position p,
+// which an earlier Reserve returned, instead of a fresh one: a component
+// that elided an event turns it back into one at exactly the place in
+// the dispatch order the elided event held. Events scheduled before and
+// after the reservation keep their order relative to it. The position
+// must not have passed yet, and each reserved position may be scheduled
+// once.
+func (k *Kernel) ScheduleReserved(p Pos, handler Handler, arg uint64) EventID {
 	if handler == nil {
 		panic("sim: ScheduleReserved with nil handler")
 	}
-	if seq > k.nextSeq || k.Passed(at, seq) {
-		panic(fmt.Sprintf("sim: ScheduleReserved at a position not reserved or already passed (now=%v, at=%v, seq=%d)", k.now, at, seq))
+	if p.Seq > k.nextSeq || k.Passed(p) {
+		panic(fmt.Sprintf("sim: ScheduleReserved at a position not reserved or already passed (now=%v, at=%v, seq=%d)", k.now, p.At, p.Seq))
 	}
 	if k.legacy != nil {
-		return k.legacy.schedule(at, seq, handler, arg)
+		return k.legacy.schedule(p.At, p.Seq, handler, arg)
 	}
-	return k.wheel.schedule(at, seq, handler, arg)
+	return k.wheel.schedule(p.At, p.Seq, handler, arg)
 }
 
-// Seq reports the sequence number the latest ScheduleAt or Reserve
-// took: with its instant, the dispatch position of the event just
-// scheduled.
-func (k *Kernel) Seq() uint64 { return k.nextSeq }
-
-// Passed reports whether dispatch has moved beyond the position an
-// event at instant at with sequence number seq would hold: at lies in
-// the past, or the event firing now at at was scheduled after seq.
-// Once Run or RunUntil returns without a Stop, every position reserved
-// so far at the current instant has passed.
+// Passed reports whether dispatch has moved beyond position p: its
+// instant lies in the past, or the event firing now at that instant was
+// scheduled after it. Once Run or RunUntil returns without a Stop, every
+// position reserved so far at the current instant has passed.
 //
 //hot:path
-func (k *Kernel) Passed(at Time, seq uint64) bool {
-	return at < k.now || at == k.now && seq < k.fired.seq
+func (k *Kernel) Passed(p Pos) bool {
+	return p.At < k.now || p.At == k.now && p.Seq < k.fired.seq
 }
 
 // Schedule posts handler to run after the relative delay d (which may be

@@ -106,30 +106,32 @@ func TestScheduleReservedTakesElidedPlace(t *testing.T) {
 		note := func(s string) Handler { return func(*Kernel) { got = append(got, s) } }
 		at := 5 * Millisecond
 		k.ScheduleAt(at, note("before"))
-		early := k.Reserve()
+		early := k.Reserve(at)
 		k.ScheduleAt(at, note("between"))
-		fromHandler := k.Reserve()
-		var sameInstant uint64
+		fromHandler := k.Reserve(at)
+		var sameInstant Pos
 		k.ScheduleAt(at, func(k *Kernel) {
 			got = append(got, "trigger")
-			k.ScheduleReserved(at, sameInstant, note("reserved-same-instant"), 0)
-			for _, seq := range []uint64{early, k.Seq() + 1} {
+			k.ScheduleReserved(sameInstant, note("reserved-same-instant"), 0)
+			unreserved := k.Reserve(at)
+			unreserved.Seq++
+			for _, p := range []Pos{early, unreserved} {
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Errorf("%s: ScheduleReserved at seq %d did not panic", name, seq)
+							t.Errorf("%s: ScheduleReserved at seq %d did not panic", name, p.Seq)
 						}
 					}()
-					k.ScheduleReserved(at, seq, note("bad"), 0)
+					k.ScheduleReserved(p, note("bad"), 0)
 				}()
 			}
 		})
 		k.ScheduleAt(at, note("after"))
-		sameInstant = k.Reserve()
+		sameInstant = k.Reserve(at)
 		k.ScheduleAt(at, note("last"))
-		k.ScheduleReserved(at, early, note("reserved-early"), 0)
+		k.ScheduleReserved(early, note("reserved-early"), 0)
 		k.ScheduleAt(Millisecond, func(k *Kernel) {
-			k.ScheduleReserved(at, fromHandler, note("reserved-from-handler"), 0)
+			k.ScheduleReserved(fromHandler, note("reserved-from-handler"), 0)
 		})
 		k.Run()
 		want := "before reserved-early between reserved-from-handler trigger after reserved-same-instant last"

@@ -1,7 +1,5 @@
 package sim
 
-import "math/bits"
-
 // FIFO is a growable ring-buffer queue. Components keep the per-event
 // state of work that completes in submission order in one — the MCU
 // serialises computation, so the completions of a component's queued
@@ -72,15 +70,6 @@ func (q *FIFO[T]) Peek() T {
 		panic("sim: Peek at an empty FIFO")
 	}
 	return q.buf[q.head]
-}
-
-// Grow sizes an empty queue's ring for n items: a component that knows
-// its high-water occupancy allocates the ring once instead of doubling
-// up to it. A queue that has storage already keeps it.
-func (q *FIFO[T]) Grow(n int) {
-	if len(q.buf) == 0 && n > 0 {
-		q.buf = make([]T, 1<<bits.Len(uint(n-1)))
-	}
 }
 
 // Reset empties the queue, keeping its storage.

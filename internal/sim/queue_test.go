@@ -130,23 +130,3 @@ func TestQueuesSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("FIFO push/pop allocated %v times per run", n)
 	}
 }
-
-// TestFIFOGrowSizesOnce checks that a grown queue holds n items without
-// allocating again, in order, and wraps like any other.
-func TestFIFOGrowSizesOnce(t *testing.T) {
-	var q FIFO[int]
-	q.Grow(12)
-	allocs := testing.AllocsPerRun(10, func() {
-		for i := range 12 {
-			q.Push(i)
-		}
-		for i := range 12 {
-			if v := q.Pop(); v != i {
-				t.Fatalf("popped %d, want %d", v, i)
-			}
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("%v allocations per fill after Grow(12), want 0", allocs)
-	}
-}

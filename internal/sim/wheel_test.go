@@ -56,15 +56,11 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 
 	// reserved holds positions taken with Reserve whose events are still
 	// elided; a later op schedules one there with ScheduleReserved.
-	type position struct {
-		at  Time
-		seq uint64
-	}
-	var reserved []position
+	var reserved []Pos
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(12) {
 		case 10:
-			reserved = append(reserved, position{k.Now() + delay(), k.Reserve()})
+			reserved = append(reserved, k.Reserve(k.Now()+delay()))
 			continue
 		case 11:
 			if len(reserved) == 0 {
@@ -73,13 +69,13 @@ func opTrace(k *Kernel, seed int64, ops int) []string {
 			j := rng.Intn(len(reserved))
 			p := reserved[j]
 			reserved = append(reserved[:j], reserved[j+1:]...)
-			if k.Passed(p.at, p.seq) {
-				trace = append(trace, fmt.Sprintf("reserved %d passed", p.seq))
+			if k.Passed(p) {
+				trace = append(trace, fmt.Sprintf("reserved %d passed", p.Seq))
 				continue
 			}
 			t := tag
 			tag++
-			ids = append(ids, k.ScheduleReserved(p.at, p.seq, func(kk *Kernel) {
+			ids = append(ids, k.ScheduleReserved(p, func(kk *Kernel) {
 				trace = append(trace, fmt.Sprintf("fire reserved %d @%d", t, kk.Now()))
 			}, 0))
 			continue

@@ -3,6 +3,12 @@
 // queue, interrupt handlers that bypass the queue, and the power policy
 // that chooses a low-power mode for the microcontroller during inactive
 // periods (§3.2.1, §4.1 of the paper).
+//
+// The scheduler keeps no statistics of its own: Post and PostFn report
+// whether the queue took a task, and the MCU's energy meter accounts for
+// the work. A task chained to an interrupt (Chain) costs no kernel event
+// at the hand-off; the MCU holds the chain (mcu.MCU.Chained), and the
+// scheduler takes it back before any other work reaches the MCU.
 package tinyos
 
 import (
@@ -44,9 +50,7 @@ type Sched struct {
 	mcu      *mcu.MCU
 	queueCap int
 
-	queued  int
-	posted  uint64
-	dropped uint64
+	queued int
 
 	// tasks holds, in completion order, the Run and Arg of every
 	// accepted task, and the hand-offs of chained tasks that fell back
@@ -55,12 +59,6 @@ type Sched struct {
 	tasks    mcu.Queue[task]
 	taskDone func()
 	arg      uint64
-
-	// chained is set while the task Chain accepted last waits for its
-	// hand-off position (chainAt, chainSeq).
-	chained  bool
-	chainAt  sim.Time
-	chainSeq uint64
 }
 
 // NewSched creates a scheduler over the given MCU. queueCap <= 0 selects
@@ -89,7 +87,6 @@ func (s *Sched) Post(t Task) bool {
 	}
 	s.settle()
 	if s.queued >= s.queueCap {
-		s.dropped++
 		return false
 	}
 	s.accept(t)
@@ -102,7 +99,6 @@ func (s *Sched) Post(t Task) bool {
 //hot:path
 func (s *Sched) accept(t Task) {
 	s.queued++
-	s.posted++
 	s.tasks.Push(task{run: t.Run, arg: t.Arg, cycles: t.Cycles})
 }
 
@@ -113,28 +109,25 @@ func (s *Sched) accept(t Task) {
 // The task is accepted, and its computation queued, at once. That is
 // exact: by the hand-off position every task posted before the work
 // it follows has completed, so the queue has room for it there. Until
-// that position passes, QueueLen and Posted count the task already.
-// Work submitted before then would run ahead of the task had it been
-// posted at the hand-off, so the submission first falls back: the task
-// leaves the queue, and the work it follows completes through a kernel
-// event at the position reserved for it, which posts the task there
-// as an ordinary Post would, dropping it if the queue is full by then.
-// A crash before the hand-off abandons the work and the task together,
-// and Posted no longer counts it.
+// that position passes, QueueLen counts the task already. Work
+// submitted before then would run ahead of the task had it been posted
+// at the hand-off, so the submission first falls back: the task leaves
+// the queue, and the work it follows completes through a kernel event
+// at the position reserved for it, which posts the task there as an
+// ordinary Post would, dropping it if the queue is full by then. A
+// crash before the hand-off abandons the work and the task together.
 //
 //hot:path
 func (s *Sched) Chain(t Task) {
 	if t.Cycles < 0 {
 		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
 	}
-	at, seq := s.mcu.Completion()
 	if !s.mcu.Chain(t.Cycles, s.taskDone) {
 		// The work has no position to chain to: hand off through an event.
 		s.tasks.Push(task{run: t.Run, arg: t.Arg, cycles: t.Cycles, handoff: true})
 		return
 	}
 	s.accept(t)
-	s.chained, s.chainAt, s.chainSeq = true, at, seq
 }
 
 // settle runs before any work is submitted: a chained task whose
@@ -142,18 +135,13 @@ func (s *Sched) Chain(t Task) {
 //
 //hot:path
 func (s *Sched) settle() {
-	if !s.chained {
-		return
-	}
-	s.chained = false
-	if s.k.Passed(s.chainAt, s.chainSeq) {
+	if !s.mcu.Chained() {
 		return
 	}
 	t := s.tasks.PopBack()
 	t.handoff = true
 	s.tasks.Push(t)
 	s.queued--
-	s.posted--
 	s.mcu.Unchain()
 }
 
@@ -188,10 +176,6 @@ func (s *Sched) finishTask() {
 // MCU's Crash, which abandons every queued computation: the tasks in
 // flight never complete, so they leave the queue and free their slots.
 func (s *Sched) Crash() {
-	if s.chained && !s.k.Passed(s.chainAt, s.chainSeq) {
-		s.posted-- // the chained task was never posted
-	}
-	s.chained = false
 	s.tasks.DropAbandoned()
 	s.queued = s.tasks.Len()
 }
@@ -215,12 +199,6 @@ func (s *Sched) BusyLoad(name string, d sim.Time, run func()) {
 	s.settle()
 	s.mcu.ExecDur(d, run)
 }
-
-// Posted reports how many tasks were accepted.
-func (s *Sched) Posted() uint64 { return s.posted }
-
-// Dropped reports how many tasks were lost to queue overflow.
-func (s *Sched) Dropped() uint64 { return s.dropped }
 
 // QueueLen reports the tasks pending or running.
 func (s *Sched) QueueLen() int { return s.queued }
