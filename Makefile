@@ -11,6 +11,7 @@ ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest exam
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags dispatchprobe ./internal/...
 
 # External linters. The container this runs in may not have them; skip
 # with a loud warning rather than failing so `make ci` works offline.

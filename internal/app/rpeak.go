@@ -60,6 +60,8 @@ func NewRpeak(env Env, cfg RpeakConfig) *Rpeak {
 	r := &Rpeak{cfg: cfg,
 		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
 		found:    mcu.NewQueue[packet.Beat](env.Sched.MCU())}
+	r.acquired.Placed()
+	r.found.Placed()
 	r.sampleDone = r.onSampleDone
 	r.assembleDone = r.onAssembleDone
 	r.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, r.onAcquisition)

@@ -30,10 +30,12 @@ type budgetCase struct {
 // dynamic TDMA). A run's allocations are fixed costs, so allocations
 // per kernel event rise whenever a change removes events. The ceilings
 // sit about 3% above the counts measured with Go 1.24 on amd64 (set-up
-// and full run: table1-stream 222 and 292 allocations, lpl-stream 221
-// and 271, rpeak-onnode 232 and 312, chaos-observed 401 and 557, the
-// Table 1 row 222 and 292, the Table 2 row 82 and 106), so spending
-// this budget is a deliberate, visible change.
+// and full run: table1-stream 197 and 242 allocations, 48.8 and 53.9
+// kB; lpl-stream 211 and 242, 49.0 and 62.3 kB; rpeak-onnode 207 and
+// 257, 49.7 and 54.9 kB; chaos-observed 396 and 526, 82.6 and 132.6
+// kB; the Table 1 row 197 and 242, 48.8 and 53.9 kB; the Table 2 row
+// 77 and 92, 25.6 and 27.7 kB), so spending this budget is a
+// deliberate, visible change.
 func budgetCases() []budgetCase {
 	cell := battery.CR2032()
 	cell.CapacityMAh *= 4e-4
@@ -41,18 +43,18 @@ func budgetCases() []budgetCase {
 		{name: "table1-stream",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 30 * sim.Millisecond,
 				App: AppStreaming, SampleRateHz: 205, Duration: 60 * sim.Second, Seed: 1},
-			events:      222287,
-			setupAllocs: 229, setupKB: 49, fullAllocs: 301, fullKB: 64},
+			events:      191043,
+			setupAllocs: 203, setupKB: 51, fullAllocs: 250, fullKB: 56},
 		{name: "lpl-stream",
 			cfg: Config{Protocol: mac.ProtoLPL, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 205, Warmup: 15 * sim.Second, Duration: 30 * sim.Second, Seed: 1},
-			events:      250968,
-			setupAllocs: 228, setupKB: 49, fullAllocs: 279, fullKB: 65},
+			events:      249134,
+			setupAllocs: 218, setupKB: 51, fullAllocs: 250, fullKB: 65},
 		{name: "rpeak-onnode",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
 				App: AppRpeak, Duration: 60 * sim.Second, Seed: 1},
-			events:      146450,
-			setupAllocs: 239, setupKB: 50, fullAllocs: 321, fullKB: 66},
+			events:      144110,
+			setupAllocs: 214, setupKB: 52, fullAllocs: 265, fullKB: 57},
 		{name: "chaos-observed",
 			cfg: Config{Protocol: mac.ProtoCSMA, Nodes: 5, App: AppStreaming,
 				SampleRateHz: 55, Duration: 60 * sim.Second, Seed: 1, BER: 2e-4, Metrics: true,
@@ -64,18 +66,18 @@ func budgetCases() []budgetCase {
 				Battery: &cell,
 				Degrade: &battery.DegradePolicy{StretchSOC: 0.5, StretchEvery: 3,
 					DownshiftSOC: 0.3, BeaconOnlySOC: 0.08}},
-			events:      63713,
-			setupAllocs: 413, setupKB: 84, fullAllocs: 574, fullKB: 143},
+			events:      60960,
+			setupAllocs: 408, setupKB: 86, fullAllocs: 542, fullKB: 137},
 		{name: "paper-tables table1 F=55Hz",
 			cfg: Config{Variant: mac.Static, Nodes: 5, Cycle: 120 * sim.Millisecond,
 				App: AppStreaming, SampleRateHz: 55, Duration: paperdata.Window, Seed: 1},
-			events:      56760,
-			setupAllocs: 229, setupKB: 49, fullAllocs: 301, fullKB: 64},
+			events:      48930,
+			setupAllocs: 203, setupKB: 51, fullAllocs: 250, fullKB: 56},
 		{name: "paper-tables table2 n=1",
 			cfg: Config{Variant: mac.Dynamic, Nodes: 1, App: AppStreaming,
 				SampleRateHz: 300, Duration: paperdata.Window, Seed: 1},
-			events:      81883,
-			setupAllocs: 85, setupKB: 26, fullAllocs: 110, fullKB: 37},
+			events:      72439,
+			setupAllocs: 80, setupKB: 27, fullAllocs: 95, fullKB: 29},
 	}
 }
 

@@ -499,6 +499,11 @@ func Run(cfg Config) (Results, error) {
 		BaselineAmp:  0.05,
 		Seed:         cfg.Seed,
 	})
+	if cfg.Protocol != mac.ProtoLPL {
+		// Nodes that join within a few cycles of each other trail the
+		// leader by a dozen sample instants at most.
+		signal.SizeMemo(32)
+	}
 	eeg := ecg.NewEEGGenerator(ecg.EEGParams{Seed: cfg.Seed})
 
 	var build func(env app.Env) app.App
@@ -608,10 +613,18 @@ func Run(cfg Config) (Results, error) {
 	// Power-on: the base station first, then the nodes staggered a few
 	// milliseconds apart (same power strip, slightly different boot
 	// times) so their first SSRs rarely collide.
-	k.Schedule(0, func(*sim.Kernel) { base.Start() })
-	for i, s := range sensors {
-		s := s
-		k.Schedule(sim.Time(i+1)*cfg.StartStagger, func(*sim.Kernel) { s.Start() })
+	// One handler starts them all: the base station at argument 0, and
+	// sensor i at i+1.
+	start := func(k *sim.Kernel) {
+		if i := k.Arg(); i > 0 {
+			sensors[i-1].Start()
+			return
+		}
+		base.Start()
+	}
+	k.ScheduleAt(k.Now(), start)
+	for i := range sensors {
+		k.ScheduleArgAt(k.Now()+sim.Time(i+1)*cfg.StartStagger, start, uint64(i+1))
 	}
 
 	// Warm-up: joins and pipeline fill.

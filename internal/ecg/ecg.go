@@ -88,6 +88,9 @@ type Generator struct {
 	p      Params
 	period float64
 	memo   []memoEntry // allocated on the first SampleAt; a power of two long
+	// memoLen is the length memo starts at: memoSize unless SizeMemo
+	// set it.
+	memoLen int
 	// evals counts the clean values computed to fill memo entries.
 	evals int64
 }
@@ -133,7 +136,24 @@ func NewGenerator(p Params) *Generator {
 	if approx.Unset(p.Amplitude) {
 		p.Amplitude = 0.6
 	}
-	return &Generator{p: p, period: 60.0 / p.HeartRateBPM}
+	return &Generator{p: p, period: 60.0 / p.HeartRateBPM, memoLen: memoSize}
+}
+
+// SizeMemo sizes the sample memo, before the first sample, for readers
+// that trail the leader by at most n sample instants, instead of
+// memoSize's 512: the memo starts at the least power of two above n,
+// and at least 16. A reader trailing further doubles it as usual. A run
+// whose nodes join together (static TDMA, and dynamic TDMA and CSMA,
+// whose trail is at most 12 instants) keeps a 1 KiB memo this way,
+// not 8 KiB.
+func (g *Generator) SizeMemo(n int) {
+	if g.memo != nil {
+		panic("ecg: SizeMemo after the first sample")
+	}
+	g.memoLen = 16
+	for g.memoLen <= n && g.memoLen < memoMaxSize {
+		g.memoLen *= 2
+	}
 }
 
 // Period reports the mean beat period in seconds.
@@ -227,7 +247,7 @@ func (g *Generator) sample(ch int, i int64, v float64) codec.Sample {
 // other misses, never a wrong sample, because the key is (t, i) itself.
 func (g *Generator) entry(i int64, t float64) *memoEntry {
 	if g.memo == nil {
-		g.memo = newMemo(memoSize)
+		g.memo = newMemo(g.memoLen)
 	}
 	key := math.Float64bits(t)
 	if key == emptyKey || int64(int32(i)) != i {

@@ -44,18 +44,24 @@ func (d Draw) Power() float64 { return d.CurrentA * d.VoltageV }
 // due at a known instant that no event needs to mark, such as the
 // microcontroller dropping back to sleep when its work runs out. The
 // next transition applies it at its own instant first, as do Flush and
-// Reset once that instant has passed.
+// Reset once that instant has passed. A second one may follow it
+// (DeferThen), for a radio whose FIFO clock-in is itself deferred: it
+// moves to standby as the clock-in starts and on as it ends.
 type Meter struct {
-	name    string
-	states  []meterState // sorted by name
-	cur     Handle       // the current state
-	since   sim.Time
-	started bool
-
-	// deferred is the state of the held transition, noDefer when none;
-	// deferAt is its instant.
-	deferred Handle
-	deferAt  sim.Time
+	name   string
+	states []meterState // sorted by name
+	since  sim.Time
+	// deferAt is the instant of the held transition and thenAt that of
+	// the one held after it.
+	deferAt sim.Time
+	thenAt  sim.Time
+	// cur is the current state; deferred is the state of the held
+	// transition, noDefer when none, and then that of the one after it.
+	// They are Handles, held in 32 bits.
+	cur      int32
+	deferred int32
+	then     int32
+	started  bool
 }
 
 // meterState is one of a meter's states: its name, its operating point
@@ -71,7 +77,7 @@ type meterState struct {
 type Handle int
 
 // noDefer marks a meter that holds no deferred transition.
-const noDefer Handle = -1
+const noDefer = -1
 
 // NewMeter creates a meter for a component with the given state table.
 // Call Start before the first transition.
@@ -84,7 +90,7 @@ func NewMeter(name string, draws map[State]Draw) *Meter {
 // init builds the meter in place over states, an empty slice with room
 // for the state table.
 func (m *Meter) init(name string, draws map[State]Draw, states []meterState) {
-	*m = Meter{name: name, states: states, deferred: noDefer}
+	*m = Meter{name: name, states: states, deferred: noDefer, then: noDefer}
 	for s, d := range draws {
 		m.states = append(m.states, meterState{name: s, draw: d})
 	}
@@ -99,7 +105,7 @@ func (m *Meter) Start(now sim.Time, initial State) {
 	if m.started {
 		panic(fmt.Sprintf("energy: meter %q started twice", m.name))
 	}
-	m.cur = m.mustKnow(initial)
+	m.cur = int32(m.mustKnow(initial))
 	m.since = now
 	m.started = true
 }
@@ -130,14 +136,17 @@ func (m *Meter) Enter(now sim.Time, next Handle) {
 	if m.deferred != noDefer {
 		if m.deferAt <= now {
 			m.move(m.deferAt, m.deferred)
+			if m.then != noDefer && m.thenAt <= now {
+				m.move(m.thenAt, m.then)
+			}
 		}
-		m.deferred = noDefer
+		m.deferred, m.then = noDefer, noDefer
 	}
-	m.move(now, next)
+	m.move(now, int32(next))
 }
 
 // Defer holds a transition into next at instant at, replacing any held
-// one. The next Transition or Enter at or after at applies it first,
+// ones. The next Transition or Enter at or after at applies it first,
 // and Flush and Reset apply it once now lies past at; until then the
 // component stays in its current state. at must not precede the last
 // transition.
@@ -147,28 +156,51 @@ func (m *Meter) Defer(at sim.Time, next Handle) {
 	if at < m.since {
 		panic(fmt.Sprintf("energy: meter %q deferred transition in the past (%v -> %v)", m.name, m.since, at))
 	}
-	m.deferred, m.deferAt = next, at
+	m.deferred, m.deferAt, m.then = int32(next), at, noDefer
 }
 
-// Undefer drops the held deferred transition, if any.
+// DeferThen holds a second transition, into next at instant at, to
+// follow the one Defer holds, replacing any second one held. at must
+// not precede the first one's instant.
 //
 //hot:path
-func (m *Meter) Undefer() { m.deferred = noDefer }
+func (m *Meter) DeferThen(at sim.Time, next Handle) {
+	if m.deferred == noDefer || at < m.deferAt {
+		panic(fmt.Sprintf("energy: meter %q second deferred transition without a first before it (at %v)", m.name, at))
+	}
+	m.then, m.thenAt = int32(next), at
+}
+
+// ApplyBy applies the held deferred transitions due by at, each at its
+// own instant, and keeps the later ones held: the component has passed
+// at, and not necessarily the instants after it.
+//
+//hot:path
+func (m *Meter) ApplyBy(at sim.Time) {
+	for m.deferred != noDefer && m.deferAt <= at {
+		m.move(m.deferAt, m.deferred)
+		m.deferred, m.deferAt, m.then = m.then, m.thenAt, noDefer
+	}
+}
+
+// Undefer drops the held deferred transitions, if any.
+//
+//hot:path
+func (m *Meter) Undefer() { m.deferred, m.then = noDefer, noDefer }
 
 // move charges the interval up to now to the current state and enters
 // next.
-func (m *Meter) move(now sim.Time, next Handle) {
+func (m *Meter) move(now sim.Time, next int32) {
 	m.states[m.cur].timeIn += now - m.since
 	m.cur = next
 	m.since = now
 }
 
-// settle applies a held deferred transition whose instant lies before
-// now.
+// settle applies the held deferred transitions whose instants lie
+// before now.
 func (m *Meter) settle(now sim.Time) {
-	if m.deferred != noDefer && m.deferAt < now {
-		m.move(m.deferAt, m.deferred)
-		m.deferred = noDefer
+	if now > m.since {
+		m.ApplyBy(now - 1)
 	}
 }
 

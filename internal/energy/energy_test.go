@@ -409,3 +409,48 @@ func TestLedgerAddBeyondInline(t *testing.T) {
 		}
 	}
 }
+
+// TestDeferThen holds two deferred transitions: Flush applies those
+// whose instants have passed, ApplyBy those due by its instant, each at
+// its own instant, Enter every one due, and a later Defer or Undefer
+// replaces both.
+func TestDeferThen(t *testing.T) {
+	m := NewMeter("radio", map[State]Draw{"off": {}, "standby": {CurrentA: 1, VoltageV: 1}, "tx": {CurrentA: 2, VoltageV: 1}})
+	off, standby, tx := m.Handle("off"), m.Handle("standby"), m.Handle("tx")
+	m.Start(0, "off")
+	m.Defer(10, standby)
+	m.DeferThen(20, tx)
+	m.Flush(15)
+	if m.State() != "standby" || m.TimeIn("off") != 10 || m.TimeIn("standby") != 5 {
+		t.Fatalf("after Flush(15): in %s, off %v, standby %v; want standby, 10, 5", m.State(), m.TimeIn("off"), m.TimeIn("standby"))
+	}
+	m.ApplyBy(20)
+	if m.State() != "tx" || m.TimeIn("standby") != 10 {
+		t.Fatalf("after ApplyBy(20): in %s, standby %v; want tx, 10", m.State(), m.TimeIn("standby"))
+	}
+	m.Enter(30, off)
+	if m.TimeIn("tx") != 10 {
+		t.Fatalf("tx %v, want 10", m.TimeIn("tx"))
+	}
+	m.Defer(40, standby)
+	m.DeferThen(50, tx)
+	m.Enter(45, off) // the first is due, the second dropped
+	m.Flush(60)
+	if m.State() != "off" || m.TimeIn("standby") != 15 || m.TimeIn("tx") != 10 {
+		t.Fatalf("after Enter(45): in %s, standby %v, tx %v; want off, 15, 10", m.State(), m.TimeIn("standby"), m.TimeIn("tx"))
+	}
+	m.Defer(70, standby)
+	m.DeferThen(80, tx)
+	m.Undefer()
+	m.Flush(90)
+	if m.State() != "off" {
+		t.Fatalf("after Undefer: in %s, want off", m.State())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeferThen before the first transition did not panic")
+		}
+	}()
+	m.Defer(100, standby)
+	m.DeferThen(95, tx)
+}

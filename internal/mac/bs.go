@@ -137,6 +137,7 @@ func (bs *BS) CycleLength() sim.Time { return bs.currentCycle() }
 // is dense (the cycle only covers indices 0..n-1), and every advertised
 // static grant matches the table.
 func (bs *BS) AuditTable() []string {
+	bs.enter()
 	v := bs.audit()
 	if bs.cfg.Protocol == ProtoDynamic && !bs.needCompact {
 		for _, s := range bs.sortedIndices() {
@@ -162,6 +163,7 @@ func (bs *BS) AuditTable() []string {
 // Start begins the beacon cycle. The first beacon flies one cycle after
 // Start so nodes powered on at t=0 are already listening.
 func (bs *BS) Start() {
+	bs.enter()
 	bs.start()
 	bs.cycle = bs.currentCycle()
 	bs.listen()
@@ -223,6 +225,7 @@ func slotCap(proto Protocol, p *platform.MACParams) int {
 //
 //hot:path
 func (bs *BS) beaconStep(k *sim.Kernel) {
+	bs.enter()
 	if k.Arg() == 0 {
 		bs.prepareBeacon()
 	} else {
@@ -251,6 +254,7 @@ func (bs *BS) prepareBeacon() {
 //
 //hot:path
 func (bs *BS) buildBeacon() {
+	bs.enter()
 	p := bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.dropStaleGrants()
@@ -287,6 +291,7 @@ func (bs *BS) beaconDue() { bs.radio.Fire(bs.beaconSent) }
 //
 //hot:path
 func (bs *BS) onBeaconSent() {
+	bs.enter()
 	p := bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
@@ -352,6 +357,7 @@ func (bs *BS) beaconEntries() []packet.SlotEntry {
 //
 //hot:path
 func (bs *BS) onFrame(f packet.Frame) {
+	bs.enter()
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
 		if ssr, err := packet.UnmarshalSSR(f.Payload); err == nil {
@@ -369,6 +375,7 @@ func (bs *BS) onFrame(f packet.Frame) {
 // so the dynamic cycle compacts on the next beacon instead of after the
 // silence-reclaim window.
 func (bs *BS) releaseSlot() {
+	bs.enter()
 	if !bs.retire(bs.nodeTasks.Pop()) {
 		return // duplicate or stale release
 	}
@@ -385,6 +392,7 @@ func (bs *BS) releaseSlot() {
 // assigns a slot (or repeats an existing assignment for a retrying node)
 // and advertises it in upcoming beacons.
 func (bs *BS) assignSlot() {
+	bs.enter()
 	node, slot, fresh, ok := bs.admitNext()
 	if !ok {
 		return

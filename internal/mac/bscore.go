@@ -34,27 +34,42 @@ type bsCore struct {
 	onData func(rec RxRecord)
 	// spare recycles the buffers an acknowledged frame's payload waits
 	// in until its forwarding task ran, so there are only ever as many
-	// as frames in flight.
+	// as frames in flight. Without a sink no payload is kept.
 	spare   [][]byte
 	stats   BSStats
 	started bool
-	ackBuf  []byte // marshal scratch: one ack is loaded at a time
+	// ackLoaded belongs with the ack chain below, and callbacks makes
+	// the base station run its acks as it does with a sink, turnaround
+	// and forwarding callbacks included: the reference the speculation
+	// is tested against. They sit here to share started's word.
+	ackLoaded  bool
+	callbacks  bool
+	speculated bool   // a speculation registered by owe may not have settled yet
+	ackBuf     []byte // marshal scratch: one ack is loaded at a time
 
-	// The ack chain, stepped by handlers bound once in init. Owed acks
-	// wait in acks for their turnaround ISR, which rides an MCU
-	// completion; firing is the one clocking in or on the air. Each
-	// acknowledged data frame waits in forwards for its forwarding task,
-	// numbered by handed, the task's Arg.
-	mayAck        func(a owedAck) bool
-	acked         func(a owedAck)
-	acks          sim.FIFO[owedAck]
-	firing        owedAck
-	handed        uint64
-	forwards      sim.FIFO[forwardRec]
-	nodeTasks     sim.FIFO[uint8] // nodes awaiting a slot-assign or release task
-	ackTurnaround func()
-	ackSent       func()
-	forwarded     func()
+	// The ack chain, stepped by handlers bound once in init. An owed
+	// ack's turnaround ISR runs without a completion callback: its
+	// callback, turnAck, is speculated on at submission (owe), as of
+	// the hand-off ackAt, the ISR's completion position, for the ack
+	// owed. Unspeculate falls back, after which the owed ack waits in
+	// acks for turnAck, run by an event at the hand-off (onTurned);
+	// ackLoaded (above) is set when the speculation loaded the ack.
+	// firing is the one clocking in or on the air. With a sink, each
+	// acknowledged data frame waits in forwards for its forwarding
+	// task, numbered by handed, the task's Arg, and the turnaround is
+	// not speculated on.
+	mayAck    func(a owedAck) bool
+	acked     func(a owedAck)
+	acks      sim.FIFO[owedAck]
+	owed      owedAck
+	ackAt     sim.Pos
+	firing    owedAck
+	handed    uint64
+	forwards  sim.FIFO[forwardRec]
+	nodeTasks sim.FIFO[uint8] // nodes awaiting a slot-assign or release task
+	onTurned  sim.Handler
+	ackSent   func()
+	forwarded func()
 }
 
 // forwardRec is an acknowledged data frame and the number of its
@@ -104,7 +119,7 @@ func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio
 	c.memberTable = newMemberTable(cfg.MaxSlots, noun)
 	c.memberDetail, c.reclaimDetail = memberDetails(noun)
 	c.mayAck, c.acked = mayAck, acked
-	c.ackTurnaround = c.turnAck
+	c.onTurned = c.turned
 	c.ackSent = c.onAckSent
 	c.forwarded = c.forward
 }
@@ -121,18 +136,42 @@ func memberDetails(noun string) (member, reclaim string) {
 }
 
 // OnData implements BSMAC: fn runs for each accepted data frame once its
-// forwarding task ran (the "forward to the PC/PDA" hook).
-func (c *bsCore) OnData(fn func(rec RxRecord)) { c.onData = fn }
+// forwarding task ran (the "forward to the PC/PDA" hook). Without a
+// sink, the forwarding task has no callback.
+func (c *bsCore) OnData(fn func(rec RxRecord)) {
+	c.enter()
+	c.onData = fn
+}
 
 // Stats implements BSMAC.
 func (c *bsCore) Stats() BSStats { return c.stats }
 
 // ResetAccounting implements BSMAC.
-func (c *bsCore) ResetAccounting() { c.stats = BSStats{} }
+func (c *bsCore) ResetAccounting() {
+	c.enter()
+	c.stats = BSStats{}
+}
 
 // AuditTable implements BSMAC: the member maps must be inverse
 // bijections with indices inside the admission cap.
-func (c *bsCore) AuditTable() []string { return c.audit() }
+func (c *bsCore) AuditTable() []string {
+	c.enter()
+	return c.audit()
+}
+
+// enter runs first at every entry into the base station: a
+// speculation on an ack's turnaround that has not settled yet does so
+// (tinyos.Sched.Settle), and the radio takes up the move to standby of
+// a clock-in the speculation chained (radio.Radio.Sync).
+//
+//hot:path
+func (c *bsCore) enter() {
+	if c.speculated {
+		c.speculated = false
+		c.sched.Settle()
+		c.radio.Sync()
+	}
+}
 
 // start marks the base station started; a second Start panics.
 func (c *bsCore) start() {
@@ -241,39 +280,100 @@ func (c *bsCore) accept(node uint8, payload []byte) {
 }
 
 // oweData queues the acknowledgement of a member's accepted data frame.
-// The frame travels with it to the forwarding task, its payload copied
-// into a recycled buffer, since the radio reuses its own.
+// With a sink, the frame travels with it to the forwarding task, its
+// payload copied into a recycled buffer, since the radio reuses its
+// own.
 //
 //hot:path
 func (c *bsCore) oweData(node uint8, payload []byte) {
-	var buf []byte
-	if n := len(c.spare); n > 0 {
-		buf = c.spare[n-1]
-		c.spare = c.spare[:n-1]
+	rec := RxRecord{Node: node, At: c.k.Now()}
+	if c.onData != nil {
+		var buf []byte
+		if n := len(c.spare); n > 0 {
+			buf = c.spare[n-1]
+			c.spare = c.spare[:n-1]
+		}
+		buf = append(buf[:0], payload...)
+		rec.Payload = buf
 	}
-	buf = append(buf[:0], payload...)
-	c.owe(owedAck{kind: ackData, rec: RxRecord{Node: node, Payload: buf, At: c.k.Now()}}, "bs-ack-turnaround")
+	c.owe(owedAck{kind: ackData, rec: rec}, "bs-ack-turnaround")
 }
 
 // recycle returns the payload buffer of a frame that was forwarded, or
-// will not be, to the spares. Control acks carry none.
+// will not be, to the spares. Control acks, and data acks without a
+// sink, carry none.
 func (c *bsCore) recycle(payload []byte) {
 	if cap(payload) > 0 {
 		c.spare = append(c.spare, payload)
 	}
 }
 
-// owe queues an acknowledgement behind the turnaround ISR named isr.
+// owe queues an acknowledgement behind the turnaround ISR named isr,
+// and speculates on the ISR's callback, turnAck: if mayAck lets the ack
+// fly as of the ISR's completion, the hand-off, the ack is loaded at
+// once, its FIFO clock-in chained to the ISR (radio.Radio.ChainLoadFire)
+// and the forwarding task to the clock-in. That holds unless something
+// enters the base station before the hand-off, or submits work to its
+// MCU once the ack is chained: each first settles the speculation
+// (tinyos.Sched.Settle), which then falls back to the callback. mayAck
+// reads only protocol state, which nothing but such an entry changes.
+// A base station with a sink runs turnAck at the hand-off.
+//
+//hot:path
 func (c *bsCore) owe(a owedAck, isr string) {
-	c.acks.Push(a)
-	c.sched.Interrupt(isr, c.cfg.Profile.Cost.BSAckTurnaround, c.ackTurnaround)
+	c.sched.Interrupt(isr, c.cfg.Profile.Cost.BSAckTurnaround, nil)
+	at := c.sched.MCU().Completion()
+	if c.onData != nil || c.callbacks {
+		c.acks.Push(a)
+		c.k.ScheduleReserved(at, c.onTurned, 0)
+		return
+	}
+	c.ackAt, c.owed, c.ackLoaded = at, a, false
+	c.sched.Speculate(at, c)
+	c.speculated = true
+	if !c.mayAck(a) {
+		return // nothing to recycle without a sink
+	}
+	c.marshalAck(a)
+	if !c.radio.ChainLoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent) {
+		c.enter() // the ack cannot be chained: fall back at once
+		return
+	}
+	c.firing = a
+	c.ackLoaded = true
+	c.handData(a)
 }
+
+// Unspeculate implements tinyos.Speculation: it falls back from owe's
+// speculation. The ack and its forwarding task are taken back, the ack
+// waits in acks, and turnAck runs at the hand-off after all, through an
+// event there.
+func (c *bsCore) Unspeculate() {
+	// firing needs no undoing: no ack was in flight, or the clock-in
+	// could not have been chained.
+	if c.ackLoaded {
+		if c.owed.kind == ackData {
+			c.sched.TakeBack()
+		}
+		c.radio.Unchain()
+		c.sched.MCU().UnchainTo(c.ackAt)
+	}
+	c.acks.Push(c.owed)
+	c.owed = owedAck{}
+	c.k.ScheduleReserved(c.ackAt, c.onTurned, 0)
+}
+
+// turned runs turnAck as a turnaround ISR completes.
+//
+//hot:path
+func (c *bsCore) turned(*sim.Kernel) { c.turnAck() }
 
 // turnAck loads an owed acknowledgement once the turnaround ISR ran,
 // unless the protocol no longer lets it fly.
 //
 //hot:path
 func (c *bsCore) turnAck() {
+	c.enter()
 	a := c.acks.Pop()
 	if !c.mayAck(a) {
 		c.recycle(a.rec.Payload)
@@ -283,27 +383,45 @@ func (c *bsCore) turnAck() {
 }
 
 // loadAck clocks acknowledgement a into the radio FIFO, to fly as the
-// clock-in ends. A data frame's forwarding to the collecting device is
-// posted as the clock-in ends, off the fast path, so it cannot delay
-// the FIFO load past the node's listen window.
+// clock-in ends.
 //
 //hot:path
 func (c *bsCore) loadAck(a owedAck) {
 	c.radio.Standby()
+	c.marshalAck(a)
+	c.firing = a
+	c.radio.LoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent)
+	c.handData(a)
+}
+
+// marshalAck encodes a's frame into the ack scratch.
+//
+//hot:path
+func (c *bsCore) marshalAck(a owedAck) {
 	if a.kind == ackEarly {
 		c.ackBuf = packet.StrobeAck{}.AppendMarshal(c.ackBuf[:0])
 	} else {
 		c.ackBuf = packet.Ack{}.AppendMarshal(c.ackBuf[:0])
 	}
-	c.firing = a
-	c.radio.LoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent)
+}
+
+// handData posts a data frame's forwarding to the collecting device as
+// its ack's clock-in ends, off the fast path, so it cannot delay the
+// FIFO load past the node's listen window. Without a sink the task has
+// no callback.
+//
+//hot:path
+func (c *bsCore) handData(a owedAck) {
 	if a.kind != ackData {
 		return
 	}
-	c.handed++
-	c.forwards.Push(forwardRec{n: c.handed, rec: a.rec})
-	c.sched.Chain(tinyos.Task{Name: "bs-data-handle", Cycles: c.cfg.Profile.Cost.BSDataHandle,
-		Run: c.forwarded, Arg: c.handed})
+	t := tinyos.Task{Name: "bs-data-handle", Cycles: c.cfg.Profile.Cost.BSDataHandle}
+	if c.onData != nil || c.callbacks {
+		c.handed++
+		c.forwards.Push(forwardRec{n: c.handed, rec: a.rec})
+		t.Run, t.Arg = c.forwarded, c.handed
+	}
+	c.sched.Chain(t)
 }
 
 // onAckSent counts an acknowledgement once it has flown and hands it to
@@ -311,6 +429,7 @@ func (c *bsCore) loadAck(a owedAck) {
 //
 //hot:path
 func (c *bsCore) onAckSent() {
+	c.enter()
 	if c.firing.kind == ackEarly {
 		c.stats.EarlyAcksSent++
 	} else {
@@ -328,9 +447,8 @@ func (c *bsCore) forward() {
 	for ; f.n != c.sched.Arg(); f = c.forwards.Pop() {
 		c.recycle(f.rec.Payload)
 	}
-	rec := f.rec
 	if c.onData != nil {
-		c.onData(rec)
+		c.onData(f.rec)
 	}
-	c.recycle(rec.Payload)
+	c.recycle(f.rec.Payload)
 }

@@ -349,7 +349,7 @@ func (m *CSMANode) onFrameSent() {
 			m.radio.PowerDown()
 			return
 		}
-		m.dataFlown(m.onAckExpiry)
+		m.dataFlown(m.onAckExpiry, 0)
 	case csmaOpSSR:
 		m.op = csmaOpNone
 		m.ssrFlown()

@@ -386,7 +386,7 @@ func (m *LPLNode) onDataSent() {
 		m.radio.PowerDown()
 		return
 	}
-	m.dataFlown(m.onAckExpiry)
+	m.dataFlown(m.onAckExpiry, 0)
 }
 
 // onSSRTimeout retries the association after a randomised backoff (the
@@ -524,6 +524,7 @@ func (bs *LPLBS) CycleLength() sim.Time { return bs.checkInterval }
 // instant, probe n firing at n check intervals, independent of how long
 // individual wakes run.
 func (bs *LPLBS) Start() {
+	bs.enter()
 	bs.start()
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.startAt = bs.k.Now()
@@ -543,6 +544,7 @@ func (bs *LPLBS) scheduleProbe() {
 //
 //hot:path
 func (bs *LPLBS) probe(*sim.Kernel) {
+	bs.enter()
 	bs.scheduleProbe()
 	bs.reclaimSilent()
 	if bs.waking {
@@ -564,6 +566,7 @@ func lplProbeWindow(p *platform.Profile) sim.Time { return p.Radio.RxSettle + lp
 //
 //hot:path
 func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
+	bs.enter()
 	if !bs.waking || bs.payload.open {
 		return
 	}
@@ -578,6 +581,7 @@ func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
 
 //hot:path
 func (bs *LPLBS) onFrame(f packet.Frame) {
+	bs.enter()
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
 		if s, err := packet.UnmarshalStrobe(f.Payload); err == nil {
@@ -635,6 +639,7 @@ func (bs *LPLBS) openPayloadWindow() {
 //
 //hot:path
 func (bs *LPLBS) onPayloadTimeout(*sim.Kernel) {
+	bs.enter()
 	if bs.payload.expire() {
 		bs.endWake()
 	}
@@ -668,6 +673,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 // assignMember answers an association request once its task ran: the
 // ack goes straight into the FIFO, with no turnaround ISR.
 func (bs *LPLBS) assignMember() {
+	bs.enter()
 	node, idx, _, ok := bs.admitNext()
 	if !ok {
 		bs.endWake()

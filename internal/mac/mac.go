@@ -10,6 +10,20 @@
 // slot (ES) for dynamic TDMA — and then exchanges data with the base
 // station in its assigned slot, sleeping its radio for the rest of the
 // cycle.
+//
+// The acknowledgement round trip runs two interrupts without completion
+// callbacks: the node's ack-process ISR and the base station's ack
+// turnaround. Each MAC speculates on the callback as it submits the ISR
+// (tinyos.Sched.Speculate): it applies the callback's decision as of
+// the ISR's completion, the hand-off, and chains the FIFO clock-in the
+// callback would start (radio.Radio.ChainLoadPark, ChainLoadFire) and,
+// for a data ack, the forwarding task. Every entry into the MAC (a
+// frame, a timer, an MCU or radio callback, Send, a crash, park or
+// degrade hook, ResetAccounting, an audit) first settles the
+// speculation: before the hand-off position passes, it undoes the
+// speculated effects and runs the callback at that position through an
+// event after all. A Send re-speculates instead, as of the state it
+// leaves.
 package mac
 
 import (

@@ -52,7 +52,7 @@ type NodeConfig struct {
 // queue and the acknowledgement window. NodeMac, CSMANode and LPLNode
 // embed it by value and add only their channel-access step. Crash, park
 // and rejoin clear the protocol's own state through resetAccess, the one
-// function a protocol binds at construction.
+// function a protocol may bind at construction.
 type nodeCore struct {
 	k      *sim.Kernel
 	cfg    NodeConfig
@@ -98,6 +98,11 @@ type nodeCore struct {
 	dataHeader int
 	loading    bool // CSMA: FIFO clock-in of the next frame in progress
 	loaded     bool // a frame sits in (or is clocking into) the radio FIFO
+	// ssrScheduled is set while a TDMA slot request is armed; speculated
+	// is set when the MAC registered a speculation (NodeMac.speculateLoad)
+	// that may not have settled yet.
+	ssrScheduled bool
+	speculated   bool
 	// dataBuf/ctrlBuf are marshal scratch for the sender-ID-framed data
 	// payload and the control frames. A node sends at most one control
 	// frame at a time, so one buffer suffices.
@@ -177,8 +182,24 @@ func (c *nodeCore) JoinIdleTime() sim.Time { return c.joinIdleTime }
 // audit engine checks across crash/reboot cycles.
 func (c *nodeCore) Generation() uint64 { return c.gen }
 
+// enter runs first at every entry into the MAC: a speculation on an
+// ISR's callback that has not settled yet does so
+// (tinyos.Sched.Settle), and the radio takes up the move to standby of
+// a clock-in the speculation chained (radio.Radio.Sync). Protocols that
+// never speculate pay one check.
+//
+//hot:path
+func (c *nodeCore) enter() {
+	if c.speculated {
+		c.speculated = false
+		c.sched.Settle()
+		c.radio.Sync()
+	}
+}
+
 // ResetAccounting zeroes statistics and loss accumulators (post-warmup).
 func (c *nodeCore) ResetAccounting() {
+	c.enter()
 	c.settleDelay()
 	c.stats = Stats{}
 	c.carrySent = 0
@@ -246,7 +267,10 @@ func (c *nodeCore) join(slot int) {
 // leave tears down the slot and the frame in flight: crash, park and
 // rejoin all pass through here.
 func (c *nodeCore) leave(to nodeState) {
-	c.resetAccess()
+	if c.resetAccess != nil {
+		c.resetAccess()
+	}
+	c.ssrScheduled = false
 	if c.ack.close(c.k) {
 		// The frame in flight can no longer be resolved: its ack would be
 		// ignored and its timeout must not fire against the fresh state.
@@ -292,6 +316,7 @@ func (c *nodeCore) park() { c.halt(stateParked, metrics.KindParked) }
 // opportunity — the duty-cycle-stretching rung of the battery
 // graceful-degradation ladder. k < 2 disables stretching.
 func (c *nodeCore) SetSlotStretch(k int) {
+	c.enter()
 	if k < 2 {
 		k = 0
 	}
@@ -462,14 +487,15 @@ func (c *nodeCore) ssrFlown() {
 }
 
 // dataFlown counts the data burst that just ended and listens for its
-// acknowledgement; expiry is the protocol's ack-timeout handler.
-func (c *nodeCore) dataFlown(expiry sim.Handler) {
+// acknowledgement; expiry is the protocol's ack-timeout handler, and arg
+// its event's argument word.
+func (c *nodeCore) dataFlown(expiry sim.Handler, arg uint64) {
 	if !c.hasInFlight {
 		panic(fmt.Sprintf("mac %s: fire done with nil inFlight: state=%v stats=%+v", c.name, c.state, c.stats))
 	}
 	c.stats.DataSent++
 	metrics.Record1(c.tracer, c.k.Now(), c.trace, metrics.KindDataTx, "len=%d", c.dataHeader+len(c.inFlight.payload))
-	c.listenFor(&c.ack, c.cfg.Profile.MAC.AckTimeout, expiry)
+	c.listenArg(&c.ack, c.cfg.Profile.MAC.AckTimeout, expiry, arg)
 }
 
 // ackArrived closes the acknowledgement window on success and retires
@@ -554,10 +580,15 @@ func (w *rxWindow) expire() bool {
 // listenFor opens w on the node's own address for d; expiry is its
 // timeout handler.
 func (c *nodeCore) listenFor(w *rxWindow, d sim.Time, expiry sim.Handler) {
+	c.listenArg(w, d, expiry, 0)
+}
+
+// listenArg is listenFor with the argument word of the timeout event.
+func (c *nodeCore) listenArg(w *rxWindow, d sim.Time, expiry sim.Handler, arg uint64) {
 	w.open, w.at = true, c.k.Now()
 	c.radio.SetRxAddresses(c.cfg.Plan.NodeAddr(c.cfg.NodeID))
 	c.radio.StartRx()
-	w.timeout = c.k.Schedule(d, expiry)
+	w.timeout = c.k.ScheduleArgAt(c.k.Now()+d, expiry, arg)
 }
 
 // endWindow powers the receiver down after w closed and charges its
@@ -591,6 +622,7 @@ func (c *nodeCore) chargeControlTx(n int) {
 // hold). Safe to call at any instant: the counters and the ack window
 // are updated atomically within each kernel event.
 func (c *nodeCore) AuditFrame() []string {
+	c.enter()
 	return AuditFrameStats(c.stats, c.carrySent, c.ack.open)
 }
 

@@ -25,11 +25,16 @@ type NodeMac struct {
 	// frame's FIFO clock-in ends with the radio powering down
 	// (radio.LoadPark), so loaded is set from its start, and the slot
 	// fires it only once the radio reports it Loaded.
-	onTimer      sim.Handler // slot fires and control-frame steps (see timerDue)
-	onAckExpiry  sim.Handler
+	onTimer      sim.Handler // slot fires, ack timeouts and control-frame steps (see timerDue)
 	beaconParsed func()
-	ackProcessed func()
 	dataSent     func()
+	// The ack-process ISR runs without a completion callback: its
+	// callback, tryLoad, is speculated on at submission
+	// (speculateLoad), as of the hand-off ackAt, the ISR's completion
+	// position. Unspeculate falls back, running tryLoad through a timer
+	// event at the hand-off after all; ackLoaded (below) is set when the
+	// speculation loaded the payload.
+	ackAt sim.Pos
 	// Control-frame transients (slot request, slot release), stepped the
 	// same way. Each attempt is numbered, and only the latest is live:
 	// ctrlAttempt is its number, ctrlGen the generation it was armed
@@ -38,46 +43,64 @@ type NodeMac struct {
 	// clocked into the radio FIFO last, where it waits in standby. Its
 	// prep and fire events carry the number, and its prep ISR queues its
 	// state on the MCU.
-	ctrlAttempt  uint64
-	ctrlGen      uint64
-	ctrlRelease  bool
-	ctrlLoad     uint64
-	ctrlPreps    mcu.Queue[ctrlPrep]
-	ctrlPrepped  func()
-	ctrlSent     func()
-	ssrScheduled bool
+	ctrlAttempt uint64
+	ctrlGen     uint64
+	ctrlRelease bool
+	ackLoaded   bool
+	// callbacks makes the ack-process ISR complete through an event
+	// that runs tryLoad, instead of speculating on it: the reference the
+	// speculation is tested against.
+	callbacks   bool
+	ctrlLoad    uint64
+	ctrlPreps   mcu.Queue[ctrlPrep]
+	ctrlPrepped func()
+	ctrlSent    func()
 }
 
 // NewNodeMac wires a node MAC over its radio and OS.
 func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Radio,
 	ledger *energy.Ledger, tracer *metrics.Recorder) *NodeMac {
 	m := &NodeMac{}
-	m.init(k, cfg, sched, r, ledger, tracer, m.resetSSR)
+	m.init(k, cfg, sched, r, ledger, tracer, nil)
 	m.onTimer = m.timerDue
-	m.onAckExpiry = m.ackExpired
 	m.beaconParsed = m.afterBeacon
-	m.ackProcessed = m.tryLoad
 	m.dataSent = m.onDataSent
 	m.ctrlPreps = mcu.NewQueue[ctrlPrep](sched.MCU())
+	m.ctrlPreps.Placed()
 	m.ctrlPrepped = m.onCtrlPrepped
 	m.ctrlSent = m.onCtrlSent
 	r.SetReceiveHandler(m.onFrame)
 	return m
 }
 
-// resetSSR forgets a pending slot request (crash, park, rejoin).
-func (m *NodeMac) resetSSR() { m.ssrScheduled = false }
-
 // Send implements Mac. The payload is copied into a recycled buffer and
 // loaded right away when the radio is free.
 //
+// A Send before a speculation's hand-off changes what tryLoad does
+// there, but it runs tryLoad itself: the speculation is taken back
+// without its event, and made again as of the state Send leaves.
+//
 //hot:path
 func (m *NodeMac) Send(payload []byte) bool {
-	if !m.nodeCore.Send(payload) {
-		return false
+	respec := false
+	if m.speculated {
+		m.speculated = false
+		respec = m.sched.Speculating()
+		m.sched.Forget()
+		if respec {
+			m.undoLoad()
+		} else {
+			m.radio.Sync()
+		}
 	}
-	m.tryLoad()
-	return true
+	ok := m.nodeCore.Send(payload)
+	if ok {
+		m.tryLoad()
+	}
+	if respec {
+		m.speculateLoad(m.ackAt)
+	}
+	return ok
 }
 
 // --- protocol timing helpers -------------------------------------------
@@ -97,19 +120,74 @@ func (m *NodeMac) slotStart(i int) sim.Time {
 // --- frame dispatch ------------------------------------------------------
 
 // onFrame dispatches a received frame; a resolved ack runs the
-// ack-process task before the next load.
+// ack-process ISR before the next load.
 //
 //hot:path
 func (m *NodeMac) onFrame(f packet.Frame) {
+	m.enter()
 	if m.receive(f, m.beaconParsed) {
-		m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, m.ackProcessed)
+		m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, nil)
+		if m.callbacks {
+			m.ackAt = m.sched.MCU().Completion()
+			m.k.ScheduleReserved(m.ackAt, m.onTimer, m.gen<<timerTagBits|timerAckDone)
+			return
+		}
+		m.speculateLoad(m.sched.MCU().Completion())
 	}
+}
+
+// speculateLoad applies tryLoad, the ack-process ISR's callback, as of
+// the ISR's completion at, the hand-off: it loads the head payload, its
+// FIFO clock-in chained to the ISR (radio.Radio.ChainLoadPark), if
+// tryLoad would load it there. That holds unless something enters the
+// MAC before the hand-off, or submits work to the MCU once the load is
+// chained: each first settles the speculation (tinyos.Sched.Settle),
+// which then falls back to the callback. mayLoad reads only MAC state,
+// which nothing but such an entry changes, and the radio's mode, which
+// the ack window's end just fixed at off.
+//
+//hot:path
+func (m *NodeMac) speculateLoad(at sim.Pos) {
+	m.ackAt, m.ackLoaded = at, false
+	m.sched.Speculate(at, m)
+	m.speculated = true
+	if !m.mayLoad(at.At) {
+		return
+	}
+	if m.hasInFlight || !m.radio.ChainLoadPark(m.cfg.Plan.BSData, m.queue.Peek().payload) {
+		m.enter() // the load cannot be chained: fall back at once
+		return
+	}
+	m.launch()
+	m.loaded, m.ackLoaded = true, true
+}
+
+// Unspeculate implements tinyos.Speculation: it falls back from
+// speculateLoad's speculation. The load is taken back, and tryLoad runs
+// at the hand-off after all, through an event there.
+func (m *NodeMac) Unspeculate() {
+	m.undoLoad()
+	m.k.ScheduleReserved(m.ackAt, m.onTimer, m.gen<<timerTagBits|timerAckDone)
+}
+
+// undoLoad takes back the load speculateLoad chained, if it did.
+func (m *NodeMac) undoLoad() {
+	if !m.ackLoaded {
+		return
+	}
+	m.ackLoaded = false
+	m.radio.Unchain()
+	m.sched.MCU().UnchainTo(m.ackAt)
+	m.queue.PushFront(m.inFlight)
+	m.dropInFlight()
+	m.loaded = false
 }
 
 // afterBeacon schedules this cycle's activity once parsing is done.
 //
 //hot:path
 func (m *NodeMac) afterBeacon() {
+	m.enter()
 	m.scheduleNextWindow()
 	switch m.state {
 	case stateRequesting:
@@ -191,27 +269,36 @@ func (m *NodeMac) scheduleRelease() {
 
 // The timer events of a NodeMac share one handler, timerDue: the low
 // bits of an event's argument word tag its step, and the bits above
-// hold the crash generation of a slot fire or the attempt number of a
-// control-frame step.
+// hold the crash generation of a slot fire or an ack-process ISR's
+// completion, or the attempt number of a control-frame step.
 const (
-	timerSlot     = iota // fire the data frame at the slot boundary
-	timerCtrlPrep        // prepare a control frame
-	timerCtrlFire        // fire it
-	timerTagBits  = 2
+	timerSlot      = iota // fire the data frame at the slot boundary
+	timerCtrlPrep         // prepare a control frame
+	timerCtrlFire         // fire it
+	timerAckDone          // tryLoad as an ack-process ISR completes (Unspeculate)
+	timerAckExpiry        // an acknowledgement window times out
+	timerTagBits   = 3
 )
 
 // timerDue dispatches a timer event to its step.
 //
 //hot:path
 func (m *NodeMac) timerDue(k *sim.Kernel) {
+	m.enter()
 	v := k.Arg() >> timerTagBits
 	switch k.Arg() & (1<<timerTagBits - 1) {
 	case timerSlot:
 		m.slotDue(v)
 	case timerCtrlPrep:
 		m.ctrlPrepDue(v)
-	default:
+	case timerCtrlFire:
 		m.ctrlFireDue(v)
+	case timerAckDone:
+		if v == m.gen {
+			m.tryLoad()
+		}
+	default:
+		m.ackExpired()
 	}
 }
 
@@ -245,6 +332,7 @@ func (m *NodeMac) ctrlPrepDue(attempt uint64) {
 // onCtrlPrepped loads the prepared slot request or release into the
 // radio FIFO.
 func (m *NodeMac) onCtrlPrepped() {
+	m.enter()
 	c := m.ctrlPreps.Pop()
 	if m.radio.Mode() == radio.ModeRx {
 		if !c.release {
@@ -285,6 +373,7 @@ func (m *NodeMac) ctrlFireDue(attempt uint64) {
 // while a control frame is on the air, so the live one is the one that
 // flew.
 func (m *NodeMac) onCtrlSent() {
+	m.enter()
 	if m.ctrlRelease {
 		m.releaseFlown("slot=%d")
 		return
@@ -325,23 +414,32 @@ func (m *NodeMac) attemptLive(attempt uint64) bool {
 //
 //hot:path
 func (m *NodeMac) tryLoad() {
-	if m.state != stateJoined || m.releasePending || m.loaded || m.ack.open || m.queue.Len() == 0 {
+	if !m.mayLoad(m.k.Now()) {
 		return
 	}
-	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
-		return
-	}
-	p := m.cfg.Profile
 	item := m.queue.Peek()
-	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(item.payload))
-	margin := 500 * sim.Microsecond
-	if m.k.Now()+loadDur+margin >= m.nextWindowOpen() && m.cycle > 0 {
-		return // too close to the beacon window; retry after the beacon
-	}
 	m.launch()
 	m.loaded = true
 	// The FIFO retains the frame; the radio sleeps until the slot.
 	m.radio.LoadPark(m.cfg.Plan.BSData, item.payload)
+}
+
+// mayLoad reports whether tryLoad at instant at loads the head payload:
+// the radio is free and the next beacon window is far enough away.
+//
+//hot:path
+func (m *NodeMac) mayLoad(at sim.Time) bool {
+	if m.state != stateJoined || m.releasePending || m.loaded || m.ack.open || m.queue.Len() == 0 {
+		return false
+	}
+	if m.radio.Mode() == radio.ModeRx || m.radio.Mode() == radio.ModeTx {
+		return false
+	}
+	p := m.cfg.Profile
+	loadDur := p.Radio.TxClockIn(p.Radio.AddressBytes + len(m.queue.Peek().payload))
+	margin := 500 * sim.Microsecond
+	// Too close to the beacon window: retry after the beacon.
+	return at+loadDur+margin < m.nextWindowOpen() || m.cycle <= 0
 }
 
 // scheduleSlotFire arms this cycle's transmission at the slot boundary.
@@ -385,14 +483,17 @@ func (m *NodeMac) fireSlot() {
 // onDataSent opens the acknowledgement window once the data burst ends.
 //
 //hot:path
-func (m *NodeMac) onDataSent() { m.dataFlown(m.onAckExpiry) }
+func (m *NodeMac) onDataSent() {
+	m.enter()
+	m.dataFlown(m.onTimer, timerAckExpiry)
+}
 
 // ackExpired runs an acknowledgement window's timeout: a lost frame is
 // retried or dropped, and tryLoad applies its window-margin checks before
 // touching the radio again.
 //
 //hot:path
-func (m *NodeMac) ackExpired(*sim.Kernel) {
+func (m *NodeMac) ackExpired() {
 	if m.ackMissed() {
 		m.tryLoad()
 	}
@@ -406,6 +507,7 @@ func (m *NodeMac) ackExpired(*sim.Kernel) {
 // law holds through compactions the node has not yet heard; a violation
 // means the base station granted a slot outside the frame it advertised.
 func (m *NodeMac) AuditProtocol() []string {
+	m.enter()
 	if m.state != stateJoined || m.cycle <= 0 {
 		return nil
 	}

@@ -129,7 +129,8 @@ type BSMAC interface {
 	Stats() BSStats
 	// OnData registers a callback for each accepted data frame, run
 	// once its forwarding task ran. The record's payload is valid only
-	// during the callback.
+	// during the callback. Without a sink the forwarding task has no
+	// callback, and the base station keeps no copy of the payload.
 	OnData(fn func(rec RxRecord))
 	// CycleLength reports the regulation period (TDMA cycle, or the LPL
 	// check interval).

@@ -60,10 +60,11 @@ func chainScript(newKernel func(int64) *sim.Kernel, steps []chainStep, chain boo
 	// position to chain to: its callback runs at the hand-off.
 	handOff := map[int]bool{}
 	pending := -1 // the task chained last
+	var pendingDone func()
 	submit := func(f func()) {
 		if chain && m.Chained() {
 			handOff[pending] = true
-			m.Unchain()
+			m.Unchain(pendingDone)
 		}
 		f()
 	}
@@ -81,17 +82,19 @@ func chainScript(newKernel func(int64) *sim.Kernel, steps []chainStep, chain boo
 					submit(func() { end = m.Exec(st.cycles, nil) })
 					marks.Mark()
 					done := note("task", i)
-					if !m.Chain(taskCycles, func() {
+					chained := func() {
 						if handOff[i] {
 							handOff[i] = false
 							task(i)()
 							return
 						}
 						done()
-					}) {
-						handOff[i] = true
 					}
-					pending = i
+					if !m.Chain(taskCycles, chained) {
+						handOff[i] = true
+						m.Exec(0, chained)
+					}
+					pending, pendingDone = i, chained
 				} else {
 					end = m.Exec(st.cycles, task(i))
 					marks.Mark()
@@ -194,7 +197,7 @@ func TestChainedUntilHandOff(t *testing.T) {
 		k.ScheduleAt(sim.Millisecond, func(*sim.Kernel) {
 			m.Exec(300, nil)
 			m.Chain(taskCycles, done)
-			m.Unchain()
+			m.Unchain(done)
 			if m.Chained() {
 				t.Errorf("%s: chain waiting after Unchain", name)
 			}
@@ -296,4 +299,62 @@ func TestMarksSettleAcrossCrash(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUnchainToTakesBackChains chains work with and without callbacks
+// behind an interrupt, two deep, and takes it all back with UnchainTo:
+// the MCU must be as if only the interrupt had been submitted, its
+// completion reported at the interrupt's position and its meter holding
+// the same bits, on both schedulers.
+func TestUnchainToTakesBackChains(t *testing.T) {
+	run := func(newKernel func(int64) *sim.Kernel, chain bool, last func()) string {
+		k := newKernel(1)
+		l := energy.NewLedger()
+		m := New(k, platform.IMEC().MCU, l)
+		var log []string
+		k.ScheduleAt(0, func(*sim.Kernel) {
+			m.Exec(300, nil)
+			at := m.Completion()
+			if chain {
+				if !m.ChainDur(200*sim.Microsecond, nil) || !m.Chain(taskCycles, last) || !m.Chained() {
+					log = append(log, "not chained")
+				}
+				m.UnchainTo(at)
+				if m.Chained() {
+					log = append(log, "still chained")
+				}
+			}
+			log = append(log, fmt.Sprintf("completes %v busy %v", m.Completion() == at, m.Busy()))
+		})
+		k.Run()
+		l.Flush(k.Now())
+		meter := l.Meter(platform.ComponentMCU)
+		for _, st := range meter.States() {
+			log = append(log, fmt.Sprintf("%s %v %x", st, meter.TimeIn(st), math.Float64bits(meter.EnergyInJ(st))))
+		}
+		return fmt.Sprintf("%s events %d", strings.Join(log, "\n"), k.Executed())
+	}
+	ran := false
+	for name, newKernel := range map[string]func(int64) *sim.Kernel{"wheel": sim.NewKernel, "heap": sim.NewHeapKernel} {
+		want := run(newKernel, false, nil)
+		for _, last := range []func(){nil, func() { ran = true }} {
+			if got := run(newKernel, true, last); got != want {
+				t.Errorf("%s: after UnchainTo\n%s\nwant the interrupt alone\n%s", name, got, want)
+			}
+		}
+	}
+	if ran {
+		t.Error("the callback of work taken back ran")
+	}
+}
+
+// TestChainDurRejectsNegative pins ChainDur's guard, as ExecDur's.
+func TestChainDurRejectsNegative(t *testing.T) {
+	_, m, _ := newMCU(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ChainDur with a negative duration did not panic")
+		}
+	}()
+	m.ChainDur(-1, nil)
 }

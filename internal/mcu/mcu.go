@@ -26,15 +26,19 @@
 // passed, so the component keeps exactly the effects of the
 // computations that completed and drops those the crash abandoned.
 //
-// Work can also be chained to the work submitted last (Chain): queued to
-// start the instant that work completes, as if its completion callback
-// had submitted it, with no kernel event at the hand-off. Work submitted
-// before the hand-off position passes (Chained) would have queued ahead
-// of the chained work, so the submitter first falls back with Unchain:
-// the chained work is taken back, and the work it followed gets a
-// completion event at its reserved position after all, whose callback
-// submits the chained work there as a plain hand-off would.
-// tinyos.Sched.Chain posts tasks this way.
+// Work can also be chained to the work submitted last (Chain, ChainDur):
+// queued to start the instant that work completes, as if its completion
+// callback had submitted it, with no kernel event at the hand-off. The
+// chained work may itself have no callback, and more work may be
+// chained behind it. Work submitted before the hand-off position passes
+// (Chained) would have queued ahead of the chained work, so the
+// submitter first falls back with Unchain: the chained work is taken
+// back, and the work it followed gets a completion event at its
+// reserved position after all, whose callback submits the chained work
+// there as a plain hand-off would. tinyos.Sched.Chain posts tasks this
+// way. UnchainTo only takes chained work back, for a caller that
+// schedules its hand-off itself: tinyos.Sched.ChainLoad clocks a radio
+// frame in for a speculating MAC (tinyos.Sched.Speculate).
 package mcu
 
 import (
@@ -80,12 +84,14 @@ type MCU struct {
 	// instant fire in sequence order. complete is the completion
 	// handler, bound once so queuing work allocates nothing.
 	dones    sim.FIFO[func()]
+	donesBuf [4]func() // dones' first ring
 	complete sim.Handler
 	// marks lists the Marks registered with Track, linked through their
 	// next fields; a crash settles each.
 	marks *Marks
-	// chain is the work Chain queued last, kept for Unchain.
-	chain chained
+	// chain is the hand-off position of the work Chain queued last, the
+	// zero Pos when none is waiting for it.
+	chain sim.Pos
 }
 
 // New creates an MCU, registers its energy meter on the ledger and starts
@@ -112,11 +118,17 @@ func New(k *sim.Kernel, params platform.MCUParams, ledger *energy.Ledger) *MCU {
 		off:    meter.Handle(platform.StateMCUOff),
 	}
 	m.complete = m.onComplete
+	m.dones.Use(m.donesBuf[:])
 	return m
 }
 
 // Params reports the electrical parameters the MCU was built with.
 func (m *MCU) Params() platform.MCUParams { return m.params }
+
+// Duration reports how long cycles of computation run.
+//
+//hot:path
+func (m *MCU) Duration(cycles int64) sim.Time { return m.params.CyclesToTime(cycles) }
 
 // SetSleepState selects which low-power mode the MCU enters when idle.
 // This is the hook the TinyOS power policy uses; the paper's workloads
@@ -216,22 +228,15 @@ func (m *MCU) execFor(dur sim.Time, done func()) sim.Time {
 	return end
 }
 
-// chained is work Chain queued behind work whose completion is elided:
-// the position it was handed off at, and its completion event.
-type chained struct {
-	at    sim.Pos
-	event sim.EventID
-}
-
-// Chain queues cycles of computation, completing with done, to start
-// the instant the work submitted last completes, as if that work's
-// completion callback had submitted it, but without the kernel event
-// that callback would cost. That work must have no callback. Chain
-// reports false when the work has no completion position of its own to
-// hand off at (zero-length work submitted the instant the queued work
-// ran out shares the earlier work's): it then queues nothing and runs
-// done through a completion event at the hand-off instead, exactly as
-// a submission with done as its callback would.
+// Chain queues cycles of computation, completing with done (which may
+// be nil), to start the instant the work submitted last completes, as
+// if that work's completion callback had submitted it, but without the
+// kernel event that callback would cost. That work must have no
+// callback. Chain reports false when the work has no completion
+// position of its own to hand off at (zero-length work submitted the
+// instant the queued work ran out shares the earlier work's): it then
+// queues nothing, and the caller hands off through a completion event
+// instead, Exec(0, handoff), exactly as a callback would.
 //
 // Work submitted before the hand-off position passes would queue
 // behind the chained work instead of ahead of it, so the caller first
@@ -239,16 +244,30 @@ type chained struct {
 //
 //hot:path
 func (m *MCU) Chain(cycles int64, done func()) bool {
+	return m.chainFor(m.Duration(cycles), done)
+}
+
+// ChainDur is Chain for work lasting an explicit wall duration, as
+// ExecDur is for Exec.
+//
+//hot:path
+func (m *MCU) ChainDur(d sim.Time, done func()) bool {
+	if d < 0 {
+		panic("mcu: negative duration")
+	}
+	return m.chainFor(d, done)
+}
+
+func (m *MCU) chainFor(dur sim.Time, done func()) bool {
 	if m.shared {
-		m.execFor(0, done)
 		return false
 	}
 	if m.event != 0 {
 		panic("mcu: Chain behind work that has a completion callback")
 	}
 	at := m.done
-	m.execFor(m.params.CyclesToTime(cycles), done)
-	m.chain = chained{at: at, event: m.event}
+	m.execFor(dur, done)
+	m.chain = at
 	return true
 }
 
@@ -257,21 +276,37 @@ func (m *MCU) Chain(cycles int64, done func()) bool {
 //
 //hot:path
 func (m *MCU) Chained() bool {
-	return m.chain.event != 0 && !m.k.Passed(m.chain.at)
+	return m.chain.Seq != 0 && !m.k.Passed(m.chain)
 }
 
 // Unchain takes back the work Chain queued last, before its hand-off
-// position has passed and before any other work was submitted. Its
-// done runs at the hand-off instead, through a completion event of the
-// work it followed after all, at that work's reserved position: exactly
-// where the callback of a plain submission would have run.
-func (m *MCU) Unchain() {
-	c := m.chain
-	m.k.Cancel(c.event)
-	m.event = m.k.ScheduleReserved(c.at, m.complete, m.gen)
-	m.idle, m.done = c.at, c.at
-	m.meter.Defer(c.at.At, m.sleep)
-	m.chain = chained{}
+// position has passed and before any other work was submitted, and
+// runs handoff at the hand-off instead, through a completion event of
+// the work it followed after all, at that work's reserved position:
+// exactly where the callback of a plain submission would have run.
+func (m *MCU) Unchain(handoff func()) {
+	at := m.chain
+	m.UnchainTo(at)
+	m.dones.Push(handoff)
+	m.event = m.k.ScheduleReserved(at, m.complete, m.gen)
+}
+
+// UnchainTo takes back every work chained since the work whose
+// completion position is at, which Completion reported: the MCU runs
+// out of work there again. No other work may have been submitted since
+// but work chained behind it, of which only the last may have a
+// callback. The caller runs what the chained work's submitter would
+// have run at that position through an event of its own there
+// (sim.Kernel.ScheduleReserved).
+func (m *MCU) UnchainTo(at sim.Pos) {
+	if m.event != 0 {
+		m.k.Cancel(m.event)
+		m.dones.PopBack()
+		m.event = 0
+	}
+	m.idle, m.done, m.shared = at, at, false
+	m.meter.Defer(at.At, m.sleep)
+	m.chain = sim.Pos{}
 }
 
 // onComplete runs the callback of one queued computation.
@@ -281,7 +316,9 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 	if k.Arg() != m.gen {
 		return // the node crashed; this computation never completed
 	}
-	m.dones.Pop()()
+	done := m.dones.Pop()
+	sim.ProbeCallback(done)
+	done()
 }
 
 // Crash models a node power loss: all queued computation is abandoned
@@ -291,7 +328,7 @@ func (m *MCU) Crash() {
 	for q := m.marks; q != nil; q = q.next {
 		q.crashed()
 	}
-	m.chain = chained{}
+	m.chain = sim.Pos{}
 	m.gen++
 	m.dones.Reset()
 	m.idle = sim.Pos{At: m.k.Now()}
@@ -311,10 +348,13 @@ func (m *MCU) Reboot() {
 // submission order; a crash abandons the computations in flight, so
 // each entry carries the crash generation it was pushed under and Pop
 // first discards the entries a crash left behind. The zero value is not
-// usable: build one with NewQueue. Steady state allocates nothing.
+// usable: build one with NewQueue. Once Placed, its first two entries
+// live in the queue itself, so it must not be copied after that. Steady
+// state allocates nothing.
 type Queue[T any] struct {
-	m *MCU
-	q sim.FIFO[queued[T]]
+	m   *MCU
+	q   sim.FIFO[queued[T]]
+	buf [2]queued[T] // q's first ring
 }
 
 type queued[T any] struct {
@@ -324,6 +364,11 @@ type queued[T any] struct {
 
 // NewQueue builds a queue for work submitted to m.
 func NewQueue[T any](m *MCU) Queue[T] { return Queue[T]{m: m} }
+
+// Placed tells the queue it sits where it stays: it takes its first ring
+// from its own storage from now on, instead of growing one. NewQueue
+// cannot, as its result is copied into place.
+func (q *Queue[T]) Placed() { q.q.Use(q.buf[:]) }
 
 // Push queues the state of a computation about to be submitted.
 func (q *Queue[T]) Push(v T) { q.q.Push(queued[T]{gen: q.m.gen, v: v}) }
@@ -365,6 +410,7 @@ func (q *Queue[T]) Len() int { return q.q.Len() }
 type Marks struct {
 	m    *MCU
 	q    sim.FIFO[sim.Pos]
+	buf  [4]sim.Pos // q's first ring
 	lost int
 	next *Marks
 }
@@ -374,6 +420,7 @@ type Marks struct {
 func (m *MCU) Track(q *Marks) {
 	q.m = m
 	q.next, m.marks = m.marks, q
+	q.q.Use(q.buf[:])
 }
 
 // Mark records the completion position of the computation most

@@ -366,3 +366,26 @@ func TestQueueSkipsAbandoned(t *testing.T) {
 		t.Fatalf("DropAbandoned left %d entries after a crash", q.Len())
 	}
 }
+
+// TestPlacedQueueKeepsItsRing checks a Placed queue: its first two
+// entries need no allocation, it grows past them like any queue, and
+// PopBack takes back the entry pushed last.
+func TestPlacedQueueKeepsItsRing(t *testing.T) {
+	_, m, _ := newMCU(t)
+	q := NewQueue[int](m)
+	q.Placed()
+	if n := testing.AllocsPerRun(100, func() {
+		q.Push(1)
+		q.Push(2)
+		q.Pop()
+		q.Pop()
+	}); n != 0 {
+		t.Fatalf("a Placed queue allocated %v times for two entries", n)
+	}
+	for v := range 5 {
+		q.Push(v)
+	}
+	if v := q.PopBack(); v != 4 || q.Len() != 4 || q.Pop() != 0 {
+		t.Fatalf("PopBack gave %d, leaving %d entries; want 4, leaving 4 from 0", v, q.Len())
+	}
+}

@@ -82,12 +82,23 @@ func WithBattery(cell battery.Battery, brownoutV float64, policy *battery.Degrad
 	}
 }
 
+// sensorNames are the names of the first sensors, built once.
+var sensorNames = [...]string{"node0", "node1", "node2", "node3", "node4", "node5", "node6", "node7", "node8", "node9"}
+
+// sensorName names sensor id on the medium and in the trace.
+func sensorName(id uint8) string {
+	if int(id) < len(sensorNames) {
+		return sensorNames[id]
+	}
+	return "node" + strconv.Itoa(int(id))
+}
+
 // NewSensor builds the hardware/OS/MAC stack for node cfg.NodeID on the
 // shared medium, on cfg.Profile's hardware, running cfg's MAC. Attach an
 // application with AttachApp before Start.
 func NewSensor(k *sim.Kernel, ch *channel.Channel, tracer *metrics.Recorder,
 	cfg mac.NodeConfig, opts ...Option) *Sensor {
-	o := sensorOpts{name: "node" + strconv.Itoa(int(cfg.NodeID))}
+	o := sensorOpts{name: sensorName(cfg.NodeID)}
 	for _, opt := range opts {
 		opt(&o)
 	}

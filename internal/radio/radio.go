@@ -32,6 +32,17 @@
 // (mcu.MCU.Completion). A Fire before then bursts as the clock-in ends.
 // Only a Load given a callback costs an event: the MCU runs the
 // callback at that same position.
+//
+// ChainLoadPark and ChainLoadFire are LoadPark and LoadFire as the
+// completion callback of the work submitted last would call them, at
+// its hand-off, with no event there: the clock-in is chained to that
+// work (tinyos.Sched.ChainLoad), and the move into standby is the
+// meter's deferred transition at the hand-off, ahead of the one at the
+// clock-in's end. Until dispatch passes the hand-off the radio reads
+// as it was (Mode, ListeningSince), and a drain it starts meanwhile
+// ends there, as the callback's move to standby would end it. The
+// MAC that speculated so takes the clock-in back with Unchain if its
+// speculation falls back (tinyos.Sched.Speculate).
 package radio
 
 import (
@@ -112,6 +123,11 @@ type Radio struct {
 	rxSince  sim.Time // listening valid from this instant (after settle)
 	draining bool
 	txBusy   bool
+	// handoff is the position a chained clock-in starts at, the radio
+	// moving to standby there (Sync), and the zero Pos once it has or
+	// when none is chained. It sits with the mode, which every read of
+	// it checks.
+	handoff sim.Pos
 	// txBuf and rxBuf are per-radio scratch buffers for the on-air image:
 	// encode into txBuf at burst start, copy a delivered image into rxBuf
 	// and decode in place. Steady-state transmit and receive therefore
@@ -203,11 +219,13 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	return r
 }
 
-// burst is one transmission between Fire and the end of its burst.
+// burst is one transmission between Fire and the end of its burst;
+// settle is the event that puts it on the air.
 type burst struct {
-	frame packet.Frame
-	air   sim.Time
-	done  func()
+	frame  packet.Frame
+	air    sim.Time
+	done   func()
+	settle sim.EventID
 }
 
 // maxRxAddrs is the size of the hardware address filter: the nRF2401
@@ -222,7 +240,18 @@ func (r *Radio) Name() string { return r.name }
 func (r *Radio) Params() platform.RadioParams { return r.params }
 
 // Mode reports the current operating mode.
+//
+//hot:path
 func (r *Radio) Mode() Mode {
+	if r.clocking || r.handoff.Seq != 0 {
+		return r.moving()
+	}
+	return r.mode
+}
+
+// moving is Mode for a radio with a deferred move held.
+func (r *Radio) moving() Mode {
+	r.Sync()
 	if r.clockedIn() {
 		return r.after
 	}
@@ -353,12 +382,119 @@ func (r *Radio) clockIn(op string, payload []byte, done func()) {
 		panic(fmt.Sprintf("radio %s: %s while receiving", r.name, op))
 	}
 	if len(payload) > r.params.MaxPayloadBytes {
-		panic(fmt.Sprintf("radio %s: payload %dB exceeds ShockBurst FIFO (%dB)",
-			r.name, len(payload), r.params.MaxPayloadBytes))
+		r.tooLong(payload)
 	}
 	r.setMode(ModeStandby)
-	r.sched.BusyLoad("radio-fifo-load", r.params.TxClockIn(r.params.AddressBytes+len(payload)), done)
+	r.sched.BusyLoad("radio-fifo-load", r.clockInTime(payload), done)
 	r.clockInEnd = r.sched.MCU().Completion()
+}
+
+// tooLong panics on a payload the FIFO cannot hold.
+func (r *Radio) tooLong(payload []byte) {
+	panic(fmt.Sprintf("radio %s: payload %dB exceeds ShockBurst FIFO (%dB)",
+		r.name, len(payload), r.params.MaxPayloadBytes))
+}
+
+// clockInTime is how long the MCU takes to clock payload into the FIFO.
+func (r *Radio) clockInTime(payload []byte) sim.Time {
+	return r.params.TxClockIn(r.params.AddressBytes + len(payload))
+}
+
+// ChainLoadPark is LoadPark at the hand-off of the work submitted last,
+// as that work's completion callback would call it, without the event
+// the callback costs (see the package doc). It reports false, changing
+// nothing, when the clock-in cannot be chained: the radio is in a
+// transmit sequence, holds a deferred move or a frame, or the work has
+// no hand-off position of its own.
+//
+//hot:path
+func (r *Radio) ChainLoadPark(dest packet.Address, payload []byte) bool {
+	if !r.chainClockIn(payload) {
+		return false
+	}
+	r.loaded, r.hasLoaded = packet.Frame{Dest: dest, Payload: payload}, true
+	r.moveAfterChainedClockIn(ModeOff)
+	return true
+}
+
+// ChainLoadFire is LoadFire at the hand-off of the work submitted last,
+// as ChainLoadPark is LoadPark. The radio may be receiving until the
+// hand-off: the callback would first have called Standby there.
+//
+//hot:path
+func (r *Radio) ChainLoadFire(dest packet.Address, payload []byte, sent func()) bool {
+	if !r.chainClockIn(payload) {
+		return false
+	}
+	r.hasLoaded = false
+	r.moveAfterChainedClockIn(ModeTx)
+	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInEnd.At)
+	return true
+}
+
+// chainClockIn chains payload's clock-in to the work submitted last and
+// holds the meter's move into standby at its hand-off, reporting false
+// when it cannot.
+//
+//hot:path
+func (r *Radio) chainClockIn(payload []byte) bool {
+	r.Sync()
+	if r.txBusy || r.clocking || r.hasLoaded || r.handoff.Seq != 0 {
+		return false
+	}
+	if len(payload) > r.params.MaxPayloadBytes {
+		r.tooLong(payload)
+	}
+	h := r.sched.MCU().Completion()
+	if !r.sched.ChainLoad(r.clockInTime(payload)) {
+		return false
+	}
+	r.handoff = h
+	r.clockInEnd = r.sched.MCU().Completion()
+	r.meter.Defer(h.At, r.modeState[ModeStandby])
+	return true
+}
+
+// Unchain takes back the clock-in ChainLoadPark or ChainLoadFire
+// chained last, before its hand-off has passed: the radio is as it was,
+// the FIFO empty, and nothing is fired. The caller takes the MCU's work
+// back (mcu.MCU.UnchainTo).
+func (r *Radio) Unchain() {
+	if r.txBusy {
+		r.k.Cancel(r.tx.settle)
+		r.txBusy = false
+		r.tx = burst{}
+	}
+	r.loaded, r.hasLoaded = packet.Frame{}, false
+	r.clocking = false
+	r.handoff = sim.Pos{}
+	r.meter.Undefer()
+}
+
+// Sync moves the radio to standby once dispatch has passed the hand-off
+// of a chained clock-in, as the callback would have there, applying
+// the meter's move at the hand-off. A drain in progress ends with it.
+// The radio syncs itself before it reads its mode for the channel, its
+// own events and Mode; a MAC that chained a clock-in syncs it on its
+// next entry, before it drives the radio.
+//
+//hot:path
+func (r *Radio) Sync() {
+	if r.handoff.Seq != 0 {
+		r.handOff()
+	}
+}
+
+// handOff is Sync for a radio with a chained clock-in.
+//
+//hot:path
+func (r *Radio) handOff() {
+	if !r.k.Passed(r.handoff) {
+		return
+	}
+	r.meter.ApplyBy(r.handoff.At)
+	r.handoff = sim.Pos{}
+	r.mode, r.draining = ModeStandby, false
 }
 
 // moveAfterClockIn has the radio leave standby for mode as the latest
@@ -368,6 +504,13 @@ func (r *Radio) clockIn(op string, payload []byte, done func()) {
 func (r *Radio) moveAfterClockIn(mode Mode) {
 	r.clocking, r.after = true, mode
 	r.meter.Defer(r.clockInEnd.At, r.modeState[mode])
+}
+
+// moveAfterChainedClockIn is moveAfterClockIn for a chained clock-in,
+// whose move into standby the meter holds ahead of this one.
+func (r *Radio) moveAfterChainedClockIn(mode Mode) {
+	r.clocking, r.after = true, mode
+	r.meter.DeferThen(r.clockInEnd.At, r.modeState[mode])
 }
 
 // Loaded reports whether the TX FIFO holds a complete frame for Fire:
@@ -453,7 +596,7 @@ func (r *Radio) Fire(done func()) {
 func (r *Radio) startBurst(frame packet.Frame, done func(), start sim.Time) {
 	r.txBusy = true
 	r.tx = burst{frame: frame, air: r.params.Airtime(len(frame.Payload)), done: done}
-	r.k.ScheduleArgAt(start+r.params.TxSettle, r.onSettle, r.gen)
+	r.tx.settle = r.k.ScheduleArgAt(start+r.params.TxSettle, r.onSettle, r.gen)
 }
 
 // settle puts a fired frame on the air once the PLL has settled.
@@ -463,6 +606,7 @@ func (r *Radio) settle(k *sim.Kernel) {
 	if k.Arg() != r.gen {
 		return // crashed during PLL settling; nothing reached the air
 	}
+	r.Sync()
 	r.clocking, r.mode = false, ModeTx
 	// Encode into the per-radio scratch; the channel copies the image
 	// into its own pooled buffer, so txBuf is free again on return.
@@ -480,6 +624,7 @@ func (r *Radio) EndBurst(gen uint64) {
 	if gen != r.gen {
 		return // crashed mid-burst; AbortTx already truncated it
 	}
+	r.Sync()
 	r.stats.TxFrames++
 	r.txBusy = false
 	r.setMode(ModeStandby)
@@ -493,6 +638,7 @@ func (r *Radio) EndBurst(gen uint64) {
 // crashed-out transmit/drain callbacks never fire. After a Reboot the
 // radio behaves like a freshly powered chip (mode off, empty FIFOs).
 func (r *Radio) Crash() {
+	r.Sync()
 	r.gen++
 	if r.txBusy {
 		r.ch.AbortTx(r.port)
@@ -514,7 +660,10 @@ func (r *Radio) ChannelBusy() bool { return r.ch.Busy() }
 func (r *Radio) ChannelID() string { return r.name }
 
 // ListeningSince implements channel.Transceiver.
+//
+//hot:path
 func (r *Radio) ListeningSince() (sim.Time, bool) {
+	r.Sync()
 	if r.mode != ModeRx || r.draining {
 		return 0, false
 	}
@@ -554,6 +703,7 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 
 	// Drain the RX FIFO: the radio stays in RX; the MCU services one
 	// interrupt per byte (cheap), then the upper layer handler runs.
+	r.Sync()
 	r.lastRxEnd = r.k.Now()
 	r.draining = true
 	r.rx = frame
@@ -573,6 +723,7 @@ func (r *Radio) imageAir(image []byte) sim.Time {
 //
 //hot:path
 func (r *Radio) drained(k *sim.Kernel) {
+	r.Sync()
 	if k.Arg() != r.drainTok || !r.draining {
 		// A crash or a mode change by the upper layer (each clears
 		// draining) ended this drain early and lost its frame; a later

@@ -338,6 +338,7 @@ func (k *Kernel) step() bool {
 		}
 		k.now = k.fired.at
 		k.executed++
+		ProbeHandler(h)
 		h(k)
 		return true
 	}
@@ -347,6 +348,7 @@ func (k *Kernel) step() bool {
 	h := k.wheel.popReady(&k.fired)
 	k.now = k.fired.at
 	k.executed++
+	ProbeHandler(h)
 	h(k)
 	return true
 }
@@ -386,6 +388,7 @@ func (k *Kernel) RunUntil(horizon Time) {
 			h := k.wheel.popReady(&k.fired)
 			k.now = k.fired.at
 			k.executed++
+			ProbeHandler(h)
 			h(k)
 		}
 	}

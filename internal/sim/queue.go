@@ -14,6 +14,20 @@ type FIFO[T any] struct {
 	n    int
 }
 
+// Use gives a queue that has no ring yet buf, a power of two long, as
+// its first ring: a component that knows how deep its queue gets in
+// steady state keeps the ring in its own allocation instead of growing
+// one. Once the queue has a ring, Use does nothing.
+func (q *FIFO[T]) Use(buf []T) {
+	if len(q.buf) != 0 {
+		return
+	}
+	if len(buf)&(len(buf)-1) != 0 {
+		panic("sim: Use with a ring not a power of two long")
+	}
+	q.buf = buf
+}
+
 // Len reports the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 

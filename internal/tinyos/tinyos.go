@@ -6,9 +6,22 @@
 //
 // The scheduler keeps no statistics of its own: Post and PostFn report
 // whether the queue took a task, and the MCU's energy meter accounts for
-// the work. A task chained to an interrupt (Chain) costs no kernel event
-// at the hand-off; the MCU holds the chain (mcu.MCU.Chained), and the
-// scheduler takes it back before any other work reaches the MCU.
+// the work. A task with no Run costs no completion event: it holds its
+// queue slot until dispatch passes its completion position. A task
+// chained to an interrupt (Chain) costs no kernel event at the hand-off;
+// the MCU holds the chain (mcu.MCU.Chained), and the scheduler takes it
+// back before any other work reaches the MCU.
+//
+// A component can go further and speculate on an interrupt's completion
+// callback (Speculate): it submits the interrupt without one, applies
+// the callback's decision as of the hand-off right away, chaining the
+// work the callback would submit (ChainLoad, Chain), and registers its
+// fallback (Speculation). Every entry into the component settles the speculation
+// first (Settle), and so does every submission to the MCU while the
+// speculation holds chained work: before the hand-off position passes,
+// the fallback undoes the speculated effects, takes the chained work
+// back (mcu.MCU.UnchainTo) and runs the callback at that position after
+// all, through an event there (sim.Kernel.ScheduleReserved).
 package tinyos
 
 import (
@@ -27,7 +40,7 @@ const DefaultQueueCap = 7
 // Task is one unit of deferred computation. Cycles is its calibrated
 // execution cost; Run applies its effects when the computation completes,
 // and reads Arg back with Sched.Arg, so one Run bound once serves every
-// post.
+// post. A task with no Run and a nonzero duration costs no kernel event.
 type Task struct {
 	Name   string
 	Cycles int64
@@ -50,15 +63,39 @@ type Sched struct {
 	mcu      *mcu.MCU
 	queueCap int
 
+	// queued counts the accepted tasks that complete through an event;
+	// slots holds the completion positions of those that do not, each
+	// holding its queue slot until dispatch passes it.
 	queued int
+	slots  sim.FIFO[sim.Pos]
 
 	// tasks holds, in completion order, the Run and Arg of every
-	// accepted task, and the hand-offs of chained tasks that fell back
-	// to a post (see Chain); the completion, bound once as taskDone, pops
-	// them, and arg holds a task's Arg while its Run runs.
+	// accepted task with a completion event, and the hand-offs of
+	// chained tasks that fell back to a post (see Chain); the
+	// completion, bound once as taskDone, pops them, and arg holds a
+	// task's Arg while its Run runs. chain is the task Chain queued
+	// last, as a hand-off, should it fall back.
 	tasks    mcu.Queue[task]
 	taskDone func()
 	arg      uint64
+	chain    task
+
+	// spec is the live speculation (Speculate), nil when none is,
+	// specAt its hand-off position, and specChain set once it chained
+	// work (ChainLoad).
+	spec      Speculation
+	specAt    sim.Pos
+	specChain bool
+}
+
+// Speculation is a component's speculation on the completion callback
+// of an interrupt it submitted without one (Sched.Speculate).
+type Speculation interface {
+	// Unspeculate falls back: it undoes the speculated effects, takes
+	// back the chained work (Sched.TakeBack, mcu.MCU.UnchainTo), and
+	// runs the callback at the hand-off through an event there
+	// (sim.Kernel.ScheduleReserved).
+	Unspeculate()
 }
 
 // NewSched creates a scheduler over the given MCU. queueCap <= 0 selects
@@ -68,6 +105,7 @@ func NewSched(k *sim.Kernel, m *mcu.MCU, queueCap int) *Sched {
 		queueCap = DefaultQueueCap
 	}
 	s := &Sched{k: k, mcu: m, queueCap: queueCap, tasks: mcu.NewQueue[task](m)}
+	s.tasks.Placed()
 	s.taskDone = s.finishTask
 	return s
 }
@@ -86,12 +124,25 @@ func (s *Sched) Post(t Task) bool {
 		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
 	}
 	s.settle()
-	if s.queued >= s.queueCap {
+	if s.QueueLen() >= s.queueCap {
 		return false
+	}
+	if s.silent(t) {
+		s.mcu.Exec(t.Cycles, nil)
+		s.slots.Push(s.mcu.Completion())
+		return true
 	}
 	s.accept(t)
 	s.mcu.Exec(t.Cycles, s.taskDone)
 	return true
+}
+
+// silent reports whether t completes without a kernel event: it has no
+// Run, and a duration, so its completion position is its own.
+//
+//hot:path
+func (s *Sched) silent(t Task) bool {
+	return t.Run == nil && s.mcu.Duration(t.Cycles) > 0
 }
 
 // accept counts t into the queue.
@@ -122,27 +173,135 @@ func (s *Sched) Chain(t Task) {
 	if t.Cycles < 0 {
 		panic(fmt.Sprintf("tinyos: task %q with negative cycles", t.Name))
 	}
-	if !s.mcu.Chain(t.Cycles, s.taskDone) {
-		// The work has no position to chain to: hand off through an event.
-		s.tasks.Push(task{run: t.Run, arg: t.Arg, cycles: t.Cycles, handoff: true})
-		return
+	s.settleSlots()
+	h := task{run: t.Run, arg: t.Arg, cycles: t.Cycles, handoff: true}
+	if s.silent(t) {
+		if !s.mcu.Chain(t.Cycles, nil) {
+			s.handOff(h)
+			return
+		}
+		s.slots.Push(s.mcu.Completion())
+	} else {
+		if !s.mcu.Chain(t.Cycles, s.taskDone) {
+			s.handOff(h)
+			return
+		}
+		s.accept(t)
 	}
-	s.accept(t)
+	s.chain = h
 }
 
-// settle runs before any work is submitted: a chained task whose
-// hand-off position has not passed falls back to a post at it.
+// handOff posts h through a completion event at the hand-off of the
+// work submitted last, which has no position of its own to chain to.
+func (s *Sched) handOff(h task) {
+	s.tasks.Push(h)
+	s.mcu.Exec(0, s.taskDone)
+}
+
+// ChainLoad is BusyLoad chained to the work submitted last, as Chain is
+// Post: the load starts the instant that work completes, with no event
+// at the hand-off, and completes without a callback. It reports false,
+// queuing nothing, when that work has no completion position of its
+// own. Only the live speculation (Speculate) may chain a load, to the
+// work whose completion is its hand-off: its fallback takes the load
+// back, and any submission to the MCU before the hand-off settles the
+// speculation first.
+//
+//hot:path
+func (s *Sched) ChainLoad(d sim.Time) bool {
+	if s.spec == nil || s.mcu.Completion() != s.specAt || !s.mcu.ChainDur(d, nil) {
+		return false
+	}
+	s.specChain = true
+	return true
+}
+
+// settle runs before any work is submitted: a speculation holding
+// chained work falls back if its hand-off has not passed, and a chained
+// task whose hand-off position has not passed falls back to a post at
+// it.
 //
 //hot:path
 func (s *Sched) settle() {
+	if s.specChain {
+		s.Settle()
+	}
 	if !s.mcu.Chained() {
 		return
 	}
-	t := s.tasks.PopBack()
-	t.handoff = true
-	s.tasks.Push(t)
+	sim.ProbeNote("chained task fallback")
+	s.TakeBack()
+	s.tasks.Push(s.chain)
+	s.mcu.Unchain(s.taskDone)
+}
+
+// TakeBack takes the task Chain queued last back out of the queue,
+// posting it nowhere; the task must still wait for its hand-off. A
+// speculation's fallback calls it for a task its callback will chain
+// again, and a chained task that falls back is posted at its hand-off
+// from there.
+func (s *Sched) TakeBack() {
+	if s.chain.run == nil && s.mcu.Duration(s.chain.cycles) > 0 {
+		s.slots.PopBack()
+		return
+	}
+	s.tasks.PopBack()
 	s.queued--
-	s.mcu.Unchain()
+}
+
+// Speculate registers spec, a speculation on the completion callback of
+// work the caller submitted without one, whose completion position at
+// is the hand-off: the caller applies the callback's decision as of the
+// hand-off right away, chaining any work the callback would submit
+// (ChainLoad, Chain). Until dispatch passes the hand-off, every entry
+// into the caller's state that the callback reads must first call
+// Settle, which falls back (Speculation.Unspeculate), and so does every
+// submission to the MCU once work is chained. A speculation still live
+// when the next one is registered settles first.
+//
+//hot:path
+func (s *Sched) Speculate(at sim.Pos, spec Speculation) {
+	s.Settle()
+	s.spec, s.specAt = spec, at
+}
+
+// Speculating reports whether a speculation is live: registered, and
+// its hand-off not passed.
+//
+//hot:path
+func (s *Sched) Speculating() bool {
+	return s.spec != nil && !s.k.Passed(s.specAt)
+}
+
+// Settle ends the live speculation: if dispatch has not passed its
+// hand-off yet, its fallback runs. A component that speculates calls it
+// first at every entry.
+//
+//hot:path
+func (s *Sched) Settle() {
+	if s.spec != nil {
+		s.settleSpec()
+	}
+}
+
+// settleSpec is Settle with a speculation registered.
+//
+//hot:path
+func (s *Sched) settleSpec() {
+	spec := s.spec
+	s.Forget()
+	if !s.k.Passed(s.specAt) {
+		sim.ProbeNote("speculation fallback")
+		spec.Unspeculate()
+	}
+}
+
+// Forget ends the live speculation without its fallback, for a caller
+// that undoes it, and registers the next, itself.
+//
+//hot:path
+func (s *Sched) Forget() {
+	s.spec, s.specChain = nil, false
 }
 
 // Arg reports the Arg of the task whose Run is running.
@@ -175,9 +334,13 @@ func (s *Sched) finishTask() {
 // Crash models a node power loss at the OS level. Call it after the
 // MCU's Crash, which abandons every queued computation: the tasks in
 // flight never complete, so they leave the queue and free their slots.
+// A live speculation must have settled first: the crash is an entry
+// into the component that registered it.
 func (s *Sched) Crash() {
 	s.tasks.DropAbandoned()
 	s.queued = s.tasks.Len()
+	s.slots.Reset()
+	s.Forget()
 }
 
 // Interrupt runs an interrupt service routine: it executes on the MCU
@@ -201,7 +364,22 @@ func (s *Sched) BusyLoad(name string, d sim.Time, run func()) {
 }
 
 // QueueLen reports the tasks pending or running.
-func (s *Sched) QueueLen() int { return s.queued }
+//
+//hot:path
+func (s *Sched) QueueLen() int {
+	s.settleSlots()
+	return s.queued + s.slots.Len()
+}
+
+// settleSlots frees the slots of the tasks without a completion event
+// that dispatch has passed the completion of.
+//
+//hot:path
+func (s *Sched) settleSlots() {
+	for s.slots.Len() > 0 && s.k.Passed(s.slots.Peek()) {
+		s.slots.Pop()
+	}
+}
 
 // PowerPolicy selects the low-power mode to enter for an expected idle
 // gap, mirroring the TinyOS MSP430 power decision: deeper modes have
