@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest examples fma-check bench bench-snapshot bench-check bench-module soak resume-check fuzz sweep-demo loc
+.PHONY: ci vet lint banlint lint-fixtures build test race cover cover-lint mactest examples fma-check bench bench-snapshot bench-check bench-module ab soak resume-check fuzz sweep-demo loc
 
 ci: vet lint banlint lint-fixtures build test race cover cover-lint mactest examples fma-check bench-check bench-module soak resume-check
 
@@ -78,7 +78,7 @@ race:
 # coverage grows, never lower them to make a change pass).
 COVER_FLOORS = internal/core:78 internal/mac:88 internal/metrics:75 \
 	internal/fault:90 internal/runner:95 internal/battery:90 internal/app:96 \
-	internal/mcu:98
+	internal/mcu:98 internal/ecg:95 internal/asic:99
 
 cover:
 	@for spec in $(COVER_FLOORS); do \
@@ -178,6 +178,26 @@ bench-check:
 # tinyos.PostFn, metrics.Recorder, ...) that a change can break.
 bench-module:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# Paired A/B timing of two revisions on the end-to-end benchmark
+# (cmd/abpair): both trees are extracted with git archive and built
+# once, every exact work count and the fingerprint must agree under
+# --trace 1, and PAIRS alternating pairs per workload report each
+# end-to-end metric's median, quartiles and win count. Quote its output
+# for a performance claim:
+#
+#     make ab A=HEAD~1 B=HEAD WORKLOADS=rpeak-onnode SEED=7
+#
+WORKLOADS = all
+PAIRS = 10
+SECONDS = 6
+SEED = 1
+
+ab:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
+		echo "usage: make ab A=<rev> B=<rev> [WORKLOADS=w1,w2] [PAIRS=10] [SECONDS=6] [SEED=1]"; exit 2; \
+	fi
+	$(GO) run ./cmd/abpair -a $(A) -b $(B) -workloads $(WORKLOADS) -pairs $(PAIRS) -seconds $(SECONDS) -seed $(SEED)
 
 # The chaos soak corpus (README "Auditing & soak testing"): 3000 fixed
 # seeds, each a randomized scenario run on both schedulers with every

@@ -40,10 +40,11 @@ type Counts struct {
 	Beats   uint64 // beats detected (0 for applications without a detector)
 }
 
-// Signal drives the electrodes: the quantised reading of sample i of
-// channel ch at fs Hz (ecg.Generator, ecg.EEGGenerator).
+// Signal drives the electrodes: it converts acquisition i at fs Hz,
+// writing the quantised reading of channels[j] to out[j]
+// (ecg.Generator, ecg.EEGGenerator).
 type Signal interface {
-	SampleAt(ch int, i int64, fs float64) codec.Sample
+	Acquire(channels []int, i int64, fs float64, out []codec.Sample)
 }
 
 // Env bundles the node facilities an application runs on.
@@ -89,11 +90,11 @@ func (s *sampler) configure(env Env, sig Signal, rate float64, channels int, h a
 var firstChannels = [...]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
 	13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24}
 
-// Sample implements asic.Source at the current rate.
+// Acquire implements asic.Source at the current rate.
 //
 //hot:path
-func (s *sampler) Sample(ch int, i int64) codec.Sample {
-	return s.signal.SampleAt(ch, i, s.rate)
+func (s *sampler) Acquire(channels []int, i int64, out []codec.Sample) {
+	s.signal.Acquire(channels, i, s.rate, out)
 }
 
 // Start implements App.

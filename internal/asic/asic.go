@@ -16,10 +16,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Source supplies the physical signal behind the electrodes: sample i of
-// channel ch at the front-end's sampling rate.
+// Source supplies the physical signal behind the electrodes: it converts
+// acquisition i at the front-end's sampling rate, writing the sample of
+// channels[j] to out[j].
 type Source interface {
-	Sample(ch int, i int64) codec.Sample
+	Acquire(channels []int, i int64, out []codec.Sample)
 }
 
 // SampleHandler receives one acquisition: the sample index and the
@@ -149,10 +150,8 @@ func (f *Frontend) SamplesTaken() int64 { return f.idx }
 //hot:path
 func (f *Frontend) tick(k *sim.Kernel) {
 	f.next = k.Schedule(f.period, f.onTick)
-	for j, ch := range f.channels {
-		f.samples[j] = f.source.Sample(ch, f.idx)
-	}
 	i := f.idx
+	f.source.Acquire(f.channels, i, f.samples)
 	f.idx++
 	f.onSample(i, f.samples)
 }

@@ -20,8 +20,10 @@ func newFrontend() (*sim.Kernel, *Frontend, *energy.Ledger) {
 // counting is a Source whose sample i of channel ch reads i + 1000·ch.
 type counting struct{}
 
-func (counting) Sample(ch int, i int64) codec.Sample {
-	return codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
+func (counting) Acquire(channels []int, i int64, out []codec.Sample) {
+	for j, ch := range channels {
+		out[j] = codec.Sample(uint16(i)+uint16(ch)*1000) & codec.MaxSample
+	}
 }
 
 func countingSource() Source { return counting{} }
@@ -138,4 +140,30 @@ func TestConfigValidation(t *testing.T) {
 			c.fn(f)
 		})
 	}
+}
+
+func TestRetuneChangesRateInPlace(t *testing.T) {
+	k, f, _ := newFrontend()
+	var at []sim.Time
+	f.Configure(countingSource(), []int{0}, func(int64, []codec.Sample) { at = append(at, k.Now()) })
+	f.Retune(50) // stopped: nothing to retune, Start carries its own rate
+	f.Start(100)
+	k.RunUntil(sim.Second)
+	f.Retune(50)
+	k.RunUntil(2 * sim.Second)
+	if len(at) != 150 {
+		t.Fatalf("%d acquisitions in 1 s at 100 Hz and 1 s at 50 Hz, want 150", len(at))
+	}
+	if d := at[len(at)-1] - at[len(at)-2]; d != 20*sim.Millisecond {
+		t.Fatalf("period after Retune(50) = %v, want 20ms", d)
+	}
+	if f.SamplesTaken() != 150 || f.Params().Channels < 1 {
+		t.Fatalf("SamplesTaken = %d, Params %+v", f.SamplesTaken(), f.Params())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Retune(0) did not panic")
+		}
+	}()
+	f.Retune(0)
 }

@@ -77,7 +77,8 @@ func assembleMetrics(res *Results) *metrics.Snapshot {
 		stat{"bs.ssr-rejected", res.BSStats.SSRRejected},
 		stat{"bs.stray-frames", res.BSStats.StrayFrames},
 		stat{"bs.slots-reclaimed", res.BSStats.SlotsReclaimed},
-		stat{"bs.slots-released", res.BSStats.SlotsReleased})
+		stat{"bs.slots-released", res.BSStats.SlotsReleased},
+		stat{"bs.acks-dropped", res.BSStats.AcksDropped})
 	extra = appendStats(extra, "channel",
 		stat{"channel.transmissions", res.Channel.Transmissions},
 		stat{"channel.collisions", res.Channel.Collisions},

@@ -35,6 +35,24 @@ func BenchmarkSampleAtShared(b *testing.B) {
 	}
 }
 
+// BenchmarkAcquireShared is BenchmarkSampleAtShared through Acquire, as
+// the front end converts: one call per node and step for both channels.
+// One op is one sample, as there.
+func BenchmarkAcquireShared(b *testing.B) {
+	b.ReportAllocs()
+	g := NewGenerator(Params{HeartRateBPM: 75, JitterFrac: 0.02, NoiseAmp: 0.02, BaselineAmp: 0.05, Seed: 1})
+	offsets := [...]int64{0, 3, 17, 40, 41}
+	channels := []int{0, 1}
+	out := make([]codec.Sample, len(channels))
+	n := 0
+	for step := int64(0); n < b.N; step++ {
+		for _, off := range offsets {
+			g.Acquire(channels, step+off, 205, out)
+			n += len(channels)
+		}
+	}
+}
+
 // BenchmarkDetectorPush measures the streaming R-peak detector.
 func BenchmarkDetectorPush(b *testing.B) {
 	b.ReportAllocs()

@@ -78,16 +78,21 @@ type Params struct {
 // reproducible regardless of event interleaving.
 //
 // A run shares one generator across its nodes, so every node and
-// channel asks for the same sample instants; SampleAt memoises the
-// quantised samples of channels 0 and 1 of each instant in a small
-// direct-mapped table, so the sum of Gaussians, the noise hash and the
-// quantiser run once per instant instead of once per node and channel.
-// The memo makes a Generator unsafe for concurrent use: give each
-// goroutine its own.
+// channel asks for the same sample instants; Acquire and SampleAt
+// memoise the quantised samples of channels 0 and 1 of each instant in
+// a small direct-mapped table, so the sum of Gaussians, the noise hash
+// and the quantiser run once per instant instead of once per node and
+// channel. The memo and ValueAt's beat window make a Generator unsafe
+// for concurrent use: give each goroutine its own.
 type Generator struct {
 	p      Params
 	period float64
-	memo   []memoEntry // allocated on the first SampleAt; a power of two long
+	// The beat window: r + offset of every pqrst wave of beats winK-1,
+	// winK and winK+1, refilled when an instant lies in another beat,
+	// so beat times are computed once per beat, not per instant.
+	winK    int64
+	centres [3][len(pqrst)]float64
+	memo    []memoEntry // allocated on the first sample; a power of two long
 	// memoLen is the length memo starts at: memoSize unless SizeMemo
 	// set it.
 	memoLen int
@@ -136,7 +141,9 @@ func NewGenerator(p Params) *Generator {
 	if approx.Unset(p.Amplitude) {
 		p.Amplitude = 0.6
 	}
-	return &Generator{p: p, period: 60.0 / p.HeartRateBPM, memoLen: memoSize}
+	g := &Generator{p: p, period: 60.0 / p.HeartRateBPM, memoLen: memoSize}
+	g.placeBeats(0)
+	return g
 }
 
 // SizeMemo sizes the sample memo, before the first sample, for readers
@@ -197,16 +204,19 @@ func (g *Generator) beatTime(k int64) float64 {
 // quantisation boundary.
 func (g *Generator) ValueAt(t float64) float64 {
 	k := int64(math.Floor(t / g.period))
+	if k != g.winK {
+		g.placeBeats(k)
+	}
 	var v float64
 	// Neighbouring beats can contribute through their P/T tails.
-	for dk := int64(-1); dk <= 1; dk++ {
-		r := g.beatTime(k + dk)
-		for j := range pqrst {
-			w := &pqrst[j]
-			d := t - (r + w.offset)
+	for b := range g.centres {
+		c := &g.centres[b]
+		for j := range c {
+			d := t - c[j]
 			if d*d > pqrstCut[j] {
 				continue
 			}
+			w := &pqrst[j]
 			v += float64(w.amp * math.Exp(-d*d/(2*w.sigma*w.sigma)))
 		}
 	}
@@ -214,19 +224,50 @@ func (g *Generator) ValueAt(t float64) float64 {
 	return v * g.p.Amplitude
 }
 
+// placeBeats fills the beat window with the wave centres of beats k-1,
+// k and k+1.
+func (g *Generator) placeBeats(k int64) {
+	g.winK = k
+	for b := range g.centres {
+		r := g.beatTime(k + int64(b) - 1)
+		for j := range pqrst {
+			g.centres[b][j] = r + pqrst[j].offset
+		}
+	}
+}
+
 // SampleAt produces the quantised ADC reading of sample index i of
 // channel ch at sampling rate fs, including deterministic per-sample
 // noise. Distinct channels see the same heart with decorrelated noise.
 func (g *Generator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	t := float64(i) / fs
-	if uint(ch) >= memoChannels {
-		return g.sample(ch, i, g.ValueAt(t))
+	if uint(ch) < memoChannels {
+		if e := g.entry(i, t); e != nil {
+			return e.s[ch]
+		}
 	}
+	return g.sample(ch, i, g.ValueAt(t))
+}
+
+// Acquire converts one acquisition: out[j] is SampleAt(channels[j], i,
+// fs). Channels 0 and 1 read one memo entry, and every higher channel
+// adds its noise to one clean value.
+//
+//hot:path
+func (g *Generator) Acquire(channels []int, i int64, fs float64, out []codec.Sample) {
+	t := float64(i) / fs
 	e := g.entry(i, t)
-	if e == nil {
-		return g.sample(ch, i, g.ValueAt(t))
+	v, clean := 0.0, false
+	for j, ch := range channels {
+		if e != nil && uint(ch) < memoChannels {
+			out[j] = e.s[ch]
+			continue
+		}
+		if !clean {
+			v, clean = g.ValueAt(t), true
+		}
+		out[j] = g.sample(ch, i, v)
 	}
-	return e.s[ch]
 }
 
 // sample adds channel ch's noise at index i to the clean value v and

@@ -81,3 +81,13 @@ func (g *EEGGenerator) SampleAt(ch int, i int64, fs float64) codec.Sample {
 	}
 	return codec.Quantize(v)
 }
+
+// Acquire converts one acquisition: out[j] is SampleAt(channels[j], i,
+// fs).
+//
+//hot:path
+func (g *EEGGenerator) Acquire(channels []int, i int64, fs float64, out []codec.Sample) {
+	for j, ch := range channels {
+		out[j] = g.SampleAt(ch, i, fs)
+	}
+}

@@ -55,6 +55,10 @@ type BSStats struct {
 	Probes        uint64
 	StrobesHeard  uint64
 	EarlyAcksSent uint64
+	// AcksDropped counts acks owed while the radio was still sending
+	// an earlier one: the nRF2401's TX FIFO holds one frame. A result's
+	// JSON carries it only when nonzero.
+	AcksDropped uint64 `json:",omitempty"`
 }
 
 // grantRepeat is how many consecutive beacons repeat a static grant; the

@@ -369,13 +369,20 @@ func (c *bsCore) Unspeculate() {
 func (c *bsCore) turned(*sim.Kernel) { c.turnAck() }
 
 // turnAck loads an owed acknowledgement once the turnaround ISR ran,
-// unless the protocol no longer lets it fly.
+// unless the protocol no longer lets it fly or the radio is still
+// sending an earlier ack: the nRF2401's one TX FIFO holds one frame, so
+// a second ack owed within one turnaround is dropped and counted.
 //
 //hot:path
 func (c *bsCore) turnAck() {
 	c.enter()
 	a := c.acks.Pop()
-	if !c.mayAck(a) {
+	fly := c.mayAck(a)
+	if fly && c.radio.Sending() {
+		c.stats.AcksDropped++
+		fly = false
+	}
+	if !fly {
 		c.recycle(a.rec.Payload)
 		return
 	}

@@ -278,6 +278,42 @@ func TestAckHandOffsMatchCallbacks(t *testing.T) {
 	}
 }
 
+// TestSecondAckInWindowDropped hands the static-TDMA base station a
+// second data frame at several instants after the first frame's,
+// bypassing the channel, as if a member's frame landed right behind it.
+// The nRF2401 has one TX FIFO: an ack owed while the radio still sends
+// the first (its turnaround, clock-in or burst) must be dropped and
+// counted, not loaded onto the busy radio; one owed after the first has
+// flown flies. The speculated run must agree with the callbacks' on
+// both schedulers.
+func TestSecondAckInWindowDropped(t *testing.T) {
+	second := hoEntry{"second data", true, func(r *hoRig, n *hoNode) {
+		r.bs.onFrame(packet.Frame{Dest: r.bs.cfg.Plan.BSData, Payload: make([]byte, 18)})
+	}}
+	for _, kern := range []struct {
+		name string
+		new  func(int64) *sim.Kernel
+	}{{"wheel", sim.NewKernel}, {"heap", sim.NewHeapKernel}} {
+		_, data := hoWindows(kern.new)
+		if data == 0 {
+			t.Fatalf("%s: no data window found", kern.name)
+		}
+		for _, c := range []struct {
+			after   sim.Time
+			dropped int
+		}{{0, 1}, {100 * sim.Microsecond, 1}, {300 * sim.Microsecond, 1}, {600 * sim.Microsecond, 0}} {
+			want, _, _ := hoRun(kern.new, true, second, data+c.after)
+			got, _, _ := hoRun(kern.new, false, second, data+c.after)
+			if got != want {
+				t.Errorf("%s +%v: speculated run differs from the callbacks':\n%s", kern.name, c.after, firstDiff(got, want))
+			}
+			if tag := fmt.Sprintf("AcksDropped:%d}", c.dropped); !strings.Contains(want, tag) {
+				t.Errorf("%s +%v: base station stats lack %s", kern.name, c.after, tag)
+			}
+		}
+	}
+}
+
 // firstDiff shows the first line where got and want part.
 func firstDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")

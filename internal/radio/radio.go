@@ -513,6 +513,11 @@ func (r *Radio) moveAfterChainedClockIn(mode Mode) {
 	r.meter.DeferThen(r.clockInEnd.At, r.modeState[mode])
 }
 
+// Sending reports whether a transmit sequence is in progress: a
+// LoadFire's clock-in, the PLL settle or the burst on the air. Nothing
+// can be loaded until it ends.
+func (r *Radio) Sending() bool { return r.txBusy }
+
 // Loaded reports whether the TX FIFO holds a complete frame for Fire:
 // dispatch has passed the end of its clock-in, and no Fire or crash has
 // taken it since.
