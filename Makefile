@@ -78,7 +78,8 @@ race:
 # coverage grows, never lower them to make a change pass).
 COVER_FLOORS = internal/core:78 internal/mac:88 internal/metrics:75 \
 	internal/fault:90 internal/runner:95 internal/battery:90 internal/app:96 \
-	internal/mcu:98 internal/ecg:95 internal/asic:99
+	internal/mcu:98 internal/ecg:95 internal/asic:99 \
+	internal/tinyos:96 internal/radio:84 internal/energy:89
 
 cover:
 	@for spec in $(COVER_FLOORS); do \

@@ -6,6 +6,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/ecg"
 	"repro/internal/mcu"
+	"repro/internal/sim"
 	"repro/internal/tinyos"
 )
 
@@ -29,11 +30,12 @@ type StreamingConfig struct {
 // slot.
 //
 // An acquisition's samples enter the buffer with its ISR's submission,
-// and no ISR has a completion callback: the ISR that completes a
-// payload chains the payload's assembly task to its completion
-// (tinyos.Sched.Chain), so the kernel pays one event per payload, the
-// task's. isrs marks where every ISR completes, so a crash drops the
-// samples of exactly the ISRs it abandoned, the buffer's tail.
+// and no ISR has a completion callback: each ISR is a filed hand-off
+// (isrs, mcu.HandOffs), so a crash drops the samples of exactly the
+// ISRs it abandoned, the buffer's tail, and the ISR that completes a
+// payload posts the payload's assembly task at its completion
+// (tinyos.Sched.Follow), so the kernel pays one event per payload, the
+// task's.
 type Streaming struct {
 	sampler
 	cfg StreamingConfig
@@ -47,7 +49,8 @@ type Streaming struct {
 	// payloads ahead of its own, whose tasks a crash abandoned or a full
 	// queue dropped. assembleDone is bound once.
 	buf          []codec.Sample
-	isrs         mcu.Marks
+	isrs         mcu.HandOffs
+	isrRing      [4]sim.Pos // isrs' first ring
 	assembled    uint64
 	assembleDone func()
 	payload      []byte // packing scratch; Send copies it
@@ -80,7 +83,8 @@ func NewStreaming(env Env, cfg StreamingConfig) *Streaming {
 	s := &Streaming{cfg: cfg,
 		buf:     make([]codec.Sample, 0, 3*spp),
 		payload: make([]byte, 0, codec.BytesFor(spp))}
-	env.Sched.MCU().Track(&s.isrs)
+	env.Sched.MCU().Register(&s.isrs, nil)
+	s.isrs.Use(s.isrRing[:])
 	s.assembleDone = s.onAssembleDone
 	s.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, s.onAcquisition)
 	return s
@@ -104,11 +108,11 @@ func (s *Streaming) onAcquisition(_ int64, samples []codec.Sample) {
 	// The per-pair cost covers the acquisition ISR and buffering.
 	sched := s.env.Sched
 	sched.Interrupt("ecg-sample", s.env.Cost.SamplePairStreaming, nil)
-	s.isrs.Mark()
+	s.isrs.File()
 	if n := len(s.buf); n%s.cfg.SamplesPerPacket == 0 {
 		// Packet assembly is a deferred task (header + packing); a full
 		// task queue drops the payload.
-		sched.Chain(tinyos.Task{Name: "ecg-assemble", Cycles: s.env.Cost.PacketAssembly,
+		sched.Follow(tinyos.Task{Name: "ecg-assemble", Cycles: s.env.Cost.PacketAssembly,
 			Run: s.assembleDone, Arg: s.assembled + uint64(n/s.cfg.SamplesPerPacket)})
 	}
 }

@@ -59,7 +59,7 @@ func (m *beaconSync) init(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r 
 //
 //hot:path
 func (m *beaconSync) windowDue(k *sim.Kernel) {
-	m.enter()
+	m.handOffs.Settle()
 	if k.Arg() == 0 {
 		m.windowTimedOut()
 		return
@@ -69,7 +69,7 @@ func (m *beaconSync) windowDue(k *sim.Kernel) {
 
 // Start implements Mac: listen continuously for a first beacon.
 func (m *beaconSync) Start() {
-	m.enter()
+	m.handOffs.Settle()
 	m.state = stateSearching
 	m.listen()
 	if m.joinedEver {
@@ -92,7 +92,7 @@ func (m *beaconSync) CycleLength() sim.Time { return m.cycle }
 // Crash implements NodeMAC: the core's crash, with the open beacon
 // window closed so its timeout cannot fire against the rebooted node.
 func (m *beaconSync) Crash() {
-	m.enter()
+	m.handOffs.Settle()
 	m.window.close(m.k)
 	m.missed = 0
 	m.nodeCore.Crash()
@@ -104,7 +104,7 @@ func (m *beaconSync) Crash() {
 // and then keeps only beacon synchronisation alive. The mode is sticky —
 // it mirrors battery charge, which never comes back.
 func (m *beaconSync) EnterBeaconOnly() {
-	m.enter()
+	m.handOffs.Settle()
 	if m.beaconOnly {
 		return
 	}

@@ -141,7 +141,7 @@ func (bs *BS) CycleLength() sim.Time { return bs.currentCycle() }
 // is dense (the cycle only covers indices 0..n-1), and every advertised
 // static grant matches the table.
 func (bs *BS) AuditTable() []string {
-	bs.enter()
+	bs.handOffs.Settle()
 	v := bs.audit()
 	if bs.cfg.Protocol == ProtoDynamic && !bs.needCompact {
 		for _, s := range bs.sortedIndices() {
@@ -167,7 +167,7 @@ func (bs *BS) AuditTable() []string {
 // Start begins the beacon cycle. The first beacon flies one cycle after
 // Start so nodes powered on at t=0 are already listening.
 func (bs *BS) Start() {
-	bs.enter()
+	bs.handOffs.Settle()
 	bs.start()
 	bs.cycle = bs.currentCycle()
 	bs.listen()
@@ -229,7 +229,7 @@ func slotCap(proto Protocol, p *platform.MACParams) int {
 //
 //hot:path
 func (bs *BS) beaconStep(k *sim.Kernel) {
-	bs.enter()
+	bs.handOffs.Settle()
 	if k.Arg() == 0 {
 		bs.prepareBeacon()
 	} else {
@@ -258,7 +258,7 @@ func (bs *BS) prepareBeacon() {
 //
 //hot:path
 func (bs *BS) buildBeacon() {
-	bs.enter()
+	bs.handOffs.Settle()
 	p := bs.cfg.Profile
 	if bs.reclaimSilent() {
 		bs.dropStaleGrants()
@@ -281,7 +281,7 @@ func (bs *BS) buildBeacon() {
 	// the nominal instant; the beacon then flies as soon as the load
 	// completes, and the nodes' guard margins absorb the small delay.
 	bs.beaconBuf = b.AppendMarshal(bs.beaconBuf[:0])
-	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, nil)
+	bs.radio.Load(bs.cfg.Plan.Beacon, bs.beaconBuf, radio.Stay(nil))
 	bs.k.ScheduleArgAt(max(bs.beaconFireAt-p.Radio.TxSettle, bs.k.Now()), bs.onBeacon, 1)
 }
 
@@ -295,7 +295,7 @@ func (bs *BS) beaconDue() { bs.radio.Fire(bs.beaconSent) }
 //
 //hot:path
 func (bs *BS) onBeaconSent() {
-	bs.enter()
+	bs.handOffs.Settle()
 	p := bs.cfg.Profile
 	bs.inBeaconPrep = false
 	bs.stats.BeaconsSent++
@@ -361,7 +361,7 @@ func (bs *BS) beaconEntries() []packet.SlotEntry {
 //
 //hot:path
 func (bs *BS) onFrame(f packet.Frame) {
-	bs.enter()
+	bs.handOffs.Settle()
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
 		if ssr, err := packet.UnmarshalSSR(f.Payload); err == nil {
@@ -379,7 +379,7 @@ func (bs *BS) onFrame(f packet.Frame) {
 // so the dynamic cycle compacts on the next beacon instead of after the
 // silence-reclaim window.
 func (bs *BS) releaseSlot() {
-	bs.enter()
+	bs.handOffs.Settle()
 	if !bs.retire(bs.nodeTasks.Pop()) {
 		return // duplicate or stale release
 	}
@@ -396,7 +396,7 @@ func (bs *BS) releaseSlot() {
 // assigns a slot (or repeats an existing assignment for a retrying node)
 // and advertises it in upcoming beacons.
 func (bs *BS) assignSlot() {
-	bs.enter()
+	bs.handOffs.Settle()
 	node, slot, fresh, ok := bs.admitNext()
 	if !ok {
 		return

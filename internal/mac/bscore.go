@@ -2,6 +2,7 @@ package mac
 
 import (
 	"repro/internal/energy"
+	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/radio"
@@ -38,31 +39,27 @@ type bsCore struct {
 	spare   [][]byte
 	stats   BSStats
 	started bool
-	// ackLoaded belongs with the ack chain below, and callbacks makes
-	// the base station run its acks as it does with a sink, turnaround
-	// and forwarding callbacks included: the reference the speculation
-	// is tested against. They sit here to share started's word.
-	ackLoaded  bool
-	callbacks  bool
-	speculated bool   // a speculation registered by owe may not have settled yet
-	ackBuf     []byte // marshal scratch: one ack is loaded at a time
+	// callbacks makes the base station run its acks as it does with a
+	// sink, turnaround and forwarding callbacks included: the reference
+	// the hand-off is tested against. It sits here to share started's
+	// word.
+	callbacks bool
+	ackBuf    []byte // marshal scratch: one ack is loaded at a time
 
 	// The ack chain, stepped by handlers bound once in init. An owed
-	// ack's turnaround ISR runs without a completion callback: its
-	// callback, turnAck, is speculated on at submission (owe), as of
-	// the hand-off ackAt, the ISR's completion position, for the ack
-	// owed. Unspeculate falls back, after which the owed ack waits in
-	// acks for turnAck, run by an event at the hand-off (onTurned);
-	// ackLoaded (above) is set when the speculation loaded the ack.
-	// firing is the one clocking in or on the air. With a sink, each
-	// acknowledged data frame waits in forwards for its forwarding
-	// task, numbered by handed, the task's Arg, and the turnaround is
-	// not speculated on.
+	// ack's turnaround ISR runs without a completion callback: owe opens
+	// a hand-off at the ISR's completion (handOffs) and applies its
+	// callback, turnAck, for the ack owed. Undo falls back, after which
+	// the owed ack waits in acks for turnAck, run by an event at the
+	// hand-off (onTurned). firing is the one clocking in or on the air.
+	// With a sink, each acknowledged data frame waits in forwards for
+	// its forwarding task, numbered by handed, the task's Arg, and the
+	// turnaround completes through its event.
+	handOffs  mcu.HandOffs
 	mayAck    func(a owedAck) bool
 	acked     func(a owedAck)
 	acks      sim.FIFO[owedAck]
 	owed      owedAck
-	ackAt     sim.Pos
 	firing    owedAck
 	handed    uint64
 	forwards  sim.FIFO[forwardRec]
@@ -122,6 +119,7 @@ func (c *bsCore) init(k *sim.Kernel, cfg BSConfig, sched *tinyos.Sched, r *radio
 	c.onTurned = c.turned
 	c.ackSent = c.onAckSent
 	c.forwarded = c.forward
+	sched.MCU().Register(&c.handOffs, c)
 }
 
 // memberDetails reports the trace details that render an index under
@@ -139,7 +137,7 @@ func memberDetails(noun string) (member, reclaim string) {
 // forwarding task ran (the "forward to the PC/PDA" hook). Without a
 // sink, the forwarding task has no callback.
 func (c *bsCore) OnData(fn func(rec RxRecord)) {
-	c.enter()
+	c.handOffs.Settle()
 	c.onData = fn
 }
 
@@ -148,29 +146,15 @@ func (c *bsCore) Stats() BSStats { return c.stats }
 
 // ResetAccounting implements BSMAC.
 func (c *bsCore) ResetAccounting() {
-	c.enter()
+	c.handOffs.Settle()
 	c.stats = BSStats{}
 }
 
 // AuditTable implements BSMAC: the member maps must be inverse
 // bijections with indices inside the admission cap.
 func (c *bsCore) AuditTable() []string {
-	c.enter()
+	c.handOffs.Settle()
 	return c.audit()
-}
-
-// enter runs first at every entry into the base station: a
-// speculation on an ack's turnaround that has not settled yet does so
-// (tinyos.Sched.Settle), and the radio takes up the move to standby of
-// a clock-in the speculation chained (radio.Radio.Sync).
-//
-//hot:path
-func (c *bsCore) enter() {
-	if c.speculated {
-		c.speculated = false
-		c.sched.Settle()
-		c.radio.Sync()
-	}
 }
 
 // start marks the base station started; a second Start panics.
@@ -309,58 +293,47 @@ func (c *bsCore) recycle(payload []byte) {
 }
 
 // owe queues an acknowledgement behind the turnaround ISR named isr,
-// and speculates on the ISR's callback, turnAck: if mayAck lets the ack
-// fly as of the ISR's completion, the hand-off, the ack is loaded at
-// once, its FIFO clock-in chained to the ISR (radio.Radio.ChainLoadFire)
-// and the forwarding task to the clock-in. That holds unless something
-// enters the base station before the hand-off, or submits work to its
-// MCU once the ack is chained: each first settles the speculation
-// (tinyos.Sched.Settle), which then falls back to the callback. mayAck
-// reads only protocol state, which nothing but such an entry changes.
-// A base station with a sink runs turnAck at the hand-off.
+// and opens a hand-off at the ISR's completion, applying its callback,
+// turnAck, as of there: if mayAck lets the ack fly, the ack is loaded
+// at once, its FIFO clock-in chained to the hand-off (radio.Burst) and
+// the forwarding task to the clock-in (tinyos.Sched.Follow). That holds
+// unless something enters the base station before the hand-off, or
+// submits work to its MCU once the ack is chained: the hand-off is then
+// undone (Undo). mayAck reads only protocol state, which nothing but
+// such an entry changes. A base station with a sink runs turnAck at
+// the hand-off.
 //
 //hot:path
 func (c *bsCore) owe(a owedAck, isr string) {
 	c.sched.Interrupt(isr, c.cfg.Profile.Cost.BSAckTurnaround, nil)
 	at := c.sched.MCU().Completion()
-	if c.onData != nil || c.callbacks {
+	if c.onData != nil || c.callbacks || !c.handOffs.Open(at) {
 		c.acks.Push(a)
 		c.k.ScheduleReserved(at, c.onTurned, 0)
 		return
 	}
-	c.ackAt, c.owed, c.ackLoaded = at, a, false
-	c.sched.Speculate(at, c)
-	c.speculated = true
+	c.owed = a
 	if !c.mayAck(a) {
 		return // nothing to recycle without a sink
 	}
 	c.marshalAck(a)
-	if !c.radio.ChainLoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent) {
-		c.enter() // the ack cannot be chained: fall back at once
+	if !c.radio.Load(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, radio.Burst(c.ackSent)) {
+		c.handOffs.Settle() // the ack cannot be chained: fall back at once
 		return
 	}
 	c.firing = a
-	c.ackLoaded = true
 	c.handData(a)
 }
 
-// Unspeculate implements tinyos.Speculation: it falls back from owe's
-// speculation. The ack and its forwarding task are taken back, the ack
-// waits in acks, and turnAck runs at the hand-off after all, through an
-// event there.
-func (c *bsCore) Unspeculate() {
-	// firing needs no undoing: no ack was in flight, or the clock-in
-	// could not have been chained.
-	if c.ackLoaded {
-		if c.owed.kind == ackData {
-			c.sched.TakeBack()
-		}
-		c.radio.Unchain()
-		c.sched.MCU().UnchainTo(c.ackAt)
-	}
+// Undo implements mcu.Undoer: the hand-off owe opened falls back (the
+// ack's clock-in and forwarding task went with it). The ack waits in
+// acks, and turnAck runs at the hand-off after all, through an event
+// there. firing needs no undoing: no ack was in flight, or the clock-in
+// could not have been chained.
+func (c *bsCore) Undo(at sim.Pos, _ bool) {
 	c.acks.Push(c.owed)
 	c.owed = owedAck{}
-	c.k.ScheduleReserved(c.ackAt, c.onTurned, 0)
+	c.k.ScheduleReserved(at, c.onTurned, 0)
 }
 
 // turned runs turnAck as a turnaround ISR completes.
@@ -375,7 +348,7 @@ func (c *bsCore) turned(*sim.Kernel) { c.turnAck() }
 //
 //hot:path
 func (c *bsCore) turnAck() {
-	c.enter()
+	c.handOffs.Settle()
 	a := c.acks.Pop()
 	fly := c.mayAck(a)
 	if fly && c.radio.Sending() {
@@ -397,7 +370,7 @@ func (c *bsCore) loadAck(a owedAck) {
 	c.radio.Standby()
 	c.marshalAck(a)
 	c.firing = a
-	c.radio.LoadFire(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, c.ackSent)
+	c.radio.Load(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, radio.Burst(c.ackSent))
 	c.handData(a)
 }
 
@@ -428,7 +401,7 @@ func (c *bsCore) handData(a owedAck) {
 		c.forwards.Push(forwardRec{n: c.handed, rec: a.rec})
 		t.Run, t.Arg = c.forwarded, c.handed
 	}
-	c.sched.Chain(t)
+	c.sched.Follow(t)
 }
 
 // onAckSent counts an acknowledgement once it has flown and hands it to
@@ -436,7 +409,7 @@ func (c *bsCore) handData(a owedAck) {
 //
 //hot:path
 func (c *bsCore) onAckSent() {
-	c.enter()
+	c.handOffs.Settle()
 	if c.firing.kind == ackEarly {
 		c.stats.EarlyAcksSent++
 	} else {

@@ -166,7 +166,7 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 			m.launch()
 			m.op = csmaOpData
 			m.loading = true
-			m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), m.frameLoaded)
+			m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), radio.Stay(m.frameLoaded))
 		case csmaOpSSR:
 			m.nextSSR()
 			m.op = csmaOpSSR
@@ -176,7 +176,7 @@ func (m *CSMANode) beginAttempt(op csmaOp) {
 			m.op = csmaOpRelease
 			m.loading = true
 			m.ctrlBuf = packet.Release{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
-			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
+			m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, radio.Stay(m.frameLoaded))
 		}
 		return
 	}
@@ -194,7 +194,7 @@ func (m *CSMANode) onSSRPrepped() {
 	}
 	ssr := packet.SSR{NodeID: m.cfg.NodeID, Nonce: m.ssrNonce}
 	m.ctrlBuf = ssr.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.frameLoaded)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, radio.Stay(m.frameLoaded))
 }
 
 // onFrameLoaded contends for the channel once the frame sits in the

@@ -231,9 +231,9 @@ func hoRun(newKernel func(int64) *sim.Kernel, callbacks bool, e hoEntry, at sim.
 	n := r.nodes[0]
 	r.k.ScheduleAt(at+sim.Microsecond, func(*sim.Kernel) {
 		r.probe("before", false)
-		live = n.sched.Speculating()
+		live = n.mac.handOffs.Pending()
 		if e.bs {
-			live = r.bsSched.Speculating()
+			live = r.bs.handOffs.Pending()
 		}
 		e.act(r, n)
 		r.probe("after", false)

@@ -280,7 +280,7 @@ func (m *LPLNode) strobeStep() {
 	}
 	m.strobeCount++
 	m.ctrlBuf = packet.Strobe{NodeID: m.cfg.NodeID}.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.LoadFire(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.strobeSent)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, radio.Burst(m.strobeSent))
 }
 
 // onStrobeSent accounts a strobe once it has flown.
@@ -343,7 +343,7 @@ func (m *LPLNode) sendPayload() {
 			}
 			m.launch()
 		}
-		m.radio.LoadFire(m.cfg.Plan.BSData, m.idFrame(), m.dataSent)
+		m.radio.Load(m.cfg.Plan.BSData, m.idFrame(), radio.Burst(m.dataSent))
 		m.oweQueueDelay()
 	}
 }
@@ -363,7 +363,7 @@ func (m *LPLNode) onSSRPrepped() {
 		return
 	}
 	m.ctrlBuf = m.ssr.AppendMarshal(m.ctrlBuf[:0])
-	m.radio.LoadFire(m.cfg.Plan.BSCtrl, m.ctrlBuf, m.ssrSent)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, radio.Burst(m.ssrSent))
 }
 
 // onSSRSent listens for the association ack once the request has flown.
@@ -524,7 +524,7 @@ func (bs *LPLBS) CycleLength() sim.Time { return bs.checkInterval }
 // instant, probe n firing at n check intervals, independent of how long
 // individual wakes run.
 func (bs *LPLBS) Start() {
-	bs.enter()
+	bs.handOffs.Settle()
 	bs.start()
 	bs.radio.SetRxAddresses(bs.cfg.Plan.BSData, bs.cfg.Plan.BSCtrl)
 	bs.startAt = bs.k.Now()
@@ -544,7 +544,7 @@ func (bs *LPLBS) scheduleProbe() {
 //
 //hot:path
 func (bs *LPLBS) probe(*sim.Kernel) {
-	bs.enter()
+	bs.handOffs.Settle()
 	bs.scheduleProbe()
 	bs.reclaimSilent()
 	if bs.waking {
@@ -566,7 +566,7 @@ func lplProbeWindow(p *platform.Profile) sim.Time { return p.Radio.RxSettle + lp
 //
 //hot:path
 func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
-	bs.enter()
+	bs.handOffs.Settle()
 	if !bs.waking || bs.payload.open {
 		return
 	}
@@ -581,7 +581,7 @@ func (bs *LPLBS) onProbeIdle(*sim.Kernel) {
 
 //hot:path
 func (bs *LPLBS) onFrame(f packet.Frame) {
-	bs.enter()
+	bs.handOffs.Settle()
 	switch f.Dest {
 	case bs.cfg.Plan.BSCtrl:
 		if s, err := packet.UnmarshalStrobe(f.Payload); err == nil {
@@ -639,7 +639,7 @@ func (bs *LPLBS) openPayloadWindow() {
 //
 //hot:path
 func (bs *LPLBS) onPayloadTimeout(*sim.Kernel) {
-	bs.enter()
+	bs.handOffs.Settle()
 	if bs.payload.expire() {
 		bs.endWake()
 	}
@@ -673,7 +673,7 @@ func (bs *LPLBS) handleSSR(ssr packet.SSR) {
 // assignMember answers an association request once its task ran: the
 // ack goes straight into the FIFO, with no turnaround ISR.
 func (bs *LPLBS) assignMember() {
-	bs.enter()
+	bs.handOffs.Settle()
 	node, idx, _, ok := bs.admitNext()
 	if !ok {
 		bs.endWake()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/energy"
+	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
@@ -98,11 +99,12 @@ type nodeCore struct {
 	dataHeader int
 	loading    bool // CSMA: FIFO clock-in of the next frame in progress
 	loaded     bool // a frame sits in (or is clocking into) the radio FIFO
-	// ssrScheduled is set while a TDMA slot request is armed; speculated
-	// is set when the MAC registered a speculation (NodeMac.speculateLoad)
-	// that may not have settled yet.
+	// ssrScheduled is set while a TDMA slot request is armed.
 	ssrScheduled bool
-	speculated   bool
+	// handOffs holds the hand-off a TDMA node opens at its ack-process
+	// ISR's completion (NodeMac.speculateLoad); every entry into the MAC
+	// settles it first.
+	handOffs mcu.HandOffs
 	// dataBuf/ctrlBuf are marshal scratch for the sender-ID-framed data
 	// payload and the control frames. A node sends at most one control
 	// frame at a time, so one buffer suffices.
@@ -182,24 +184,9 @@ func (c *nodeCore) JoinIdleTime() sim.Time { return c.joinIdleTime }
 // audit engine checks across crash/reboot cycles.
 func (c *nodeCore) Generation() uint64 { return c.gen }
 
-// enter runs first at every entry into the MAC: a speculation on an
-// ISR's callback that has not settled yet does so
-// (tinyos.Sched.Settle), and the radio takes up the move to standby of
-// a clock-in the speculation chained (radio.Radio.Sync). Protocols that
-// never speculate pay one check.
-//
-//hot:path
-func (c *nodeCore) enter() {
-	if c.speculated {
-		c.speculated = false
-		c.sched.Settle()
-		c.radio.Sync()
-	}
-}
-
 // ResetAccounting zeroes statistics and loss accumulators (post-warmup).
 func (c *nodeCore) ResetAccounting() {
-	c.enter()
+	c.handOffs.Settle()
 	c.settleDelay()
 	c.stats = Stats{}
 	c.carrySent = 0
@@ -316,7 +303,7 @@ func (c *nodeCore) park() { c.halt(stateParked, metrics.KindParked) }
 // opportunity — the duty-cycle-stretching rung of the battery
 // graceful-degradation ladder. k < 2 disables stretching.
 func (c *nodeCore) SetSlotStretch(k int) {
-	c.enter()
+	c.handOffs.Settle()
 	if k < 2 {
 		k = 0
 	}
@@ -622,7 +609,7 @@ func (c *nodeCore) chargeControlTx(n int) {
 // hold). Safe to call at any instant: the counters and the ack window
 // are updated atomically within each kernel event.
 func (c *nodeCore) AuditFrame() []string {
-	c.enter()
+	c.handOffs.Settle()
 	return AuditFrameStats(c.stats, c.carrySent, c.ack.open)
 }
 

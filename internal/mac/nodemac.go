@@ -23,17 +23,16 @@ type NodeMac struct {
 	// carries its generation in the event's argument word; MCU and radio
 	// completions need no state beyond the MAC's own fields. A data
 	// frame's FIFO clock-in ends with the radio powering down
-	// (radio.LoadPark), so loaded is set from its start, and the slot
+	// (radio.Park), so loaded is set from its start, and the slot
 	// fires it only once the radio reports it Loaded.
 	onTimer      sim.Handler // slot fires, ack timeouts and control-frame steps (see timerDue)
 	beaconParsed func()
 	dataSent     func()
-	// The ack-process ISR runs without a completion callback: its
-	// callback, tryLoad, is speculated on at submission
-	// (speculateLoad), as of the hand-off ackAt, the ISR's completion
-	// position. Unspeculate falls back, running tryLoad through a timer
-	// event at the hand-off after all; ackLoaded (below) is set when the
-	// speculation loaded the payload.
+	// The ack-process ISR runs without a completion callback: a
+	// hand-off opened at its completion, ackAt, applies its callback,
+	// tryLoad, at submission (speculateLoad). Undo falls back, running
+	// tryLoad through a timer event at the hand-off after all; ackLoaded
+	// (below) is set when the hand-off loaded the payload.
 	ackAt sim.Pos
 	// Control-frame transients (slot request, slot release), stepped the
 	// same way. Each attempt is numbered, and only the latest is live:
@@ -48,8 +47,8 @@ type NodeMac struct {
 	ctrlRelease bool
 	ackLoaded   bool
 	// callbacks makes the ack-process ISR complete through an event
-	// that runs tryLoad, instead of speculating on it: the reference the
-	// speculation is tested against.
+	// that runs tryLoad, instead of a hand-off: the reference the
+	// hand-off is tested against.
 	callbacks   bool
 	ctrlLoad    uint64
 	ctrlPreps   mcu.Queue[ctrlPrep]
@@ -70,29 +69,20 @@ func NewNodeMac(k *sim.Kernel, cfg NodeConfig, sched *tinyos.Sched, r *radio.Rad
 	m.ctrlPrepped = m.onCtrlPrepped
 	m.ctrlSent = m.onCtrlSent
 	r.SetReceiveHandler(m.onFrame)
+	sched.MCU().Register(&m.handOffs, m)
 	return m
 }
 
 // Send implements Mac. The payload is copied into a recycled buffer and
 // loaded right away when the radio is free.
 //
-// A Send before a speculation's hand-off changes what tryLoad does
-// there, but it runs tryLoad itself: the speculation is taken back
-// without its event, and made again as of the state Send leaves.
+// A Send before the ack-process hand-off changes what tryLoad does
+// there, but it runs tryLoad itself: the hand-off is withdrawn without
+// its event, and opened again as of the state Send leaves.
 //
 //hot:path
 func (m *NodeMac) Send(payload []byte) bool {
-	respec := false
-	if m.speculated {
-		m.speculated = false
-		respec = m.sched.Speculating()
-		m.sched.Forget()
-		if respec {
-			m.undoLoad()
-		} else {
-			m.radio.Sync()
-		}
-	}
+	respec := m.handOffs.Withdraw()
 	ok := m.nodeCore.Send(payload)
 	if ok {
 		m.tryLoad()
@@ -124,70 +114,61 @@ func (m *NodeMac) slotStart(i int) sim.Time {
 //
 //hot:path
 func (m *NodeMac) onFrame(f packet.Frame) {
-	m.enter()
+	m.handOffs.Settle()
 	if m.receive(f, m.beaconParsed) {
 		m.sched.Interrupt("ack-process", m.cfg.Profile.Cost.AckProcess, nil)
-		if m.callbacks {
-			m.ackAt = m.sched.MCU().Completion()
-			m.k.ScheduleReserved(m.ackAt, m.onTimer, m.gen<<timerTagBits|timerAckDone)
-			return
-		}
 		m.speculateLoad(m.sched.MCU().Completion())
 	}
 }
 
-// speculateLoad applies tryLoad, the ack-process ISR's callback, as of
-// the ISR's completion at, the hand-off: it loads the head payload, its
-// FIFO clock-in chained to the ISR (radio.Radio.ChainLoadPark), if
-// tryLoad would load it there. That holds unless something enters the
-// MAC before the hand-off, or submits work to the MCU once the load is
-// chained: each first settles the speculation (tinyos.Sched.Settle),
-// which then falls back to the callback. mayLoad reads only MAC state,
-// which nothing but such an entry changes, and the radio's mode, which
-// the ack window's end just fixed at off.
+// speculateLoad opens a hand-off at the ack-process ISR's completion at
+// and applies tryLoad, the ISR's callback, as of there: it loads the
+// head payload, its FIFO clock-in chained to the hand-off (radio.Park),
+// if tryLoad would load it there. That holds unless something enters
+// the MAC before the hand-off, or submits work to the MCU once the load
+// is chained: the hand-off is then undone (Undo). mayLoad reads only
+// MAC state, which nothing but such an entry changes, and the radio's
+// mode, which the ack window's end just fixed at off. Without a
+// hand-off, tryLoad runs through an event at at.
 //
 //hot:path
 func (m *NodeMac) speculateLoad(at sim.Pos) {
 	m.ackAt, m.ackLoaded = at, false
-	m.sched.Speculate(at, m)
-	m.speculated = true
+	if m.callbacks || !m.handOffs.Open(at) {
+		m.k.ScheduleReserved(at, m.onTimer, m.gen<<timerTagBits|timerAckDone)
+		return
+	}
 	if !m.mayLoad(at.At) {
 		return
 	}
-	if m.hasInFlight || !m.radio.ChainLoadPark(m.cfg.Plan.BSData, m.queue.Peek().payload) {
-		m.enter() // the load cannot be chained: fall back at once
+	if m.hasInFlight || !m.radio.Load(m.cfg.Plan.BSData, m.queue.Peek().payload, radio.Park()) {
+		m.handOffs.Settle() // the load cannot be chained: fall back at once
 		return
 	}
 	m.launch()
 	m.loaded, m.ackLoaded = true, true
 }
 
-// Unspeculate implements tinyos.Speculation: it falls back from
-// speculateLoad's speculation. The load is taken back, and tryLoad runs
+// Undo implements mcu.Undoer: the hand-off speculateLoad opened is
+// undone (its clock-in went with it), and with fallback set tryLoad runs
 // at the hand-off after all, through an event there.
-func (m *NodeMac) Unspeculate() {
-	m.undoLoad()
-	m.k.ScheduleReserved(m.ackAt, m.onTimer, m.gen<<timerTagBits|timerAckDone)
-}
-
-// undoLoad takes back the load speculateLoad chained, if it did.
-func (m *NodeMac) undoLoad() {
-	if !m.ackLoaded {
-		return
+func (m *NodeMac) Undo(at sim.Pos, fallback bool) {
+	if m.ackLoaded {
+		m.ackLoaded = false
+		m.queue.PushFront(m.inFlight)
+		m.dropInFlight()
+		m.loaded = false
 	}
-	m.ackLoaded = false
-	m.radio.Unchain()
-	m.sched.MCU().UnchainTo(m.ackAt)
-	m.queue.PushFront(m.inFlight)
-	m.dropInFlight()
-	m.loaded = false
+	if fallback {
+		m.k.ScheduleReserved(at, m.onTimer, m.gen<<timerTagBits|timerAckDone)
+	}
 }
 
 // afterBeacon schedules this cycle's activity once parsing is done.
 //
 //hot:path
 func (m *NodeMac) afterBeacon() {
-	m.enter()
+	m.handOffs.Settle()
 	m.scheduleNextWindow()
 	switch m.state {
 	case stateRequesting:
@@ -275,7 +256,7 @@ const (
 	timerSlot      = iota // fire the data frame at the slot boundary
 	timerCtrlPrep         // prepare a control frame
 	timerCtrlFire         // fire it
-	timerAckDone          // tryLoad as an ack-process ISR completes (Unspeculate)
+	timerAckDone          // tryLoad as an ack-process ISR completes (Undo)
 	timerAckExpiry        // an acknowledgement window times out
 	timerTagBits   = 3
 )
@@ -284,7 +265,7 @@ const (
 //
 //hot:path
 func (m *NodeMac) timerDue(k *sim.Kernel) {
-	m.enter()
+	m.handOffs.Settle()
 	v := k.Arg() >> timerTagBits
 	switch k.Arg() & (1<<timerTagBits - 1) {
 	case timerSlot:
@@ -332,7 +313,7 @@ func (m *NodeMac) ctrlPrepDue(attempt uint64) {
 // onCtrlPrepped loads the prepared slot request or release into the
 // radio FIFO.
 func (m *NodeMac) onCtrlPrepped() {
-	m.enter()
+	m.handOffs.Settle()
 	c := m.ctrlPreps.Pop()
 	if m.radio.Mode() == radio.ModeRx {
 		if !c.release {
@@ -346,7 +327,7 @@ func (m *NodeMac) onCtrlPrepped() {
 		m.ctrlBuf = c.ssr.AppendMarshal(m.ctrlBuf[:0])
 	}
 	m.ctrlLoad = c.attempt
-	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, nil)
+	m.radio.Load(m.cfg.Plan.BSCtrl, m.ctrlBuf, radio.Stay(nil))
 }
 
 // ctrlFireDue fires the live attempt's frame if it was loaded: a slot
@@ -373,7 +354,7 @@ func (m *NodeMac) ctrlFireDue(attempt uint64) {
 // while a control frame is on the air, so the live one is the one that
 // flew.
 func (m *NodeMac) onCtrlSent() {
-	m.enter()
+	m.handOffs.Settle()
 	if m.ctrlRelease {
 		m.releaseFlown("slot=%d")
 		return
@@ -421,7 +402,7 @@ func (m *NodeMac) tryLoad() {
 	m.launch()
 	m.loaded = true
 	// The FIFO retains the frame; the radio sleeps until the slot.
-	m.radio.LoadPark(m.cfg.Plan.BSData, item.payload)
+	m.radio.Load(m.cfg.Plan.BSData, item.payload, radio.Park())
 }
 
 // mayLoad reports whether tryLoad at instant at loads the head payload:
@@ -484,7 +465,7 @@ func (m *NodeMac) fireSlot() {
 //
 //hot:path
 func (m *NodeMac) onDataSent() {
-	m.enter()
+	m.handOffs.Settle()
 	m.dataFlown(m.onTimer, timerAckExpiry)
 }
 
@@ -507,7 +488,7 @@ func (m *NodeMac) ackExpired() {
 // law holds through compactions the node has not yet heard; a violation
 // means the base station granted a slot outside the frame it advertised.
 func (m *NodeMac) AuditProtocol() []string {
-	m.enter()
+	m.handOffs.Settle()
 	if m.state != stateJoined || m.cycle <= 0 {
 		return nil
 	}

@@ -19,26 +19,10 @@
 // callback costs no kernel event; a callback runs in an event scheduled
 // at the reserved position (sim.Kernel.ScheduleReserved).
 //
-// A component whose work carries state across its completions (a
-// streaming application's samples, say) can still submit it without a
-// callback: a Marks it registers with Track records each computation's
-// completion position, and learns at a crash which of them dispatch had
-// passed, so the component keeps exactly the effects of the
-// computations that completed and drops those the crash abandoned.
-//
-// Work can also be chained to the work submitted last (Chain, ChainDur):
-// queued to start the instant that work completes, as if its completion
-// callback had submitted it, with no kernel event at the hand-off. The
-// chained work may itself have no callback, and more work may be
-// chained behind it. Work submitted before the hand-off position passes
-// (Chained) would have queued ahead of the chained work, so the
-// submitter first falls back with Unchain: the chained work is taken
-// back, and the work it followed gets a completion event at its
-// reserved position after all, whose callback submits the chained work
-// there as a plain hand-off would. tinyos.Sched.Chain posts tasks this
-// way. UnchainTo only takes chained work back, for a caller that
-// schedules its hand-off itself: tinyos.Sched.ChainLoad clocks a radio
-// frame in for a speculating MAC (tinyos.Sched.Speculate).
+// Work whose completion callback's effects its submitter applies at
+// submission is a hand-off (HandOffs): filed under the completion
+// position reserved for it, settled once dispatch passes that position,
+// and undone if anything intervenes first (see HandOffs).
 package mcu
 
 import (
@@ -63,8 +47,8 @@ type MCU struct {
 	idle  sim.Pos
 	awake bool
 	// done is the completion position of the work submitted last, the
-	// one a Marks records; event is its completion event, 0 when that
-	// work has no callback. shared is set when that work has no callback
+	// one a hand-off is filed under; event is its completion event, 0
+	// when that work has no callback. shared is set when that work has no callback
 	// and no completion position of its own (see execFor).
 	done   sim.Pos
 	event  sim.EventID
@@ -86,12 +70,15 @@ type MCU struct {
 	dones    sim.FIFO[func()]
 	donesBuf [4]func() // dones' first ring
 	complete sim.Handler
-	// marks lists the Marks registered with Track, linked through their
-	// next fields; a crash settles each.
-	marks *Marks
-	// chain is the hand-off position of the work Chain queued last, the
-	// zero Pos when none is waiting for it.
-	chain sim.Pos
+	// records lists the registered HandOffs, linked through their next
+	// fields, for a crash to drop. chain[:nChain] holds, in position
+	// order, those whose open hand-off work follows, last the one that
+	// opened a hand-off last. reference is set by Reference.
+	records   *HandOffs
+	chain     [4]*HandOffs
+	nChain    int
+	last      *HandOffs
+	reference bool
 }
 
 // New creates an MCU, registers its energy meter on the ledger and starts
@@ -178,6 +165,7 @@ func (m *MCU) Busy() bool { return m.k.Now() < m.idle.At }
 //
 //hot:path
 func (m *MCU) Exec(cycles int64, done func()) sim.Time {
+	m.Yield()
 	return m.execFor(m.params.CyclesToTime(cycles), done)
 }
 
@@ -188,9 +176,12 @@ func (m *MCU) ExecDur(d sim.Time, done func()) sim.Time {
 	if d < 0 {
 		panic("mcu: negative duration")
 	}
+	m.Yield()
 	return m.execFor(d, done)
 }
 
+// execFor queues dur of computation, completing with done, behind the
+// work submitted so far.
 func (m *MCU) execFor(dur sim.Time, done func()) sim.Time {
 	now := m.k.Now()
 	start, woke := now, false
@@ -228,87 +219,6 @@ func (m *MCU) execFor(dur sim.Time, done func()) sim.Time {
 	return end
 }
 
-// Chain queues cycles of computation, completing with done (which may
-// be nil), to start the instant the work submitted last completes, as
-// if that work's completion callback had submitted it, but without the
-// kernel event that callback would cost. That work must have no
-// callback. Chain reports false when the work has no completion
-// position of its own to hand off at (zero-length work submitted the
-// instant the queued work ran out shares the earlier work's): it then
-// queues nothing, and the caller hands off through a completion event
-// instead, Exec(0, handoff), exactly as a callback would.
-//
-// Work submitted before the hand-off position passes would queue
-// behind the chained work instead of ahead of it, so the caller first
-// takes the chained work back with Unchain.
-//
-//hot:path
-func (m *MCU) Chain(cycles int64, done func()) bool {
-	return m.chainFor(m.Duration(cycles), done)
-}
-
-// ChainDur is Chain for work lasting an explicit wall duration, as
-// ExecDur is for Exec.
-//
-//hot:path
-func (m *MCU) ChainDur(d sim.Time, done func()) bool {
-	if d < 0 {
-		panic("mcu: negative duration")
-	}
-	return m.chainFor(d, done)
-}
-
-func (m *MCU) chainFor(dur sim.Time, done func()) bool {
-	if m.shared {
-		return false
-	}
-	if m.event != 0 {
-		panic("mcu: Chain behind work that has a completion callback")
-	}
-	at := m.done
-	m.execFor(dur, done)
-	m.chain = at
-	return true
-}
-
-// Chained reports whether the work Chain queued last is still waiting
-// for its hand-off position, so that Unchain can take it back.
-//
-//hot:path
-func (m *MCU) Chained() bool {
-	return m.chain.Seq != 0 && !m.k.Passed(m.chain)
-}
-
-// Unchain takes back the work Chain queued last, before its hand-off
-// position has passed and before any other work was submitted, and
-// runs handoff at the hand-off instead, through a completion event of
-// the work it followed after all, at that work's reserved position:
-// exactly where the callback of a plain submission would have run.
-func (m *MCU) Unchain(handoff func()) {
-	at := m.chain
-	m.UnchainTo(at)
-	m.dones.Push(handoff)
-	m.event = m.k.ScheduleReserved(at, m.complete, m.gen)
-}
-
-// UnchainTo takes back every work chained since the work whose
-// completion position is at, which Completion reported: the MCU runs
-// out of work there again. No other work may have been submitted since
-// but work chained behind it, of which only the last may have a
-// callback. The caller runs what the chained work's submitter would
-// have run at that position through an event of its own there
-// (sim.Kernel.ScheduleReserved).
-func (m *MCU) UnchainTo(at sim.Pos) {
-	if m.event != 0 {
-		m.k.Cancel(m.event)
-		m.dones.PopBack()
-		m.event = 0
-	}
-	m.idle, m.done, m.shared = at, at, false
-	m.meter.Defer(at.At, m.sleep)
-	m.chain = sim.Pos{}
-}
-
 // onComplete runs the callback of one queued computation.
 //
 //hot:path
@@ -325,10 +235,10 @@ func (m *MCU) onComplete(k *sim.Kernel) {
 // (its completion callbacks never run), and the core stops drawing
 // current until Reboot. The energy meter is cut off at the crash instant.
 func (m *MCU) Crash() {
-	for q := m.marks; q != nil; q = q.next {
-		q.crashed()
+	for h := m.records; h != nil; h = h.next {
+		h.crashed()
 	}
-	m.chain = sim.Pos{}
+	m.nChain, m.last = 0, nil
 	m.gen++
 	m.dones.Reset()
 	m.idle = sim.Pos{At: m.k.Now()}
@@ -396,61 +306,3 @@ func (q *Queue[T]) DropAbandoned() {
 
 // Len reports the number of queued entries, abandoned ones included.
 func (q *Queue[T]) Len() int { return q.q.Len() }
-
-// Marks follows where the computations a component submits to the MCU
-// complete, in submission order, so that the component learns which of
-// them a crash abandoned even when their completions cost no kernel
-// event. Call Mark right after each submission whose fate matters, and
-// Settle before acting on the state of earlier ones: it reports how many
-// marked computations crashes abandoned since the last Settle. A
-// computation counts as completed exactly when dispatch has passed its
-// completion position, its event's or the one reserved for it, as
-// sim.Kernel.Passed judges it at the crash. The zero value is usable once
-// registered with Track. Steady state allocates nothing.
-type Marks struct {
-	m    *MCU
-	q    sim.FIFO[sim.Pos]
-	buf  [4]sim.Pos // q's first ring
-	lost int
-	next *Marks
-}
-
-// Track registers q with m: q follows the computations submitted to m,
-// and each Crash of m settles it. q must not move afterwards.
-func (m *MCU) Track(q *Marks) {
-	q.m = m
-	q.next, m.marks = m.marks, q
-	q.q.Use(q.buf[:])
-}
-
-// Mark records the completion position of the computation most
-// recently submitted to the MCU.
-//
-//hot:path
-func (q *Marks) Mark() { q.q.Push(q.m.done) }
-
-// Settle forgets the marks of the computations that have completed and
-// reports how many marked computations crashes abandoned since the last
-// Settle. Abandoned computations are always the latest ones marked
-// before their crash.
-//
-//hot:path
-func (q *Marks) Settle() int {
-	for q.q.Len() > 0 {
-		if !q.m.k.Passed(q.q.Peek()) {
-			break
-		}
-		q.q.Pop()
-	}
-	n := q.lost
-	q.lost = 0
-	return n
-}
-
-// crashed counts every marked computation still running at a crash as
-// abandoned.
-func (q *Marks) crashed() {
-	lost := q.Settle()
-	q.lost = lost + q.q.Len()
-	q.q.Reset()
-}

@@ -96,10 +96,10 @@ func TestCrashMidBurstTruncatesFrame(t *testing.T) {
 	prm := platform.IMEC().Radio
 	done := 0
 	b.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		b.tx.radio.Load(packet.AddrBSData, make([]byte, 18), func() {
+		b.tx.radio.Load(packet.AddrBSData, make([]byte, 18), Stay(func() {
 			b.tx.radio.Fire(func() { done++ })
 			b.k.Schedule(prm.TxSettle+prm.Airtime(18)/2, func(*sim.Kernel) { b.tx.radio.Crash() })
-		})
+		}))
 	})
 	b.k.RunUntil(20 * sim.Millisecond)
 
@@ -127,12 +127,12 @@ func TestCrashAtBurstEndCompletesNothing(t *testing.T) {
 	prm := platform.IMEC().Radio
 	done := 0
 	b.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		b.tx.radio.Load(packet.AddrBSData, make([]byte, 18), func() {
+		b.tx.radio.Load(packet.AddrBSData, make([]byte, 18), Stay(func() {
 			b.tx.radio.Fire(func() { done++ })
 			// Scheduled before settle puts the frame on the air, so it
 			// precedes the frame's end at the same instant.
 			b.k.Schedule(prm.TxSettle+prm.Airtime(18), func(*sim.Kernel) { b.tx.radio.Crash() })
-		})
+		}))
 	})
 	b.k.RunUntil(20 * sim.Millisecond)
 
@@ -161,16 +161,16 @@ func TestStaleFrameEndLeavesNewBurstAlone(t *testing.T) {
 	done1, done2 := 0, 0
 	var fire1, fire2, done2At sim.Time
 	b.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		b.tx.radio.Load(packet.AddrBSData, []byte{1}, func() {
+		b.tx.radio.Load(packet.AddrBSData, []byte{1}, Stay(func() {
 			fire1 = b.k.Now()
 			b.tx.radio.Fire(func() { done1++ })
 			b.k.Schedule(2*prof.Radio.TxSettle, func(*sim.Kernel) {
 				b.tx.radio.Crash()
 				b.tx.radio.Standby() // the node reboots at once
-				b.tx.radio.Load(packet.AddrBSData, []byte{2, 2}, func() {
+				b.tx.radio.Load(packet.AddrBSData, []byte{2, 2}, Stay(func() {
 					fire2 = b.k.Now()
 					b.tx.radio.Fire(func() { done2++; done2At = b.k.Now() })
-				})
+				}))
 			})
 			// Just past the crashed frame's end.
 			b.k.Schedule(prof.Radio.TxSettle+air1+sim.Microsecond, func(*sim.Kernel) {
@@ -181,7 +181,7 @@ func TestStaleFrameEndLeavesNewBurstAlone(t *testing.T) {
 					t.Errorf("after the crashed frame's end: mode %v, %d frames, %d callbacks; want tx, 0, 0", m, n, done2)
 				}
 			})
-		})
+		}))
 	})
 	b.k.RunUntil(100 * sim.Millisecond)
 

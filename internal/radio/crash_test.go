@@ -60,14 +60,14 @@ func TestCrashStaleEventsLeaveReusedRadioAlone(t *testing.T) {
 			done1, done2 := 0, 0
 			var fire2, done2At sim.Time
 			reload := func() {
-				tx.radio.Load(packet.AddrBSData, []byte{2, 2}, func() {
+				tx.radio.Load(packet.AddrBSData, []byte{2, 2}, Stay(func() {
 					fire2 = r.k.Now()
 					tx.radio.Fire(func() { done2++; done2At = r.k.Now() })
-				})
+				}))
 			}
 			r.k.Schedule(0, func(*sim.Kernel) {
 				rx.radio.StartRx()
-				tx.radio.Load(packet.AddrBSData, []byte{1}, func() {
+				tx.radio.Load(packet.AddrBSData, []byte{1}, Stay(func() {
 					tx.radio.Fire(func() { done1++ })
 					// Scheduled before the burst's own events, so at the
 					// burst-end instant the crash dispatches first.
@@ -93,7 +93,7 @@ func TestCrashStaleEventsLeaveReusedRadioAlone(t *testing.T) {
 							reload()
 						}
 					})
-				})
+				}))
 			})
 			r.k.RunUntil(100 * sim.Millisecond)
 
@@ -139,9 +139,9 @@ func TestFrameCycleAllocationFree(t *testing.T) {
 		cycle := func() {
 			rx.radio.StartRx()
 			if loadFire {
-				tx.radio.LoadFire(packet.AddrBSData, payload, nil)
+				tx.radio.Load(packet.AddrBSData, payload, Burst(nil))
 			} else {
-				tx.radio.Load(packet.AddrBSData, payload, fire)
+				tx.radio.Load(packet.AddrBSData, payload, Stay(fire))
 			}
 			r.k.RunUntil(r.k.Now() + 10*sim.Millisecond)
 			sent++

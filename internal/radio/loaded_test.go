@@ -25,9 +25,9 @@ type loadRig struct {
 func (l *loadRig) load() {
 	l.rx.radio.StartRx()
 	if l.park {
-		l.tx.radio.LoadPark(packet.AddrBSData, []byte{1, 2})
+		l.tx.radio.Load(packet.AddrBSData, []byte{1, 2}, Park())
 	} else {
-		l.tx.radio.Load(packet.AddrBSData, []byte{1, 2}, nil)
+		l.tx.radio.Load(packet.AddrBSData, []byte{1, 2}, Stay(nil))
 	}
 }
 

@@ -52,7 +52,7 @@ func newFireRig(r *rig) *fireRig {
 // loadFire starts the receiver and the LoadFire; call it at instant 0.
 func (f *fireRig) loadFire(t *testing.T) {
 	f.rx.radio.StartRx()
-	f.tx.radio.LoadFire(packet.AddrBSData, []byte{1, 2}, func() { f.sent++ })
+	f.tx.radio.Load(packet.AddrBSData, []byte{1, 2}, Burst(func() { f.sent++ }))
 	if at := f.tx.sched.MCU().Completion().At; at != f.end {
 		t.Fatalf("clock-in ends at %v, want %v", at, f.end)
 	}
@@ -187,7 +187,7 @@ func TestCancelFireBeforeClockInEnd(t *testing.T) {
 			t.Fatalf("TX %v and standby %v, want 0 and %v", tx, sb, f.end)
 		}
 		f.at(r.k.Now(), func() {
-			f.tx.radio.LoadFire(packet.AddrBSData, []byte{3, 4}, func() { f.sent++ })
+			f.tx.radio.Load(packet.AddrBSData, []byte{3, 4}, Burst(func() { f.sent++ }))
 		})
 		r.k.RunUntil(10 * sim.Millisecond)
 		if f.sent != 1 || len(f.rx.got) != 1 {

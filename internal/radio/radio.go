@@ -15,34 +15,23 @@
 //     interrupt, keeping the receiver on for the drain tail.
 //
 // A FIFO clock-in ends at the MCU's completion of the programmed-I/O
-// loop, and the call that starts it names what the radio does there:
-//
-//   - Load keeps the radio in standby with the frame in the FIFO, for a
-//     later Fire (a control frame fired at its instant, the base
-//     station's beacon);
-//   - LoadPark powers the radio down with the frame retained (the TDMA
-//     node's payload, fired in its slot);
-//   - LoadFire settles the PLL and bursts the frame (LPL strobes and
-//     payloads, the base station's acknowledgements).
-//
-// None of the three costs a kernel event at the end of the clock-in:
-// the move out of standby is the meter's deferred transition at that
+// loop, and Load names what the radio does there (Ending): stay in
+// standby with the frame in the FIFO for a later Fire (Stay), power
+// down with it retained (Park), or settle the PLL and burst it (Burst).
+// The end costs no kernel event unless Stay is given a callback: the
+// move out of standby is the meter's deferred transition at that
 // instant, and Loaded and Mode read the end as passed once
 // sim.Kernel.Passed clears the clock-in's completion position
 // (mcu.MCU.Completion). A Fire before then bursts as the clock-in ends.
-// Only a Load given a callback costs an event: the MCU runs the
-// callback at that same position.
 //
-// ChainLoadPark and ChainLoadFire are LoadPark and LoadFire as the
-// completion callback of the work submitted last would call them, at
-// its hand-off, with no event there: the clock-in is chained to that
-// work (tinyos.Sched.ChainLoad), and the move into standby is the
-// meter's deferred transition at the hand-off, ahead of the one at the
-// clock-in's end. Until dispatch passes the hand-off the radio reads
-// as it was (Mode, ListeningSince), and a drain it starts meanwhile
-// ends there, as the callback's move to standby would end it. The
-// MAC that speculated so takes the clock-in back with Unchain if its
-// speculation falls back (tinyos.Sched.Speculate).
+// A Load made while its caller holds a hand-off open (mcu.MCU.Opening),
+// applying a completion callback that would load the frame at the
+// hand-off, is chained there (mcu.HandOffs.Follow): the clock-in starts
+// at the hand-off, the move into standby is the meter's deferred
+// transition there, ahead of the one at the clock-in's end, and until
+// dispatch passes the hand-off the radio reads as it was (Mode,
+// ListeningSince), a drain it starts meanwhile ending there. If the
+// hand-off is undone, so is the clock-in (Undo).
 package radio
 
 import (
@@ -50,6 +39,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/energy"
+	"repro/internal/mcu"
 	"repro/internal/metrics"
 	"repro/internal/packet"
 	"repro/internal/platform"
@@ -124,10 +114,12 @@ type Radio struct {
 	draining bool
 	txBusy   bool
 	// handoff is the position a chained clock-in starts at, the radio
-	// moving to standby there (Sync), and the zero Pos once it has or
+	// moving to standby there (sync), and the zero Pos once it has or
 	// when none is chained. It sits with the mode, which every read of
-	// it checks.
-	handoff sim.Pos
+	// it checks. handOffs joins the clock-in to the hand-off it is
+	// chained to.
+	handoff  sim.Pos
+	handOffs mcu.HandOffs
 	// txBuf and rxBuf are per-radio scratch buffers for the on-air image:
 	// encode into txBuf at burst start, copy a delivered image into rxBuf
 	// and decode in place. Steady-state transmit and receive therefore
@@ -140,8 +132,8 @@ type Radio struct {
 	// clockInEnd. hasLoaded is set from its start while loaded, its
 	// frame, waits for Fire; the frame is in the FIFO once dispatch has
 	// passed that position (Loaded). clocking is set while the radio
-	// leaves standby there for after: TX for a burst, off for LoadPark or
-	// a burst CancelFire called off. The meter holds that move as its
+	// leaves standby there for after: TX for a burst, off for Park or a
+	// burst CancelFire called off. The meter holds that move as its
 	// deferred transition, so the end of the clock-in costs no kernel
 	// event.
 	hasLoaded  bool
@@ -215,6 +207,7 @@ func New(k *sim.Kernel, name string, params platform.RadioParams, ch *channel.Ch
 	}
 	r.onSettle = r.settle
 	r.onDrained = r.drained
+	sched.MCU().Register(&r.handOffs, r)
 	r.port = ch.Attach(r)
 	return r
 }
@@ -251,7 +244,7 @@ func (r *Radio) Mode() Mode {
 
 // moving is Mode for a radio with a deferred move held.
 func (r *Radio) moving() Mode {
-	r.Sync()
+	r.sync()
 	if r.clockedIn() {
 		return r.after
 	}
@@ -303,6 +296,7 @@ func (r *Radio) accepts(dest packet.Address) bool {
 // PowerDown switches the radio off. Illegal while a transmission
 // sequence is in progress.
 func (r *Radio) PowerDown() {
+	r.sync()
 	if r.txBusy {
 		panic(fmt.Sprintf("radio %s: PowerDown during transmit sequence", r.name))
 	}
@@ -311,9 +305,10 @@ func (r *Radio) PowerDown() {
 }
 
 // Standby moves the radio to standby. Illegal while transmitting, but
-// a no-op while a LoadFire's clock-in runs: the radio stands by until
-// the burst anyway.
+// a no-op while a Burst's clock-in runs: the radio stands by until the
+// burst anyway.
 func (r *Radio) Standby() {
+	r.sync()
 	if r.clocking && r.after == ModeTx && !r.clockedIn() {
 		return
 	}
@@ -328,6 +323,7 @@ func (r *Radio) Standby() {
 // but can only capture frames once the PLL settles. A no-op if already
 // receiving.
 func (r *Radio) StartRx() {
+	r.sync()
 	if r.txBusy {
 		panic(fmt.Sprintf("radio %s: StartRx during transmit sequence", r.name))
 	}
@@ -339,12 +335,38 @@ func (r *Radio) StartRx() {
 	r.rxSince = r.k.Now() + r.params.RxSettle
 }
 
+// Ending is what the radio does as a frame's FIFO clock-in ends
+// (Load): Stay, Park or Burst.
+type Ending struct {
+	after Mode
+	done  func()
+}
+
+// Stay keeps the radio in standby as the clock-in ends, the frame in the
+// FIFO for a later Fire. done, if non-nil, runs then, through the MCU's
+// completion event; without it the end costs no kernel event, and
+// Loaded tells when it has come.
+func Stay(done func()) Ending { return Ending{after: ModeStandby, done: done} }
+
+// Park powers the radio down as the clock-in ends, the frame retained
+// in the FIFO for a later Fire. Loaded tells when the end has come.
+func Park() Ending { return Ending{after: ModeOff} }
+
+// Burst settles the PLL and bursts the frame as the clock-in ends. sent
+// runs when the burst ends and the radio is back in standby.
+// CancelFire calls the burst off until the clock-in has ended.
+func Burst(sent func()) Ending { return Ending{after: ModeTx, done: sent} }
+
 // Load clocks a frame into the TX FIFO: the MCU runs a programmed-I/O
 // loop at the ShockBurst clock-in rate while the radio sits in standby,
-// where it stays once the FIFO holds the frame. done (if non-nil) runs
-// as the clock-in ends, through the MCU's completion event; without it
-// the end costs no kernel event, and Loaded tells when it has come. The
-// radio must not be receiving or transmitting.
+// and end says what the radio does as it ends. The radio must not be
+// receiving or transmitting, unless the load is chained to the hand-off
+// its caller opened last (see the package doc), where a callback would
+// first have stood the radio by. A chained load reports false, loading
+// nothing, when it cannot be chained there: a transmit sequence is in
+// progress, a frame is loaded or clocking in, or the hand-off is not
+// where the work submitted last completes. Every other load reports
+// true.
 //
 // The payload slice is retained, not copied: the caller must keep its
 // bytes unchanged until the frame has started its burst (Fire's settle
@@ -352,41 +374,56 @@ func (r *Radio) StartRx() {
 // into reusable scratch buffers.
 //
 //hot:path
-func (r *Radio) Load(dest packet.Address, payload []byte, done func()) {
-	r.clockIn("Load", payload, done)
-	r.loaded, r.hasLoaded = packet.Frame{Dest: dest, Payload: payload}, true
-}
-
-// LoadPark is Load for a frame that waits in the FIFO with the radio
-// powered down: the radio moves from standby to off as the clock-in
-// ends, through its meter's deferred transition, so no kernel event
-// marks the end. Loaded tells when it has come.
-//
-//hot:path
-func (r *Radio) LoadPark(dest packet.Address, payload []byte) {
-	r.Load(dest, payload, nil)
-	r.moveAfterClockIn(ModeOff)
-}
-
-// clockIn moves the radio to standby and has the MCU clock payload into
-// the TX FIFO, running done (if non-nil) as the clock-in ends, whose
-// dispatch position it records. op names the caller in the panic on a
-// busy radio or an oversized payload.
-//
-//hot:path
-func (r *Radio) clockIn(op string, payload []byte, done func()) {
-	if r.txBusy {
-		panic(fmt.Sprintf("radio %s: %s during transmit sequence", r.name, op))
+func (r *Radio) Load(dest packet.Address, payload []byte, end Ending) bool {
+	r.sync()
+	m := r.sched.MCU()
+	var done func()
+	if end.after == ModeStandby {
+		done = end.done
 	}
-	if r.mode == ModeRx {
-		panic(fmt.Sprintf("radio %s: %s while receiving", r.name, op))
+	if m.Opening() {
+		if r.txBusy || r.clocking || r.hasLoaded || r.handoff.Seq != 0 {
+			return false
+		}
+		if len(payload) > r.params.MaxPayloadBytes {
+			r.tooLong(payload)
+		}
+		h := m.Completion()
+		if !r.handOffs.Follow(r.clockInTime(payload), done) {
+			return false
+		}
+		r.handoff = h
+		r.clockInEnd = m.Completion()
+		r.meter.Defer(h.At, r.modeState[ModeStandby])
+		if end.after != ModeStandby {
+			r.clocking, r.after = true, end.after
+			r.meter.DeferThen(r.clockInEnd.At, r.modeState[end.after])
+		}
+	} else {
+		if r.txBusy {
+			panic(fmt.Sprintf("radio %s: Load during transmit sequence", r.name))
+		}
+		if r.mode == ModeRx {
+			panic(fmt.Sprintf("radio %s: Load while receiving", r.name))
+		}
+		if len(payload) > r.params.MaxPayloadBytes {
+			r.tooLong(payload)
+		}
+		r.setMode(ModeStandby)
+		r.sched.BusyLoad("radio-fifo-load", r.clockInTime(payload), done)
+		r.clockInEnd = m.Completion()
+		if end.after != ModeStandby {
+			r.moveAfterClockIn(end.after)
+		}
 	}
-	if len(payload) > r.params.MaxPayloadBytes {
-		r.tooLong(payload)
+	frame := packet.Frame{Dest: dest, Payload: payload}
+	if end.after == ModeTx {
+		r.loaded, r.hasLoaded = packet.Frame{}, false
+		r.startBurst(frame, end.done, r.clockInEnd.At)
+	} else {
+		r.loaded, r.hasLoaded = frame, true
 	}
-	r.setMode(ModeStandby)
-	r.sched.BusyLoad("radio-fifo-load", r.clockInTime(payload), done)
-	r.clockInEnd = r.sched.MCU().Completion()
+	return true
 }
 
 // tooLong panics on a payload the FIFO cannot hold.
@@ -400,66 +437,10 @@ func (r *Radio) clockInTime(payload []byte) sim.Time {
 	return r.params.TxClockIn(r.params.AddressBytes + len(payload))
 }
 
-// ChainLoadPark is LoadPark at the hand-off of the work submitted last,
-// as that work's completion callback would call it, without the event
-// the callback costs (see the package doc). It reports false, changing
-// nothing, when the clock-in cannot be chained: the radio is in a
-// transmit sequence, holds a deferred move or a frame, or the work has
-// no hand-off position of its own.
-//
-//hot:path
-func (r *Radio) ChainLoadPark(dest packet.Address, payload []byte) bool {
-	if !r.chainClockIn(payload) {
-		return false
-	}
-	r.loaded, r.hasLoaded = packet.Frame{Dest: dest, Payload: payload}, true
-	r.moveAfterChainedClockIn(ModeOff)
-	return true
-}
-
-// ChainLoadFire is LoadFire at the hand-off of the work submitted last,
-// as ChainLoadPark is LoadPark. The radio may be receiving until the
-// hand-off: the callback would first have called Standby there.
-//
-//hot:path
-func (r *Radio) ChainLoadFire(dest packet.Address, payload []byte, sent func()) bool {
-	if !r.chainClockIn(payload) {
-		return false
-	}
-	r.hasLoaded = false
-	r.moveAfterChainedClockIn(ModeTx)
-	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInEnd.At)
-	return true
-}
-
-// chainClockIn chains payload's clock-in to the work submitted last and
-// holds the meter's move into standby at its hand-off, reporting false
-// when it cannot.
-//
-//hot:path
-func (r *Radio) chainClockIn(payload []byte) bool {
-	r.Sync()
-	if r.txBusy || r.clocking || r.hasLoaded || r.handoff.Seq != 0 {
-		return false
-	}
-	if len(payload) > r.params.MaxPayloadBytes {
-		r.tooLong(payload)
-	}
-	h := r.sched.MCU().Completion()
-	if !r.sched.ChainLoad(r.clockInTime(payload)) {
-		return false
-	}
-	r.handoff = h
-	r.clockInEnd = r.sched.MCU().Completion()
-	r.meter.Defer(h.At, r.modeState[ModeStandby])
-	return true
-}
-
-// Unchain takes back the clock-in ChainLoadPark or ChainLoadFire
-// chained last, before its hand-off has passed: the radio is as it was,
-// the FIFO empty, and nothing is fired. The caller takes the MCU's work
-// back (mcu.MCU.UnchainTo).
-func (r *Radio) Unchain() {
+// Undo implements mcu.Undoer: it takes back the clock-in Load chained
+// to a hand-off that was undone, before the hand-off passed. The radio
+// is as it was, the FIFO empty, and nothing is fired.
+func (r *Radio) Undo(sim.Pos, bool) {
 	if r.txBusy {
 		r.k.Cancel(r.tx.settle)
 		r.txBusy = false
@@ -471,30 +452,18 @@ func (r *Radio) Unchain() {
 	r.meter.Undefer()
 }
 
-// Sync moves the radio to standby once dispatch has passed the hand-off
-// of a chained clock-in, as the callback would have there, applying
+// sync moves the radio to standby once dispatch has passed the hand-off
+// a clock-in is chained to, as the callback would have there, applying
 // the meter's move at the hand-off. A drain in progress ends with it.
-// The radio syncs itself before it reads its mode for the channel, its
-// own events and Mode; a MAC that chained a clock-in syncs it on its
-// next entry, before it drives the radio.
+// Every method that reads or changes the mode syncs first.
 //
 //hot:path
-func (r *Radio) Sync() {
-	if r.handoff.Seq != 0 {
-		r.handOff()
+func (r *Radio) sync() {
+	if r.handoff.Seq != 0 && r.k.Passed(r.handoff) {
+		r.meter.ApplyBy(r.handoff.At)
+		r.handoff = sim.Pos{}
+		r.mode, r.draining = ModeStandby, false
 	}
-}
-
-// handOff is Sync for a radio with a chained clock-in.
-//
-//hot:path
-func (r *Radio) handOff() {
-	if !r.k.Passed(r.handoff) {
-		return
-	}
-	r.meter.ApplyBy(r.handoff.At)
-	r.handoff = sim.Pos{}
-	r.mode, r.draining = ModeStandby, false
 }
 
 // moveAfterClockIn has the radio leave standby for mode as the latest
@@ -506,15 +475,8 @@ func (r *Radio) moveAfterClockIn(mode Mode) {
 	r.meter.Defer(r.clockInEnd.At, r.modeState[mode])
 }
 
-// moveAfterChainedClockIn is moveAfterClockIn for a chained clock-in,
-// whose move into standby the meter holds ahead of this one.
-func (r *Radio) moveAfterChainedClockIn(mode Mode) {
-	r.clocking, r.after = true, mode
-	r.meter.DeferThen(r.clockInEnd.At, r.modeState[mode])
-}
-
 // Sending reports whether a transmit sequence is in progress: a
-// LoadFire's clock-in, the PLL settle or the burst on the air. Nothing
+// Burst's clock-in, the PLL settle or the burst on the air. Nothing
 // can be loaded until it ends.
 func (r *Radio) Sending() bool { return r.txBusy }
 
@@ -527,26 +489,13 @@ func (r *Radio) Loaded() bool {
 	return r.hasLoaded && r.k.Passed(r.clockInEnd)
 }
 
-// LoadFire is Load followed by Fire: the MCU clocks the frame into the
-// FIFO, and the radio settles its PLL and bursts it as the clock-in
-// ends. sent runs when the burst ends and the radio is back in standby.
-// CancelFire calls the burst off until the clock-in has ended. The
-// payload is retained as with Load.
-//
-//hot:path
-func (r *Radio) LoadFire(dest packet.Address, payload []byte, sent func()) {
-	r.clockIn("LoadFire", payload, nil)
-	r.hasLoaded = false
-	r.moveAfterClockIn(ModeTx)
-	r.startBurst(packet.Frame{Dest: dest, Payload: payload}, sent, r.clockInEnd.At)
-}
-
-// CancelFire calls off the burst of a LoadFire whose FIFO clock-in is
+// CancelFire calls off the burst of a Burst whose FIFO clock-in is
 // still running (the MAC parked or crashed): nothing reaches the air,
 // its sent callback never runs, and the radio powers down as the
 // clock-in ends. Once the clock-in has ended it does nothing, and the
 // burst goes ahead.
 func (r *Radio) CancelFire() {
+	r.sync()
 	if !r.clocking || r.after != ModeTx || r.clockedIn() {
 		return
 	}
@@ -572,6 +521,7 @@ func (r *Radio) clockedIn() bool {
 //
 //hot:path
 func (r *Radio) Fire(done func()) {
+	r.sync()
 	if !r.hasLoaded {
 		panic(fmt.Sprintf("radio %s: Fire with empty TX FIFO", r.name))
 	}
@@ -611,7 +561,7 @@ func (r *Radio) settle(k *sim.Kernel) {
 	if k.Arg() != r.gen {
 		return // crashed during PLL settling; nothing reached the air
 	}
-	r.Sync()
+	r.sync()
 	r.clocking, r.mode = false, ModeTx
 	// Encode into the per-radio scratch; the channel copies the image
 	// into its own pooled buffer, so txBuf is free again on return.
@@ -629,7 +579,7 @@ func (r *Radio) EndBurst(gen uint64) {
 	if gen != r.gen {
 		return // crashed mid-burst; AbortTx already truncated it
 	}
-	r.Sync()
+	r.sync()
 	r.stats.TxFrames++
 	r.txBusy = false
 	r.setMode(ModeStandby)
@@ -643,7 +593,7 @@ func (r *Radio) EndBurst(gen uint64) {
 // crashed-out transmit/drain callbacks never fire. After a Reboot the
 // radio behaves like a freshly powered chip (mode off, empty FIFOs).
 func (r *Radio) Crash() {
-	r.Sync()
+	r.sync()
 	r.gen++
 	if r.txBusy {
 		r.ch.AbortTx(r.port)
@@ -668,7 +618,7 @@ func (r *Radio) ChannelID() string { return r.name }
 //
 //hot:path
 func (r *Radio) ListeningSince() (sim.Time, bool) {
-	r.Sync()
+	r.sync()
 	if r.mode != ModeRx || r.draining {
 		return 0, false
 	}
@@ -708,7 +658,7 @@ func (r *Radio) Deliver(image []byte, cause channel.Corruption) {
 
 	// Drain the RX FIFO: the radio stays in RX; the MCU services one
 	// interrupt per byte (cheap), then the upper layer handler runs.
-	r.Sync()
+	r.sync()
 	r.lastRxEnd = r.k.Now()
 	r.draining = true
 	r.rx = frame
@@ -728,7 +678,7 @@ func (r *Radio) imageAir(image []byte) sim.Time {
 //
 //hot:path
 func (r *Radio) drained(k *sim.Kernel) {
-	r.Sync()
+	r.sync()
 	if k.Arg() != r.drainTok || !r.draining {
 		// A crash or a mode change by the upper layer (each clears
 		// draining) ended this drain early and lost its frame; a later

@@ -126,7 +126,7 @@ func TestRestartedRxDoesNotOrphanDrain(t *testing.T) {
 	var end2 sim.Time
 	r.k.Schedule(0, func(*sim.Kernel) {
 		rx.radio.StartRx()
-		tx2.radio.Load(packet.AddrBSData, second, nil) // fired later
+		tx2.radio.Load(packet.AddrBSData, second, Stay(nil)) // fired later
 	})
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
 		// The first frame ends at ~5.76ms and drains until ~7.68ms.
@@ -164,7 +164,7 @@ func TestPowerDownDuringTransmitPanics(t *testing.T) {
 	tx := r.station("node1", platform.IMEC())
 	panicked := false
 	r.k.Schedule(0, func(*sim.Kernel) {
-		tx.radio.Load(packet.AddrBSData, []byte{1}, func() { tx.radio.Fire(nil) })
+		tx.radio.Load(packet.AddrBSData, []byte{1}, Stay(func() { tx.radio.Fire(nil) }))
 	})
 	// Mid-burst (load 640us + settle 195us; air 56us): 700us is inside
 	// the settle/burst window.
@@ -213,11 +213,11 @@ func TestLoadOverwritesPreviousFIFOContent(t *testing.T) {
 	rx.radio.SetRxAddresses(packet.AddrBSData)
 	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
 	r.k.Schedule(sim.Millisecond, func(*sim.Kernel) {
-		tx.radio.Load(packet.AddrBSData, []byte{1}, func() {
-			tx.radio.Load(packet.AddrBSData, []byte{2, 2}, func() {
+		tx.radio.Load(packet.AddrBSData, []byte{1}, Stay(func() {
+			tx.radio.Load(packet.AddrBSData, []byte{2, 2}, Stay(func() {
 				tx.radio.Fire(nil)
-			})
-		})
+			}))
+		}))
 	})
 	r.k.RunUntil(30 * sim.Millisecond)
 	if len(rx.got) != 1 || len(rx.got[0].Payload) != 2 {

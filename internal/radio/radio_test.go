@@ -46,7 +46,7 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 // transmit loads a frame and fires it once the FIFO holds it.
 func transmit(r *Radio, dest packet.Address, payload []byte, done func()) {
-	r.Load(dest, payload, func() { r.Fire(done) })
+	r.Load(dest, payload, Stay(func() { r.Fire(done) }))
 }
 
 func TestTransmitDeliversToAddressedReceiver(t *testing.T) {
@@ -248,7 +248,7 @@ func TestLoadWhileReceivingPanics(t *testing.T) {
 			t.Fatalf("Load while receiving did not panic")
 		}
 	}()
-	tx.radio.Load(packet.AddrBSData, []byte{1}, nil)
+	tx.radio.Load(packet.AddrBSData, []byte{1}, Stay(nil))
 }
 
 func TestOversizedPayloadPanics(t *testing.T) {
@@ -259,7 +259,7 @@ func TestOversizedPayloadPanics(t *testing.T) {
 			t.Fatalf("oversized payload did not panic")
 		}
 	}()
-	tx.radio.Load(packet.AddrBSData, make([]byte, 27), nil)
+	tx.radio.Load(packet.AddrBSData, make([]byte, 27), Stay(nil))
 }
 
 func TestLoadThenFireSeparately(t *testing.T) {
@@ -271,7 +271,7 @@ func TestLoadThenFireSeparately(t *testing.T) {
 	loaded := false
 	r.k.Schedule(0, func(*sim.Kernel) { rx.radio.StartRx() })
 	r.k.Schedule(0, func(*sim.Kernel) {
-		tx.radio.Load(packet.AddrBSData, make([]byte, 18), func() { loaded = true })
+		tx.radio.Load(packet.AddrBSData, make([]byte, 18), Stay(func() { loaded = true }))
 	})
 	r.k.Schedule(10*sim.Millisecond, func(*sim.Kernel) {
 		if !loaded {

@@ -12,9 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Sched.Chain posts a task the instant an interrupt completes without
+// Sched.Follow posts a task the instant an interrupt completes without
 // the completion event a callback would cost. These tests run scripts
-// both ways, on both schedulers, and require the chained run to match
+// both ways, on both schedulers, and require the hand-off run to match
 // the reference, whose interrupt posts the task from its completion
 // callback: the same tasks run at the same instants in the same order,
 // the same posts are dropped, and the MCU meter holds the same bits.
@@ -39,7 +39,7 @@ type chainStep struct {
 }
 
 // chainRun plays steps on a fresh MCU and scheduler with queue capacity
-// queueCap, chaining each chainISR's task when chain is set and posting
+// queueCap, having each chainISR's task Follow it when chain is set and posting
 // it from the interrupt's callback otherwise, and reports what happened.
 func chainRun(newKernel func(int64) *sim.Kernel, steps []chainStep, queueCap int, chain bool) string {
 	k := newKernel(1)
@@ -63,7 +63,7 @@ func chainRun(newKernel func(int64) *sim.Kernel, steps []chainStep, queueCap int
 				}
 				isrEnd := m.Completion().At
 				if chain {
-					s.Chain(task)
+					s.Follow(task)
 				}
 				if i+1 < len(steps) && steps[i+1].op == postLater {
 					k.ScheduleAt(isrEnd+1, func(*sim.Kernel) {
@@ -95,10 +95,12 @@ func chainRun(newKernel func(int64) *sim.Kernel, steps []chainStep, queueCap int
 	return strings.Join(log, "\n")
 }
 
-// TestChainMatchesEventHandOff pins Chain against the event-based
+// TestChainMatchesEventHandOff pins Follow against the event-based
 // hand-off, one hazard per case.
 func TestChainMatchesEventHandOff(t *testing.T) {
 	us := sim.Microsecond
+	p := platform.IMEC().MCU
+	isrEnd := p.WakeupLatency + p.CyclesToTime(300)
 	cases := []struct {
 		name     string
 		queueCap int
@@ -111,6 +113,8 @@ func TestChainMatchesEventHandOff(t *testing.T) {
 			{0, post, 2000}, {0, post, 2000}, {10 * us, chainISR, 300}}},
 		{"crash before the hand-off", 0, []chainStep{
 			{0, chainISR, 3000}, {100 * us, crash, 0}, {2 * sim.Millisecond, chainISR, 300}}},
+		{"crash at the hand-off, ahead of its position", 0, []chainStep{
+			{0, chainISR, 300}, {isrEnd, crash, 0}, {2 * sim.Millisecond, chainISR, 300}}},
 		{"crash while the task runs", 0, []chainStep{
 			{0, chainISR, 300}, {110 * us, crash, 0}, {2 * sim.Millisecond, chainISR, 300}}},
 		{"interrupt before the hand-off", 0, []chainStep{
@@ -135,13 +139,13 @@ func TestChainMatchesEventHandOff(t *testing.T) {
 		for _, c := range cases {
 			want := chainRun(kern.new, c.steps, c.queueCap, false)
 			if got := chainRun(kern.new, c.steps, c.queueCap, true); got != want {
-				t.Errorf("%s/%s: chained run\n%s\nwant the event hand-off's\n%s", kern.name, c.name, got, want)
+				t.Errorf("%s/%s: hand-off run\n%s\nwant the event hand-off's\n%s", kern.name, c.name, got, want)
 			}
 		}
 	}
 }
 
-// TestChainElidesHandOffEvent pins the point of Chain: without other
+// TestChainElidesHandOffEvent pins the point of Follow: without other
 // work in the way, the hand-off costs no kernel event, and with other
 // work before it, the hand-off is an event again.
 func TestChainElidesHandOffEvent(t *testing.T) {
@@ -158,7 +162,7 @@ func TestChainElidesHandOffEvent(t *testing.T) {
 				}
 				if chain {
 					s.Interrupt("isr", st.cycles, nil)
-					s.Chain(Task{Name: "task", Cycles: 500})
+					s.Follow(Task{Name: "task", Cycles: 500})
 				} else {
 					s.Interrupt("isr", st.cycles, func() { s.PostFn("task", 500, nil) })
 				}

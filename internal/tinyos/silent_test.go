@@ -12,8 +12,9 @@ import (
 	"repro/internal/sim"
 )
 
-// A task with no Run costs no completion event: it holds its queue slot
-// until dispatch passes its completion position. These tests post the
+// A task with no Run costs no completion event: it is a filed hand-off
+// (mcu.HandOffs.File), holding its queue slot until dispatch passes its
+// completion position. These tests post the
 // same tasks with no Run and with a Run that does nothing, on both
 // schedulers, and require the same posts accepted and dropped, the same
 // QueueLen at every probe, including probes filed at a task's completion
@@ -65,7 +66,7 @@ func silentRun(newKernel func(int64) *sim.Kernel, steps []silentStep, queueCap i
 				k.ScheduleAt(max(end-1, k.Now()), func(k *sim.Kernel) { k.ScheduleAt(end, probe(fmt.Sprintf("after%d", i))) })
 			case sChain:
 				s.Interrupt("isr", st.cycles, nil)
-				s.Chain(Task{Name: "t", Cycles: 900, Run: run})
+				s.Follow(Task{Name: "t", Cycles: 900, Run: run})
 			case sInterrupt:
 				s.Interrupt("isr", st.cycles, nil)
 			case sCrash:
