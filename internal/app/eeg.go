@@ -3,6 +3,7 @@ package app
 import (
 	"repro/internal/approx"
 	"repro/internal/codec"
+	"repro/internal/mcu"
 	"repro/internal/packet"
 )
 
@@ -35,8 +36,12 @@ type EEGPower struct {
 
 	accum   []int64 // sum of |x - mid| per channel, this window
 	samples int
-	perWin  int
-	seq     uint8
+	// acquired holds each acquisition's samples until its ISR, bound
+	// once as sampleDone, completes.
+	acquired   mcu.Queue[codec.Sample]
+	sampleDone func()
+	perWin     int
+	seq        uint8
 }
 
 // NewEEGPower builds the application and configures the front-end.
@@ -60,7 +65,10 @@ func NewEEGPower(env Env, cfg EEGPowerConfig) *EEGPower {
 	if cfg.Signal == nil {
 		panic("app: eeg needs a signal source")
 	}
-	e := &EEGPower{cfg: cfg, accum: make([]int64, cfg.Channels)}
+	e := &EEGPower{cfg: cfg, accum: make([]int64, cfg.Channels),
+		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU())}
+	e.acquired.Placed()
+	e.sampleDone = e.onSampleDone
 	e.configure(env, cfg.Signal, cfg.SampleRateHz, cfg.Channels, e.onAcquisition)
 	e.sizeWindow()
 	return e
@@ -86,31 +94,37 @@ func (e *EEGPower) onAcquisition(i int64, samples []codec.Sample) {
 	// Per-acquisition cost: one accumulate per channel, cheaper than a
 	// detector call.
 	cycles := e.env.Cost.RpeakAcquirePair + int64(len(samples))*60
-	samples = append([]codec.Sample(nil), samples...) // the front-end reuses its register
-	e.env.Sched.Interrupt("eeg-sample", cycles, func() {
-		const mid = int64(codec.MaxSample) / 2
-		for ch, s := range samples {
-			d := int64(s) - mid
-			if d < 0 {
-				d = -d
-			}
-			e.accum[ch] += d
+	for _, v := range samples {
+		e.acquired.Push(v) // the front-end reuses its register
+	}
+	e.env.Sched.Interrupt("eeg-sample", cycles, e.sampleDone)
+}
+
+// onSampleDone accumulates one acquisition as its ISR completes and
+// posts the summary at window end.
+func (e *EEGPower) onSampleDone() {
+	const mid = int64(codec.MaxSample) / 2
+	for ch := range e.accum {
+		d := int64(e.acquired.Pop()) - mid
+		if d < 0 {
+			d = -d
 		}
-		e.samples++
-		if e.samples < e.perWin {
-			return
-		}
-		window := make([]int64, len(e.accum))
-		copy(window, e.accum)
-		n := int64(e.samples)
-		for ch := range e.accum {
-			e.accum[ch] = 0
-		}
-		e.samples = 0
-		// Summarising and chunking is a deferred task.
-		e.env.Sched.PostFn("eeg-summarise", int64(len(window))*180, func() {
-			e.emit(window, n)
-		})
+		e.accum[ch] += d
+	}
+	e.samples++
+	if e.samples < e.perWin {
+		return
+	}
+	window := make([]int64, len(e.accum))
+	copy(window, e.accum)
+	n := int64(e.samples)
+	for ch := range e.accum {
+		e.accum[ch] = 0
+	}
+	e.samples = 0
+	// Summarising and chunking is a deferred task.
+	e.env.Sched.PostFn("eeg-summarise", int64(len(window))*180, func() {
+		e.emit(window, n)
 	})
 }
 

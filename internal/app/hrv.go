@@ -6,6 +6,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/codec"
 	"repro/internal/ecg"
+	"repro/internal/mcu"
 	"repro/internal/packet"
 )
 
@@ -34,6 +35,10 @@ type HRV struct {
 	sample   int64
 	rrs      []float64 // RR intervals of the open window, seconds
 	seq      uint8
+	// acquired holds each acquisition's sample until its ISR, bound
+	// once as sampleDone, completes.
+	acquired   mcu.Queue[codec.Sample]
+	sampleDone func()
 }
 
 // NewHRV builds the application and configures the front-end.
@@ -58,7 +63,10 @@ func NewHRV(env Env, cfg HRVConfig) *HRV {
 		cfg:      cfg,
 		detector: ecg.NewDetector(cfg.SampleRateHz),
 		lastBeat: -1,
+		acquired: mcu.NewQueue[codec.Sample](env.Sched.MCU()),
 	}
+	h.acquired.Placed()
+	h.sampleDone = h.onSampleDone
 	h.configure(env, cfg.Signal, cfg.SampleRateHz, 1, h.onAcquisition)
 	return h
 }
@@ -78,32 +86,36 @@ func (h *HRV) Downshift(factor float64) {
 func (h *HRV) onAcquisition(i int64, samples []codec.Sample) {
 	// Detector cost per sample plus a small RR bookkeeping charge.
 	cycles := h.env.Cost.RpeakAcquirePair + h.env.Cost.RpeakPerChannelSample
-	s0 := samples[0] // the front-end reuses its register
-	h.env.Sched.Interrupt("hrv-sample", cycles, func() {
-		idx := h.sample
-		h.sample++
-		lag := h.detector.Push(s0)
-		if lag == 0 {
-			return
-		}
-		beatAt := idx - int64(lag)
-		h.counts.Beats++
-		if h.lastBeat >= 0 {
-			rr := float64(beatAt-h.lastBeat) / h.rate
-			h.rrs = append(h.rrs, rr)
-		}
-		h.lastBeat = beatAt
-		if len(h.rrs) < h.cfg.WindowBeats {
-			return
-		}
-		window := h.rrs
-		h.rrs = nil
-		// Summarising a window is a deferred task; its cost scales with
-		// the window length (fixed-point statistics on the MSP430).
-		statCycles := int64(len(window)) * 220
-		h.env.Sched.PostFn("hrv-summarise", statCycles, func() {
-			h.sendSummary(window)
-		})
+	h.acquired.Push(samples[0]) // the front-end reuses its register
+	h.env.Sched.Interrupt("hrv-sample", cycles, h.sampleDone)
+}
+
+// onSampleDone runs the detector over one acquisition as its ISR
+// completes and posts the summary once a window of beats is in.
+func (h *HRV) onSampleDone() {
+	idx := h.sample
+	h.sample++
+	lag := h.detector.Push(h.acquired.Pop())
+	if lag == 0 {
+		return
+	}
+	beatAt := idx - int64(lag)
+	h.counts.Beats++
+	if h.lastBeat >= 0 {
+		rr := float64(beatAt-h.lastBeat) / h.rate
+		h.rrs = append(h.rrs, rr)
+	}
+	h.lastBeat = beatAt
+	if len(h.rrs) < h.cfg.WindowBeats {
+		return
+	}
+	window := h.rrs
+	h.rrs = nil
+	// Summarising a window is a deferred task; its cost scales with
+	// the window length (fixed-point statistics on the MSP430).
+	statCycles := int64(len(window)) * 220
+	h.env.Sched.PostFn("hrv-summarise", statCycles, func() {
+		h.sendSummary(window)
 	})
 }
 
