@@ -215,6 +215,7 @@ SOAK_START = 1
 
 soak:
 	$(GO) run ./cmd/soak -seeds $(SOAK_SEEDS) -start $(SOAK_START) -budget 60s -q
+	$(GO) test -count=1 -run TestHandOffsMatchReference ./internal/core -reference-seeds $(SOAK_SEEDS)
 
 # The resilience acceptance test (DESIGN.md section 16): a journaled
 # sweep killed mid-batch and resumed with -resume must emit CSV

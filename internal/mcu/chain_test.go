@@ -417,8 +417,7 @@ func TestChainDurRejectsNegative(t *testing.T) {
 }
 
 // TestReferenceAndSettledHandOffs covers the rest of the record's
-// contract: a Reference MCU opens no hand-off and completes each filed
-// one through an event; a hand-off dispatch has passed settles without
+// contract: a Reference MCU opens no hand-off; a hand-off dispatch has passed settles without
 // its fallback; Follow refuses with no hand-off open; and undoing a
 // hand-off takes back the filed hand-offs of the work that followed it.
 func TestReferenceAndSettledHandOffs(t *testing.T) {
@@ -461,8 +460,8 @@ func TestReferenceAndSettledHandOffs(t *testing.T) {
 		}
 	})
 	k.Run()
-	if k.Executed() != 4 || refFiled.Len() != 0 {
-		t.Errorf("%d events, %d filed left; want 4 (two scripts, the reference's filed completion and a fallback), 0",
+	if k.Executed() != 3 || refFiled.Len() != 0 {
+		t.Errorf("%d events, %d filed left; want 3 (two scripts and a fallback), 0",
 			k.Executed(), refFiled.Len())
 	}
 }

@@ -42,9 +42,10 @@ func (m *MCU) Register(h *HandOffs, undo Undoer) {
 }
 
 // Reference makes m elide no completion, the reference elided runs are
-// tested against: Open refuses, so owners submit their callbacks, and
-// each filed hand-off completes through an event. Call it before any
-// work is submitted.
+// tested against: Open refuses, so owners run their callbacks through
+// events at the reserved positions, as their fallbacks do. Filed
+// hand-offs have no callback to run. Call it before any work is
+// submitted.
 func (m *MCU) Reference() { m.reference = true }
 
 // File files a hand-off at the completion of the work submitted last,
@@ -52,14 +53,8 @@ func (m *MCU) Reference() { m.reference = true }
 //
 //hot:path
 func (h *HandOffs) File() {
-	m := h.m
-	h.filed.Push(m.done)
-	if m.reference && m.event == 0 && !m.shared {
-		m.CompleteAt(m.done, nop)
-	}
+	h.filed.Push(h.m.done)
 }
-
-func nop() {}
 
 // Len settles the filed hand-offs dispatch has passed and reports how
 // many remain.
@@ -166,6 +161,17 @@ func (h *HandOffs) settle(fallback bool) bool {
 func (m *MCU) CompleteAt(at sim.Pos, done func()) {
 	m.dones.Push(done)
 	m.event = m.k.ScheduleReserved(at, m.complete, m.gen)
+}
+
+// Complete runs done through a completion event of the work submitted
+// last, which has no callback: at its position, or, for zero-length
+// work without a position of its own, at a fresh one (Exec(0, done)).
+func (m *MCU) Complete(done func()) {
+	if m.shared {
+		m.Exec(0, done)
+		return
+	}
+	m.CompleteAt(m.done, done)
 }
 
 // Yield runs before work is submitted: work following a hand-off

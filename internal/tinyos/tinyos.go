@@ -150,9 +150,9 @@ func (s *Sched) Follow(t Task) {
 	}
 	s.follow = task{run: t.Run, arg: t.Arg, cycles: t.Cycles, handoff: true}
 	if !s.handOffs.Open(s.mcu.Completion()) {
-		// No position of its own to follow: hand off through an event.
+		// No hand-off: post the task through the work's completion event.
 		s.tasks.Push(s.follow)
-		s.mcu.Exec(0, s.taskDone)
+		s.mcu.Complete(s.taskDone)
 		return
 	}
 	d := s.mcu.Duration(t.Cycles)
