@@ -51,7 +51,7 @@ type owner struct {
 
 func (o *owner) Undo(at sim.Pos, fallback bool) {
 	if fallback {
-		o.m.CompleteAt(at, o.fallback)
+		o.m.Complete(o.fallback)
 	}
 }
 

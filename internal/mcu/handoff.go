@@ -13,7 +13,7 @@ import "repro/internal/sim"
 // open one (Open) is undone if the owner is entered first (Settle), or,
 // once work follows it (Follow), if other work is submitted: the work
 // and the hand-offs behind it are taken back, and the owner's Undoer
-// runs the callback through an event at the position (CompleteAt,
+// runs the callback through an event at the position (Complete,
 // sim.Kernel.ScheduleReserved). A record must not move once registered.
 type HandOffs struct {
 	m       *MCU
@@ -61,6 +61,13 @@ func (h *HandOffs) File() {
 //
 //hot:path
 func (h *HandOffs) Len() int {
+	if h.filed.Len() == 0 {
+		return 0
+	}
+	return h.settleFiled()
+}
+
+func (h *HandOffs) settleFiled() int {
 	for h.filed.Len() > 0 && h.m.k.Passed(h.filed.Peek()) {
 		h.filed.Pop()
 	}
@@ -129,6 +136,13 @@ func (h *HandOffs) Follow(d sim.Time, done func()) bool {
 //
 //hot:path
 func (h *HandOffs) Settle() int {
+	if h.at.Seq == 0 && h.filed.Len() == 0 && h.lost == 0 {
+		return 0
+	}
+	return h.settleAll()
+}
+
+func (h *HandOffs) settleAll() int {
 	if h.at.Seq != 0 {
 		h.settle(true)
 	}
@@ -156,22 +170,18 @@ func (h *HandOffs) settle(fallback bool) bool {
 	return false
 }
 
-// CompleteAt runs done through a completion event at at, the position
-// of work no other work has been queued behind: an Undoer's fallback.
-func (m *MCU) CompleteAt(at sim.Pos, done func()) {
-	m.dones.Push(done)
-	m.event = m.k.ScheduleReserved(at, m.complete, m.gen)
-}
-
 // Complete runs done through a completion event of the work submitted
-// last, which has no callback: at its position, or, for zero-length
-// work without a position of its own, at a fresh one (Exec(0, done)).
+// last, which has no callback: at its reserved position, or, for
+// zero-length work without a position of its own, at a fresh one. An
+// Undoer's fallback runs its callback so, as the MCU took back the work
+// that followed the hand-off.
 func (m *MCU) Complete(done func()) {
 	if m.shared {
 		m.Exec(0, done)
 		return
 	}
-	m.CompleteAt(m.done, done)
+	m.dones.Push(done)
+	m.event = m.k.ScheduleReserved(m.done, m.complete, m.gen)
 }
 
 // Yield runs before work is submitted: work following a hand-off
@@ -181,10 +191,14 @@ func (m *MCU) Complete(done func()) {
 //hot:path
 func (m *MCU) Yield() {
 	if m.nChain > 0 {
-		m.prune()
-		if m.nChain > 0 {
-			m.undo(m.chain[0], true)
-		}
+		m.yield()
+	}
+}
+
+func (m *MCU) yield() {
+	m.prune()
+	if m.nChain > 0 {
+		m.undo(m.chain[0], true)
 	}
 }
 

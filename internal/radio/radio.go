@@ -459,7 +459,14 @@ func (r *Radio) Undo(sim.Pos, bool) {
 //
 //hot:path
 func (r *Radio) sync() {
-	if r.handoff.Seq != 0 && r.k.Passed(r.handoff) {
+	if r.handoff.Seq != 0 {
+		r.handOff()
+	}
+}
+
+// handOff is sync for a radio with a chained clock-in.
+func (r *Radio) handOff() {
+	if r.k.Passed(r.handoff) {
 		r.meter.ApplyBy(r.handoff.At)
 		r.handoff = sim.Pos{}
 		r.mode, r.draining = ModeStandby, false

@@ -169,14 +169,14 @@ func (s *Sched) Follow(t Task) {
 // (its computation, and its filed hand-off, the MCU took back), and
 // with fallback set it is posted at the hand-off through a completion
 // event there.
-func (s *Sched) Undo(at sim.Pos, fallback bool) {
+func (s *Sched) Undo(_ sim.Pos, fallback bool) {
 	if !s.filed(Task{Run: s.follow.run, Cycles: s.follow.cycles}) {
 		s.tasks.PopBack()
 		s.queued--
 	}
 	if fallback {
 		s.tasks.Push(s.follow)
-		s.mcu.CompleteAt(at, s.taskDone)
+		s.mcu.Complete(s.taskDone)
 	}
 }
 
