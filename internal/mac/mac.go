@@ -13,17 +13,16 @@
 //
 // The acknowledgement round trip runs two interrupts without completion
 // callbacks: the node's ack-process ISR and the base station's ack
-// turnaround. Each MAC speculates on the callback as it submits the ISR
-// (tinyos.Sched.Speculate): it applies the callback's decision as of
-// the ISR's completion, the hand-off, and chains the FIFO clock-in the
-// callback would start (radio.Radio.ChainLoadPark, ChainLoadFire) and,
-// for a data ack, the forwarding task. Every entry into the MAC (a
-// frame, a timer, an MCU or radio callback, Send, a crash, park or
-// degrade hook, ResetAccounting, an audit) first settles the
-// speculation: before the hand-off position passes, it undoes the
-// speculated effects and runs the callback at that position through an
-// event after all. A Send re-speculates instead, as of the state it
-// leaves.
+// turnaround. Each MAC opens a hand-off at the ISR's completion
+// (mcu.HandOffs.Open) and applies the callback's decision as of there
+// at once: the FIFO clock-in the callback would start follows the
+// hand-off (radio.Radio.Load), and for a data ack so does the
+// forwarding task. Every entry into the MAC (a frame, a timer, an MCU or
+// radio callback, a crash, park or degrade hook, ResetAccounting, an
+// audit) first settles it (mcu.HandOffs.Settle): before the hand-off
+// position passes, the MAC's Undo takes the decision back and runs the
+// callback at that position through an event after all. A Send
+// withdraws it and opens it again as of the state it leaves.
 package mac
 
 import (

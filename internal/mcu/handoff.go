@@ -49,10 +49,11 @@ func (m *MCU) Register(h *HandOffs, undo Undoer) {
 func (m *MCU) Reference() { m.reference = true }
 
 // File files a hand-off at the completion of the work submitted last,
-// which has no completion callback.
+// which has no completion callback, settling those dispatch has passed.
 //
 //hot:path
 func (h *HandOffs) File() {
+	h.Len()
 	h.filed.Push(h.m.done)
 }
 
@@ -130,13 +131,12 @@ func (h *HandOffs) Follow(d sim.Time, done func()) bool {
 }
 
 // Settle runs first at every entry into the owner: it undoes the open
-// hand-off, with its fallback, unless dispatch has passed it, settles
-// the filed ones, and reports how many filed hand-offs crashes dropped
+// hand-off, with its fallback, unless dispatch has passed it, and reports how many filed hand-offs crashes dropped
 // since the last Settle, always the latest filed before each crash.
 //
 //hot:path
 func (h *HandOffs) Settle() int {
-	if h.at.Seq == 0 && h.filed.Len() == 0 && h.lost == 0 {
+	if h.at.Seq|uint64(h.lost) == 0 {
 		return 0
 	}
 	return h.settleAll()
