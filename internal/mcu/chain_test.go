@@ -417,7 +417,8 @@ func TestChainDurRejectsNegative(t *testing.T) {
 }
 
 // TestReferenceAndSettledHandOffs covers the rest of the record's
-// contract: a Reference MCU opens no hand-off; a hand-off dispatch has passed settles without
+// contract: a Reference MCU opens no hand-off; Complete gives work
+// without a position of its own a fresh one; a hand-off dispatch has passed settles without
 // its fallback; Follow refuses with no hand-off open; and undoing a
 // hand-off takes back the filed hand-offs of the work that followed it.
 func TestReferenceAndSettledHandOffs(t *testing.T) {
@@ -438,6 +439,8 @@ func TestReferenceAndSettledHandOffs(t *testing.T) {
 		if refOwner.h.Open(ref.Completion()) || ref.Opening() {
 			t.Error("a Reference MCU opened a hand-off")
 		}
+		ref.Exec(0, nil) // no position of its own: Complete takes a fresh one
+		ref.Complete(func() {})
 		m.Exec(300, nil)
 		if o.h.Follow(m.Duration(100), nil) {
 			t.Error("Follow with no hand-off open queued work")
@@ -460,8 +463,8 @@ func TestReferenceAndSettledHandOffs(t *testing.T) {
 		}
 	})
 	k.Run()
-	if k.Executed() != 3 || refFiled.Len() != 0 {
-		t.Errorf("%d events, %d filed left; want 3 (two scripts and a fallback), 0",
+	if k.Executed() != 4 || refFiled.Len() != 0 {
+		t.Errorf("%d events, %d filed left; want 4 (two scripts, a completion and a fallback), 0",
 			k.Executed(), refFiled.Len())
 	}
 }
