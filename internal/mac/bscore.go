@@ -317,7 +317,7 @@ func (c *bsCore) owe(a owedAck, isr string) {
 		return // nothing to recycle without a sink
 	}
 	c.marshalAck(a)
-	if !c.radio.Load(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, radio.Burst(c.ackSent)) {
+	if !c.radio.Load(c.cfg.Plan.NodeAddr(a.rec.Node), c.ackBuf, radio.Burst(c.ackSent).AfterHandOff()) {
 		c.handOffs.Settle() // the ack cannot be chained: fall back at once
 		return
 	}

@@ -64,7 +64,7 @@ func TestLPLParkMidStrobeClockIn(t *testing.T) {
 // TestLPLPayloadDelayOwedToClockInEnd pins where an LPL payload's
 // queueing delay is recorded. The payload bursts as its FIFO clock-in
 // ends, with no kernel event there, so the delay is owed from the
-// LoadFire and counts in the accounting epoch of the clock-in's end: a
+// Burst load and counts in the accounting epoch of the clock-in's end: a
 // reset before that end keeps it, one after it drops it with the rest
 // of the old epoch, and a crash before that end calls the burst off and
 // records nothing.

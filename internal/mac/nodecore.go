@@ -423,7 +423,7 @@ type owedDelay struct {
 }
 
 // oweQueueDelay is noteQueueDelay for the in-flight frame whose burst
-// starts as the FIFO clock-in just submitted ends (radio.LoadFire). That
+// starts as the FIFO clock-in just submitted ends (radio.Burst). That
 // end costs no kernel event, so the delay is owed until dispatch passes
 // it: settleDelay records it then, at the latest when the counters are
 // read or reset. A halt before then drops it, since the burst is called

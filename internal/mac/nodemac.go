@@ -141,7 +141,7 @@ func (m *NodeMac) speculateLoad(at sim.Pos) {
 	if !m.mayLoad(at.At) {
 		return
 	}
-	if m.hasInFlight || !m.radio.Load(m.cfg.Plan.BSData, m.queue.Peek().payload, radio.Park()) {
+	if m.hasInFlight || !m.radio.Load(m.cfg.Plan.BSData, m.queue.Peek().payload, radio.Park().AfterHandOff()) {
 		m.handOffs.Settle() // the load cannot be chained: fall back at once
 		return
 	}

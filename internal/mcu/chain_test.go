@@ -375,7 +375,7 @@ func TestUnchainToTakesBackChains(t *testing.T) {
 					log = append(log, "not chained")
 				}
 				first.h.Withdraw()
-				if first.h.Pending() || second.h.Pending() || joined.h.Pending() || m.Opening() {
+				if first.h.Pending() || second.h.Pending() || joined.h.Pending() {
 					log = append(log, "still pending")
 				}
 			}
@@ -436,7 +436,7 @@ func TestReferenceAndSettledHandOffs(t *testing.T) {
 	k.ScheduleAt(0, func(*sim.Kernel) {
 		ref.Exec(300, nil)
 		refFiled.File()
-		if refOwner.h.Open(ref.Completion()) || ref.Opening() {
+		if refOwner.h.Open(ref.Completion()) || refOwner.h.Pending() {
 			t.Error("a Reference MCU opened a hand-off")
 		}
 		ref.Exec(0, nil) // no position of its own: Complete takes a fresh one

@@ -2,18 +2,17 @@ package mcu
 
 import "repro/internal/sim"
 
-// HandOffs is an owner's record of its reserved hand-offs: work it
-// submitted to the MCU whose completion callback's effects it applied
-// at submission, so that the completion costs no kernel event. Each is
-// filed under the completion position reserved for the work
-// (Completion) and settled by one sim.Kernel.Passed compare once
-// dispatch passes it. Before then a crash drops it, and the owner's
-// next Settle reports how many it dropped. A filed hand-off (File)
-// needs no other undoing: its effects commute with all other work. An
-// open one (Open) is undone if the owner is entered first (Settle), or,
-// once work follows it (Follow), if other work is submitted: the work
-// and the hand-offs behind it are taken back, and the owner's Undoer
-// runs the callback through an event at the position (Complete,
+// HandOffs is an owner's record of its hand-offs: work it submitted to
+// the MCU whose completion callback's effects it applied at submission,
+// so that the completion costs no kernel event. Each sits at the
+// completion position reserved for the work (Completion), settled by
+// one sim.Kernel.Passed compare once dispatch passes it; a crash before
+// then drops it. A filed hand-off (File) needs no undoing, as its
+// effects commute with all other work. An open one (Open) is undone if
+// the owner is entered first (Settle), or, once work follows it
+// (Follow), if other work is submitted (Yield): the MCU takes back the
+// work and the hand-offs behind it, and the owner's Undoer runs the
+// callback through an event at the position (Complete,
 // sim.Kernel.ScheduleReserved). A record must not move once registered.
 type HandOffs struct {
 	m       *MCU
@@ -48,8 +47,12 @@ func (m *MCU) Register(h *HandOffs, undo Undoer) {
 // submitted.
 func (m *MCU) Reference() { m.reference = true }
 
+// Use gives h's filed hand-offs ring as their first ring (see
+// sim.FIFO.Use).
+func (h *HandOffs) Use(ring []sim.Pos) { h.filed.Use(ring) }
+
 // File files a hand-off at the completion of the work submitted last,
-// which has no completion callback, settling those dispatch has passed.
+// which has no completion callback.
 //
 //hot:path
 func (h *HandOffs) File() {
@@ -91,29 +94,20 @@ func (h *HandOffs) Open(at sim.Pos) bool {
 	return true
 }
 
-// Opening reports whether the hand-off opened last is open with no work
-// following it: work submitted now for it must Follow it.
-//
-//hot:path
-func (m *MCU) Opening() bool {
-	h := m.last
-	return h != nil && h.at.Seq != 0 && !h.follows && !m.k.Passed(h.at)
-}
-
 // Follow queues d of computation, completing with done (nil for none),
 // to start at the hand-off opened last, as if its callback had
 // submitted it there, and reports true. h joins that hand-off, undone
 // without a fallback along with it. Follow reports false, queuing
-// nothing, when the work submitted last does not complete there.
+// nothing, unless that hand-off is open, with no work following it yet,
+// where the work submitted last completes.
 //
 //hot:path
 func (h *HandOffs) Follow(d sim.Time, done func()) bool {
-	m := h.m
-	o := m.last
+	m, o := h.m, h.m.last
 	if d < 0 {
 		panic("mcu: negative duration")
 	}
-	if !m.Opening() || o.at != m.done || m.shared {
+	if o == nil || o.at.Seq == 0 || o.follows || o.at != m.done || m.shared || m.k.Passed(o.at) {
 		return false
 	}
 	if m.event != 0 {
@@ -131,8 +125,9 @@ func (h *HandOffs) Follow(d sim.Time, done func()) bool {
 }
 
 // Settle runs first at every entry into the owner: it undoes the open
-// hand-off, with its fallback, unless dispatch has passed it, and reports how many filed hand-offs crashes dropped
-// since the last Settle, always the latest filed before each crash.
+// hand-off, with its fallback, unless dispatch has passed it, and
+// reports how many filed hand-offs crashes dropped since the last
+// Settle, always the latest filed before each crash.
 //
 //hot:path
 func (h *HandOffs) Settle() int {
@@ -146,7 +141,6 @@ func (h *HandOffs) settleAll() int {
 	if h.at.Seq != 0 {
 		h.settle(true)
 	}
-	h.Len()
 	n := h.lost
 	h.lost = 0
 	return n
@@ -251,10 +245,6 @@ func (h *HandOffs) revert(fallback bool) {
 	h.at, h.follows = sim.Pos{}, false
 	h.undo.Undo(at, fallback)
 }
-
-// Use gives h's filed hand-offs ring as their first ring (see
-// sim.FIFO.Use).
-func (h *HandOffs) Use(ring []sim.Pos) { h.filed.Use(ring) }
 
 // crashed drops h's hand-offs at a crash.
 func (h *HandOffs) crashed() {

@@ -49,10 +49,13 @@ type MCU struct {
 	// done is the completion position of the work submitted last, the
 	// one a hand-off is filed under; event is its completion event, 0
 	// when that work has no callback. shared is set when that work has no callback
-	// and no completion position of its own (see execFor).
+	// and no completion position of its own (see execFor). nChain
+	// counts the hand-offs work follows (chain, below), which every
+	// submission checks.
 	done   sim.Pos
 	event  sim.EventID
 	shared bool
+	nChain int
 	// sleep is the low-power mode the MCU idles in; it and the other
 	// handles are the meter's states, resolved once.
 	sleep  energy.Handle
@@ -76,7 +79,6 @@ type MCU struct {
 	// opened a hand-off last. reference is set by Reference.
 	records   *HandOffs
 	chain     [4]*HandOffs
-	nChain    int
 	last      *HandOffs
 	reference bool
 }

@@ -123,7 +123,7 @@ func TestCrashStaleEventsLeaveReusedRadioAlone(t *testing.T) {
 }
 
 // TestFrameCycleAllocationFree pins the steady-state frame cycle, Load
-// through Fire (or LoadFire), settle, burst end, Deliver and drain to the
+// through Fire (or a Burst load), settle, burst end, Deliver and drain to the
 // receive handler, to zero allocations.
 func TestFrameCycleAllocationFree(t *testing.T) {
 	for _, loadFire := range []bool{false, true} {
@@ -150,10 +150,10 @@ func TestFrameCycleAllocationFree(t *testing.T) {
 			cycle()
 		}
 		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-			t.Fatalf("frame cycle (LoadFire %v) allocates %.2f times per frame", loadFire, allocs)
+			t.Fatalf("frame cycle (Burst %v) allocates %.2f times per frame", loadFire, allocs)
 		}
 		if got != sent || rx.radio.Stats().RxAccepted != uint64(sent) {
-			t.Fatalf("LoadFire %v: handler ran %d times, RxAccepted %d, for %d frames",
+			t.Fatalf("Burst %v: handler ran %d times, RxAccepted %d, for %d frames",
 				loadFire, got, rx.radio.Stats().RxAccepted, sent)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// A Load without a callback and a LoadPark end their clock-in without a
+// A Stay load without a callback and a Park load end their clock-in without a
 // kernel event: the radio stays in standby, or powers down through its
 // meter's deferred transition, and Loaded reports the frame once
 // dispatch has passed the clock-in's reserved position. These tests pin
@@ -16,7 +16,7 @@ import (
 // clock-in, on both schedulers.
 
 // loadRig is fireRig's transmitter loading a 2-byte frame at instant 0,
-// parked (LoadPark) or in standby (Load).
+// parked (Park) or in standby (Stay).
 type loadRig struct {
 	*fireRig
 	park bool
@@ -160,7 +160,7 @@ func TestFireBeforeClockInEnd(t *testing.T) {
 	})
 }
 
-// TestStandbyDuringLoadFireClockIn calls Standby while a LoadFire's
+// TestStandbyDuringLoadFireClockIn calls Standby while a Burst load's
 // clock-in runs, as a base station opening its beacon slot during an
 // ack's clock-in does: the radio is in standby already, and the burst
 // goes ahead as the clock-in ends.

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sim"
 )
 
-// LoadFire's clock-in ends at the MCU's elided completion, with no kernel
+// A Burst load's clock-in ends at the MCU's elided completion, with no kernel
 // event: the radio leaves standby for TX there through its meter's
 // deferred transition and its reserved dispatch position. These tests
 // pin that end, a crash on either side of it and CancelFire, on both
@@ -49,7 +49,7 @@ func newFireRig(r *rig) *fireRig {
 	return f
 }
 
-// loadFire starts the receiver and the LoadFire; call it at instant 0.
+// loadFire starts the receiver and the Burst load; call it at instant 0.
 func (f *fireRig) loadFire(t *testing.T) {
 	f.rx.radio.StartRx()
 	f.tx.radio.Load(packet.AddrBSData, []byte{1, 2}, Burst(func() { f.sent++ }))
@@ -81,7 +81,7 @@ func (f *fireRig) wantNothingOnAir(t *testing.T) {
 }
 
 // TestLoadFireModeStandbyUntilPositionPasses probes the mode at the
-// clock-in's end: an event filed before the LoadFire, whose position
+// clock-in's end: an event filed before the Burst load, whose position
 // precedes the reserved one, still finds standby; one filed after it
 // finds TX. The frame then flies like Load and Fire.
 func TestLoadFireModeStandbyUntilPositionPasses(t *testing.T) {

@@ -24,14 +24,14 @@
 // sim.Kernel.Passed clears the clock-in's completion position
 // (mcu.MCU.Completion). A Fire before then bursts as the clock-in ends.
 //
-// A Load made while its caller holds a hand-off open (mcu.MCU.Opening),
-// applying a completion callback that would load the frame at the
-// hand-off, is chained there (mcu.HandOffs.Follow): the clock-in starts
-// at the hand-off, the move into standby is the meter's deferred
-// transition there, ahead of the one at the clock-in's end, and until
-// dispatch passes the hand-off the radio reads as it was (Mode,
-// ListeningSince), a drain it starts meanwhile ending there. If the
-// hand-off is undone, so is the clock-in (Undo).
+// A Load chained to a hand-off its caller opened (Ending.AfterHandOff),
+// applying a completion callback that would load the frame there, joins
+// that hand-off (mcu.HandOffs.Follow): the clock-in starts at the
+// hand-off, the move into standby is the meter's deferred transition
+// there, ahead of the one at the clock-in's end, and until dispatch
+// passes the hand-off the radio reads as it was (Mode, ListeningSince),
+// a drain it starts meanwhile ending there. If the hand-off is undone,
+// so is the clock-in (Undo).
 package radio
 
 import (
@@ -336,10 +336,12 @@ func (r *Radio) StartRx() {
 }
 
 // Ending is what the radio does as a frame's FIFO clock-in ends
-// (Load): Stay, Park or Burst.
+// (Load): Stay, Park or Burst, chained to the caller's hand-off or not
+// (AfterHandOff).
 type Ending struct {
-	after Mode
-	done  func()
+	after   Mode
+	chained bool
+	done    func()
 }
 
 // Stay keeps the radio in standby as the clock-in ends, the frame in the
@@ -357,16 +359,20 @@ func Park() Ending { return Ending{after: ModeOff} }
 // CancelFire calls the burst off until the clock-in has ended.
 func Burst(sent func()) Ending { return Ending{after: ModeTx, done: sent} }
 
+// AfterHandOff chains the clock-in to the hand-off its caller opened
+// last, applying a completion callback that would stand the radio by
+// and load the frame there (see the package doc).
+func (e Ending) AfterHandOff() Ending { e.chained = true; return e }
+
 // Load clocks a frame into the TX FIFO: the MCU runs a programmed-I/O
 // loop at the ShockBurst clock-in rate while the radio sits in standby,
 // and end says what the radio does as it ends. The radio must not be
-// receiving or transmitting, unless the load is chained to the hand-off
-// its caller opened last (see the package doc), where a callback would
-// first have stood the radio by. A chained load reports false, loading
-// nothing, when it cannot be chained there: a transmit sequence is in
-// progress, a frame is loaded or clocking in, or the hand-off is not
-// where the work submitted last completes. Every other load reports
-// true.
+// receiving or transmitting. A load chained to a hand-off
+// (AfterHandOff) may find the radio receiving, as the callback would
+// first have stood it by, and reports false, loading nothing, when it
+// cannot be chained: a transmit sequence is in progress, a frame is
+// loaded or clocking in, or the hand-off is not where the work
+// submitted last completes. Every other load reports true.
 //
 // The payload slice is retained, not copied: the caller must keep its
 // bytes unchanged until the frame has started its burst (Fire's settle
@@ -376,29 +382,22 @@ func Burst(sent func()) Ending { return Ending{after: ModeTx, done: sent} }
 //hot:path
 func (r *Radio) Load(dest packet.Address, payload []byte, end Ending) bool {
 	r.sync()
+	if len(payload) > r.params.MaxPayloadBytes {
+		r.tooLong(payload)
+	}
 	m := r.sched.MCU()
 	var done func()
 	if end.after == ModeStandby {
 		done = end.done
 	}
-	if m.Opening() {
-		if r.txBusy || r.clocking || r.hasLoaded || r.handoff.Seq != 0 {
-			return false
-		}
-		if len(payload) > r.params.MaxPayloadBytes {
-			r.tooLong(payload)
-		}
+	if end.chained {
 		h := m.Completion()
-		if !r.handOffs.Follow(r.clockInTime(payload), done) {
+		if r.txBusy || r.clocking || r.hasLoaded || r.handoff.Seq != 0 ||
+			!r.handOffs.Follow(r.clockInTime(payload), done) {
 			return false
 		}
 		r.handoff = h
-		r.clockInEnd = m.Completion()
 		r.meter.Defer(h.At, r.modeState[ModeStandby])
-		if end.after != ModeStandby {
-			r.clocking, r.after = true, end.after
-			r.meter.DeferThen(r.clockInEnd.At, r.modeState[end.after])
-		}
 	} else {
 		if r.txBusy {
 			panic(fmt.Sprintf("radio %s: Load during transmit sequence", r.name))
@@ -406,14 +405,16 @@ func (r *Radio) Load(dest packet.Address, payload []byte, end Ending) bool {
 		if r.mode == ModeRx {
 			panic(fmt.Sprintf("radio %s: Load while receiving", r.name))
 		}
-		if len(payload) > r.params.MaxPayloadBytes {
-			r.tooLong(payload)
-		}
 		r.setMode(ModeStandby)
 		r.sched.BusyLoad("radio-fifo-load", r.clockInTime(payload), done)
-		r.clockInEnd = m.Completion()
-		if end.after != ModeStandby {
-			r.moveAfterClockIn(end.after)
+	}
+	r.clockInEnd = m.Completion()
+	if end.after != ModeStandby {
+		r.clocking, r.after = true, end.after
+		if end.chained {
+			r.meter.DeferThen(r.clockInEnd.At, r.modeState[end.after])
+		} else {
+			r.meter.Defer(r.clockInEnd.At, r.modeState[end.after])
 		}
 	}
 	frame := packet.Frame{Dest: dest, Payload: payload}
