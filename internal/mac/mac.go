@@ -16,7 +16,7 @@
 // turnaround. Each MAC opens a hand-off at the ISR's completion
 // (mcu.HandOffs.Open) and applies the callback's decision as of there
 // at once: the FIFO clock-in the callback would start follows the
-// hand-off (radio.Radio.Load), and for a data ack so does the
+// hand-off (radio.Ending.AfterHandOff), and for a data ack so does the
 // forwarding task. Every entry into the MAC (a frame, a timer, an MCU or
 // radio callback, a crash, park or degrade hook, ResetAccounting, an
 // audit) first settles it (mcu.HandOffs.Settle): before the hand-off

@@ -15,13 +15,13 @@ import "repro/internal/sim"
 // callback through an event at the position (Complete,
 // sim.Kernel.ScheduleReserved). A record must not move once registered.
 type HandOffs struct {
+	at      sim.Pos // the open hand-off, the zero Pos when none
+	lost    int
+	follows bool // work follows it, and it is on the MCU's chain
 	m       *MCU
 	undo    Undoer
-	filed   sim.FIFO[sim.Pos]
-	lost    int
-	at      sim.Pos // the open hand-off, the zero Pos when none
-	follows bool    // work follows it, and it is on the MCU's chain
 	next    *HandOffs
+	filed   sim.FIFO[sim.Pos]
 }
 
 // Undoer is an owner's undo record.
@@ -113,7 +113,12 @@ func (h *HandOffs) Follow(d sim.Time, done func()) bool {
 	if m.event != 0 {
 		panic("mcu: Follow behind work that has a completion callback")
 	}
+	// The work joins the hand-offs queued so far instead of yielding to
+	// them.
+	n := m.nChain
+	m.nChain = 0
 	m.execFor(d, done)
+	m.nChain = n
 	for _, r := range [2]*HandOffs{o, h} {
 		if !r.follows {
 			r.at, r.follows = o.at, true
@@ -141,6 +146,7 @@ func (h *HandOffs) settleAll() int {
 	if h.at.Seq != 0 {
 		h.settle(true)
 	}
+	h.Len()
 	n := h.lost
 	h.lost = 0
 	return n

@@ -167,7 +167,6 @@ func (m *MCU) Busy() bool { return m.k.Now() < m.idle.At }
 //
 //hot:path
 func (m *MCU) Exec(cycles int64, done func()) sim.Time {
-	m.Yield()
 	return m.execFor(m.params.CyclesToTime(cycles), done)
 }
 
@@ -178,13 +177,15 @@ func (m *MCU) ExecDur(d sim.Time, done func()) sim.Time {
 	if d < 0 {
 		panic("mcu: negative duration")
 	}
-	m.Yield()
 	return m.execFor(d, done)
 }
 
 // execFor queues dur of computation, completing with done, behind the
-// work submitted so far.
+// work submitted so far, yielding first (Yield).
 func (m *MCU) execFor(dur sim.Time, done func()) sim.Time {
+	if m.nChain > 0 {
+		m.yield()
+	}
 	now := m.k.Now()
 	start, woke := now, false
 	if m.idle.At > now {

@@ -46,7 +46,7 @@ type MCUParams struct {
 
 // CyclesToTime converts an instruction-cycle count into execution time at
 // the MCU clock.
-func (m *MCUParams) CyclesToTime(cycles int64) sim.Time {
+func (m MCUParams) CyclesToTime(cycles int64) sim.Time {
 	if cycles <= 0 {
 		return 0
 	}

@@ -116,10 +116,8 @@ type Radio struct {
 	// handoff is the position a chained clock-in starts at, the radio
 	// moving to standby there (sync), and the zero Pos once it has or
 	// when none is chained. It sits with the mode, which every read of
-	// it checks. handOffs joins the clock-in to the hand-off it is
-	// chained to.
-	handoff  sim.Pos
-	handOffs mcu.HandOffs
+	// it checks.
+	handoff sim.Pos
 	// txBuf and rxBuf are per-radio scratch buffers for the on-air image:
 	// encode into txBuf at burst start, copy a delivered image into rxBuf
 	// and decode in place. Steady-state transmit and receive therefore
@@ -167,6 +165,8 @@ type Radio struct {
 
 	stats     Stats
 	lastRxEnd sim.Time
+	// handOffs joins a chained clock-in to the hand-off it follows.
+	handOffs mcu.HandOffs
 }
 
 // New creates a radio, registers its energy meter and attaches it to the
