@@ -79,7 +79,7 @@ race:
 COVER_FLOORS = internal/core:78 internal/mac:88 internal/metrics:75 \
 	internal/fault:90 internal/runner:95 internal/battery:90 internal/app:96 \
 	internal/mcu:98 internal/ecg:95 internal/asic:99 \
-	internal/tinyos:96 internal/radio:83 internal/energy:89
+	internal/tinyos:96 internal/radio:85 internal/energy:89
 
 cover:
 	@for spec in $(COVER_FLOORS); do \

@@ -419,8 +419,9 @@ func TestChainDurRejectsNegative(t *testing.T) {
 // TestReferenceAndSettledHandOffs covers the rest of the record's
 // contract: a Reference MCU opens no hand-off; Complete gives work
 // without a position of its own a fresh one; a hand-off dispatch has passed settles without
-// its fallback; Follow refuses with no hand-off open; and undoing a
-// hand-off takes back the filed hand-offs of the work that followed it.
+// its fallback; Follow refuses with no hand-off open; and Yield undoes a
+// hand-off, taking back the filed hand-offs of the work that followed
+// it but not those filed before.
 func TestReferenceAndSettledHandOffs(t *testing.T) {
 	k, m, _ := newMCU(t)
 	ref := New(k, platform.IMEC().MCU, energy.NewLedger())
@@ -454,13 +455,15 @@ func TestReferenceAndSettledHandOffs(t *testing.T) {
 			t.Error("a passed hand-off did not settle")
 		}
 		m.Exec(300, nil)
+		o.h.File()
 		o.h.Open(m.Completion())
 		o.h.Follow(m.Duration(100), nil)
 		o.h.File()
-		m.Exec(100, nil)
-		if o.h.Len() != 0 || o.h.Pending() {
-			t.Errorf("undone hand-off left %d filed, pending %v", o.h.Len(), o.h.Pending())
+		m.Yield()
+		if o.h.Len() != 1 || o.h.Pending() {
+			t.Errorf("undone hand-off left %d filed, pending %v; want the one filed before it", o.h.Len(), o.h.Pending())
 		}
+		m.Exec(100, nil)
 	})
 	k.Run()
 	if k.Executed() != 4 || refFiled.Len() != 0 {

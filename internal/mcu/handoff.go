@@ -217,7 +217,9 @@ func (m *MCU) prune() {
 // since, filed hand-offs included: it runs out of work at h's position
 // again.
 func (m *MCU) undo(h *HandOffs, fallback bool) {
-	sim.ProbeNote("hand-off fallback")
+	if fallback {
+		sim.ProbeNote("hand-off fallback")
+	}
 	at := h.at
 	if h.follows {
 		for {
