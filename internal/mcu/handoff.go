@@ -65,13 +65,6 @@ func (h *HandOffs) File() {
 //
 //hot:path
 func (h *HandOffs) Len() int {
-	if h.filed.Len() == 0 {
-		return 0
-	}
-	return h.settleFiled()
-}
-
-func (h *HandOffs) settleFiled() int {
 	for h.filed.Len() > 0 && h.m.k.Passed(h.filed.Peek()) {
 		h.filed.Pop()
 	}
@@ -114,18 +107,19 @@ func (h *HandOffs) Follow(d sim.Time, done func()) bool {
 		panic("mcu: Follow behind work that has a completion callback")
 	}
 	// The work joins the hand-offs queued so far instead of yielding to
-	// them.
+	// them, and so do o and h.
 	n := m.nChain
 	m.nChain = 0
 	m.execFor(d, done)
-	m.nChain = n
-	for _, r := range [2]*HandOffs{o, h} {
-		if !r.follows {
-			r.at, r.follows = o.at, true
-			m.chain[m.nChain] = r
-			m.nChain++
-		}
+	o.follows = true
+	m.chain[n] = o
+	n++
+	if !h.follows {
+		h.at, h.follows = o.at, true
+		m.chain[n] = h
+		n++
 	}
+	m.nChain = n
 	return true
 }
 

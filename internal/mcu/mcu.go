@@ -51,11 +51,14 @@ type MCU struct {
 	// when that work has no callback. shared is set when that work has no callback
 	// and no completion position of its own (see execFor). nChain
 	// counts the hand-offs work follows (chain, below), which every
-	// submission checks.
-	done   sim.Pos
-	event  sim.EventID
-	shared bool
-	nChain int
+	// submission checks; last is the record that opened a hand-off
+	// last, and reference is set by Reference.
+	done      sim.Pos
+	event     sim.EventID
+	shared    bool
+	nChain    int
+	last      *HandOffs
+	reference bool
 	// sleep is the low-power mode the MCU idles in; it and the other
 	// handles are the meter's states, resolved once.
 	sleep  energy.Handle
@@ -75,12 +78,9 @@ type MCU struct {
 	complete sim.Handler
 	// records lists the registered HandOffs, linked through their next
 	// fields, for a crash to drop. chain[:nChain] holds, in position
-	// order, those whose open hand-off work follows, last the one that
-	// opened a hand-off last. reference is set by Reference.
-	records   *HandOffs
-	chain     [4]*HandOffs
-	last      *HandOffs
-	reference bool
+	// order, those whose open hand-off work follows.
+	records *HandOffs
+	chain   [4]*HandOffs
 }
 
 // New creates an MCU, registers its energy meter on the ledger and starts

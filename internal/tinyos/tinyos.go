@@ -102,22 +102,24 @@ func (s *Sched) Post(t Task) bool {
 	if s.QueueLen() >= s.queueCap {
 		return false
 	}
-	if s.filed(t) {
-		s.mcu.Exec(t.Cycles, nil)
+	d := s.mcu.Duration(t.Cycles)
+	if filed(t.Run, d) {
+		s.mcu.ExecDur(d, nil)
 		s.handOffs.File()
 		return true
 	}
 	s.accept(t)
-	s.mcu.Exec(t.Cycles, s.taskDone)
+	s.mcu.ExecDur(d, s.taskDone)
 	return true
 }
 
-// filed reports whether t completes without a kernel event: it has no
-// Run, and a duration, so its completion position is its own.
+// filed reports whether a task with run, lasting d, completes without
+// a kernel event: it has no Run, and a duration, so its completion
+// position is its own.
 //
 //hot:path
-func (s *Sched) filed(t Task) bool {
-	return t.Run == nil && s.mcu.Duration(t.Cycles) > 0
+func filed(run func(), d sim.Time) bool {
+	return run == nil && d > 0
 }
 
 // accept counts t into the queue.
@@ -156,7 +158,7 @@ func (s *Sched) Follow(t Task) {
 		return
 	}
 	d := s.mcu.Duration(t.Cycles)
-	if s.filed(t) {
+	if filed(t.Run, d) {
 		s.handOffs.Follow(d, nil)
 		s.handOffs.File()
 		return
@@ -170,7 +172,7 @@ func (s *Sched) Follow(t Task) {
 // with fallback set it is posted at the hand-off through a completion
 // event there.
 func (s *Sched) Undo(_ sim.Pos, fallback bool) {
-	if !s.filed(Task{Run: s.follow.run, Cycles: s.follow.cycles}) {
+	if !filed(s.follow.run, s.mcu.Duration(s.follow.cycles)) {
 		s.tasks.PopBack()
 		s.queued--
 	}
